@@ -22,11 +22,9 @@
 //!   `generation_warm_ms` sample rides along: the same generation pass
 //!   served entirely from a warm content-addressed artifact cache
 //!   ([`crate::artifact`]), committed evidence of what the cache buys.
-//!   Since `bench_format` 4 each entry also records the lane A/B: the
-//!   campaign's first (workload, seed) group timed lane-batched against one
-//!   of its rows simulated alone (interleaved back-to-back samples, `lanes`
-//!   and `group_rows` recorded), whose best-vs-best ratio
-//!   `group_lane_vs_row` is the ROADMAP item-3 amortisation headline.
+//!   `bench_format` 5 drops the lane A/B fields `bench_format` 4 added
+//!   (`lanes`, `group_rows`, `group_lane_ms`, `group_row_ms`,
+//!   `group_lane_vs_row`) along with the lane-batched schedule they timed.
 //!   The headline `best_ms` is
 //!   `generation_ms + min(simulation_ms)` — the cold-equivalent campaign
 //!   wall time, directly comparable to the single `wall_ms` of
@@ -63,9 +61,6 @@ pub struct BenchOptions {
     /// Also time the per-cycle reference engine (the parity cross-check
     /// always runs it at least once regardless).
     pub time_reference: bool,
-    /// Lane cap for lane-batched group execution (see
-    /// [`EngineOptions::lanes`]); `0` runs whole groups as one lane slab.
-    pub lanes: usize,
 }
 
 impl Default for BenchOptions {
@@ -77,7 +72,6 @@ impl Default for BenchOptions {
             full_only: false,
             iterations: 3,
             time_reference: true,
-            lanes: 0,
         }
     }
 }
@@ -130,18 +124,6 @@ pub struct BenchEntry {
     pub event_horizon: EngineTiming,
     /// Per-cycle reference engine timings (absent under `--no-reference`).
     pub reference: Option<EngineTiming>,
-    /// Rows in the campaign's first (workload, seed) group — the group the
-    /// lane A/B below times (`bench_format` 4).
-    pub group_rows: usize,
-    /// Effective lanes per slab in the lane-batched group A/B run
-    /// (`group_rows` when the cap is 0/auto).
-    pub lanes: usize,
-    /// Wall-time samples of the whole first group run lane-batched, in
-    /// milliseconds (interleaved back-to-back with `group_row_ms`).
-    pub group_lane_ms: Vec<f64>,
-    /// Wall-time samples of the group's first row simulated alone, in
-    /// milliseconds.
-    pub group_row_ms: Vec<f64>,
 }
 
 impl BenchEntry {
@@ -171,33 +153,6 @@ impl BenchEntry {
     /// engine, over the cold-equivalent campaign wall time.
     pub fn mcycles_per_second(&self) -> f64 {
         self.cycles_total as f64 / 1e6 / (self.best_ms() / 1e3)
-    }
-
-    /// Best (minimum) lane-batched wall time of the first group, in
-    /// milliseconds.
-    pub fn best_group_lane_ms(&self) -> f64 {
-        self.group_lane_ms
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    /// Best (minimum) single-row wall time of the first group's first row,
-    /// in milliseconds.
-    pub fn best_group_row_ms(&self) -> f64 {
-        self.group_row_ms
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    /// The lane-amortisation headline: whole-group lane-batched wall over
-    /// single-row wall, best-vs-best from interleaved samples. A group of
-    /// `n` rows costs `n`x single-row without lane batching; the ROADMAP
-    /// item-3 target is ≤ 2x for the figure9 group of 6 mechanism rows
-    /// (plus its baseline).
-    pub fn group_lane_vs_row(&self) -> f64 {
-        self.best_group_lane_ms() / self.best_group_row_ms()
     }
 }
 
@@ -256,7 +211,6 @@ pub fn run_bench(options: &BenchOptions) -> Result<BenchReport, String> {
                 smoke,
                 engine: SimEngine::EventHorizon,
                 artifact_cache: None,
-                lanes: options.lanes,
             };
             let gen_started = Instant::now();
             let generated = generate_workloads(&spec, &gen_opts).map_err(|e| e.to_string())?;
@@ -292,7 +246,6 @@ pub fn run_bench(options: &BenchOptions) -> Result<BenchReport, String> {
                     smoke,
                     engine,
                     artifact_cache: None,
-                    lanes: options.lanes,
                 };
                 let started = Instant::now();
                 let report = run_generated(&spec, &opts, &generated);
@@ -337,54 +290,6 @@ pub fn run_bench(options: &BenchOptions) -> Result<BenchReport, String> {
                 }
             }
 
-            // Lane A/B (bench_format 4): time the campaign's first
-            // (workload, seed) group lane-batched against one of its rows
-            // simulated alone, interleaved back-to-back so the samples share
-            // whatever the box is doing; best-vs-best is the headline ratio.
-            let jobs = generated.jobs();
-            let group_key = (jobs[0].workload, jobs[0].seed);
-            let built_configs: Vec<_> = spec.configs.iter().map(|c| c.build()).collect();
-            let group_rows: Vec<_> = jobs
-                .iter()
-                .filter(|j| (j.workload, j.seed) == group_key)
-                .map(|j| (j.mechanism, &built_configs[j.config]))
-                .collect();
-            let data = generated
-                .data_for(group_key.0, group_key.1)
-                .expect("the first job's workload was generated");
-            let lanes = if options.lanes == 0 {
-                group_rows.len()
-            } else {
-                options.lanes.min(group_rows.len())
-            };
-            let mut group_lane_ms = Vec::new();
-            let mut group_row_ms = Vec::new();
-            for _ in 0..options.iterations {
-                let started = Instant::now();
-                let lane_stats = data.run_group_with_predictor_engine(
-                    &group_rows,
-                    spec.predictor,
-                    SimEngine::EventHorizon,
-                    options.lanes,
-                );
-                group_lane_ms.push(started.elapsed().as_secs_f64() * 1e3);
-                let started = Instant::now();
-                let row_stats = data.run_with_predictor_engine(
-                    group_rows[0].0,
-                    group_rows[0].1,
-                    spec.predictor,
-                    SimEngine::EventHorizon,
-                );
-                group_row_ms.push(started.elapsed().as_secs_f64() * 1e3);
-                if lane_stats[0] != row_stats {
-                    return Err(format!(
-                        "lane parity violation on preset `{name}`{}: lane-batched \
-                         statistics differ from the single-row run",
-                        if smoke { " (smoke)" } else { "" },
-                    ));
-                }
-            }
-
             // Deterministic fields come from the (parity-checked) report.
             let report = campaign_report.expect("at least one iteration ran");
             let cycles_total = report.rows.iter().map(|r| r.stats.cycles).sum();
@@ -402,10 +307,6 @@ pub fn run_bench(options: &BenchOptions) -> Result<BenchReport, String> {
                 generation_warm_ms,
                 event_horizon,
                 reference: options.time_reference.then_some(reference),
-                group_rows: group_rows.len(),
-                lanes,
-                group_lane_ms,
-                group_row_ms,
             });
         }
     }
@@ -432,30 +333,7 @@ pub fn bench_to_json(report: &BenchReport) -> String {
                 // Cold generation + best simulation: the number comparable
                 // to bench_format 1's whole-campaign best wall time.
                 .field("best_ms", round_ms(entry.best_ms()))
-                .field("event_horizon_mcycles_per_s", entry.mcycles_per_second())
-                // Lane A/B (bench_format 4): the first group lane-batched
-                // vs one of its rows alone, interleaved samples.
-                .field("lanes", entry.lanes)
-                .field("group_rows", entry.group_rows)
-                .field(
-                    "group_lane_ms",
-                    entry
-                        .group_lane_ms
-                        .iter()
-                        .map(|&ms| Json::Float(round_ms(ms)))
-                        .collect::<Vec<Json>>(),
-                )
-                .field(
-                    "group_row_ms",
-                    entry
-                        .group_row_ms
-                        .iter()
-                        .map(|&ms| Json::Float(round_ms(ms)))
-                        .collect::<Vec<Json>>(),
-                )
-                .field("best_group_lane_ms", round_ms(entry.best_group_lane_ms()))
-                .field("best_group_row_ms", round_ms(entry.best_group_row_ms()))
-                .field("group_lane_vs_row", entry.group_lane_vs_row());
+                .field("event_horizon_mcycles_per_s", entry.mcycles_per_second());
             if let Some(speedup) = entry.speedup_vs_reference() {
                 timing = timing.field("speedup_vs_reference", speedup);
             }
@@ -476,7 +354,7 @@ pub fn bench_to_json(report: &BenchReport) -> String {
         .collect();
     Json::object()
         .field("bench", "boomerang-sim bench")
-        .field("bench_format", 4u64)
+        .field("bench_format", 5u64)
         .field("entries", entries)
         .pretty()
 }
@@ -504,7 +382,7 @@ pub fn bench_to_table(report: &BenchReport) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<20} {:>6} {:>6} {:>8} {:>8} {:>12} {:>14} {:>9} {:>10} {:>12} {:>9}",
+        "{:<20} {:>6} {:>6} {:>8} {:>8} {:>12} {:>14} {:>9} {:>10} {:>12}",
         "preset",
         "smoke",
         "jobs",
@@ -514,13 +392,12 @@ pub fn bench_to_table(report: &BenchReport) -> String {
         "reference ms",
         "speedup",
         "best ms",
-        "Mcycles/s",
-        "grp/row"
+        "Mcycles/s"
     );
     for entry in &report.entries {
         let _ = writeln!(
             out,
-            "{:<20} {:>6} {:>6} {:>8.1} {:>8.1} {:>12.1} {:>14} {:>9} {:>10.1} {:>12.1} {:>9}",
+            "{:<20} {:>6} {:>6} {:>8.1} {:>8.1} {:>12.1} {:>14} {:>9} {:>10.1} {:>12.1}",
             entry.preset,
             entry.smoke,
             entry.campaign_jobs,
@@ -538,7 +415,6 @@ pub fn bench_to_table(report: &BenchReport) -> String {
                 .unwrap_or_else(|| "-".into()),
             entry.best_ms(),
             entry.mcycles_per_second(),
-            format!("{:.2}x", entry.group_lane_vs_row()),
         );
     }
     out
@@ -675,10 +551,6 @@ mod tests {
                 engine: "per-cycle-reference",
                 simulation_ms: vec![30.0, 24.0, 40.0],
             }),
-            group_rows: 3,
-            lanes: 3,
-            group_lane_ms: vec![6.0, 4.0],
-            group_row_ms: vec![2.5, 2.0],
         };
         // 24.0 / 8.0; a first-sample or mean pairing would give 3.0 only by
         // accident of these numbers — check the minima are what is used.
@@ -686,10 +558,6 @@ mod tests {
         assert_eq!(entry.event_horizon.best_simulation_ms(), 8.0);
         // And best_ms is cold generation + the event-horizon's best sample.
         assert_eq!(entry.best_ms(), 13.0);
-        // The lane A/B ratio is likewise best-vs-best: 4.0 / 2.0.
-        assert_eq!(entry.best_group_lane_ms(), 4.0);
-        assert_eq!(entry.best_group_row_ms(), 2.0);
-        assert_eq!(entry.group_lane_vs_row(), 2.0);
         let without_reference = BenchEntry {
             reference: None,
             ..entry

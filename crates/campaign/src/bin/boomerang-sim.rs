@@ -68,56 +68,51 @@ OPTIONS:
                            and start over
     --max-rows <N>         Checkpoint at most N new rows, then exit with a
                            resume hint (deterministic interruption)
-    --shard <I/N>          Execute only jobs with index ≡ I (mod N) and write
-                           a per-shard journal; no reports (worker mode)
-    --lanes <N>            Lane cap for lane-batched group simulation: 0 runs
-                           each whole (workload, seed) group as one lane slab
-                           (default), 1 disables lane batching (per-row), N>1
-                           splits groups into slabs of at most N lanes.
-                           Purely a schedule — reports are byte-identical for
-                           every setting. Interplay with --jobs: the pool
-                           shards whole groups across workers, lanes fill
-                           within a group; resume holes and --shard splits
-                           fall back to per-row execution
     --fault-inject <PLAN>  Arm deterministic fault points (testing; see the
                            README's failure model for the plan syntax)
     --quiet                Suppress the progress banner and result table
     -h, --help             Show this help
 
-SERVE OPTIONS:
+SERVE OPTIONS (every submission is leased row by row from a work queue):
     --spool <DIR>          Directory watched for *.toml spec submissions;
                            processed files become *.done / *.partial /
                            *.failed
     --out <DIR>            Root of per-submission output dirs (default:
                            serve-out)
-    --workers <N>          Worker processes per submission (default: 2)
-    --jobs <N>             Worker threads per process (default: all cores)
+    --workers <N>          Local worker processes per submission, each
+                           running one row at a time, connected to the work
+                           queue over loopback (default: one per core;
+                           0 = remote workers only, needs --listen)
+    --jobs <N>             Deprecated and ignored (warns): each worker
+                           process runs one row at a time, so --workers
+                           sets the parallelism
     --smoke                Run every submission at smoke length
     --artifact-cache <DIR> Shared workload artifact cache for all workers
     --once                 Process the submissions present now, then exit
     --poll-ms <MS>         Spool poll interval (default: 500)
-    --max-retries <N>      Restarts per crashed/hung worker shard
+    --max-retries <N>      Restarts per crashed/hung local worker
                            (default: 2)
     --worker-timeout-secs <S>
-                           Kill a worker with no journal progress for S
-                           seconds; counts as a retry (default: 300)
+                           Kill a local worker that sends no lease request
+                           or row for S seconds; counts as a retry
+                           (default: 300)
     --backoff-ms <MS>      Base restart backoff, doubling per retry
                            (default: 250)
-    --allow-partial        When a shard exhausts its retries, write a
-                           degraded report (missing rows marked) instead of
-                           failing; exit code 4 marks a partial run
+    --allow-partial        When every local worker exhausts its retries
+                           with rows outstanding, write a degraded report
+                           (missing rows marked) instead of failing; exit
+                           code 4 marks a partial run
     --settle-ms <MS>       Skip submissions modified within the last MS
                            (still being written; default: 0 = off)
     --max-scans <N>        Stop after N spool scans (testing; default:
                            0 = unlimited)
     --fault-inject <PLAN>  Arm deterministic fault points in the service and
                            its workers (testing)
-    --listen <ADDR>        Run the TCP work queue on ADDR (e.g. 127.0.0.1:0)
-                           and lease jobs to `worker --connect` clients;
-                           --workers N spawns N local clients over loopback
-                           (0 = remote workers only)
+    --listen <ADDR>        Expose the work queue on ADDR (e.g. 0.0.0.0:7000)
+                           so `worker --connect` clients can join the local
+                           fleet (default: a private ephemeral loopback port)
     --listen-addr-file <FILE>
-                           Write the bound listen address to FILE once
+                           Write the bound work-queue address to FILE once
                            listening (for `--listen 127.0.0.1:0`)
     --lease-timeout-secs <S>
                            Revoke a lease with no heartbeat or row progress
@@ -132,15 +127,15 @@ SERVE OPTIONS:
                            completed rows to a *different* worker session and
                            compare the stats; a mismatch quarantines the
                            producing session and requeues its unverified rows
-                           (default: 0 = off; needs --listen)
+                           (default: 0 = off; needs at least two workers)
     --max-quarantined <N>  Fail a submission (exit code 5) once more than N
                            worker sessions have been quarantined for corrupt
                            results (default: unbounded)
 
 WORKER OPTIONS:
     --connect <ADDR>       Broker address (host:port) to lease jobs from
-    --worker-index <N>     This worker's index, addressable by `shard=`
-                           fault filters (default: 0)
+    --worker-index <N>     This worker's index, quoted in its handshake and
+                           addressable by `shard=` fault filters (default: 0)
     --heartbeat-ms <MS>    Lease heartbeat interval (default: 2000)
     --reconnect-ms <MS>    Base reconnect backoff after losing the broker,
                            doubling per consecutive failure (default: 250)
@@ -180,8 +175,6 @@ BENCH OPTIONS (see README \"Performance\"):
     --full            Benchmark only full-length entries
     --iterations <K>  Timed iterations per engine (default: 3)
     --no-reference    Skip timing the per-cycle reference engine
-    --lanes <N>       Lane cap for the campaign runs and the per-group lane
-                      A/B (default: 0 = whole groups)
     --out <FILE>      Bench report path (default: bench-out/bench.json; pass
                       BENCH_PR<n>.json explicitly to (re)write a committed
                       trajectory baseline)
@@ -207,9 +200,8 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             Ok(ExitCode::SUCCESS)
         }
         Some("list-presets") => {
-            // `groups` is what lane-batching amortises: each (workload, seed)
-            // group shares one generated trace, and its `rows/grp` rows run
-            // as lanes of one slab.
+            // Each (workload, seed) group shares one generated trace across
+            // its `rows/grp` rows.
             println!(
                 "{:<20} {:>5} {:>10} {:>7} {:>9}  description",
                 "preset", "jobs", "workloads", "groups", "rows/grp"
@@ -296,12 +288,6 @@ fn bench_command(args: &[String]) -> Result<ExitCode, String> {
                     .map_err(|_| format!("bad --iterations value `{n}`"))?;
             }
             "--no-reference" => options.time_reference = false,
-            "--lanes" => {
-                let n = it.next().ok_or("--lanes needs a count")?;
-                options.lanes = n
-                    .parse::<usize>()
-                    .map_err(|_| format!("bad --lanes value `{n}`"))?;
-            }
             "--out" => {
                 let path = it.next().ok_or("--out needs a file path")?;
                 out = PathBuf::from(path);
@@ -379,10 +365,17 @@ fn serve_command(args: &[String]) -> Result<ExitCode, String> {
                     .map_err(|_| format!("bad --workers value `{n}`"))?;
             }
             "--jobs" => {
+                // Deprecated: every worker process runs one leased row at a
+                // time, so there is nothing to size. Still parsed so older
+                // command lines keep working, but never silently.
                 let n = it.next().ok_or("--jobs needs a count")?;
-                options.jobs = n
-                    .parse::<usize>()
+                n.parse::<usize>()
                     .map_err(|_| format!("bad --jobs value `{n}`"))?;
+                eprintln!(
+                    "serve: warning: --jobs is deprecated and ignored; each worker \
+                     process runs one row at a time, so use --workers to set the \
+                     parallelism"
+                );
             }
             "--smoke" => options.smoke = true,
             "--artifact-cache" => {
@@ -488,12 +481,8 @@ fn serve_command(args: &[String]) -> Result<ExitCode, String> {
         return Err("serve needs --spool <DIR>".into());
     }
     if options.workers == 0 && options.listen.is_none() {
-        return Err("--workers 0 needs --listen (no local fleet and no work queue)".into());
-    }
-    if options.verify_fraction > 0.0 && options.listen.is_none() {
         return Err(
-            "--verify-fraction needs --listen (verification re-leases rows over the work queue)"
-                .into(),
+            "--workers 0 needs --listen (no local fleet and no remote worker can connect)".into(),
         );
     }
     if let Some(plan) = &fault_plan {
@@ -509,18 +498,13 @@ fn serve_command(args: &[String]) -> Result<ExitCode, String> {
     }
     install_interrupt_handler();
     if !quiet {
-        let local_workers = if options.listen.is_some() {
-            options.workers
-        } else {
-            options.workers.max(1)
-        };
         eprintln!(
-            "serving spool {} into {} ({} worker processes{}{})",
+            "serving spool {} into {} ({} local worker processes{}{})",
             options.spool.display(),
             options.out.display(),
-            local_workers,
+            options.workers,
             if options.listen.is_some() {
-                ", work queue"
+                ", remote workers welcome"
             } else {
                 ""
             },
@@ -713,11 +697,9 @@ fn run_command(args: &[String], command_resume: bool) -> Result<ExitCode, String
     let mut quiet = false;
     let mut resume = command_resume;
     let mut force = false;
-    let mut shard: Option<(usize, usize)> = None;
     let mut max_rows: Option<usize> = None;
     let mut artifact_cache: Option<PathBuf> = None;
     let mut fault_plan: Option<String> = None;
-    let mut lanes: usize = 0;
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -749,19 +731,9 @@ fn run_command(args: &[String], command_resume: bool) -> Result<ExitCode, String
                         .map_err(|_| format!("bad --max-rows value `{n}`"))?,
                 );
             }
-            "--shard" => {
-                let v = it.next().ok_or("--shard needs I/N")?;
-                shard = Some(parse_shard(v)?);
-            }
             "--artifact-cache" => {
                 let dir = it.next().ok_or("--artifact-cache needs a directory")?;
                 artifact_cache = Some(PathBuf::from(dir));
-            }
-            "--lanes" => {
-                let n = it.next().ok_or("--lanes needs a count")?;
-                lanes = n
-                    .parse::<usize>()
-                    .map_err(|_| format!("bad --lanes value `{n}`"))?;
             }
             "--fault-inject" => {
                 let plan = it.next().ok_or("--fault-inject needs a plan")?;
@@ -800,10 +772,10 @@ fn run_command(args: &[String], command_resume: bool) -> Result<ExitCode, String
     };
 
     // Arm the fault plan (explicit flag or inherited environment) before any
-    // fault point can run, and register which shard this process executes so
-    // `shard=` filters can address it.
+    // fault point can run. A `run` process registers as worker 0, so
+    // `shard=0` filters address it.
     fault::install(fault_plan.as_deref())?;
-    fault::set_worker_shard(shard.map(|(index, _)| index).unwrap_or(0));
+    fault::set_worker_shard(0);
 
     let run = if smoke {
         RunLength::smoke_test()
@@ -857,7 +829,8 @@ fn run_command(args: &[String], command_resume: bool) -> Result<ExitCode, String
         resume = false;
     }
 
-    // Replay whatever is already checkpointed (all shards' journals).
+    // Replay whatever is already checkpointed (including the per-shard
+    // journals of directories written by older sharded workers).
     let done: HashMap<usize, SimStats> = if resume {
         let replay = JournalReplay::load(&out_dir, &spec.name, &hash, &jobs_list)
             .map_err(|e| e.to_string())?;
@@ -866,20 +839,8 @@ fn run_command(args: &[String], command_resume: bool) -> Result<ExitCode, String
         HashMap::new()
     };
 
-    let plan = RunPlan {
-        shard: shard.filter(|&(_, count)| count > 1),
-        limit: max_rows,
-    };
-    let mut pending: Vec<usize> = (0..jobs_list.len())
-        .filter(|i| !done.contains_key(i))
-        .filter(|i| match plan.shard {
-            Some((index, count)) => i % count == index,
-            None => true,
-        })
-        .collect();
-    if let Some(limit) = plan.limit {
-        pending.truncate(limit);
-    }
+    let plan = RunPlan { limit: max_rows };
+    let pending = (jobs_list.len() - done.len()).min(max_rows.unwrap_or(usize::MAX));
 
     if !quiet {
         let workers = if jobs == 0 {
@@ -888,7 +849,7 @@ fn run_command(args: &[String], command_resume: bool) -> Result<ExitCode, String
             jobs
         };
         eprintln!(
-            "campaign `{}`: {} jobs ({} configs x {} workloads x {} seeds, {} mechanisms + baselines) on {} workers{}{}",
+            "campaign `{}`: {} jobs ({} configs x {} workloads x {} seeds, {} mechanisms + baselines) on {} workers{}",
             spec.name,
             jobs_list.len(),
             spec.configs.len(),
@@ -897,26 +858,6 @@ fn run_command(args: &[String], command_resume: bool) -> Result<ExitCode, String
             spec.mechanisms.len(),
             workers,
             if smoke { " [smoke]" } else { "" },
-            match plan.shard {
-                Some((index, count)) => format!(" [shard {index}/{count}]"),
-                None => String::new(),
-            },
-        );
-        // Group structure: what lane-batching amortises. Every (workload,
-        // seed) group shares one generated trace; its rows run as lanes.
-        let groups = spec.workloads.len() * spec.seeds.len();
-        eprintln!(
-            "lane groups: {groups} x {} rows{}",
-            jobs_list.len() / groups.max(1),
-            if plan.shard.is_some() {
-                " (sharded: per-row fallback)".to_string()
-            } else {
-                match lanes {
-                    0 => " (lane-batched, whole groups)".to_string(),
-                    1 => " (lane batching disabled)".to_string(),
-                    n => format!(" (lane-batched, slabs of {n})"),
-                }
-            },
         );
         if let Some(labels) = custom_axis_labels(&spec) {
             eprintln!("workload axis: {labels}");
@@ -934,39 +875,31 @@ fn run_command(args: &[String], command_resume: bool) -> Result<ExitCode, String
         jobs,
         smoke,
         artifact_cache,
-        lanes,
         ..EngineOptions::default()
     };
 
-    // The journal for this process: per-shard in worker mode. Reports and
-    // row streams are only written by unsharded runs (the serve collector
-    // merges worker journals itself).
-    let journal = if resume && Journal::path_for(&out_dir, &spec.name, shard).exists() {
-        Journal::append(&out_dir, &spec.name, shard)
+    let journal = if resume && Journal::path_for(&out_dir, &spec.name, None).exists() {
+        Journal::append(&out_dir, &spec.name, None)
     } else {
-        Journal::create(&out_dir, &spec.name, &hash, jobs_list.len(), shard)
+        Journal::create(&out_dir, &spec.name, &hash, jobs_list.len(), None)
     }
     .map_err(|e| format!("cannot open the checkpoint journal: {e}"))?;
-    let stream = if plan.shard.is_none() {
-        let sink = StreamingSink::create(&spec, &out_dir)
-            .map_err(|e| format!("cannot open the row streams: {e}"))?;
-        // Replayed rows stream first, in canonical order (baselines lead
-        // their groups, so nothing is left buffered).
-        let mut replayed: Vec<usize> = done.keys().copied().collect();
-        replayed.sort_unstable();
-        for i in replayed {
-            sink.record(&jobs_list[i], &done[&i])
-                .map_err(|e| format!("cannot stream a replayed row: {e}"))?;
-        }
-        Some(sink)
-    } else {
-        None
-    };
+    let stream = StreamingSink::create(&spec, &out_dir)
+        .map_err(|e| format!("cannot open the row streams: {e}"))?;
+    // Replayed rows stream first, in canonical order (baselines lead their
+    // groups, so nothing is left buffered).
+    let mut replayed: Vec<usize> = done.keys().copied().collect();
+    replayed.sort_unstable();
+    for i in replayed {
+        stream
+            .record(&jobs_list[i], &done[&i])
+            .map_err(|e| format!("cannot stream a replayed row: {e}"))?;
+    }
 
     // Simulate the missing rows, checkpointing and streaming each as it
     // completes.
     let mut stats_by_index: HashMap<usize, SimStats> = done;
-    if !pending.is_empty() {
+    if pending > 0 {
         let generated = campaign::generate_workloads(&spec, &options).map_err(|e| e.to_string())?;
         let generation = generated.generation();
         for warning in &generation.warnings {
@@ -997,10 +930,8 @@ fn run_command(args: &[String], command_resume: bool) -> Result<ExitCode, String
                     *slot = Some(format!("checkpoint write failed: {e}"));
                 }
             }
-            if let Some(stream) = &stream {
-                if let Err(e) = stream.record(job, stats) {
-                    eprintln!("warning: row stream write failed: {e}");
-                }
+            if let Err(e) = stream.record(job, stats) {
+                eprintln!("warning: row stream write failed: {e}");
             }
         };
         let outcome = run_generated_partial(
@@ -1027,14 +958,6 @@ fn run_command(args: &[String], command_resume: bool) -> Result<ExitCode, String
     // uninterrupted run. Otherwise say exactly how to continue.
     if stats_by_index.len() == jobs_list.len() {
         let stats: Vec<SimStats> = (0..jobs_list.len()).map(|i| stats_by_index[&i]).collect();
-        if plan.shard.is_some() {
-            // A worker that happens to finish the whole campaign still only
-            // owns its journal; the collector writes the reports.
-            if !quiet {
-                eprintln!("shard complete: all {} rows checkpointed", jobs_list.len());
-            }
-            return Ok(ExitCode::SUCCESS);
-        }
         let report = assemble_report(&spec, &jobs_list, run, smoke, stats);
         let paths = campaign::write_reports(&report, &out_dir)
             .map_err(|e| format!("cannot write reports to {}: {e}", out_dir.display()))?;
@@ -1047,50 +970,17 @@ fn run_command(args: &[String], command_resume: bool) -> Result<ExitCode, String
             );
         }
     } else {
-        let checkpointed = stats_by_index.len();
-        if !quiet || plan.shard.is_none() {
-            eprintln!(
-                "checkpointed {checkpointed} of {} rows in {}{}",
-                jobs_list.len(),
-                out_dir.display(),
-                match plan.shard {
-                    Some((index, count)) => format!(" [shard {index}/{count}]"),
-                    None => format!(
-                        "; continue with `boomerang-sim resume {} --out {}`",
-                        spec_path
-                            .as_deref()
-                            .map(|p| p.display().to_string())
-                            .unwrap_or_else(|| format!(
-                                "--preset {}",
-                                preset.as_deref().unwrap_or(&spec.name)
-                            )),
-                        out_dir.display()
-                    ),
-                },
-            );
-        }
+        eprintln!(
+            "checkpointed {} of {} rows in {}; continue with `boomerang-sim resume {} --out {}`",
+            stats_by_index.len(),
+            jobs_list.len(),
+            out_dir.display(),
+            spec_path
+                .as_deref()
+                .map(|p| p.display().to_string())
+                .unwrap_or_else(|| format!("--preset {}", preset.as_deref().unwrap_or(&spec.name))),
+            out_dir.display()
+        );
     }
     Ok(ExitCode::SUCCESS)
-}
-
-/// Parses `I/N` shard syntax; `0/1` (or any `i/1`) means "everything" and
-/// behaves like no shard at all.
-fn parse_shard(value: &str) -> Result<(usize, usize), String> {
-    let (index, count) = value
-        .split_once('/')
-        .ok_or_else(|| format!("bad --shard value `{value}` (expected I/N)"))?;
-    let index = index
-        .parse::<usize>()
-        .map_err(|_| format!("bad --shard index `{index}`"))?;
-    let count = count
-        .parse::<usize>()
-        .ok()
-        .filter(|&n| n > 0)
-        .ok_or_else(|| format!("bad --shard count `{count}`"))?;
-    if index >= count {
-        return Err(format!(
-            "--shard index {index} out of range for {count} shards"
-        ));
-    }
-    Ok((index, count))
 }

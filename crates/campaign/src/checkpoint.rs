@@ -8,8 +8,9 @@
 //!
 //! # File format
 //!
-//! One campaign directory holds `<name>.journal.jsonl` (or, for sharded
-//! workers, `<name>.journal-<i>.jsonl` per shard). The first line is a header
+//! One campaign directory holds `<name>.journal.jsonl`; directories written
+//! by older sharded workers also hold `<name>.journal-<i>.jsonl` per shard,
+//! and replay reads them all. The first line is a header
 //! object pinning the format version, the campaign name, the [`spec_hash`] of
 //! the spec + run length, and the canonical job count:
 //!
@@ -231,8 +232,8 @@ pub struct Journal {
 
 impl Journal {
     /// The journal path for `campaign` in `dir`: `<name>.journal.jsonl`, or
-    /// `<name>.journal-<i>.jsonl` when this process runs shard `i` of a
-    /// multi-worker campaign.
+    /// the per-shard `<name>.journal-<i>.jsonl` layout older sharded workers
+    /// wrote for shard `i` of `count > 1`.
     pub fn path_for(dir: &Path, campaign: &str, shard: Option<(usize, usize)>) -> PathBuf {
         match shard {
             Some((index, count)) if count > 1 => {
@@ -246,8 +247,8 @@ impl Journal {
     /// header line.
     ///
     /// The header is written to a `.tmp-<pid>` sibling and renamed into
-    /// place, so a concurrently starting sibling shard (whose spec-mismatch
-    /// check scans *every* journal in the directory) can never observe a
+    /// place, so a concurrently starting process (whose spec-mismatch check
+    /// scans *every* journal in the directory) can never observe a
     /// created-but-headerless journal file.
     pub fn create(
         dir: &Path,
@@ -320,10 +321,10 @@ impl Journal {
     /// syscall so a kill can at worst truncate the final line — which replay
     /// tolerates — never interleave two rows.
     ///
-    /// This is also the worker row loop's fault point: an armed
-    /// [`crate::fault`] plan can tear the line mid-write, exit after the
-    /// durable write, or hang here — the three crash signatures the
-    /// supervisor must survive.
+    /// This is also the journal writer's row fault point (a `run` process or
+    /// the `serve` broker): an armed [`crate::fault`] plan can tear the line
+    /// mid-write, exit after the durable write, or flip a byte of the line —
+    /// the crash and damage signatures resume must survive.
     pub fn record(&self, job: &Job, stats: &SimStats) -> io::Result<()> {
         let mechanism = mechanism_token(job.mechanism);
         let values = stats_to_array(stats);
@@ -357,9 +358,6 @@ impl Journal {
         drop(file);
         if faults.exit {
             fault::exit_now();
-        }
-        if faults.hang {
-            fault::hang_now();
         }
         Ok(())
     }

@@ -39,16 +39,6 @@ pub struct EngineOptions {
     /// [`crate::artifact`]). `None` generates everything in-process, every
     /// time.
     pub artifact_cache: Option<std::path::PathBuf>,
-    /// Lane cap for lane-batched group execution
-    /// ([`WorkloadData::run_group_with_predictor_engine`]): `0` (the
-    /// default) runs each whole (workload, seed) group as one lane slab, `1`
-    /// disables lane batching (every row simulates alone), `n > 1` splits
-    /// groups into consecutive slabs of at most `n` lanes. Purely a
-    /// schedule: reports are byte-identical for every setting. Lane batching
-    /// only applies to full groups on the event-horizon engine — resume
-    /// holes, `--shard` splits, row limits and the per-cycle reference
-    /// engine all fall back to per-row execution.
-    pub lanes: usize,
 }
 
 /// Derives the effective workload-profile seed for a seed offset.
@@ -167,8 +157,7 @@ impl GeneratedWorkloads {
     }
 
     /// The generated data of one distinct (workload axis point, seed) pair,
-    /// if the campaign uses it. The bench harness uses this to time one
-    /// group's lane-batched A/B in isolation.
+    /// if the campaign uses it.
     pub fn data_for(&self, workload: usize, seed: u64) -> Option<&WorkloadData> {
         self.keys
             .iter()
@@ -308,16 +297,11 @@ pub fn run_generated(
 
 /// Which subset of the expanded jobs one execution pass covers.
 ///
-/// The default plan covers everything. Sharding restricts the pass to the
-/// job indices `i` with `i % count == index` over the canonical expansion —
-/// the `serve` worker protocol — and `limit` caps how many *missing* jobs
+/// The default plan covers everything; `limit` caps how many *missing* jobs
 /// the pass executes, which is how a resumable interruption is produced
 /// deterministically (in tests and in CI).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RunPlan {
-    /// `(index, count)`: only execute jobs whose canonical index is
-    /// congruent to `index` modulo `count`.
-    pub shard: Option<(usize, usize)>,
     /// Execute at most this many missing jobs, in canonical order.
     pub limit: Option<usize>,
 }
@@ -351,12 +335,13 @@ pub type RowObserver<'a> = dyn Fn(&Job, &SimStats) + Sync + 'a;
 /// The campaign's simulation phase over a subset of the jobs.
 ///
 /// `done` supplies results replayed from a checkpoint journal (keyed by
-/// canonical job index); those jobs are not re-executed. `on_row` — if given
-/// — is invoked from the pool workers as each job completes, in completion
-/// order; this is the hook the streaming sinks and the checkpoint journal
-/// hang off. Per-job statistics are deterministic, so the final merged
-/// report is byte-identical no matter how the work was split across passes,
-/// shards or worker counts.
+/// canonical job index); those jobs are not re-executed. Every other job is
+/// one pool task, so the work-stealing deques balance skewed row costs.
+/// `on_row` — if given — is invoked from the pool workers as each job
+/// completes, in completion order; this is the hook the streaming sinks and
+/// the checkpoint journal hang off. Per-job statistics are deterministic, so
+/// the final merged report is byte-identical no matter how the work was
+/// split across passes, processes or worker counts.
 pub fn run_generated_partial(
     spec: &CampaignSpec,
     options: &EngineOptions,
@@ -378,65 +363,32 @@ pub fn run_generated_partial(
         .zip(generated.data.iter())
         .collect();
 
-    let mut pending: Vec<usize> = (0..jobs.len())
-        .filter(|i| !done.contains_key(i))
-        .filter(|i| match plan.shard {
-            Some((index, count)) => i % count.max(1) == index,
-            None => true,
-        })
-        .collect();
+    let mut pending: Vec<usize> = (0..jobs.len()).filter(|i| !done.contains_key(i)).collect();
     if let Some(limit) = plan.limit {
         pending.truncate(limit);
     }
 
     let configs: Vec<_> = spec.configs.iter().map(|c| c.build()).collect();
-    let units = plan_units(jobs, &pending, options, plan);
-    let results: Vec<Vec<(usize, SimStats)>> =
-        pool::run_indexed(workers, &units, |_, unit| match unit {
-            ExecUnit::Row(i) => {
-                let job = &jobs[*i];
-                let data = data_by_key[&(job.workload, job.seed)];
-                let stats = data.run_with_predictor_engine(
-                    job.mechanism,
-                    &configs[job.config],
-                    spec.predictor,
-                    options.engine,
-                );
-                if let Some(on_row) = on_row {
-                    on_row(job, &stats);
-                }
-                vec![(*i, stats)]
-            }
-            ExecUnit::Group(members) => {
-                let first = &jobs[members[0]];
-                let data = data_by_key[&(first.workload, first.seed)];
-                let rows: Vec<(Mechanism, &sim_core::MicroarchConfig)> = members
-                    .iter()
-                    .map(|&j| (jobs[j].mechanism, &configs[jobs[j].config]))
-                    .collect();
-                let stats = data.run_group_with_predictor_engine(
-                    &rows,
-                    spec.predictor,
-                    options.engine,
-                    options.lanes,
-                );
-                let out: Vec<(usize, SimStats)> = members.iter().copied().zip(stats).collect();
-                if let Some(on_row) = on_row {
-                    // Journal/checkpoint rows are still emitted per lane, in
-                    // canonical order within the group.
-                    for (j, s) in &out {
-                        on_row(&jobs[*j], s);
-                    }
-                }
-                out
-            }
-        });
+    let results: Vec<SimStats> = pool::run_indexed(workers, &pending, |_, &i| {
+        let job = &jobs[i];
+        let data = data_by_key[&(job.workload, job.seed)];
+        let stats = data.run_with_predictor_engine(
+            job.mechanism,
+            &configs[job.config],
+            spec.predictor,
+            options.engine,
+        );
+        if let Some(on_row) = on_row {
+            on_row(job, &stats);
+        }
+        stats
+    });
 
     let mut stats: Vec<Option<SimStats>> = vec![None; jobs.len()];
     for (&i, s) in done {
         stats[i] = Some(*s);
     }
-    for (i, s) in results.into_iter().flatten() {
+    for (&i, s) in pending.iter().zip(results) {
         stats[i] = Some(s);
     }
     RunOutcome {
@@ -445,68 +397,10 @@ pub fn run_generated_partial(
     }
 }
 
-/// One pool task of an execution pass: a lone job, or a whole lane-batched
-/// (workload, seed) group.
-enum ExecUnit {
-    Row(usize),
-    Group(Vec<usize>),
-}
-
-/// Partitions the pending job indices into pool execution units.
-///
-/// A (workload, seed) group becomes one lane-batched [`ExecUnit::Group`]
-/// only when *every* job of the group is pending in this pass — a group with
-/// resume holes (some rows already journaled), a `--shard` split (the
-/// canonical round-robin scatters each group across shards) or a row-limit
-/// cut runs per-row, exactly as before lane batching existed. The pool thus
-/// shards whole groups across workers while lanes fill within a group.
-/// Units are emitted in canonical order of their first job index, and a
-/// group's members are in canonical order, so journal emission order within
-/// a unit is deterministic.
-fn plan_units(
-    jobs: &[Job],
-    pending: &[usize],
-    options: &EngineOptions,
-    plan: RunPlan,
-) -> Vec<ExecUnit> {
-    let lane_batching = options.lanes != 1
-        && options.engine == frontend::SimEngine::EventHorizon
-        && plan.shard.is_none();
-    if !lane_batching {
-        return pending.iter().map(|&i| ExecUnit::Row(i)).collect();
-    }
-    let mut members: HashMap<(usize, u64), Vec<usize>> = HashMap::new();
-    for (i, job) in jobs.iter().enumerate() {
-        members.entry((job.workload, job.seed)).or_default().push(i);
-    }
-    let mut is_pending = vec![false; jobs.len()];
-    for &i in pending {
-        is_pending[i] = true;
-    }
-    let mut claimed = vec![false; jobs.len()];
-    let mut units = Vec::new();
-    for &i in pending {
-        if claimed[i] {
-            continue;
-        }
-        let group = &members[&(jobs[i].workload, jobs[i].seed)];
-        if group.len() > 1 && group.iter().all(|&j| is_pending[j]) {
-            for &j in group {
-                claimed[j] = true;
-            }
-            units.push(ExecUnit::Group(group.clone()));
-        } else {
-            claimed[i] = true;
-            units.push(ExecUnit::Row(i));
-        }
-    }
-    units
-}
-
 /// The campaign's aggregation phase: joins each job's statistics with its
 /// group's no-prefetch baseline, in canonical job order, producing the
 /// report. A pure function of `(spec, jobs, stats)` — which is what makes
-/// checkpoint-resumed, sharded and streamed campaigns byte-identical to
+/// checkpoint-resumed, distributed and streamed campaigns byte-identical to
 /// one-shot runs. It deliberately does *not* need the generated workloads:
 /// a merge over fully-checkpointed journals (the `serve` collector path)
 /// can assemble the report without generating anything.
@@ -559,7 +453,7 @@ pub fn assemble_report(
 }
 
 /// One row of a degraded report: present with its baseline, present without
-/// it, or lost with its shard.
+/// it, or never checkpointed.
 #[derive(Clone, Debug)]
 pub enum PartialRow {
     /// The job and its group baseline both checkpointed — a full row.
@@ -576,7 +470,7 @@ pub enum PartialRow {
         /// The job's own statistics (absolute counters are still valid).
         stats: SimStats,
     },
-    /// The job never checkpointed (its shard exhausted its retries).
+    /// The job never checkpointed (every worker exhausted its retries first).
     Missing {
         /// The job this row stands in for.
         job: Job,
@@ -601,7 +495,7 @@ impl PartialRow {
 /// A campaign report assembled from incomplete statistics — the graceful-
 /// degradation output of `--allow-partial`. Every canonical job appears
 /// exactly once, explicitly marked, so a reader can see precisely which
-/// cells are trustworthy and which died with their shard.
+/// cells are trustworthy and which were never checkpointed.
 #[derive(Clone, Debug)]
 pub struct PartialReport {
     /// The spec that produced the report.
@@ -627,7 +521,7 @@ impl PartialReport {
 }
 
 /// The graceful-degradation counterpart of [`assemble_report`]: accepts a
-/// statistics slot per job with holes (`None`) where a shard died, and
+/// statistics slot per job with holes (`None`) where no row was checkpointed, and
 /// classifies every row instead of panicking. Present rows join their group
 /// baseline exactly as the full path does — a partial report's `ok` rows
 /// carry the same numbers the complete report would.

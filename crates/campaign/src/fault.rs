@@ -17,8 +17,7 @@
 //!
 //! ```text
 //! worker-exit:shard=1:after-rows=3
-//! worker-hang:shard=0:after-rows=5
-//! journal-torn-tail:shard=0:after-rows=2
+//! journal-torn-tail:after-rows=2
 //! artifact-corrupt:nth=2
 //! report-torn
 //! spool-scan-error:nth=1,worker-exit:shard=1:after-rows=3:lives=2
@@ -27,8 +26,7 @@
 //!
 //! | kind                | fires at                            | effect |
 //! |---------------------|-------------------------------------|--------|
-//! | `worker-exit`       | the `after-rows`-th checkpointed row | `exit(113)` after the row is durably journaled |
-//! | `worker-hang`       | the `after-rows`-th checkpointed row | sleeps forever (journal progress stalls) |
+//! | `worker-exit`       | the `after-rows`-th checkpointed row | `exit(113)` after the row is durably journaled (or acked) |
 //! | `journal-torn-tail` | the `after-rows`-th journal append  | writes a prefix of the row line, then `exit(113)` |
 //! | `conn-drop`         | the `after-rows`-th completed row   | a TCP worker drops its broker socket before the ack, then reconnects |
 //! | `heartbeat-stall`   | the `after-rows`-th *granted lease* | a TCP worker stops heartbeating and stalls forever (the broker revokes and reassigns) |
@@ -41,9 +39,12 @@
 //! | `journal-bitrot`    | the `after-rows`-th journal append  | flips one byte of the row line after its checksum was computed (replay rejects the row) |
 //! | `frame-corrupt`     | the `nth` protocol frame sent       | flips one payload byte after the frame's FNV trailer was computed (`read_message` rejects the frame) |
 //!
-//! Filters: `shard=N` restricts a row fault to the worker process running
-//! that shard of the canonical expansion — for TCP workers, the
-//! `--worker-index` the process registered (default: any); `after-rows=N`
+//! Filters: `shard=N` restricts a row fault to the worker process
+//! registered as worker `N` — the `--worker-index` of a TCP worker, which
+//! for `serve`'s local fleet is the supervisor slot; a plain `run` registers
+//! as worker 0 (default: any). The `serve` process itself registers no
+//! index, so a `shard=` fault never fires in the broker, while an unfiltered
+//! row fault also arms the broker's own journal appends; `after-rows=N`
 //! fires when this process's checkpointed/completed-row count reaches
 //! exactly `N` (default 1; for `heartbeat-stall` it counts granted leases —
 //! the stall happens before any row runs); `nth=N` fires on the `N`-th
@@ -88,9 +89,6 @@ pub const FAULT_EXIT_CODE: i32 = 113;
 pub enum FaultKind {
     /// Exit the process right after a row is durably checkpointed.
     WorkerExit,
-    /// Stop making progress forever after a checkpointed row (the journal
-    /// stops growing, which is what hang detection watches).
-    WorkerHang,
     /// Write only a prefix of a journal row line, then exit — the
     /// mid-`write` kill signature.
     JournalTornTail,
@@ -132,7 +130,6 @@ impl FaultKind {
     fn name(self) -> &'static str {
         match self {
             FaultKind::WorkerExit => "worker-exit",
-            FaultKind::WorkerHang => "worker-hang",
             FaultKind::JournalTornTail => "journal-torn-tail",
             FaultKind::ArtifactCorrupt => "artifact-corrupt",
             FaultKind::ReportTorn => "report-torn",
@@ -153,7 +150,6 @@ impl FaultKind {
         matches!(
             self,
             FaultKind::WorkerExit
-                | FaultKind::WorkerHang
                 | FaultKind::JournalTornTail
                 | FaultKind::ConnDrop
                 | FaultKind::HeartbeatStall
@@ -175,8 +171,8 @@ impl fmt::Display for FaultKind {
 pub struct FaultSpec {
     /// Which fault point this arms.
     pub kind: FaultKind,
-    /// Row faults only: fire only in the worker running this shard of the
-    /// canonical expansion (`None` = any shard).
+    /// Row faults only: fire only in the worker process registered under
+    /// this index (`None` = any process).
     pub shard: Option<usize>,
     /// Row faults: fire when the process's checkpointed-row count reaches
     /// exactly this (1-based).
@@ -245,7 +241,6 @@ impl FaultPlan {
             let kind_name = parts.next().expect("split yields at least one part");
             let kind = match kind_name {
                 "worker-exit" => FaultKind::WorkerExit,
-                "worker-hang" => FaultKind::WorkerHang,
                 "journal-torn-tail" => FaultKind::JournalTornTail,
                 "artifact-corrupt" => FaultKind::ArtifactCorrupt,
                 "report-torn" => FaultKind::ReportTorn,
@@ -356,8 +351,8 @@ struct FaultState {
     plan: FaultPlan,
     /// This process's supervised life number (1-based).
     life: u64,
-    /// The shard of the canonical expansion this process executes
-    /// ([`set_worker_shard`]); `u64::MAX` until registered.
+    /// The worker index this process registered ([`set_worker_shard`]);
+    /// `u64::MAX` until registered.
     shard: AtomicU64,
     rows: AtomicU64,
     artifact_stores: AtomicU64,
@@ -436,9 +431,9 @@ fn active() -> Option<&'static FaultState> {
     }
 }
 
-/// Registers which shard of the canonical expansion this process executes
-/// (the `--shard I/N` index; unsharded runs register 0), so `shard=` filters
-/// can address one worker of a supervised fleet.
+/// Registers this process's worker index (a TCP worker's `--worker-index`;
+/// a plain `run` registers 0), so `shard=` filters can address one worker
+/// of a fleet.
 pub fn set_worker_shard(shard: usize) {
     if let Some(state) = active() {
         state.shard.store(shard as u64, Ordering::Relaxed);
@@ -452,8 +447,6 @@ pub struct RowFaults {
     pub torn_tail: bool,
     /// Exit (with [`FAULT_EXIT_CODE`]) after the row is durably written.
     pub exit: bool,
-    /// Stop making progress forever after the row is written.
-    pub hang: bool,
     /// TCP workers: drop the broker socket right after sending this row,
     /// before reading the ack, then reconnect.
     pub conn_drop: bool,
@@ -493,7 +486,6 @@ fn row_faults(state: &FaultState) -> RowFaults {
         match spec.kind {
             FaultKind::JournalTornTail => faults.torn_tail = true,
             FaultKind::WorkerExit => faults.exit = true,
-            FaultKind::WorkerHang => faults.hang = true,
             FaultKind::ConnDrop => faults.conn_drop = true,
             FaultKind::RowDuplicate => faults.duplicate = true,
             FaultKind::RowCorrupt => faults.corrupt = true,
@@ -636,8 +628,9 @@ pub fn exit_now() -> ! {
     std::process::exit(FAULT_EXIT_CODE)
 }
 
-/// Never returns: the injected-hang behaviour (the process stays alive but
-/// its journal stops growing, which is the signature hang detection reads).
+/// Never returns: the injected-stall behaviour of `heartbeat-stall` (the
+/// process stays alive but sends no further frames, which is the signature
+/// both lease expiry and the supervisor's hang detection read).
 pub fn hang_now() -> ! {
     loop {
         std::thread::sleep(std::time::Duration::from_secs(3600));
@@ -658,7 +651,7 @@ mod tests {
     fn full_plan_round_trips_fields() {
         let plan = FaultPlan::parse(
             "worker-exit:shard=1:after-rows=3:lives=2, journal-torn-tail, \
-             artifact-corrupt:nth=2, worker-hang:shard=0:after-rows=5:lives=all",
+             artifact-corrupt:nth=2, row-duplicate:shard=0:after-rows=5:lives=all",
         )
         .unwrap();
         assert_eq!(plan.faults.len(), 4);
@@ -741,7 +734,7 @@ mod tests {
             "worker-exit:shard=1:after-rows=3:lives=2",
             "journal-torn-tail",
             "artifact-corrupt:nth=2",
-            "worker-hang:shard=0:after-rows=5:lives=all",
+            "row-duplicate:shard=0:after-rows=5:lives=all",
             "conn-drop:shard=0:after-rows=2,heartbeat-stall:after-rows=3",
             "row-duplicate,frame-torn:nth=7:lives=3",
             "row-corrupt:after-rows=2,journal-bitrot:shard=1,frame-corrupt:nth=3",

@@ -1,4 +1,4 @@
-//! Declarative, sharded experiment campaigns for the Boomerang reproduction.
+//! Declarative experiment campaigns for the Boomerang reproduction.
 //!
 //! The crates below this one can simulate any single (workload, mechanism,
 //! configuration) cell; this crate is the layer that runs *matrices* of them
@@ -8,7 +8,7 @@
 //!
 //! 1. [`expand`] turns the spec into a canonical job list (adding the
 //!    no-prefetch baseline reference each group needs for speedups),
-//! 2. [`engine`] shards the jobs across a work-stealing thread pool
+//! 2. [`engine`] runs the jobs on a work-stealing thread pool
 //!    ([`sim_core::pool`]) with deterministic per-job seeds, and
 //! 3. [`sink`] renders the aggregated results as JSON, CSV and a human
 //!    table — byte-identical output for a given spec regardless of the
@@ -86,7 +86,7 @@ pub use spec::{
     ConfigOverride, ConfigPoint, NocSel, SpecError, WorkloadPoint, MAX_WORKLOAD_POINTS,
 };
 pub use supervise::{
-    supervise, supervise_with_stop, ShardOutcome, ShardReport, SuperviseOptions, SupervisedRun,
+    supervise_with_stop, ShardOutcome, ShardReport, SuperviseOptions, SupervisedRun,
 };
 pub use verify::{verify_dir, CheckResult, VerifyOptions, VerifyReport};
 pub use worker::{run_worker, WorkerOptions, WorkerSummary};

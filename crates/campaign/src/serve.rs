@@ -1,24 +1,45 @@
 //! `boomerang-sim serve`: a spool-directory campaign service.
 //!
 //! The service watches a spool directory for campaign spec submissions
-//! (`*.toml` files). Each submission is dispatched across `workers` child
-//! processes of the simulator binary itself, sharded over the canonical job
-//! expansion (`run --shard i/N`); every worker checkpoints its rows to its
-//! own journal in the submission's output directory, so a crashed or killed
-//! worker loses nothing but its in-flight job. The workers run under the
-//! [`crate::supervise`] poll loop: a crashed shard is restarted with
-//! exponential backoff up to the retry budget, a shard whose journal stops
-//! growing is killed as hung (the kill consumes a retry), and a Ctrl-C on
-//! the service kills every child — no orphans. When the fleet completes,
-//! the collector replays the journals — *without* regenerating any
-//! workloads — assembles the canonical report, and writes the same
-//! `<name>.json` / `<name>.csv` bytes a one-shot `run` would have produced.
+//! (`*.toml` files) and dispatches each one through a TCP work queue (the
+//! broker): the submission's job expansion is leased row-by-row to
+//! `boomerang-sim worker --connect` clients over the versioned
+//! [`crate::proto`] frame protocol. The broker always runs — on
+//! [`ServeOptions::listen`] when given, otherwise on an ephemeral loopback
+//! port — and `workers` local worker processes connect to it over loopback,
+//! so local and remote dispatch drain one queue through one code path.
 //!
-//! If a shard exhausts its retries, the default is to fail the submission;
-//! with [`ServeOptions::allow_partial`] the collector instead assembles a
-//! degraded report from whatever rows are checkpointed, with the missing
-//! rows explicitly marked (see [`crate::engine::PartialReport`]), and marks
-//! the submission `.partial`.
+//! The local fleet runs under the [`crate::supervise`] poll loop: a crashed
+//! worker is restarted with exponential backoff up to the retry budget, a
+//! worker that stops sending frames is killed as hung (the kill consumes a
+//! retry), and a Ctrl-C on the service kills every child — no orphans.
+//! Hang detection is per worker process: the broker counts the lease
+//! requests and rows each loopback worker sends, keyed by the pid in its
+//! `Hello`, so one wedged worker is caught while its siblings keep draining
+//! the queue. Only loopback peers are counted, so a remote worker reusing a
+//! local `--worker-index` (or, by chance or on purpose, a local child's
+//! pid) cannot mask a wedged local one.
+//!
+//! Leases are kept alive by worker heartbeats and row submissions; a lease
+//! silent past [`ServeOptions::lease_timeout`] is revoked and its job
+//! requeued with exponential backoff, so a crashed, partitioned, or hung
+//! worker only delays its in-flight row. The broker is the sole journal
+//! writer and dedups every submitted row against the journal-backed done
+//! set, which makes submission idempotent (retransmissions,
+//! revoked-then-completed leases) and lets a restarted service resume
+//! mid-campaign from the journal, `<name>.journal.jsonl` (per-shard
+//! journals left by older versions are replayed alongside it). Once the
+//! queue drains, the collector replays the journals — *without*
+//! regenerating any workloads — assembles the
+//! canonical report, and writes the same `<name>.json` / `<name>.csv` bytes
+//! a one-shot `run` would have produced.
+//!
+//! If every local worker exhausts its retries before the queue drains (and,
+//! with `--listen`, no remote worker finishes it), the default is to fail
+//! the submission; with [`ServeOptions::allow_partial`] the collector
+//! instead assembles a degraded report from whatever rows are checkpointed,
+//! with the missing rows explicitly marked (see
+//! [`crate::engine::PartialReport`]), and marks the submission `.partial`.
 //!
 //! Processed submissions are renamed `<file>.done` (or `<file>.partial`, or
 //! `<file>.failed` with the reason in `<file>.error`), so the spool is also
@@ -28,24 +49,6 @@
 //! processes from double-processing one spool; a lock whose owner is dead
 //! is reclaimed, and [`ServeOptions::steal_lock_after`] adds an
 //! mtime-staleness escape hatch for platforms without procfs liveness.
-//!
-//! # Distributed mode
-//!
-//! With [`ServeOptions::listen`] the service additionally runs a TCP work
-//! queue (a broker): each submission's job expansion is leased row-by-row
-//! to `boomerang-sim worker --connect` clients over the versioned
-//! [`crate::proto`] frame protocol. Leases are kept alive by worker
-//! heartbeats and row submissions; a lease silent past
-//! [`ServeOptions::lease_timeout`] is revoked and its job requeued with
-//! exponential backoff, so a crashed, partitioned, or hung worker only
-//! delays its in-flight row. The broker is the sole journal writer and
-//! dedups every submitted row against the journal-backed done set, which
-//! makes submission idempotent (retransmissions, revoked-then-completed
-//! leases) and lets a restarted broker resume mid-campaign from the
-//! journal. `workers > 0` still spawns a local fleet — as worker clients
-//! over loopback — so local and remote dispatch drain one queue through one
-//! code path and the merged report stays byte-identical to a one-shot
-//! `run`.
 //!
 //! # Result integrity
 //!
@@ -73,7 +76,7 @@ use crate::fault;
 use crate::proto::{read_message, write_message, Message};
 use crate::sink::{write_partial_reports, write_reports};
 use crate::spec::{mechanism_token, CampaignSpec};
-use crate::supervise::{self, supervise, supervise_with_stop, SuperviseOptions};
+use crate::supervise::{self, supervise_with_stop, SuperviseOptions};
 use boomerang::RunLength;
 use frontend::SimStats;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -99,10 +102,10 @@ pub struct ServeOptions {
     pub spool: PathBuf,
     /// Root of the per-submission output directories.
     pub out: PathBuf,
-    /// Worker *processes* per submission.
+    /// Local worker processes per submission, each running one row at a
+    /// time (0 = remote workers only, which needs [`ServeOptions::listen`]).
+    /// Defaults to one per available core.
     pub workers: usize,
-    /// Worker *threads* per process (`--jobs`; 0 = auto).
-    pub jobs: usize,
     /// Run every submission at smoke length.
     pub smoke: bool,
     /// Shared content-addressed workload artifact cache for the workers.
@@ -113,8 +116,9 @@ pub struct ServeOptions {
     pub poll_ms: u64,
     /// Worker retry/backoff/timeout policy.
     pub supervise: SuperviseOptions,
-    /// When a shard exhausts its retries, assemble a degraded report from
-    /// the checkpointed rows instead of failing the submission.
+    /// When the fleet exhausts its retries with jobs outstanding, assemble a
+    /// degraded report from the checkpointed rows instead of failing the
+    /// submission.
     pub allow_partial: bool,
     /// Skip submissions modified within the last this-many milliseconds
     /// (still being written). 0 disables the settle window.
@@ -122,9 +126,9 @@ pub struct ServeOptions {
     /// Stop after this many spool scans (0 = unlimited). A testing handle:
     /// lets a polling serve loop terminate deterministically.
     pub max_scans: u64,
-    /// TCP listen address for the distributed work queue (`--listen`).
-    /// `None` keeps the process-spawn-only dispatch; `Some` runs the broker
-    /// and leases jobs to `boomerang-sim worker --connect` clients.
+    /// TCP listen address of the work queue (`--listen`), which exposes it
+    /// to remote `boomerang-sim worker --connect` clients. `None` binds an
+    /// ephemeral loopback port that only the local fleet uses.
     pub listen: Option<String>,
     /// Write the broker's bound address (useful with `--listen 127.0.0.1:0`)
     /// to this file once listening.
@@ -138,7 +142,7 @@ pub struct ServeOptions {
     /// one) and for wedged owners that stopped scanning. A live serve
     /// refreshes the lock's mtime on every scan.
     pub steal_lock_after: Option<Duration>,
-    /// Broker mode: fraction (0.0..=1.0) of completed rows sampled for
+    /// Fraction (0.0..=1.0) of completed rows sampled for
     /// re-execution by a *different* worker session, whose stats must match
     /// the journaled row (`--verify-fraction`). The sample is deterministic
     /// — seeded by the campaign's spec hash — so the same rows re-verify
@@ -158,8 +162,7 @@ impl Default for ServeOptions {
             binary: PathBuf::new(),
             spool: PathBuf::new(),
             out: PathBuf::new(),
-            workers: 2,
-            jobs: 0,
+            workers: sim_core::pool::default_workers(),
             smoke: false,
             artifact_cache: None,
             once: false,
@@ -327,26 +330,20 @@ pub fn serve(
     std::fs::create_dir_all(&options.spool)?;
     std::fs::create_dir_all(&options.out)?;
     let lock = SpoolLock::acquire(&options.spool, options.steal_lock_after)?;
-    let broker = match &options.listen {
-        Some(addr) => {
-            let broker = Broker::start(addr)?;
-            eprintln!("serve: work queue listening on {}", broker.addr);
-            if let Some(path) = &options.listen_addr_file {
-                // Published atomically (write-then-rename, same pattern as
-                // the report sink): a reader polling for the address can
-                // never observe a half-written port number.
-                let tmp = path.with_file_name(format!(
-                    ".tmp-{}-{}",
-                    std::process::id(),
-                    path.file_name().and_then(|n| n.to_str()).unwrap_or("addr")
-                ));
-                std::fs::write(&tmp, format!("{}\n", broker.addr))?;
-                std::fs::rename(&tmp, path)?;
-            }
-            Some(broker)
-        }
-        None => None,
-    };
+    let broker = Broker::start(options.listen.as_deref().unwrap_or("127.0.0.1:0"))?;
+    eprintln!("serve: work queue listening on {}", broker.addr);
+    if let Some(path) = &options.listen_addr_file {
+        // Published atomically (write-then-rename, same pattern as the
+        // report sink): a reader polling for the address can never observe
+        // a half-written port number.
+        let tmp = path.with_file_name(format!(
+            ".tmp-{}-{}",
+            std::process::id(),
+            path.file_name().and_then(|n| n.to_str()).unwrap_or("addr")
+        ));
+        std::fs::write(&tmp, format!("{}\n", broker.addr))?;
+        std::fs::rename(&tmp, path)?;
+    }
     let mut outcomes = Vec::new();
     let mut scans: u64 = 0;
     loop {
@@ -360,7 +357,7 @@ pub fn serve(
         };
         scans += 1;
         for submission in submissions {
-            let outcome = process_submission(&submission, options, broker.as_ref());
+            let outcome = process_submission(&submission, options, &broker);
             finalize_submission(&submission, &outcome);
             report(&outcome);
             outcomes.push(outcome);
@@ -372,9 +369,7 @@ pub fn serve(
             || supervise::interrupted()
             || (options.max_scans > 0 && scans >= options.max_scans)
         {
-            if let Some(broker) = broker {
-                broker.finish();
-            }
+            broker.finish();
             return Ok(outcomes);
         }
         std::thread::sleep(std::time::Duration::from_millis(options.poll_ms.max(10)));
@@ -444,11 +439,7 @@ fn finalize_submission(submission: &Path, outcome: &ServeOutcome) {
     }
 }
 
-fn process_submission(
-    submission: &Path,
-    options: &ServeOptions,
-    broker: Option<&Broker>,
-) -> ServeOutcome {
+fn process_submission(submission: &Path, options: &ServeOptions, broker: &Broker) -> ServeOutcome {
     let mut outcome = ServeOutcome {
         submission: submission.to_path_buf(),
         campaign: String::new(),
@@ -502,139 +493,27 @@ fn process_submission(
         }
     }
 
-    outcome.result = match broker {
-        // Broker mode: the queue feeds local worker clients and remote TCP
-        // workers alike; `--workers 0` is legal (remote-only dispatch).
-        Some(broker) => match dispatch_via_broker(&spec, &dir, run, &hash, options, broker) {
-            Ok(status) => Ok(status),
-            Err(DispatchError::Failed(reason)) => Err(reason),
-            Err(DispatchError::QuarantineExceeded(reason)) => {
-                outcome.quarantine_exceeded = true;
-                Err(reason)
-            }
-        },
-        None => {
-            let workers = options.workers.max(1);
-            dispatch_and_merge(submission, &spec, &dir, run, &hash, workers, options)
+    outcome.result = match dispatch(&spec, &dir, run, &hash, options, broker) {
+        Ok(status) => Ok(status),
+        Err(DispatchError::Failed(reason)) => Err(reason),
+        Err(DispatchError::QuarantineExceeded(reason)) => {
+            outcome.quarantine_exceeded = true;
+            Err(reason)
         }
     };
     outcome
 }
 
-/// Runs the sharded workers under supervision, then merges their journals
-/// into the canonical report — or, when retries are exhausted and partial
-/// output is allowed, into a degraded report over the checkpointed rows.
-fn dispatch_and_merge(
-    submission: &Path,
-    spec: &CampaignSpec,
-    dir: &Path,
-    run: RunLength,
-    hash: &str,
-    workers: usize,
-    options: &ServeOptions,
-) -> Result<SubmissionStatus, String> {
-    let mut make_command = |shard: usize| {
-        let mut cmd = Command::new(&options.binary);
-        cmd.arg("run")
-            .arg(submission)
-            .arg("--out")
-            .arg(dir)
-            .arg("--shard")
-            .arg(format!("{shard}/{workers}"))
-            .arg("--resume")
-            .arg("--quiet")
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .stderr(Stdio::inherit());
-        if options.jobs > 0 {
-            cmd.arg("--jobs").arg(options.jobs.to_string());
-        }
-        if options.smoke {
-            cmd.arg("--smoke");
-        }
-        if let Some(cache) = &options.artifact_cache {
-            cmd.arg("--artifact-cache").arg(cache);
-        }
-        cmd
-    };
-    // The per-shard progress probe: the shard's journal grows (monotonically,
-    // append-only) with every checkpointed row. The supervisor re-reads the
-    // baseline at each spawn, so a resume that truncates a torn tail cannot
-    // masquerade as progress.
-    let shard_arg = |shard: usize| {
-        if workers > 1 {
-            Some((shard, workers))
-        } else {
-            None
-        }
-    };
-    let mut progress = |shard: usize| {
-        std::fs::metadata(Journal::path_for(dir, &spec.name, shard_arg(shard)))
-            .map(|m| m.len())
-            .unwrap_or(0)
-    };
-    let supervised = supervise(
-        workers,
-        &mut make_command,
-        &mut progress,
-        &options.supervise,
-        &mut |line| eprintln!("serve: {line}"),
-    );
-
-    if supervised.interrupted() {
-        return Err("interrupted before the submission finished".to_string());
-    }
-
-    let jobs = expand(spec);
-    if supervised.all_complete() {
-        let replay =
-            JournalReplay::load(dir, &spec.name, hash, &jobs).map_err(|e| e.to_string())?;
-        if replay.completed() != jobs.len() {
-            return Err(format!(
-                "workers exited cleanly but only {} of {} jobs are checkpointed",
-                replay.completed(),
-                jobs.len()
-            ));
-        }
-        let stats: Vec<SimStats> = (0..jobs.len()).map(|i| replay.rows[&i]).collect();
-        let report = assemble_report(spec, &jobs, run, options.smoke, stats);
-        write_reports(&report, dir).map_err(|e| format!("cannot write reports: {e}"))?;
-        return Ok(SubmissionStatus::Done(dir.to_path_buf()));
-    }
-
-    let failures = supervised.failures();
-    if !options.allow_partial {
-        return Err(failures.join("; "));
-    }
-
-    // Graceful degradation: whatever rows the dead shards checkpointed are
-    // real (the journal only holds finished jobs), so report them and mark
-    // the holes instead of discarding everything.
-    let replay = JournalReplay::load(dir, &spec.name, hash, &jobs).map_err(|e| e.to_string())?;
-    let stats: Vec<Option<SimStats>> = (0..jobs.len())
-        .map(|i| replay.rows.get(&i).copied())
-        .collect();
-    let partial = assemble_partial_report(spec, &jobs, run, options.smoke, &stats, failures);
-    let missing = partial.missing();
-    write_partial_reports(&partial, dir)
-        .map_err(|e| format!("cannot write partial reports: {e}"))?;
-    Ok(SubmissionStatus::Partial {
-        dir: dir.to_path_buf(),
-        missing,
-    })
-}
-
-// ---- distributed work queue ---------------------------------------------
+// ---- the work queue ------------------------------------------------------
 //
-// With `--listen`, serve runs a broker: submissions install an
-// `ActiveCampaign` (job queue + journal) in shared state, and every
-// connected `boomerang-sim worker` drains it over the `crate::proto` frame
-// protocol. The broker is the *only* journal writer in this mode, which is
-// what makes row submission idempotent: every `RowDone` is deduped against
-// the done set (seeded from the journal replay on resume) under one lock
-// before it is appended, so a retransmitted frame, a revoked-then-completed
-// lease, or a worker that crashed between send and ack can never
-// double-append a row.
+// Submissions install an `ActiveCampaign` (job queue + journal) in the
+// broker's shared state, and every connected `boomerang-sim worker` drains
+// it over the `crate::proto` frame protocol. The broker is the *only*
+// journal writer, which is what makes row submission idempotent: every
+// `RowDone` is deduped against the done set (seeded from the journal replay
+// on resume) under one lock before it is appended, so a retransmitted
+// frame, a revoked-then-completed lease, or a worker that crashed between
+// send and ack can never double-append a row.
 
 /// One queued (not currently leased) job.
 struct QueuedJob {
@@ -684,7 +563,7 @@ struct ActiveCampaign {
     queue: VecDeque<QueuedJob>,
     leases: HashMap<u64, LeaseState>,
     next_lease: u64,
-    /// Rows journaled this dispatch — the local fleet's progress probe.
+    /// Rows journaled this dispatch.
     rows_submitted: u64,
     /// Last lease grant, heartbeat, or row: the give-up clock.
     last_activity: Instant,
@@ -1054,6 +933,44 @@ struct BrokerShared {
     /// Session id source: one id per accepted connection, never reused.
     /// Quarantine is per-session — a reconnecting worker starts clean.
     next_session: AtomicU64,
+    /// Lease requests plus row submissions per loopback worker pid (from
+    /// `Hello`): the supervisor's per-process hang probe, cleared whenever a
+    /// campaign is installed. Heartbeats do not count — they come from a
+    /// separate thread that outlives a wedged row loop.
+    activity: Mutex<HashMap<u64, u64>>,
+}
+
+impl BrokerShared {
+    fn new() -> BrokerShared {
+        BrokerShared {
+            campaign: Mutex::new(None),
+            finishing: AtomicBool::new(false),
+            connections: AtomicUsize::new(0),
+            next_session: AtomicU64::new(0),
+            activity: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// Counts one lease request or row from the worker `pid` at `peer`.
+    /// Only loopback peers count: the probe watches the supervisor's own
+    /// children, and a pid claimed by another host says nothing about them.
+    fn note_activity(&self, peer: SocketAddr, pid: u64) {
+        if !peer.ip().to_canonical().is_loopback() {
+            return;
+        }
+        *self
+            .activity
+            .lock()
+            .expect("activity mutex")
+            .entry(pid)
+            .or_default() += 1;
+    }
+
+    /// The hang-probe value for a local worker process.
+    fn activity_of(&self, pid: u32) -> u64 {
+        let activity = self.activity.lock().expect("activity mutex");
+        activity.get(&u64::from(pid)).copied().unwrap_or(0)
+    }
 }
 
 /// The listening work queue: an accept thread plus one handler thread per
@@ -1070,12 +987,7 @@ impl Broker {
         let listener = TcpListener::bind(listen)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let shared = Arc::new(BrokerShared {
-            campaign: Mutex::new(None),
-            finishing: AtomicBool::new(false),
-            connections: AtomicUsize::new(0),
-            next_session: AtomicU64::new(0),
-        });
+        let shared = Arc::new(BrokerShared::new());
         let accept_stop = Arc::new(AtomicBool::new(false));
         let accept_handle = {
             let shared = Arc::clone(&shared);
@@ -1083,11 +995,11 @@ impl Broker {
             std::thread::spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
                     match listener.accept() {
-                        Ok((stream, _peer)) => {
+                        Ok((stream, peer)) => {
                             let shared = Arc::clone(&shared);
                             shared.connections.fetch_add(1, Ordering::SeqCst);
                             std::thread::spawn(move || {
-                                handle_connection(stream, &shared);
+                                handle_connection(stream, peer, &shared);
                                 shared.connections.fetch_sub(1, Ordering::SeqCst);
                             });
                         }
@@ -1163,7 +1075,7 @@ fn next_message(stream: &mut TcpStream) -> HandlerRead {
 
 /// One worker connection's lifetime on the broker side. Each connection is
 /// one *session* — the unit of quarantine and of verification eligibility.
-fn handle_connection(stream: TcpStream, shared: &BrokerShared) {
+fn handle_connection(stream: TcpStream, peer: SocketAddr, shared: &BrokerShared) {
     let mut stream = stream;
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
@@ -1172,9 +1084,9 @@ fn handle_connection(stream: TcpStream, shared: &BrokerShared) {
     // Handshake: Hello within a grace window, or the connection is dropped
     // (port scanners, garbage writers, torn handshake frames).
     let handshake_deadline = Instant::now() + Duration::from_secs(10);
-    let worker_name = loop {
+    let (worker_name, pid) = loop {
         match next_message(&mut stream) {
-            HandlerRead::Msg(Message::Hello { worker, .. }) => break worker,
+            HandlerRead::Msg(Message::Hello { worker, pid }) => break (worker, pid),
             HandlerRead::Msg(_) | HandlerRead::Dead => return,
             HandlerRead::Idle => {
                 if Instant::now() > handshake_deadline {
@@ -1197,6 +1109,7 @@ fn handle_connection(stream: TcpStream, shared: &BrokerShared) {
             HandlerRead::Idle => continue,
             HandlerRead::Dead => break,
             HandlerRead::Msg(Message::LeaseRequest) => {
+                shared.note_activity(peer, pid);
                 if shared.finishing.load(Ordering::SeqCst) {
                     let _ = write_message(
                         &mut stream,
@@ -1257,6 +1170,7 @@ fn handle_connection(stream: TcpStream, shared: &BrokerShared) {
                 row_fnv,
                 stats,
             }) => {
+                shared.note_activity(peer, pid);
                 my_leases.retain(|&l| l != lease);
                 let reply = {
                     let mut guard = shared.campaign.lock().expect("campaign mutex");
@@ -1310,10 +1224,12 @@ fn handle_connection(stream: TcpStream, shared: &BrokerShared) {
 }
 
 /// Dispatches one submission through the work queue: installs the campaign
-/// (resuming from its journal), optionally runs a local worker fleet
-/// connected over loopback, waits for the queue to drain, and merges the
-/// journal into the canonical report.
-fn dispatch_via_broker(
+/// (resuming from its journals), runs the local worker fleet connected over
+/// loopback, waits for remote workers when the queue is exposed, and merges
+/// the journals into the canonical report — or, when the fleet gave up and
+/// partial output is allowed, into a degraded report over the checkpointed
+/// rows.
+fn dispatch(
     spec: &CampaignSpec,
     dir: &Path,
     run: RunLength,
@@ -1323,8 +1239,8 @@ fn dispatch_via_broker(
 ) -> Result<SubmissionStatus, DispatchError> {
     let fail = |reason: String| DispatchError::Failed(reason);
     let jobs = expand(spec);
-    // Resume: rows already journaled (by an earlier broker life, or an
-    // earlier non-listen dispatch) are done — never re-leased.
+    // Resume: rows already journaled (by an earlier service life, whatever
+    // its journal layout) are done — never re-leased.
     let replay =
         JournalReplay::load(dir, &spec.name, hash, &jobs).map_err(|e| fail(e.to_string()))?;
     let done: HashSet<usize> = replay.rows.keys().copied().collect();
@@ -1336,8 +1252,7 @@ fn dispatch_via_broker(
             jobs.len()
         );
     }
-    let unsharded = Journal::path_for(dir, &spec.name, None);
-    let journal = if unsharded.exists() {
+    let journal = if Journal::path_for(dir, &spec.name, None).exists() {
         Journal::append(dir, &spec.name, None)
     } else {
         Journal::create(dir, &spec.name, hash, jobs.len(), None)
@@ -1352,6 +1267,12 @@ fn dispatch_via_broker(
             ready_at: Instant::now(),
         })
         .collect();
+    broker
+        .shared
+        .activity
+        .lock()
+        .expect("activity mutex")
+        .clear();
     {
         let mut guard = broker.shared.campaign.lock().expect("campaign mutex");
         *guard = Some(ActiveCampaign {
@@ -1412,10 +1333,7 @@ fn dispatch_via_broker(
             cmd
         };
         let shared = Arc::clone(&broker.shared);
-        let mut progress = move |_shard: usize| {
-            let guard = shared.campaign.lock().expect("campaign mutex");
-            guard.as_ref().map(|c| c.rows_submitted).unwrap_or(0)
-        };
+        let mut progress = move |pid: u32| shared.activity_of(pid);
         let shared = Arc::clone(&broker.shared);
         let mut stop = move || {
             let mut guard = shared.campaign.lock().expect("campaign mutex");
@@ -1446,13 +1364,15 @@ fn dispatch_via_broker(
         }
     }
 
-    // Wait for remote workers to drain what's left. Give up after a long
-    // silence — several lease timeouts with no grant, heartbeat, or row.
+    // With the queue exposed, wait for remote workers to drain what's left.
+    // Give up after a long silence — several lease timeouts with no grant,
+    // heartbeat, or row. On the private loopback port nobody else can
+    // connect, so whatever the local fleet left undone stays undone.
     let give_up = options
         .lease_timeout
         .saturating_mul(3)
         .max(Duration::from_secs(2));
-    loop {
+    while options.listen.is_some() {
         let (complete, breached, idle_for) = {
             let mut guard = broker.shared.campaign.lock().expect("campaign mutex");
             let campaign = guard.as_mut().expect("campaign installed");
@@ -1514,8 +1434,8 @@ fn dispatch_via_broker(
         )));
     }
 
-    // Merge — identical to the local path: replay the journals, assemble
-    // the canonical (or degraded) report.
+    // Merge: replay the journals, assemble the canonical (or degraded)
+    // report.
     let replay =
         JournalReplay::load(dir, &spec.name, hash, &jobs).map_err(|e| fail(e.to_string()))?;
     if replay.completed() == jobs.len() {
@@ -1523,6 +1443,13 @@ fn dispatch_via_broker(
         let report = assemble_report(spec, &jobs, run, options.smoke, stats);
         write_reports(&report, dir).map_err(|e| fail(format!("cannot write reports: {e}")))?;
         return Ok(SubmissionStatus::Done(dir.to_path_buf()));
+    }
+    if fleet_failures.is_empty() {
+        fleet_failures.push(format!(
+            "workers stopped with only {} of {} jobs checkpointed",
+            replay.completed(),
+            jobs.len()
+        ));
     }
     if !options.allow_partial {
         return Err(fail(fleet_failures.join("; ")));
@@ -1955,5 +1882,29 @@ warmup_blocks = 400
             "an unverifiable sample must not deadlock the campaign"
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn remote_worker_with_a_colliding_pid_cannot_feed_the_hang_probe() {
+        let shared = BrokerShared::new();
+        let local: SocketAddr = "127.0.0.1:40000".parse().unwrap();
+        let mapped: SocketAddr = "[::ffff:127.0.0.1]:40001".parse().unwrap();
+        let remote: SocketAddr = "192.0.2.7:40000".parse().unwrap();
+        let remote_v6: SocketAddr = "[2001:db8::7]:40000".parse().unwrap();
+        // A wedged local child (pid 4242) sends nothing more; a remote
+        // worker that happens to report the same pid keeps submitting.
+        for _ in 0..5 {
+            shared.note_activity(remote, 4242);
+            shared.note_activity(remote_v6, 4242);
+        }
+        assert_eq!(
+            shared.activity_of(4242),
+            0,
+            "a non-loopback session must not advance a local worker's probe"
+        );
+        shared.note_activity(local, 4242);
+        shared.note_activity(mapped, 4242);
+        assert_eq!(shared.activity_of(4242), 2);
+        assert_eq!(shared.activity_of(7), 0);
     }
 }

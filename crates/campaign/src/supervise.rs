@@ -1,16 +1,16 @@
 //! Worker-fleet supervision: restart-with-backoff, hang detection, and
-//! orphan-free shutdown for sharded campaign workers.
+//! orphan-free shutdown for the local campaign workers of `serve`.
 //!
-//! The previous service dispatch was spawn-all / `wait()`-all: one crashed
-//! worker failed the whole submission and one hung worker wedged it forever.
-//! [`supervise`] replaces that with a poll loop (`try_wait`) over a fleet of
-//! shard slots. A slot whose child exits nonzero is respawned after an
-//! exponential backoff, up to `max_retries` restarts; a slot whose progress
-//! probe (journal bytes — monotonic while the worker runs) stops moving for
-//! `worker_timeout` is killed and the kill counts as a retry. Because
-//! workers checkpoint every row and `--resume` replays the journal, a
-//! restarted shard re-runs only its unfinished jobs, and the merged report
-//! stays byte-identical to an uninterrupted run's.
+//! [`supervise_with_stop`] runs a poll loop (`try_wait`) over a fleet of
+//! worker slots — the *shards* of the log lines and reports, numbered like
+//! the workers' `--worker-index`. A slot whose child exits nonzero is
+//! respawned after an exponential backoff, up to `max_retries` restarts; a
+//! slot whose progress probe stops moving for `worker_timeout` is killed and
+//! the kill counts as a retry. The probe is read per child process (by pid),
+//! so one wedged worker is caught even while its siblings keep working.
+//! Because the broker journals every row and re-leases whatever a dead
+//! worker held, a restarted worker only picks up unfinished jobs, and the
+//! merged report stays byte-identical to an uninterrupted run's.
 //!
 //! Every spawn carries the worker's **life number** (1-based) in
 //! [`fault::FAULT_LIFE_ENV`], so a deterministic fault plan
@@ -31,14 +31,14 @@ use std::time::{Duration, Instant};
 /// Retry, timeout and pacing policy for one supervised fleet.
 #[derive(Clone, Debug)]
 pub struct SuperviseOptions {
-    /// Restarts allowed per shard after its first life (so a shard runs at
-    /// most `max_retries + 1` times).
+    /// Restarts allowed per worker slot after its first life (so a slot runs
+    /// at most `max_retries + 1` times).
     pub max_retries: u32,
     /// Kill a worker whose progress probe has not moved for this long. The
     /// kill consumes a retry.
     pub worker_timeout: Duration,
     /// Backoff before the first restart; doubles per subsequent restart of
-    /// the same shard.
+    /// the same slot.
     pub backoff_base: Duration,
     /// Upper bound on the doubled backoff.
     pub backoff_cap: Duration,
@@ -68,7 +68,7 @@ pub enum ShardOutcome {
         /// Lives used (first run + restarts).
         attempts: u32,
         /// The last life's failure, e.g. `exited with exit status: 113` or
-        /// `hung (no journal progress for 2s)`.
+        /// `hung (no progress for 2s)`.
         last_failure: String,
     },
     /// The worker binary could not be spawned at all — an environment
@@ -132,16 +132,6 @@ impl SupervisedRun {
                 }
                 ShardOutcome::Interrupted => Some(format!("worker shard {} interrupted", s.shard)),
             })
-            .collect()
-    }
-
-    /// The shard indices that did not complete (their rows may be missing
-    /// from the journals — the graceful-degradation path marks them).
-    pub fn incomplete_shards(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .filter(|s| s.outcome != ShardOutcome::Completed)
-            .map(|s| s.shard)
             .collect()
     }
 }
@@ -228,42 +218,32 @@ impl Drop for Fleet {
 }
 
 /// Runs `shards` worker processes to completion under the retry/backoff/
-/// timeout policy in `options`.
+/// timeout policy in `options`, with an external stop signal polled once per
+/// sweep.
 ///
-/// `make_command` builds the command for one shard (it is called once per
+/// `make_command` builds the command for one slot (it is called once per
 /// life; the supervisor adds the [`FAULT_LIFE_ENV`] life number before
-/// spawning). `progress` is the shard's monotonic progress probe — journal
-/// bytes in the real service; the baseline is re-read at every spawn, so a
-/// restart that truncates a torn journal tail cannot look like progress or
-/// trip the hang detector. `log` receives one line per supervision event
-/// (crash, backoff, hang kill, exhaustion).
-///
-/// Never blocks on a wedged child and never returns with a child still
-/// running: every slot ends [`ShardOutcome::Completed`], `Exhausted`,
-/// `SpawnFailed`, or — if Ctrl-C arrives — `Interrupted`.
-pub fn supervise(
-    shards: usize,
-    make_command: &mut dyn FnMut(usize) -> Command,
-    progress: &mut dyn FnMut(usize) -> u64,
-    options: &SuperviseOptions,
-    log: &mut dyn FnMut(&str),
-) -> SupervisedRun {
-    supervise_with_stop(shards, make_command, progress, options, log, &mut || false)
-}
-
-/// [`supervise`] with an external stop signal, polled once per sweep.
+/// spawning). `progress` is the monotonic progress probe of one running
+/// child, keyed by its pid — the broker counts the frames each worker
+/// process sends, so a wedged worker stalls its own probe no matter what its
+/// siblings do. The baseline is re-read at every spawn. `log` receives one
+/// line per supervision event (crash, backoff, hang kill, exhaustion).
 ///
 /// When `stop` returns `true` the remaining queue is treated as drained:
 /// running and waiting slots are killed and marked [`ShardOutcome::Completed`]
 /// (their work is done or was done by someone else — the broker uses this
-/// when TCP workers finish the queue while local shards still run). Slots
-/// already terminal keep their outcome. The `stop` closure doubles as a
-/// per-poll tick, so a caller can piggyback periodic work (the broker's
-/// lease-expiry sweep) on it.
+/// when the queue empties while local workers still run). Slots already
+/// terminal keep their outcome. The `stop` closure doubles as a per-poll
+/// tick, so a caller can piggyback periodic work (the broker's lease-expiry
+/// sweep) on it; callers with nothing to stop on pass `&mut || false`.
+///
+/// Never blocks on a wedged child and never returns with a child still
+/// running: every slot ends [`ShardOutcome::Completed`], `Exhausted`,
+/// `SpawnFailed`, or — if Ctrl-C arrives — `Interrupted`.
 pub fn supervise_with_stop(
     shards: usize,
     make_command: &mut dyn FnMut(usize) -> Command,
-    progress: &mut dyn FnMut(usize) -> u64,
+    progress: &mut dyn FnMut(u32) -> u64,
     options: &SuperviseOptions,
     log: &mut dyn FnMut(&str),
     stop: &mut dyn FnMut() -> bool,
@@ -301,23 +281,20 @@ pub fn supervise_with_stop(
                             *slot = after_failure(shard, stats, &failure, options, log);
                         }
                         Ok(None) => {
-                            let now_progress = progress(shard);
+                            let now_progress = progress(child.id());
                             if now_progress > *last_progress {
                                 *last_progress = now_progress;
                                 *last_change = Instant::now();
                             } else if now_progress < *last_progress {
-                                // A shrink (torn-tail truncation across a
-                                // restart) re-baselines the probe but is NOT
+                                // A shrink re-baselines the probe but is NOT
                                 // progress: the hang clock keeps running.
                                 *last_progress = now_progress;
                             } else if last_change.elapsed() >= options.worker_timeout {
                                 stats.hangs += 1;
                                 let _ = child.kill();
                                 let _ = child.wait();
-                                let failure = format!(
-                                    "hung (no journal progress for {:?})",
-                                    options.worker_timeout
-                                );
+                                let failure =
+                                    format!("hung (no progress for {:?})", options.worker_timeout);
                                 *slot = after_failure(shard, stats, &failure, options, log);
                             }
                         }
@@ -340,7 +317,7 @@ pub fn supervise_with_stop(
             break;
         }
         if stop() {
-            log("supervisor: queue drained externally, stopping local workers");
+            log("supervisor: queue drained, stopping local workers");
             for (slot, _) in &mut fleet.slots {
                 if let Slot::Running { child, .. } = slot {
                     let _ = child.kill();
@@ -391,7 +368,7 @@ pub fn supervise_with_stop(
 fn spawn_life(
     shard: usize,
     make_command: &mut dyn FnMut(usize) -> Command,
-    progress: &mut dyn FnMut(usize) -> u64,
+    progress: &mut dyn FnMut(u32) -> u64,
     stats: &mut ShardStats,
     log: &mut dyn FnMut(&str),
 ) -> Slot {
@@ -407,8 +384,8 @@ fn spawn_life(
                 ));
             }
             Slot::Running {
+                last_progress: progress(child.id()),
                 child,
-                last_progress: progress(shard),
                 last_change: Instant::now(),
             }
         }
@@ -487,12 +464,13 @@ mod tests {
 
     #[test]
     fn clean_fleet_completes_first_life() {
-        let run = supervise(
+        let run = supervise_with_stop(
             3,
             &mut |_| sh("exit 0".into()),
             &mut |_| 0,
             &fast_options(),
             &mut |_| {},
+            &mut || false,
         );
         assert!(run.all_complete());
         assert!(run.failures().is_empty());
@@ -508,12 +486,13 @@ mod tests {
             m = marker.display()
         );
         let mut logs = Vec::new();
-        let run = supervise(
+        let run = supervise_with_stop(
             1,
             &mut |_| sh(script.clone()),
             &mut |_| 0,
             &fast_options(),
             &mut |line| logs.push(line.to_string()),
+            &mut || false,
         );
         assert!(run.all_complete());
         assert_eq!(run.shards[0].lives, 2);
@@ -526,12 +505,13 @@ mod tests {
 
     #[test]
     fn persistent_crash_exhausts_budget() {
-        let run = supervise(
+        let run = supervise_with_stop(
             1,
             &mut |_| sh("exit 7".into()),
             &mut |_| 0,
             &fast_options(),
             &mut |_| {},
+            &mut || false,
         );
         assert!(!run.all_complete());
         let ShardOutcome::Exhausted {
@@ -543,7 +523,6 @@ mod tests {
         };
         assert_eq!(*attempts, 3);
         assert!(last_failure.contains("exited"), "{last_failure}");
-        assert_eq!(run.incomplete_shards(), [0]);
     }
 
     #[test]
@@ -554,12 +533,13 @@ mod tests {
             ..fast_options()
         };
         let start = Instant::now();
-        let run = supervise(
+        let run = supervise_with_stop(
             1,
             &mut |_| sh("sleep 30".into()),
             &mut |_| 42, // never moves
             &options,
             &mut |_| {},
+            &mut || false,
         );
         assert!(start.elapsed() < Duration::from_secs(10), "hang not killed");
         assert_eq!(run.shards[0].hangs, 1);
@@ -577,7 +557,7 @@ mod tests {
             ..fast_options()
         };
         let mut ticks = 0u64;
-        let run = supervise(
+        let run = supervise_with_stop(
             1,
             // Outlives several timeout windows, but the probe keeps moving.
             &mut |_| sh("sleep 0.5; exit 0".into()),
@@ -587,6 +567,7 @@ mod tests {
             },
             &options,
             &mut |_| {},
+            &mut || false,
         );
         assert!(run.all_complete(), "{:?}", run.failures());
         assert_eq!(run.shards[0].hangs, 0);
@@ -594,9 +575,9 @@ mod tests {
 
     #[test]
     fn shrinking_progress_is_not_progress() {
-        // A torn-tail truncation makes the probe go *down*; that must not
-        // reset the hang clock, or a worker that only ever truncates could
-        // dodge the detector forever by alternating probe values.
+        // A probe going *down* must not reset the hang clock, or a worker
+        // whose probe only ever shrinks could dodge the detector forever by
+        // alternating probe values.
         let options = SuperviseOptions {
             max_retries: 0,
             worker_timeout: Duration::from_millis(150),
@@ -604,7 +585,7 @@ mod tests {
         };
         let mut probe = 1000u64;
         let start = Instant::now();
-        let run = supervise(
+        let run = supervise_with_stop(
             1,
             &mut |_| sh("sleep 30".into()),
             &mut |_| {
@@ -615,6 +596,7 @@ mod tests {
             },
             &options,
             &mut |_| {},
+            &mut || false,
         );
         assert!(
             start.elapsed() < Duration::from_secs(10),
@@ -654,12 +636,13 @@ mod tests {
         let dir = temp_dir("life");
         let lives = dir.join("lives");
         let script = format!("echo ${FAULT_LIFE_ENV} >> {f}; exit 1", f = lives.display());
-        let run = supervise(
+        let run = supervise_with_stop(
             1,
             &mut |_| sh(script.clone()),
             &mut |_| 0,
             &fast_options(),
             &mut |_| {},
+            &mut || false,
         );
         assert!(!run.all_complete());
         let seen = std::fs::read_to_string(&lives).unwrap();
@@ -669,12 +652,13 @@ mod tests {
 
     #[test]
     fn spawn_failure_is_terminal_not_retried() {
-        let run = supervise(
+        let run = supervise_with_stop(
             1,
             &mut |_| Command::new("/nonexistent-binary-for-supervise-test"),
             &mut |_| 0,
             &fast_options(),
             &mut |_| {},
+            &mut || false,
         );
         assert!(matches!(
             run.shards[0].outcome,

@@ -94,6 +94,8 @@ pub struct WorkerSummary {
     pub leases: u64,
     /// Successful connections after the first (broker restarts ridden out).
     pub reconnects: u64,
+    /// The broker pid announced by the last `Welcome`.
+    pub broker_pid: u64,
     /// The broker's shutdown reason.
     pub shutdown_reason: String,
 }
@@ -115,6 +117,9 @@ enum SessionEnd {
     Shutdown(String),
     /// The connection failed; reconnect with backoff.
     Lost(io::Error),
+    /// The broker refused this session further leases; it is alive, so a
+    /// fresh session reconnects at once.
+    Rejected(String),
 }
 
 /// Runs the worker to completion: until the broker sends
@@ -139,6 +144,7 @@ pub fn run_worker(options: &WorkerOptions) -> Result<WorkerSummary, String> {
     let mut campaigns: HashMap<String, CampaignState> = HashMap::new();
     let mut failures: u32 = 0;
     let mut connected_before = false;
+    let parent = parent_pid();
     loop {
         match TcpStream::connect(&options.connect) {
             Ok(stream) => {
@@ -162,6 +168,20 @@ pub fn run_worker(options: &WorkerOptions) -> Result<WorkerSummary, String> {
                             );
                         }
                     }
+                    Ok(SessionEnd::Rejected(reason)) => {
+                        // Reconnecting at once matters when the queue is
+                        // nearly drained: a backoff could outlast the broker.
+                        summary.reconnects += u64::from(connected_before);
+                        connected_before = true;
+                        failures = 0;
+                        if !options.quiet {
+                            eprintln!(
+                                "worker {}: session rejected ({reason}); reconnecting",
+                                options.worker_index
+                            );
+                        }
+                        continue;
+                    }
                     Err(terminal) => return Err(terminal),
                 }
             }
@@ -175,6 +195,13 @@ pub fn run_worker(options: &WorkerOptions) -> Result<WorkerSummary, String> {
                 }
             }
         }
+        // A local worker of `serve` talks to its own parent; once that
+        // process is gone there is no broker left to reconnect to.
+        if parent != 0 && summary.broker_pid == parent && parent_pid() != parent {
+            return Err(format!(
+                "the serve process {parent} that spawned this worker exited"
+            ));
+        }
         if failures > options.reconnect_tries {
             return Err(format!(
                 "broker {} unreachable after {} consecutive attempts",
@@ -186,6 +213,18 @@ pub fn run_worker(options: &WorkerOptions) -> Result<WorkerSummary, String> {
             .saturating_mul(1u32 << failures.saturating_sub(1).min(20))
             .min(options.reconnect_cap);
         std::thread::sleep(backoff);
+    }
+}
+
+/// This process's parent pid (0 where it cannot be read).
+fn parent_pid() -> u64 {
+    #[cfg(unix)]
+    {
+        u64::from(std::os::unix::process::parent_id())
+    }
+    #[cfg(not(unix))]
+    {
+        0
     }
 }
 
@@ -216,7 +255,7 @@ fn session(
         return Ok(SessionEnd::Lost(e));
     }
     match read_message(&mut reader) {
-        Ok(Message::Welcome { .. }) => {}
+        Ok(Message::Welcome { broker_pid }) => summary.broker_pid = broker_pid,
         Ok(other) => {
             return Ok(SessionEnd::Lost(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -328,10 +367,7 @@ fn lease_loop(
                         options.worker_index
                     );
                 }
-                return Ok(SessionEnd::Lost(io::Error::new(
-                    io::ErrorKind::ConnectionRefused,
-                    format!("broker rejected this session: {reason}"),
-                )));
+                return Ok(SessionEnd::Rejected(reason));
             }
             Message::Lease {
                 lease,
@@ -443,9 +479,6 @@ fn lease_loop(
                 }
                 if row_faults.exit {
                     fault::exit_now();
-                }
-                if row_faults.hang {
-                    fault::hang_now();
                 }
             }
             other => {

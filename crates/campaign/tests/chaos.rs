@@ -1,12 +1,15 @@
 //! Chaos suite: deterministic fault injection driving the supervised
-//! campaign service through its crash paths.
+//! campaign service (its broker and local worker fleet) through its crash
+//! paths.
 //!
 //! Every test arms a `--fault-inject` plan in *spawned* `boomerang-sim`
 //! processes (the fault runtime is process-global, so in-process arming
 //! would leak between tests) and then asserts the service-level contract:
 //!
-//! - crashes, torn journal tails and hangs are retried and the recovered
-//!   submission renders **byte-identical** reports to an undisturbed run,
+//! - worker crashes and hangs are retried, a broker that dies mid-append
+//!   leaves a torn journal tail the next service truncates, and the
+//!   recovered submission renders **byte-identical** reports to an
+//!   undisturbed run,
 //! - exhausted retries fail loudly (`.failed` + `.error`) or — under
 //!   `--allow-partial` — degrade to an explicit partial report (exit 4,
 //!   `.partial`, holes marked per row),
@@ -111,9 +114,14 @@ fn assert_matches_reference(tag: &str, out: &Path) {
 
 #[test]
 fn crashed_worker_is_restarted_and_bytes_match_a_clean_run() {
+    // Both local workers crash after their second row (first life only), so
+    // at least one crash fires however the queue splits between them.
     let (output, spool, out) = serve_mini(
         "exit",
-        &["--fault-inject", "worker-exit:shard=0:after-rows=2"],
+        &[
+            "--fault-inject",
+            "worker-exit:shard=0:after-rows=2,worker-exit:shard=1:after-rows=2",
+        ],
     );
     let stderr = stderr_of(&output);
     assert!(output.status.success(), "{stderr}");
@@ -130,14 +138,47 @@ fn crashed_worker_is_restarted_and_bytes_match_a_clean_run() {
 
 #[test]
 fn torn_journal_tail_is_truncated_on_resume_and_bytes_match() {
+    // The broker is the sole journal writer: it tears its second append and
+    // exits mid-campaign, leaving the submission in the spool.
     let (output, spool, out) = serve_mini(
         "torn",
-        &["--fault-inject", "journal-torn-tail:shard=1:after-rows=2"],
+        &["--fault-inject", "journal-torn-tail:after-rows=2"],
     );
+    let stderr = stderr_of(&output);
+    assert_eq!(output.status.code(), Some(FAULT_EXIT), "{stderr}");
+    assert!(spool.join("mini.toml").exists(), "{stderr}");
+    let journal = out.join("mini").join("chaos-mini.journal.jsonl");
+    assert!(
+        !std::fs::read(&journal).unwrap().ends_with(b"\n"),
+        "the broker's journal must end torn"
+    );
+
+    // A second service over the same spool resumes the one durable row,
+    // truncates the torn tail and finishes the campaign.
+    let output = run_bin(&[
+        "serve",
+        "--once",
+        "--workers",
+        "2",
+        "--quiet",
+        "--backoff-ms",
+        "10",
+        "--spool",
+        spool.to_str().unwrap(),
+        "--out",
+        out.to_str().unwrap(),
+    ]);
     let stderr = stderr_of(&output);
     assert!(output.status.success(), "{stderr}");
     assert!(spool.join("mini.toml.done").exists(), "{stderr}");
-    assert!(stderr.contains("retrying"), "{stderr}");
+    assert!(
+        stderr.contains("resuming") && stderr.contains("1 of 12"),
+        "the second service must resume the one durable row: {stderr}"
+    );
+    assert!(
+        std::fs::read(&journal).unwrap().ends_with(b"\n"),
+        "the resumed journal still ends torn"
+    );
     assert_matches_reference("torn", &out);
     for dir in [spool, out] {
         std::fs::remove_dir_all(dir).unwrap();
@@ -146,11 +187,15 @@ fn torn_journal_tail_is_truncated_on_resume_and_bytes_match() {
 
 #[test]
 fn hung_worker_is_killed_retried_and_bytes_match() {
+    // Worker 0 wedges on its first lease (no heartbeats, no frames) while
+    // worker 1 drains the rest of the queue and then keeps polling for work.
+    // The lease timeout (60 s by default) is far away, so only per-worker
+    // hang detection can free the wedged row.
     let (output, spool, out) = serve_mini(
         "hang",
         &[
             "--fault-inject",
-            "worker-hang:shard=0:after-rows=1",
+            "heartbeat-stall:shard=0:after-rows=1",
             "--worker-timeout-secs",
             "3",
         ],
@@ -162,6 +207,10 @@ fn hung_worker_is_killed_retried_and_bytes_match() {
         stderr.contains("hung"),
         "supervisor must label the stalled shard as hung: {stderr}"
     );
+    assert!(
+        stderr.contains("shard 0 hung") && !stderr.contains("shard 1 hung"),
+        "only the wedged worker may be killed as hung: {stderr}"
+    );
     assert_matches_reference("hang", &out);
     for dir in [spool, out] {
         std::fs::remove_dir_all(dir).unwrap();
@@ -170,17 +219,24 @@ fn hung_worker_is_killed_retried_and_bytes_match() {
 
 #[test]
 fn exhausted_retries_fail_the_submission_loudly() {
+    // Every life of both local workers crashes after one row: 2 lives each
+    // (--max-retries 1) checkpoint 4 of 12 rows before the fleet is spent.
     let (output, spool, _out) = serve_mini(
         "exhaust",
         &[
             "--fault-inject",
-            "worker-exit:shard=0:after-rows=1:lives=all",
+            "worker-exit:shard=0:after-rows=1:lives=all,\
+             worker-exit:shard=1:after-rows=1:lives=all",
             "--max-retries",
             "1",
         ],
     );
     let stderr = stderr_of(&output);
     assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!("exit status: {FAULT_EXIT}")),
+        "the injected crashes must fire: {stderr}"
+    );
     assert!(spool.join("mini.toml.failed").exists(), "{stderr}");
     let note = std::fs::read_to_string(spool.join("mini.toml.error")).unwrap();
     assert!(
@@ -192,18 +248,18 @@ fn exhausted_retries_fail_the_submission_loudly() {
 
 #[test]
 fn allow_partial_degrades_to_an_explicit_holes_marked_report() {
-    // Persistent crash on shard 0 after every first row, sequential worker
-    // (--jobs 1) for a deterministic row order: 3 lives (--max-retries 2)
-    // checkpoint exactly 3 of shard 0's 6 rows before the budget runs out.
+    // Persistent crashes on both local workers: worker 0 dies after every
+    // first row, worker 1 after every second. Three lives each
+    // (--max-retries 2) checkpoint exactly 3 + 6 of the 12 rows before the
+    // budget runs out, leaving 3 holes.
     let (output, spool, out) = serve_mini(
         "partial",
         &[
             "--fault-inject",
-            "worker-exit:shard=0:after-rows=1:lives=all",
+            "worker-exit:shard=0:after-rows=1:lives=all,\
+             worker-exit:shard=1:after-rows=2:lives=all",
             "--max-retries",
             "2",
-            "--jobs",
-            "1",
             "--allow-partial",
         ],
     );
@@ -232,7 +288,10 @@ fn allow_partial_degrades_to_an_explicit_holes_marked_report() {
         );
     }
     let missing = lines.iter().filter(|l| l.ends_with(",missing")).count();
-    assert_eq!(missing, 3, "3 lives checkpoint 3 of 6 shard-0 rows:\n{csv}");
+    assert_eq!(
+        missing, 3,
+        "9 checkpointed rows leave 3 of 12 missing:\n{csv}"
+    );
 
     for dir in [spool, out] {
         std::fs::remove_dir_all(dir).unwrap();

@@ -4,7 +4,7 @@
 //! directory guard, and the spool-directory serve mode.
 //!
 //! The invariant under test everywhere: reports are a pure function of the
-//! spec. However a campaign is cut up — killed and resumed, sharded over
+//! spec. However a campaign is cut up — killed and resumed, spread over
 //! worker processes, replayed from journals — the merged JSON and CSV bytes
 //! must equal an uninterrupted run's.
 
@@ -84,10 +84,7 @@ fn run_interrupted(
             options,
             &generated,
             &done,
-            RunPlan {
-                shard: None,
-                limit: Some(chunk),
-            },
+            RunPlan { limit: Some(chunk) },
             Some(&on_row),
         );
     }
@@ -333,8 +330,7 @@ fn serve_processes_a_spool_and_matches_oneshot_bytes() {
     std::fs::write(spool.join("mini.toml"), MINI_SPEC).unwrap();
 
     let status = Command::new(BIN)
-        // No --jobs: the workers must run with the binary's own default
-        // (serve omits the flag when jobs = 0, it must not pass `--jobs 0`).
+        // No --jobs: --workers alone sets serve's parallelism.
         .args(["serve", "--once", "--workers", "3", "--quiet", "--spool"])
         .arg(&spool)
         .arg("--out")
@@ -370,14 +366,73 @@ fn serve_processes_a_spool_and_matches_oneshot_bytes() {
         std::fs::read(out.join("mini").join("service-mini.csv")).unwrap(),
         std::fs::read(oneshot.join("service-mini.csv")).unwrap()
     );
-    // Three worker shards, three journals.
-    for shard in 0..3 {
-        assert!(out
-            .join("mini")
-            .join(format!("service-mini.journal-{shard}.jsonl"))
-            .exists());
-    }
+    // Three local workers, one broker-written journal.
+    let journals: Vec<String> = std::fs::read_dir(out.join("mini"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|n| n.contains(".journal"))
+        .collect();
+    assert_eq!(journals, ["service-mini.journal.jsonl"]);
 
+    for dir in [spool, out, oneshot] {
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+}
+
+#[test]
+fn serve_without_listen_reverifies_every_row_when_asked() {
+    // The work queue runs on a private loopback port even without --listen,
+    // so sampled re-verification works for the local fleet alone: with two
+    // workers every row is re-run by the session that did not produce it.
+    let spool = temp_dir("verify-spool");
+    let out = temp_dir("verify-out");
+    let oneshot = temp_dir("verify-oneshot");
+    std::fs::write(spool.join("mini.toml"), MINI_SPEC).unwrap();
+
+    let output = Command::new(BIN)
+        .args([
+            "serve",
+            "--once",
+            "--workers",
+            "2",
+            "--verify-fraction",
+            "1",
+        ])
+        .args(["--quiet", "--spool"])
+        .arg(&spool)
+        .arg("--out")
+        .arg(&out)
+        .output()
+        .unwrap();
+    let log = String::from_utf8_lossy(&output.stderr).into_owned();
+    assert!(output.status.success(), "{log}");
+    assert!(spool.join("mini.toml.done").exists(), "{log}");
+    let summary = log
+        .lines()
+        .find(|l| l.contains("integrity summary"))
+        .unwrap_or_else(|| panic!("no integrity summary in: {log}"));
+    assert!(
+        summary.contains("12 rows journaled") && summary.contains("12 rows re-verified"),
+        "every row must be re-verified: {summary}"
+    );
+    assert!(
+        summary.contains("0 verification mismatches") && summary.contains("0 sessions quarantined"),
+        "an honest fleet must come out clean: {summary}"
+    );
+
+    let status = Command::new(BIN)
+        .arg("run")
+        .arg(spool.join("mini.toml.done"))
+        .args(["--jobs", "2", "--quiet", "--out"])
+        .arg(&oneshot)
+        .status()
+        .unwrap();
+    assert!(status.success());
+    assert_eq!(
+        std::fs::read(out.join("mini").join("service-mini.json")).unwrap(),
+        std::fs::read(oneshot.join("service-mini.json")).unwrap(),
+        "re-verified rows must merge to a one-shot run's bytes"
+    );
     for dir in [spool, out, oneshot] {
         std::fs::remove_dir_all(dir).unwrap();
     }

@@ -36,14 +36,12 @@
 
 pub mod backend;
 pub mod ftq;
-pub mod lane;
 pub mod mechanism;
 pub mod simulator;
 pub mod stats;
 
 pub use backend::BackEnd;
 pub use ftq::{Ftq, FtqEntry, Reached, SquashCause};
-pub use lane::LaneSimulator;
 pub use mechanism::{
     predecode_line_iter, BtbMissAction, ControlFlowMechanism, MechContext, NoPrefetch,
 };

@@ -128,8 +128,8 @@ pub struct Simulator<'a, M: ControlFlowMechanism + ?Sized = dyn ControlFlowMecha
     last_fetched_line: Option<CacheLine>,
 
     // Resumable-run bookkeeping (set by `begin_run`, used by
-    // `advance_to_block`): lets an external scheduler — the lane-batched
-    // engine — time-slice a run without changing any state transition.
+    // `advance_to_block`): lets a caller pause a run at block targets
+    // without changing any state transition.
     warmup_blocks: usize,
     warmup_done: bool,
     max_cycles: u64,
@@ -261,12 +261,12 @@ impl<'a, M: ControlFlowMechanism + ?Sized> Simulator<'a, M> {
     /// run in slices with [`advance_to_block`](Self::advance_to_block) and
     /// collect the result with [`finish_run`](Self::finish_run).
     ///
-    /// This split exists for the lane-batched engine: a scheduler can
-    /// round-robin many simulators over the same shared trace, pausing each
-    /// at block-count targets. Pausing is transition-invariant — every loop
-    /// iteration of the engine is self-contained and commits at most one
-    /// block — so any slicing of a run produces bit-identical statistics to
-    /// an uninterrupted [`run_with_warmup`] call.
+    /// The split lets a caller pause a run at block-count targets, e.g. to
+    /// sample engine counters at the warmup boundary. Pausing is
+    /// transition-invariant — every loop iteration of the engine is
+    /// self-contained and commits at most one block — so any slicing of a
+    /// run produces bit-identical statistics to an uninterrupted
+    /// [`run_with_warmup`] call.
     pub fn begin_run(&mut self, warmup_blocks: usize) {
         debug_assert_eq!(self.now, 0, "begin_run on an already-started simulator");
         self.warmup_blocks = warmup_blocks;
@@ -319,18 +319,6 @@ impl<'a, M: ControlFlowMechanism + ?Sized> Simulator<'a, M> {
     /// Number of trace blocks committed so far.
     pub fn committed_blocks(&self) -> usize {
         self.committed_blocks
-    }
-
-    /// Total number of blocks in the decoded trace.
-    pub fn trace_blocks(&self) -> usize {
-        self.trace.len()
-    }
-
-    /// The shared immutable decoded trace this simulator reads. Used by the
-    /// lane-batched engine to assert that every lane of a group consumes the
-    /// *same* trace stream (the shared-trace-cursor invariant).
-    pub(crate) fn trace_stream(&self) -> &'a [DynamicBlock] {
-        self.trace
     }
 
     #[inline]
