@@ -238,9 +238,9 @@ impl WorkloadData {
         self.run_with_predictor_engine(mechanism, config, predictor, SimEngine::default())
     }
 
-    /// Runs `mechanism` on an explicit simulation engine (the benchmark
-    /// harness times the event-horizon engine against the per-cycle
-    /// reference on identical work; both produce bit-identical stats).
+    /// Runs `mechanism` on an explicit simulation engine (the per-cycle
+    /// reference is the differential-testing oracle of the idle-skip
+    /// engine; both produce bit-identical stats).
     pub fn run_with_predictor_engine(
         &self,
         mechanism: Mechanism,

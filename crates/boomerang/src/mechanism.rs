@@ -132,12 +132,6 @@ impl Default for Boomerang {
     }
 }
 
-// Line-transition contract audit (covers both throttle extremes, which only
-// change how many lines `on_btb_miss` prefetches): instruction prefetching
-// delegates to FDIP (FTQ-push-scanned, tick-issued, exact
-// `next_tick_event`), and BTB prefill acts solely inside the `on_btb_miss`
-// event, walking whole cache blocks. Nothing observes intra-line fetch
-// progress, so streaming windows may batch around Boomerang's events.
 impl ControlFlowMechanism for Boomerang {
     fn name(&self) -> &'static str {
         "Boomerang"
@@ -148,8 +142,6 @@ impl ControlFlowMechanism for Boomerang {
     }
 
     fn on_ftq_push(&mut self, entry: &FtqEntry, ctx: &mut MechContext<'_>) {
-        // Timestamp-invariant: delegates to FDIP's scan, which only enqueues
-        // the entry's lines for `tick` and never reads `ctx.now`.
         self.prefetcher.on_ftq_push(entry, ctx);
     }
 

@@ -1,12 +1,14 @@
-//! Differential tests for the event-horizon engine.
+//! Differential tests for the simulation engine.
 //!
 //! The per-cycle stepper (`run_with_warmup_reference`) is the semantic
-//! definition of the simulator; the event-horizon engine
-//! (`run_with_warmup`) bulk-advances over provably dead cycles and must
-//! produce **bit-identical** `SimStats`. These tests drive both engines over
+//! definition of the simulator; the engine (`run_with_warmup`) is the same
+//! stepper plus an idle skip that bulk-advances over provably dead cycles,
+//! and must produce **bit-identical** `SimStats`. These tests drive both over
 //! randomized tiny workload profiles for every mechanism of the evaluation
 //! and assert exact equality — any divergence means the idle-horizon
-//! computation claimed a cycle was dead when it was not.
+//! computation claimed a cycle was dead when it was not. A third run slices
+//! the same engine into pauses with `begin_run` / `advance_to_block` /
+//! `finish_run` and must equal the uninterrupted run.
 
 use boomerang::{Mechanism, ThrottlePolicy};
 use branch_pred::PredictorKind;
@@ -31,6 +33,25 @@ fn all_mechanisms() -> Vec<Mechanism> {
     ]
 }
 
+/// SplitMix64: a self-contained, deterministic source of slice targets.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Block targets a resumable run pauses at: the start, either side of the
+/// warmup boundary, a few SplitMix-drawn points, and one past the trace end.
+fn slice_targets(blocks: usize, warmup: usize, seed: u64) -> Vec<usize> {
+    let mut state = seed;
+    let mut targets = vec![0, warmup.saturating_sub(1), warmup, warmup + 1, blocks + 1];
+    targets.extend((0..4).map(|_| (splitmix64(&mut state) % blocks as u64) as usize));
+    targets.sort_unstable();
+    targets
+}
+
 fn assert_engines_agree(
     profile: &WorkloadProfile,
     config: &MicroarchConfig,
@@ -40,30 +61,42 @@ fn assert_engines_agree(
 ) {
     let layout = CodeLayout::generate(profile);
     let trace = Trace::generate_blocks(&layout, blocks);
+    let simulator = |mechanism: Mechanism| {
+        Simulator::with_predictor(
+            config.clone(),
+            &layout,
+            trace.blocks(),
+            mechanism.build(),
+            predictor,
+        )
+    };
+    let targets = slice_targets(trace.blocks().len(), warmup, profile.seed);
     for mechanism in all_mechanisms() {
-        let fast = Simulator::with_predictor(
-            config.clone(),
-            &layout,
-            trace.blocks(),
-            mechanism.build(),
-            predictor,
-        )
-        .run_with_warmup(warmup);
-        let reference = Simulator::with_predictor(
-            config.clone(),
-            &layout,
-            trace.blocks(),
-            mechanism.build(),
-            predictor,
-        )
-        .run_with_warmup_reference(warmup);
+        let fast = simulator(mechanism).run_with_warmup(warmup);
+        let reference = simulator(mechanism).run_with_warmup_reference(warmup);
         assert_eq!(
+            fast, reference,
+            "idle skip diverged from per-cycle reference: mechanism {:?}, seed {}, footprint {}",
+            mechanism, profile.seed, profile.footprint_bytes,
+        );
+
+        let mut sliced = simulator(mechanism);
+        sliced.begin_run(warmup);
+        for &target in &targets {
+            let done = sliced.advance_to_block(target);
+            assert_eq!(
+                done,
+                target >= trace.blocks().len(),
+                "{mechanism:?}: completion flag at target {target}"
+            );
+        }
+        assert_eq!(
+            sliced.finish_run(),
             fast,
-            reference,
-            "event-horizon diverged from per-cycle reference: mechanism {:?}, seed {}, footprint {}",
+            "sliced run diverged from uninterrupted run: mechanism {:?}, seed {}, targets {:?}",
             mechanism,
             profile.seed,
-            profile.footprint_bytes,
+            targets,
         );
     }
 }
@@ -83,7 +116,7 @@ fn engines_agree_on_the_paper_configuration() {
 fn engines_agree_under_btb_pressure_and_slow_llc() {
     // A tiny BTB maximises Boomerang stalls and FDIP sequential walks; a
     // slow NoC stretches every fill latency, widening the dead windows the
-    // event-horizon engine skips.
+    // idle skip jumps.
     assert_engines_agree(
         &WorkloadProfile::tiny(7).with_footprint_bytes(128 * 1024),
         &MicroarchConfig::hpca17()
@@ -126,19 +159,17 @@ fn engines_agree_without_warmup_and_with_bimodal_predictor() {
     );
 }
 
-/// Configurations chosen to maximise batched-trickle coverage: a small,
-/// slow-filling L1-I path keeps the fetch engine stalled on fills while the
-/// BPU trickles the FTQ full — the exact windows
-/// `Simulator::trickle_fill_stall` batches. Pins the batched-trickle path
-/// bit-identical to `run_with_warmup_reference` over randomized profiles.
+/// Deep-NoC fill-stall sweep: a small, slow-filling L1-I path keeps the
+/// fetch engine stalled on fills while the BPU fills the FTQ, so the idle
+/// skip and the stepper alternate inside long stall windows.
 #[test]
-fn batched_trickle_matches_reference_over_randomized_profiles() {
+fn engines_agree_under_long_fill_stalls() {
     let mut rng = SimRng::seeded(0x0071_c51e_0b47);
     for _ in 0..4 {
         let mut profile = WorkloadProfile::tiny(rng.range_u64(0, 1 << 20));
         profile.footprint_bytes = 96 * 1024 + 32 * 1024 * rng.range_u64(0, 6);
         profile.hot_callee_fraction = 0.05 + 0.2 * rng.unit();
-        // Deep memory: long fill stalls mean long trickle windows.
+        // Deep memory: long fill stalls.
         let config = MicroarchConfig::hpca17()
             .with_noc(NocModel::Fixed(30 + rng.range_u64(0, 60)))
             .with_btb_entries(512 << rng.range_u64(0, 3));
@@ -147,30 +178,22 @@ fn batched_trickle_matches_reference_over_randomized_profiles() {
     }
 }
 
-/// Configurations chosen to maximise block-granular *streaming* coverage —
-/// the exact windows `Simulator::stream_fast_forward` batches through
-/// `BackEnd::stream_window`. Stall-light: a small footprint keeps the code
-/// L1-I-resident after warmup, so the fetch engine spends its time
-/// streaming hit lines instead of waiting on fills. Streaming-heavy: long
-/// basic blocks maximise the instructions between control-flow events, and
-/// a high fetch width drains them in wide per-cycle chunks. The ROB axis
-/// sweeps from deep (pressure-free windows end at line/block boundaries)
-/// down to shallow, with slow data-stall profiles, so windows also end —
-/// and jump — on full-ROB back-pressure spans. Pins the streaming
-/// fast-forward bit-identical to `run_with_warmup_reference` for all nine
-/// mechanism variants (the line-transition event contract audit's
-/// enforcement arm).
+/// Wide-fetch, shallow-ROB, data-stall sweep: L1-I-resident code with long
+/// straight-line blocks drained at a high fetch width into a ROB from
+/// paper-default down to shallow, under slow data-stall profiles — so fetch
+/// spends long spans blocked on a full ROB, which the idle skip jumps to the
+/// ROB head's completion.
 #[test]
-fn streaming_fast_forward_matches_reference_over_randomized_profiles() {
+fn engines_agree_under_rob_back_pressure() {
     let mut rng = SimRng::seeded(0x00b1_0c60_fa57);
-    for round in 0..5 {
+    for _ in 0..5 {
         let mut profile = WorkloadProfile::tiny(rng.range_u64(0, 1 << 20));
         // L1-I-resident (stall-light) code with long straight-line blocks.
         profile.footprint_bytes = 16 * 1024 + 16 * 1024 * rng.range_u64(0, 2);
         profile.mean_block_instructions = 8.0 + 6.0 * rng.unit();
         profile.mean_function_blocks = 10.0 + 6.0 * rng.unit();
-        // Back-end pressure sweep: from frequent long data stalls (shallow
-        // windows ending on a full ROB) to nearly stall-free streaming.
+        // Back-end pressure sweep: from frequent long data stalls to nearly
+        // stall-free streaming.
         profile.backend.load_fraction = 0.1 + 0.3 * rng.unit();
         profile.backend.llc_miss_rate = 0.02 * rng.unit();
         profile.backend.l1d_miss_rate = 0.3 * rng.unit();
@@ -182,122 +205,5 @@ fn streaming_fast_forward_matches_reference_over_randomized_profiles() {
         let blocks = 2_000 + rng.index(2_000);
         let warmup = rng.index(600);
         assert_engines_agree(&profile, &config, blocks, warmup, PredictorKind::Tage);
-        // Sanity: the window detector must actually fire on these profiles,
-        // otherwise this test silently stops covering the streaming path.
-        let layout = CodeLayout::generate(&profile);
-        let trace = Trace::generate_blocks(&layout, blocks);
-        let mut sim = Simulator::new(
-            config.clone(),
-            &layout,
-            trace.blocks(),
-            Mechanism::Baseline.build(),
-        );
-        let stats = sim.run_with_warmup(0);
-        assert!(
-            sim.bulk_fetched_cycles() > stats.cycles / 10,
-            "round {round}: streaming windows covered only {} of {} cycles",
-            sim.bulk_fetched_cycles(),
-            stats.cycles
-        );
-    }
-}
-
-/// Property test of the `ControlFlowMechanism::on_ftq_push`
-/// timestamp-invariance contract: a wrapper perturbs the `ctx.now` every
-/// mechanism variant observes in `on_ftq_push`, and the final statistics
-/// must not change. A mechanism whose FTQ-push hook read the timestamp (or
-/// issued time-stamped hierarchy operations) would fail this, and would
-/// break the event-horizon engine's batched fill-stall trickle, which
-/// anchors `on_ftq_push` timestamps at the batch's first cycle.
-#[test]
-fn ftq_push_timestamp_invariance() {
-    use frontend::{
-        BtbMissAction, ControlFlowMechanism, FtqEntry, MechContext, SimStats, SquashCause,
-    };
-    use sim_core::DynamicBlock;
-
-    /// Forwards every hook unchanged, except that `on_ftq_push` sees a
-    /// jittered timestamp.
-    struct JitterFtqPushTime {
-        inner: Box<dyn ControlFlowMechanism>,
-        offset: u64,
-    }
-
-    impl ControlFlowMechanism for JitterFtqPushTime {
-        fn name(&self) -> &'static str {
-            self.inner.name()
-        }
-        fn on_ftq_push(&mut self, entry: &FtqEntry, ctx: &mut MechContext<'_>) {
-            let real_now = ctx.now;
-            ctx.now = real_now.wrapping_add(self.offset);
-            self.inner.on_ftq_push(entry, ctx);
-            ctx.now = real_now;
-        }
-        fn on_demand_fetch(
-            &mut self,
-            line: sim_core::CacheLine,
-            previous_line: Option<sim_core::CacheLine>,
-            missed: bool,
-            ctx: &mut MechContext<'_>,
-        ) {
-            self.inner.on_demand_fetch(line, previous_line, missed, ctx);
-        }
-        fn on_commit(&mut self, block: &DynamicBlock, ctx: &mut MechContext<'_>) {
-            self.inner.on_commit(block, ctx);
-        }
-        fn on_btb_miss(
-            &mut self,
-            addr: sim_core::Addr,
-            ctx: &mut MechContext<'_>,
-        ) -> BtbMissAction {
-            self.inner.on_btb_miss(addr, ctx)
-        }
-        fn tick(&mut self, ctx: &mut MechContext<'_>) {
-            self.inner.tick(ctx);
-        }
-        fn next_tick_event(&self) -> Option<u64> {
-            self.inner.next_tick_event()
-        }
-        fn on_squash(&mut self, cause: SquashCause, ctx: &mut MechContext<'_>) {
-            self.inner.on_squash(cause, ctx);
-        }
-        fn storage_overhead_bits(&self) -> u64 {
-            self.inner.storage_overhead_bits()
-        }
-        fn is_fetch_directed(&self) -> bool {
-            self.inner.is_fetch_directed()
-        }
-    }
-
-    let profile = WorkloadProfile::tiny(4242).with_footprint_bytes(96 * 1024);
-    let layout = CodeLayout::generate(&profile);
-    let trace = Trace::generate_blocks(&layout, 3_000);
-    let config = MicroarchConfig::hpca17().with_btb_entries(512);
-    let run = |mechanism: Box<dyn ControlFlowMechanism>, engine_ref: bool| -> SimStats {
-        let mut sim = Simulator::new(config.clone(), &layout, trace.blocks(), mechanism);
-        if engine_ref {
-            sim.run_with_warmup_reference(400)
-        } else {
-            sim.run_with_warmup(400)
-        }
-    };
-    for mechanism in all_mechanisms() {
-        let baseline = run(mechanism.build(), false);
-        for offset in [1, 97, u64::MAX / 2] {
-            for engine_ref in [false, true] {
-                let jittered = run(
-                    Box::new(JitterFtqPushTime {
-                        inner: mechanism.build(),
-                        offset,
-                    }),
-                    engine_ref,
-                );
-                assert_eq!(
-                    baseline, jittered,
-                    "on_ftq_push of {mechanism:?} is timestamp-dependent \
-                     (offset {offset}, reference engine: {engine_ref})"
-                );
-            }
-        }
     }
 }

@@ -2,10 +2,8 @@
 //! trajectory.
 //!
 //! A bench run times one or more campaign presets over the work-stealing
-//! pool, once per simulation engine — the event-horizon engine that ships,
-//! and the retained per-cycle reference — and emits a machine-readable JSON
-//! report (`BENCH_*.json` at the repo root) that later perf PRs extend into
-//! a trajectory.
+//! pool and emits a machine-readable JSON report (`BENCH_*.json` at the repo
+//! root) that later perf PRs extend into a trajectory.
 //!
 //! Every report entry separates two kinds of fields:
 //!
@@ -17,29 +15,32 @@
 //!   never compared byte-for-byte. Since `bench_format` 2 the phases are
 //!   timed separately: `generation_ms` covers one *cold* workload-generation
 //!   pass (spec expansion + layout/trace/latency-stream generation), and
-//!   each engine's `simulation_ms` samples cover the simulate + aggregate
-//!   phases over those generated workloads. Since `bench_format` 3 a
+//!   the `simulation_ms` samples cover the simulate + aggregate phases over
+//!   those generated workloads. Since `bench_format` 3 a
 //!   `generation_warm_ms` sample rides along: the same generation pass
 //!   served entirely from a warm content-addressed artifact cache
 //!   ([`crate::artifact`]), committed evidence of what the cache buys.
 //!   `bench_format` 5 drops the lane A/B fields `bench_format` 4 added
 //!   (`lanes`, `group_rows`, `group_lane_ms`, `group_row_ms`,
 //!   `group_lane_vs_row`) along with the lane-batched schedule they timed.
+//!   `bench_format` 6 times the one simulation engine only: the per-engine
+//!   `engines` array and the reference engine's timing and speedup are
+//!   gone, `simulation_ms` and `best_simulation_ms` sit directly in
+//!   `timing`, and `event_horizon_mcycles_per_s` is now `mcycles_per_s`.
 //!   The headline `best_ms` is
 //!   `generation_ms + min(simulation_ms)` — the cold-equivalent campaign
 //!   wall time, directly comparable to the single `wall_ms` of
 //!   `bench_format` 1 entries, per the ROADMAP note that at least one
 //!   generation-cold measurement must anchor every trajectory point.
 //!
-//! The harness also cross-checks the engines against each other on every
-//! entry: both must produce byte-identical campaign reports, or the run
-//! fails.
+//! Engine parity (the idle skip against the per-cycle reference) is not a
+//! bench concern: the engine-differential suite and the golden report tests
+//! enforce it under `cargo test`.
 
 use crate::engine::{generate_workloads, run_generated, EngineOptions};
 use crate::json::Json;
 use crate::presets;
 use crate::sink::to_json;
-use frontend::SimEngine;
 use sim_core::pool;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -55,12 +56,9 @@ pub struct BenchOptions {
     pub smoke_only: bool,
     /// Benchmark only full-length entries.
     pub full_only: bool,
-    /// Timed iterations per engine; the best (minimum) wall time is the
+    /// Timed simulation iterations; the best (minimum) wall time is the
     /// headline number.
     pub iterations: usize,
-    /// Also time the per-cycle reference engine (the parity cross-check
-    /// always runs it at least once regardless).
-    pub time_reference: bool,
 }
 
 impl Default for BenchOptions {
@@ -71,29 +69,7 @@ impl Default for BenchOptions {
             smoke_only: false,
             full_only: false,
             iterations: 3,
-            time_reference: true,
         }
-    }
-}
-
-/// Simulation-phase wall-clock samples for one engine on one entry.
-#[derive(Clone, Debug)]
-pub struct EngineTiming {
-    /// Engine token (see [`SimEngine::token`]).
-    pub engine: &'static str,
-    /// One simulation-phase wall-time sample per iteration, in milliseconds
-    /// (workload generation excluded — it is timed once per entry as
-    /// [`BenchEntry::generation_ms`]).
-    pub simulation_ms: Vec<f64>,
-}
-
-impl EngineTiming {
-    /// Best (minimum) simulation wall time in milliseconds.
-    pub fn best_simulation_ms(&self) -> f64 {
-        self.simulation_ms
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min)
     }
 }
 
@@ -120,37 +96,31 @@ pub struct BenchEntry {
     /// Wall time of a workload-generation pass served entirely from a warm
     /// content-addressed artifact cache, in milliseconds (`bench_format` 3).
     pub generation_warm_ms: f64,
-    /// Event-horizon engine timings.
-    pub event_horizon: EngineTiming,
-    /// Per-cycle reference engine timings (absent under `--no-reference`).
-    pub reference: Option<EngineTiming>,
+    /// One simulation-phase wall-time sample per iteration, in milliseconds
+    /// (workload generation excluded — it is timed once per entry as
+    /// [`generation_ms`](Self::generation_ms)).
+    pub simulation_ms: Vec<f64>,
 }
 
 impl BenchEntry {
-    /// Simulation-phase speedup of the event-horizon engine over the
-    /// per-cycle reference, if the reference was timed.
-    ///
-    /// Computed **best-vs-best**: the reference's minimum `simulation_ms`
-    /// sample divided by the event-horizon's minimum sample. Minima, not
-    /// means or same-iteration pairs, because on a shared box each engine's
-    /// best sample is the least-perturbed measurement of its true cost —
-    /// pairing iteration `i` against iteration `i` would fold one engine's
-    /// scheduling noise into the other's number. Pinned by
-    /// `speedup_vs_reference_is_best_over_best`.
-    pub fn speedup_vs_reference(&self) -> Option<f64> {
-        let reference = self.reference.as_ref()?;
-        Some(reference.best_simulation_ms() / self.event_horizon.best_simulation_ms())
+    /// Best (minimum) simulation wall time in milliseconds: on a shared box
+    /// the minimum is the least-perturbed measurement of the true cost.
+    pub fn best_simulation_ms(&self) -> f64 {
+        self.simulation_ms
+            .iter()
+            .copied()
+            .fold(f64::INFINITY, f64::min)
     }
 
-    /// The headline number: cold generation plus the best event-horizon
-    /// simulation, i.e. the best wall time a cold full campaign run takes.
-    /// Directly comparable to `bench_format` 1's whole-campaign `best_ms`.
+    /// The headline number: cold generation plus the best simulation, i.e.
+    /// the best wall time a cold full campaign run takes. Directly
+    /// comparable to `bench_format` 1's whole-campaign `best_ms`.
     pub fn best_ms(&self) -> f64 {
-        self.generation_ms + self.event_horizon.best_simulation_ms()
+        self.generation_ms + self.best_simulation_ms()
     }
 
-    /// Simulated megacycles per wall-clock second on the event-horizon
-    /// engine, over the cold-equivalent campaign wall time.
+    /// Simulated megacycles per wall-clock second over the cold-equivalent
+    /// campaign wall time.
     pub fn mcycles_per_second(&self) -> f64 {
         self.cycles_total as f64 / 1e6 / (self.best_ms() / 1e3)
     }
@@ -177,9 +147,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 ///
 /// # Errors
 ///
-/// Returns a message on unknown presets, on campaign failures, and on any
-/// engine-parity violation (the two engines must render byte-identical
-/// campaign reports).
+/// Returns a message on unknown presets and on campaign failures.
 pub fn run_bench(options: &BenchOptions) -> Result<BenchReport, String> {
     if options.iterations == 0 {
         return Err("--iterations must be at least 1".into());
@@ -209,7 +177,6 @@ pub fn run_bench(options: &BenchOptions) -> Result<BenchReport, String> {
             let gen_opts = EngineOptions {
                 jobs: options.jobs,
                 smoke,
-                engine: SimEngine::EventHorizon,
                 artifact_cache: None,
             };
             let gen_started = Instant::now();
@@ -240,58 +207,17 @@ pub fn run_bench(options: &BenchOptions) -> Result<BenchReport, String> {
                 ));
             }
 
-            let run = |engine: SimEngine| -> (crate::CampaignReport, String, f64) {
-                let opts = EngineOptions {
-                    jobs: options.jobs,
-                    smoke,
-                    engine,
-                    artifact_cache: None,
-                };
-                let started = Instant::now();
-                let report = run_generated(&spec, &opts, &generated);
-                let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-                let json = to_json(&report);
-                (report, json, wall_ms)
-            };
-
-            let mut event_horizon = EngineTiming {
-                engine: SimEngine::EventHorizon.token(),
-                simulation_ms: Vec::new(),
-            };
-            let mut rendered = String::new();
+            let mut simulation_ms = Vec::new();
             let mut campaign_report = None;
             for _ in 0..options.iterations {
-                let (report, json, wall_ms) = run(SimEngine::EventHorizon);
-                event_horizon.simulation_ms.push(wall_ms);
-                rendered = json;
-                campaign_report = Some(report);
+                let started = Instant::now();
+                campaign_report = Some(run_generated(&spec, &gen_opts, &generated));
+                simulation_ms.push(started.elapsed().as_secs_f64() * 1e3);
             }
 
-            // Parity cross-check (and optional timing) for the reference.
-            let reference_iterations = if options.time_reference {
-                options.iterations
-            } else {
-                1
-            };
-            let mut reference = EngineTiming {
-                engine: SimEngine::PerCycleReference.token(),
-                simulation_ms: Vec::new(),
-            };
-            for _ in 0..reference_iterations {
-                let (_, json, wall_ms) = run(SimEngine::PerCycleReference);
-                reference.simulation_ms.push(wall_ms);
-                if json != rendered {
-                    return Err(format!(
-                        "engine parity violation on preset `{name}`{}: the per-cycle \
-                         reference rendered a different campaign report than the \
-                         event-horizon engine",
-                        if smoke { " (smoke)" } else { "" },
-                    ));
-                }
-            }
-
-            // Deterministic fields come from the (parity-checked) report.
+            // Deterministic fields come from the last iteration's report.
             let report = campaign_report.expect("at least one iteration ran");
+            let rendered = to_json(&report);
             let cycles_total = report.rows.iter().map(|r| r.stats.cycles).sum();
             let instructions_total = report.rows.iter().map(|r| r.stats.instructions).sum();
 
@@ -305,8 +231,7 @@ pub fn run_bench(options: &BenchOptions) -> Result<BenchReport, String> {
                 report_digest: format!("fnv1a64:{:016x}", fnv1a64(rendered.as_bytes())),
                 generation_ms,
                 generation_warm_ms,
-                event_horizon,
-                reference: options.time_reference.then_some(reference),
+                simulation_ms,
             });
         }
     }
@@ -319,24 +244,23 @@ pub fn bench_to_json(report: &BenchReport) -> String {
         .entries
         .iter()
         .map(|entry| {
-            let mut timing = Json::object()
-                .field("iterations", entry.event_horizon.simulation_ms.len())
+            let timing = Json::object()
+                .field("iterations", entry.simulation_ms.len())
                 .field("generation_ms", round_ms(entry.generation_ms))
                 .field("generation_warm_ms", round_ms(entry.generation_warm_ms))
                 .field(
-                    "engines",
-                    vec![engine_json(&entry.event_horizon)]
-                        .into_iter()
-                        .chain(entry.reference.as_ref().map(engine_json))
+                    "simulation_ms",
+                    entry
+                        .simulation_ms
+                        .iter()
+                        .map(|&ms| Json::Float(round_ms(ms)))
                         .collect::<Vec<Json>>(),
                 )
+                .field("best_simulation_ms", round_ms(entry.best_simulation_ms()))
                 // Cold generation + best simulation: the number comparable
                 // to bench_format 1's whole-campaign best wall time.
                 .field("best_ms", round_ms(entry.best_ms()))
-                .field("event_horizon_mcycles_per_s", entry.mcycles_per_second());
-            if let Some(speedup) = entry.speedup_vs_reference() {
-                timing = timing.field("speedup_vs_reference", speedup);
-            }
+                .field("mcycles_per_s", entry.mcycles_per_second());
             Json::object()
                 .field("preset", entry.preset.as_str())
                 .field("smoke", entry.smoke)
@@ -354,23 +278,9 @@ pub fn bench_to_json(report: &BenchReport) -> String {
         .collect();
     Json::object()
         .field("bench", "boomerang-sim bench")
-        .field("bench_format", 5u64)
+        .field("bench_format", 6u64)
         .field("entries", entries)
         .pretty()
-}
-
-fn engine_json(timing: &EngineTiming) -> Json {
-    Json::object()
-        .field("engine", timing.engine)
-        .field(
-            "simulation_ms",
-            timing
-                .simulation_ms
-                .iter()
-                .map(|&ms| Json::Float(round_ms(ms)))
-                .collect::<Vec<Json>>(),
-        )
-        .field("best_simulation_ms", round_ms(timing.best_simulation_ms()))
 }
 
 fn round_ms(ms: f64) -> f64 {
@@ -382,37 +292,19 @@ pub fn bench_to_table(report: &BenchReport) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<20} {:>6} {:>6} {:>8} {:>8} {:>12} {:>14} {:>9} {:>10} {:>12}",
-        "preset",
-        "smoke",
-        "jobs",
-        "gen ms",
-        "warm ms",
-        "horizon ms",
-        "reference ms",
-        "speedup",
-        "best ms",
-        "Mcycles/s"
+        "{:<20} {:>6} {:>6} {:>8} {:>8} {:>10} {:>10} {:>12}",
+        "preset", "smoke", "jobs", "gen ms", "warm ms", "sim ms", "best ms", "Mcycles/s"
     );
     for entry in &report.entries {
         let _ = writeln!(
             out,
-            "{:<20} {:>6} {:>6} {:>8.1} {:>8.1} {:>12.1} {:>14} {:>9} {:>10.1} {:>12.1}",
+            "{:<20} {:>6} {:>6} {:>8.1} {:>8.1} {:>10.1} {:>10.1} {:>12.1}",
             entry.preset,
             entry.smoke,
             entry.campaign_jobs,
             entry.generation_ms,
             entry.generation_warm_ms,
-            entry.event_horizon.best_simulation_ms(),
-            entry
-                .reference
-                .as_ref()
-                .map(|r| format!("{:.1}", r.best_simulation_ms()))
-                .unwrap_or_else(|| "-".into()),
-            entry
-                .speedup_vs_reference()
-                .map(|s| format!("{s:.2}x"))
-                .unwrap_or_else(|| "-".into()),
+            entry.best_simulation_ms(),
             entry.best_ms(),
             entry.mcycles_per_second(),
         );
@@ -530,9 +422,9 @@ mod tests {
     }
 
     #[test]
-    fn speedup_vs_reference_is_best_over_best() {
-        // The headline engine comparison divides minima, not means and not
-        // same-index sample pairs.
+    fn best_ms_is_cold_generation_plus_the_best_simulation_sample() {
+        // The headline takes the minimum simulation sample, not the mean and
+        // not the first or last one.
         let entry = BenchEntry {
             preset: "p".into(),
             smoke: true,
@@ -543,26 +435,10 @@ mod tests {
             report_digest: "fnv1a64:0".into(),
             generation_ms: 5.0,
             generation_warm_ms: 1.0,
-            event_horizon: EngineTiming {
-                engine: "event-horizon",
-                simulation_ms: vec![10.0, 8.0, 12.0],
-            },
-            reference: Some(EngineTiming {
-                engine: "per-cycle-reference",
-                simulation_ms: vec![30.0, 24.0, 40.0],
-            }),
+            simulation_ms: vec![10.0, 8.0, 12.0],
         };
-        // 24.0 / 8.0; a first-sample or mean pairing would give 3.0 only by
-        // accident of these numbers — check the minima are what is used.
-        assert_eq!(entry.speedup_vs_reference(), Some(3.0));
-        assert_eq!(entry.event_horizon.best_simulation_ms(), 8.0);
-        // And best_ms is cold generation + the event-horizon's best sample.
+        assert_eq!(entry.best_simulation_ms(), 8.0);
         assert_eq!(entry.best_ms(), 13.0);
-        let without_reference = BenchEntry {
-            reference: None,
-            ..entry
-        };
-        assert_eq!(without_reference.speedup_vs_reference(), None);
     }
 
     #[test]
@@ -582,7 +458,6 @@ mod tests {
         assert!(entry.cycles_total > 0);
         assert!(entry.instructions_total > 0);
         assert!(entry.report_digest.starts_with("fnv1a64:"));
-        assert!(entry.speedup_vs_reference().is_some());
 
         let json = bench_to_json(&report);
         assert!(json.contains("\"preset\": \"llc-sweep\""));
@@ -602,6 +477,6 @@ mod tests {
         let report = tiny_bench();
         let table = bench_to_table(&report);
         assert!(table.contains("llc-sweep"));
-        assert!(table.contains("speedup"));
+        assert!(table.contains("best ms"));
     }
 }

@@ -173,8 +173,7 @@ BENCH OPTIONS (see README \"Performance\"):
     --jobs <N>        Worker threads (default: all cores)
     --smoke           Benchmark only smoke-length entries (the CI mode)
     --full            Benchmark only full-length entries
-    --iterations <K>  Timed iterations per engine (default: 3)
-    --no-reference    Skip timing the per-cycle reference engine
+    --iterations <K>  Timed simulation iterations (default: 3)
     --out <FILE>      Bench report path (default: bench-out/bench.json; pass
                       BENCH_PR<n>.json explicitly to (re)write a committed
                       trajectory baseline)
@@ -287,7 +286,6 @@ fn bench_command(args: &[String]) -> Result<ExitCode, String> {
                     .parse::<usize>()
                     .map_err(|_| format!("bad --iterations value `{n}`"))?;
             }
-            "--no-reference" => options.time_reference = false,
             "--out" => {
                 let path = it.next().ok_or("--out needs a file path")?;
                 out = PathBuf::from(path);
@@ -875,7 +873,6 @@ fn run_command(args: &[String], command_resume: bool) -> Result<ExitCode, String
         jobs,
         smoke,
         artifact_cache,
-        ..EngineOptions::default()
     };
 
     let journal = if resume && Journal::path_for(&out_dir, &spec.name, None).exists() {

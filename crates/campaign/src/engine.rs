@@ -31,10 +31,6 @@ pub struct EngineOptions {
     /// Replace the spec's run length with [`RunLength::smoke_test`] (CI and
     /// quick sanity runs).
     pub smoke: bool,
-    /// Which simulation engine drives each job. Both engines produce
-    /// bit-identical reports; the per-cycle reference exists for the bench
-    /// harness and for differential testing.
-    pub engine: frontend::SimEngine,
     /// Directory of the content-addressed workload artifact cache (see
     /// [`crate::artifact`]). `None` generates everything in-process, every
     /// time.
@@ -372,12 +368,7 @@ pub fn run_generated_partial(
     let results: Vec<SimStats> = pool::run_indexed(workers, &pending, |_, &i| {
         let job = &jobs[i];
         let data = data_by_key[&(job.workload, job.seed)];
-        let stats = data.run_with_predictor_engine(
-            job.mechanism,
-            &configs[job.config],
-            spec.predictor,
-            options.engine,
-        );
+        let stats = data.run_with_predictor(job.mechanism, &configs[job.config], spec.predictor);
         if let Some(on_row) = on_row {
             on_row(job, &stats);
         }

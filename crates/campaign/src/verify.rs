@@ -468,12 +468,7 @@ fn check_recompute(
         let effective = derive_seed(profile.seed, job.seed);
         let profile = profile.clone().with_seed(effective);
         let data = WorkloadData::generate_from_profile(&profile, run);
-        let fresh = data.run_with_predictor_engine(
-            job.mechanism,
-            &configs[job.config],
-            spec.predictor,
-            frontend::SimEngine::default(),
-        );
+        let fresh = data.run_with_predictor(job.mechanism, &configs[job.config], spec.predictor);
         let journaled = replay.rows[&index];
         if stats_to_array(&fresh) != stats_to_array(&journaled) {
             report.checks.push(CheckResult {

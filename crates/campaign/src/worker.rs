@@ -562,10 +562,9 @@ fn run_row(
         state.data.insert(key, data);
     }
     let data = &state.data[&key];
-    data.run_with_predictor_engine(
+    data.run_with_predictor(
         job.mechanism,
         &state.configs[job.config],
         state.spec.predictor,
-        frontend::SimEngine::default(),
     )
 }

@@ -51,26 +51,6 @@ impl Rob {
     }
 }
 
-/// Outcome of a [`BackEnd::stream_window`] call.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StreamOutcome {
-    /// Instructions accepted into the ROB over the window.
-    pub accepted: u64,
-    /// Cycles within the window on which the full ROB blocked fetch.
-    pub rob_full_cycles: u64,
-    /// `true` when all requested instructions were accepted before the
-    /// window's cycle cap.
-    pub finished: bool,
-    /// The cycle the window ended at: the final instruction's push cycle
-    /// when `finished`, the (exclusive) cap otherwise.
-    pub end_cycle: u64,
-    /// Fetch-width budget left unconsumed in `end_cycle` after the final
-    /// push. Only meaningful when `finished`; the caller resumes the fetch
-    /// engine's intra-cycle loop with it (a line transition or block commit
-    /// happens in the same cycle when it is non-zero).
-    pub leftover_budget: u64,
-}
-
 /// The simplified back end: a ROB of completion times with in-order retire.
 #[derive(Clone, Debug)]
 pub struct BackEnd<'a> {
@@ -246,91 +226,6 @@ impl<'a> BackEnd<'a> {
         }
     }
 
-    /// Solves a straight-line streaming window in one call: the companion of
-    /// [`retire_span`](Self::retire_span) for cycles in which the fetch
-    /// engine is delivering instructions.
-    ///
-    /// Semantically this is exactly the per-cycle recurrence the simulator's
-    /// stepper runs while a block streams out of an already-accessed L1-hit
-    /// line with every other unit silent — for each cycle `t` in
-    /// `from..until`:
-    ///
-    /// 1. `retire(t)` — the ROB head drains at the retire width;
-    /// 2. if the ROB is full, the cycle is a `rob_full` back-pressure cycle
-    ///    and delivers nothing;
-    /// 3. otherwise `min(fetch_width, free_slots)` instructions (capped by
-    ///    what is left of the window) enter via
-    ///    [`push_instructions`](Self::push_instructions).
-    ///
-    /// The closed-form win is twofold: full-ROB spans whose head has not
-    /// completed are jumped in O(1) (their per-cycle effect is exactly one
-    /// `rob_full` count each), and the remaining occupancy recurrence runs
-    /// as a tight push/retire loop with no per-cycle engine dispatch. The
-    /// RNG/latency-class stream is consumed draw-for-draw as the stepper
-    /// would, so the resulting ROB state and statistics are byte-identical
-    /// (property-tested against the cycle-by-cycle oracle).
-    ///
-    /// The window ends either when all `n_instr` instructions are accepted
-    /// — `finished`, with the push cycle and the unconsumed fetch budget
-    /// reported so the caller can run the same-cycle line transition or
-    /// block commit — or when the cycle cap `until` is reached first.
-    pub fn stream_window(
-        &mut self,
-        n_instr: u64,
-        fetch_width: u64,
-        from: u64,
-        until: u64,
-    ) -> StreamOutcome {
-        debug_assert!(n_instr > 0, "an empty window has no event to solve");
-        debug_assert!(from < until);
-        let mut left = n_instr;
-        let mut rob_full_cycles = 0u64;
-        let mut t = from;
-        while t < until {
-            if self.is_full() {
-                if let Some(ready) = self.rob.front() {
-                    if ready > t {
-                        // A full ROB whose head has not completed blocks
-                        // fetch and retires nothing: every cycle up to the
-                        // head's completion (or the cap) is one rob_full
-                        // count, applied in closed form.
-                        let skip_to = ready.min(until);
-                        rob_full_cycles += skip_to - t;
-                        t = skip_to;
-                        continue;
-                    }
-                }
-            }
-            self.retire(t);
-            if self.is_full() {
-                rob_full_cycles += 1;
-                t += 1;
-                continue;
-            }
-            let budget = fetch_width.min(self.free_slots() as u64);
-            let accepted = budget.min(left);
-            self.push_instructions(accepted, t);
-            left -= accepted;
-            if left == 0 {
-                return StreamOutcome {
-                    accepted: n_instr,
-                    rob_full_cycles,
-                    finished: true,
-                    end_cycle: t,
-                    leftover_budget: budget - accepted,
-                };
-            }
-            t += 1;
-        }
-        StreamOutcome {
-            accepted: n_instr - left,
-            rob_full_cycles,
-            finished: false,
-            end_cycle: until,
-            leftover_budget: 0,
-        }
-    }
-
     /// Retires completed instructions in order, up to the retire width.
     /// Returns how many retired this cycle.
     pub fn retire(&mut self, now: u64) -> u64 {
@@ -496,132 +391,6 @@ mod tests {
                 assert_eq!(streamed.retired(), online.retired(), "{kind:?} at {now}");
             }
         }
-    }
-
-    /// The cycle-by-cycle oracle `stream_window` must equal: one
-    /// `retire`+`push_instructions` pair per cycle, stopping (mid-cycle,
-    /// with the leftover budget) once the window's instructions are all
-    /// accepted. Returns what `stream_window` reports so the two can be
-    /// compared field-for-field.
-    fn oracle_stream(
-        be: &mut BackEnd<'_>,
-        n_instr: u64,
-        fetch_width: u64,
-        from: u64,
-        until: u64,
-    ) -> StreamOutcome {
-        let mut left = n_instr;
-        let mut rob_full_cycles = 0;
-        for t in from..until {
-            be.retire(t);
-            if be.is_full() {
-                rob_full_cycles += 1;
-                continue;
-            }
-            let budget = fetch_width.min(be.free_slots() as u64);
-            let accepted = budget.min(left);
-            be.push_instructions(accepted, t);
-            left -= accepted;
-            if left == 0 {
-                return StreamOutcome {
-                    accepted: n_instr,
-                    rob_full_cycles,
-                    finished: true,
-                    end_cycle: t,
-                    leftover_budget: budget - accepted,
-                };
-            }
-        }
-        StreamOutcome {
-            accepted: n_instr - left,
-            rob_full_cycles,
-            finished: false,
-            end_cycle: until,
-            leftover_budget: 0,
-        }
-    }
-
-    #[test]
-    fn stream_window_matches_cycle_by_cycle_oracle_over_randomized_windows() {
-        use sim_core::rng::SimRng;
-        let mut rng = SimRng::seeded(0x57e4_11a6_0b00);
-        let cfg = MicroarchConfig::hpca17();
-        for round in 0..200 {
-            let kind = workloads::WorkloadKind::ALL[rng.index(workloads::WorkloadKind::ALL.len())];
-            let seed = rng.range_u64(0, 1 << 40);
-            let mut bulk = BackEnd::new(&cfg, kind.profile().backend, seed);
-            let mut oracle = BackEnd::new(&cfg, kind.profile().backend, seed);
-            // Random pre-existing ROB state: a few pushes at earlier cycles,
-            // partially retired, so windows start at every occupancy level.
-            let mut t = 0;
-            for _ in 0..rng.index(4) {
-                let n = rng.range_u64(0, 140);
-                bulk.push_instructions(n, t);
-                oracle.push_instructions(n, t);
-                let drained_to = t + rng.range_u64(1, 30);
-                bulk.retire_span(t, drained_to);
-                oracle.retire_span(t, drained_to);
-                t = drained_to;
-            }
-            // A randomized window: sometimes instruction-bound (finished),
-            // sometimes cap-bound, sometimes starting against a full ROB.
-            let from = t + rng.range_u64(0, 5);
-            let until = from + 1 + rng.range_u64(0, 400);
-            let n_instr = 1 + rng.range_u64(0, 48);
-            let fetch_width = 1 + rng.range_u64(0, 7);
-            let got = bulk.stream_window(n_instr, fetch_width, from, until);
-            let want = oracle_stream(&mut oracle, n_instr, fetch_width, from, until);
-            assert_eq!(got, want, "round {round}: outcome diverged");
-            assert_eq!(bulk.occupancy(), oracle.occupancy(), "round {round}");
-            assert_eq!(bulk.retired(), oracle.retired(), "round {round}");
-            assert_eq!(bulk.next_completion(), oracle.next_completion());
-            // The RNG/latency streams must be in the same position: the next
-            // pushes must produce identical completion times.
-            let resume = until + 10;
-            bulk.push_instructions(8, resume);
-            oracle.push_instructions(8, resume);
-            bulk.retire_span(resume, resume + 500);
-            oracle.retire_span(resume, resume + 500);
-            assert_eq!(
-                bulk.retired(),
-                oracle.retired(),
-                "round {round}: stream position"
-            );
-            assert_eq!(bulk.next_completion(), oracle.next_completion());
-        }
-    }
-
-    #[test]
-    fn stream_window_reports_the_finishing_cycle_and_leftover_budget() {
-        let cfg = MicroarchConfig::hpca17();
-        let profile = WorkloadKind::Oracle.profile().backend;
-        let mut be = BackEnd::new(&cfg, profile, 3);
-        // Empty ROB, width 3: 7 instructions land 3/3/1 over cycles 10..12,
-        // leaving 2 budget slots in the finishing cycle.
-        let out = be.stream_window(7, 3, 10, 1000);
-        assert!(out.finished);
-        assert_eq!(out.accepted, 7);
-        assert_eq!(out.end_cycle, 12);
-        assert_eq!(out.leftover_budget, 2);
-        assert_eq!(out.rob_full_cycles, 0);
-        assert_eq!(be.occupancy(), 7);
-    }
-
-    #[test]
-    fn stream_window_jumps_full_rob_spans_in_closed_form() {
-        let cfg = MicroarchConfig::hpca17();
-        let profile = WorkloadKind::Oracle.profile().backend;
-        let mut bulk = BackEnd::new(&cfg, profile, 11);
-        let mut oracle = BackEnd::new(&cfg, profile, 11);
-        // Fill the ROB completely so the window starts back-pressured.
-        bulk.push_instructions(128, 0);
-        oracle.push_instructions(128, 0);
-        let got = bulk.stream_window(40, 3, 0, 5_000);
-        let want = oracle_stream(&mut oracle, 40, 3, 0, 5_000);
-        assert_eq!(got, want);
-        assert!(got.rob_full_cycles > 0, "a full ROB must block some cycles");
-        assert_eq!(bulk.occupancy(), oracle.occupancy());
-        assert_eq!(bulk.retired(), oracle.retired());
     }
 
     #[test]

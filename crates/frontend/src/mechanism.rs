@@ -98,89 +98,20 @@ impl MechContext<'_> {
 /// All hooks have default no-op implementations, so the no-prefetch baseline
 /// is simply [`NoPrefetch`].
 ///
-/// # The line-transition event contract
-///
-/// The hook set below is the mechanism's *complete* event vocabulary, and it
-/// is deliberately block/line-granular: a mechanism observes the front end
-/// at FTQ pushes, demand-fetched **cache-line transitions**
-/// ([`on_demand_fetch`](Self::on_demand_fetch)), block commits, BTB misses,
-/// squashes and its own due ticks ([`next_tick_event`](Self::next_tick_event))
-/// — never per fetched instruction and never per cycle of uniform
-/// straight-line streaming. This mirrors the paper's thesis that control
-/// flow *events* (discontinuities, misses, fills) are where delivery
-/// machinery acts, while the bytes between them stream untouched.
-///
-/// The event-horizon engine leans on this contract: when the fetch engine
-/// is draining instructions out of an already-accessed L1-hit line with no
-/// other unit active, the simulator solves the whole window — instruction
-/// delivery, ROB occupancy/retire flow and stall accounting — in closed
-/// form (`BackEnd::stream_window`) *without consulting the mechanism*, and
-/// re-enters exact per-event execution at the next line transition or block
-/// commit. Concretely the engine guarantees, and a conforming mechanism may
-/// assume:
-///
-/// * every hook fires at its exact cycle, with `ctx.now` exact — the one
-///   documented exception being `on_ftq_push`'s batching-window timestamp
-///   coarsening (see its timestamp-invariance contract below);
-/// * consecutive instructions delivered from within one cache line generate
-///   **no** events between that line's `on_demand_fetch` and the block's
-///   `on_commit` (or the next line's `on_demand_fetch`);
-/// * `tick` runs at every cycle the mechanism declared live through
-///   [`next_tick_event`](Self::next_tick_event), including inside batched
-///   windows, which end no later than the next due tick.
-///
-/// A mechanism therefore must not try to infer per-cycle fetch progress
-/// between events (there is no hook through which it could), and must keep
-/// [`next_tick_event`](Self::next_tick_event) conservative — those are the
-/// only two obligations; every mechanism in the evaluation (audited:
-/// baseline, next-line, DIP, FDIP, PIF, SHIFT, Confluence, and Boomerang
-/// under both throttle extremes) already satisfies them structurally, which
-/// the engine-differential suite pins down with streaming-heavy randomized
-/// workloads (`streaming_fast_forward_matches_reference_over_randomized_profiles`
-/// in `crates/boomerang/tests/engine_differential.rs`).
+/// Every hook fires at its exact cycle, with `ctx.now` exact. The engine's
+/// only obligation on a mechanism is a conservative
+/// [`next_tick_event`](Self::next_tick_event), which the simulator's idle
+/// skip relies on to jump over dead cycles.
 pub trait ControlFlowMechanism {
     /// Mechanism name as used in the paper's figures.
     fn name(&self) -> &'static str;
 
     /// Called once per new FTQ entry (the prefetch engine's scan, §IV-A).
-    ///
-    /// # Timestamp-invariance contract
-    ///
-    /// Implementations must be **timestamp-invariant**: their behaviour may
-    /// not depend on `ctx.now` in any way that is observable in simulation
-    /// statistics. Concretely, `on_ftq_push` may inspect the entry and
-    /// *record* work — enqueue prefetch candidates for a later
-    /// [`tick`](Self::tick), update timestamp-free internal tables — but it
-    /// must not read `ctx.now` and must not invoke time-stamped operations
-    /// on the shared front-end state (no [`MechContext::prefetch_line`] /
-    /// hierarchy probes, whose fill completion times are functions of
-    /// `now`). Deferring issue to `tick` is not a modelling restriction:
-    /// probes issue at full rate starting the same cycle as the push,
-    /// because the simulator ticks the mechanism after the BPU every cycle.
-    ///
-    /// The event-horizon engine relies on this contract to batch the
-    /// BPU-only trickle cycles of an L1-I fill stall: within one stall
-    /// window, every `on_ftq_push` observes the window's *first* cycle as
-    /// `ctx.now` while pushes logically occupy consecutive cycles. A
-    /// timestamp-dependent implementation would tie report bytes to the
-    /// engine's batching decisions and break the bit-identical-statistics
-    /// guarantee. The contract is enforced by a property test
-    /// (`ftq_push_timestamp_invariance` in
-    /// `crates/boomerang/tests/engine_differential.rs`) that jitters the
-    /// timestamp seen by every mechanism variant's `on_ftq_push` and
-    /// asserts final statistics are unchanged.
     fn on_ftq_push(&mut self, _entry: &FtqEntry, _ctx: &mut MechContext<'_>) {}
 
     /// Called for every cache line the fetch engine demand-fetches, before
     /// the access outcome is known. `missed` reports whether the access
     /// stalled (used by miss-triggered prefetchers such as DIP).
-    ///
-    /// This is the *line-transition event* of the trait-level contract: it
-    /// fires exactly once per line the fetch engine crosses into (at the
-    /// exact crossing cycle), and it is the only notification straight-line
-    /// streaming generates between a block's start and its commit. The
-    /// instructions delivered from within the line are invisible to the
-    /// mechanism — by design, and the batched streaming window relies on it.
     fn on_demand_fetch(
         &mut self,
         _line: CacheLine,
@@ -215,7 +146,7 @@ pub trait ControlFlowMechanism {
     ///   (mechanisms with queued work that becomes ready at `t`; `Some(0)`
     ///   means "work is ready right now").
     ///
-    /// The event-horizon engine uses this to bulk-advance over cycles where
+    /// The simulator's idle skip uses this to bulk-advance over cycles where
     /// every unit is provably idle; an implementation that under-reports
     /// (claims idleness while `tick` would mutate state) breaks the
     /// bit-identical-statistics guarantee, so implementations must be
@@ -243,10 +174,6 @@ pub trait ControlFlowMechanism {
 
 /// The no-prefetch baseline: a conventional front end with no instruction
 /// prefetcher and no BTB prefill.
-///
-/// Line-transition contract audit: every hook is the default no-op and
-/// `next_tick_event` is `None`, so the baseline trivially satisfies the
-/// contract.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoPrefetch;
 

@@ -54,11 +54,6 @@ impl Default for Confluence {
     }
 }
 
-// Line-transition contract audit: Confluence is SHIFT's streamer (commit
-// training, miss-triggered replay, tick-issued probes under an exact
-// `next_pending_ready` bound) plus predecode-driven BTB prefill — and the
-// prefill runs exactly at line-granular events: each line-transition event
-// and each line its tick prefetches. No intra-line observation anywhere.
 impl ControlFlowMechanism for Confluence {
     fn name(&self) -> &'static str {
         "Confluence"

@@ -57,10 +57,6 @@ impl Dip {
     }
 }
 
-// Line-transition contract audit: DIP observes, trains on, and prefetches
-// from line-transition events alone (its discontinuity table is keyed by
-// line pairs); it keeps no queued work, so the default `next_tick_event` of
-// `None` is exact.
 impl ControlFlowMechanism for Dip {
     fn name(&self) -> &'static str {
         "DIP"

@@ -46,11 +46,6 @@ impl Default for Fdip {
     }
 }
 
-// Line-transition contract audit: FDIP's only inputs are FTQ-push events
-// (scanned at cache-block granularity into the pending queue) and squashes;
-// probes issue from `tick` with `next_tick_event` exact (`Some(0)` iff work
-// is queued). It implements no `on_demand_fetch` and observes nothing
-// between line transitions.
 impl ControlFlowMechanism for Fdip {
     fn name(&self) -> &'static str {
         "FDIP"
@@ -62,10 +57,8 @@ impl ControlFlowMechanism for Fdip {
 
     fn on_ftq_push(&mut self, entry: &FtqEntry, ctx: &mut MechContext<'_>) {
         // The prefetch engine works at cache-block granularity: one probe per
-        // distinct line the basic block spans (§IV-A). Timestamp-invariant
-        // per the `on_ftq_push` contract: the scan only *enqueues* lines —
-        // `ctx.now` is never read, and the probes issue from `tick` at their
-        // own cycles.
+        // distinct line the basic block spans (§IV-A). The scan only
+        // enqueues lines; the probes issue from `tick`.
         let geometry = ctx.layout.geometry();
         for line in geometry.lines_spanned(entry.start, entry.instructions) {
             if self.pending.back() != Some(&line) {

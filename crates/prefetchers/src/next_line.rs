@@ -31,9 +31,6 @@ impl NextLine {
     }
 }
 
-// Line-transition contract audit: next-line acts *only* at line-transition
-// events (one prefetch burst per demand-fetched line) and keeps no queued
-// work, so the default `next_tick_event` of `None` is exact.
 impl ControlFlowMechanism for NextLine {
     fn name(&self) -> &'static str {
         "Next Line"

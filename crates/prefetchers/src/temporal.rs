@@ -203,11 +203,6 @@ impl Default for Pif {
     }
 }
 
-// Line-transition contract audit (PIF, and SHIFT below identically): the
-// retire-stream history trains on commit events at line granularity
-// (`lines_spanned`), replay starts from line-transition *misses*, and queued
-// replay probes issue from `tick` under an exact `next_pending_ready` bound
-// — nothing observes intra-line fetch progress.
 impl ControlFlowMechanism for Pif {
     fn name(&self) -> &'static str {
         "PIF"
