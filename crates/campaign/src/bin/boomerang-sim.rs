@@ -628,11 +628,15 @@ fn worker_command(args: &[String]) -> Result<ExitCode, String> {
     let summary = run_worker(&options).map_err(|e| format!("worker: {e}"))?;
     if !options.quiet {
         eprintln!(
-            "worker {}: {} rows over {} leases, {} reconnects; {}",
+            "worker {}: {} rows over {} leases, {} reconnects, {} points ({} cache hits, {} \
+             generated); {}",
             options.worker_index,
             summary.rows,
             summary.leases,
             summary.reconnects,
+            summary.points(),
+            summary.cache_hits,
+            summary.generated,
             summary.shutdown_reason
         );
     }

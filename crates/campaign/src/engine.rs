@@ -202,30 +202,7 @@ pub fn generate_workloads(
         None => None,
     };
     let results = pool::run_indexed(workers, &keys, |_, &(workload, seed)| {
-        let profile = &spec.workloads[workload].profile;
-        let effective = derive_seed(profile.seed, seed);
-        let profile = profile.clone().with_seed(effective);
-        let Some(cache) = &cache else {
-            let data = WorkloadData::generate_from_profile(&profile, run);
-            return (data, false, Vec::new());
-        };
-        let mut warnings = Vec::new();
-        match cache.load(&profile, run) {
-            Ok(Some(data)) => return (data, true, warnings),
-            Ok(None) => {}
-            Err(e) => warnings.push(format!(
-                "rejected {}: {e}; regenerating",
-                cache.path_for(artifact_key(&profile, run)).display()
-            )),
-        }
-        let data = WorkloadData::generate_from_profile(&profile, run);
-        if let Err(e) = cache.store(&profile, run, &data) {
-            warnings.push(format!(
-                "cannot store {}: {e}",
-                cache.path_for(artifact_key(&profile, run)).display()
-            ));
-        }
-        (data, false, warnings)
+        load_point(spec, workload, seed, run, cache.as_ref())
     });
     let mut data = Vec::with_capacity(results.len());
     let mut summary = GenerationSummary::default();
@@ -246,6 +223,44 @@ pub fn generate_workloads(
         smoke: options.smoke,
         summary,
     })
+}
+
+/// Obtains one workload point — axis index `workload` at seed offset
+/// `seed` — generating it in-process, or through `cache` when given: a
+/// valid artifact is loaded, anything else is regenerated and stored back.
+/// Returns the data, whether it was a cache hit, and human-readable
+/// warnings about rejected or unstorable artifacts (never fatal).
+pub(crate) fn load_point(
+    spec: &CampaignSpec,
+    workload: usize,
+    seed: u64,
+    run: RunLength,
+    cache: Option<&ArtifactCache>,
+) -> (WorkloadData, bool, Vec<String>) {
+    let profile = &spec.workloads[workload].profile;
+    let effective = derive_seed(profile.seed, seed);
+    let profile = profile.clone().with_seed(effective);
+    let Some(cache) = cache else {
+        let data = WorkloadData::generate_from_profile(&profile, run);
+        return (data, false, Vec::new());
+    };
+    let mut warnings = Vec::new();
+    match cache.load(&profile, run) {
+        Ok(Some(data)) => return (data, true, warnings),
+        Ok(None) => {}
+        Err(e) => warnings.push(format!(
+            "rejected {}: {e}; regenerating",
+            cache.path_for(artifact_key(&profile, run)).display()
+        )),
+    }
+    let data = WorkloadData::generate_from_profile(&profile, run);
+    if let Err(e) = cache.store(&profile, run, &data) {
+        warnings.push(format!(
+            "cannot store {}: {e}",
+            cache.path_for(artifact_key(&profile, run)).display()
+        ));
+    }
+    (data, false, warnings)
 }
 
 /// Runs a campaign to completion.

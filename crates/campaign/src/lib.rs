@@ -6,7 +6,7 @@
 //! the workloads, mechanisms, configuration points, seeds and run length to
 //! sweep — then:
 //!
-//! 1. [`expand`] turns the spec into a canonical job list (adding the
+//! 1. [`expand()`] turns the spec into a canonical job list (adding the
 //!    no-prefetch baseline reference each group needs for speedups),
 //! 2. [`engine`] runs the jobs on a work-stealing thread pool
 //!    ([`sim_core::pool`]) with deterministic per-job seeds, and

@@ -168,7 +168,7 @@ pub enum Message {
         /// between simulation and journal append can never be recorded.
         row_fnv: u64,
         /// The stat counters in canonical journal column order
-        /// ([`STAT_FIELD_COUNT`] values).
+        /// (one value per journal stat column).
         stats: Vec<u64>,
     },
     /// Broker → worker: the row was journaled (or was already done — the

@@ -34,6 +34,27 @@
 //! canonical report, and writes the same `<name>.json` / `<name>.csv` bytes
 //! a one-shot `run` would have produced.
 //!
+//! # Lease order
+//!
+//! A worker generates (or loads from the artifact cache) each workload
+//! point — a (workload, seed) pair — the first time a lease needs it and
+//! keeps it for every later row on that point. Handing rows out in job
+//! order would have every worker alternate through each point's rows, so
+//! every worker would decode nearly every point. The broker therefore
+//! remembers, per live session, the point of its last regular lease, and
+//! ranks the ready rows for each lease request:
+//!
+//! 1. a row of the session's current point;
+//! 2. otherwise the first row of a point no other live session is on;
+//! 3. otherwise the first ready row — a steal, so no worker idles while
+//!    work is ready.
+//!
+//! The key ignores the config axis, so a multi-config spec keeps a point's
+//! rows on one worker across configs. A session's point is forgotten when
+//! its connection ends. Rows are deterministic, so the order changes
+//! where decode time is spent and nothing else: reports are assembled in
+//! canonical job order whoever ran each row.
+//!
 //! If every local worker exhausts its retries before the queue drains (and,
 //! with `--listen`, no remote worker finishes it), the default is to fail
 //! the submission; with [`ServeOptions::allow_partial`] the collector
@@ -562,6 +583,10 @@ struct ActiveCampaign {
     done: HashSet<usize>,
     queue: VecDeque<QueuedJob>,
     leases: HashMap<u64, LeaseState>,
+    /// Live session → the (workload, seed) point of its last regular
+    /// lease: the workload that worker holds decoded. Drives the
+    /// point-affine grant order; cleared when the connection ends.
+    session_points: HashMap<u64, (usize, u64)>,
     next_lease: u64,
     /// Rows journaled this dispatch.
     rows_submitted: u64,
@@ -690,26 +715,60 @@ impl ActiveCampaign {
         });
     }
 
-    /// Leases the next ready job to `session`, skipping queue entries that
-    /// completed while waiting (a revoked lease whose original worker
-    /// finished after all). Fresh work first; with the queue drained,
-    /// verification samples are handed to any session other than the one
-    /// that produced the row under test.
+    /// The workload point — (workload axis index, seed) — job `job` runs
+    /// on: the key a worker generates or loads its `WorkloadData` under.
+    fn point_of(&self, job: usize) -> (usize, u64) {
+        (self.jobs[job].workload, self.jobs[job].seed)
+    }
+
+    /// Leases a ready job to `session`, point-affine (see the module docs'
+    /// *Lease order*). One scan over the queue ranks every ready row:
+    ///
+    /// 1. a row of the session's current point — the point of its last
+    ///    regular lease, whose workload the worker already holds;
+    /// 2. otherwise the first row of a point no other live session is on,
+    ///    so each point is decoded by one worker;
+    /// 3. otherwise the first ready row: a steal, so no session idles while
+    ///    work is ready.
+    ///
+    /// Rows still inside their revocation backoff are skipped at every
+    /// rank, and queue entries that completed while waiting (a revoked
+    /// lease whose original worker finished after all) are dropped. With no
+    /// regular row ready, a verification sample is handed out — never to
+    /// the session that produced the row under test, and from the
+    /// session's current point when one is eligible.
     fn grant(&mut self, session: u64) -> Option<(u64, usize)> {
         let now = Instant::now();
-        let mut deferred = 0;
-        while deferred < self.queue.len() {
-            let Some(entry) = self.queue.pop_front() else {
-                break;
-            };
-            if self.done.contains(&entry.job) {
-                continue;
-            }
+        let done = &self.done;
+        self.queue.retain(|entry| !done.contains(&entry.job));
+        let mine = self.session_points.get(&session).copied();
+        let others: Vec<(usize, u64)> = self
+            .session_points
+            .iter()
+            .filter(|(&other, _)| other != session)
+            .map(|(_, &point)| point)
+            .collect();
+        let mut best: Option<(u8, usize)> = None;
+        for (pos, entry) in self.queue.iter().enumerate() {
             if entry.ready_at > now {
-                self.queue.push_back(entry);
-                deferred += 1;
                 continue;
             }
+            let point = self.point_of(entry.job);
+            let rank = if Some(point) == mine {
+                0
+            } else if !others.contains(&point) {
+                1
+            } else {
+                2
+            };
+            if best.is_none_or(|(best_rank, _)| rank < best_rank) {
+                best = Some((rank, pos));
+                if rank == 0 {
+                    break;
+                }
+            }
+        }
+        if let Some(entry) = best.and_then(|(_, pos)| self.queue.remove(pos)) {
             let lease = self.next_lease;
             self.next_lease += 1;
             self.leases.insert(
@@ -720,40 +779,46 @@ impl ActiveCampaign {
                     last_activity: now,
                 },
             );
+            self.session_points
+                .insert(session, self.point_of(entry.job));
             self.last_activity = now;
             return Some((lease, entry.job));
         }
-        let mut deferred = 0;
-        while deferred < self.verify_queue.len() {
-            let Some(entry) = self.verify_queue.pop_front() else {
-                break;
-            };
-            if !self.done.contains(&entry.job) {
-                // The row under test was requeued for a fresh run (its
-                // producer was quarantined); this sample is moot — the
-                // re-run will be re-sampled when it lands.
-                continue;
-            }
+        // A sample whose row is no longer done was requeued for a fresh run
+        // (its producer was quarantined); it is moot — the re-run will be
+        // re-sampled when it lands.
+        self.verify_queue.retain(|entry| done.contains(&entry.job));
+        let mut pick = None;
+        for (pos, entry) in self.verify_queue.iter().enumerate() {
             if entry.producer == session || entry.ready_at > now {
-                self.verify_queue.push_back(entry);
-                deferred += 1;
                 continue;
             }
-            let lease = self.next_lease;
-            self.next_lease += 1;
-            self.verify_leases.insert(
-                lease,
-                VerifyLease {
-                    job: entry.job,
-                    producer: entry.producer,
-                    expected: entry.expected,
-                    last_activity: now,
-                },
-            );
-            self.last_activity = now;
-            return Some((lease, entry.job));
+            if Some(self.point_of(entry.job)) == mine {
+                pick = Some(pos);
+                break;
+            }
+            pick = pick.or(Some(pos));
         }
-        None
+        let entry = self.verify_queue.remove(pick?)?;
+        let lease = self.next_lease;
+        self.next_lease += 1;
+        self.verify_leases.insert(
+            lease,
+            VerifyLease {
+                job: entry.job,
+                producer: entry.producer,
+                expected: entry.expected,
+                last_activity: now,
+            },
+        );
+        self.last_activity = now;
+        Some((lease, entry.job))
+    }
+
+    /// Forgets `session`'s current point once its connection ends, so the
+    /// point counts as free for the sessions still live.
+    fn end_session(&mut self, session: u64) {
+        self.session_points.remove(&session);
     }
 
     /// Whether row `index` is in the deterministic verification sample.
@@ -1212,14 +1277,14 @@ fn handle_connection(stream: TcpStream, peer: SocketAddr, shared: &BrokerShared)
         }
     }
 
-    // Connection gone: return its outstanding leases to the queue.
-    if !my_leases.is_empty() {
-        let mut guard = shared.campaign.lock().expect("campaign mutex");
-        if let Some(campaign) = guard.as_mut() {
-            for lease in my_leases {
-                campaign.revoke(lease, &format!("lost its connection ({worker_name})"));
-            }
+    // Connection gone: return its outstanding leases to the queue and free
+    // its point for the sessions still live.
+    let mut guard = shared.campaign.lock().expect("campaign mutex");
+    if let Some(campaign) = guard.as_mut() {
+        for lease in my_leases {
+            campaign.revoke(lease, &format!("lost its connection ({worker_name})"));
         }
+        campaign.end_session(session);
     }
 }
 
@@ -1284,6 +1349,7 @@ fn dispatch(
             done,
             queue,
             leases: HashMap::new(),
+            session_points: HashMap::new(),
             next_lease: 1,
             rows_submitted: 0,
             last_activity: Instant::now(),
@@ -1626,8 +1692,18 @@ warmup_blocks = 400
     /// A broker-side campaign over [`INTEGRITY_SPEC`] with a real journal in
     /// a temp dir; `verify_fraction` as given, everything else defaulted.
     fn integrity_campaign(tag: &str, verify_fraction: f64) -> (ActiveCampaign, PathBuf) {
-        let dir = temp_dir(&format!("integrity-{tag}"));
-        let spec = CampaignSpec::from_toml_str(INTEGRITY_SPEC).unwrap();
+        broker_campaign(INTEGRITY_SPEC, &format!("integrity-{tag}"), verify_fraction)
+    }
+
+    /// A broker-side campaign over `spec_text` with a real journal in a
+    /// temp dir; `verify_fraction` as given, everything else defaulted.
+    fn broker_campaign(
+        spec_text: &str,
+        tag: &str,
+        verify_fraction: f64,
+    ) -> (ActiveCampaign, PathBuf) {
+        let dir = temp_dir(tag);
+        let spec = CampaignSpec::from_toml_str(spec_text).unwrap();
         let jobs = expand(&spec);
         let hash = spec_hash(&spec, spec.run, false);
         let journal = Journal::create(&dir, &spec.name, &hash, jobs.len(), None).unwrap();
@@ -1639,7 +1715,7 @@ warmup_blocks = 400
             })
             .collect();
         let campaign = ActiveCampaign {
-            spec_toml: INTEGRITY_SPEC.to_string(),
+            spec_toml: spec_text.to_string(),
             spec_hash: hash,
             smoke: false,
             jobs,
@@ -1647,6 +1723,7 @@ warmup_blocks = 400
             done: HashSet::new(),
             queue,
             leases: HashMap::new(),
+            session_points: HashMap::new(),
             next_lease: 1,
             rows_submitted: 0,
             last_activity: Instant::now(),
@@ -1672,12 +1749,24 @@ warmup_blocks = 400
     /// broker's answer.
     fn submit(campaign: &mut ActiveCampaign, session: u64, stats: &[u64]) -> (usize, Message) {
         let (lease, index) = campaign.grant(session).expect("a lease to submit under");
+        (index, complete(campaign, session, lease, index, stats))
+    }
+
+    /// Submits job `index` under `lease` for `session` with the given stats
+    /// (checksummed correctly); returns the broker's answer.
+    fn complete(
+        campaign: &mut ActiveCampaign,
+        session: u64,
+        lease: u64,
+        index: usize,
+        stats: &[u64],
+    ) -> Message {
         let (mechanism, seed) = {
             let job = &campaign.jobs[index];
             (mechanism_token(job.mechanism), job.seed)
         };
         let fnv = row_checksum(index, &mechanism, seed, stats);
-        let answer = campaign
+        campaign
             .row_done(
                 session,
                 "test-worker",
@@ -1689,8 +1778,7 @@ warmup_blocks = 400
                 fnv,
                 stats,
             )
-            .unwrap();
-        (index, answer)
+            .unwrap()
     }
 
     #[test]
@@ -1880,6 +1968,213 @@ warmup_blocks = 400
         assert!(
             campaign.complete(),
             "an unverifiable sample must not deadlock the campaign"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    // ---- lease-order unit tests: point-affine grants ----------------------
+
+    /// Two workloads x two seeds: four (workload, seed) points of three rows
+    /// each (two mechanisms plus the implicit baseline).
+    const AFFINITY_SPEC: &str = "name = \"affinity\"
+workloads = [\"nutch\", \"zeus\"]
+mechanisms = [\"fdip\", \"boomerang\"]
+seeds = [0, 1]
+
+[run]
+trace_blocks = 2000
+warmup_blocks = 400
+";
+
+    /// [`AFFINITY_SPEC`] over two configs: the same four points, each with
+    /// its rows split across both configs' halves of the job order.
+    const AFFINITY_TWO_CONFIG_SPEC: &str = "name = \"affinity-configs\"
+workloads = [\"nutch\", \"zeus\"]
+mechanisms = [\"fdip\", \"boomerang\"]
+seeds = [0, 1]
+
+[run]
+trace_blocks = 2000
+warmup_blocks = 400
+
+[[config]]
+label = \"llc-1\"
+noc = 1
+
+[[config]]
+label = \"llc-30\"
+noc = 30
+";
+
+    /// Distinct (workload, seed) points of a campaign's job list.
+    fn point_count(campaign: &ActiveCampaign) -> usize {
+        (0..campaign.jobs.len())
+            .map(|job| campaign.point_of(job))
+            .collect::<HashSet<_>>()
+            .len()
+    }
+
+    /// Whether some regular queued row is leasable right now.
+    fn regular_row_ready(campaign: &ActiveCampaign) -> bool {
+        let now = Instant::now();
+        campaign
+            .queue
+            .iter()
+            .any(|q| !campaign.done.contains(&q.job) && q.ready_at <= now)
+    }
+
+    #[test]
+    fn alternating_sessions_each_decode_few_points() {
+        for (tag, spec_text) in [
+            ("affinity-pairs", AFFINITY_SPEC),
+            ("affinity-pairs-configs", AFFINITY_TWO_CONFIG_SPEC),
+        ] {
+            let (mut campaign, dir) = broker_campaign(spec_text, tag, 0.0);
+            let stats = stats_to_array(&SimStats::default());
+            let mut pairs: HashSet<(u64, (usize, u64))> = HashSet::new();
+            // Both sessions hold a lease at once, then both submit — two
+            // workers running side by side.
+            while !campaign.rows_complete() {
+                let granted: Vec<(u64, u64, usize)> = [1, 2]
+                    .into_iter()
+                    .filter_map(|s| campaign.grant(s).map(|(lease, job)| (s, lease, job)))
+                    .collect();
+                assert!(!granted.is_empty(), "rows remain but nothing was granted");
+                for (session, lease, job) in granted {
+                    pairs.insert((session, campaign.point_of(job)));
+                    let answer = complete(&mut campaign, session, lease, job, &stats);
+                    assert!(matches!(answer, Message::RowAck { .. }), "{answer:?}");
+                }
+            }
+            let points = point_count(&campaign);
+            assert_eq!(points, 4, "{tag}");
+            assert!(
+                pairs.len() <= points + 2,
+                "{tag}: {} (session, point) pairs over {points} points: {pairs:?}",
+                pairs.len()
+            );
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn grant_never_idles_a_session_while_a_regular_row_is_ready() {
+        // One point, two sessions: the second must steal, not idle.
+        let (mut campaign, dir) = integrity_campaign("steal", 0.0);
+        let (_, first) = campaign.grant(1).unwrap();
+        let (lease, stolen) = campaign.grant(2).expect("a steal from the busy point");
+        assert_eq!(campaign.point_of(first), campaign.point_of(stolen));
+        assert!(campaign.leases.contains_key(&lease));
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        // Three sessions over four points, each holding a lease at a time.
+        let (mut campaign, dir) = broker_campaign(AFFINITY_TWO_CONFIG_SPEC, "no-idle", 0.0);
+        let stats = stats_to_array(&SimStats::default());
+        let mut held: HashMap<u64, (u64, usize)> = HashMap::new();
+        for step in 0.. {
+            if campaign.rows_complete() {
+                break;
+            }
+            assert!(step < 1_000, "the campaign never drained");
+            let session = step % 3 + 1;
+            if let Some((lease, job)) = held.remove(&session) {
+                complete(&mut campaign, session, lease, job, &stats);
+            }
+            let ready = regular_row_ready(&campaign);
+            match campaign.grant(session) {
+                Some((lease, job)) => {
+                    assert!(campaign.leases.contains_key(&lease), "a regular lease");
+                    held.insert(session, (lease, job));
+                }
+                None => assert!(!ready, "session {session} idled with a row ready"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn revoked_row_is_not_granted_before_its_backoff_at_any_rank() {
+        let (mut campaign, dir) = broker_campaign(AFFINITY_SPEC, "backoff", 0.0);
+        campaign.backoff_base = Duration::from_secs(60);
+        campaign.backoff_cap = Duration::from_secs(60);
+        let stats = stats_to_array(&SimStats::default());
+        let (lease, revoked) = campaign.grant(1).unwrap();
+        campaign.revoke(lease, "test revocation");
+        // Session 1's own point ranks first, but its revoked row must wait.
+        let (lease, job) = campaign.grant(1).unwrap();
+        assert_ne!(job, revoked);
+        assert_eq!(campaign.point_of(job), campaign.point_of(revoked));
+        complete(&mut campaign, 1, lease, job, &stats);
+        for session in [1, 2].into_iter().cycle() {
+            let Some((lease, job)) = campaign.grant(session) else {
+                break;
+            };
+            assert_ne!(job, revoked, "granted inside its backoff");
+            complete(&mut campaign, session, lease, job, &stats);
+        }
+        assert_eq!(campaign.done.len(), campaign.jobs.len() - 1);
+        assert!(campaign.grant(2).is_none());
+        assert_eq!(campaign.queue.len(), 1);
+        // Once the backoff has passed, the row is leasable again.
+        campaign.queue[0].ready_at = Instant::now();
+        assert_eq!(campaign.grant(2).map(|(_, job)| job), Some(revoked));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn verification_prefers_the_sessions_point_and_skips_its_producer() {
+        let (mut campaign, dir) = broker_campaign(AFFINITY_SPEC, "verify-affinity", 1.0);
+        let stats = stats_to_array(&SimStats::default());
+        while !campaign.rows_complete() {
+            for session in [1, 2] {
+                if let Some((lease, job)) = campaign.grant(session) {
+                    complete(&mut campaign, session, lease, job, &stats);
+                }
+            }
+        }
+        // Samples session 1 may re-run, in queue order; point session 1 at
+        // the last one's point so the preference is visible.
+        let eligible: Vec<usize> = campaign
+            .verify_queue
+            .iter()
+            .filter(|v| v.producer != 1)
+            .map(|v| v.job)
+            .collect();
+        let target = campaign.point_of(*eligible.last().unwrap());
+        assert_ne!(campaign.point_of(eligible[0]), target);
+        campaign.session_points.insert(1, target);
+        let (lease, job) = campaign.grant(1).unwrap();
+        assert_eq!(campaign.point_of(job), target);
+        assert_ne!(campaign.verify_leases[&lease].producer, 1);
+        complete(&mut campaign, 1, lease, job, &stats);
+        while let Some((lease, job)) = campaign.grant(1) {
+            assert_ne!(
+                campaign.verify_leases[&lease].producer, 1,
+                "session 1 was handed its own row to verify"
+            );
+            complete(&mut campaign, 1, lease, job, &stats);
+        }
+        assert!(campaign.verify_queue.iter().all(|v| v.producer == 1));
+        assert_eq!(campaign.rows_verified as usize, eligible.len());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn ending_a_session_frees_its_point_for_another() {
+        let (mut campaign, dir) = broker_campaign(AFFINITY_SPEC, "end-session", 0.0);
+        let (lease, first) = campaign.grant(1).unwrap();
+        let p0 = campaign.point_of(first);
+        let (_, second) = campaign.grant(2).unwrap();
+        assert_ne!(campaign.point_of(second), p0, "p0 is session 1's");
+        // Session 1's connection ends: its lease is revoked, its point freed.
+        campaign.revoke(lease, "lost its connection (test)");
+        campaign.end_session(1);
+        assert!(!campaign.session_points.contains_key(&1));
+        let (_, third) = campaign.grant(3).unwrap();
+        assert_eq!(
+            campaign.point_of(third),
+            p0,
+            "the freed point leads the queue"
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }

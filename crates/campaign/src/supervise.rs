@@ -13,12 +13,12 @@
 //! merged report stays byte-identical to an uninterrupted run's.
 //!
 //! Every spawn carries the worker's **life number** (1-based) in
-//! [`fault::FAULT_LIFE_ENV`], so a deterministic fault plan
+//! [`FAULT_LIFE_ENV`], so a deterministic fault plan
 //! ([`crate::fault`]) can arm a fault for the first life only — the retry
 //! then recovers — or for every life (`lives=all`) to model a persistent
 //! failure that exhausts the budget.
 //!
-//! The fleet is dropped-safe: [`Fleet`]'s `Drop` kills any still-running
+//! The fleet is dropped-safe: `Fleet`'s `Drop` kills any still-running
 //! children, so a supervisor panic, an early `?`, or a Ctrl-C (see
 //! [`install_interrupt_handler`]) never strands orphan workers behind the
 //! service.

@@ -31,7 +31,7 @@
 
 use crate::artifact::ArtifactCache;
 use crate::checkpoint::{row_checksum, spec_hash, stats_to_array};
-use crate::engine::derive_seed;
+use crate::engine::load_point;
 use crate::expand::{expand, Job};
 use crate::fault;
 use crate::proto::{read_message, write_message, Message};
@@ -94,10 +94,22 @@ pub struct WorkerSummary {
     pub leases: u64,
     /// Successful connections after the first (broker restarts ridden out).
     pub reconnects: u64,
+    /// Workload points loaded from the artifact cache.
+    pub cache_hits: u64,
+    /// Workload points generated in-process (no cache, a miss, or a
+    /// rejected artifact).
+    pub generated: u64,
     /// The broker pid announced by the last `Welcome`.
     pub broker_pid: u64,
     /// The broker's shutdown reason.
     pub shutdown_reason: String,
+}
+
+impl WorkerSummary {
+    /// Distinct workload points this process decoded, however obtained.
+    pub fn points(&self) -> u64 {
+        self.cache_hits + self.generated
+    }
 }
 
 /// Per-campaign state a worker builds once per spec hash and reuses for
@@ -403,7 +415,7 @@ fn lease_loop(
                     )));
                 }
                 let leased = state.jobs[job_index];
-                let stats = run_row(state, &leased, cache);
+                let stats = run_row(state, &leased, cache, options, summary);
                 let row_faults = fault::on_worker_row();
                 let mechanism = mechanism_token(leased.mechanism).to_string();
                 let mut values = stats_to_array(&stats).to_vec();
@@ -537,28 +549,32 @@ fn campaign_state<'a>(
 
 /// Runs one row, generating (or cache-loading) its workload point on first
 /// use — the same per-point recipe as the local engine, so the stats are
-/// bit-identical to an in-process run.
+/// bit-identical to an in-process run. A rejected or unstorable artifact is
+/// warned about whatever `--quiet` says, as `run` does.
 fn run_row(
     state: &mut CampaignState,
     job: &Job,
     cache: &Option<ArtifactCache>,
+    options: &WorkerOptions,
+    summary: &mut WorkerSummary,
 ) -> frontend::SimStats {
     let key = (job.workload, job.seed);
     if !state.data.contains_key(&key) {
-        let profile = &state.spec.workloads[job.workload].profile;
-        let effective = derive_seed(profile.seed, job.seed);
-        let profile = profile.clone().with_seed(effective);
-        let data = match cache {
-            Some(cache) => match cache.load(&profile, state.run) {
-                Ok(Some(data)) => data,
-                _ => {
-                    let data = WorkloadData::generate_from_profile(&profile, state.run);
-                    let _ = cache.store(&profile, state.run, &data);
-                    data
-                }
-            },
-            None => WorkloadData::generate_from_profile(&profile, state.run),
-        };
+        let (data, cache_hit, warnings) = load_point(
+            &state.spec,
+            job.workload,
+            job.seed,
+            state.run,
+            cache.as_ref(),
+        );
+        for warning in warnings {
+            eprintln!("worker {}: warning: {warning}", options.worker_index);
+        }
+        if cache_hit {
+            summary.cache_hits += 1;
+        } else {
+            summary.generated += 1;
+        }
         state.data.insert(key, data);
     }
     let data = &state.data[&key];

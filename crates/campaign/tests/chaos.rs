@@ -434,6 +434,47 @@ fn truncated_cache_file_warns_and_regenerates() {
     std::fs::remove_dir_all(&base).unwrap();
 }
 
+/// A serve worker that meets a damaged artifact warns about it — even
+/// under `--quiet`, as `run` does — regenerates the point, and the reports
+/// come out byte-identical to a clean run.
+#[test]
+fn serve_worker_warns_about_a_damaged_artifact_and_regenerates() {
+    let base = temp_dir("serve-art-flip");
+    let spec = base.join("mini.toml");
+    std::fs::write(&spec, MINI_SPEC).unwrap();
+    let cache = base.join("cache");
+    std::fs::create_dir_all(&cache).unwrap();
+    let output = run_cached(&spec, &cache, &base.join("warm"), &["--quiet"]);
+    assert!(output.status.success(), "{}", stderr_of(&output));
+
+    // Flip the last payload byte of one stored artifact.
+    let mut files: Vec<PathBuf> = std::fs::read_dir(&cache)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "wla"))
+        .collect();
+    files.sort();
+    assert_eq!(files.len(), 4);
+    let mut bytes = std::fs::read(&files[0]).unwrap();
+    *bytes.last_mut().unwrap() ^= 0x40;
+    std::fs::write(&files[0], &bytes).unwrap();
+
+    let (output, spool, out) = serve_mini(
+        "serve-art-flip",
+        &["--artifact-cache", cache.to_str().unwrap()],
+    );
+    let stderr = stderr_of(&output);
+    assert!(output.status.success(), "{stderr}");
+    assert!(
+        stderr.contains("header.payload_fnv") && stderr.contains("regenerating"),
+        "a worker must name the rejected artifact field: {stderr}"
+    );
+    assert_matches_reference("serve-art-flip", &out);
+    for dir in [base, spool, out] {
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+}
+
 #[test]
 fn concurrent_cache_writers_leave_a_fully_loadable_cache() {
     let base = temp_dir("art-race");

@@ -515,3 +515,60 @@ fn sampled_reverification_passes_on_an_honest_fleet() {
         std::fs::remove_dir_all(dir).unwrap();
     }
 }
+
+/// Point-affine leasing end to end: two workers draining a six-point
+/// campaign each decode only the points they simulate. Summed over both
+/// workers' exit lines the points stay within points + workers (at most a
+/// final steal each), where job-order leasing had both workers decode
+/// nearly every point.
+#[test]
+fn two_workers_decode_each_point_about_once() {
+    const SIX_POINT_SPEC: &str = "name = \"dist-points\"
+workloads = [\"nutch\", \"zeus\", \"apache\"]
+mechanisms = [\"boomerang\"]
+seeds = [0, 1]
+
+[run]
+trace_blocks = 2000
+warmup_blocks = 400
+";
+    const POINTS: u64 = 6;
+    let reference = clean_reference("points", SIX_POINT_SPEC, "dist-points");
+    let (broker, spool, out, addr) = spawn_broker("points", SIX_POINT_SPEC, &["--workers", "0"]);
+    let workers = [spawn_worker(&addr, 0, &[]), spawn_worker(&addr, 1, &[])];
+
+    let output = broker.wait_with_output().unwrap();
+    let serve_log = stderr_of(&output);
+    assert!(output.status.success(), "{serve_log}");
+    let mut decoded = 0;
+    for child in workers {
+        let w = child.wait_with_output().unwrap();
+        let log = stderr_of(&w);
+        assert!(w.status.success(), "{log}");
+        // `worker N: R rows over L leases, C reconnects, P points (H cache
+        // hits, G generated); <shutdown reason>`
+        let line = log
+            .lines()
+            .find(|l| l.contains(" points ("))
+            .unwrap_or_else(|| panic!("no exit line in: {log}"));
+        let points: u64 = line
+            .split(" points (")
+            .next()
+            .and_then(|head| head.rsplit(' ').next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("unparseable exit line: {line}"));
+        assert!(
+            line.contains(&format!("(0 cache hits, {points} generated)")),
+            "{line}"
+        );
+        decoded += points;
+    }
+    assert!(
+        decoded <= POINTS + 2,
+        "two workers decoded {decoded} points of a {POINTS}-point campaign"
+    );
+    assert_report_matches(&out, "dist-points", &reference);
+    for dir in [spool, out] {
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+}

@@ -5,7 +5,7 @@
 //! front-end improvement turns into end-to-end speedup (Figures 1 and 9
 //! saturate between 1.1x and 1.7x). This model captures exactly that:
 //! instructions enter a finite ROB with a completion time drawn from the
-//! workload's [`BackendProfile`](workloads::BackendProfile), retire in order
+//! workload's [`BackendProfile`], retire in order
 //! at the core's retire width, and exert back-pressure on fetch when the ROB
 //! fills.
 

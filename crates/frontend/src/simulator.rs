@@ -242,7 +242,7 @@ impl<'a, M: ControlFlowMechanism + ?Sized> Simulator<'a, M> {
     /// transition-invariant — every loop iteration of the engine is
     /// self-contained and commits at most one block — so any slicing of a
     /// run produces bit-identical statistics to an uninterrupted
-    /// [`run_with_warmup`] call.
+    /// [`Self::run_with_warmup`] call.
     pub fn begin_run(&mut self, warmup_blocks: usize) {
         debug_assert_eq!(self.now, 0, "begin_run on an already-started simulator");
         self.warmup_blocks = warmup_blocks;

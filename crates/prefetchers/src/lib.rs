@@ -2,7 +2,7 @@
 //!
 //! The paper compares Boomerang against five prior control-flow-delivery
 //! mechanisms (§V-A); each is implemented here as a
-//! [`ControlFlowMechanism`](frontend::ControlFlowMechanism) plug-in for the
+//! [`ControlFlowMechanism`] plug-in for the
 //! front-end simulator:
 //!
 //! * [`NextLine`] — next-N-line prefetcher,

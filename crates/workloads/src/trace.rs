@@ -3,7 +3,7 @@
 //! A [`TraceGenerator`] walks a [`CodeLayout`] the way the real workload's
 //! threads walk their text segment: it starts at the dispatcher, follows
 //! calls and returns through a bounded call stack, evaluates each conditional
-//! branch's [`BranchBehavior`](crate::layout::BranchBehavior) with per-branch
+//! branch's [`BranchBehavior`] with per-branch
 //! state, and emits one [`DynamicBlock`] per executed basic block.
 //!
 //! The generator is deterministic for a given layout and seed, and the
