@@ -734,9 +734,8 @@ impl ActiveCampaign {
     /// Rows still inside their revocation backoff are skipped at every
     /// rank, and queue entries that completed while waiting (a revoked
     /// lease whose original worker finished after all) are dropped. With no
-    /// regular row ready, a verification sample is handed out — never to
-    /// the session that produced the row under test, and from the
-    /// session's current point when one is eligible.
+    /// regular row ready, the first eligible verification sample is handed
+    /// out — never to the session that produced the row under test.
     fn grant(&mut self, session: u64) -> Option<(u64, usize)> {
         let now = Instant::now();
         let done = &self.done;
@@ -788,18 +787,11 @@ impl ActiveCampaign {
         // (its producer was quarantined); it is moot — the re-run will be
         // re-sampled when it lands.
         self.verify_queue.retain(|entry| done.contains(&entry.job));
-        let mut pick = None;
-        for (pos, entry) in self.verify_queue.iter().enumerate() {
-            if entry.producer == session || entry.ready_at > now {
-                continue;
-            }
-            if Some(self.point_of(entry.job)) == mine {
-                pick = Some(pos);
-                break;
-            }
-            pick = pick.or(Some(pos));
-        }
-        let entry = self.verify_queue.remove(pick?)?;
+        let pick = self
+            .verify_queue
+            .iter()
+            .position(|entry| entry.producer != session && entry.ready_at <= now)?;
+        let entry = self.verify_queue.remove(pick)?;
         let lease = self.next_lease;
         self.next_lease += 1;
         self.verify_leases.insert(
@@ -2122,8 +2114,8 @@ noc = 30
     }
 
     #[test]
-    fn verification_prefers_the_sessions_point_and_skips_its_producer() {
-        let (mut campaign, dir) = broker_campaign(AFFINITY_SPEC, "verify-affinity", 1.0);
+    fn verification_takes_the_first_eligible_sample_and_skips_its_producer() {
+        let (mut campaign, dir) = broker_campaign(AFFINITY_SPEC, "verify-order", 1.0);
         let stats = stats_to_array(&SimStats::default());
         while !campaign.rows_complete() {
             for session in [1, 2] {
@@ -2132,28 +2124,25 @@ noc = 30
                 }
             }
         }
-        // Samples session 1 may re-run, in queue order; point session 1 at
-        // the last one's point so the preference is visible.
+        // Samples session 1 may re-run, in queue order: it is handed them
+        // in that order, whatever point it was last on.
         let eligible: Vec<usize> = campaign
             .verify_queue
             .iter()
             .filter(|v| v.producer != 1)
             .map(|v| v.job)
             .collect();
-        let target = campaign.point_of(*eligible.last().unwrap());
-        assert_ne!(campaign.point_of(eligible[0]), target);
-        campaign.session_points.insert(1, target);
-        let (lease, job) = campaign.grant(1).unwrap();
-        assert_eq!(campaign.point_of(job), target);
-        assert_ne!(campaign.verify_leases[&lease].producer, 1);
-        complete(&mut campaign, 1, lease, job, &stats);
+        assert!(!eligible.is_empty());
+        let mut granted = Vec::new();
         while let Some((lease, job)) = campaign.grant(1) {
             assert_ne!(
                 campaign.verify_leases[&lease].producer, 1,
                 "session 1 was handed its own row to verify"
             );
+            granted.push(job);
             complete(&mut campaign, 1, lease, job, &stats);
         }
+        assert_eq!(granted, eligible);
         assert!(campaign.verify_queue.iter().all(|v| v.producer == 1));
         assert_eq!(campaign.rows_verified as usize, eligible.len());
         std::fs::remove_dir_all(&dir).unwrap();

@@ -519,13 +519,17 @@ fn sampled_reverification_passes_on_an_honest_fleet() {
 /// Point-affine leasing end to end: two workers draining a six-point
 /// campaign each decode only the points they simulate. Summed over both
 /// workers' exit lines the points stay within points + workers (at most a
-/// final steal each), where job-order leasing had both workers decode
-/// nearly every point.
+/// final steal each). Both workers are connected before the queue opens:
+/// the broker polls its spool and only takes the submission once its
+/// mtime is `--settle-ms` old. Job-order leasing would then alternate the
+/// two workers through each point's rows, so both would decode nearly
+/// every point and fail the bound. The grant rank itself is pinned by the
+/// `serve::tests` grant unit tests.
 #[test]
 fn two_workers_decode_each_point_about_once() {
     const SIX_POINT_SPEC: &str = "name = \"dist-points\"
 workloads = [\"nutch\", \"zeus\", \"apache\"]
-mechanisms = [\"boomerang\"]
+mechanisms = [\"fdip\", \"boomerang\"]
 seeds = [0, 1]
 
 [run]
@@ -534,12 +538,45 @@ warmup_blocks = 400
 ";
     const POINTS: u64 = 6;
     let reference = clean_reference("points", SIX_POINT_SPEC, "dist-points");
-    let (broker, spool, out, addr) = spawn_broker("points", SIX_POINT_SPEC, &["--workers", "0"]);
+    let spool = temp_dir("points-spool");
+    let out = temp_dir("points-out");
+    let addr_file = spool.join("addr");
+    // No `--once`: the broker scans every 50 ms, the submission settles
+    // 1.5 s after it is written, and the scan bound (>= 5 s of scans) ends
+    // the service after the campaign.
+    let broker = Command::new(BIN)
+        .args([
+            "serve",
+            "--smoke",
+            "--quiet",
+            "--workers",
+            "0",
+            "--listen",
+            "127.0.0.1:0",
+            "--poll-ms",
+            "50",
+            "--settle-ms",
+            "1500",
+            "--max-scans",
+            "100",
+            "--spool",
+            spool.to_str().unwrap(),
+            "--out",
+            out.to_str().unwrap(),
+            "--listen-addr-file",
+            addr_file.to_str().unwrap(),
+        ])
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let addr = wait_for_addr(&addr_file);
     let workers = [spawn_worker(&addr, 0, &[]), spawn_worker(&addr, 1, &[])];
+    std::fs::write(spool.join("job.toml"), SIX_POINT_SPEC).unwrap();
 
     let output = broker.wait_with_output().unwrap();
     let serve_log = stderr_of(&output);
     assert!(output.status.success(), "{serve_log}");
+    assert!(spool.join("job.toml.done").exists(), "{serve_log}");
     let mut decoded = 0;
     for child in workers {
         let w = child.wait_with_output().unwrap();
@@ -560,6 +597,10 @@ warmup_blocks = 400
         assert!(
             line.contains(&format!("(0 cache hits, {points} generated)")),
             "{line}"
+        );
+        assert!(
+            points > 0,
+            "worker {line} got no rows: both must share the campaign"
         );
         decoded += points;
     }
