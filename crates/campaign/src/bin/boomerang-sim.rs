@@ -14,15 +14,12 @@
 
 use boomerang::RunLength;
 use campaign::checkpoint::{spec_hash, Journal, JournalReplay};
-use campaign::serve::{serve, ServeOptions, SubmissionStatus};
+use campaign::serve::{run_local, serve, ServeOptions, SubmissionStatus};
 use campaign::supervise::install_interrupt_handler;
 use campaign::{
-    assemble_report, fault, presets, run_generated_partial, run_worker, verify_dir, BenchOptions,
-    CampaignSpec, EngineOptions, FaultPlan, Job, RunPlan, StreamingSink, VerifyOptions,
+    fault, presets, run_worker, verify_dir, BenchOptions, CampaignSpec, FaultPlan, VerifyOptions,
     WorkerOptions,
 };
-use frontend::SimStats;
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -66,10 +63,10 @@ OPTIONS:
                            instead of refusing to touch an existing campaign
     --force                Clear an existing campaign (even a mismatching one)
                            and start over
-    --max-rows <N>         Checkpoint at most N new rows, then exit with a
-                           resume hint (deterministic interruption)
     --fault-inject <PLAN>  Arm deterministic fault points (testing; see the
-                           README's failure model for the plan syntax)
+                           README's failure model for the plan syntax;
+                           worker-exit:after-rows=N interrupts a run after
+                           N checkpointed rows)
     --quiet                Suppress the progress banner and result table
     -h, --help             Show this help
 
@@ -699,7 +696,6 @@ fn run_command(args: &[String], command_resume: bool) -> Result<ExitCode, String
     let mut quiet = false;
     let mut resume = command_resume;
     let mut force = false;
-    let mut max_rows: Option<usize> = None;
     let mut artifact_cache: Option<PathBuf> = None;
     let mut fault_plan: Option<String> = None;
 
@@ -726,13 +722,6 @@ fn run_command(args: &[String], command_resume: bool) -> Result<ExitCode, String
             }
             "--resume" => resume = true,
             "--force" => force = true,
-            "--max-rows" => {
-                let n = it.next().ok_or("--max-rows needs a count")?;
-                max_rows = Some(
-                    n.parse::<usize>()
-                        .map_err(|_| format!("bad --max-rows value `{n}`"))?,
-                );
-            }
             "--artifact-cache" => {
                 let dir = it.next().ok_or("--artifact-cache needs a directory")?;
                 artifact_cache = Some(PathBuf::from(dir));
@@ -785,13 +774,13 @@ fn run_command(args: &[String], command_resume: bool) -> Result<ExitCode, String
         spec.run
     };
     let hash = spec_hash(&spec, run, smoke);
-    let jobs_list = campaign::expand(&spec);
-    if jobs_list.is_empty() {
+    let job_count = campaign::expand(&spec).len();
+    if job_count == 0 {
         return Err("campaign expands to zero jobs".into());
     }
 
-    // Satellite 1: an output directory already holding a campaign is never
-    // silently mixed with a different spec. `--force` starts over, `--resume`
+    // An output directory already holding a campaign is never silently
+    // mixed with a different spec. `--force` starts over, `--resume`
     // continues a matching one.
     match JournalReplay::existing_hash(&out_dir, &spec.name) {
         Ok(None) => {}
@@ -828,21 +817,7 @@ fn run_command(args: &[String], command_resume: bool) -> Result<ExitCode, String
     if force {
         Journal::remove_all(&out_dir, &spec.name)
             .map_err(|e| format!("cannot clear {}: {e}", out_dir.display()))?;
-        resume = false;
     }
-
-    // Replay whatever is already checkpointed (including the per-shard
-    // journals of directories written by older sharded workers).
-    let done: HashMap<usize, SimStats> = if resume {
-        let replay = JournalReplay::load(&out_dir, &spec.name, &hash, &jobs_list)
-            .map_err(|e| e.to_string())?;
-        replay.rows
-    } else {
-        HashMap::new()
-    };
-
-    let plan = RunPlan { limit: max_rows };
-    let pending = (jobs_list.len() - done.len()).min(max_rows.unwrap_or(usize::MAX));
 
     if !quiet {
         let workers = if jobs == 0 {
@@ -853,7 +828,7 @@ fn run_command(args: &[String], command_resume: bool) -> Result<ExitCode, String
         eprintln!(
             "campaign `{}`: {} jobs ({} configs x {} workloads x {} seeds, {} mechanisms + baselines) on {} workers{}",
             spec.name,
-            jobs_list.len(),
+            job_count,
             spec.configs.len(),
             spec.workloads.len(),
             spec.seeds.len(),
@@ -864,123 +839,18 @@ fn run_command(args: &[String], command_resume: bool) -> Result<ExitCode, String
         if let Some(labels) = custom_axis_labels(&spec) {
             eprintln!("workload axis: {labels}");
         }
-        if !done.is_empty() {
-            eprintln!(
-                "resuming: {} of {} rows replayed from the checkpoint journal",
-                done.len(),
-                jobs_list.len()
-            );
-        }
     }
 
-    let options = EngineOptions {
-        jobs,
-        smoke,
-        artifact_cache,
-    };
-
-    let journal = if resume && Journal::path_for(&out_dir, &spec.name, None).exists() {
-        Journal::append(&out_dir, &spec.name, None)
-    } else {
-        Journal::create(&out_dir, &spec.name, &hash, jobs_list.len(), None)
-    }
-    .map_err(|e| format!("cannot open the checkpoint journal: {e}"))?;
-    let stream = StreamingSink::create(&spec, &out_dir)
-        .map_err(|e| format!("cannot open the row streams: {e}"))?;
-    // Replayed rows stream first, in canonical order (baselines lead their
-    // groups, so nothing is left buffered).
-    let mut replayed: Vec<usize> = done.keys().copied().collect();
-    replayed.sort_unstable();
-    for i in replayed {
-        stream
-            .record(&jobs_list[i], &done[&i])
-            .map_err(|e| format!("cannot stream a replayed row: {e}"))?;
-    }
-
-    // Simulate the missing rows, checkpointing and streaming each as it
-    // completes.
-    let mut stats_by_index: HashMap<usize, SimStats> = done;
-    if pending > 0 {
-        let generated = campaign::generate_workloads(&spec, &options).map_err(|e| e.to_string())?;
-        let generation = generated.generation();
-        for warning in &generation.warnings {
-            eprintln!("warning: {warning}");
-        }
-        if !quiet {
-            eprintln!(
-                "workload artifacts: {} cache hits, {} generated{}",
-                generation.cache_hits,
-                generation.generated,
-                options
-                    .artifact_cache
-                    .as_deref()
-                    .map(|d| format!(" ({})", d.display()))
-                    .unwrap_or_default(),
-            );
-        }
-        // A row the journal cannot hold is a row the campaign cannot claim:
-        // a checkpoint write failure (ENOSPC, a yanked disk) must fail the
-        // run, not degrade into a journal that silently resumes short. The
-        // observer runs on pool workers, so the first failure is captured
-        // here and surfaced once the pass drains.
-        let checkpoint_error: std::sync::Mutex<Option<String>> = std::sync::Mutex::new(None);
-        let on_row = |job: &Job, stats: &SimStats| {
-            if let Err(e) = journal.record(job, stats) {
-                let mut slot = checkpoint_error.lock().unwrap();
-                if slot.is_none() {
-                    *slot = Some(format!("checkpoint write failed: {e}"));
-                }
-            }
-            if let Err(e) = stream.record(job, stats) {
-                eprintln!("warning: row stream write failed: {e}");
-            }
-        };
-        let outcome = run_generated_partial(
-            &spec,
-            &options,
-            &generated,
-            &stats_by_index,
-            plan,
-            Some(&on_row),
-        );
-        if let Some(e) = checkpoint_error.lock().unwrap().take() {
-            return Err(e);
-        }
-        for (i, s) in outcome.stats.into_iter().enumerate() {
-            if let Some(s) = s {
-                stats_by_index.insert(i, s);
-            }
-        }
-    } else if !quiet {
-        eprintln!("workload artifacts: nothing to generate (all rows checkpointed)");
-    }
-
-    // Complete? Assemble the canonical report; identical bytes to an
-    // uninterrupted run. Otherwise say exactly how to continue.
-    if stats_by_index.len() == jobs_list.len() {
-        let stats: Vec<SimStats> = (0..jobs_list.len()).map(|i| stats_by_index[&i]).collect();
-        let report = assemble_report(&spec, &jobs_list, run, smoke, stats);
-        let paths = campaign::write_reports(&report, &out_dir)
-            .map_err(|e| format!("cannot write reports to {}: {e}", out_dir.display()))?;
-        if !quiet {
-            print!("{}", campaign::to_table(&report));
-            eprintln!(
-                "\nwrote {} and {}",
-                paths.json.display(),
-                paths.csv.display()
-            );
-        }
-    } else {
+    // The campaign runs through the broker `serve` uses: journaled, resumed
+    // from the journal and assembled from it, driven by worker threads.
+    let report = run_local(&spec, &out_dir, smoke, jobs, artifact_cache, quiet)?;
+    if !quiet {
+        print!("{}", campaign::to_table(&report));
+        let written = |ext: &str| out_dir.join(format!("{}.{ext}", spec.name));
         eprintln!(
-            "checkpointed {} of {} rows in {}; continue with `boomerang-sim resume {} --out {}`",
-            stats_by_index.len(),
-            jobs_list.len(),
-            out_dir.display(),
-            spec_path
-                .as_deref()
-                .map(|p| p.display().to_string())
-                .unwrap_or_else(|| format!("--preset {}", preset.as_deref().unwrap_or(&spec.name))),
-            out_dir.display()
+            "\nwrote {} and {}",
+            written("json").display(),
+            written("csv").display()
         );
     }
     Ok(ExitCode::SUCCESS)

@@ -26,8 +26,8 @@
 //! encoding, re-verified on replay so at-rest bit damage can never replay
 //! silently into a report), and the full set of [`SimStats`] counters. A
 //! truncated **final** line (the process died mid-write) is ignored on
-//! replay; corruption anywhere else is an error. Format-1 journals (no
-//! `row_fnv`) still replay, with a warning that their rows are unverified.
+//! replay; corruption anywhere else is an error. Replay and the offline
+//! auditor ([`crate::verify`]) read a journal through one scanner.
 
 use crate::bench::fnv1a64;
 use crate::expand::Job;
@@ -40,18 +40,14 @@ use frontend::SimStats;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read as _, Write as _};
+use std::io::{self, BufRead as _, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 /// Version stamp written in every journal header. Bump on any change to the
-/// line schema. Format 2 added the per-row `row_fnv` checksum; format-1
-/// journals are still replayed (their rows predate checksums) with a
-/// warning, anything else is rejected rather than misread.
+/// line schema. Format 2 added the per-row `row_fnv` checksum; any other
+/// format is rejected rather than misread.
 pub const JOURNAL_FORMAT: u64 = 2;
-
-/// Oldest journal format this build still replays.
-const JOURNAL_FORMAT_MIN: u64 = 1;
 
 /// A checkpoint journal could not be read or does not belong to this
 /// campaign.
@@ -220,10 +216,9 @@ fn stats_from_fields(get: impl Fn(&'static str) -> Option<u64>) -> Option<SimSta
 
 /// An open, append-only checkpoint journal.
 ///
-/// `record` is safe to call from the engine's worker threads (it locks an
-/// internal mutex and writes the whole line in one call), so a `&Journal`
-/// works directly as the `on_row` callback of
-/// [`crate::engine::run_generated_partial`].
+/// The campaign broker ([`crate::serve`]) is its only writer: it appends
+/// each row it accepts from a worker. `record` locks an internal mutex and
+/// writes the whole line in one call.
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
@@ -321,8 +316,8 @@ impl Journal {
     /// syscall so a kill can at worst truncate the final line — which replay
     /// tolerates — never interleave two rows.
     ///
-    /// This is also the journal writer's row fault point (a `run` process or
-    /// the `serve` broker): an armed [`crate::fault`] plan can tear the line
+    /// This is also the broker's row fault point (in a `run` process or
+    /// a `serve` process): an armed [`crate::fault`] plan can tear the line
     /// mid-write, exit after the durable write, or flip a byte of the line —
     /// the crash and damage signatures resume must survive.
     pub fn record(&self, job: &Job, stats: &SimStats) -> io::Result<()> {
@@ -388,20 +383,6 @@ fn flip_last_digit(line: &mut [u8]) {
     if let Some(byte) = line.iter_mut().rev().find(|b| b.is_ascii_digit()) {
         *byte = if *byte == b'9' { b'0' } else { *byte + 1 };
     }
-}
-
-/// A cheap, monotonic progress probe for hang detection: the total byte size
-/// of every journal file for `campaign` in `dir`. Journals are append-only
-/// while a worker runs, so a growing number means rows are landing and a
-/// static one means the fleet is stalled. Unreadable files count as zero —
-/// the supervisor polls this between `try_wait`s and must never error out.
-pub fn journal_progress(dir: &Path, campaign: &str) -> u64 {
-    journal_files(dir, campaign)
-        .unwrap_or_default()
-        .iter()
-        .filter_map(|path| std::fs::metadata(path).ok())
-        .map(|meta| meta.len())
-        .sum()
 }
 
 /// All journal files for `campaign` in `dir`, sorted by name for
@@ -475,7 +456,47 @@ impl JournalReplay {
             .map_err(|e| CheckpointError::file(dir, format!("scanning directory: {e}")))?;
         let mut replay = JournalReplay::default();
         for path in files {
-            replay_file(&path, campaign, expected_hash, jobs, &mut replay.rows)?;
+            // The spec-free scan, then the header checked against this
+            // campaign and every row against the canonical job it claims.
+            let scan = scan_journal(&path)?;
+            let header_error = if scan.campaign != campaign {
+                Some(format!(
+                    "belongs to campaign `{}`, expected `{campaign}`",
+                    scan.campaign
+                ))
+            } else if scan.spec_hash != expected_hash {
+                Some(format!(
+                    "spec hash {} does not match this spec's {expected_hash}",
+                    scan.spec_hash
+                ))
+            } else if scan.jobs != jobs.len() as u64 {
+                Some(format!(
+                    "header says {} jobs, spec expands to {}",
+                    scan.jobs,
+                    jobs.len()
+                ))
+            } else {
+                None
+            };
+            if let Some(message) = header_error {
+                return Err(CheckpointError::at(&path, 1, message));
+            }
+            for row in scan.rows {
+                let job = &jobs[row.index];
+                let expected_mechanism = mechanism_token(job.mechanism);
+                if row.mechanism != expected_mechanism || row.seed != job.seed {
+                    return Err(CheckpointError::at(
+                        &path,
+                        row.line,
+                        format!(
+                            "row ({}, seed {}) does not match job {} ({expected_mechanism}, \
+                             seed {})",
+                            row.mechanism, row.seed, row.index, job.seed
+                        ),
+                    ));
+                }
+                replay.rows.insert(row.index, row.stats);
+            }
             replay.files.push(path);
         }
         Ok(replay)
@@ -487,77 +508,94 @@ impl JournalReplay {
     }
 }
 
-struct Header {
-    format: u64,
-    spec_hash: String,
-    jobs: u64,
-}
-
-/// What a standalone integrity scan of one journal file found — the
-/// spec-free subset of replay used by the offline auditor
-/// ([`crate::verify`]): header shape, row shape, and every `row_fnv`.
+/// What a standalone scan of one journal file found: the header's claims
+/// plus every complete row, its `row_fnv` verified. Used as-is by the
+/// offline auditor ([`crate::verify`]) and, with the spec cross-checks on
+/// top, by replay.
 pub(crate) struct JournalScan {
     /// The campaign the header claims.
     pub campaign: String,
     /// The spec hash the header claims.
     pub spec_hash: String,
-    /// The header's `journal_format`.
-    pub format: u64,
     /// The job-expansion size the header claims.
     pub jobs: u64,
-    /// Rows whose `row_fnv` was recomputed and matched.
-    pub rows_checked: usize,
-    /// Format-1 rows carrying no checksum (parsed, not verifiable).
-    pub rows_unverified: usize,
+    /// The rows, in file order.
+    pub rows: Vec<ScannedRow>,
 }
 
-/// Scans one journal file without a spec: validates the header shape and
-/// format range, parses every row, bounds-checks its job index against the
-/// header's own `jobs` claim, and recomputes every `row_fnv`. The torn-tail
-/// tolerance matches replay — a damaged *final* line is the expected
-/// crash signature, a damaged interior line is corruption.
-pub(crate) fn scan_journal(path: &Path) -> Result<JournalScan, CheckpointError> {
-    let text = read_file(path)?;
-    let mut lines = text.lines();
-    let first = lines
-        .next()
-        .ok_or_else(|| CheckpointError::file(path, "empty journal"))?;
-    let fields = parse_flat_object(first)
+/// One journal row whose `row_fnv` matched its contents.
+pub(crate) struct ScannedRow {
+    /// 1-based line number in the journal file.
+    pub line: usize,
+    /// Canonical job index (below the header's `jobs`).
+    pub index: usize,
+    /// The mechanism token the row claims.
+    pub mechanism: String,
+    /// The seed offset the row claims.
+    pub seed: u64,
+    /// The row's statistics.
+    pub stats: SimStats,
+}
+
+/// Parses a header line: the current `journal_format`, the campaign name,
+/// the spec hash and the job count must all be present.
+fn parse_header(path: &Path, line: &str) -> Result<JournalScan, CheckpointError> {
+    let fields = parse_flat_object(line)
         .map_err(|e| CheckpointError::at(path, 1, format!("malformed header: {e}")))?;
     let get = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
     let format = get("journal_format")
         .and_then(Scalar::as_u64)
         .ok_or_else(|| CheckpointError::at(path, 1, "header field `journal_format` missing"))?;
-    if !(JOURNAL_FORMAT_MIN..=JOURNAL_FORMAT).contains(&format) {
+    if format != JOURNAL_FORMAT {
         return Err(CheckpointError::at(
             path,
             1,
-            format!(
-                "journal_format {format} (this build reads \
-                 {JOURNAL_FORMAT_MIN}..={JOURNAL_FORMAT})"
-            ),
+            format!("journal_format {format} (this build reads {JOURNAL_FORMAT})"),
         ));
     }
-    let campaign = get("campaign")
-        .and_then(Scalar::as_str)
-        .ok_or_else(|| CheckpointError::at(path, 1, "header field `campaign` missing"))?
-        .to_string();
-    let spec_hash = get("spec_hash")
-        .and_then(Scalar::as_str)
-        .ok_or_else(|| CheckpointError::at(path, 1, "header field `spec_hash` missing"))?
-        .to_string();
-    let jobs = get("jobs")
-        .and_then(Scalar::as_u64)
-        .ok_or_else(|| CheckpointError::at(path, 1, "header field `jobs` missing"))?;
-    let row_lines: Vec<&str> = lines.collect();
-    let mut scan = JournalScan {
-        campaign,
-        spec_hash,
-        format,
-        jobs,
-        rows_checked: 0,
-        rows_unverified: 0,
+    let text = |key: &'static str| {
+        get(key)
+            .and_then(Scalar::as_str)
+            .map(str::to_string)
+            .ok_or_else(|| CheckpointError::at(path, 1, format!("header field `{key}` missing")))
     };
+    Ok(JournalScan {
+        campaign: text("campaign")?,
+        spec_hash: text("spec_hash")?,
+        jobs: get("jobs")
+            .and_then(Scalar::as_u64)
+            .ok_or_else(|| CheckpointError::at(path, 1, "header field `jobs` missing"))?,
+        rows: Vec::new(),
+    })
+}
+
+/// Reads and parses only the header line of a journal.
+fn read_header(path: &Path) -> Result<JournalScan, CheckpointError> {
+    let mut first = String::new();
+    File::open(path)
+        .and_then(|f| io::BufReader::new(f).read_line(&mut first))
+        .map_err(|e| CheckpointError::file(path, format!("reading: {e}")))?;
+    if first.is_empty() {
+        return Err(CheckpointError::file(path, "empty journal"));
+    }
+    parse_header(path, first.trim_end_matches('\n'))
+}
+
+/// Scans one journal file without a spec: validates the header, parses
+/// every row, bounds-checks its job index against the header's own `jobs`
+/// claim, and recomputes every `row_fnv`. A damaged *final* line is the
+/// expected signature of a process killed mid-write and is dropped (the
+/// job simply re-runs); a damaged interior line is corruption.
+pub(crate) fn scan_journal(path: &Path) -> Result<JournalScan, CheckpointError> {
+    let mut text = String::new();
+    File::open(path)
+        .and_then(|mut f| f.read_to_string(&mut text))
+        .map_err(|e| CheckpointError::file(path, format!("reading: {e}")))?;
+    let lines: Vec<&str> = text.lines().collect();
+    let Some((&header_line, row_lines)) = lines.split_first() else {
+        return Err(CheckpointError::file(path, "empty journal"));
+    };
+    let mut scan = parse_header(path, header_line)?;
     for (i, line) in row_lines.iter().enumerate() {
         let lineno = i + 2;
         let last = i + 1 == row_lines.len();
@@ -587,36 +625,31 @@ pub(crate) fn scan_journal(path: &Path) -> Result<JournalScan, CheckpointError> 
                 "row missing job/mechanism/seed",
             ));
         };
-        if index >= jobs {
+        if index >= scan.jobs {
             return Err(CheckpointError::at(
                 path,
                 lineno,
-                format!("job index {index} out of range (header claims {jobs} jobs)"),
+                format!(
+                    "job index {index} out of range (header claims {} jobs)",
+                    scan.jobs
+                ),
             ));
         }
-        let stats = match stats_from_fields(|name| get(name).and_then(Scalar::as_u64)) {
-            Some(stats) => stats,
-            None if last => break,
-            None => {
-                return Err(CheckpointError::at(path, lineno, "row missing stat fields"));
+        let (Some(stats), Some(recorded)) = (
+            stats_from_fields(|name| get(name).and_then(Scalar::as_u64)),
+            get("row_fnv").and_then(Scalar::as_u64),
+        ) else {
+            if last {
+                break;
             }
+            return Err(CheckpointError::at(
+                path,
+                lineno,
+                "row missing stat fields or `row_fnv`",
+            ));
         };
-        if format < 2 {
-            scan.rows_unverified += 1;
-            continue;
-        }
-        let recorded = match get("row_fnv").and_then(Scalar::as_u64) {
-            Some(v) => v,
-            None if last => break,
-            None => {
-                return Err(CheckpointError::at(
-                    path,
-                    lineno,
-                    "row field `row_fnv` missing",
-                ));
-            }
-        };
-        let computed = row_checksum(index as usize, mechanism, seed, &stats_to_array(&stats));
+        let index = index as usize;
+        let computed = row_checksum(index, mechanism, seed, &stats_to_array(&stats));
         if recorded != computed {
             return Err(CheckpointError::at(
                 path,
@@ -628,212 +661,15 @@ pub(crate) fn scan_journal(path: &Path) -> Result<JournalScan, CheckpointError> 
                 ),
             ));
         }
-        scan.rows_checked += 1;
+        scan.rows.push(ScannedRow {
+            line: lineno,
+            index,
+            mechanism: mechanism.to_string(),
+            seed,
+            stats,
+        });
     }
     Ok(scan)
-}
-
-fn read_file(path: &Path) -> Result<String, CheckpointError> {
-    let mut text = String::new();
-    File::open(path)
-        .and_then(|mut f| f.read_to_string(&mut text))
-        .map_err(|e| CheckpointError::file(path, format!("reading: {e}")))?;
-    Ok(text)
-}
-
-fn parse_header(path: &Path, campaign: &str, line: &str) -> Result<Header, CheckpointError> {
-    let fields = parse_flat_object(line)
-        .map_err(|e| CheckpointError::at(path, 1, format!("malformed header: {e}")))?;
-    let get = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-    let format = get("journal_format")
-        .and_then(Scalar::as_u64)
-        .ok_or_else(|| CheckpointError::at(path, 1, "header field `journal_format` missing"))?;
-    if !(JOURNAL_FORMAT_MIN..=JOURNAL_FORMAT).contains(&format) {
-        return Err(CheckpointError::at(
-            path,
-            1,
-            format!(
-                "journal_format {format} (this build reads \
-                 {JOURNAL_FORMAT_MIN}..={JOURNAL_FORMAT})"
-            ),
-        ));
-    }
-    let name = get("campaign")
-        .and_then(Scalar::as_str)
-        .ok_or_else(|| CheckpointError::at(path, 1, "header field `campaign` missing"))?;
-    if name != campaign {
-        return Err(CheckpointError::at(
-            path,
-            1,
-            format!("belongs to campaign `{name}`, expected `{campaign}`"),
-        ));
-    }
-    let spec_hash = get("spec_hash")
-        .and_then(Scalar::as_str)
-        .ok_or_else(|| CheckpointError::at(path, 1, "header field `spec_hash` missing"))?
-        .to_string();
-    let jobs = get("jobs")
-        .and_then(Scalar::as_u64)
-        .ok_or_else(|| CheckpointError::at(path, 1, "header field `jobs` missing"))?;
-    Ok(Header {
-        format,
-        spec_hash,
-        jobs,
-    })
-}
-
-fn read_header(path: &Path) -> Result<Header, CheckpointError> {
-    let text = read_file(path)?;
-    let first = text
-        .lines()
-        .next()
-        .ok_or_else(|| CheckpointError::file(path, "empty journal"))?;
-    let fields = parse_flat_object(first)
-        .map_err(|e| CheckpointError::at(path, 1, format!("malformed header: {e}")))?;
-    let get = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-    let spec_hash = get("spec_hash")
-        .and_then(Scalar::as_str)
-        .ok_or_else(|| CheckpointError::at(path, 1, "header field `spec_hash` missing"))?
-        .to_string();
-    let jobs = get("jobs").and_then(Scalar::as_u64).unwrap_or(0);
-    let format = get("journal_format")
-        .and_then(Scalar::as_u64)
-        .unwrap_or(JOURNAL_FORMAT);
-    Ok(Header {
-        format,
-        spec_hash,
-        jobs,
-    })
-}
-
-fn replay_file(
-    path: &Path,
-    campaign: &str,
-    expected_hash: &str,
-    jobs: &[Job],
-    rows: &mut HashMap<usize, SimStats>,
-) -> Result<(), CheckpointError> {
-    let text = read_file(path)?;
-    let lines: Vec<&str> = text.lines().collect();
-    let Some((&header_line, row_lines)) = lines.split_first() else {
-        return Err(CheckpointError::file(path, "empty journal"));
-    };
-    let header = parse_header(path, campaign, header_line)?;
-    if header.spec_hash != expected_hash {
-        return Err(CheckpointError::at(
-            path,
-            1,
-            format!(
-                "spec hash {} does not match this spec's {expected_hash}",
-                header.spec_hash
-            ),
-        ));
-    }
-    if header.jobs != jobs.len() as u64 {
-        return Err(CheckpointError::at(
-            path,
-            1,
-            format!(
-                "header says {} jobs, spec expands to {}",
-                header.jobs,
-                jobs.len()
-            ),
-        ));
-    }
-    if header.format < 2 {
-        eprintln!(
-            "warning: journal {} is format {} (predates row checksums); \
-             replaying its rows unverified",
-            path.display(),
-            header.format
-        );
-    }
-    for (i, line) in row_lines.iter().enumerate() {
-        let lineno = i + 2;
-        let last = i + 1 == row_lines.len();
-        let fields = match parse_flat_object(line) {
-            Ok(fields) => fields,
-            // A truncated final line is the expected signature of a killed
-            // process — drop it; the job will simply re-run.
-            Err(_) if last => break,
-            Err(e) => {
-                return Err(CheckpointError::at(
-                    path,
-                    lineno,
-                    format!("malformed row: {e}"),
-                ))
-            }
-        };
-        let get = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        let (Some(index), Some(mechanism), Some(seed)) = (
-            get("job").and_then(Scalar::as_u64),
-            get("mechanism").and_then(Scalar::as_str),
-            get("seed").and_then(Scalar::as_u64),
-        ) else {
-            if last {
-                break;
-            }
-            return Err(CheckpointError::at(
-                path,
-                lineno,
-                "row missing job/mechanism/seed",
-            ));
-        };
-        let index = index as usize;
-        let Some(job) = jobs.get(index) else {
-            return Err(CheckpointError::at(
-                path,
-                lineno,
-                format!("job index {index} out of range ({} jobs)", jobs.len()),
-            ));
-        };
-        let expected_mechanism = mechanism_token(job.mechanism);
-        if mechanism != expected_mechanism || seed != job.seed {
-            return Err(CheckpointError::at(
-                path,
-                lineno,
-                format!(
-                    "row ({mechanism}, seed {seed}) does not match job {index} \
-                     ({expected_mechanism}, seed {})",
-                    job.seed
-                ),
-            ));
-        }
-        let stats = match stats_from_fields(|name| get(name).and_then(Scalar::as_u64)) {
-            Some(stats) => stats,
-            None if last => break,
-            None => {
-                return Err(CheckpointError::at(path, lineno, "row missing stat fields"));
-            }
-        };
-        if header.format >= 2 {
-            let recorded = match get("row_fnv").and_then(Scalar::as_u64) {
-                Some(v) => v,
-                None if last => break,
-                None => {
-                    return Err(CheckpointError::at(
-                        path,
-                        lineno,
-                        "row field `row_fnv` missing",
-                    ));
-                }
-            };
-            let computed = row_checksum(index, mechanism, seed, &stats_to_array(&stats));
-            if recorded != computed {
-                return Err(CheckpointError::at(
-                    path,
-                    lineno,
-                    format!(
-                        "row_fnv {recorded:016x} does not match the row's contents \
-                         (recomputed {computed:016x}): the row was damaged after it \
-                         was written"
-                    ),
-                ));
-            }
-        }
-        rows.insert(index, stats);
-    }
-    Ok(())
 }
 
 /// A value in a flat journal line: the only shapes the format uses.
@@ -1130,52 +966,6 @@ mod tests {
     }
 
     #[test]
-    fn progress_probe_grows_with_rows_and_tolerates_absence() {
-        let dir = temp_dir("progress");
-        let spec = spec();
-        assert_eq!(journal_progress(&dir, &spec.name), 0);
-        let jobs = crate::expand::expand(&spec);
-        let hash = spec_hash(&spec, RunLength::smoke_test(), true);
-        let journal = Journal::create(&dir, &spec.name, &hash, jobs.len(), None).unwrap();
-        let after_header = journal_progress(&dir, &spec.name);
-        assert!(after_header > 0);
-        journal.record(&jobs[0], &stats(0)).unwrap();
-        assert!(journal_progress(&dir, &spec.name) > after_header);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn progress_probe_shrinks_when_resume_drops_a_torn_tail() {
-        // A worker killed mid-write leaves a torn prefix; the restarted
-        // worker's `Journal::append` truncates it away, so the probe value
-        // goes *down* between two supervisor polls. The supervisor must not
-        // read that shrink as progress (see `supervise`), and the probe
-        // itself must faithfully report the smaller size.
-        let dir = temp_dir("shrink");
-        let spec = spec();
-        let jobs = crate::expand::expand(&spec);
-        let hash = spec_hash(&spec, RunLength::smoke_test(), true);
-        let journal = Journal::create(&dir, &spec.name, &hash, jobs.len(), None).unwrap();
-        journal.record(&jobs[0], &stats(0)).unwrap();
-        let path = journal.path().to_path_buf();
-        drop(journal);
-        let clean = journal_progress(&dir, &spec.name);
-
-        let mut text = std::fs::read_to_string(&path).unwrap();
-        text.push_str("{\"job\":1,\"mechanism\":\"fd");
-        std::fs::write(&path, &text).unwrap();
-        let torn = journal_progress(&dir, &spec.name);
-        assert!(torn > clean);
-
-        let journal = Journal::append(&dir, &spec.name, None).unwrap();
-        let truncated = journal_progress(&dir, &spec.name);
-        assert_eq!(truncated, clean, "append must drop exactly the torn tail");
-        assert!(truncated < torn, "the probe must report the shrink");
-        drop(journal);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn stats_array_round_trips_in_column_order() {
         let original = stats(7);
         let values = stats_to_array(&original);
@@ -1328,43 +1118,6 @@ mod tests {
 
         let err = JournalReplay::load(&dir, &spec.name, &hash, &jobs).unwrap_err();
         assert!(err.message.contains("row_fnv"), "{err}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn format_1_journals_replay_unverified() {
-        // A journal written by a pre-checksum build: format 1 header, rows
-        // without `row_fnv`. It must still replay (warning, not error).
-        let dir = temp_dir("format1");
-        let spec = spec();
-        let jobs = crate::expand::expand(&spec);
-        let hash = spec_hash(&spec, RunLength::smoke_test(), true);
-        let journal = Journal::create(&dir, &spec.name, &hash, jobs.len(), None).unwrap();
-        journal.record(&jobs[0], &stats(0)).unwrap();
-        let path = journal.path().to_path_buf();
-        drop(journal);
-
-        let text = std::fs::read_to_string(&path).unwrap();
-        let downgraded: String = text
-            .lines()
-            .map(|line| {
-                let mut line = line.replace("\"journal_format\":2", "\"journal_format\":1");
-                // Strip the checksum field the old writer never produced.
-                if let Some(start) = line.find(",\"row_fnv\":") {
-                    let value_start = start + ",\"row_fnv\":".len();
-                    let value_end = line[value_start..]
-                        .find(|c: char| !c.is_ascii_digit())
-                        .map_or(line.len(), |o| value_start + o);
-                    line.replace_range(start..value_end, "");
-                }
-                format!("{line}\n")
-            })
-            .collect();
-        std::fs::write(&path, downgraded).unwrap();
-
-        let replay = JournalReplay::load(&dir, &spec.name, &hash, &jobs).unwrap();
-        assert_eq!(replay.completed(), 1);
-        assert_eq!(replay.rows[&0], stats(0));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,4 +1,4 @@
-//! The sweep engine: expand, shard, execute, aggregate.
+//! The sweep engine: expand, generate, execute, aggregate.
 //!
 //! [`run_campaign`] turns a [`CampaignSpec`] into a [`CampaignReport`] in
 //! three deterministic phases:
@@ -14,6 +14,14 @@
 //! 3. **Aggregation** — results are joined with their group's no-prefetch
 //!    baseline in canonical job order, so the report is a pure function of
 //!    the spec: `--jobs 1` and `--jobs 64` produce byte-identical output.
+//!
+//! This is the in-memory library path: nothing is journaled. The
+//! `boomerang-sim run` and `serve` commands execute campaigns through the
+//! lease broker instead ([`crate::serve`]), which journals every row and
+//! shares two pieces with this module: `load_point`'s per-point recipe,
+//! which its workers use to obtain each workload, and [`assemble_report`],
+//! which its collect step uses to turn the journal into the same report
+//! bytes.
 
 use crate::artifact::{artifact_key, ArtifactCache};
 use crate::expand::{expand, Job};
@@ -126,11 +134,6 @@ pub struct GeneratedWorkloads {
 }
 
 impl GeneratedWorkloads {
-    /// Number of jobs the campaign expands to.
-    pub fn job_count(&self) -> usize {
-        self.jobs.len()
-    }
-
     /// Number of distinct generated (workload, seed) points.
     pub fn workload_count(&self) -> usize {
         self.data.len()
@@ -279,128 +282,31 @@ pub fn run_campaign(
 }
 
 /// The campaign's simulation + aggregation phases over already-generated
-/// workloads (see [`generate_workloads`]). Pure with respect to `generated`:
-/// re-running produces the identical report. The report's run length and
-/// smoke flag come from `generated` (the options that produced the
-/// workloads), so a caller passing different `options.smoke` cannot create
-/// a self-inconsistent report; `options` only supplies the worker count and
-/// engine choice here.
+/// workloads (see [`generate_workloads`]): every job is one pool task, so the
+/// work-stealing deques balance skewed row costs. Pure with respect to
+/// `generated`: re-running produces the identical report. The report's run
+/// length and smoke flag come from `generated` (the options that produced
+/// the workloads), so a caller passing different `options.smoke` cannot
+/// create a self-inconsistent report; `options` only supplies the worker
+/// count here.
 pub fn run_generated(
     spec: &CampaignSpec,
     options: &EngineOptions,
     generated: &GeneratedWorkloads,
 ) -> CampaignReport {
-    let outcome = run_generated_partial(
-        spec,
-        options,
-        generated,
-        &HashMap::new(),
-        RunPlan::default(),
-        None,
-    );
-    let stats: Vec<SimStats> = outcome
-        .stats
-        .into_iter()
-        .map(|s| s.expect("an unrestricted plan executes every job"))
-        .collect();
-    assemble_report(spec, &generated.jobs, generated.run, generated.smoke, stats)
-}
-
-/// Which subset of the expanded jobs one execution pass covers.
-///
-/// The default plan covers everything; `limit` caps how many *missing* jobs
-/// the pass executes, which is how a resumable interruption is produced
-/// deterministically (in tests and in CI).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RunPlan {
-    /// Execute at most this many missing jobs, in canonical order.
-    pub limit: Option<usize>,
-}
-
-/// The per-job statistics known after a (possibly partial) execution pass:
-/// one slot per job in canonical order, `None` where the plan did not cover
-/// the job and no prior result was supplied.
-pub struct RunOutcome {
-    /// Per-job statistics, indexed by canonical job index.
-    pub stats: Vec<Option<SimStats>>,
-    /// Jobs actually executed by this pass (excludes replayed results).
-    pub executed: usize,
-}
-
-impl RunOutcome {
-    /// Number of jobs with known statistics.
-    pub fn completed(&self) -> usize {
-        self.stats.iter().filter(|s| s.is_some()).count()
-    }
-
-    /// `true` when every job has statistics and a report can be assembled.
-    pub fn is_complete(&self) -> bool {
-        self.stats.iter().all(Option::is_some)
-    }
-}
-
-/// The per-row completion hook of [`run_generated_partial`]: invoked from
-/// the pool workers as each job finishes, in completion order.
-pub type RowObserver<'a> = dyn Fn(&Job, &SimStats) + Sync + 'a;
-
-/// The campaign's simulation phase over a subset of the jobs.
-///
-/// `done` supplies results replayed from a checkpoint journal (keyed by
-/// canonical job index); those jobs are not re-executed. Every other job is
-/// one pool task, so the work-stealing deques balance skewed row costs.
-/// `on_row` — if given — is invoked from the pool workers as each job
-/// completes, in completion order; this is the hook the streaming sinks and
-/// the checkpoint journal hang off. Per-job statistics are deterministic, so
-/// the final merged report is byte-identical no matter how the work was
-/// split across passes, processes or worker counts.
-pub fn run_generated_partial(
-    spec: &CampaignSpec,
-    options: &EngineOptions,
-    generated: &GeneratedWorkloads,
-    done: &HashMap<usize, SimStats>,
-    plan: RunPlan,
-    on_row: Option<&RowObserver<'_>>,
-) -> RunOutcome {
     let workers = if options.jobs == 0 {
         pool::default_workers()
     } else {
         options.jobs
     };
-    let jobs = &generated.jobs;
-    let data_by_key: HashMap<(usize, u64), &WorkloadData> = generated
-        .keys
-        .iter()
-        .copied()
-        .zip(generated.data.iter())
-        .collect();
-
-    let mut pending: Vec<usize> = (0..jobs.len()).filter(|i| !done.contains_key(i)).collect();
-    if let Some(limit) = plan.limit {
-        pending.truncate(limit);
-    }
-
     let configs: Vec<_> = spec.configs.iter().map(|c| c.build()).collect();
-    let results: Vec<SimStats> = pool::run_indexed(workers, &pending, |_, &i| {
-        let job = &jobs[i];
-        let data = data_by_key[&(job.workload, job.seed)];
-        let stats = data.run_with_predictor(job.mechanism, &configs[job.config], spec.predictor);
-        if let Some(on_row) = on_row {
-            on_row(job, &stats);
-        }
-        stats
+    let stats = pool::run_indexed(workers, &generated.jobs, |_, job| {
+        let data = generated
+            .data_for(job.workload, job.seed)
+            .expect("every job's point was generated");
+        data.run_with_predictor(job.mechanism, &configs[job.config], spec.predictor)
     });
-
-    let mut stats: Vec<Option<SimStats>> = vec![None; jobs.len()];
-    for (&i, s) in done {
-        stats[i] = Some(*s);
-    }
-    for (&i, s) in pending.iter().zip(results) {
-        stats[i] = Some(s);
-    }
-    RunOutcome {
-        stats,
-        executed: pending.len(),
-    }
+    assemble_report(spec, &generated.jobs, generated.run, generated.smoke, stats)
 }
 
 /// The campaign's aggregation phase: joins each job's statistics with its
@@ -408,13 +314,12 @@ pub fn run_generated_partial(
 /// report. A pure function of `(spec, jobs, stats)` — which is what makes
 /// checkpoint-resumed, distributed and streamed campaigns byte-identical to
 /// one-shot runs. It deliberately does *not* need the generated workloads:
-/// a merge over fully-checkpointed journals (the `serve` collector path)
-/// can assemble the report without generating anything.
+/// the broker's collect step assembles the report from the journal without
+/// generating anything.
 ///
 /// # Panics
 ///
-/// Panics if `stats` does not hold one entry per expanded job (callers
-/// check [`RunOutcome::is_complete`] first).
+/// Panics if `stats` does not hold one entry per expanded job.
 pub fn assemble_report(
     spec: &CampaignSpec,
     jobs: &[Job],

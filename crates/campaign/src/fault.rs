@@ -41,13 +41,14 @@
 //!
 //! Filters: `shard=N` restricts a row fault to the worker process
 //! registered as worker `N` — the `--worker-index` of a TCP worker, which
-//! for `serve`'s local fleet is the supervisor slot; a plain `run` registers
-//! as worker 0 (default: any). The `serve` process itself registers no
-//! index, so a `shard=` fault never fires in the broker, while an unfiltered
-//! row fault also arms the broker's own journal appends; `after-rows=N`
-//! fires when this process's checkpointed/completed-row count reaches
-//! exactly `N` (default 1; for `heartbeat-stall` it counts granted leases —
-//! the stall happens before any row runs); `nth=N` fires on the `N`-th
+//! for `serve`'s local fleet is the supervisor slot; a `run` process, broker
+//! and worker threads together, registers as worker 0 (default: any). The
+//! `serve` process itself registers no index, so a `shard=` fault never
+//! fires in the broker, while an unfiltered row fault also arms the
+//! broker's own journal appends; `after-rows=N` fires when this process's
+//! checkpointed/completed-row count reaches exactly `N` (default 1; for
+//! `heartbeat-stall` it counts granted leases — the stall happens before
+//! any row runs); `nth=N` fires on the `N`-th
 //! event of a counter fault (default 1); `lives=K` (or `lives=all`) arms
 //! the fault only while the worker's supervised life number —
 //! [`FAULT_LIFE_ENV`], set by the supervisor on every (re)spawn, default 1
@@ -60,7 +61,12 @@
 //! Row counts are per process life: `after-rows` compares against rows
 //! *checkpointed by this process*, not rows replayed from the journal, so a
 //! resumed worker's counter starts at zero again — which is exactly what a
-//! `lives` bound needs to reason about.
+//! `lives` bound needs to reason about. Each row counts once per process: a
+//! `run` process counts its rows at the broker's journal appends, and its
+//! worker threads skip the worker-side row points, so
+//! `worker-exit:after-rows=N` stops it with exactly `N` rows journaled. The
+//! TCP-only kinds (`conn-drop`, `heartbeat-stall`, `row-duplicate`,
+//! `row-corrupt`) therefore never fire in a `run`.
 //!
 //! [`FaultPlan`] implements `Display` with a canonical rendering (default
 //! filters omitted) that round-trips through [`FaultPlan::parse`]; `serve`
@@ -432,7 +438,7 @@ fn active() -> Option<&'static FaultState> {
 }
 
 /// Registers this process's worker index (a TCP worker's `--worker-index`;
-/// a plain `run` registers 0), so `shard=` filters can address one worker
+/// a `run` process registers 0), so `shard=` filters can address one worker
 /// of a fleet.
 pub fn set_worker_shard(shard: usize) {
     if let Some(state) = active() {
@@ -458,13 +464,6 @@ pub struct RowFaults {
     /// Journal writers: flip one byte of the row line after its checksum was
     /// computed, so replay rejects the row.
     pub bitrot: bool,
-}
-
-impl RowFaults {
-    /// `true` when no row fault fires.
-    pub fn is_inert(&self) -> bool {
-        *self == RowFaults::default()
-    }
 }
 
 /// Advances the completed-row counter and collects the row faults firing at
@@ -510,7 +509,8 @@ pub fn on_row_append() -> RowFaults {
 /// reports which row faults fire at this row. Called by
 /// [`crate::worker`] once per row it is about to transmit — the worker-side
 /// analogue of [`on_row_append`] (a TCP worker appends no journal of its
-/// own; the broker journals on its behalf).
+/// own; the broker journals on its behalf). Worker threads inside the
+/// broker's own process do not call it, so each row counts once.
 pub fn on_worker_row() -> RowFaults {
     let Some(state) = active() else {
         return RowFaults::default();

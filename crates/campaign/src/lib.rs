@@ -16,7 +16,9 @@
 //!
 //! The `boomerang-sim` binary in this crate is the command-line front door:
 //! `boomerang-sim run spec.toml`, `boomerang-sim run --preset figure9`,
-//! `boomerang-sim list-presets`. The paper's figure matrices ship as
+//! `boomerang-sim list-presets`. Its `run` and `serve` commands execute a
+//! campaign through one journaled path, the lease broker of [`serve`]
+//! ([`serve::run_local`] for `run`). The paper's figure matrices ship as
 //! embedded [`presets`].
 //!
 //! # Example
@@ -65,13 +67,11 @@ pub use bench::{
     bench_to_json, bench_to_table, check_against, fnv1a64, run_bench, BenchEntry, BenchOptions,
     BenchReport,
 };
-pub use checkpoint::{
-    journal_progress, spec_hash, CheckpointError, Journal, JournalReplay, JOURNAL_FORMAT,
-};
+pub use checkpoint::{spec_hash, CheckpointError, Journal, JournalReplay, JOURNAL_FORMAT};
 pub use engine::{
     assemble_partial_report, assemble_report, derive_seed, generate_workloads, run_campaign,
-    run_generated, run_generated_partial, CampaignReport, EngineOptions, GeneratedWorkloads,
-    GenerationSummary, PartialReport, PartialRow, RowResult, RunOutcome, RunPlan,
+    run_generated, CampaignReport, EngineOptions, GeneratedWorkloads, GenerationSummary,
+    PartialReport, PartialRow, RowResult,
 };
 pub use expand::{expand, Job};
 pub use fault::{FaultKind, FaultPlan, FaultSpec, FAULT_ENV, FAULT_EXIT_CODE, FAULT_LIFE_ENV};

@@ -28,11 +28,20 @@
 //! set, which makes submission idempotent (retransmissions,
 //! revoked-then-completed leases) and lets a restarted service resume
 //! mid-campaign from the journal, `<name>.journal.jsonl` (per-shard
-//! journals left by older versions are replayed alongside it). Once the
-//! queue drains, the collector replays the journals — *without*
-//! regenerating any workloads — assembles the
-//! canonical report, and writes the same `<name>.json` / `<name>.csv` bytes
-//! a one-shot `run` would have produced.
+//! journals left by older versions are replayed alongside it). Beside each
+//! journal append it streams the row to `<name>.rows.jsonl` /
+//! `<name>.rows.csv`, replayed rows first on resume.
+//!
+//! # One dispatch path
+//!
+//! A campaign goes through the broker in three steps. **Install** replays
+//! the journal, reopens it and queues the missing rows. **Drive** runs the
+//! workers: `serve`'s supervised local processes (plus remote ones with
+//! `--listen`), or — for `boomerang-sim run` ([`run_local`]), which starts a
+//! private broker on an ephemeral loopback port — worker threads of its own
+//! process sharing one store of decoded workload points. **Collect**
+//! replays the journal, *without* regenerating any workloads, into the same
+//! `<name>.json` / `<name>.csv` bytes however the rows were produced.
 //!
 //! # Lease order
 //!
@@ -91,13 +100,14 @@
 
 use crate::bench::fnv1a64;
 use crate::checkpoint::{row_checksum, spec_hash, stats_from_array, Journal, JournalReplay};
-use crate::engine::{assemble_partial_report, assemble_report};
+use crate::engine::{assemble_partial_report, assemble_report, CampaignReport};
 use crate::expand::{expand, Job};
 use crate::fault;
 use crate::proto::{read_message, write_message, Message};
-use crate::sink::{write_partial_reports, write_reports};
+use crate::sink::{write_partial_reports, write_reports, StreamingSink};
 use crate::spec::{mechanism_token, CampaignSpec};
 use crate::supervise::{self, supervise_with_stop, SuperviseOptions};
+use crate::worker::{run_worker_in, PointStore, WorkerOptions};
 use boomerang::RunLength;
 use frontend::SimStats;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -232,6 +242,16 @@ pub struct ServeOutcome {
     /// is corrupting results" apart from an ordinary failed run.
     pub quarantine_exceeded: bool,
 }
+
+/// How long a worker waits before asking again when no row is ready.
+const NO_WORK_RETRY_MS: u64 = 10;
+
+/// Poll interval of the broker's accept loop.
+const ACCEPT_POLL: Duration = Duration::from_millis(2);
+
+/// Poll interval while waiting for a campaign, or its connections, to
+/// drain.
+const DRAIN_POLL: Duration = Duration::from_millis(5);
 
 /// Why a broker dispatch failed — a plain failure, or the quarantine bound.
 enum DispatchError {
@@ -487,34 +507,11 @@ fn process_submission(submission: &Path, options: &ServeOptions, broker: &Broker
         .file_stem()
         .and_then(|s| s.to_str())
         .unwrap_or("submission");
-    let dir = options.out.join(stem);
-    let run = if options.smoke {
-        RunLength::smoke_test()
-    } else {
-        spec.run
-    };
-    let hash = spec_hash(&spec, run, options.smoke);
-
     // A previous half-processed submission with the same spec resumes; a
-    // different spec under the same stem is refused, not clobbered.
-    match JournalReplay::existing_hash(&dir, &spec.name) {
-        Ok(Some(existing)) if existing != hash => {
-            outcome.result = Err(format!(
-                "output directory {} already holds campaign `{}` with spec hash {existing}, \
-                 which does not match this submission's {hash}",
-                dir.display(),
-                spec.name
-            ));
-            return outcome;
-        }
-        Ok(_) => {}
-        Err(e) => {
-            outcome.result = Err(format!("cannot inspect output directory: {e}"));
-            return outcome;
-        }
-    }
-
-    outcome.result = match dispatch(&spec, &dir, run, &hash, options, broker) {
+    // different spec under the same stem is refused by the journal replay
+    // (which names both spec hashes), not clobbered.
+    let dir = options.out.join(stem);
+    outcome.result = match dispatch(&spec, &dir, options, broker) {
         Ok(status) => Ok(status),
         Err(DispatchError::Failed(reason)) => Err(reason),
         Err(DispatchError::QuarantineExceeded(reason)) => {
@@ -580,6 +577,8 @@ struct ActiveCampaign {
     smoke: bool,
     jobs: Vec<Job>,
     journal: Journal,
+    /// The row streams, appended beside the journal.
+    stream: StreamingSink,
     done: HashSet<usize>,
     queue: VecDeque<QueuedJob>,
     leases: HashMap<u64, LeaseState>,
@@ -619,9 +618,79 @@ struct ActiveCampaign {
     verify_mismatches: u64,
     /// Sampled rows abandoned unverified (no eligible session appeared).
     verify_abandoned: u64,
+    /// The first failed journal append, which ends the dispatch: a row the
+    /// journal cannot hold is a row the campaign cannot claim.
+    journal_error: Option<String>,
 }
 
 impl ActiveCampaign {
+    /// Opens the campaign's journal in `dir` for appending (creating it
+    /// under `hash` if absent), restarts the row streams with the
+    /// `replayed` rows in canonical order, and queues every other job.
+    fn open(
+        spec: &CampaignSpec,
+        dir: &Path,
+        hash: &str,
+        jobs: Vec<Job>,
+        replayed: &HashMap<usize, SimStats>,
+        options: &ServeOptions,
+    ) -> Result<ActiveCampaign, String> {
+        let journal = if Journal::path_for(dir, &spec.name, None).exists() {
+            Journal::append(dir, &spec.name, None)
+        } else {
+            Journal::create(dir, &spec.name, hash, jobs.len(), None)
+        }
+        .map_err(|e| format!("cannot open the checkpoint journal: {e}"))?;
+        let stream = StreamingSink::create(spec, dir)
+            .map_err(|e| format!("cannot open the row streams: {e}"))?;
+        // Canonical order puts every baseline before its group, so nothing
+        // is left buffered.
+        for (index, job) in jobs.iter().enumerate() {
+            if let Some(stats) = replayed.get(&index) {
+                stream
+                    .record(job, stats)
+                    .map_err(|e| format!("cannot stream a replayed row: {e}"))?;
+            }
+        }
+        let queue = (0..jobs.len())
+            .filter(|i| !replayed.contains_key(i))
+            .map(|job| QueuedJob {
+                job,
+                attempts: 0,
+                ready_at: Instant::now(),
+            })
+            .collect();
+        Ok(ActiveCampaign {
+            spec_toml: spec.to_toml_string(),
+            spec_hash: hash.to_string(),
+            smoke: options.smoke,
+            jobs,
+            journal,
+            stream,
+            done: replayed.keys().copied().collect(),
+            queue,
+            leases: HashMap::new(),
+            session_points: HashMap::new(),
+            next_lease: 1,
+            rows_submitted: 0,
+            last_activity: Instant::now(),
+            lease_timeout: options.lease_timeout,
+            backoff_base: options.supervise.backoff_base,
+            backoff_cap: options.supervise.backoff_cap,
+            verify_fraction: options.verify_fraction,
+            verify_queue: VecDeque::new(),
+            verify_leases: HashMap::new(),
+            row_producer: HashMap::new(),
+            quarantined: HashSet::new(),
+            max_quarantined: options.max_quarantined,
+            checksum_rejects: 0,
+            rows_verified: 0,
+            verify_mismatches: 0,
+            verify_abandoned: 0,
+            journal_error: None,
+        })
+    }
+
     /// Every job journaled (verification may still be outstanding).
     fn rows_complete(&self) -> bool {
         self.done.len() == self.jobs.len()
@@ -630,6 +699,12 @@ impl ActiveCampaign {
     /// Every job journaled *and* every sampled re-verification resolved.
     fn complete(&self) -> bool {
         self.rows_complete() && self.verify_queue.is_empty() && self.verify_leases.is_empty()
+    }
+
+    /// Nothing is left to drive: every row journaled and verified, the
+    /// quarantine bound breached, or a journal append failed.
+    fn settled(&self) -> bool {
+        self.complete() || self.quarantine_breached() || self.journal_error.is_some()
     }
 
     /// Whether quarantines have exceeded the configured bound.
@@ -860,9 +935,9 @@ impl ActiveCampaign {
         }
     }
 
-    /// Validates, dedups, journals, and acks one submitted row. The journal
-    /// append is the broker's row fault point, so an armed plan can crash
-    /// the broker mid-campaign — the resume path then proves itself.
+    /// Validates, dedups, journals, streams, and acks one submitted row. The
+    /// journal append is the broker's row fault point, so an armed plan can
+    /// crash the broker mid-campaign — the resume path then proves itself.
     ///
     /// A row answering a verification lease is never journaled: its stats
     /// are compared against the journaled row, and a disagreement
@@ -964,7 +1039,14 @@ impl ActiveCampaign {
         let Some(sim_stats) = stats_from_array(stats) else {
             return reject(format!("job {job} carries a malformed stat array"));
         };
-        self.journal.record(expected, &sim_stats)?;
+        if let Err(e) = self.journal.record(expected, &sim_stats) {
+            self.journal_error
+                .get_or_insert_with(|| format!("checkpoint write failed: {e}"));
+            return Err(e);
+        }
+        if let Err(e) = self.stream.record(expected, &sim_stats) {
+            eprintln!("warning: row stream write failed: {e}");
+        }
         self.done.insert(index);
         self.rows_submitted += 1;
         self.row_producer.insert(index, session);
@@ -1060,10 +1142,7 @@ impl Broker {
                                 shared.connections.fetch_sub(1, Ordering::SeqCst);
                             });
                         }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(25));
-                        }
-                        Err(_) => std::thread::sleep(Duration::from_millis(25)),
+                        Err(_) => std::thread::sleep(ACCEPT_POLL),
                     }
                 }
             })
@@ -1087,7 +1166,7 @@ impl Broker {
         self.shared.finishing.store(true, Ordering::SeqCst);
         let deadline = Instant::now() + Duration::from_secs(3);
         while self.shared.connections.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(25));
+            std::thread::sleep(DRAIN_POLL);
         }
         self.accept_stop.store(true, Ordering::Relaxed);
         if let Some(handle) = self.accept_handle.take() {
@@ -1179,7 +1258,9 @@ fn handle_connection(stream: TcpStream, peer: SocketAddr, shared: &BrokerShared)
                 let reply = {
                     let mut guard = shared.campaign.lock().expect("campaign mutex");
                     match guard.as_mut() {
-                        None => Message::NoWork { retry_ms: 100 },
+                        None => Message::NoWork {
+                            retry_ms: NO_WORK_RETRY_MS,
+                        },
                         Some(campaign) if campaign.quarantined.contains(&session) => {
                             Message::Reject {
                                 reason: format!(
@@ -1200,7 +1281,9 @@ fn handle_connection(stream: TcpStream, peer: SocketAddr, shared: &BrokerShared)
                                         spec_toml: campaign.spec_toml.clone(),
                                     }
                                 }
-                                None => Message::NoWork { retry_ms: 100 },
+                                None => Message::NoWork {
+                                    retry_ms: NO_WORK_RETRY_MS,
+                                },
                             }
                         }
                     }
@@ -1280,90 +1363,133 @@ fn handle_connection(stream: TcpStream, peer: SocketAddr, shared: &BrokerShared)
     }
 }
 
-/// Dispatches one submission through the work queue: installs the campaign
-/// (resuming from its journals), runs the local worker fleet connected over
-/// loopback, waits for remote workers when the queue is exposed, and merges
-/// the journals into the canonical report — or, when the fleet gave up and
-/// partial output is allowed, into a degraded report over the checkpointed
-/// rows.
-fn dispatch(
+/// A campaign installed in the broker.
+struct Installed {
+    /// The canonical job expansion.
+    jobs: Vec<Job>,
+    /// The effective run length (the spec's, or smoke length).
+    run: RunLength,
+    /// The spec hash its journal is written under.
+    hash: String,
+    /// Rows the journal already held, replayed instead of queued.
+    replayed: usize,
+}
+
+/// Install: replays the campaign's journal in `dir` (rows already journaled
+/// by an earlier life, whatever its journal layout, are never re-leased),
+/// opens the journal for appending, restarts the row streams with the
+/// replayed rows in canonical order, and installs the missing rows as the
+/// broker's queue.
+fn install(
+    broker: &Broker,
     spec: &CampaignSpec,
     dir: &Path,
-    run: RunLength,
-    hash: &str,
     options: &ServeOptions,
-    broker: &Broker,
-) -> Result<SubmissionStatus, DispatchError> {
-    let fail = |reason: String| DispatchError::Failed(reason);
-    let jobs = expand(spec);
-    // Resume: rows already journaled (by an earlier service life, whatever
-    // its journal layout) are done — never re-leased.
-    let replay =
-        JournalReplay::load(dir, &spec.name, hash, &jobs).map_err(|e| fail(e.to_string()))?;
-    let done: HashSet<usize> = replay.rows.keys().copied().collect();
-    if !done.is_empty() {
-        eprintln!(
-            "serve: resuming {}: {} of {} rows already checkpointed",
-            spec.name,
-            done.len(),
-            jobs.len()
-        );
-    }
-    let journal = if Journal::path_for(dir, &spec.name, None).exists() {
-        Journal::append(dir, &spec.name, None)
+) -> Result<Installed, String> {
+    let run = if options.smoke {
+        RunLength::smoke_test()
     } else {
-        Journal::create(dir, &spec.name, hash, jobs.len(), None)
-    }
-    .map_err(|e| fail(format!("cannot open journal: {e}")))?;
-
-    let queue: VecDeque<QueuedJob> = (0..jobs.len())
-        .filter(|i| !done.contains(i))
-        .map(|job| QueuedJob {
-            job,
-            attempts: 0,
-            ready_at: Instant::now(),
-        })
-        .collect();
+        spec.run
+    };
+    let hash = spec_hash(spec, run, options.smoke);
+    let jobs = expand(spec);
+    let replay = JournalReplay::load(dir, &spec.name, &hash, &jobs).map_err(|e| e.to_string())?;
+    let campaign = ActiveCampaign::open(spec, dir, &hash, jobs.clone(), &replay.rows, options)?;
     broker
         .shared
         .activity
         .lock()
         .expect("activity mutex")
         .clear();
-    {
-        let mut guard = broker.shared.campaign.lock().expect("campaign mutex");
-        *guard = Some(ActiveCampaign {
-            spec_toml: spec.to_toml_string(),
-            spec_hash: hash.to_string(),
-            smoke: options.smoke,
-            jobs: jobs.clone(),
-            journal,
-            done,
-            queue,
-            leases: HashMap::new(),
-            session_points: HashMap::new(),
-            next_lease: 1,
-            rows_submitted: 0,
-            last_activity: Instant::now(),
-            lease_timeout: options.lease_timeout,
-            backoff_base: options.supervise.backoff_base,
-            backoff_cap: options.supervise.backoff_cap,
-            verify_fraction: options.verify_fraction,
-            verify_queue: VecDeque::new(),
-            verify_leases: HashMap::new(),
-            row_producer: HashMap::new(),
-            quarantined: HashSet::new(),
-            max_quarantined: options.max_quarantined,
-            checksum_rejects: 0,
-            rows_verified: 0,
-            verify_mismatches: 0,
-            verify_abandoned: 0,
-        });
+    *broker.shared.campaign.lock().expect("campaign mutex") = Some(campaign);
+    Ok(Installed {
+        jobs,
+        run,
+        hash,
+        replayed: replay.rows.len(),
+    })
+}
+
+/// Takes the installed campaign out of the broker; dropping it closes its
+/// journal and row streams.
+fn uninstall(broker: &Broker) -> Option<ActiveCampaign> {
+    broker
+        .shared
+        .campaign
+        .lock()
+        .expect("campaign mutex")
+        .take()
+}
+
+/// How a collected campaign ended.
+enum Collected {
+    /// Every row was journaled; the canonical report is written.
+    Done(Box<CampaignReport>),
+    /// Rows were missing and `allow_partial` wrote a degraded report with
+    /// this many holes.
+    Partial(usize),
+}
+
+/// Collect: replays the journal and writes the canonical report or, when
+/// rows are missing and partial output is allowed, a degraded report over
+/// the journaled rows. `failures` explains missing rows.
+fn collect(
+    spec: &CampaignSpec,
+    dir: &Path,
+    installed: &Installed,
+    mut failures: Vec<String>,
+    options: &ServeOptions,
+) -> Result<Collected, String> {
+    let jobs = &installed.jobs;
+    let replay =
+        JournalReplay::load(dir, &spec.name, &installed.hash, jobs).map_err(|e| e.to_string())?;
+    if replay.completed() == jobs.len() {
+        let stats: Vec<SimStats> = (0..jobs.len()).map(|i| replay.rows[&i]).collect();
+        let report = assemble_report(spec, jobs, installed.run, options.smoke, stats);
+        write_reports(&report, dir).map_err(|e| format!("cannot write reports: {e}"))?;
+        return Ok(Collected::Done(Box::new(report)));
     }
-    let uninstall = || {
-        let mut guard = broker.shared.campaign.lock().expect("campaign mutex");
-        *guard = None;
-    };
+    if failures.is_empty() {
+        failures.push(format!(
+            "workers stopped with only {} of {} jobs checkpointed",
+            replay.completed(),
+            jobs.len()
+        ));
+    }
+    if !options.allow_partial {
+        return Err(failures.join("; "));
+    }
+    let stats: Vec<Option<SimStats>> = (0..jobs.len())
+        .map(|i| replay.rows.get(&i).copied())
+        .collect();
+    let partial =
+        assemble_partial_report(spec, jobs, installed.run, options.smoke, &stats, failures);
+    write_partial_reports(&partial, dir)
+        .map_err(|e| format!("cannot write partial reports: {e}"))?;
+    Ok(Collected::Partial(partial.missing()))
+}
+
+/// Dispatches one submission through the work queue: installs the campaign,
+/// drives it with the local worker fleet connected over loopback (waiting
+/// for remote workers when the queue is exposed), and collects the journal
+/// into the canonical report — or, when the fleet gave up and partial
+/// output is allowed, into a degraded report over the checkpointed rows.
+fn dispatch(
+    spec: &CampaignSpec,
+    dir: &Path,
+    options: &ServeOptions,
+    broker: &Broker,
+) -> Result<SubmissionStatus, DispatchError> {
+    let fail = |reason: String| DispatchError::Failed(reason);
+    let installed = install(broker, spec, dir, options).map_err(fail)?;
+    if installed.replayed > 0 {
+        eprintln!(
+            "serve: resuming {}: {} of {} rows already checkpointed",
+            spec.name,
+            installed.replayed,
+            installed.jobs.len()
+        );
+    }
 
     // Local dispatch: the same worker client, connected over loopback, so
     // mixed local+remote fleets drain one queue through one code path. The
@@ -1398,7 +1524,7 @@ fn dispatch(
             match guard.as_mut() {
                 Some(campaign) => {
                     campaign.sweep_expired();
-                    campaign.complete() || campaign.quarantine_breached()
+                    campaign.settled()
                 }
                 None => true,
             }
@@ -1412,7 +1538,7 @@ fn dispatch(
             &mut stop,
         );
         if supervised.interrupted() {
-            uninstall();
+            uninstall(broker);
             return Err(fail(
                 "interrupted before the submission finished".to_string(),
             ));
@@ -1431,21 +1557,17 @@ fn dispatch(
         .saturating_mul(3)
         .max(Duration::from_secs(2));
     while options.listen.is_some() {
-        let (complete, breached, idle_for) = {
+        let (settled, idle_for) = {
             let mut guard = broker.shared.campaign.lock().expect("campaign mutex");
             let campaign = guard.as_mut().expect("campaign installed");
             campaign.sweep_expired();
-            (
-                campaign.complete(),
-                campaign.quarantine_breached(),
-                campaign.last_activity.elapsed(),
-            )
+            (campaign.settled(), campaign.last_activity.elapsed())
         };
-        if complete || breached {
+        if settled {
             break;
         }
         if supervise::interrupted() {
-            uninstall();
+            uninstall(broker);
             return Err(fail(
                 "interrupted before the submission finished".to_string(),
             ));
@@ -1456,73 +1578,146 @@ fn dispatch(
             ));
             break;
         }
-        std::thread::sleep(Duration::from_millis(50));
+        std::thread::sleep(DRAIN_POLL);
     }
 
-    // The integrity ledger for this dispatch, read out before the campaign
-    // is uninstalled. The summary line is stable and greppable — CI's
-    // chaos gate asserts on it.
-    let (quarantined, breached, summary) = {
-        let guard = broker.shared.campaign.lock().expect("campaign mutex");
-        let campaign = guard.as_ref().expect("campaign installed");
-        (
-            campaign.quarantined.len(),
-            campaign.quarantine_breached(),
-            format!(
-                "serve: integrity summary for {}: {} rows journaled, {} checksum rejects, \
-                 {} rows re-verified, {} verification mismatches, {} samples abandoned, \
-                 {} sessions quarantined",
-                spec.name,
-                campaign.rows_submitted,
-                campaign.checksum_rejects,
-                campaign.rows_verified,
-                campaign.verify_mismatches,
-                campaign.verify_abandoned,
-                campaign.quarantined.len(),
-            ),
-        )
-    };
-    uninstall();
-    eprintln!("{summary}");
-    if breached {
+    // The integrity ledger of this dispatch, one stable line (CI's chaos
+    // gate greps for it).
+    let campaign = uninstall(broker).expect("campaign installed");
+    eprintln!(
+        "serve: integrity summary for {}: {} rows journaled, {} checksum rejects, \
+         {} rows re-verified, {} verification mismatches, {} samples abandoned, \
+         {} sessions quarantined",
+        spec.name,
+        campaign.rows_submitted,
+        campaign.checksum_rejects,
+        campaign.rows_verified,
+        campaign.verify_mismatches,
+        campaign.verify_abandoned,
+        campaign.quarantined.len(),
+    );
+    if campaign.quarantine_breached() {
         let bound = options.max_quarantined.unwrap_or(0);
         return Err(DispatchError::QuarantineExceeded(format!(
-            "{quarantined} worker sessions quarantined for corrupt results, exceeding \
-             --max-quarantined {bound}; refusing to grind on with a rotten fleet"
+            "{} worker sessions quarantined for corrupt results, exceeding \
+             --max-quarantined {bound}; refusing to grind on with a rotten fleet",
+            campaign.quarantined.len()
         )));
     }
+    fleet_failures.extend(campaign.journal_error);
+    match collect(spec, dir, &installed, fleet_failures, options).map_err(fail)? {
+        Collected::Done(_) => Ok(SubmissionStatus::Done(dir.to_path_buf())),
+        Collected::Partial(missing) => Ok(SubmissionStatus::Partial {
+            dir: dir.to_path_buf(),
+            missing,
+        }),
+    }
+}
 
-    // Merge: replay the journals, assemble the canonical (or degraded)
-    // report.
-    let replay =
-        JournalReplay::load(dir, &spec.name, hash, &jobs).map_err(|e| fail(e.to_string()))?;
-    if replay.completed() == jobs.len() {
-        let stats: Vec<SimStats> = (0..jobs.len()).map(|i| replay.rows[&i]).collect();
-        let report = assemble_report(spec, &jobs, run, options.smoke, stats);
-        write_reports(&report, dir).map_err(|e| fail(format!("cannot write reports: {e}")))?;
-        return Ok(SubmissionStatus::Done(dir.to_path_buf()));
+/// Runs one campaign into `dir` — the `boomerang-sim run` path — as a
+/// client of the same broker `serve` runs: the campaign is installed in a
+/// private broker on an ephemeral loopback port and driven by `jobs` worker
+/// threads of this process (0 = one per core), each a [`crate::run_worker`]
+/// client sharing one store of decoded workload points. Rows already in
+/// `dir`'s journal are replayed, not re-run. Unless `quiet`, prints the
+/// resume line and the `workload artifacts` line summed over the threads.
+///
+/// # Errors
+///
+/// Returns a message if the journal cannot be replayed or written, if the
+/// worker threads stop with rows missing, or if the reports cannot be
+/// written.
+pub fn run_local(
+    spec: &CampaignSpec,
+    dir: &Path,
+    smoke: bool,
+    jobs: usize,
+    artifact_cache: Option<PathBuf>,
+    quiet: bool,
+) -> Result<CampaignReport, String> {
+    let options = ServeOptions {
+        smoke,
+        artifact_cache,
+        ..ServeOptions::default()
+    };
+    let broker = Broker::start("127.0.0.1:0")
+        .map_err(|e| format!("cannot start the local work queue: {e}"))?;
+    let installed = install(&broker, spec, dir, &options)?;
+    let total = installed.jobs.len();
+    if !quiet && installed.replayed > 0 {
+        eprintln!(
+            "resuming: {} of {total} rows replayed from the checkpoint journal",
+            installed.replayed
+        );
     }
-    if fleet_failures.is_empty() {
-        fleet_failures.push(format!(
-            "workers stopped with only {} of {} jobs checkpointed",
-            replay.completed(),
-            jobs.len()
-        ));
+    let threads = if installed.replayed == total {
+        0
+    } else if jobs == 0 {
+        sim_core::pool::default_workers()
+    } else {
+        jobs
+    };
+    let points = PointStore::default();
+    let mut failures = Vec::new();
+    let (mut cache_hits, mut generated) = (0, 0);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|index| {
+                let worker = WorkerOptions {
+                    connect: broker.addr.to_string(),
+                    worker_index: index,
+                    artifact_cache: options.artifact_cache.clone(),
+                    quiet: true,
+                    ..WorkerOptions::default()
+                };
+                let points = &points;
+                scope.spawn(move || run_worker_in(&worker, points, true))
+            })
+            .collect();
+        // Drive until every row is journaled or every thread has stopped;
+        // then each lease request answers `Shutdown`.
+        while !handles.iter().all(|h| h.is_finished()) {
+            let mut guard = broker.shared.campaign.lock().expect("campaign mutex");
+            let campaign = guard.as_mut().expect("campaign installed");
+            campaign.sweep_expired();
+            if campaign.settled() {
+                break;
+            }
+            drop(guard);
+            std::thread::sleep(DRAIN_POLL);
+        }
+        broker.shared.finishing.store(true, Ordering::SeqCst);
+        for (index, handle) in handles.into_iter().enumerate() {
+            match handle.join() {
+                Ok(Ok(summary)) => {
+                    cache_hits += summary.cache_hits;
+                    generated += summary.generated;
+                }
+                Ok(Err(e)) => failures.push(format!("worker thread {index}: {e}")),
+                Err(_) => failures.push(format!("worker thread {index} panicked")),
+            }
+        }
+    });
+    if !quiet {
+        if threads == 0 {
+            eprintln!("workload artifacts: nothing to generate (all rows checkpointed)");
+        } else {
+            eprintln!(
+                "workload artifacts: {cache_hits} cache hits, {generated} generated{}",
+                options
+                    .artifact_cache
+                    .as_deref()
+                    .map(|d| format!(" ({})", d.display()))
+                    .unwrap_or_default(),
+            );
+        }
     }
-    if !options.allow_partial {
-        return Err(fail(fleet_failures.join("; ")));
+    failures.extend(uninstall(&broker).and_then(|c| c.journal_error));
+    broker.finish();
+    match collect(spec, dir, &installed, failures, &options)? {
+        Collected::Done(report) => Ok(*report),
+        Collected::Partial(_) => unreachable!("run never allows a partial report"),
     }
-    let stats: Vec<Option<SimStats>> = (0..jobs.len())
-        .map(|i| replay.rows.get(&i).copied())
-        .collect();
-    let partial = assemble_partial_report(spec, &jobs, run, options.smoke, &stats, fleet_failures);
-    let missing = partial.missing();
-    write_partial_reports(&partial, dir)
-        .map_err(|e| fail(format!("cannot write partial reports: {e}")))?;
-    Ok(SubmissionStatus::Partial {
-        dir: dir.to_path_buf(),
-        missing,
-    })
 }
 
 #[cfg(test)]
@@ -1696,43 +1891,19 @@ warmup_blocks = 400
     ) -> (ActiveCampaign, PathBuf) {
         let dir = temp_dir(tag);
         let spec = CampaignSpec::from_toml_str(spec_text).unwrap();
-        let jobs = expand(&spec);
         let hash = spec_hash(&spec, spec.run, false);
-        let journal = Journal::create(&dir, &spec.name, &hash, jobs.len(), None).unwrap();
-        let queue = (0..jobs.len())
-            .map(|job| QueuedJob {
-                job,
-                attempts: 0,
-                ready_at: Instant::now(),
-            })
-            .collect();
-        let campaign = ActiveCampaign {
-            spec_toml: spec_text.to_string(),
-            spec_hash: hash,
-            smoke: false,
-            jobs,
-            journal,
-            done: HashSet::new(),
-            queue,
-            leases: HashMap::new(),
-            session_points: HashMap::new(),
-            next_lease: 1,
-            rows_submitted: 0,
-            last_activity: Instant::now(),
-            lease_timeout: Duration::from_secs(60),
-            backoff_base: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(10),
+        let options = ServeOptions {
             verify_fraction,
-            verify_queue: VecDeque::new(),
-            verify_leases: HashMap::new(),
-            row_producer: HashMap::new(),
-            quarantined: HashSet::new(),
-            max_quarantined: None,
-            checksum_rejects: 0,
-            rows_verified: 0,
-            verify_mismatches: 0,
-            verify_abandoned: 0,
+            supervise: SuperviseOptions {
+                backoff_base: Duration::from_millis(1),
+                backoff_cap: Duration::from_millis(10),
+                ..SuperviseOptions::default()
+            },
+            ..ServeOptions::default()
         };
+        let campaign =
+            ActiveCampaign::open(&spec, &dir, &hash, expand(&spec), &HashMap::new(), &options)
+                .unwrap();
         (campaign, dir)
     }
 

@@ -235,7 +235,7 @@ pub fn to_table(report: &CampaignReport) -> String {
 /// The streamed rows use exactly the same schema as the final report (the
 /// JSONL lines are compact renderings of the JSON report's `results`
 /// entries; the CSV shares [`to_csv`]'s header), but the *order* is whatever
-/// the thread pool produced — the canonical, byte-stable report is still
+/// order the workers finished rows in — the canonical, byte-stable report is still
 /// written at the end of the run and is the artifact of record.
 ///
 /// Speedup and coverage need the group's baseline run, which may complete
@@ -244,8 +244,8 @@ pub fn to_table(report: &CampaignReport) -> String {
 /// its group, so replaying checkpointed rows through [`StreamingSink::record`]
 /// in index order (what `resume` does) never leaves anything buffered.
 ///
-/// `record` locks an internal mutex, so a `&StreamingSink` can be used
-/// directly from the engine's `on_row` worker-thread callback.
+/// The campaign broker ([`crate::serve`]) owns one per installed campaign
+/// and records each row beside its journal append.
 #[derive(Debug)]
 pub struct StreamingSink {
     paths: ReportPaths,
@@ -311,7 +311,7 @@ impl StreamingSink {
     }
 
     /// Number of rows still waiting for their group baseline. Non-zero only
-    /// when the run was cut short (e.g. `--max-rows`) before a group's
+    /// when the run was cut short (an interrupted process) before a group's
     /// baseline completed — those rows are in the journal and will stream on
     /// resume.
     pub fn pending(&self) -> usize {

@@ -174,12 +174,6 @@ pub fn interrupted() -> bool {
     INTERRUPTED.load(Ordering::SeqCst)
 }
 
-/// Test hook: clears the interrupt flag.
-#[doc(hidden)]
-pub fn reset_interrupt_for_tests() {
-    INTERRUPTED.store(false, Ordering::SeqCst);
-}
-
 /// One shard slot's supervision state.
 enum Slot {
     Running {

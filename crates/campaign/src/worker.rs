@@ -10,8 +10,10 @@
 //! re-expands the spec locally, recomputes the hash (a mismatch is a
 //! terminal error — the two ends disagree about what the campaign *is*),
 //! and generates each distinct (workload, seed) point once per process,
-//! optionally through the same content-addressed artifact cache the local
-//! path uses.
+//! optionally through the content-addressed artifact cache. The decoded
+//! points live in one `PointStore` per process: the worker threads of a
+//! `boomerang-sim run` share it, so a row stolen from another thread's
+//! point never decodes that point again.
 //!
 //! A heartbeat thread shares the socket (writes serialised by a mutex;
 //! heartbeats are the protocol's only fire-and-forget frame, so the session
@@ -19,6 +21,8 @@
 //! reply) and refreshes whichever lease the session currently holds. If the
 //! worker stalls — the injectable `heartbeat-stall` fault, or a real wedge —
 //! the heartbeats stop and the broker's lease timeout reclaims the job.
+//! The session unparks the heartbeat thread when it ends, so a shutdown
+//! never waits out a heartbeat interval.
 //!
 //! Completed rows are transmitted as [`Message::RowDone`] with the stat
 //! counters in canonical journal column order plus the row's `row_fnv`
@@ -42,8 +46,8 @@ use std::io;
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
 /// Connection and pacing policy for one worker process.
 #[derive(Clone, Debug)]
@@ -119,8 +123,40 @@ struct CampaignState {
     run: RunLength,
     jobs: Vec<Job>,
     configs: Vec<sim_core::MicroarchConfig>,
-    /// Generated (workload axis index, seed) points, built lazily.
-    data: HashMap<(usize, u64), WorkloadData>,
+}
+
+/// The decoded workload points of one process, shared by all its worker
+/// threads and keyed by (spec hash, workload axis index, seed). Each point
+/// is decoded once: a thread that asks for a point another thread is still
+/// decoding waits for it. One decode per point also means two threads
+/// never store the same artifact under the same temporary file name.
+#[derive(Default)]
+pub(crate) struct PointStore {
+    points: Mutex<HashMap<(String, usize, u64), PointSlot>>,
+}
+
+/// One point of a [`PointStore`], filled by the first thread to ask.
+type PointSlot = Arc<OnceLock<WorkloadData>>;
+
+impl PointStore {
+    /// The slot of one point, created empty on first request.
+    fn slot(&self, hash: &str, workload: usize, seed: u64) -> PointSlot {
+        let mut points = self.points.lock().expect("point store mutex");
+        Arc::clone(
+            points
+                .entry((hash.to_string(), workload, seed))
+                .or_default(),
+        )
+    }
+}
+
+/// What one worker's sessions share: its options, artifact cache and point
+/// store, and whether it runs inside the broker's process.
+struct Worker<'a> {
+    options: &'a WorkerOptions,
+    cache: &'a Option<ArtifactCache>,
+    points: &'a PointStore,
+    in_process: bool,
 }
 
 /// How a connection session ended.
@@ -145,6 +181,19 @@ enum SessionEnd {
 /// retrying cannot fix either end).
 pub fn run_worker(options: &WorkerOptions) -> Result<WorkerSummary, String> {
     fault::set_worker_shard(options.worker_index);
+    run_worker_in(options, &PointStore::default(), false)
+}
+
+/// [`run_worker`] over a caller's point store. `in_process` marks a worker
+/// thread inside the broker's own process (`boomerang-sim run`): the broker
+/// already counts that process's rows at its journal appends, so such a
+/// thread registers no fault shard and skips the worker-side fault points —
+/// each journaled row advances the fault row counter once.
+pub(crate) fn run_worker_in(
+    options: &WorkerOptions,
+    points: &PointStore,
+    in_process: bool,
+) -> Result<WorkerSummary, String> {
     let cache = match &options.artifact_cache {
         Some(dir) => Some(
             ArtifactCache::open(dir)
@@ -160,7 +209,13 @@ pub fn run_worker(options: &WorkerOptions) -> Result<WorkerSummary, String> {
     loop {
         match TcpStream::connect(&options.connect) {
             Ok(stream) => {
-                match session(stream, options, &cache, &mut campaigns, &mut summary) {
+                let worker = Worker {
+                    options,
+                    cache: &cache,
+                    points,
+                    in_process,
+                };
+                match session(stream, &worker, &mut campaigns, &mut summary) {
                     Ok(SessionEnd::Shutdown(reason)) => {
                         summary.shutdown_reason = reason;
                         return Ok(summary);
@@ -245,11 +300,11 @@ fn parent_pid() -> u64 {
 /// `Err(String)` is terminal (spec skew — reconnecting cannot help).
 fn session(
     stream: TcpStream,
-    options: &WorkerOptions,
-    cache: &Option<ArtifactCache>,
+    worker: &Worker<'_>,
     campaigns: &mut HashMap<String, CampaignState>,
     summary: &mut WorkerSummary,
 ) -> Result<SessionEnd, String> {
+    let options = worker.options;
     let mut reader = stream;
     let _ = reader.set_nodelay(true);
     let _ = reader.set_read_timeout(Some(Duration::from_secs(60)));
@@ -279,8 +334,8 @@ fn session(
 
     // The heartbeat thread refreshes whatever lease the session currently
     // holds (0 = none). It dies with the connection: any write error or the
-    // stop flag ends it, and `hb_stop` is always set before this function
-    // returns.
+    // stop flag ends it, and `hb_stop` is always set — and the thread
+    // unparked from its wait — before this function returns.
     let current_lease = Arc::new(AtomicU64::new(0));
     let hb_stop = Arc::new(AtomicBool::new(false));
     let hb_handle = {
@@ -290,7 +345,13 @@ fn session(
         let interval = options.heartbeat;
         std::thread::spawn(move || {
             while !hb_stop.load(Ordering::Relaxed) {
-                std::thread::sleep(interval);
+                let due = Instant::now() + interval;
+                while !hb_stop.load(Ordering::Relaxed) {
+                    let Some(left) = due.checked_duration_since(Instant::now()) else {
+                        break;
+                    };
+                    std::thread::park_timeout(left);
+                }
                 let lease = current_lease.load(Ordering::Relaxed);
                 if lease == 0 || hb_stop.load(Ordering::Relaxed) {
                     continue;
@@ -310,14 +371,14 @@ fn session(
         &mut reader,
         &writer,
         &current_lease,
-        options,
-        cache,
+        worker,
         campaigns,
         summary,
     );
     hb_stop.store(true, Ordering::Relaxed);
     current_lease.store(0, Ordering::Relaxed);
     let _ = reader.shutdown(std::net::Shutdown::Both);
+    hb_handle.thread().unpark();
     let _ = hb_handle.join();
     result
 }
@@ -342,11 +403,11 @@ fn lease_loop(
     reader: &mut TcpStream,
     writer: &Arc<Mutex<TcpStream>>,
     current_lease: &AtomicU64,
-    options: &WorkerOptions,
-    cache: &Option<ArtifactCache>,
+    worker: &Worker<'_>,
     campaigns: &mut HashMap<String, CampaignState>,
     summary: &mut WorkerSummary,
 ) -> Result<SessionEnd, String> {
+    let options = worker.options;
     macro_rules! send {
         ($msg:expr) => {
             if let Err(e) = write_message(&mut *lock_writer(writer)?, $msg) {
@@ -389,7 +450,7 @@ fn lease_loop(
                 spec_toml,
             } => {
                 summary.leases += 1;
-                if fault::stall_this_lease() {
+                if !worker.in_process && fault::stall_this_lease() {
                     // The injected wedge: heartbeats stop (lease stays 0),
                     // the process stays alive, the broker's lease timeout
                     // must reclaim the job.
@@ -415,8 +476,12 @@ fn lease_loop(
                     )));
                 }
                 let leased = state.jobs[job_index];
-                let stats = run_row(state, &leased, cache, options, summary);
-                let row_faults = fault::on_worker_row();
+                let stats = run_row(state, &wanted_hash, &leased, worker, summary);
+                let row_faults = if worker.in_process {
+                    fault::RowFaults::default()
+                } else {
+                    fault::on_worker_row()
+                };
                 let mechanism = mechanism_token(leased.mechanism).to_string();
                 let mut values = stats_to_array(&stats).to_vec();
                 let row_fnv = row_checksum(job_index, &mechanism, leased.seed, &values);
@@ -536,7 +601,6 @@ fn campaign_state<'a>(
                 run,
                 jobs,
                 configs,
-                data: HashMap::new(),
             },
         );
     }
@@ -547,37 +611,37 @@ fn campaign_state<'a>(
         .ok_or_else(|| "internal error: campaign state missing after insert".to_string())
 }
 
-/// Runs one row, generating (or cache-loading) its workload point on first
-/// use — the same per-point recipe as the local engine, so the stats are
-/// bit-identical to an in-process run. A rejected or unstorable artifact is
-/// warned about whatever `--quiet` says, as `run` does.
+/// Runs one row, generating (or cache-loading) its workload point in the
+/// process's point store on first use — the same per-point recipe as the
+/// in-memory engine, so the stats are bit-identical to an in-process run.
+/// The thread that decodes a point counts it in its summary. A rejected or
+/// unstorable artifact is warned about whatever `--quiet` says.
 fn run_row(
-    state: &mut CampaignState,
+    state: &CampaignState,
+    hash: &str,
     job: &Job,
-    cache: &Option<ArtifactCache>,
-    options: &WorkerOptions,
+    worker: &Worker<'_>,
     summary: &mut WorkerSummary,
 ) -> frontend::SimStats {
-    let key = (job.workload, job.seed);
-    if !state.data.contains_key(&key) {
+    let slot = worker.points.slot(hash, job.workload, job.seed);
+    let data = slot.get_or_init(|| {
         let (data, cache_hit, warnings) = load_point(
             &state.spec,
             job.workload,
             job.seed,
             state.run,
-            cache.as_ref(),
+            worker.cache.as_ref(),
         );
         for warning in warnings {
-            eprintln!("worker {}: warning: {warning}", options.worker_index);
+            eprintln!("worker {}: warning: {warning}", worker.options.worker_index);
         }
         if cache_hit {
             summary.cache_hits += 1;
         } else {
             summary.generated += 1;
         }
-        state.data.insert(key, data);
-    }
-    let data = &state.data[&key];
+        data
+    });
     data.run_with_predictor(
         job.mechanism,
         &state.configs[job.config],

@@ -518,12 +518,12 @@ fn concurrent_cache_writers_leave_a_fully_loadable_cache() {
 }
 
 /// Journal bitrot: a fault point flips one byte of a row line *after* its
-/// `row_fnv` was computed — the writer cannot notice. The run itself
-/// completes (its in-memory stats are true), but every later consumer of
-/// the journal must reject the damaged row: `verify` fails the audit, and
-/// `--resume` refuses with an error naming the file, line and checksums.
-/// `--force` starts over and reproduces the reference bytes, after which
-/// the audit passes again.
+/// `row_fnv` was computed — the writer cannot notice. Every consumer of the
+/// journal must reject the damaged row: the run's own collect step (which
+/// assembles the report from the journal) fails naming the file, line and
+/// checksums and publishes no report, `verify` fails the audit, and
+/// `--resume` refuses the same way. `--force` starts over and reproduces
+/// the reference bytes, after which the audit passes again.
 #[test]
 fn journal_bitrot_is_caught_by_verify_and_resume_and_force_recovers() {
     let dir = temp_dir("bitrot");
@@ -545,10 +545,15 @@ fn journal_bitrot_is_caught_by_verify_and_resume_and_force_recovers() {
     };
 
     let output = run(&["--fault-inject", "journal-bitrot:after-rows=2"]);
+    let stderr = stderr_of(&output);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
     assert!(
-        output.status.success(),
-        "bitrot is silent at write time: {}",
-        stderr_of(&output)
+        stderr.contains("row_fnv") && stderr.contains(".journal.jsonl:3"),
+        "collecting the damaged journal must name the file, line and checksum: {stderr}"
+    );
+    assert!(
+        !out.join("chaos-mini.json").exists(),
+        "no report may be published from a damaged journal"
     );
 
     // The offline audit catches the damage and names it.

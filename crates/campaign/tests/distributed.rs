@@ -613,3 +613,35 @@ warmup_blocks = 400
         std::fs::remove_dir_all(dir).unwrap();
     }
 }
+
+/// A clean shutdown never waits out a heartbeat interval: a worker that
+/// heartbeats every 5 s still exits within a second of the broker
+/// finishing, because ending the session wakes its heartbeat thread.
+#[test]
+fn worker_exits_promptly_when_the_broker_finishes() {
+    let reference = clean_reference("hb-exit", MINI_SPEC, "dist-mini");
+    let (broker, spool, out, addr) = spawn_broker("hb-exit", MINI_SPEC, &["--workers", "0"]);
+    let mut worker = spawn_worker(&addr, 0, &["--heartbeat-ms", "5000"]);
+    let output = broker.wait_with_output().unwrap();
+    let finished = Instant::now();
+    assert!(output.status.success(), "{}", stderr_of(&output));
+    let exited = loop {
+        if let Some(status) = worker.try_wait().unwrap() {
+            break Some(status);
+        }
+        if finished.elapsed() >= Duration::from_secs(1) {
+            break None;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let Some(status) = exited else {
+        let _ = worker.kill();
+        let _ = worker.wait();
+        panic!("the worker was still running 1 s after the broker finished");
+    };
+    assert!(status.success(), "{status}");
+    assert_report_matches(&out, "dist-mini", &reference);
+    for dir in [spool, out] {
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+}

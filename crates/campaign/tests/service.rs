@@ -1,26 +1,20 @@
 //! End-to-end tests of the campaign service layer: checkpointed
-//! interruption + resume (in-process and through the binary), the
-//! content-addressed artifact cache across processes, the spec-hash
-//! directory guard, and the spool-directory serve mode.
+//! interruption + resume through the binary, the content-addressed artifact
+//! cache across processes, the spec-hash directory guard, and the
+//! spool-directory serve mode.
 //!
 //! The invariant under test everywhere: reports are a pure function of the
 //! spec. However a campaign is cut up — killed and resumed, spread over
 //! worker processes, replayed from journals — the merged JSON and CSV bytes
 //! must equal an uninterrupted run's.
 
-use boomerang::RunLength;
-use campaign::checkpoint::{spec_hash, Journal, JournalReplay};
-use campaign::{
-    assemble_report, expand, fnv1a64, presets, run_campaign, run_generated_partial, to_csv,
-    to_json, CampaignSpec, EngineOptions, RunPlan,
-};
-use frontend::SimStats;
-use std::collections::HashMap;
+use campaign::{fnv1a64, run_campaign, to_csv, to_json, CampaignSpec, EngineOptions};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 const GOLDEN: &str = include_str!("golden/figure9-smoke.json");
 const BIN: &str = env!("CARGO_BIN_EXE_boomerang-sim");
+const FAULT_EXIT: i32 = campaign::FAULT_EXIT_CODE;
 
 const MINI_SPEC: &str = "name = \"service-mini\"
 workloads = [\"nutch\", \"zeus\"]
@@ -39,55 +33,57 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Runs a campaign the way the binary does under repeated kills: each
-/// "process life" replays the journal, executes at most `chunk` missing
-/// rows while checkpointing them, and dies. The last life assembles the
-/// report. Returns the rendered (JSON, CSV).
+/// Rows in campaign `name`'s journal in `dir` (the header line excluded).
+fn journal_rows(dir: &Path, name: &str) -> usize {
+    let path = dir.join(format!("{name}.journal.jsonl"));
+    std::fs::read_to_string(path).map_or(0, |text| text.lines().count().saturating_sub(1))
+}
+
+/// Runs campaign `name` (the spec given by `spec_args`) through the binary
+/// under repeated kills: every life runs `--resume` with an injected
+/// `worker-exit` after `chunk` more rows, so it exits 113 with exactly
+/// `chunk` more rows journaled, until a life finishes the campaign and
+/// writes the report. Returns the rendered (JSON, CSV) bytes.
 fn run_interrupted(
-    spec: &CampaignSpec,
-    options: &EngineOptions,
+    spec_args: &[&str],
+    name: &str,
+    jobs: usize,
     chunk: usize,
     dir: &Path,
 ) -> (String, String) {
-    let run = if options.smoke {
-        RunLength::smoke_test()
-    } else {
-        spec.run
-    };
-    let hash = spec_hash(spec, run, options.smoke);
-    let jobs = expand(spec);
-    let mut lives = 0;
-    loop {
-        lives += 1;
+    let plan = format!("worker-exit:after-rows={chunk}");
+    let jobs = jobs.to_string();
+    for lives in 1.. {
         assert!(lives < 100, "resume loop did not converge");
-        // A fresh "process": everything below rebuilds from disk state only.
-        let done: HashMap<usize, SimStats> = JournalReplay::load(dir, &spec.name, &hash, &jobs)
-            .expect("journal replays")
-            .rows;
-        if done.len() == jobs.len() {
-            let stats: Vec<SimStats> = (0..jobs.len()).map(|i| done[&i]).collect();
-            let report = assemble_report(spec, &jobs, run, options.smoke, stats);
-            return (to_json(&report), to_csv(&report));
+        let before = journal_rows(dir, name);
+        let output = Command::new(BIN)
+            .arg("run")
+            .args(spec_args)
+            .args([
+                "--jobs",
+                &jobs,
+                "--quiet",
+                "--resume",
+                "--fault-inject",
+                &plan,
+            ])
+            .arg("--out")
+            .arg(dir)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        if output.status.success() {
+            break;
         }
-        let journal = if Journal::path_for(dir, &spec.name, None).exists() {
-            Journal::append(dir, &spec.name, None)
-        } else {
-            Journal::create(dir, &spec.name, &hash, jobs.len(), None)
-        }
-        .expect("journal opens");
-        let generated = campaign::generate_workloads(spec, options).expect("generation");
-        let on_row = |job: &campaign::Job, stats: &SimStats| {
-            journal.record(job, stats).expect("checkpoint write");
-        };
-        run_generated_partial(
-            spec,
-            options,
-            &generated,
-            &done,
-            RunPlan { limit: Some(chunk) },
-            Some(&on_row),
+        assert_eq!(output.status.code(), Some(FAULT_EXIT), "{stderr}");
+        assert_eq!(
+            journal_rows(dir, name),
+            before + chunk,
+            "an interrupted life must journal exactly {chunk} rows: {stderr}"
         );
     }
+    let read = |ext: &str| std::fs::read_to_string(dir.join(format!("{name}.{ext}"))).unwrap();
+    (read("json"), read("csv"))
 }
 
 #[test]
@@ -95,38 +91,38 @@ fn killed_and_resumed_campaigns_render_identical_bytes_for_any_worker_count() {
     let spec = CampaignSpec::from_toml_str(MINI_SPEC).unwrap();
     let reference = run_campaign(&spec, &EngineOptions::default()).unwrap();
     let (ref_json, ref_csv) = (to_json(&reference), to_csv(&reference));
+    let spec_file = temp_dir("kill-spec").join("mini.toml");
+    std::fs::write(&spec_file, MINI_SPEC).unwrap();
 
     for jobs in [1usize, 2, 5] {
         let dir = temp_dir(&format!("kill-{jobs}"));
-        let options = EngineOptions {
+        // Chunk of 3: the 12-job campaign dies four times, then a fifth
+        // life finds every row journaled and writes the report.
+        let (json, csv) = run_interrupted(
+            &[spec_file.to_str().unwrap()],
+            "service-mini",
             jobs,
-            ..EngineOptions::default()
-        };
-        // Chunk of 3: the 24-job campaign dies and resumes 8 times.
-        let (json, csv) = run_interrupted(&spec, &options, 3, &dir);
+            3,
+            &dir,
+        );
         assert_eq!(json, ref_json, "JSON drifted at --jobs {jobs}");
         assert_eq!(csv, ref_csv, "CSV drifted at --jobs {jobs}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
+    std::fs::remove_dir_all(spec_file.parent().unwrap()).unwrap();
 }
 
 #[test]
 fn figure9_smoke_golden_bytes_survive_kill_and_resume() {
-    let spec = presets::find("figure9").unwrap();
     let dir = temp_dir("golden-resume");
-    let options = EngineOptions {
-        jobs: 3,
-        smoke: true,
-        ..EngineOptions::default()
-    };
-    let (json, _) = run_interrupted(&spec, &options, 10, &dir);
+    let (json, _) = run_interrupted(&["--preset", "figure9", "--smoke"], "figure9", 3, 10, &dir);
     assert_eq!(
         json, GOLDEN,
         "figure9 --smoke bytes drifted through the checkpoint/resume path"
     );
-    // The smoke digest the bench baseline pins, reproduced through the new
-    // path (the full-length digest fnv1a64:64a84925f89018ba is pinned the
-    // same way by the committed BENCH_PR6.json entries).
+    // The smoke digest the bench baseline pins, reproduced through the
+    // interrupted path (the full-length digest fnv1a64:64a84925f89018ba is
+    // pinned the same way by the committed BENCH_PR6.json entries).
     assert_eq!(
         format!("fnv1a64:{:016x}", fnv1a64(json.as_bytes())),
         "fnv1a64:12d5c5644373b35b"
@@ -155,8 +151,10 @@ fn binary_interrupts_and_resumes_to_identical_reports() {
         .unwrap();
     assert!(status.success());
 
-    // Three interrupted lives, then a resume that finishes the campaign.
-    for _ in 0..3 {
+    // Two interrupted lives of 5 rows each, then a resume that finishes the
+    // campaign. Each life exits 113 with exactly 5 more rows journaled: the
+    // process counts each row once, at its journal append.
+    for life in 1..=2 {
         let status = Command::new(BIN)
             .args([
                 "run",
@@ -165,14 +163,16 @@ fn binary_interrupts_and_resumes_to_identical_reports() {
                 "2",
                 "--quiet",
                 "--resume",
-                "--max-rows",
-                "5",
+                "--fault-inject",
+                "worker-exit:after-rows=5",
                 "--out",
             ])
             .arg(&resumed)
             .status()
             .unwrap();
-        assert!(status.success());
+        assert_eq!(status.code(), Some(FAULT_EXIT));
+        assert_eq!(journal_rows(&resumed, "service-mini"), 5 * life);
+        assert!(!resumed.join("service-mini.json").exists());
     }
     let status = Command::new(BIN)
         .args([
