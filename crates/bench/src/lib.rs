@@ -1,10 +1,9 @@
-//! Shared helpers for the benchmark harness that regenerates the paper's
+//! Shared helpers for the figure binaries that regenerate the paper's
 //! tables and figures.
 //!
-//! Each figure has a dedicated binary in `src/bin/` (see DESIGN.md for the
-//! experiment index); they share the workload-generation and table-printing
-//! helpers defined here. Criterion micro-benchmarks of the hot simulator
-//! paths live in `benches/`.
+//! Figures without a campaign preset have a dedicated binary in `src/bin/`;
+//! they share the workload-generation and table-printing helpers defined
+//! here. Figures 9 and 11 are `boomerang-sim run --preset figure9|figure11`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -16,25 +15,32 @@ use workloads::WorkloadKind;
 /// Run length used by the figure binaries. Override the number of measured
 /// blocks with the `BOOMERANG_BLOCKS` environment variable (e.g.
 /// `BOOMERANG_BLOCKS=20000` for a quick smoke run).
+pub fn run_length() -> RunLength {
+    run_length_from(std::env::var("BOOMERANG_BLOCKS").ok().as_deref())
+}
+
+/// The run length a `BOOMERANG_BLOCKS` value selects: `None` is the paper
+/// default, a block count is floored at 1000 measured and 500 warmup
+/// blocks, with warmup one sixth of the measured blocks above the floor.
 ///
 /// An unparseable value is reported on stderr and ignored rather than
 /// silently falling back to the paper-length run.
-pub fn run_length() -> RunLength {
-    match std::env::var("BOOMERANG_BLOCKS") {
-        Ok(raw) => match raw.parse::<usize>() {
-            Ok(blocks) => RunLength {
-                trace_blocks: blocks.max(1_000),
-                warmup_blocks: (blocks / 6).max(500),
-            },
-            Err(err) => {
-                eprintln!(
-                    "warning: ignoring unparseable BOOMERANG_BLOCKS={raw:?} ({err}); \
-                     using the paper-default run length"
-                );
-                RunLength::paper_default()
-            }
+fn run_length_from(blocks: Option<&str>) -> RunLength {
+    let Some(raw) = blocks else {
+        return RunLength::paper_default();
+    };
+    match raw.parse::<usize>() {
+        Ok(blocks) => RunLength {
+            trace_blocks: blocks.max(1_000),
+            warmup_blocks: (blocks / 6).max(500),
         },
-        Err(_) => RunLength::paper_default(),
+        Err(err) => {
+            eprintln!(
+                "warning: ignoring unparseable BOOMERANG_BLOCKS={raw:?} ({err}); \
+                 using the paper-default run length"
+            );
+            RunLength::paper_default()
+        }
     }
 }
 
@@ -88,10 +94,14 @@ mod tests {
 
     #[test]
     fn run_length_env_override_floor() {
-        // Without the env var the default is the paper length.
-        if std::env::var("BOOMERANG_BLOCKS").is_err() {
-            assert_eq!(run_length(), RunLength::paper_default());
-        }
+        let blocks = |trace_blocks, warmup_blocks| RunLength {
+            trace_blocks,
+            warmup_blocks,
+        };
+        assert_eq!(run_length_from(None), RunLength::paper_default());
+        assert_eq!(run_length_from(Some("10")), blocks(1_000, 500));
+        assert_eq!(run_length_from(Some("20000")), blocks(20_000, 3_333));
+        assert_eq!(run_length_from(Some("abc")), RunLength::paper_default());
     }
 
     #[test]

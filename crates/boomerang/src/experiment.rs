@@ -4,7 +4,8 @@
 //! The harness fixes the three ingredients of every experiment — a workload
 //! ([`WorkloadData`]), a control-flow-delivery mechanism ([`Mechanism`]) and a
 //! microarchitectural configuration — and runs the front-end simulator over
-//! them, optionally in parallel across the six workloads.
+//! them. Matrices of such cells run in parallel through the `campaign`
+//! crate.
 
 use crate::dispatch::AnyMechanism;
 use crate::mechanism::{Boomerang, ThrottlePolicy};
@@ -214,14 +215,6 @@ impl WorkloadData {
         }
     }
 
-    /// Generates all six paper workloads (in paper order).
-    pub fn generate_all(length: RunLength) -> Vec<WorkloadData> {
-        WorkloadKind::ALL
-            .iter()
-            .map(|&kind| WorkloadData::generate(kind, length))
-            .collect()
-    }
-
     /// Runs `mechanism` over this workload under `config` with the TAGE
     /// predictor.
     pub fn run(&self, mechanism: Mechanism, config: &MicroarchConfig) -> SimStats {
@@ -263,57 +256,6 @@ impl WorkloadData {
     }
 }
 
-/// Result of one (workload, mechanism) cell of a figure.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct CellResult {
-    /// Workload name.
-    pub workload: String,
-    /// Mechanism label.
-    pub mechanism: String,
-    /// Raw simulation statistics.
-    pub stats: SimStats,
-    /// Baseline (no-prefetch) statistics for the same workload and config.
-    pub baseline: SimStats,
-}
-
-impl CellResult {
-    /// Speedup over the no-prefetch baseline.
-    pub fn speedup(&self) -> f64 {
-        self.stats.speedup_vs(&self.baseline)
-    }
-
-    /// Front-end stall-cycle coverage over the no-prefetch baseline.
-    pub fn coverage(&self) -> f64 {
-        self.stats.stall_coverage_vs(&self.baseline)
-    }
-}
-
-/// Runs `mechanisms` over every workload in `workloads` under `config`,
-/// returning one [`CellResult`] per (workload, mechanism) pair. Execution is
-/// sharded across the [`sim_core::pool`] work-stealing pool, one task per
-/// workload, so heavyweight workloads re-balance across idle cores instead of
-/// serialising the sweep.
-pub fn run_matrix(
-    workloads: &[WorkloadData],
-    mechanisms: &[Mechanism],
-    config: &MicroarchConfig,
-) -> Vec<CellResult> {
-    let per_workload =
-        sim_core::pool::run_indexed(sim_core::pool::default_workers(), workloads, |_, data| {
-            let baseline = data.run(Mechanism::Baseline, config);
-            mechanisms
-                .iter()
-                .map(|&m| CellResult {
-                    workload: data.kind.name().to_string(),
-                    mechanism: m.label().to_string(),
-                    stats: data.run(m, config),
-                    baseline,
-                })
-                .collect::<Vec<_>>()
-        });
-    per_workload.into_iter().flatten().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,29 +283,5 @@ mod tests {
         let smoke = RunLength::smoke_test();
         assert!(paper.trace_blocks > smoke.trace_blocks);
         assert_eq!(RunLength::default(), paper);
-    }
-
-    #[test]
-    fn cell_result_derived_metrics() {
-        let baseline = SimStats {
-            instructions: 1000,
-            cycles: 2000,
-            fetch_stall_cycles: 500,
-            ..SimStats::default()
-        };
-        let stats = SimStats {
-            instructions: 1000,
-            cycles: 1600,
-            fetch_stall_cycles: 100,
-            ..SimStats::default()
-        };
-        let cell = CellResult {
-            workload: "Nutch".into(),
-            mechanism: "Boomerang".into(),
-            stats,
-            baseline,
-        };
-        assert!((cell.speedup() - 1.25).abs() < 1e-12);
-        assert!((cell.coverage() - 0.8).abs() < 1e-12);
     }
 }

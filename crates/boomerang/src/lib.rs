@@ -15,9 +15,9 @@
 //! This crate is the top-level library of the reproduction:
 //!
 //! * [`Boomerang`] / [`ThrottlePolicy`] — the mechanism itself (§IV),
-//! * [`Mechanism`], [`WorkloadData`], [`run_matrix`] — the experiment API
-//!   used by the examples and the benchmark harness to regenerate every
-//!   figure,
+//! * [`Mechanism`], [`WorkloadData`], [`RunLength`] — the experiment API
+//!   the campaign crate, the examples and the figure binaries run every
+//!   cell through,
 //! * [`storage`] — the §VI-D storage/complexity comparison.
 //!
 //! The substrates live in their own crates: synthetic server workloads
@@ -54,7 +54,7 @@ pub mod mechanism;
 pub mod storage;
 
 pub use dispatch::AnyMechanism;
-pub use experiment::{run_matrix, CellResult, Mechanism, RunLength, WorkloadData};
+pub use experiment::{Mechanism, RunLength, WorkloadData};
 pub use mechanism::{Boomerang, ThrottlePolicy};
 
 // Re-export the substrate crates so downstream users (and the examples) can

@@ -38,7 +38,7 @@
 //! concurrent worker processes racing to fill the same cache entry are safe:
 //! both write identical bytes and the losing rename simply overwrites.
 
-use crate::bench::fnv1a64;
+use crate::checkpoint::fnv1a64;
 use boomerang::{RunLength, WorkloadData};
 use std::fmt;
 use std::fs;

@@ -8,7 +8,6 @@
 //! boomerang-sim serve --spool DIR --listen ADDR [--workers N] [...]
 //! boomerang-sim worker --connect ADDR [--worker-index N] [...]
 //! boomerang-sim verify DIR [--spec FILE] [--recompute N] [...]
-//! boomerang-sim bench [--preset <name>]... [--smoke] [--check FILE]
 //! boomerang-sim list-presets
 //! ```
 
@@ -17,8 +16,7 @@ use campaign::checkpoint::{spec_hash, Journal, JournalReplay};
 use campaign::serve::{run_local, serve, ServeOptions, SubmissionStatus};
 use campaign::supervise::install_interrupt_handler;
 use campaign::{
-    fault, presets, run_worker, verify_dir, BenchOptions, CampaignSpec, FaultPlan, VerifyOptions,
-    WorkerOptions,
+    fault, presets, run_worker, verify_dir, CampaignSpec, FaultPlan, VerifyOptions, WorkerOptions,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -47,7 +45,6 @@ USAGE:
     boomerang-sim serve --spool <DIR> [SERVE OPTIONS]
     boomerang-sim worker --connect <ADDR> [WORKER OPTIONS]
     boomerang-sim verify <DIR> [VERIFY OPTIONS]
-    boomerang-sim bench [BENCH OPTIONS]
     boomerang-sim list-presets
 
 OPTIONS:
@@ -164,18 +161,6 @@ EXIT CODES:
        results faster than the operator allowed
     (a worker exits 0 on a clean broker-driven shutdown, 1 on a terminal
     error: spec hash skew or an exhausted reconnect budget)
-
-BENCH OPTIONS (see README \"Performance\"):
-    --preset <name>   Benchmark this preset (repeatable; default: figure9)
-    --jobs <N>        Worker threads (default: all cores)
-    --smoke           Benchmark only smoke-length entries (the CI mode)
-    --full            Benchmark only full-length entries
-    --iterations <K>  Timed simulation iterations (default: 3)
-    --out <FILE>      Bench report path (default: bench-out/bench.json; pass
-                      BENCH_PR<n>.json explicitly to (re)write a committed
-                      trajectory baseline)
-    --check <FILE>    Fail if deterministic fields drift from this baseline
-    --quiet           Suppress the summary table
 ";
 
 fn main() -> ExitCode {
@@ -229,7 +214,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         Some("serve") => serve_command(&args[1..]),
         Some("worker") => worker_command(&args[1..]),
         Some("verify") => verify_command(&args[1..]),
-        Some("bench") => bench_command(&args[1..]),
         Some(other) => Err(format!("unknown command `{other}`\n\n{USAGE}")),
     }
 }
@@ -245,90 +229,6 @@ fn custom_axis_labels(spec: &CampaignSpec) -> Option<String> {
             .collect::<Vec<_>>()
             .join(", ")
     })
-}
-
-fn bench_command(args: &[String]) -> Result<ExitCode, String> {
-    let mut options = BenchOptions {
-        presets: Vec::new(),
-        ..BenchOptions::default()
-    };
-    // Deliberately NOT the committed BENCH_PR<n>.json baseline: casual bench
-    // runs must not silently rewrite the repo's perf trajectory.
-    let mut out = PathBuf::from("bench-out/bench.json");
-    let mut check: Option<PathBuf> = None;
-    let mut quiet = false;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--preset" => {
-                let name = it.next().ok_or("--preset needs a name")?;
-                options.presets.push(name.clone());
-            }
-            "--jobs" => {
-                let n = it.next().ok_or("--jobs needs a count")?;
-                options.jobs = n
-                    .parse::<usize>()
-                    .map_err(|_| format!("bad --jobs value `{n}`"))?;
-                if options.jobs == 0 {
-                    return Err("--jobs must be at least 1".into());
-                }
-            }
-            "--smoke" => options.smoke_only = true,
-            "--full" => options.full_only = true,
-            "--iterations" => {
-                let n = it.next().ok_or("--iterations needs a count")?;
-                // Zero is rejected by `run_bench`, which owns the check.
-                options.iterations = n
-                    .parse::<usize>()
-                    .map_err(|_| format!("bad --iterations value `{n}`"))?;
-            }
-            "--out" => {
-                let path = it.next().ok_or("--out needs a file path")?;
-                out = PathBuf::from(path);
-            }
-            "--check" => {
-                let path = it.next().ok_or("--check needs a file path")?;
-                check = Some(PathBuf::from(path));
-            }
-            "--quiet" => quiet = true,
-            "-h" | "--help" => {
-                print!("{USAGE}");
-                return Ok(ExitCode::SUCCESS);
-            }
-            other => {
-                return Err(format!("unknown bench option `{other}`\n\n{USAGE}"));
-            }
-        }
-    }
-    if options.presets.is_empty() {
-        options.presets = BenchOptions::default().presets;
-    }
-
-    let report = campaign::run_bench(&options)?;
-    let json = campaign::bench_to_json(&report);
-    if let Some(parent) = out.parent().filter(|p| !p.as_os_str().is_empty()) {
-        std::fs::create_dir_all(parent)
-            .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
-    }
-    std::fs::write(&out, &json).map_err(|e| format!("cannot write {}: {e}", out.display()))?;
-    if !quiet {
-        print!("{}", campaign::bench_to_table(&report));
-        eprintln!("\nwrote {}", out.display());
-    }
-    if let Some(baseline_path) = check {
-        let baseline = std::fs::read_to_string(&baseline_path)
-            .map_err(|e| format!("cannot read {}: {e}", baseline_path.display()))?;
-        campaign::check_against(&baseline, &report)
-            .map_err(|e| format!("bench drift against {}:\n{e}", baseline_path.display()))?;
-        if !quiet {
-            eprintln!(
-                "deterministic fields match the committed baseline {}",
-                baseline_path.display()
-            );
-        }
-    }
-    Ok(ExitCode::SUCCESS)
 }
 
 fn serve_command(args: &[String]) -> Result<ExitCode, String> {
@@ -815,8 +715,20 @@ fn run_command(args: &[String], command_resume: bool) -> Result<ExitCode, String
         }
     }
     if force {
+        // Starting over clears the old campaign's reports with its journal,
+        // so a forced run that is then interrupted never leaves a stale
+        // complete report beside its own partial journal.
         Journal::remove_all(&out_dir, &spec.name)
             .map_err(|e| format!("cannot clear {}: {e}", out_dir.display()))?;
+        for ext in ["json", "csv"] {
+            let report = out_dir.join(format!("{}.{ext}", spec.name));
+            match std::fs::remove_file(&report) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                    return Err(format!("cannot clear {}: {e}", report.display()));
+                }
+                _ => {}
+            }
+        }
     }
 
     if !quiet {

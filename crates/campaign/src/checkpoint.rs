@@ -29,7 +29,6 @@
 //! replay; corruption anywhere else is an error. Replay and the offline
 //! auditor ([`crate::verify`]) read a journal through one scanner.
 
-use crate::bench::fnv1a64;
 use crate::expand::Job;
 use crate::fault;
 use crate::json::Json;
@@ -96,6 +95,19 @@ impl fmt::Display for CheckpointError {
 }
 
 impl std::error::Error for CheckpointError {}
+
+/// FNV-1a 64-bit digest: the one checksum of the campaign crate. Besides
+/// [`spec_hash`] and every row's `row_fnv`, it checks frame trailers
+/// ([`crate::proto`]) and artifact payloads ([`crate::artifact`]), and seeds
+/// the row samplers of `serve --verify-fraction` and [`crate::verify`].
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= b as u64;
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
 
 /// Content hash identifying a (spec, run length, smoke) triple.
 ///
@@ -852,6 +864,14 @@ fn utf8_len(first: u8) -> Option<usize> {
 mod tests {
     use super::*;
     use crate::spec::CampaignSpec;
+
+    #[test]
+    fn fnv_digest_is_the_reference_constant() {
+        // Standard FNV-1a test vectors.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =

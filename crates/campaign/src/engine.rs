@@ -120,25 +120,19 @@ pub struct GenerationSummary {
 }
 
 /// The output of the campaign's generation phase: the expanded job list plus
-/// every distinct (workload axis point, seed) generated once. Reusable
-/// across multiple [`run_generated`] calls, so the bench harness can time
-/// generation and simulation separately and re-simulate without
-/// regenerating.
+/// every distinct (workload axis point, seed) generated once, which
+/// [`run_campaign`] then simulates. Callers that drive the simulation
+/// themselves (per-row timing, alternative engines) read the jobs and each
+/// point's data through the accessors.
 pub struct GeneratedWorkloads {
     jobs: Vec<Job>,
     keys: Vec<(usize, u64)>,
     data: Vec<WorkloadData>,
     run: RunLength,
-    smoke: bool,
     summary: GenerationSummary,
 }
 
 impl GeneratedWorkloads {
-    /// Number of distinct generated (workload, seed) points.
-    pub fn workload_count(&self) -> usize {
-        self.data.len()
-    }
-
     /// The expanded jobs, in canonical order.
     pub fn jobs(&self) -> &[Job] {
         &self.jobs
@@ -223,7 +217,6 @@ pub fn generate_workloads(
         keys,
         data,
         run,
-        smoke: options.smoke,
         summary,
     })
 }
@@ -266,7 +259,10 @@ pub(crate) fn load_point(
     (data, false, warnings)
 }
 
-/// Runs a campaign to completion.
+/// Runs a campaign to completion: generates its workloads (see
+/// [`generate_workloads`]), then simulates every job as one pool task, so
+/// the work-stealing deques balance skewed row costs, and aggregates the
+/// rows with [`assemble_report`].
 ///
 /// # Errors
 ///
@@ -278,22 +274,6 @@ pub fn run_campaign(
     options: &EngineOptions,
 ) -> Result<CampaignReport, SpecError> {
     let generated = generate_workloads(spec, options)?;
-    Ok(run_generated(spec, options, &generated))
-}
-
-/// The campaign's simulation + aggregation phases over already-generated
-/// workloads (see [`generate_workloads`]): every job is one pool task, so the
-/// work-stealing deques balance skewed row costs. Pure with respect to
-/// `generated`: re-running produces the identical report. The report's run
-/// length and smoke flag come from `generated` (the options that produced
-/// the workloads), so a caller passing different `options.smoke` cannot
-/// create a self-inconsistent report; `options` only supplies the worker
-/// count here.
-pub fn run_generated(
-    spec: &CampaignSpec,
-    options: &EngineOptions,
-    generated: &GeneratedWorkloads,
-) -> CampaignReport {
     let workers = if options.jobs == 0 {
         pool::default_workers()
     } else {
@@ -306,7 +286,13 @@ pub fn run_generated(
             .expect("every job's point was generated");
         data.run_with_predictor(job.mechanism, &configs[job.config], spec.predictor)
     });
-    assemble_report(spec, &generated.jobs, generated.run, generated.smoke, stats)
+    Ok(assemble_report(
+        spec,
+        &generated.jobs,
+        generated.run,
+        options.smoke,
+        stats,
+    ))
 }
 
 /// The campaign's aggregation phase: joins each job's statistics with its

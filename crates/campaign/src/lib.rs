@@ -19,7 +19,9 @@
 //! `boomerang-sim list-presets`. Its `run` and `serve` commands execute a
 //! campaign through one journaled path, the lease broker of [`serve`]
 //! ([`serve::run_local`] for `run`). The paper's figure matrices ship as
-//! embedded [`presets`].
+//! embedded [`presets`]. Spec hashes, row and frame checksums and artifact
+//! payload checks all use one digest, [`fnv1a64`], defined in
+//! [`checkpoint`].
 //!
 //! # Example
 //!
@@ -46,7 +48,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod artifact;
-pub mod bench;
 pub mod checkpoint;
 pub mod engine;
 pub mod expand;
@@ -63,15 +64,11 @@ pub mod verify;
 pub mod worker;
 
 pub use artifact::{artifact_key, ArtifactCache, ArtifactError, ARTIFACT_FORMAT, ARTIFACT_MAGIC};
-pub use bench::{
-    bench_to_json, bench_to_table, check_against, fnv1a64, run_bench, BenchEntry, BenchOptions,
-    BenchReport,
-};
-pub use checkpoint::{spec_hash, CheckpointError, Journal, JournalReplay, JOURNAL_FORMAT};
+pub use checkpoint::{fnv1a64, spec_hash, CheckpointError, Journal, JournalReplay, JOURNAL_FORMAT};
 pub use engine::{
     assemble_partial_report, assemble_report, derive_seed, generate_workloads, run_campaign,
-    run_generated, CampaignReport, EngineOptions, GeneratedWorkloads, GenerationSummary,
-    PartialReport, PartialRow, RowResult,
+    CampaignReport, EngineOptions, GeneratedWorkloads, GenerationSummary, PartialReport,
+    PartialRow, RowResult,
 };
 pub use expand::{expand, Job};
 pub use fault::{FaultKind, FaultPlan, FaultSpec, FAULT_ENV, FAULT_EXIT_CODE, FAULT_LIFE_ENV};

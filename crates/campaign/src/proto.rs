@@ -51,8 +51,7 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 
-use crate::bench::fnv1a64;
-use crate::checkpoint::STAT_FIELD_COUNT;
+use crate::checkpoint::{fnv1a64, STAT_FIELD_COUNT};
 use crate::fault;
 
 /// Frame magic: "Boomerang work queue".

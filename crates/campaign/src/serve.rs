@@ -98,8 +98,9 @@
 //! [`ServeOptions::max_quarantined`] bounds how much of the fleet may rot
 //! before the submission is failed with a distinct exit code.
 
-use crate::bench::fnv1a64;
-use crate::checkpoint::{row_checksum, spec_hash, stats_from_array, Journal, JournalReplay};
+use crate::checkpoint::{
+    fnv1a64, row_checksum, spec_hash, stats_from_array, Journal, JournalReplay,
+};
 use crate::engine::{assemble_partial_report, assemble_report, CampaignReport};
 use crate::expand::{expand, Job};
 use crate::fault;

@@ -28,8 +28,9 @@
 //! same directory exercise the same rows.
 
 use crate::artifact::check_header;
-use crate::bench::fnv1a64;
-use crate::checkpoint::{scan_journal, spec_hash, stats_to_array, JournalReplay, JournalScan};
+use crate::checkpoint::{
+    fnv1a64, scan_journal, spec_hash, stats_to_array, JournalReplay, JournalScan,
+};
 use crate::engine::{assemble_report, derive_seed};
 use crate::expand::{expand, Job};
 use crate::sink::{to_csv, to_json};

@@ -1,6 +1,6 @@
 //! Golden test pinning the `boomerang-sim run --preset figure9 --smoke` JSON
-//! report byte-for-byte, plus the engine-parity check on smoke-length
-//! campaigns.
+//! report byte-for-byte, the smoke report digest and totals of every preset,
+//! plus the engine-parity check on smoke-length campaigns.
 //!
 //! The committed golden file was produced by the *seed* per-cycle
 //! simulator, so this test is the standing proof of the acceptance
@@ -12,12 +12,41 @@
 //! say so loudly in the PR.
 
 use campaign::{
-    assemble_report, generate_workloads, presets, run_campaign, to_json, EngineOptions,
+    assemble_report, fnv1a64, generate_workloads, presets, run_campaign, to_json, EngineOptions,
+    PRESETS,
 };
 use frontend::SimEngine;
 use sim_core::pool;
 
 const GOLDEN: &str = include_str!("golden/figure9-smoke.json");
+
+/// One row per preset, in [`PRESETS`] order: the FNV-1a-64 digest of its
+/// smoke-length JSON report and the report's total simulated cycles and
+/// instructions. The figure9 and interpreter-dispatch rows equal the smoke
+/// entries of the frozen `BENCH_PR8.json`.
+const SMOKE_PINS: [(&str, &str, u64, u64); 6] = [
+    ("figure7", "fnv1a64:223258ac75f03a26", 5_864_782, 3_274_383),
+    ("figure9", "fnv1a64:12d5c5644373b35b", 5_864_782, 3_274_383),
+    ("figure11", "fnv1a64:3edb9958525e6008", 4_997_063, 2_806_614),
+    (
+        "llc-sweep",
+        "fnv1a64:650cef5bf39c1527",
+        3_736_938,
+        1_790_568,
+    ),
+    (
+        "footprint-sweep",
+        "fnv1a64:14cc78df0380b0d4",
+        1_534_917,
+        1_457_721,
+    ),
+    (
+        "interpreter-dispatch",
+        "fnv1a64:2d6485970a8c6aa6",
+        2_668_338,
+        919_456,
+    ),
+];
 
 fn smoke_options(jobs: usize) -> EngineOptions {
     EngineOptions {
@@ -66,6 +95,40 @@ fn figure9_smoke_report_bytes_are_pinned() {
         smoke_report("figure9", 2),
         GOLDEN,
         "figure9 --smoke JSON drifted from the committed golden bytes"
+    );
+}
+
+#[test]
+fn every_preset_smoke_report_is_pinned() {
+    let pinned: Vec<&str> = SMOKE_PINS.iter().map(|pin| pin.0).collect();
+    let names: Vec<&str> = PRESETS.iter().map(|preset| preset.name).collect();
+    assert_eq!(pinned, names, "every preset needs one pinned smoke row");
+
+    let mut drift = Vec::new();
+    for (preset, digest, cycles, instructions) in SMOKE_PINS {
+        let spec = presets::find(preset).expect("preset exists");
+        let report = run_campaign(&spec, &smoke_options(2)).expect("smoke campaign runs");
+        let fresh = (
+            format!("fnv1a64:{:016x}", fnv1a64(to_json(&report).as_bytes())),
+            report.rows.iter().map(|r| r.stats.cycles).sum::<u64>(),
+            report
+                .rows
+                .iter()
+                .map(|r| r.stats.instructions)
+                .sum::<u64>(),
+        );
+        if fresh != (digest.to_string(), cycles, instructions) {
+            drift.push(format!(
+                "{preset}: pinned {digest} {cycles}/{instructions} cycles/instructions, \
+                 fresh {} {}/{}",
+                fresh.0, fresh.1, fresh.2
+            ));
+        }
+    }
+    assert!(
+        drift.is_empty(),
+        "smoke reports drifted:\n{}",
+        drift.join("\n")
     );
 }
 

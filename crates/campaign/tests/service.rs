@@ -120,9 +120,9 @@ fn figure9_smoke_golden_bytes_survive_kill_and_resume() {
         json, GOLDEN,
         "figure9 --smoke bytes drifted through the checkpoint/resume path"
     );
-    // The smoke digest the bench baseline pins, reproduced through the
-    // interrupted path (the full-length digest fnv1a64:64a84925f89018ba is
-    // pinned the same way by the committed BENCH_PR6.json entries).
+    // The smoke digest golden_smoke.rs's preset table pins, reproduced
+    // through the interrupted path (CI pins the full-length digest
+    // fnv1a64:64a84925f89018ba the same way).
     assert_eq!(
         format!("fnv1a64:{:016x}", fnv1a64(json.as_bytes())),
         "fnv1a64:12d5c5644373b35b"
@@ -316,6 +316,40 @@ fn mismatching_spec_directory_is_refused_without_force() {
         .status()
         .unwrap();
     assert!(status.success());
+
+    for dir in [spec_file.parent().unwrap().to_path_buf(), out] {
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+}
+
+#[test]
+fn forced_then_interrupted_run_leaves_no_stale_report() {
+    let spec_file = temp_dir("bin-force").join("mini.toml");
+    std::fs::write(&spec_file, MINI_SPEC).unwrap();
+    let out = temp_dir("bin-force-out");
+    let run = |extra: &[&str]| {
+        Command::new(BIN)
+            .args(["run", spec_file.to_str().unwrap(), "--jobs", "2", "--quiet"])
+            .args(extra)
+            .arg("--out")
+            .arg(&out)
+            .status()
+            .unwrap()
+    };
+
+    // A complete smoke campaign, then a forced full-length one cut after
+    // 5 rows: the old smoke reports must go with the old journal.
+    assert!(run(&["--smoke"]).success());
+    assert!(out.join("service-mini.json").exists());
+    let status = run(&["--force", "--fault-inject", "worker-exit:after-rows=5"]);
+    assert_eq!(status.code(), Some(FAULT_EXIT));
+    assert_eq!(journal_rows(&out, "service-mini"), 5);
+    for name in ["service-mini.json", "service-mini.csv"] {
+        assert!(
+            !out.join(name).exists(),
+            "{name} of the previous campaign survived --force"
+        );
+    }
 
     for dir in [spec_file.parent().unwrap().to_path_buf(), out] {
         std::fs::remove_dir_all(dir).unwrap();
