@@ -111,7 +111,9 @@ SERVE OPTIONS (every submission is leased row by row from a work queue):
     --lease-timeout-secs <S>
                            Revoke a lease with no heartbeat or row progress
                            for S seconds; the job is requeued with
-                           exponential backoff on re-lease (default: 60)
+                           exponential backoff on re-lease (default: 60).
+                           Every worker is told to heartbeat four times per
+                           timeout (50 ms to 5 s)
     --steal-lock-after-secs <S>
                            Steal the spool lock when its mtime is older than
                            S seconds, even if the owner looks alive (escape
@@ -127,10 +129,10 @@ SERVE OPTIONS (every submission is leased row by row from a work queue):
                            results (default: unbounded)
 
 WORKER OPTIONS:
-    --connect <ADDR>       Broker address (host:port) to lease jobs from
+    --connect <ADDR>       Broker address (host:port) to lease jobs from; the
+                           broker also sets the lease heartbeat interval
     --worker-index <N>     This worker's index, quoted in its handshake and
                            addressable by `shard=` fault filters (default: 0)
-    --heartbeat-ms <MS>    Lease heartbeat interval (default: 2000)
     --reconnect-ms <MS>    Base reconnect backoff after losing the broker,
                            doubling per consecutive failure (default: 250)
     --reconnect-cap-ms <MS>
@@ -469,15 +471,6 @@ fn worker_command(args: &[String]) -> Result<ExitCode, String> {
                 options.worker_index = n
                     .parse::<usize>()
                     .map_err(|_| format!("bad --worker-index value `{n}`"))?;
-            }
-            "--heartbeat-ms" => {
-                let ms = it.next().ok_or("--heartbeat-ms needs a value")?;
-                let ms = ms
-                    .parse::<u64>()
-                    .ok()
-                    .filter(|&ms| ms > 0)
-                    .ok_or_else(|| format!("bad --heartbeat-ms value `{ms}`"))?;
-                options.heartbeat = Duration::from_millis(ms);
             }
             "--reconnect-ms" => {
                 let ms = it.next().ok_or("--reconnect-ms needs a value")?;

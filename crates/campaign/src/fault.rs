@@ -30,7 +30,6 @@
 //! | `journal-torn-tail` | the `after-rows`-th journal append  | writes a prefix of the row line, then `exit(113)` |
 //! | `conn-drop`         | the `after-rows`-th completed row   | a TCP worker drops its broker socket before the ack, then reconnects |
 //! | `heartbeat-stall`   | the `after-rows`-th *granted lease* | a TCP worker stops heartbeating and stalls forever (the broker revokes and reassigns) |
-//! | `row-duplicate`     | the `after-rows`-th completed row   | a TCP worker transmits the row's `RowDone` frame twice (the broker must dedup) |
 //! | `artifact-corrupt`  | the `nth` artifact store            | flips a payload byte after checksumming (load rejects) |
 //! | `report-torn`       | the `nth` report-file write         | writes half the bytes, then `exit(113)` |
 //! | `spool-scan-error`  | the `nth` spool scan                | the scan returns an injected I/O error |
@@ -65,8 +64,8 @@
 //! `run` process counts its rows at the broker's journal appends, and its
 //! worker threads skip the worker-side row points, so
 //! `worker-exit:after-rows=N` stops it with exactly `N` rows journaled. The
-//! TCP-only kinds (`conn-drop`, `heartbeat-stall`, `row-duplicate`,
-//! `row-corrupt`) therefore never fire in a `run`.
+//! TCP-only kinds (`conn-drop`, `heartbeat-stall`, `row-corrupt`)
+//! therefore never fire in a `run`.
 //!
 //! [`FaultPlan`] implements `Display` with a canonical rendering (default
 //! filters omitted) that round-trips through [`FaultPlan::parse`]; `serve`
@@ -112,9 +111,6 @@ pub enum FaultKind {
     /// A TCP worker accepts a lease, then stops heartbeating and stalls
     /// forever — the revocation/reassignment signature.
     HeartbeatStall,
-    /// A TCP worker transmits one row's `RowDone` frame twice; the broker's
-    /// journal dedup must absorb the retransmission.
-    RowDuplicate,
     /// Write only half of one protocol frame, then fail the send — the torn
     /// TCP write signature, armed on either end of the socket.
     FrameTorn,
@@ -142,7 +138,6 @@ impl FaultKind {
             FaultKind::SpoolScanError => "spool-scan-error",
             FaultKind::ConnDrop => "conn-drop",
             FaultKind::HeartbeatStall => "heartbeat-stall",
-            FaultKind::RowDuplicate => "row-duplicate",
             FaultKind::FrameTorn => "frame-torn",
             FaultKind::RowCorrupt => "row-corrupt",
             FaultKind::JournalBitrot => "journal-bitrot",
@@ -159,7 +154,6 @@ impl FaultKind {
                 | FaultKind::JournalTornTail
                 | FaultKind::ConnDrop
                 | FaultKind::HeartbeatStall
-                | FaultKind::RowDuplicate
                 | FaultKind::RowCorrupt
                 | FaultKind::JournalBitrot
         )
@@ -253,7 +247,6 @@ impl FaultPlan {
                 "spool-scan-error" => FaultKind::SpoolScanError,
                 "conn-drop" => FaultKind::ConnDrop,
                 "heartbeat-stall" => FaultKind::HeartbeatStall,
-                "row-duplicate" => FaultKind::RowDuplicate,
                 "frame-torn" => FaultKind::FrameTorn,
                 "row-corrupt" => FaultKind::RowCorrupt,
                 "journal-bitrot" => FaultKind::JournalBitrot,
@@ -456,8 +449,6 @@ pub struct RowFaults {
     /// TCP workers: drop the broker socket right after sending this row,
     /// before reading the ack, then reconnect.
     pub conn_drop: bool,
-    /// TCP workers: transmit this row's `RowDone` frame twice.
-    pub duplicate: bool,
     /// TCP workers: flip one stat value after the row checksum was computed
     /// over the true values, so the broker's verification rejects the row.
     pub corrupt: bool,
@@ -486,7 +477,6 @@ fn row_faults(state: &FaultState) -> RowFaults {
             FaultKind::JournalTornTail => faults.torn_tail = true,
             FaultKind::WorkerExit => faults.exit = true,
             FaultKind::ConnDrop => faults.conn_drop = true,
-            FaultKind::RowDuplicate => faults.duplicate = true,
             FaultKind::RowCorrupt => faults.corrupt = true,
             FaultKind::JournalBitrot => faults.bitrot = true,
             _ => unreachable!("row faults only"),
@@ -651,7 +641,7 @@ mod tests {
     fn full_plan_round_trips_fields() {
         let plan = FaultPlan::parse(
             "worker-exit:shard=1:after-rows=3:lives=2, journal-torn-tail, \
-             artifact-corrupt:nth=2, row-duplicate:shard=0:after-rows=5:lives=all",
+             artifact-corrupt:nth=2, conn-drop:shard=0:after-rows=5:lives=all",
         )
         .unwrap();
         assert_eq!(plan.faults.len(), 4);
@@ -686,7 +676,7 @@ mod tests {
     fn network_kinds_parse_with_row_filters() {
         let plan = FaultPlan::parse(
             "conn-drop:shard=0:after-rows=2,heartbeat-stall:shard=1:after-rows=3,\
-             row-duplicate:lives=all,frame-torn:nth=4",
+             row-corrupt:lives=all,frame-torn:nth=4",
         )
         .unwrap();
         assert_eq!(plan.faults.len(), 4);
@@ -694,7 +684,7 @@ mod tests {
         assert_eq!(plan.faults[0].shard, Some(0));
         assert_eq!(plan.faults[1].kind, FaultKind::HeartbeatStall);
         assert_eq!(plan.faults[1].after_rows, 3);
-        assert_eq!(plan.faults[2].kind, FaultKind::RowDuplicate);
+        assert_eq!(plan.faults[2].kind, FaultKind::RowCorrupt);
         assert_eq!(plan.faults[2].lives, u64::MAX);
         assert_eq!(plan.faults[3].kind, FaultKind::FrameTorn);
         assert_eq!(plan.faults[3].nth, 4);
@@ -734,9 +724,9 @@ mod tests {
             "worker-exit:shard=1:after-rows=3:lives=2",
             "journal-torn-tail",
             "artifact-corrupt:nth=2",
-            "row-duplicate:shard=0:after-rows=5:lives=all",
+            "conn-drop:shard=0:after-rows=5:lives=all",
             "conn-drop:shard=0:after-rows=2,heartbeat-stall:after-rows=3",
-            "row-duplicate,frame-torn:nth=7:lives=3",
+            "row-corrupt,frame-torn:nth=7:lives=3",
             "row-corrupt:after-rows=2,journal-bitrot:shard=1,frame-corrupt:nth=3",
             "",
         ];

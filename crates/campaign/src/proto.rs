@@ -59,8 +59,9 @@ pub const PROTO_MAGIC: [u8; 4] = *b"BMWQ";
 
 /// Wire-format version. Bump on any layout change; both ends reject a
 /// mismatch field-by-field before touching the payload. Version 2 added the
-/// whole-payload FNV trailer and the `RowDone` row checksum field.
-pub const PROTO_VERSION: u32 = 2;
+/// whole-payload FNV trailer and the `RowDone` row checksum field; version 3
+/// the broker-chosen heartbeat interval in `Welcome`.
+pub const PROTO_VERSION: u32 = 3;
 
 /// Bytes of the FNV-1a-64 trailer following every payload.
 pub const TRAILER_LEN: usize = 8;
@@ -120,6 +121,10 @@ pub enum Message {
         /// The broker's process id, so a worker log can tell broker
         /// generations apart across restarts.
         broker_pid: u64,
+        /// How often to heartbeat a held lease, in milliseconds. The broker
+        /// derives it from its own lease timeout, so every worker beats
+        /// often enough to keep its leases alive.
+        heartbeat_ms: u64,
     },
     /// Worker → broker: ask for one job lease.
     LeaseRequest,
@@ -193,7 +198,7 @@ pub enum Message {
 fn kind_and_arity(msg: &Message) -> (u32, u32) {
     match msg {
         Message::Hello { .. } => (1, 2),
-        Message::Welcome { .. } => (2, 1),
+        Message::Welcome { .. } => (2, 2),
         Message::LeaseRequest => (3, 0),
         Message::Lease { .. } => (4, 5),
         Message::NoWork { .. } => (5, 1),
@@ -224,7 +229,7 @@ fn kind_name(kind: u32) -> Option<&'static str> {
 fn expected_arity(kind: u32) -> u32 {
     match kind {
         1 => 2,
-        2 => 1,
+        2 => 2,
         3 => 0,
         4 => 5,
         5 => 1,
@@ -360,7 +365,13 @@ pub fn encode(msg: &Message) -> Vec<u8> {
             put_str(&mut payload, worker);
             put_u64(&mut payload, *pid);
         }
-        Message::Welcome { broker_pid } => put_u64(&mut payload, *broker_pid),
+        Message::Welcome {
+            broker_pid,
+            heartbeat_ms,
+        } => {
+            put_u64(&mut payload, *broker_pid);
+            put_u64(&mut payload, *heartbeat_ms);
+        }
         Message::LeaseRequest => {}
         Message::Lease {
             lease,
@@ -472,6 +483,7 @@ pub fn decode(kind: u32, payload: &[u8]) -> Result<Message, ProtoError> {
         },
         2 => Message::Welcome {
             broker_pid: r.u64("welcome.broker_pid")?,
+            heartbeat_ms: r.u64("welcome.heartbeat_ms")?,
         },
         3 => Message::LeaseRequest,
         4 => Message::Lease {
@@ -598,7 +610,10 @@ mod tests {
                 worker: "worker-3".into(),
                 pid: 4242,
             },
-            Message::Welcome { broker_pid: 99 },
+            Message::Welcome {
+                broker_pid: 99,
+                heartbeat_ms: 500,
+            },
             Message::LeaseRequest,
             Message::Lease {
                 lease: 7,
@@ -679,12 +694,18 @@ mod tests {
 
     #[test]
     fn payload_underrun_and_trailing_bytes_are_named() {
-        let frame = encode(&Message::Welcome { broker_pid: 1 });
+        let frame = encode(&Message::Welcome {
+            broker_pid: 1,
+            heartbeat_ms: 500,
+        });
         let header = parse_header(frame[..HEADER_LEN].try_into().unwrap()).unwrap();
         let payload = payload_of(&frame);
 
         let err = decode(header.kind, &payload[..4]).unwrap_err();
         assert_eq!(err.field, "welcome.broker_pid");
+        assert!(err.message.contains("underrun"), "{err}");
+        let err = decode(header.kind, &payload[..12]).unwrap_err();
+        assert_eq!(err.field, "welcome.heartbeat_ms");
         assert!(err.message.contains("underrun"), "{err}");
 
         let mut long = payload.to_vec();
@@ -770,6 +791,22 @@ mod tests {
     }
 
     #[test]
+    fn welcome_round_trips_the_heartbeat_interval() {
+        let welcome = Message::Welcome {
+            broker_pid: 7,
+            heartbeat_ms: 1_250,
+        };
+        let frame = encode(&welcome);
+        assert_eq!(read_message(&mut &frame[..]).unwrap(), welcome);
+        // A version-2 broker's Welcome carries no interval: the header
+        // version rejects it before any payload field is read.
+        let mut old = frame;
+        old[4..8].copy_from_slice(&2u32.to_le_bytes());
+        let err = read_message(&mut &old[..]).unwrap_err();
+        assert!(err.to_string().contains("header.version"), "{err}");
+    }
+
+    #[test]
     fn handshake_version_and_arity_skew_are_named_on_read() {
         // A peer built against protocol version 1 sends its Hello: this end
         // must reject it naming `header.version` before touching the
@@ -780,7 +817,10 @@ mod tests {
                 worker: "w0".into(),
                 pid: 1,
             },
-            Message::Welcome { broker_pid: 2 },
+            Message::Welcome {
+                broker_pid: 2,
+                heartbeat_ms: 500,
+            },
         ] {
             let mut frame = encode(&msg);
             frame[4..8].copy_from_slice(&1u32.to_le_bytes());

@@ -20,16 +20,17 @@
 //! local `--worker-index` (or, by chance or on purpose, a local child's
 //! pid) cannot mask a wedged local one.
 //!
-//! Leases are kept alive by worker heartbeats and row submissions; a lease
-//! silent past [`ServeOptions::lease_timeout`] is revoked and its job
-//! requeued with exponential backoff, so a crashed, partitioned, or hung
-//! worker only delays its in-flight row. The broker is the sole journal
-//! writer and dedups every submitted row against the journal-backed done
-//! set, which makes submission idempotent (retransmissions,
-//! revoked-then-completed leases) and lets a restarted service resume
-//! mid-campaign from the journal, `<name>.journal.jsonl` (per-shard
-//! journals left by older versions are replayed alongside it). Beside each
-//! journal append it streams the row to `<name>.rows.jsonl` /
+//! Leases are kept alive by worker heartbeats (at an interval the broker
+//! derives from its lease timeout and sends in its `Welcome`) and row
+//! submissions; a lease silent past [`ServeOptions::lease_timeout`] is
+//! revoked and its job requeued with exponential backoff, so a crashed,
+//! partitioned, or hung worker only delays its in-flight row. The broker is
+//! the sole journal writer and dedups every submitted row against the
+//! journal-backed done set, which makes submission idempotent
+//! (retransmissions, revoked-then-completed leases) and lets a restarted
+//! service resume mid-campaign from the journal, `<name>.journal.jsonl`
+//! (per-shard journals left by older versions are replayed alongside it).
+//! Beside each journal append it streams the row to `<name>.rows.jsonl` /
 //! `<name>.rows.csv`, replayed rows first on resume.
 //!
 //! # One dispatch path
@@ -42,6 +43,14 @@
 //! process sharing one store of decoded workload points. **Collect**
 //! replays the journal, *without* regenerating any workloads, into the same
 //! `<name>.json` / `<name>.csv` bytes however the rows were produced.
+//!
+//! Every broker decision (grant, refusal, heartbeat, expiry, dedup,
+//! verification, quarantine) lives in one clock-free state machine,
+//! `ActiveCampaign`: a connection handler handshakes, then makes one
+//! `handle(session, worker, frame, now)` call per frame and one
+//! `disconnect(session, now)` at the end; `serve` and `run` share one drive
+//! loop that sweeps expired leases. A seeded schedule explorer in this
+//! module's tests checks the lease rules without sockets, threads or sleeps.
 //!
 //! # Lease order
 //!
@@ -372,7 +381,10 @@ pub fn serve(
     std::fs::create_dir_all(&options.spool)?;
     std::fs::create_dir_all(&options.out)?;
     let lock = SpoolLock::acquire(&options.spool, options.steal_lock_after)?;
-    let broker = Broker::start(options.listen.as_deref().unwrap_or("127.0.0.1:0"))?;
+    let broker = Broker::start(
+        options.listen.as_deref().unwrap_or("127.0.0.1:0"),
+        options.lease_timeout,
+    )?;
     eprintln!("serve: work queue listening on {}", broker.addr);
     if let Some(path) = &options.listen_addr_file {
         // Published atomically (write-then-rename, same pattern as the
@@ -547,6 +559,8 @@ struct QueuedJob {
 struct LeaseState {
     job: usize,
     attempts: u32,
+    /// The session holding the lease; its disconnect revokes the lease.
+    session: u64,
     /// Refreshed by heartbeats and row submission; a lease idle past the
     /// timeout is revoked and its job requeued.
     last_activity: Instant,
@@ -568,6 +582,9 @@ struct VerifyLease {
     job: usize,
     producer: u64,
     expected: Vec<u64>,
+    /// The session re-running the row; its disconnect revokes the lease.
+    session: u64,
+    /// Refreshed by heartbeats, exactly like a regular lease's.
     last_activity: Instant,
 }
 
@@ -627,7 +644,8 @@ struct ActiveCampaign {
 impl ActiveCampaign {
     /// Opens the campaign's journal in `dir` for appending (creating it
     /// under `hash` if absent), restarts the row streams with the
-    /// `replayed` rows in canonical order, and queues every other job.
+    /// `replayed` rows in canonical order, and queues every other job,
+    /// leasable from `now`.
     fn open(
         spec: &CampaignSpec,
         dir: &Path,
@@ -635,6 +653,7 @@ impl ActiveCampaign {
         jobs: Vec<Job>,
         replayed: &HashMap<usize, SimStats>,
         options: &ServeOptions,
+        now: Instant,
     ) -> Result<ActiveCampaign, String> {
         let journal = if Journal::path_for(dir, &spec.name, None).exists() {
             Journal::append(dir, &spec.name, None)
@@ -658,7 +677,7 @@ impl ActiveCampaign {
             .map(|job| QueuedJob {
                 job,
                 attempts: 0,
-                ready_at: Instant::now(),
+                ready_at: now,
             })
             .collect();
         Ok(ActiveCampaign {
@@ -674,7 +693,7 @@ impl ActiveCampaign {
             session_points: HashMap::new(),
             next_lease: 1,
             rows_submitted: 0,
-            last_activity: Instant::now(),
+            last_activity: now,
             lease_timeout: options.lease_timeout,
             backoff_base: options.supervise.backoff_base,
             backoff_cap: options.supervise.backoff_cap,
@@ -714,32 +733,98 @@ impl ActiveCampaign {
             .is_some_and(|max| self.quarantined.len() > max)
     }
 
-    /// Revokes every lease (regular and verification) idle past the
-    /// timeout, requeueing the jobs with exponential backoff — and, once
-    /// all rows are done, abandons verification samples nobody is eligible
-    /// to pick up (a one-session fleet can never re-verify its own rows;
-    /// without this escape the campaign would idle forever).
-    fn sweep_expired(&mut self) {
-        let now = Instant::now();
-        let expired: Vec<u64> = self
-            .leases
-            .iter()
-            .filter(|(_, l)| now.duration_since(l.last_activity) >= self.lease_timeout)
-            .map(|(&id, _)| id)
-            .chain(
-                self.verify_leases
-                    .iter()
-                    .filter(|(_, l)| now.duration_since(l.last_activity) >= self.lease_timeout)
-                    .map(|(&id, _)| id),
-            )
+    /// Answers one frame that `session` (the worker named `worker`) sent at
+    /// `now`: the broker's only entry point after the handshake.
+    ///
+    /// - `LeaseRequest`: a quarantined session is refused; otherwise
+    ///   expired leases are swept and a ready row is granted, or `NoWork`.
+    /// - `Heartbeat`: refreshes the lease it names, regular or
+    ///   verification; no reply.
+    /// - `RowDone`: validated, deduped, journaled and acked (see
+    ///   [`ActiveCampaign::row_done`]).
+    ///
+    /// Frames only a broker sends get no reply.
+    fn handle(
+        &mut self,
+        session: u64,
+        worker: &str,
+        msg: Message,
+        now: Instant,
+    ) -> Option<Message> {
+        match msg {
+            Message::LeaseRequest => {
+                if self.quarantined.contains(&session) {
+                    return Some(Message::Reject {
+                        reason: format!("session {session} is quarantined; no further leases"),
+                    });
+                }
+                self.sweep_expired(now);
+                Some(match self.grant(session, now) {
+                    Some((lease, job)) => Message::Lease {
+                        lease,
+                        job: job as u64,
+                        smoke: self.smoke,
+                        spec_hash: self.spec_hash.clone(),
+                        spec_toml: self.spec_toml.clone(),
+                    },
+                    None => Message::NoWork {
+                        retry_ms: NO_WORK_RETRY_MS,
+                    },
+                })
+            }
+            Message::Heartbeat { lease } => {
+                let regular = self.leases.get_mut(&lease).map(|l| &mut l.last_activity);
+                let verify = self.verify_leases.get_mut(&lease);
+                if let Some(last_activity) = regular.or(verify.map(|l| &mut l.last_activity)) {
+                    *last_activity = now;
+                    self.last_activity = now;
+                }
+                None
+            }
+            row @ Message::RowDone { .. } => Some(self.row_done(session, worker, row, now)),
+            _ => None,
+        }
+    }
+
+    /// Ends `session` at `now`: every lease it holds, regular or
+    /// verification, is revoked, and its point is freed for the sessions
+    /// still live.
+    fn disconnect(&mut self, session: u64, now: Instant) {
+        let why = format!("lost its connection (session {session})");
+        for lease in self.lease_ids(|holder, _| holder == session) {
+            self.revoke(lease, &why, now);
+        }
+        self.session_points.remove(&session);
+    }
+
+    /// The ids of every lease, regular or verification, whose (session,
+    /// last activity) satisfies `pick`, in grant order.
+    fn lease_ids(&self, pick: impl Fn(u64, Instant) -> bool) -> Vec<u64> {
+        let (regular, verify) = (self.leases.iter(), self.verify_leases.iter());
+        let mut ids: Vec<u64> = regular
+            .map(|(id, l)| (id, l.session, l.last_activity))
+            .chain(verify.map(|(id, l)| (id, l.session, l.last_activity)))
+            .filter_map(|(&id, session, last)| pick(session, last).then_some(id))
             .collect();
-        for lease in expired {
-            self.revoke(lease, "expired (no heartbeat or row progress)");
+        ids.sort_unstable();
+        ids
+    }
+
+    /// Revokes every lease (regular and verification) idle past the
+    /// timeout at `now`, requeueing the jobs with exponential backoff — and,
+    /// once all rows are done, abandons verification samples nobody is
+    /// eligible to pick up (a one-session fleet can never re-verify its own
+    /// rows; without this escape the campaign would idle forever).
+    fn sweep_expired(&mut self, now: Instant) {
+        let timeout = self.lease_timeout;
+        let idle = move |last: Instant| now.duration_since(last) >= timeout;
+        for lease in self.lease_ids(|_, last| idle(last)) {
+            self.revoke(lease, "expired (no heartbeat or row progress)", now);
         }
         if self.rows_complete()
             && !self.verify_queue.is_empty()
             && self.verify_leases.is_empty()
-            && self.last_activity.elapsed() >= self.lease_timeout
+            && idle(self.last_activity)
         {
             self.verify_abandoned += self.verify_queue.len() as u64;
             eprintln!(
@@ -751,10 +836,10 @@ impl ActiveCampaign {
         }
     }
 
-    /// Returns one lease to its queue (lease expiry or connection loss).
-    /// Verification leases requeue as verification work; regular leases
-    /// requeue the job with exponential backoff.
-    fn revoke(&mut self, lease: u64, why: &str) {
+    /// Returns one lease to its queue at `now` (expiry, connection loss, or
+    /// a corrupt answer). Verification leases requeue as verification work;
+    /// regular leases requeue the job with exponential backoff.
+    fn revoke(&mut self, lease: u64, why: &str, now: Instant) {
         if let Some(state) = self.verify_leases.remove(&lease) {
             eprintln!(
                 "serve: verification lease {lease} for job {} {why}; requeued",
@@ -764,7 +849,7 @@ impl ActiveCampaign {
                 job: state.job,
                 producer: state.producer,
                 expected: state.expected,
-                ready_at: Instant::now() + self.backoff_base,
+                ready_at: now + self.backoff_base,
             });
             return;
         }
@@ -787,7 +872,7 @@ impl ActiveCampaign {
         self.queue.push_back(QueuedJob {
             job: state.job,
             attempts,
-            ready_at: Instant::now() + backoff,
+            ready_at: now + backoff,
         });
     }
 
@@ -797,8 +882,9 @@ impl ActiveCampaign {
         (self.jobs[job].workload, self.jobs[job].seed)
     }
 
-    /// Leases a ready job to `session`, point-affine (see the module docs'
-    /// *Lease order*). One scan over the queue ranks every ready row:
+    /// Leases a job ready at `now` to `session`, point-affine (see the
+    /// module docs' *Lease order*). One scan over the queue ranks every
+    /// ready row:
     ///
     /// 1. a row of the session's current point — the point of its last
     ///    regular lease, whose workload the worker already holds;
@@ -812,8 +898,7 @@ impl ActiveCampaign {
     /// lease whose original worker finished after all) are dropped. With no
     /// regular row ready, the first eligible verification sample is handed
     /// out — never to the session that produced the row under test.
-    fn grant(&mut self, session: u64) -> Option<(u64, usize)> {
-        let now = Instant::now();
+    fn grant(&mut self, session: u64, now: Instant) -> Option<(u64, usize)> {
         let done = &self.done;
         self.queue.retain(|entry| !done.contains(&entry.job));
         let mine = self.session_points.get(&session).copied();
@@ -851,6 +936,7 @@ impl ActiveCampaign {
                 LeaseState {
                     job: entry.job,
                     attempts: entry.attempts,
+                    session,
                     last_activity: now,
                 },
             );
@@ -876,17 +962,12 @@ impl ActiveCampaign {
                 job: entry.job,
                 producer: entry.producer,
                 expected: entry.expected,
+                session,
                 last_activity: now,
             },
         );
         self.last_activity = now;
         Some((lease, entry.job))
-    }
-
-    /// Forgets `session`'s current point once its connection ends, so the
-    /// point counts as free for the sessions still live.
-    fn end_session(&mut self, session: u64) {
-        self.session_points.remove(&session);
     }
 
     /// Whether row `index` is in the deterministic verification sample.
@@ -907,20 +988,21 @@ impl ActiveCampaign {
         (z as f64 / u64::MAX as f64) < self.verify_fraction
     }
 
-    /// Bars `session` from further leases and requeues every unverified
-    /// row it produced: once one row from a session is proven wrong,
-    /// nothing else it journaled can be trusted.
-    fn quarantine(&mut self, session: u64, worker: &str, why: &str) {
+    /// Bars `session` from further leases and requeues, ready at `now`,
+    /// every unverified row it produced: once one row from a session is
+    /// proven wrong, nothing else it journaled can be trusted.
+    fn quarantine(&mut self, session: u64, worker: &str, why: &str, now: Instant) {
         if !self.quarantined.insert(session) {
             return;
         }
         eprintln!("serve: quarantining session {session} ({worker}): {why}");
-        let suspect: Vec<usize> = self
+        let mut suspect: Vec<usize> = self
             .row_producer
             .iter()
             .filter(|(_, &producer)| producer == session)
             .map(|(&job, _)| job)
             .collect();
+        suspect.sort_unstable();
         for job in suspect {
             self.row_producer.remove(&job);
             if self.done.remove(&job) {
@@ -930,35 +1012,37 @@ impl ActiveCampaign {
                 self.queue.push_back(QueuedJob {
                     job,
                     attempts: 0,
-                    ready_at: Instant::now(),
+                    ready_at: now,
                 });
             }
         }
     }
 
-    /// Validates, dedups, journals, streams, and acks one submitted row. The
-    /// journal append is the broker's row fault point, so an armed plan can
-    /// crash the broker mid-campaign — the resume path then proves itself.
+    /// Validates, dedups, journals, streams, and acks one `RowDone` frame
+    /// submitted at `now`. The journal append is the broker's row fault
+    /// point, so an armed plan can crash the broker mid-campaign — the
+    /// resume path then proves itself; a failed append ends the dispatch.
     ///
     /// A row answering a verification lease is never journaled: its stats
     /// are compared against the journaled row, and a disagreement
     /// quarantines the producing session. A row whose `row_fnv` disagrees
     /// with its own payload quarantines the *submitting* session — the
-    /// payload was damaged somewhere between its simulator and this socket.
-    #[allow(clippy::too_many_arguments)]
-    fn row_done(
-        &mut self,
-        session: u64,
-        worker: &str,
-        lease: u64,
-        job: u64,
-        hash: &str,
-        mechanism: &str,
-        seed: u64,
-        row_fnv: u64,
-        stats: &[u64],
-    ) -> io::Result<Message> {
-        let reject = |reason: String| Ok(Message::Reject { reason });
+    /// payload was damaged somewhere between its simulator and this socket
+    /// — and returns its lease to the queue.
+    fn row_done(&mut self, session: u64, worker: &str, row: Message, now: Instant) -> Message {
+        let Message::RowDone {
+            lease,
+            job,
+            spec_hash: hash,
+            mechanism,
+            seed,
+            row_fnv,
+            stats,
+        } = row
+        else {
+            unreachable!("handle routes only RowDone frames here");
+        };
+        let reject = |reason: String| Message::Reject { reason };
         if hash != self.spec_hash {
             return reject(format!(
                 "row carries spec hash {hash}, the active campaign is {}",
@@ -974,10 +1058,9 @@ impl ActiveCampaign {
         }
         // Every submission must be internally consistent before anything
         // else is believed about it.
-        let computed = row_checksum(index, mechanism, seed, stats);
+        let computed = row_checksum(index, &mechanism, seed, &stats);
         if computed != row_fnv {
             self.checksum_rejects += 1;
-            let lease_requeued = self.leases.remove(&lease).is_some();
             self.quarantine(
                 session,
                 worker,
@@ -985,24 +1068,18 @@ impl ActiveCampaign {
                     "job {job} row_fnv {row_fnv:016x} does not match its payload \
                      (recomputed {computed:016x})"
                 ),
+                now,
             );
-            if lease_requeued && !self.done.contains(&index) {
-                self.queue.push_back(QueuedJob {
-                    job: index,
-                    attempts: 0,
-                    ready_at: Instant::now(),
-                });
-            }
-            self.verify_leases.remove(&lease);
+            self.revoke(lease, "was answered with a corrupt row", now);
             return reject(format!(
                 "job {job} failed its row_fnv check; session quarantined"
             ));
         }
         if let Some(verify) = self.verify_leases.remove(&lease) {
-            self.last_activity = Instant::now();
-            if stats == verify.expected.as_slice() {
+            self.last_activity = now;
+            if stats == verify.expected {
                 self.rows_verified += 1;
-                return Ok(Message::RowAck { job });
+                return Message::RowAck { job };
             }
             self.verify_mismatches += 1;
             self.quarantine(
@@ -1012,10 +1089,11 @@ impl ActiveCampaign {
                     "job {job} re-run by session {session} contradicts the journaled row \
                      (sampled re-verification)"
                 ),
+                now,
             );
             // quarantine() requeued the suspect rows (including this one);
             // the verifier's work was sound, so ack it.
-            return Ok(Message::RowAck { job });
+            return Message::RowAck { job };
         }
         if self.quarantined.contains(&session) {
             return reject(format!("session {session} is quarantined"));
@@ -1023,10 +1101,10 @@ impl ActiveCampaign {
         // The lease is resolved either way; an expired/unknown lease is
         // fine — the work is real.
         self.leases.remove(&lease);
-        self.last_activity = Instant::now();
+        self.last_activity = now;
         if self.done.contains(&index) {
             // Idempotent dedup: ack a retransmission without appending.
-            return Ok(Message::RowAck { job });
+            return Message::RowAck { job };
         }
         let expected = &self.jobs[index];
         if mechanism_token(expected.mechanism) != mechanism || expected.seed != seed {
@@ -1037,13 +1115,14 @@ impl ActiveCampaign {
                 expected.seed
             ));
         }
-        let Some(sim_stats) = stats_from_array(stats) else {
+        let Some(sim_stats) = stats_from_array(&stats) else {
             return reject(format!("job {job} carries a malformed stat array"));
         };
         if let Err(e) = self.journal.record(expected, &sim_stats) {
+            eprintln!("serve: journal append for job {job} from {worker} failed: {e}");
             self.journal_error
                 .get_or_insert_with(|| format!("checkpoint write failed: {e}"));
-            return Err(e);
+            return reject(format!("journal append failed: {e}"));
         }
         if let Err(e) = self.stream.record(expected, &sim_stats) {
             eprintln!("warning: row stream write failed: {e}");
@@ -1055,11 +1134,11 @@ impl ActiveCampaign {
             self.verify_queue.push_back(VerifyJob {
                 job: index,
                 producer: session,
-                expected: stats.to_vec(),
-                ready_at: Instant::now(),
+                expected: stats,
+                ready_at: now,
             });
         }
-        Ok(Message::RowAck { job })
+        Message::RowAck { job }
     }
 }
 
@@ -1078,16 +1157,19 @@ struct BrokerShared {
     /// campaign is installed. Heartbeats do not count — they come from a
     /// separate thread that outlives a wedged row loop.
     activity: Mutex<HashMap<u64, u64>>,
+    /// The heartbeat interval every worker is told in its `Welcome`.
+    heartbeat_ms: u64,
 }
 
 impl BrokerShared {
-    fn new() -> BrokerShared {
+    fn new(lease_timeout: Duration) -> BrokerShared {
         BrokerShared {
             campaign: Mutex::new(None),
             finishing: AtomicBool::new(false),
             connections: AtomicUsize::new(0),
             next_session: AtomicU64::new(0),
             activity: Mutex::new(HashMap::new()),
+            heartbeat_ms: (lease_timeout.as_millis() as u64 / 4).clamp(50, 5_000),
         }
     }
 
@@ -1123,11 +1205,13 @@ struct Broker {
 }
 
 impl Broker {
-    fn start(listen: &str) -> io::Result<Broker> {
+    /// Listens on `listen`; workers heartbeat four times per
+    /// `lease_timeout` (between 50 ms and 5 s).
+    fn start(listen: &str, lease_timeout: Duration) -> io::Result<Broker> {
         let listener = TcpListener::bind(listen)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let shared = Arc::new(BrokerShared::new());
+        let shared = Arc::new(BrokerShared::new(lease_timeout));
         let accept_stop = Arc::new(AtomicBool::new(false));
         let accept_handle = {
             let shared = Arc::clone(&shared);
@@ -1154,6 +1238,33 @@ impl Broker {
             accept_stop,
             accept_handle: Some(accept_handle),
         })
+    }
+
+    /// The one drive loop of an installed campaign, shared by `serve`'s
+    /// supervisor and remote drain and by `run`'s worker threads. Each tick
+    /// reads the clock once and sweeps expired leases; the loop ends `Ok`
+    /// once the campaign is settled (or none is installed), or `Err` with
+    /// whatever `halt` returns first, given how long the campaign has seen
+    /// no grant, heartbeat or row. Ticks are [`DRAIN_POLL`] apart.
+    fn drive<T>(&self, mut halt: impl FnMut(Duration) -> Option<T>) -> Result<(), T> {
+        loop {
+            let idle_for = {
+                let mut guard = self.shared.campaign.lock().expect("campaign mutex");
+                let Some(campaign) = guard.as_mut() else {
+                    return Ok(());
+                };
+                let now = Instant::now();
+                campaign.sweep_expired(now);
+                if campaign.settled() {
+                    return Ok(());
+                }
+                now.duration_since(campaign.last_activity)
+            };
+            if let Some(reason) = halt(idle_for) {
+                return Err(reason);
+            }
+            std::thread::sleep(DRAIN_POLL);
+        }
     }
 
     /// Drains the queue's workers: lease requests now answer `Shutdown`,
@@ -1212,6 +1323,8 @@ fn next_message(stream: &mut TcpStream) -> HandlerRead {
 
 /// One worker connection's lifetime on the broker side. Each connection is
 /// one *session* — the unit of quarantine and of verification eligibility.
+/// After the handshake every frame is one [`ActiveCampaign::handle`] call,
+/// and the end of the connection one [`ActiveCampaign::disconnect`].
 fn handle_connection(stream: TcpStream, peer: SocketAddr, shared: &BrokerShared) {
     let mut stream = stream;
     let _ = stream.set_nodelay(true);
@@ -1234,133 +1347,46 @@ fn handle_connection(stream: TcpStream, peer: SocketAddr, shared: &BrokerShared)
     };
     let welcome = Message::Welcome {
         broker_pid: std::process::id() as u64,
+        heartbeat_ms: shared.heartbeat_ms,
     };
     if write_message(&mut stream, &welcome).is_err() {
         return;
     }
 
-    // Leases granted over *this* connection; requeued if it dies.
-    let mut my_leases: Vec<u64> = Vec::new();
     loop {
-        match next_message(&mut stream) {
+        let msg = match next_message(&mut stream) {
             HandlerRead::Idle => continue,
             HandlerRead::Dead => break,
-            HandlerRead::Msg(Message::LeaseRequest) => {
-                shared.note_activity(peer, pid);
-                if shared.finishing.load(Ordering::SeqCst) {
-                    let _ = write_message(
-                        &mut stream,
-                        &Message::Shutdown {
-                            reason: "service shutting down".to_string(),
-                        },
-                    );
-                    break;
-                }
-                let reply = {
-                    let mut guard = shared.campaign.lock().expect("campaign mutex");
-                    match guard.as_mut() {
-                        None => Message::NoWork {
-                            retry_ms: NO_WORK_RETRY_MS,
-                        },
-                        Some(campaign) if campaign.quarantined.contains(&session) => {
-                            Message::Reject {
-                                reason: format!(
-                                    "session {session} is quarantined; no further leases"
-                                ),
-                            }
-                        }
-                        Some(campaign) => {
-                            campaign.sweep_expired();
-                            match campaign.grant(session) {
-                                Some((lease, job)) => {
-                                    my_leases.push(lease);
-                                    Message::Lease {
-                                        lease,
-                                        job: job as u64,
-                                        smoke: campaign.smoke,
-                                        spec_hash: campaign.spec_hash.clone(),
-                                        spec_toml: campaign.spec_toml.clone(),
-                                    }
-                                }
-                                None => Message::NoWork {
-                                    retry_ms: NO_WORK_RETRY_MS,
-                                },
-                            }
-                        }
-                    }
-                };
-                if write_message(&mut stream, &reply).is_err() {
-                    break;
-                }
-            }
-            HandlerRead::Msg(Message::Heartbeat { lease }) => {
-                let mut guard = shared.campaign.lock().expect("campaign mutex");
-                if let Some(campaign) = guard.as_mut() {
-                    if let Some(state) = campaign.leases.get_mut(&lease) {
-                        state.last_activity = Instant::now();
-                        campaign.last_activity = Instant::now();
-                    }
-                }
-            }
-            HandlerRead::Msg(Message::RowDone {
-                lease,
-                job,
-                spec_hash,
-                mechanism,
-                seed,
-                row_fnv,
-                stats,
-            }) => {
-                shared.note_activity(peer, pid);
-                my_leases.retain(|&l| l != lease);
-                let reply = {
-                    let mut guard = shared.campaign.lock().expect("campaign mutex");
-                    match guard.as_mut() {
-                        None => Message::Reject {
-                            reason: "no campaign is active".to_string(),
-                        },
-                        Some(campaign) => {
-                            match campaign.row_done(
-                                session,
-                                &worker_name,
-                                lease,
-                                job,
-                                &spec_hash,
-                                &mechanism,
-                                seed,
-                                row_fnv,
-                                &stats,
-                            ) {
-                                Ok(reply) => reply,
-                                Err(e) => {
-                                    eprintln!(
-                                        "serve: journal append for job {job} from \
-                                         {worker_name} failed: {e}"
-                                    );
-                                    Message::Reject {
-                                        reason: format!("journal append failed: {e}"),
-                                    }
-                                }
-                            }
-                        }
-                    }
-                };
-                if write_message(&mut stream, &reply).is_err() {
-                    break;
-                }
-            }
-            HandlerRead::Msg(_) => break,
+            HandlerRead::Msg(msg) => msg,
+        };
+        match msg {
+            Message::LeaseRequest | Message::RowDone { .. } => shared.note_activity(peer, pid),
+            Message::Heartbeat { .. } => {}
+            // Only a broker sends anything else: a confused or hostile peer.
+            _ => break,
+        }
+        let lease_request = matches!(msg, Message::LeaseRequest);
+        if lease_request && shared.finishing.load(Ordering::SeqCst) {
+            let reason = "service shutting down".to_string();
+            let _ = write_message(&mut stream, &Message::Shutdown { reason });
+            break;
+        }
+        let reply = match shared.campaign.lock().expect("campaign mutex").as_mut() {
+            Some(campaign) => campaign.handle(session, &worker_name, msg, Instant::now()),
+            None if lease_request => Some(Message::NoWork {
+                retry_ms: NO_WORK_RETRY_MS,
+            }),
+            None => matches!(msg, Message::RowDone { .. }).then(|| Message::Reject {
+                reason: "no campaign is active".to_string(),
+            }),
+        };
+        if reply.is_some_and(|reply| write_message(&mut stream, &reply).is_err()) {
+            break;
         }
     }
 
-    // Connection gone: return its outstanding leases to the queue and free
-    // its point for the sessions still live.
-    let mut guard = shared.campaign.lock().expect("campaign mutex");
-    if let Some(campaign) = guard.as_mut() {
-        for lease in my_leases {
-            campaign.revoke(lease, &format!("lost its connection ({worker_name})"));
-        }
-        campaign.end_session(session);
+    if let Some(campaign) = shared.campaign.lock().expect("campaign mutex").as_mut() {
+        campaign.disconnect(session, Instant::now());
     }
 }
 
@@ -1395,7 +1421,15 @@ fn install(
     let hash = spec_hash(spec, run, options.smoke);
     let jobs = expand(spec);
     let replay = JournalReplay::load(dir, &spec.name, &hash, &jobs).map_err(|e| e.to_string())?;
-    let campaign = ActiveCampaign::open(spec, dir, &hash, jobs.clone(), &replay.rows, options)?;
+    let campaign = ActiveCampaign::open(
+        spec,
+        dir,
+        &hash,
+        jobs.clone(),
+        &replay.rows,
+        options,
+        Instant::now(),
+    )?;
     broker
         .shared
         .activity
@@ -1494,10 +1528,9 @@ fn dispatch(
 
     // Local dispatch: the same worker client, connected over loopback, so
     // mixed local+remote fleets drain one queue through one code path. The
-    // supervisor's stop closure doubles as the lease-expiry sweep.
+    // supervisor's stop closure is one tick of the drive loop.
     let mut fleet_failures: Vec<String> = Vec::new();
     if options.workers > 0 {
-        let heartbeat_ms = (options.lease_timeout.as_millis() as u64 / 4).clamp(50, 5_000);
         let addr = broker.addr.to_string();
         let mut make_command = |index: usize| {
             let mut cmd = Command::new(&options.binary);
@@ -1506,8 +1539,6 @@ fn dispatch(
                 .arg(&addr)
                 .arg("--worker-index")
                 .arg(index.to_string())
-                .arg("--heartbeat-ms")
-                .arg(heartbeat_ms.to_string())
                 .arg("--quiet")
                 .stdin(Stdio::null())
                 .stdout(Stdio::null())
@@ -1517,19 +1548,8 @@ fn dispatch(
             }
             cmd
         };
-        let shared = Arc::clone(&broker.shared);
-        let mut progress = move |pid: u32| shared.activity_of(pid);
-        let shared = Arc::clone(&broker.shared);
-        let mut stop = move || {
-            let mut guard = shared.campaign.lock().expect("campaign mutex");
-            match guard.as_mut() {
-                Some(campaign) => {
-                    campaign.sweep_expired();
-                    campaign.settled()
-                }
-                None => true,
-            }
-        };
+        let mut progress = |pid: u32| broker.shared.activity_of(pid);
+        let mut stop = || broker.drive(|_| Some(())).is_ok();
         let supervised = supervise_with_stop(
             options.workers,
             &mut make_command,
@@ -1538,12 +1558,6 @@ fn dispatch(
             &mut |line| eprintln!("serve: {line}"),
             &mut stop,
         );
-        if supervised.interrupted() {
-            uninstall(broker);
-            return Err(fail(
-                "interrupted before the submission finished".to_string(),
-            ));
-        }
         if !supervised.all_complete() {
             fleet_failures = supervised.failures();
         }
@@ -1553,33 +1567,25 @@ fn dispatch(
     // Give up after a long silence — several lease timeouts with no grant,
     // heartbeat, or row. On the private loopback port nobody else can
     // connect, so whatever the local fleet left undone stays undone.
-    let give_up = options
-        .lease_timeout
-        .saturating_mul(3)
-        .max(Duration::from_secs(2));
-    while options.listen.is_some() {
-        let (settled, idle_for) = {
-            let mut guard = broker.shared.campaign.lock().expect("campaign mutex");
-            let campaign = guard.as_mut().expect("campaign installed");
-            campaign.sweep_expired();
-            (campaign.settled(), campaign.last_activity.elapsed())
-        };
-        if settled {
-            break;
-        }
-        if supervise::interrupted() {
-            uninstall(broker);
-            return Err(fail(
-                "interrupted before the submission finished".to_string(),
-            ));
-        }
-        if idle_for >= give_up {
+    if options.listen.is_some() && !supervise::interrupted() {
+        let give_up = options
+            .lease_timeout
+            .saturating_mul(3)
+            .max(Duration::from_secs(2));
+        let halted = broker.drive(|idle_for| {
+            (supervise::interrupted() || idle_for >= give_up).then_some(idle_for)
+        });
+        if let Err(idle_for) = halted {
             fleet_failures.push(format!(
                 "work queue idle for {idle_for:?} with jobs outstanding; giving up"
             ));
-            break;
         }
-        std::thread::sleep(DRAIN_POLL);
+    }
+    if supervise::interrupted() {
+        uninstall(broker);
+        return Err(fail(
+            "interrupted before the submission finished".to_string(),
+        ));
     }
 
     // The integrity ledger of this dispatch, one stable line (CI's chaos
@@ -1641,7 +1647,7 @@ pub fn run_local(
         artifact_cache,
         ..ServeOptions::default()
     };
-    let broker = Broker::start("127.0.0.1:0")
+    let broker = Broker::start("127.0.0.1:0", options.lease_timeout)
         .map_err(|e| format!("cannot start the local work queue: {e}"))?;
     let installed = install(&broker, spec, dir, &options)?;
     let total = installed.jobs.len();
@@ -1677,16 +1683,7 @@ pub fn run_local(
             .collect();
         // Drive until every row is journaled or every thread has stopped;
         // then each lease request answers `Shutdown`.
-        while !handles.iter().all(|h| h.is_finished()) {
-            let mut guard = broker.shared.campaign.lock().expect("campaign mutex");
-            let campaign = guard.as_mut().expect("campaign installed");
-            campaign.sweep_expired();
-            if campaign.settled() {
-                break;
-            }
-            drop(guard);
-            std::thread::sleep(DRAIN_POLL);
-        }
+        let _ = broker.drive(|_| handles.iter().all(|h| h.is_finished()).then_some(()));
         broker.shared.finishing.store(true, Ordering::SeqCst);
         for (index, handle) in handles.into_iter().enumerate() {
             match handle.join() {
@@ -1863,8 +1860,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    // ---- result-integrity unit tests: the broker-side checksum gate, the
-    // sampled re-verification loop, and quarantine -------------------------
+    // ---- broker unit tests: the state machine under an injected clock ----
 
     use crate::checkpoint::stats_to_array;
 
@@ -1884,7 +1880,8 @@ warmup_blocks = 400
     }
 
     /// A broker-side campaign over `spec_text` with a real journal in a
-    /// temp dir; `verify_fraction` as given, everything else defaulted.
+    /// temp dir, opened now; `verify_fraction` as given, everything else
+    /// defaulted.
     fn broker_campaign(
         spec_text: &str,
         tag: &str,
@@ -1902,74 +1899,85 @@ warmup_blocks = 400
             },
             ..ServeOptions::default()
         };
-        let campaign =
-            ActiveCampaign::open(&spec, &dir, &hash, expand(&spec), &HashMap::new(), &options)
-                .unwrap();
+        let campaign = ActiveCampaign::open(
+            &spec,
+            &dir,
+            &hash,
+            expand(&spec),
+            &HashMap::new(),
+            &options,
+            Instant::now(),
+        )
+        .unwrap();
         (campaign, dir)
     }
 
-    /// Takes one lease for `session` and submits the granted job with the
-    /// given stats (checksummed correctly); returns the job index and the
-    /// broker's answer.
-    fn submit(campaign: &mut ActiveCampaign, session: u64, stats: &[u64]) -> (usize, Message) {
-        let (lease, index) = campaign.grant(session).expect("a lease to submit under");
-        (index, complete(campaign, session, lease, index, stats))
+    /// A `RowDone` for job `index` under `lease` carrying `stats`, with a
+    /// `row_fnv` taken over `checksummed` (the same values for an intact
+    /// row).
+    fn row_frame(
+        campaign: &ActiveCampaign,
+        lease: u64,
+        index: usize,
+        stats: &[u64],
+        checksummed: &[u64],
+    ) -> Message {
+        let job = &campaign.jobs[index];
+        let mechanism = mechanism_token(job.mechanism).to_string();
+        Message::RowDone {
+            lease,
+            job: index as u64,
+            spec_hash: campaign.spec_hash.clone(),
+            row_fnv: row_checksum(index, &mechanism, job.seed, checksummed),
+            mechanism,
+            seed: job.seed,
+            stats: stats.to_vec(),
+        }
     }
 
-    /// Submits job `index` under `lease` for `session` with the given stats
-    /// (checksummed correctly); returns the broker's answer.
+    /// Submits job `index` under `lease` for `session` at `now` with the
+    /// given stats (checksummed correctly); returns the broker's answer.
     fn complete(
         campaign: &mut ActiveCampaign,
         session: u64,
         lease: u64,
         index: usize,
         stats: &[u64],
+        now: Instant,
     ) -> Message {
-        let (mechanism, seed) = {
-            let job = &campaign.jobs[index];
-            (mechanism_token(job.mechanism), job.seed)
-        };
-        let fnv = row_checksum(index, &mechanism, seed, stats);
+        let row = row_frame(campaign, lease, index, stats, stats);
         campaign
-            .row_done(
-                session,
-                "test-worker",
-                lease,
-                index as u64,
-                &campaign.spec_hash.clone(),
-                &mechanism,
-                seed,
-                fnv,
-                stats,
-            )
-            .unwrap()
+            .handle(session, "test-worker", row, now)
+            .expect("every row is answered")
+    }
+
+    /// Takes one lease for `session` at `now` and submits the granted job
+    /// with the given stats (checksummed correctly); returns the job index
+    /// and the broker's answer.
+    fn submit(
+        campaign: &mut ActiveCampaign,
+        session: u64,
+        stats: &[u64],
+        now: Instant,
+    ) -> (usize, Message) {
+        let (lease, index) = campaign
+            .grant(session, now)
+            .expect("a lease to submit under");
+        (index, complete(campaign, session, lease, index, stats, now))
     }
 
     #[test]
     fn corrupt_row_quarantines_the_submitter_and_requeues_the_job() {
         let (mut campaign, dir) = integrity_campaign("corrupt", 0.0);
+        let now = Instant::now();
         let stats = stats_to_array(&SimStats::default());
-        let (lease, index) = campaign.grant(1).unwrap();
-        let job = &campaign.jobs[index];
-        let (mechanism, seed) = (mechanism_token(job.mechanism), job.seed);
+        let (lease, index) = campaign.grant(1, now).unwrap();
         // Checksum over the true stats, then damage the payload — exactly
         // what the `row-corrupt` fault injects in a real worker.
-        let fnv = row_checksum(index, &mechanism, seed, &stats);
         let mut damaged = stats;
         damaged[0] ^= 1;
-        let answer = campaign
-            .row_done(
-                1,
-                "w0",
-                lease,
-                index as u64,
-                &campaign.spec_hash.clone(),
-                &mechanism,
-                seed,
-                fnv,
-                &damaged,
-            )
-            .unwrap();
+        let row = row_frame(&campaign, lease, index, &damaged, &stats);
+        let answer = campaign.handle(1, "w0", row, now).unwrap();
         let Message::Reject { reason } = answer else {
             panic!("a corrupt row must be rejected, got {answer:?}");
         };
@@ -1984,11 +1992,17 @@ warmup_blocks = 400
             campaign.queue.iter().any(|q| q.job == index),
             "the job must be requeued for an honest session"
         );
-        // The quarantined session gets no further leases through the
-        // connection handler; a *new* session drains the queue — including
-        // the requeued job — fine.
+        // The quarantined session is refused further leases; a *new*
+        // session drains the queue — including the requeued job, once its
+        // backoff has passed — fine.
+        let refused = campaign.handle(1, "w0", Message::LeaseRequest, now);
+        assert!(
+            matches!(refused, Some(Message::Reject { .. })),
+            "{refused:?}"
+        );
+        let later = now + Duration::from_secs(1);
         while !campaign.rows_complete() {
-            let (_, answer) = submit(&mut campaign, 2, &stats);
+            let (_, answer) = submit(&mut campaign, 2, &stats, later);
             assert!(matches!(answer, Message::RowAck { .. }), "{answer:?}");
         }
         assert!(campaign.done.contains(&index));
@@ -1998,38 +2012,27 @@ warmup_blocks = 400
     #[test]
     fn verification_mismatch_quarantines_the_producer_and_requeues_its_rows() {
         let (mut campaign, dir) = integrity_campaign("verify-bad", 1.0);
+        let now = Instant::now();
         let total = campaign.jobs.len();
         // Session 1 produces every row — with fraction 1.0 each lands in the
         // verification queue.
         let stats = stats_to_array(&SimStats::default());
         for _ in 0..total {
-            let (_, answer) = submit(&mut campaign, 1, &stats);
+            let (_, answer) = submit(&mut campaign, 1, &stats, now);
             assert!(matches!(answer, Message::RowAck { .. }), "{answer:?}");
         }
         assert!(campaign.rows_complete());
         assert_eq!(campaign.verify_queue.len(), total);
         // The producer is never handed its own rows to re-verify.
-        assert!(campaign.grant(1).is_none(), "producer must not self-verify");
+        assert!(
+            campaign.grant(1, now).is_none(),
+            "producer must not self-verify"
+        );
         // Session 2 re-runs the first sample and contradicts it.
-        let (lease, index) = campaign.grant(2).expect("a verification lease");
-        let job = &campaign.jobs[index];
-        let (mechanism, seed) = (mechanism_token(job.mechanism), job.seed);
+        let (lease, index) = campaign.grant(2, now).expect("a verification lease");
         let mut contradicting = stats;
         contradicting[1] = contradicting[1].wrapping_add(7);
-        let fnv = row_checksum(index, &mechanism, seed, &contradicting);
-        let answer = campaign
-            .row_done(
-                2,
-                "w1",
-                lease,
-                index as u64,
-                &campaign.spec_hash.clone(),
-                &mechanism,
-                seed,
-                fnv,
-                &contradicting,
-            )
-            .unwrap();
+        let answer = complete(&mut campaign, 2, lease, index, &contradicting, now);
         // The verifier's work was sound — it is acked, the *producer* is
         // quarantined and all its rows go back to the queue.
         assert!(matches!(answer, Message::RowAck { .. }), "{answer:?}");
@@ -2051,30 +2054,16 @@ warmup_blocks = 400
     #[test]
     fn matching_reverification_counts_and_completes() {
         let (mut campaign, dir) = integrity_campaign("verify-ok", 1.0);
+        let now = Instant::now();
         let total = campaign.jobs.len();
         let stats = stats_to_array(&SimStats::default());
         for _ in 0..total {
-            submit(&mut campaign, 1, &stats);
+            submit(&mut campaign, 1, &stats, now);
         }
         assert!(!campaign.complete(), "verification is still outstanding");
         // Session 2 re-runs every sample with matching stats.
-        while let Some((lease, index)) = campaign.grant(2) {
-            let job = &campaign.jobs[index];
-            let (mechanism, seed) = (mechanism_token(job.mechanism), job.seed);
-            let fnv = row_checksum(index, &mechanism, seed, &stats);
-            let answer = campaign
-                .row_done(
-                    2,
-                    "w1",
-                    lease,
-                    index as u64,
-                    &campaign.spec_hash.clone(),
-                    &mechanism,
-                    seed,
-                    fnv,
-                    &stats,
-                )
-                .unwrap();
+        while let Some((lease, index)) = campaign.grant(2, now) {
+            let answer = complete(&mut campaign, 2, lease, index, &stats, now);
             assert!(matches!(answer, Message::RowAck { .. }), "{answer:?}");
         }
         assert_eq!(campaign.rows_verified as usize, total);
@@ -2118,20 +2107,63 @@ warmup_blocks = 400
     fn abandoned_verification_samples_unblock_a_lone_session() {
         let (mut campaign, dir) = integrity_campaign("abandon", 1.0);
         campaign.lease_timeout = Duration::from_millis(20);
+        let now = Instant::now();
         let total = campaign.jobs.len();
         let stats = stats_to_array(&SimStats::default());
         for _ in 0..total {
-            submit(&mut campaign, 1, &stats);
+            submit(&mut campaign, 1, &stats, now);
         }
         // Only the producing session exists: nobody can take the samples.
-        assert!(campaign.grant(1).is_none());
+        assert!(campaign.grant(1, now).is_none());
+        campaign.sweep_expired(now + Duration::from_millis(10));
+        assert_eq!(campaign.verify_abandoned, 0, "abandoned inside the timeout");
         assert!(!campaign.complete());
-        std::thread::sleep(Duration::from_millis(30));
-        campaign.sweep_expired();
+        campaign.sweep_expired(now + Duration::from_millis(30));
         assert_eq!(campaign.verify_abandoned as usize, total);
         assert!(
             campaign.complete(),
             "an unverifiable sample must not deadlock the campaign"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn heartbeats_keep_regular_and_verification_leases_alive() {
+        let (mut campaign, dir) = integrity_campaign("heartbeat", 1.0);
+        campaign.lease_timeout = Duration::from_secs(1);
+        let t0 = Instant::now();
+        let stats = stats_to_array(&SimStats::default());
+        let total = campaign.jobs.len();
+        for _ in 1..total {
+            submit(&mut campaign, 1, &stats, t0);
+        }
+        // Session 2 holds the last regular row, sessions 3 and 4 one
+        // verification sample each; 2 and 3 heartbeat, 4 stays silent.
+        let (regular, _) = campaign.grant(2, t0).unwrap();
+        let (beating, _) = campaign.grant(3, t0).unwrap();
+        let (silent, _) = campaign.grant(4, t0).unwrap();
+        assert!(campaign.leases.contains_key(&regular));
+        assert!(campaign.verify_leases.contains_key(&beating));
+        assert!(campaign.verify_leases.contains_key(&silent));
+        for tick in 1..=5 {
+            let now = t0 + Duration::from_millis(600 * tick);
+            for (session, lease) in [(2, regular), (3, beating)] {
+                let reply = campaign.handle(session, "w", Message::Heartbeat { lease }, now);
+                assert_eq!(reply, None, "heartbeats are fire-and-forget");
+            }
+            campaign.sweep_expired(now);
+        }
+        assert!(
+            campaign.leases.contains_key(&regular),
+            "a heartbeating regular lease expired"
+        );
+        assert!(
+            campaign.verify_leases.contains_key(&beating),
+            "a heartbeating verification lease expired"
+        );
+        assert!(
+            !campaign.verify_leases.contains_key(&silent),
+            "a silent verification lease outlived the timeout"
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -2178,9 +2210,8 @@ noc = 30
             .len()
     }
 
-    /// Whether some regular queued row is leasable right now.
-    fn regular_row_ready(campaign: &ActiveCampaign) -> bool {
-        let now = Instant::now();
+    /// Whether some regular queued row is leasable at `now`.
+    fn regular_row_ready(campaign: &ActiveCampaign, now: Instant) -> bool {
         campaign
             .queue
             .iter()
@@ -2194,6 +2225,7 @@ noc = 30
             ("affinity-pairs-configs", AFFINITY_TWO_CONFIG_SPEC),
         ] {
             let (mut campaign, dir) = broker_campaign(spec_text, tag, 0.0);
+            let now = Instant::now();
             let stats = stats_to_array(&SimStats::default());
             let mut pairs: HashSet<(u64, (usize, u64))> = HashSet::new();
             // Both sessions hold a lease at once, then both submit — two
@@ -2201,12 +2233,12 @@ noc = 30
             while !campaign.rows_complete() {
                 let granted: Vec<(u64, u64, usize)> = [1, 2]
                     .into_iter()
-                    .filter_map(|s| campaign.grant(s).map(|(lease, job)| (s, lease, job)))
+                    .filter_map(|s| campaign.grant(s, now).map(|(lease, job)| (s, lease, job)))
                     .collect();
                 assert!(!granted.is_empty(), "rows remain but nothing was granted");
                 for (session, lease, job) in granted {
                     pairs.insert((session, campaign.point_of(job)));
-                    let answer = complete(&mut campaign, session, lease, job, &stats);
+                    let answer = complete(&mut campaign, session, lease, job, &stats, now);
                     assert!(matches!(answer, Message::RowAck { .. }), "{answer:?}");
                 }
             }
@@ -2225,14 +2257,16 @@ noc = 30
     fn grant_never_idles_a_session_while_a_regular_row_is_ready() {
         // One point, two sessions: the second must steal, not idle.
         let (mut campaign, dir) = integrity_campaign("steal", 0.0);
-        let (_, first) = campaign.grant(1).unwrap();
-        let (lease, stolen) = campaign.grant(2).expect("a steal from the busy point");
+        let now = Instant::now();
+        let (_, first) = campaign.grant(1, now).unwrap();
+        let (lease, stolen) = campaign.grant(2, now).expect("a steal from the busy point");
         assert_eq!(campaign.point_of(first), campaign.point_of(stolen));
         assert!(campaign.leases.contains_key(&lease));
         std::fs::remove_dir_all(&dir).unwrap();
 
         // Three sessions over four points, each holding a lease at a time.
         let (mut campaign, dir) = broker_campaign(AFFINITY_TWO_CONFIG_SPEC, "no-idle", 0.0);
+        let now = Instant::now();
         let stats = stats_to_array(&SimStats::default());
         let mut held: HashMap<u64, (u64, usize)> = HashMap::new();
         for step in 0.. {
@@ -2242,10 +2276,10 @@ noc = 30
             assert!(step < 1_000, "the campaign never drained");
             let session = step % 3 + 1;
             if let Some((lease, job)) = held.remove(&session) {
-                complete(&mut campaign, session, lease, job, &stats);
+                complete(&mut campaign, session, lease, job, &stats, now);
             }
-            let ready = regular_row_ready(&campaign);
-            match campaign.grant(session) {
+            let ready = regular_row_ready(&campaign, now);
+            match campaign.grant(session, now) {
                 Some((lease, job)) => {
                     assert!(campaign.leases.contains_key(&lease), "a regular lease");
                     held.insert(session, (lease, job));
@@ -2261,38 +2295,41 @@ noc = 30
         let (mut campaign, dir) = broker_campaign(AFFINITY_SPEC, "backoff", 0.0);
         campaign.backoff_base = Duration::from_secs(60);
         campaign.backoff_cap = Duration::from_secs(60);
+        let now = Instant::now();
         let stats = stats_to_array(&SimStats::default());
-        let (lease, revoked) = campaign.grant(1).unwrap();
-        campaign.revoke(lease, "test revocation");
+        let (lease, revoked) = campaign.grant(1, now).unwrap();
+        campaign.revoke(lease, "test revocation", now);
         // Session 1's own point ranks first, but its revoked row must wait.
-        let (lease, job) = campaign.grant(1).unwrap();
+        let (lease, job) = campaign.grant(1, now).unwrap();
         assert_ne!(job, revoked);
         assert_eq!(campaign.point_of(job), campaign.point_of(revoked));
-        complete(&mut campaign, 1, lease, job, &stats);
+        complete(&mut campaign, 1, lease, job, &stats, now);
         for session in [1, 2].into_iter().cycle() {
-            let Some((lease, job)) = campaign.grant(session) else {
+            let Some((lease, job)) = campaign.grant(session, now) else {
                 break;
             };
             assert_ne!(job, revoked, "granted inside its backoff");
-            complete(&mut campaign, session, lease, job, &stats);
+            complete(&mut campaign, session, lease, job, &stats, now);
         }
         assert_eq!(campaign.done.len(), campaign.jobs.len() - 1);
-        assert!(campaign.grant(2).is_none());
+        let almost = now + Duration::from_millis(59_999);
+        assert!(campaign.grant(2, almost).is_none());
         assert_eq!(campaign.queue.len(), 1);
         // Once the backoff has passed, the row is leasable again.
-        campaign.queue[0].ready_at = Instant::now();
-        assert_eq!(campaign.grant(2).map(|(_, job)| job), Some(revoked));
+        let after = now + Duration::from_secs(60);
+        assert_eq!(campaign.grant(2, after).map(|(_, job)| job), Some(revoked));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn verification_takes_the_first_eligible_sample_and_skips_its_producer() {
         let (mut campaign, dir) = broker_campaign(AFFINITY_SPEC, "verify-order", 1.0);
+        let now = Instant::now();
         let stats = stats_to_array(&SimStats::default());
         while !campaign.rows_complete() {
             for session in [1, 2] {
-                if let Some((lease, job)) = campaign.grant(session) {
-                    complete(&mut campaign, session, lease, job, &stats);
+                if let Some((lease, job)) = campaign.grant(session, now) {
+                    complete(&mut campaign, session, lease, job, &stats, now);
                 }
             }
         }
@@ -2306,13 +2343,13 @@ noc = 30
             .collect();
         assert!(!eligible.is_empty());
         let mut granted = Vec::new();
-        while let Some((lease, job)) = campaign.grant(1) {
+        while let Some((lease, job)) = campaign.grant(1, now) {
             assert_ne!(
                 campaign.verify_leases[&lease].producer, 1,
                 "session 1 was handed its own row to verify"
             );
             granted.push(job);
-            complete(&mut campaign, 1, lease, job, &stats);
+            complete(&mut campaign, 1, lease, job, &stats, now);
         }
         assert_eq!(granted, eligible);
         assert!(campaign.verify_queue.iter().all(|v| v.producer == 1));
@@ -2323,15 +2360,18 @@ noc = 30
     #[test]
     fn ending_a_session_frees_its_point_for_another() {
         let (mut campaign, dir) = broker_campaign(AFFINITY_SPEC, "end-session", 0.0);
-        let (lease, first) = campaign.grant(1).unwrap();
+        let now = Instant::now();
+        let (_, first) = campaign.grant(1, now).unwrap();
         let p0 = campaign.point_of(first);
-        let (_, second) = campaign.grant(2).unwrap();
+        let (kept, second) = campaign.grant(2, now).unwrap();
         assert_ne!(campaign.point_of(second), p0, "p0 is session 1's");
-        // Session 1's connection ends: its lease is revoked, its point freed.
-        campaign.revoke(lease, "lost its connection (test)");
-        campaign.end_session(1);
+        // Session 1's connection ends: its lease is revoked, its point
+        // freed; session 2's lease is untouched.
+        campaign.disconnect(1, now);
         assert!(!campaign.session_points.contains_key(&1));
-        let (_, third) = campaign.grant(3).unwrap();
+        assert!(campaign.queue.iter().any(|q| q.job == first));
+        assert!(campaign.leases.contains_key(&kept));
+        let (_, third) = campaign.grant(3, now).unwrap();
         assert_eq!(
             campaign.point_of(third),
             p0,
@@ -2342,7 +2382,7 @@ noc = 30
 
     #[test]
     fn remote_worker_with_a_colliding_pid_cannot_feed_the_hang_probe() {
-        let shared = BrokerShared::new();
+        let shared = BrokerShared::new(Duration::from_secs(60));
         let local: SocketAddr = "127.0.0.1:40000".parse().unwrap();
         let mapped: SocketAddr = "[::ffff:127.0.0.1]:40001".parse().unwrap();
         let remote: SocketAddr = "192.0.2.7:40000".parse().unwrap();
@@ -2362,5 +2402,573 @@ noc = 30
         shared.note_activity(mapped, 4242);
         assert_eq!(shared.activity_of(4242), 2);
         assert_eq!(shared.activity_of(7), 0);
+    }
+
+    // ---- the seeded schedule explorer -------------------------------------
+    //
+    // Drives one broker campaign over [`AFFINITY_SPEC`] through random
+    // schedules of worker frames, disconnects, clock jumps and broker
+    // restarts — no sockets, threads or sleeps — and checks the lease rules
+    // after every step. Every choice comes from one SplitMix64 stream, so a
+    // failing seed replays exactly.
+
+    /// The explorer's lease timeout (on its own clock).
+    const EXPLORE_TIMEOUT: Duration = Duration::from_secs(1);
+
+    /// `run_campaign`'s JSON and CSV report of [`AFFINITY_SPEC`] and every
+    /// job's true stat array, computed once: the rows honest peers submit
+    /// and the bytes every explored schedule must reproduce.
+    fn truth() -> &'static (String, String, Vec<Vec<u64>>) {
+        static TRUTH: std::sync::OnceLock<(String, String, Vec<Vec<u64>>)> =
+            std::sync::OnceLock::new();
+        TRUTH.get_or_init(|| {
+            let spec = CampaignSpec::from_toml_str(AFFINITY_SPEC).unwrap();
+            let options = crate::engine::EngineOptions {
+                jobs: 2,
+                ..Default::default()
+            };
+            let report = crate::engine::run_campaign(&spec, &options).unwrap();
+            let stats = report
+                .rows
+                .iter()
+                .map(|row| stats_to_array(&row.stats).to_vec())
+                .collect();
+            (
+                crate::sink::to_json(&report),
+                crate::sink::to_csv(&report),
+                stats,
+            )
+        })
+    }
+
+    /// SplitMix64, the explorer's only source of choices.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// A uniform draw from `0..n`.
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn percent(&mut self, p: u64) -> bool {
+            self.below(100) < p
+        }
+    }
+
+    /// One simulated worker connection.
+    struct Peer {
+        session: u64,
+        /// Heartbeats its lease before every clock step; the liveness
+        /// invariant covers exactly these peers.
+        heartbeats: bool,
+        /// The lease it holds and that lease's job.
+        held: Option<(u64, usize)>,
+        /// The lease and job of its last submitted row, retransmitted as a
+        /// duplicate.
+        last_row: Option<(u64, usize)>,
+    }
+
+    /// What a schedule exercised, summed over its broker lives.
+    #[derive(Debug, Default)]
+    struct Tally {
+        restarts: u64,
+        expiries: u64,
+        late_rows: u64,
+        duplicates: u64,
+        corrupt_rows: u64,
+        lies: u64,
+        rows_verified: u64,
+        verify_mismatches: u64,
+        quarantines: u64,
+        /// Row lines in the journal at the end.
+        journal_lines: u64,
+    }
+
+    impl Tally {
+        fn add(&mut self, other: &Tally) {
+            self.restarts += other.restarts;
+            self.expiries += other.expiries;
+            self.late_rows += other.late_rows;
+            self.duplicates += other.duplicates;
+            self.corrupt_rows += other.corrupt_rows;
+            self.lies += other.lies;
+            self.rows_verified += other.rows_verified;
+            self.verify_mismatches += other.verify_mismatches;
+            self.quarantines += other.quarantines;
+            self.journal_lines += other.journal_lines;
+        }
+    }
+
+    /// One seeded schedule against one broker campaign.
+    struct Explorer {
+        rng: SplitMix,
+        /// Peers may submit rows whose payload disagrees with their
+        /// `row_fnv`, and verifiers may answer with wrong (checksummed)
+        /// stats. Regular rows are always the truth otherwise.
+        adversarial: bool,
+        spec: CampaignSpec,
+        hash: String,
+        jobs: Vec<Job>,
+        options: ServeOptions,
+        dir: PathBuf,
+        campaign: ActiveCampaign,
+        now: Instant,
+        peers: Vec<Peer>,
+        next_session: u64,
+        /// Every session quarantined in any broker life.
+        quarantined: HashSet<u64>,
+        /// The journal's row lines so far: (job, producing session).
+        journal: Vec<(usize, u64)>,
+        tally: Tally,
+    }
+
+    impl Explorer {
+        fn new(seed: u64, adversarial: bool, verify_fraction: f64) -> Explorer {
+            let kind = if adversarial { "adversary" } else { "honest" };
+            let dir = temp_dir(&format!("explore-{kind}-{seed}"));
+            let spec = CampaignSpec::from_toml_str(AFFINITY_SPEC).unwrap();
+            let hash = spec_hash(&spec, spec.run, false);
+            let jobs = expand(&spec);
+            let options = ServeOptions {
+                verify_fraction,
+                lease_timeout: EXPLORE_TIMEOUT,
+                supervise: SuperviseOptions {
+                    backoff_base: Duration::from_millis(50),
+                    backoff_cap: Duration::from_millis(400),
+                    ..SuperviseOptions::default()
+                },
+                ..ServeOptions::default()
+            };
+            let now = Instant::now();
+            let campaign = ActiveCampaign::open(
+                &spec,
+                &dir,
+                &hash,
+                jobs.clone(),
+                &HashMap::new(),
+                &options,
+                now,
+            )
+            .unwrap();
+            Explorer {
+                rng: SplitMix(seed),
+                adversarial,
+                spec,
+                hash,
+                jobs,
+                options,
+                dir,
+                campaign,
+                now,
+                peers: Vec::new(),
+                next_session: 1,
+                quarantined: HashSet::new(),
+                journal: Vec::new(),
+                tally: Tally::default(),
+            }
+        }
+
+        /// Runs `steps` random steps, then drains the campaign with two
+        /// honest peers and compares the report assembled from its journal
+        /// with `run_campaign`'s bytes.
+        fn run(mut self, steps: usize) -> Result<Tally, String> {
+            for step in 0..steps {
+                self.step().map_err(|e| format!("step {step}: {e}"))?;
+            }
+            self.drain().map_err(|e| format!("drain: {e}"))?;
+            self.bank_counters();
+            let replay = JournalReplay::load(&self.dir, &self.spec.name, &self.hash, &self.jobs)
+                .map_err(|e| e.to_string())?;
+            if replay.completed() != self.jobs.len() {
+                return Err(format!("only {} rows journaled", replay.completed()));
+            }
+            let stats = (0..self.jobs.len()).map(|i| replay.rows[&i]).collect();
+            let report = assemble_report(&self.spec, &self.jobs, self.spec.run, false, stats);
+            let (json, csv, _) = truth();
+            if crate::sink::to_json(&report) != *json || crate::sink::to_csv(&report) != *csv {
+                return Err("the report differs from run_campaign's bytes".to_string());
+            }
+            std::fs::remove_dir_all(&self.dir).map_err(|e| e.to_string())?;
+            self.tally.journal_lines = self.journal.len() as u64;
+            Ok(self.tally)
+        }
+
+        /// One random operation, then every invariant.
+        fn step(&mut self) -> Result<(), String> {
+            let roll = self.rng.below(100);
+            let pick = |explorer: &mut Explorer, holding: Option<bool>| {
+                let eligible: Vec<usize> = (0..explorer.peers.len())
+                    .filter(|&i| holding.is_none_or(|h| explorer.peers[i].held.is_some() == h))
+                    .collect();
+                (!eligible.is_empty())
+                    .then(|| eligible[explorer.rng.below(eligible.len() as u64) as usize])
+            };
+            match roll {
+                0..=9 if self.peers.len() < 4 => {
+                    let heartbeats = self.rng.percent(70);
+                    self.connect(heartbeats);
+                }
+                10..=34 => {
+                    if let Some(i) = pick(self, Some(false)) {
+                        self.request_lease(i)?;
+                    }
+                }
+                35..=44 => {
+                    if let Some(i) = pick(self, Some(true)) {
+                        let (session, (lease, _)) =
+                            (self.peers[i].session, self.peers[i].held.unwrap());
+                        self.send(session, Message::Heartbeat { lease })?;
+                    }
+                }
+                45..=69 => {
+                    if let Some(i) = pick(self, Some(true)) {
+                        self.submit_row(i)?;
+                    }
+                }
+                70..=74 => {
+                    if let Some(i) = pick(self, None) {
+                        if let Some((lease, job)) = self.peers[i].last_row {
+                            self.tally.duplicates += 1;
+                            let truth = &truth().2[job];
+                            let row = row_frame(&self.campaign, lease, job, truth, truth);
+                            self.send(self.peers[i].session, row)?;
+                        }
+                    }
+                }
+                75..=81 => {
+                    if let Some(i) = pick(self, None) {
+                        let peer = self.peers.swap_remove(i);
+                        self.campaign.disconnect(peer.session, self.now);
+                    }
+                }
+                82..=97 => {
+                    let millis = EXPLORE_TIMEOUT.as_millis() as u64;
+                    let jump = if self.rng.percent(30) {
+                        millis + self.rng.below(2 * millis)
+                    } else {
+                        self.rng.below(millis / 4)
+                    };
+                    self.advance(Duration::from_millis(jump))?;
+                    if self.rng.percent(50) {
+                        // One tick of the drive loop.
+                        self.sweep();
+                    }
+                }
+                98..=99 => self.restart()?,
+                _ => {}
+            }
+            self.check()
+        }
+
+        fn connect(&mut self, heartbeats: bool) {
+            self.peers.push(Peer {
+                session: self.next_session,
+                heartbeats,
+                held: None,
+                last_row: None,
+            });
+            self.next_session += 1;
+        }
+
+        /// Sends one frame for `session` and checks each line it added to
+        /// the journal: a job's second line is allowed only once the
+        /// producer of its earlier line was quarantined.
+        fn send(&mut self, session: u64, msg: Message) -> Result<Option<Message>, String> {
+            let reply = self.campaign.handle(session, "peer", msg, self.now);
+            self.quarantined
+                .extend(self.campaign.quarantined.iter().copied());
+            let text = std::fs::read_to_string(Journal::path_for(&self.dir, &self.spec.name, None))
+                .map_err(|e| e.to_string())?;
+            for line in text.lines().skip(1 + self.journal.len()) {
+                let job: usize = line
+                    .strip_prefix("{\"job\":")
+                    .and_then(|rest| rest.split(',').next())
+                    .and_then(|n| n.parse().ok())
+                    .ok_or_else(|| format!("unreadable journal line {line}"))?;
+                if let Some(&(_, earlier)) = self
+                    .journal
+                    .iter()
+                    .find(|&&(j, producer)| j == job && !self.quarantined.contains(&producer))
+                {
+                    return Err(format!(
+                        "job {job} journaled again by session {session}, though its \
+                         producer, session {earlier}, was never quarantined"
+                    ));
+                }
+                self.journal.push((job, session));
+            }
+            Ok(reply)
+        }
+
+        fn request_lease(&mut self, i: usize) -> Result<(), String> {
+            let session = self.peers[i].session;
+            match self.send(session, Message::LeaseRequest)? {
+                Some(Message::Lease { lease, job, .. }) => {
+                    if self.campaign.quarantined.contains(&session) {
+                        return Err(format!(
+                            "lease {lease} granted to quarantined session {session}"
+                        ));
+                    }
+                    if let Some(sample) = self.campaign.verify_leases.get(&lease) {
+                        if sample.producer == session {
+                            return Err(format!(
+                                "verification lease {lease} of job {job} granted to its \
+                                 producer, session {session}"
+                            ));
+                        }
+                    }
+                    self.peers[i].held = Some((lease, job as usize));
+                }
+                Some(Message::NoWork { .. }) => {}
+                Some(Message::Reject { .. }) if self.campaign.quarantined.contains(&session) => {}
+                other => return Err(format!("lease request of session {session} got {other:?}")),
+            }
+            Ok(())
+        }
+
+        /// Peer `i` answers its lease: the true row, or — when adversarial —
+        /// sometimes a corrupt one, or wrong stats for a verification lease.
+        fn submit_row(&mut self, i: usize) -> Result<(), String> {
+            let session = self.peers[i].session;
+            let (lease, job) = self.peers[i].held.take().expect("a held lease");
+            self.peers[i].last_row = Some((lease, job));
+            let verifying = self.campaign.verify_leases.contains_key(&lease);
+            if !verifying && !self.campaign.leases.contains_key(&lease) {
+                self.tally.late_rows += 1;
+            }
+            let truth = truth().2[job].clone();
+            let roll = if self.adversarial {
+                self.rng.below(100)
+            } else {
+                100
+            };
+            let (row, honest) = if roll < 10 {
+                self.tally.corrupt_rows += 1;
+                let mut damaged = truth.clone();
+                damaged[(roll % 3) as usize] ^= 1;
+                (
+                    row_frame(&self.campaign, lease, job, &damaged, &truth),
+                    false,
+                )
+            } else if verifying && roll < 40 {
+                self.tally.lies += 1;
+                let mut wrong = truth;
+                wrong[1] = wrong[1].wrapping_add(1);
+                (row_frame(&self.campaign, lease, job, &wrong, &wrong), false)
+            } else {
+                (row_frame(&self.campaign, lease, job, &truth, &truth), true)
+            };
+            let trusted = !self.campaign.quarantined.contains(&session);
+            let reply = self.send(session, row)?;
+            if honest && trusted && !matches!(reply, Some(Message::RowAck { .. })) {
+                return Err(format!(
+                    "session {session}'s true row for job {job} got {reply:?}"
+                ));
+            }
+            Ok(())
+        }
+
+        /// Moves the clock `by`, in steps of a third of the lease timeout,
+        /// each preceded by a heartbeat from every heartbeating peer that
+        /// holds a lease.
+        fn advance(&mut self, by: Duration) -> Result<(), String> {
+            let mut left = by;
+            while !left.is_zero() {
+                let beats: Vec<(u64, u64)> = self
+                    .peers
+                    .iter()
+                    .filter(|peer| peer.heartbeats)
+                    .filter_map(|peer| peer.held.map(|(lease, _)| (peer.session, lease)))
+                    .collect();
+                for (session, lease) in beats {
+                    if let Some(reply) = self.send(session, Message::Heartbeat { lease })? {
+                        return Err(format!("a heartbeat was answered with {reply:?}"));
+                    }
+                }
+                let chunk = left.min(EXPLORE_TIMEOUT / 3);
+                self.now += chunk;
+                left -= chunk;
+            }
+            Ok(())
+        }
+
+        /// One drive-loop tick: sweeps expired leases.
+        fn sweep(&mut self) {
+            let before = self.campaign.leases.len() + self.campaign.verify_leases.len();
+            self.campaign.sweep_expired(self.now);
+            let after = self.campaign.leases.len() + self.campaign.verify_leases.len();
+            self.tally.expiries += (before - after) as u64;
+        }
+
+        /// Adds this broker life's counters to the tally.
+        fn bank_counters(&mut self) {
+            self.tally.rows_verified += self.campaign.rows_verified;
+            self.tally.verify_mismatches += self.campaign.verify_mismatches;
+            self.tally.quarantines += self.campaign.quarantined.len() as u64;
+        }
+
+        /// Drops the campaign with every connection and installs it again
+        /// from its journal, as a restarted broker does.
+        fn restart(&mut self) -> Result<(), String> {
+            self.tally.restarts += 1;
+            self.bank_counters();
+            self.peers.clear();
+            let replay = JournalReplay::load(&self.dir, &self.spec.name, &self.hash, &self.jobs)
+                .map_err(|e| e.to_string())?;
+            self.campaign = ActiveCampaign::open(
+                &self.spec,
+                &self.dir,
+                &self.hash,
+                self.jobs.clone(),
+                &replay.rows,
+                &self.options,
+                self.now,
+            )?;
+            let journaled: HashSet<usize> = self.journal.iter().map(|&(job, _)| job).collect();
+            if self.campaign.done != journaled {
+                return Err(format!(
+                    "restart replayed {:?}, the journal holds {journaled:?}",
+                    self.campaign.done
+                ));
+            }
+            Ok(())
+        }
+
+        /// Disconnects every peer, then two fresh honest peers run leases
+        /// until the campaign is settled.
+        fn drain(&mut self) -> Result<(), String> {
+            self.adversarial = false;
+            for peer in std::mem::take(&mut self.peers) {
+                self.campaign.disconnect(peer.session, self.now);
+            }
+            self.check()?;
+            self.connect(true);
+            self.connect(true);
+            for _ in 0..10_000 {
+                if self.campaign.settled() {
+                    return if self.campaign.complete() {
+                        Ok(())
+                    } else {
+                        Err("settled without completing".to_string())
+                    };
+                }
+                let mut granted = false;
+                for i in 0..2 {
+                    self.request_lease(i)?;
+                    if self.peers[i].held.is_some() {
+                        granted = true;
+                        self.submit_row(i)?;
+                    }
+                    self.check()?;
+                }
+                if !granted {
+                    self.advance(EXPLORE_TIMEOUT / 4)?;
+                    self.sweep();
+                    self.check()?;
+                }
+            }
+            Err("the campaign never settled".to_string())
+        }
+
+        /// The invariants that hold after every step.
+        fn check(&self) -> Result<(), String> {
+            let campaign = &self.campaign;
+            for job in 0..campaign.jobs.len() {
+                let placed = campaign.done.contains(&job)
+                    || campaign.leases.values().any(|l| l.job == job)
+                    || campaign.queue.iter().any(|q| q.job == job);
+                if !placed {
+                    return Err(format!("job {job} is neither done, leased nor queued"));
+                }
+            }
+            for peer in self.peers.iter().filter(|peer| peer.heartbeats) {
+                if let Some((lease, job)) = peer.held {
+                    if !campaign.leases.contains_key(&lease)
+                        && !campaign.verify_leases.contains_key(&lease)
+                    {
+                        return Err(format!(
+                            "lease {lease} (job {job}) of session {}, which kept \
+                             heartbeating, was revoked",
+                            peer.session
+                        ));
+                    }
+                }
+            }
+            Ok(())
+        }
+    }
+
+    /// Runs `seeds` schedules of `steps` steps; panics naming the first
+    /// failing seed and invariant.
+    fn explore(
+        seeds: std::ops::Range<u64>,
+        steps: usize,
+        adversarial: bool,
+        fraction: f64,
+    ) -> Tally {
+        let mut total = Tally::default();
+        for seed in seeds {
+            match Explorer::new(seed, adversarial, fraction).run(steps) {
+                Ok(tally) => total.add(&tally),
+                Err(e) => panic!("explorer seed {seed}: {e}"),
+            }
+        }
+        total
+    }
+
+    /// The lease rules under an adversarial fleet: corrupt rows, lying
+    /// verifiers, duplicates, late rows after a revoke, silent and
+    /// disconnecting peers, clock jumps past the lease timeout and broker
+    /// restarts. Every schedule keeps every invariant and ends in
+    /// `run_campaign`'s report bytes.
+    #[test]
+    fn seeded_schedules_keep_the_lease_invariants() {
+        let tally = explore(0..48, 160, true, 0.5);
+        // The budget must actually reach every rule it claims to check.
+        for (what, count) in [
+            ("restarts", tally.restarts),
+            ("expiries", tally.expiries),
+            ("late rows", tally.late_rows),
+            ("duplicates", tally.duplicates),
+            ("corrupt rows", tally.corrupt_rows),
+            ("lying verifiers", tally.lies),
+            ("re-verified rows", tally.rows_verified),
+            ("verification mismatches", tally.verify_mismatches),
+            ("quarantines", tally.quarantines),
+        ] {
+            assert!(count > 0, "no {what} in the seed budget: {tally:?}");
+        }
+    }
+
+    /// An honest fleet under the same schedules, every row sampled: the
+    /// broker journals each job exactly once whatever is retransmitted or
+    /// completed late, every sample is re-run by another session and
+    /// matches, and nobody is quarantined.
+    #[test]
+    fn honest_schedules_journal_each_row_once_and_verify_clean() {
+        let jobs = expand(&CampaignSpec::from_toml_str(AFFINITY_SPEC).unwrap()).len() as u64;
+        let mut total = Tally::default();
+        for seed in 0..16 {
+            let tally = explore(seed..seed + 1, 160, false, 1.0);
+            assert_eq!(tally.journal_lines, jobs, "seed {seed}: {tally:?}");
+            assert_eq!(tally.quarantines, 0, "seed {seed}: {tally:?}");
+            assert_eq!(tally.verify_mismatches, 0, "seed {seed}: {tally:?}");
+            total.add(&tally);
+        }
+        for (what, count) in [
+            ("duplicates", total.duplicates),
+            ("late rows", total.late_rows),
+            ("re-verified rows", total.rows_verified),
+        ] {
+            assert!(count > 0, "no {what} in the seed budget: {total:?}");
+        }
     }
 }

@@ -18,11 +18,13 @@
 //! A heartbeat thread shares the socket (writes serialised by a mutex;
 //! heartbeats are the protocol's only fire-and-forget frame, so the session
 //! thread's request-reply reads never race a heartbeat's non-existent
-//! reply) and refreshes whichever lease the session currently holds. If the
-//! worker stalls — the injectable `heartbeat-stall` fault, or a real wedge —
-//! the heartbeats stop and the broker's lease timeout reclaims the job.
-//! The session unparks the heartbeat thread when it ends, so a shutdown
-//! never waits out a heartbeat interval.
+//! reply) and refreshes whichever lease the session currently holds, at the
+//! interval the broker's `Welcome` names — the broker derives it from its
+//! own lease timeout, so every worker beats several times per timeout. If
+//! the worker stalls — the injectable `heartbeat-stall` fault, or a real
+//! wedge — the heartbeats stop and the broker's lease timeout reclaims the
+//! job. The session unparks the heartbeat thread when it ends, so a
+//! shutdown never waits out a heartbeat interval.
 //!
 //! Completed rows are transmitted as [`Message::RowDone`] with the stat
 //! counters in canonical journal column order plus the row's `row_fnv`
@@ -57,8 +59,6 @@ pub struct WorkerOptions {
     /// This worker's index, quoted in the handshake and registered as the
     /// process's fault shard (so `shard=N` plans can address one worker).
     pub worker_index: usize,
-    /// Heartbeat interval while a lease is held.
-    pub heartbeat: Duration,
     /// Backoff before the first reconnect; doubles per consecutive failure.
     pub reconnect_base: Duration,
     /// Upper bound on the doubled reconnect backoff.
@@ -79,7 +79,6 @@ impl Default for WorkerOptions {
         WorkerOptions {
             connect: String::new(),
             worker_index: 0,
-            heartbeat: Duration::from_secs(2),
             reconnect_base: Duration::from_millis(250),
             reconnect_cap: Duration::from_secs(10),
             reconnect_tries: 6,
@@ -321,8 +320,14 @@ fn session(
     if let Err(e) = write_message(&mut *lock_writer(&writer)?, &hello) {
         return Ok(SessionEnd::Lost(e));
     }
-    match read_message(&mut reader) {
-        Ok(Message::Welcome { broker_pid }) => summary.broker_pid = broker_pid,
+    let interval = match read_message(&mut reader) {
+        Ok(Message::Welcome {
+            broker_pid,
+            heartbeat_ms,
+        }) => {
+            summary.broker_pid = broker_pid;
+            Duration::from_millis(heartbeat_ms.max(10))
+        }
         Ok(other) => {
             return Ok(SessionEnd::Lost(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -330,7 +335,7 @@ fn session(
             )))
         }
         Err(e) => return Ok(SessionEnd::Lost(e)),
-    }
+    };
 
     // The heartbeat thread refreshes whatever lease the session currently
     // holds (0 = none). It dies with the connection: any write error or the
@@ -342,7 +347,6 @@ fn session(
         let writer = Arc::clone(&writer);
         let current_lease = Arc::clone(&current_lease);
         let hb_stop = Arc::clone(&hb_stop);
-        let interval = options.heartbeat;
         std::thread::spawn(move || {
             while !hb_stop.load(Ordering::Relaxed) {
                 let due = Instant::now() + interval;
@@ -507,10 +511,7 @@ fn lease_loop(
                     row_fnv,
                     stats: values,
                 };
-                let transmissions = if row_faults.duplicate { 2 } else { 1 };
-                for _ in 0..transmissions {
-                    send!(&done);
-                }
+                send!(&done);
                 if row_faults.conn_drop {
                     // Drop the socket before reading the ack: the broker has
                     // (or will have) journaled the row; the retransmission
@@ -521,26 +522,24 @@ fn lease_loop(
                         "injected connection drop before ack",
                     )));
                 }
-                let mut acked = false;
-                for _ in 0..transmissions {
-                    match recv!() {
-                        Message::RowAck { .. } => acked = true,
-                        Message::Reject { reason } => {
-                            if !options.quiet {
-                                eprintln!(
-                                    "worker {}: row {job} rejected: {reason}",
-                                    options.worker_index
-                                );
-                            }
+                let acked = match recv!() {
+                    Message::RowAck { .. } => true,
+                    Message::Reject { reason } => {
+                        if !options.quiet {
+                            eprintln!(
+                                "worker {}: row {job} rejected: {reason}",
+                                options.worker_index
+                            );
                         }
-                        other => {
-                            return Ok(SessionEnd::Lost(io::Error::new(
-                                io::ErrorKind::InvalidData,
-                                format!("expected RowAck/Reject, got {other:?}"),
-                            )))
-                        }
+                        false
                     }
-                }
+                    other => {
+                        return Ok(SessionEnd::Lost(io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            format!("expected RowAck/Reject, got {other:?}"),
+                        )))
+                    }
+                };
                 current_lease.store(0, Ordering::Relaxed);
                 if acked {
                     summary.rows += 1;

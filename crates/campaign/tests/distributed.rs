@@ -3,10 +3,17 @@
 //! Every test drives a real `boomerang-sim serve --listen` broker and real
 //! `boomerang-sim worker --connect` processes over loopback, injects
 //! deterministic network faults (`conn-drop`, `heartbeat-stall`,
-//! `row-duplicate`, `frame-torn`, worker and broker crashes) into one end
-//! or the other, and asserts the contract that makes distribution safe to
-//! use at all: the merged report is **byte-identical** to an undisturbed
-//! single-process run, no matter how the campaign was cut up or disturbed.
+//! `frame-torn`, `frame-corrupt`, `row-corrupt`, worker and broker crashes)
+//! into one end or the other, and asserts the contract that makes
+//! distribution safe to use at all: the merged report is
+//! **byte-identical** to an undisturbed single-process run, no matter how
+//! the campaign was cut up or disturbed.
+//!
+//! Only what needs processes, signals, torn frames or the supervisor is
+//! tested here. The broker's lease rules alone — dedup of retransmitted
+//! rows, re-verification by another session, quarantine, expiry — are
+//! checked without sockets by the seeded schedule explorer in
+//! `serve::tests`.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -25,10 +32,6 @@ seeds = [0, 1]
 trace_blocks = 2000
 warmup_blocks = 400
 ";
-
-/// Rows in [`MINI_SPEC`]'s canonical expansion (2 workloads x 2 seeds x
-/// (2 mechanisms + implicit baseline)).
-const MINI_ROWS: usize = 12;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("boomerang-dist-{tag}-{}", std::process::id()));
@@ -116,15 +119,7 @@ fn wait_for_addr(addr_file: &Path) -> String {
 /// Spawns a `worker --connect` with the given extra flags.
 fn spawn_worker(addr: &str, index: usize, extra: &[&str]) -> Child {
     let index = index.to_string();
-    let mut args = vec![
-        "worker",
-        "--connect",
-        addr,
-        "--worker-index",
-        &index,
-        "--heartbeat-ms",
-        "200",
-    ];
+    let mut args = vec!["worker", "--connect", addr, "--worker-index", &index];
     args.extend_from_slice(extra);
     Command::new(BIN)
         .args(&args)
@@ -226,31 +221,6 @@ fn mixed_local_and_remote_workers_merge_byte_identically() {
     assert!(remote.status.success(), "{}", stderr_of(&remote));
 
     assert!(spool.join("job.toml.done").exists(), "{serve_log}");
-    assert_report_matches(&out, "dist-mini", &reference);
-    for dir in [spool, out] {
-        std::fs::remove_dir_all(dir).unwrap();
-    }
-}
-
-/// Idempotent submission: a worker that transmits one row twice must not
-/// double-append it — the journal holds exactly one line per job.
-#[test]
-fn duplicated_row_submissions_are_deduped_by_the_broker() {
-    let reference = clean_reference("dup", MINI_SPEC, "dist-mini");
-    let (broker, spool, out, addr) = spawn_broker("dup", MINI_SPEC, &["--workers", "0"]);
-    let worker = spawn_worker(&addr, 0, &["--fault-inject", "row-duplicate:after-rows=2"]);
-
-    let output = broker.wait_with_output().unwrap();
-    assert!(output.status.success(), "{}", stderr_of(&output));
-    let worker = worker.wait_with_output().unwrap();
-    assert!(worker.status.success(), "{}", stderr_of(&worker));
-
-    let journal = std::fs::read_to_string(out.join("job").join("dist-mini.journal.jsonl")).unwrap();
-    assert_eq!(
-        journal.lines().count(),
-        1 + MINI_ROWS,
-        "header + one line per job; a duplicate row leaked into the journal:\n{journal}"
-    );
     assert_report_matches(&out, "dist-mini", &reference);
     for dir in [spool, out] {
         std::fs::remove_dir_all(dir).unwrap();
@@ -475,47 +445,6 @@ fn quarantine_bound_fails_the_run_with_exit_code_five() {
     }
 }
 
-/// `--verify-fraction 1.0` with two workers: every row is re-leased to the
-/// session that did not produce it, every re-run matches, nobody is
-/// quarantined, and the report is byte-identical.
-#[test]
-fn sampled_reverification_passes_on_an_honest_fleet() {
-    let reference = clean_reference("verifyok", MINI_SPEC, "dist-mini");
-    let (broker, spool, out, addr) = spawn_broker(
-        "verifyok",
-        MINI_SPEC,
-        &["--workers", "0", "--verify-fraction", "1.0"],
-    );
-    let a = spawn_worker(&addr, 0, &[]);
-    let b = spawn_worker(&addr, 1, &[]);
-
-    let output = broker.wait_with_output().unwrap();
-    let serve_log = stderr_of(&output);
-    assert!(output.status.success(), "{serve_log}");
-    for child in [a, b] {
-        let w = child.wait_with_output().unwrap();
-        assert!(w.status.success(), "{}", stderr_of(&w));
-    }
-
-    let summary = serve_log
-        .lines()
-        .find(|l| l.contains("integrity summary"))
-        .unwrap_or_else(|| panic!("no integrity summary in: {serve_log}"));
-    assert!(
-        !summary.contains("0 rows re-verified"),
-        "a 1.0 fraction must actually re-verify rows: {summary}"
-    );
-    assert!(
-        summary.contains("0 verification mismatches") && summary.contains("0 sessions quarantined"),
-        "an honest fleet must come out clean: {summary}"
-    );
-    assert!(spool.join("job.toml.done").exists(), "{serve_log}");
-    assert_report_matches(&out, "dist-mini", &reference);
-    for dir in [spool, out] {
-        std::fs::remove_dir_all(dir).unwrap();
-    }
-}
-
 /// Point-affine leasing end to end: two workers draining a six-point
 /// campaign each decode only the points they simulate. Summed over both
 /// workers' exit lines the points stay within points + workers (at most a
@@ -614,14 +543,19 @@ warmup_blocks = 400
     }
 }
 
-/// A clean shutdown never waits out a heartbeat interval: a worker that
-/// heartbeats every 5 s still exits within a second of the broker
-/// finishing, because ending the session wakes its heartbeat thread.
+/// A clean shutdown never waits out a heartbeat interval: a worker told to
+/// heartbeat every 5 s (a 20 s lease timeout's interval) still exits within
+/// a second of the broker finishing, because ending the session wakes its
+/// heartbeat thread.
 #[test]
 fn worker_exits_promptly_when_the_broker_finishes() {
     let reference = clean_reference("hb-exit", MINI_SPEC, "dist-mini");
-    let (broker, spool, out, addr) = spawn_broker("hb-exit", MINI_SPEC, &["--workers", "0"]);
-    let mut worker = spawn_worker(&addr, 0, &["--heartbeat-ms", "5000"]);
+    let (broker, spool, out, addr) = spawn_broker(
+        "hb-exit",
+        MINI_SPEC,
+        &["--workers", "0", "--lease-timeout-secs", "20"],
+    );
+    let mut worker = spawn_worker(&addr, 0, &[]);
     let output = broker.wait_with_output().unwrap();
     let finished = Instant::now();
     assert!(output.status.success(), "{}", stderr_of(&output));
