@@ -3,22 +3,27 @@
 //! Every test drives a real `boomerang-sim serve --listen` broker and real
 //! `boomerang-sim worker --connect` processes over loopback, injects
 //! deterministic network faults (`conn-drop`, `heartbeat-stall`,
-//! `frame-torn`, `frame-corrupt`, `row-corrupt`, worker and broker crashes)
-//! into one end or the other, and asserts the contract that makes
-//! distribution safe to use at all: the merged report is
+//! `frame-torn`, `frame-corrupt`, `row-corrupt`, retransmitted rows, worker
+//! and broker crashes) into one end or the other, and asserts the contract
+//! that makes distribution safe to use at all: the merged report is
 //! **byte-identical** to an undisturbed single-process run, no matter how
 //! the campaign was cut up or disturbed.
 //!
-//! Only what needs processes, signals, torn frames or the supervisor is
-//! tested here. The broker's lease rules alone — dedup of retransmitted
-//! rows, re-verification by another session, quarantine, expiry — are
-//! checked without sockets by the seeded schedule explorer in
-//! `serve::tests`.
+//! These are the end-to-end checks. The broker's lease rules themselves —
+//! dedup of retransmitted rows, re-verification by another session,
+//! quarantine, expiry — are also checked without sockets, over many seeded
+//! schedules, by the schedule explorer in `serve::tests`.
 
 use std::io::Write as _;
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use campaign::proto::{read_message, write_message};
+use campaign::Message;
 
 const BIN: &str = env!("CARGO_BIN_EXE_boomerang-sim");
 const FAULT_EXIT: i32 = campaign::FAULT_EXIT_CODE;
@@ -32,6 +37,10 @@ seeds = [0, 1]
 trace_blocks = 2000
 warmup_blocks = 400
 ";
+
+/// Rows in [`MINI_SPEC`]'s canonical expansion (2 workloads x 2 seeds x
+/// (2 mechanisms + implicit baseline)).
+const MINI_ROWS: usize = 12;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("boomerang-dist-{tag}-{}", std::process::id()));
@@ -221,6 +230,95 @@ fn mixed_local_and_remote_workers_merge_byte_identically() {
     assert!(remote.status.success(), "{}", stderr_of(&remote));
 
     assert!(spool.join("job.toml.done").exists(), "{serve_log}");
+    assert_report_matches(&out, "dist-mini", &reference);
+    for dir in [spool, out] {
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+}
+
+/// Starts a loopback proxy in front of `broker` that transmits every
+/// `RowDone` frame twice — a retransmission whose first copy was not lost
+/// after all — and hides the second reply from the worker, so the worker's
+/// request-reply conversation is undisturbed. Returns the proxy's address
+/// and the count of duplicated rows.
+fn spawn_duplicating_proxy(broker: String) -> (String, Arc<AtomicUsize>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let duplicated = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&duplicated);
+    std::thread::spawn(move || {
+        for conn in listener.incoming() {
+            let Ok(worker) = conn else { return };
+            let Ok(upstream) = TcpStream::connect(&broker) else {
+                continue;
+            };
+            let (mut worker_rx, mut upstream_tx) =
+                (worker.try_clone().unwrap(), upstream.try_clone().unwrap());
+            let counter = Arc::clone(&counter);
+            std::thread::spawn(move || {
+                while let Ok(msg) = read_message(&mut worker_rx) {
+                    let copies = if matches!(msg, Message::RowDone { .. }) {
+                        2
+                    } else {
+                        1
+                    };
+                    if (0..copies).any(|_| write_message(&mut upstream_tx, &msg).is_err()) {
+                        break;
+                    }
+                    if copies == 2 {
+                        counter.fetch_add(1, Ordering::SeqCst);
+                    }
+                }
+                let _ = upstream_tx.shutdown(Shutdown::Both);
+            });
+            let (mut upstream_rx, mut worker_tx) = (upstream, worker);
+            std::thread::spawn(move || {
+                // Every RowDone went out twice, so its replies arrive in
+                // pairs: pass the first of each pair, drop the second.
+                let mut row_replies = 0usize;
+                while let Ok(msg) = read_message(&mut upstream_rx) {
+                    if matches!(msg, Message::RowAck { .. } | Message::Reject { .. }) {
+                        row_replies += 1;
+                        if row_replies.is_multiple_of(2) {
+                            continue;
+                        }
+                    }
+                    if write_message(&mut worker_tx, &msg).is_err() {
+                        break;
+                    }
+                }
+                let _ = worker_tx.shutdown(Shutdown::Both);
+            });
+        }
+    });
+    (addr, duplicated)
+}
+
+/// Idempotent submission: every row arrives at the broker twice (through a
+/// retransmitting proxy), yet the journal holds exactly one line per job
+/// and the report is byte-identical.
+#[test]
+fn duplicated_row_submissions_are_deduped_by_the_broker() {
+    let reference = clean_reference("dup", MINI_SPEC, "dist-mini");
+    let (broker, spool, out, addr) = spawn_broker("dup", MINI_SPEC, &["--workers", "0"]);
+    let (proxy, duplicated) = spawn_duplicating_proxy(addr);
+    let worker = spawn_worker(&proxy, 0, &[]);
+
+    let output = broker.wait_with_output().unwrap();
+    assert!(output.status.success(), "{}", stderr_of(&output));
+    let worker = worker.wait_with_output().unwrap();
+    assert!(worker.status.success(), "{}", stderr_of(&worker));
+
+    assert!(
+        duplicated.load(Ordering::SeqCst) >= MINI_ROWS,
+        "every row must have been transmitted twice"
+    );
+    let journal = std::fs::read_to_string(out.join("job").join("dist-mini.journal.jsonl")).unwrap();
+    assert_eq!(
+        journal.lines().count(),
+        1 + MINI_ROWS,
+        "header + one line per job; a duplicate row leaked into the journal:\n{journal}"
+    );
     assert_report_matches(&out, "dist-mini", &reference);
     for dir in [spool, out] {
         std::fs::remove_dir_all(dir).unwrap();
@@ -440,6 +538,47 @@ fn quarantine_bound_fails_the_run_with_exit_code_five() {
     );
     let _ = liar.kill();
     let _ = liar.wait();
+    for dir in [spool, out] {
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+}
+
+/// `--verify-fraction 1.0` with two workers: every row is re-leased to the
+/// session that did not produce it, every re-run matches, nobody is
+/// quarantined, and the report is byte-identical.
+#[test]
+fn sampled_reverification_passes_on_an_honest_fleet() {
+    let reference = clean_reference("verifyok", MINI_SPEC, "dist-mini");
+    let (broker, spool, out, addr) = spawn_broker(
+        "verifyok",
+        MINI_SPEC,
+        &["--workers", "0", "--verify-fraction", "1.0"],
+    );
+    let a = spawn_worker(&addr, 0, &[]);
+    let b = spawn_worker(&addr, 1, &[]);
+
+    let output = broker.wait_with_output().unwrap();
+    let serve_log = stderr_of(&output);
+    assert!(output.status.success(), "{serve_log}");
+    for child in [a, b] {
+        let w = child.wait_with_output().unwrap();
+        assert!(w.status.success(), "{}", stderr_of(&w));
+    }
+
+    let summary = serve_log
+        .lines()
+        .find(|l| l.contains("integrity summary"))
+        .unwrap_or_else(|| panic!("no integrity summary in: {serve_log}"));
+    assert!(
+        !summary.contains("0 rows re-verified"),
+        "a 1.0 fraction must actually re-verify rows: {summary}"
+    );
+    assert!(
+        summary.contains("0 verification mismatches") && summary.contains("0 sessions quarantined"),
+        "an honest fleet must come out clean: {summary}"
+    );
+    assert!(spool.join("job.toml.done").exists(), "{serve_log}");
+    assert_report_matches(&out, "dist-mini", &reference);
     for dir in [spool, out] {
         std::fs::remove_dir_all(dir).unwrap();
     }
