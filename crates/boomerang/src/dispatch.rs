@@ -1,20 +1,16 @@
 //! Static dispatch over the evaluation's mechanism set.
 //!
 //! [`AnyMechanism`] is the closed enum of every concrete
-//! [`ControlFlowMechanism`] the campaign engine can run. The front-end
+//! [`ControlFlowMechanism`] the experiment harness can run, built by
+//! [`Mechanism::build_any`](crate::Mechanism::build_any). The front-end
 //! simulator is generic over its mechanism type
-//! (`Simulator<'a, M: ControlFlowMechanism>`); instantiating it with
-//! `AnyMechanism` instead of `Box<dyn ControlFlowMechanism>` turns every
-//! hook call on the hot path — `tick` and `next_tick_event` every engine
-//! iteration, `on_ftq_push`/`on_demand_fetch`/`on_commit` several times per
-//! block — into one perfectly predicted match (the variant is constant for
-//! a whole run) followed by a direct, inlinable call. The many empty hooks
-//! then cost nothing, where the trait-object path paid an indirect call and
-//! a `MechContext` it could not see through.
-//!
-//! The boxed trait-object path stays fully supported (it is the simulator's
-//! default type parameter); this enum is an optimisation for the closed set
-//! the experiment harness sweeps.
+//! (`Simulator<'a, M: ControlFlowMechanism>`), and every run instantiates it
+//! with `AnyMechanism`: each hook call on the hot path — `tick` and
+//! `next_tick_event` every engine iteration,
+//! `on_ftq_push`/`on_demand_fetch`/`on_commit` several times per block — is
+//! one perfectly predicted match (the variant is constant for a whole run)
+//! followed by a direct, inlinable call, so the many empty hooks cost
+//! nothing.
 
 use crate::mechanism::Boomerang;
 use frontend::{
@@ -61,10 +57,6 @@ macro_rules! dispatch {
 }
 
 impl ControlFlowMechanism for AnyMechanism {
-    fn name(&self) -> &'static str {
-        dispatch!(self, m => m.name())
-    }
-
     #[inline]
     fn on_ftq_push(&mut self, entry: &FtqEntry, ctx: &mut MechContext<'_>) {
         dispatch!(self, m => m.on_ftq_push(entry, ctx))
@@ -113,54 +105,5 @@ impl ControlFlowMechanism for AnyMechanism {
     #[inline]
     fn is_fetch_directed(&self) -> bool {
         dispatch!(self, m => m.is_fetch_directed())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::{Mechanism, ThrottlePolicy};
-    use frontend::{SimStats, Simulator};
-    use sim_core::MicroarchConfig;
-    use workloads::{CodeLayout, Trace, WorkloadProfile};
-
-    /// The statically dispatched wrapper must be observationally identical
-    /// to the boxed trait object it wraps, for every mechanism variant.
-    #[test]
-    fn any_mechanism_matches_boxed_dispatch() {
-        let layout = CodeLayout::generate(&WorkloadProfile::tiny(2024));
-        let trace = Trace::generate_blocks(&layout, 4_000);
-        let config = MicroarchConfig::hpca17().with_btb_entries(512);
-        for mechanism in [
-            Mechanism::Baseline,
-            Mechanism::NextLine,
-            Mechanism::Dip,
-            Mechanism::Fdip,
-            Mechanism::Pif,
-            Mechanism::Shift,
-            Mechanism::Confluence,
-            Mechanism::Boomerang(ThrottlePolicy::PAPER_DEFAULT),
-            Mechanism::Boomerang(ThrottlePolicy::None),
-        ] {
-            let boxed: SimStats =
-                Simulator::new(config.clone(), &layout, trace.blocks(), mechanism.build())
-                    .run_with_warmup(500);
-            let static_dispatch: SimStats = Simulator::new(
-                config.clone(),
-                &layout,
-                trace.blocks(),
-                Box::new(mechanism.build_any()),
-            )
-            .run_with_warmup(500);
-            assert_eq!(
-                boxed, static_dispatch,
-                "dispatch diverged for {mechanism:?}"
-            );
-            let any = mechanism.build_any();
-            let boxed = mechanism.build();
-            assert_eq!(any.name(), boxed.name());
-            assert_eq!(any.is_fetch_directed(), boxed.is_fetch_directed());
-            assert_eq!(any.storage_overhead_bits(), boxed.storage_overhead_bits());
-        }
     }
 }

@@ -11,7 +11,6 @@ use crate::dispatch::AnyMechanism;
 use crate::mechanism::{Boomerang, ThrottlePolicy};
 use branch_pred::PredictorKind;
 use frontend::{ControlFlowMechanism, SimEngine, SimStats, Simulator};
-use prefetchers::MechanismKind;
 use serde::{Deserialize, Serialize};
 use sim_core::MicroarchConfig;
 use workloads::{CodeLayout, Trace, WorkloadKind};
@@ -58,24 +57,10 @@ impl Mechanism {
         Mechanism::Boomerang(ThrottlePolicy::PAPER_DEFAULT),
     ];
 
-    /// Builds the mechanism instance as a boxed trait object.
-    pub fn build(self) -> Box<dyn ControlFlowMechanism> {
-        match self {
-            Mechanism::Baseline => MechanismKind::Baseline.build(),
-            Mechanism::NextLine => MechanismKind::NextLine.build(),
-            Mechanism::Dip => MechanismKind::Dip.build(),
-            Mechanism::Fdip => MechanismKind::Fdip.build(),
-            Mechanism::Pif => MechanismKind::Pif.build(),
-            Mechanism::Shift => MechanismKind::Shift.build(),
-            Mechanism::Confluence => MechanismKind::Confluence.build(),
-            Mechanism::Boomerang(policy) => Box::new(Boomerang::with_throttle(policy)),
-        }
-    }
-
     /// Builds the mechanism instance as the statically dispatched
-    /// [`AnyMechanism`] — what the experiment and campaign hot paths run,
-    /// so the simulator's per-block hook calls compile to direct calls (see
-    /// [`crate::dispatch`]).
+    /// [`AnyMechanism`], so the simulator's per-block hook calls compile to
+    /// direct calls (see [`crate::dispatch`]). This is the only place a
+    /// mechanism's paper parameters are chosen.
     pub fn build_any(self) -> AnyMechanism {
         match self {
             Mechanism::Baseline => AnyMechanism::Baseline(frontend::NoPrefetch::new()),
@@ -107,7 +92,7 @@ impl Mechanism {
 
     /// Dedicated metadata storage of this mechanism in bytes (§VI-D).
     pub fn metadata_bytes(self) -> u64 {
-        self.build().storage_overhead_bits() / 8
+        self.build_any().storage_overhead_bits() / 8
     }
 }
 
@@ -241,9 +226,6 @@ impl WorkloadData {
         predictor: PredictorKind,
         engine: SimEngine,
     ) -> SimStats {
-        // Statically dispatched mechanism: the simulator's hot-path hook
-        // calls compile to direct calls instead of vtable indirections (see
-        // `crate::dispatch`); statistics are identical either way.
         let mut sim = Simulator::with_predictor(
             config.clone(),
             &self.layout,
@@ -262,12 +244,58 @@ mod tests {
 
     #[test]
     fn mechanism_catalog() {
+        use frontend::NoPrefetch;
+        use prefetchers::{Confluence, Dip, Fdip, NextLine, Pif, Shift};
+
         assert_eq!(Mechanism::FIGURE7.len(), 6);
         assert_eq!(Mechanism::FIGURE11.len(), 5);
-        assert_eq!(
-            Mechanism::Boomerang(ThrottlePolicy::PAPER_DEFAULT).label(),
-            "Boomerang"
-        );
+        // Every variant, through the one constructor: the enum forwards the
+        // concrete type's flags and storage cost, and carries the figure label.
+        fn bits<M: ControlFlowMechanism>(m: M) -> u64 {
+            m.storage_overhead_bits()
+        }
+        let boomerang = |policy| {
+            (
+                Mechanism::Boomerang(policy),
+                "Boomerang",
+                true,
+                bits(Boomerang::with_throttle(policy)),
+            )
+        };
+        let catalog = [
+            (
+                Mechanism::Baseline,
+                "Baseline",
+                false,
+                bits(NoPrefetch::new()),
+            ),
+            (
+                Mechanism::NextLine,
+                "Next Line",
+                false,
+                bits(NextLine::new(2)),
+            ),
+            (Mechanism::Dip, "DIP", false, bits(Dip::new(8 * 1024, 2))),
+            (Mechanism::Fdip, "FDIP", true, bits(Fdip::new())),
+            (Mechanism::Pif, "PIF", false, bits(Pif::new())),
+            (Mechanism::Shift, "SHIFT", false, bits(Shift::new())),
+            (
+                Mechanism::Confluence,
+                "Confluence",
+                false,
+                bits(Confluence::new()),
+            ),
+            boomerang(ThrottlePolicy::PAPER_DEFAULT),
+            boomerang(ThrottlePolicy::None),
+            boomerang(ThrottlePolicy::NextN(4)),
+        ];
+        for (mechanism, label, fetch_directed, bits) in catalog {
+            let built = mechanism.build_any();
+            assert_eq!(mechanism.label(), label);
+            assert_eq!(built.is_fetch_directed(), fetch_directed, "{mechanism:?}");
+            assert_eq!(built.storage_overhead_bits(), bits, "{mechanism:?}");
+            assert_eq!(mechanism.metadata_bytes(), bits / 8, "{mechanism:?}");
+        }
         // The §VI-D headline: Boomerang needs ~540 bytes, Confluence ~240 KB.
         assert_eq!(
             Mechanism::Boomerang(ThrottlePolicy::PAPER_DEFAULT).metadata_bytes(),

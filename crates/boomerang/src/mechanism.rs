@@ -133,10 +133,6 @@ impl Default for Boomerang {
 }
 
 impl ControlFlowMechanism for Boomerang {
-    fn name(&self) -> &'static str {
-        "Boomerang"
-    }
-
     fn is_fetch_directed(&self) -> bool {
         true
     }
@@ -235,18 +231,18 @@ impl ControlFlowMechanism for Boomerang {
 mod tests {
     use super::*;
     use frontend::{NoPrefetch, Simulator};
-    use prefetchers::MechanismKind;
+    use prefetchers::Confluence;
     use sim_core::MicroarchConfig;
     use workloads::{CodeLayout, Trace, WorkloadProfile};
 
-    fn run(mechanism: Box<dyn ControlFlowMechanism>) -> frontend::SimStats {
+    fn run<M: ControlFlowMechanism>(mechanism: M) -> frontend::SimStats {
         let layout = CodeLayout::generate(&WorkloadProfile::tiny(97));
         let trace = Trace::generate_blocks(&layout, 25_000);
         Simulator::new(
             MicroarchConfig::hpca17(),
             &layout,
             trace.blocks(),
-            mechanism,
+            Box::new(mechanism),
         )
         .run_with_warmup(2_000)
     }
@@ -266,16 +262,15 @@ mod tests {
     fn storage_overhead_is_540_bytes() {
         let b = Boomerang::new();
         assert_eq!(b.storage_overhead_bits() / 8, 540);
-        assert_eq!(b.name(), "Boomerang");
         assert!(b.is_fetch_directed());
         let _ = Boomerang::default();
     }
 
     #[test]
     fn boomerang_eliminates_most_btb_miss_squashes() {
-        let baseline = run(Box::new(NoPrefetch::new()));
-        let fdip = run(MechanismKind::Fdip.build());
-        let boomerang = run(Box::new(Boomerang::new()));
+        let baseline = run(NoPrefetch::new());
+        let fdip = run(Fdip::new());
+        let boomerang = run(Boomerang::new());
         assert!(baseline.squashes.btb_miss > 0);
         // The paper reports >85% of BTB-miss-induced squashes eliminated.
         assert!(
@@ -288,9 +283,9 @@ mod tests {
 
     #[test]
     fn boomerang_outperforms_fdip_and_the_baseline() {
-        let baseline = run(Box::new(NoPrefetch::new()));
-        let fdip = run(MechanismKind::Fdip.build());
-        let boomerang = run(Box::new(Boomerang::new()));
+        let baseline = run(NoPrefetch::new());
+        let fdip = run(Fdip::new());
+        let boomerang = run(Boomerang::new());
         assert!(boomerang.speedup_vs(&baseline) > 1.0);
         assert!(
             boomerang.cycles <= fdip.cycles,
@@ -302,8 +297,8 @@ mod tests {
 
     #[test]
     fn boomerang_matches_confluence_performance() {
-        let confluence = run(MechanismKind::Confluence.build());
-        let boomerang = run(Box::new(Boomerang::new()));
+        let confluence = run(Confluence::new());
+        let boomerang = run(Boomerang::new());
         let ratio = boomerang.cycles as f64 / confluence.cycles as f64;
         assert!(
             (0.85..=1.15).contains(&ratio),

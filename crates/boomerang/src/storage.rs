@@ -27,51 +27,30 @@ pub struct StorageRow {
 /// The full §VI-D comparison: every mechanism's metadata cost and complexity
 /// flags.
 pub fn comparison() -> Vec<StorageRow> {
-    let boomerang = Mechanism::Boomerang(ThrottlePolicy::PAPER_DEFAULT);
-    vec![
-        StorageRow {
-            mechanism: "Next Line".into(),
-            metadata_bytes: Mechanism::NextLine.metadata_bytes(),
-            needs_system_support: false,
-            consumes_llc_capacity: false,
-        },
-        StorageRow {
-            mechanism: "DIP".into(),
-            metadata_bytes: Mechanism::Dip.metadata_bytes(),
-            needs_system_support: false,
-            consumes_llc_capacity: false,
-        },
-        StorageRow {
-            mechanism: "FDIP".into(),
-            metadata_bytes: Mechanism::Fdip.metadata_bytes(),
-            needs_system_support: false,
-            consumes_llc_capacity: false,
-        },
-        StorageRow {
-            mechanism: "PIF".into(),
-            metadata_bytes: Mechanism::Pif.metadata_bytes(),
-            needs_system_support: false,
-            consumes_llc_capacity: false,
-        },
-        StorageRow {
-            mechanism: "SHIFT".into(),
-            metadata_bytes: Mechanism::Shift.metadata_bytes(),
-            needs_system_support: true,
-            consumes_llc_capacity: true,
-        },
-        StorageRow {
-            mechanism: "Confluence".into(),
-            metadata_bytes: Mechanism::Confluence.metadata_bytes(),
-            needs_system_support: true,
-            consumes_llc_capacity: true,
-        },
-        StorageRow {
-            mechanism: "Boomerang".into(),
-            metadata_bytes: boomerang.metadata_bytes(),
-            needs_system_support: false,
-            consumes_llc_capacity: false,
-        },
-    ]
+    // (mechanism, needs system support, consumes LLC capacity)
+    const ROWS: [(Mechanism, bool, bool); 7] = [
+        (Mechanism::NextLine, false, false),
+        (Mechanism::Dip, false, false),
+        (Mechanism::Fdip, false, false),
+        (Mechanism::Pif, false, false),
+        (Mechanism::Shift, true, true),
+        (Mechanism::Confluence, true, true),
+        (
+            Mechanism::Boomerang(ThrottlePolicy::PAPER_DEFAULT),
+            false,
+            false,
+        ),
+    ];
+    ROWS.into_iter()
+        .map(
+            |(mechanism, needs_system_support, consumes_llc_capacity)| StorageRow {
+                mechanism: mechanism.label().into(),
+                metadata_bytes: mechanism.metadata_bytes(),
+                needs_system_support,
+                consumes_llc_capacity,
+            },
+        )
+        .collect()
 }
 
 /// Renders the comparison as a plain-text table.

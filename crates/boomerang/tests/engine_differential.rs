@@ -66,7 +66,7 @@ fn assert_engines_agree(
             config.clone(),
             &layout,
             trace.blocks(),
-            mechanism.build(),
+            Box::new(mechanism.build_any()),
             predictor,
         )
     };

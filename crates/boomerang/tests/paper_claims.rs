@@ -23,7 +23,7 @@ impl Bench {
             config.clone(),
             &self.layout,
             self.trace.blocks(),
-            mechanism.build(),
+            Box::new(mechanism.build_any()),
         );
         sim.run_with_warmup(5_000)
     }
@@ -134,8 +134,20 @@ fn determinism_across_identical_runs() {
 
 #[test]
 fn storage_comparison_headline() {
-    let table = boomerang::storage::comparison_table();
-    assert!(table.contains("Boomerang"));
+    // The §VI-D table, byte for byte.
+    assert_eq!(
+        boomerang::storage::comparison_table(),
+        "\
+mechanism     metadata (bytes)  system support  carves LLC capacity
+Next Line                    0  no              no
+DIP                      81920  no              no
+FDIP                       204  no              no
+PIF                     221184  no              no
+SHIFT                   245760  yes             yes
+Confluence              245760  yes             yes
+Boomerang                  540  no              no
+"
+    );
     let boom = Mechanism::Boomerang(Default::default()).metadata_bytes();
     let confluence = Mechanism::Confluence.metadata_bytes();
     assert_eq!(boom, 540);

@@ -10,9 +10,8 @@
 //! This crate provides:
 //!
 //! * [`BtbEntry`] — the contents of one entry,
-//! * [`BasicBlockBtb`] — set-associative, basic-block-oriented BTB,
-//! * [`InstructionBtb`] — the conventional branch-PC-indexed organisation
-//!   used by the non-Boomerang baselines,
+//! * [`BasicBlockBtb`] — set-associative, basic-block-oriented BTB, the one
+//!   organisation every mechanism's simulated core uses,
 //! * [`BtbPrefetchBuffer`] — the small FIFO Boomerang uses to stage prefilled
 //!   entries without polluting the BTB (§IV-B),
 //! * [`storage`] — the §VI-D storage-cost model.
@@ -35,12 +34,10 @@
 #![warn(rust_2018_idioms)]
 
 pub mod basic_block;
-pub mod instruction;
 pub mod prefetch_buffer;
 pub mod storage;
 
 pub use basic_block::BasicBlockBtb;
-pub use instruction::InstructionBtb;
 pub use prefetch_buffer::BtbPrefetchBuffer;
 
 use serde::{Deserialize, Serialize};

@@ -297,13 +297,19 @@ pub fn parse_mechanism(token: &str) -> Result<Mechanism, SpecError> {
         "boomerang" => Mechanism::Boomerang(ThrottlePolicy::PAPER_DEFAULT),
         _ => {
             if let Some(policy) = t.strip_prefix("boomerang:") {
-                let policy = match policy {
-                    "none" => ThrottlePolicy::None,
-                    n => ThrottlePolicy::NextN(n.parse::<u64>().map_err(|_| {
+                // A zero degree is the same policy as `none`: fold it so
+                // duplicate rejection sees one mechanism value.
+                let degree = match policy {
+                    "none" => 0,
+                    n => n.parse::<u64>().map_err(|_| {
                         invalid(format!(
                             "bad boomerang throttle `{token}` (use boomerang:none or boomerang:N)"
                         ))
-                    })?),
+                    })?,
+                };
+                let policy = match degree {
+                    0 => ThrottlePolicy::None,
+                    n => ThrottlePolicy::NextN(n),
                 };
                 Mechanism::Boomerang(policy)
             } else {
@@ -1639,12 +1645,17 @@ load_fraction = 0.22
         let dup_seed =
             "name = \"x\"\nworkloads = [\"all\"]\nmechanisms = [\"fdip\"]\nseeds = [3, 3]\n";
         assert!(CampaignSpec::from_toml_str(dup_seed).is_err());
-        // boomerang and boomerang:2 normalise to the same mechanism value.
-        let dup_mech =
-            "name = \"x\"\nworkloads = [\"all\"]\nmechanisms = [\"boomerang\", \"boomerang:2\"]\n";
-        let err = CampaignSpec::from_toml_str(dup_mech)
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("duplicate"), "{err}");
+        // boomerang and boomerang:2 normalise to the same mechanism value,
+        // and so do boomerang:none and boomerang:0 (both prefetch nothing).
+        for pair in [
+            r#"["boomerang", "boomerang:2"]"#,
+            r#"["boomerang:none", "boomerang:0"]"#,
+        ] {
+            let dup_mech = format!("name = \"x\"\nworkloads = [\"all\"]\nmechanisms = {pair}\n");
+            let err = CampaignSpec::from_toml_str(&dup_mech)
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains("duplicate"), "{pair}: {err}");
+        }
     }
 }

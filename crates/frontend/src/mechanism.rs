@@ -103,9 +103,6 @@ impl MechContext<'_> {
 /// [`next_tick_event`](Self::next_tick_event), which the simulator's idle
 /// skip relies on to jump over dead cycles.
 pub trait ControlFlowMechanism {
-    /// Mechanism name as used in the paper's figures.
-    fn name(&self) -> &'static str;
-
     /// Called once per new FTQ entry (the prefetch engine's scan, §IV-A).
     fn on_ftq_push(&mut self, _entry: &FtqEntry, _ctx: &mut MechContext<'_>) {}
 
@@ -184,11 +181,7 @@ impl NoPrefetch {
     }
 }
 
-impl ControlFlowMechanism for NoPrefetch {
-    fn name(&self) -> &'static str {
-        "Baseline"
-    }
-}
+impl ControlFlowMechanism for NoPrefetch {}
 
 #[cfg(test)]
 mod tests {
@@ -198,7 +191,6 @@ mod tests {
     #[test]
     fn no_prefetch_defaults() {
         let mut m = NoPrefetch::new();
-        assert_eq!(m.name(), "Baseline");
         assert_eq!(m.storage_overhead_bits(), 0);
         assert!(!m.is_fetch_directed());
 

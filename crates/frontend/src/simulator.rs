@@ -75,14 +75,12 @@ struct FetchState {
 
 /// The front-end simulator.
 ///
-/// Generic over the mechanism's concrete type `M`, defaulting to the boxed
-/// trait object (`Simulator<'a>` keeps meaning what it always did). Hot
-/// paths call the mechanism's hooks roughly ten times per simulated block,
-/// so the campaign engine instantiates the simulator with a concrete
-/// enum-dispatch mechanism type instead: the hooks then compile to direct
-/// (inlinable) calls guarded by one predictable match, and the many empty
+/// Generic over the mechanism's concrete type `M`. Hot paths call the
+/// mechanism's hooks roughly ten times per simulated block, so they compile
+/// to direct (inlinable) calls; with the experiment harness's enum of every
+/// mechanism they are guarded by one predictable match, and the many empty
 /// hooks cost nothing.
-pub struct Simulator<'a, M: ControlFlowMechanism + ?Sized = dyn ControlFlowMechanism> {
+pub struct Simulator<'a, M: ControlFlowMechanism> {
     config: MicroarchConfig,
     layout: &'a CodeLayout,
     trace: &'a [DynamicBlock],
@@ -119,7 +117,7 @@ pub struct Simulator<'a, M: ControlFlowMechanism + ?Sized = dyn ControlFlowMecha
     max_cycles: u64,
 }
 
-impl<'a, M: ControlFlowMechanism + ?Sized> Simulator<'a, M> {
+impl<'a, M: ControlFlowMechanism> Simulator<'a, M> {
     /// Creates a simulator for `trace` (generated from `layout`) running the
     /// given mechanism with the TAGE predictor of Table I.
     pub fn new(
@@ -176,11 +174,6 @@ impl<'a, M: ControlFlowMechanism + ?Sized> Simulator<'a, M> {
             warmup_done: true,
             max_cycles: u64::MAX,
         }
-    }
-
-    /// The mechanism's display name.
-    pub fn mechanism_name(&self) -> &'static str {
-        self.mechanism.name()
     }
 
     /// Installs a precomputed back-end latency-class stream (see

@@ -55,10 +55,6 @@ impl Default for Confluence {
 }
 
 impl ControlFlowMechanism for Confluence {
-    fn name(&self) -> &'static str {
-        "Confluence"
-    }
-
     fn on_commit(&mut self, block: &DynamicBlock, ctx: &mut MechContext<'_>) {
         let geometry = ctx.layout.geometry();
         for line in geometry.lines_spanned(block.start(), block.instructions()) {
@@ -111,22 +107,22 @@ mod tests {
     use sim_core::MicroarchConfig;
     use workloads::{CodeLayout, Trace, WorkloadProfile};
 
-    fn run(mechanism: Box<dyn ControlFlowMechanism>) -> frontend::SimStats {
+    fn run<M: ControlFlowMechanism>(mechanism: M) -> frontend::SimStats {
         let layout = CodeLayout::generate(&WorkloadProfile::tiny(61));
         let trace = Trace::generate_blocks(&layout, 25_000);
         Simulator::new(
             MicroarchConfig::hpca17(),
             &layout,
             trace.blocks(),
-            mechanism,
+            Box::new(mechanism),
         )
         .run_with_warmup(2_000)
     }
 
     #[test]
     fn confluence_reduces_btb_miss_squashes_vs_shift() {
-        let shift = run(Box::new(crate::Shift::new()));
-        let confluence = run(Box::new(Confluence::new()));
+        let shift = run(crate::Shift::new());
+        let confluence = run(Confluence::new());
         assert!(
             confluence.squashes.btb_miss < shift.squashes.btb_miss,
             "Confluence ({}) must prefill BTB misses that SHIFT ({}) suffers",
@@ -137,8 +133,8 @@ mod tests {
 
     #[test]
     fn confluence_outperforms_the_baseline() {
-        let baseline = run(Box::new(NoPrefetch::new()));
-        let confluence = run(Box::new(Confluence::new()));
+        let baseline = run(NoPrefetch::new());
+        let confluence = run(Confluence::new());
         assert!(confluence.fetch_stall_cycles < baseline.fetch_stall_cycles);
         assert!(confluence.speedup_vs(&baseline) > 1.0);
     }
@@ -146,7 +142,6 @@ mod tests {
     #[test]
     fn bookkeeping() {
         let c = Confluence::new();
-        assert_eq!(c.name(), "Confluence");
         assert_eq!(c.btb_prefills(), 0);
         assert_eq!(c.storage_overhead_bits(), 240 * 1024 * 8);
         let _ = Confluence::default();

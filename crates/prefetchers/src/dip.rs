@@ -58,10 +58,6 @@ impl Dip {
 }
 
 impl ControlFlowMechanism for Dip {
-    fn name(&self) -> &'static str {
-        "DIP"
-    }
-
     fn on_demand_fetch(
         &mut self,
         line: CacheLine,
@@ -126,7 +122,6 @@ mod tests {
         let dip = Dip::new(8 * 1024, 2);
         let bytes = dip.storage_overhead_bits() / 8;
         assert!(bytes > 60 * 1024 && bytes < 100 * 1024, "{bytes} bytes");
-        assert_eq!(dip.name(), "DIP");
     }
 
     #[test]

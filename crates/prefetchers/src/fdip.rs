@@ -47,10 +47,6 @@ impl Default for Fdip {
 }
 
 impl ControlFlowMechanism for Fdip {
-    fn name(&self) -> &'static str {
-        "FDIP"
-    }
-
     fn is_fetch_directed(&self) -> bool {
         true
     }
@@ -103,22 +99,22 @@ mod tests {
     use sim_core::MicroarchConfig;
     use workloads::{CodeLayout, Trace, WorkloadProfile};
 
-    fn run(mechanism: Box<dyn ControlFlowMechanism>, btb_entries: u64) -> frontend::SimStats {
+    fn run<M: ControlFlowMechanism>(mechanism: M, btb_entries: u64) -> frontend::SimStats {
         let layout = CodeLayout::generate(&WorkloadProfile::tiny(41));
         let trace = Trace::generate_blocks(&layout, 20_000);
         Simulator::new(
             MicroarchConfig::hpca17().with_btb_entries(btb_entries),
             &layout,
             trace.blocks(),
-            mechanism,
+            Box::new(mechanism),
         )
         .run_with_warmup(1_000)
     }
 
     #[test]
     fn fdip_covers_most_stall_cycles() {
-        let baseline = run(Box::new(NoPrefetch::new()), 2048);
-        let fdip = run(Box::new(Fdip::new()), 2048);
+        let baseline = run(NoPrefetch::new(), 2048);
+        let fdip = run(Fdip::new(), 2048);
         let coverage = fdip.stall_coverage_vs(&baseline);
         assert!(
             coverage > 0.4,
@@ -129,9 +125,9 @@ mod tests {
 
     #[test]
     fn fdip_with_a_large_btb_squashes_less_and_runs_faster() {
-        let baseline = run(Box::new(NoPrefetch::new()), 2048);
-        let small = run(Box::new(Fdip::new()), 256);
-        let large = run(Box::new(Fdip::new()), 32 * 1024);
+        let baseline = run(NoPrefetch::new(), 2048);
+        let small = run(Fdip::new(), 256);
+        let large = run(Fdip::new(), 32 * 1024);
         assert!(large.squashes.btb_miss < small.squashes.btb_miss);
         assert!(
             large.cycles <= small.cycles,
@@ -151,8 +147,8 @@ mod tests {
 
     #[test]
     fn fdip_does_not_fix_btb_miss_squashes() {
-        let baseline = run(Box::new(NoPrefetch::new()), 2048);
-        let fdip = run(Box::new(Fdip::new()), 2048);
+        let baseline = run(NoPrefetch::new(), 2048);
+        let fdip = run(Fdip::new(), 2048);
         // FDIP only prefetches instructions; BTB-miss squashes remain within
         // noise of the baseline.
         assert!(fdip.squashes.btb_miss > 0);
@@ -170,7 +166,6 @@ mod tests {
         assert_eq!(fdip.issued(), 0);
         assert!(fdip.is_fetch_directed());
         assert!(fdip.storage_overhead_bits() > 0);
-        assert_eq!(fdip.name(), "FDIP");
         let _ = Fdip::default();
     }
 }

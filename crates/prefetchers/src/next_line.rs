@@ -32,10 +32,6 @@ impl NextLine {
 }
 
 impl ControlFlowMechanism for NextLine {
-    fn name(&self) -> &'static str {
-        "Next Line"
-    }
-
     fn on_demand_fetch(
         &mut self,
         line: CacheLine,
@@ -60,7 +56,6 @@ mod tests {
     fn construction_and_degree() {
         let p = NextLine::new(4);
         assert_eq!(p.degree(), 4);
-        assert_eq!(p.name(), "Next Line");
         assert_eq!(p.storage_overhead_bits(), 0);
     }
 

@@ -204,10 +204,6 @@ impl Default for Pif {
 }
 
 impl ControlFlowMechanism for Pif {
-    fn name(&self) -> &'static str {
-        "PIF"
-    }
-
     fn on_commit(&mut self, block: &DynamicBlock, ctx: &mut MechContext<'_>) {
         let geometry = ctx.layout.geometry();
         for line in geometry.lines_spanned(block.start(), block.instructions()) {
@@ -280,10 +276,6 @@ impl Default for Shift {
 }
 
 impl ControlFlowMechanism for Shift {
-    fn name(&self) -> &'static str {
-        "SHIFT"
-    }
-
     fn on_commit(&mut self, block: &DynamicBlock, ctx: &mut MechContext<'_>) {
         let geometry = ctx.layout.geometry();
         for line in geometry.lines_spanned(block.start(), block.instructions()) {
@@ -403,7 +395,5 @@ mod tests {
         let shift = Shift::new();
         assert_eq!(shift.storage_overhead_bits() / 8 / 1024, 240);
         assert!(shift.lookup_latency() > 0);
-        assert_eq!(pif.name(), "PIF");
-        assert_eq!(shift.name(), "SHIFT");
     }
 }
