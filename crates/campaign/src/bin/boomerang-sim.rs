@@ -114,11 +114,6 @@ SERVE OPTIONS (every submission is leased row by row from a work queue):
                            exponential backoff on re-lease (default: 60).
                            Every worker is told to heartbeat four times per
                            timeout (50 ms to 5 s)
-    --steal-lock-after-secs <S>
-                           Steal the spool lock when its mtime is older than
-                           S seconds, even if the owner looks alive (escape
-                           hatch for platforms without procfs liveness; a
-                           live serve refreshes the lock every scan)
     --verify-fraction <F>  Re-lease a deterministic fraction F (0.0-1.0) of
                            completed rows to a *different* worker session and
                            compare the stats; a mismatch quarantines the
@@ -341,15 +336,6 @@ fn serve_command(args: &[String]) -> Result<ExitCode, String> {
                     .filter(|&s| s > 0.0)
                     .ok_or_else(|| format!("bad --lease-timeout-secs value `{s}`"))?;
                 options.lease_timeout = Duration::from_secs_f64(secs);
-            }
-            "--steal-lock-after-secs" => {
-                let s = it.next().ok_or("--steal-lock-after-secs needs a value")?;
-                let secs = s
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|&s| s > 0.0)
-                    .ok_or_else(|| format!("bad --steal-lock-after-secs value `{s}`"))?;
-                options.steal_lock_after = Some(Duration::from_secs_f64(secs));
             }
             "--verify-fraction" => {
                 let f = it.next().ok_or("--verify-fraction needs a value")?;

@@ -129,8 +129,9 @@ pub fn spec_hash(spec: &CampaignSpec, run: RunLength, smoke: bool) -> String {
 type StatField = (&'static str, fn(&SimStats) -> u64);
 
 /// The 17 stat counters, in journal column order, with their field names.
-/// Shared by the writer and the replayer so the two can never drift.
-const STAT_FIELDS: [StatField; 17] = [
+/// Shared by the journal writer, the replayer and the report's `stats`
+/// object so they can never drift.
+pub(crate) const STAT_FIELDS: [StatField; 17] = [
     ("instructions", |s| s.instructions),
     ("cycles", |s| s.cycles),
     ("fetch_stall_cycles", |s| s.fetch_stall_cycles),
@@ -372,7 +373,7 @@ impl Journal {
     /// Deletes every journal file for `campaign` in `dir` (the `--force`
     /// path). Missing directory or files are fine.
     pub fn remove_all(dir: &Path, campaign: &str) -> io::Result<()> {
-        for path in journal_files(dir, campaign)? {
+        for path in journal_files(dir, Some(campaign))? {
             std::fs::remove_file(path)?;
         }
         Ok(())
@@ -397,10 +398,10 @@ fn flip_last_digit(line: &mut [u8]) {
     }
 }
 
-/// All journal files for `campaign` in `dir`, sorted by name for
-/// deterministic replay order. Missing directory → empty list.
-pub(crate) fn journal_files(dir: &Path, campaign: &str) -> io::Result<Vec<PathBuf>> {
-    let prefix = format!("{campaign}.journal");
+/// Journal files in `dir` — `campaign`'s when given, every campaign's
+/// otherwise — sorted by name for deterministic replay order. Missing
+/// directory → empty list.
+pub(crate) fn journal_files(dir: &Path, campaign: Option<&str>) -> io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
     let entries = match std::fs::read_dir(dir) {
         Ok(entries) => entries,
@@ -410,22 +411,27 @@ pub(crate) fn journal_files(dir: &Path, campaign: &str) -> io::Result<Vec<PathBu
     for entry in entries {
         let entry = entry?;
         let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(rest) = name.strip_prefix(&prefix) else {
+        let Some(owner) = name.to_str().and_then(journal_campaign) else {
             continue;
         };
-        // Exactly `.jsonl` or `-<digits>.jsonl` — not another campaign whose
-        // name happens to extend this one.
-        let shard_ok = rest
-            .strip_prefix('-')
-            .and_then(|r| r.strip_suffix(".jsonl"))
-            .is_some_and(|digits| !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit()));
-        if rest == ".jsonl" || shard_ok {
+        if campaign.is_none_or(|campaign| campaign == owner) {
             files.push(entry.path());
         }
     }
     files.sort();
     Ok(files)
+}
+
+/// The campaign a journal file name belongs to: exactly
+/// `<campaign>.journal.jsonl` or `<campaign>.journal-<digits>.jsonl`.
+fn journal_campaign(name: &str) -> Option<&str> {
+    let stem = name.strip_suffix(".jsonl")?;
+    if let Some(campaign) = stem.strip_suffix(".journal") {
+        return Some(campaign);
+    }
+    let (campaign, shard) = stem.rsplit_once(".journal-")?;
+    let digits = !shard.is_empty() && shard.bytes().all(|b| b.is_ascii_digit());
+    digits.then_some(campaign)
 }
 
 /// The merged result of replaying every journal for a campaign.
@@ -442,7 +448,7 @@ impl JournalReplay {
     /// `dir`, or `None` if no journal exists yet. This is how `run --out`
     /// detects that a directory already belongs to a different spec.
     pub fn existing_hash(dir: &Path, campaign: &str) -> Result<Option<String>, CheckpointError> {
-        let files = journal_files(dir, campaign)
+        let files = journal_files(dir, Some(campaign))
             .map_err(|e| CheckpointError::file(dir, format!("scanning directory: {e}")))?;
         let Some(path) = files.first() else {
             return Ok(None);
@@ -464,7 +470,7 @@ impl JournalReplay {
         expected_hash: &str,
         jobs: &[Job],
     ) -> Result<JournalReplay, CheckpointError> {
-        let files = journal_files(dir, campaign)
+        let files = journal_files(dir, Some(campaign))
             .map_err(|e| CheckpointError::file(dir, format!("scanning directory: {e}")))?;
         let mut replay = JournalReplay::default();
         for path in files {

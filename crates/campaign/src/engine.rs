@@ -318,31 +318,18 @@ pub fn assemble_report(
         jobs.len(),
         "assemble_report needs statistics for every job"
     );
-    let mut baselines: HashMap<(usize, usize, u64), SimStats> = HashMap::new();
-    for (job, s) in jobs.iter().zip(&stats) {
-        if job.mechanism == Mechanism::Baseline {
-            baselines.insert((job.config, job.workload, job.seed), *s);
-        }
-    }
-    let rows = jobs
-        .iter()
-        .zip(&stats)
-        .map(|(job, s)| {
-            let baseline = *baselines
-                .get(&(job.config, job.workload, job.seed))
-                .expect("every group has a baseline job by construction");
-            RowResult {
-                job: *job,
-                config_label: spec.configs[job.config].label.clone(),
-                workload_label: spec.workloads[job.workload].label.clone(),
-                stats: *s,
-                baseline,
-            }
+    let stats: Vec<Option<SimStats>> = stats.into_iter().map(Some).collect();
+    let partial = assemble_partial_report(spec, jobs, run, smoke, &stats, Vec::new());
+    let rows = partial
+        .rows
+        .into_iter()
+        .map(|row| match row {
+            PartialRow::Present(row) => row,
+            _ => unreachable!("every group has a baseline job by construction"),
         })
         .collect();
-
     CampaignReport {
-        spec: spec.clone(),
+        spec: partial.spec,
         effective_run: run,
         smoke,
         rows,

@@ -129,6 +129,22 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
+    /// Every kind, in declaration order.
+    const ALL: [FaultKind; 11] = [
+        FaultKind::WorkerExit,
+        FaultKind::JournalTornTail,
+        FaultKind::ArtifactCorrupt,
+        FaultKind::ReportTorn,
+        FaultKind::SpoolScanError,
+        FaultKind::ConnDrop,
+        FaultKind::HeartbeatStall,
+        FaultKind::FrameTorn,
+        FaultKind::RowCorrupt,
+        FaultKind::JournalBitrot,
+        FaultKind::FrameCorrupt,
+    ];
+
+    /// The kind's name in a plan string.
     fn name(self) -> &'static str {
         match self {
             FaultKind::WorkerExit => "worker-exit",
@@ -239,24 +255,12 @@ impl FaultPlan {
         for entry in text.split(',').map(str::trim).filter(|e| !e.is_empty()) {
             let mut parts = entry.split(':');
             let kind_name = parts.next().expect("split yields at least one part");
-            let kind = match kind_name {
-                "worker-exit" => FaultKind::WorkerExit,
-                "journal-torn-tail" => FaultKind::JournalTornTail,
-                "artifact-corrupt" => FaultKind::ArtifactCorrupt,
-                "report-torn" => FaultKind::ReportTorn,
-                "spool-scan-error" => FaultKind::SpoolScanError,
-                "conn-drop" => FaultKind::ConnDrop,
-                "heartbeat-stall" => FaultKind::HeartbeatStall,
-                "frame-torn" => FaultKind::FrameTorn,
-                "row-corrupt" => FaultKind::RowCorrupt,
-                "journal-bitrot" => FaultKind::JournalBitrot,
-                "frame-corrupt" => FaultKind::FrameCorrupt,
-                other => {
-                    return Err(format!(
-                        "fault plan entry `{entry}`: unknown fault kind `{other}`"
-                    ))
-                }
-            };
+            let kind = FaultKind::ALL
+                .into_iter()
+                .find(|kind| kind.name() == kind_name)
+                .ok_or_else(|| {
+                    format!("fault plan entry `{entry}`: unknown fault kind `{kind_name}`")
+                })?;
             let mut spec = FaultSpec::new(kind);
             let mut seen: Vec<&str> = Vec::new();
             for filter in parts {

@@ -194,51 +194,40 @@ pub enum Message {
     },
 }
 
-/// (kind discriminant, payload field count) for each message.
-fn kind_and_arity(msg: &Message) -> (u32, u32) {
+/// (name, payload field count) of every message kind; kind `k` is entry
+/// `k - 1`.
+const KINDS: [(&str, u32); 10] = [
+    ("Hello", 2),
+    ("Welcome", 2),
+    ("LeaseRequest", 0),
+    ("Lease", 5),
+    ("NoWork", 1),
+    ("Heartbeat", 1),
+    ("RowDone", 7),
+    ("RowAck", 1),
+    ("Reject", 1),
+    ("Shutdown", 1),
+];
+
+/// The (name, payload field count) of message kind `kind`, if it is one.
+fn kind_entry(kind: u32) -> Option<(&'static str, u32)> {
+    let index = (kind as usize).checked_sub(1)?;
+    KINDS.get(index).copied()
+}
+
+/// The kind discriminant of a message.
+fn kind_of(msg: &Message) -> u32 {
     match msg {
-        Message::Hello { .. } => (1, 2),
-        Message::Welcome { .. } => (2, 2),
-        Message::LeaseRequest => (3, 0),
-        Message::Lease { .. } => (4, 5),
-        Message::NoWork { .. } => (5, 1),
-        Message::Heartbeat { .. } => (6, 1),
-        Message::RowDone { .. } => (7, 7),
-        Message::RowAck { .. } => (8, 1),
-        Message::Reject { .. } => (9, 1),
-        Message::Shutdown { .. } => (10, 1),
-    }
-}
-
-fn kind_name(kind: u32) -> Option<&'static str> {
-    Some(match kind {
-        1 => "Hello",
-        2 => "Welcome",
-        3 => "LeaseRequest",
-        4 => "Lease",
-        5 => "NoWork",
-        6 => "Heartbeat",
-        7 => "RowDone",
-        8 => "RowAck",
-        9 => "Reject",
-        10 => "Shutdown",
-        _ => return None,
-    })
-}
-
-fn expected_arity(kind: u32) -> u32 {
-    match kind {
-        1 => 2,
-        2 => 2,
-        3 => 0,
-        4 => 5,
-        5 => 1,
-        6 => 1,
-        7 => 7,
-        8 => 1,
-        9 => 1,
-        10 => 1,
-        _ => unreachable!("validated kind"),
+        Message::Hello { .. } => 1,
+        Message::Welcome { .. } => 2,
+        Message::LeaseRequest => 3,
+        Message::Lease { .. } => 4,
+        Message::NoWork { .. } => 5,
+        Message::Heartbeat { .. } => 6,
+        Message::RowDone { .. } => 7,
+        Message::RowAck { .. } => 8,
+        Message::Reject { .. } => 9,
+        Message::Shutdown { .. } => 10,
     }
 }
 
@@ -409,7 +398,8 @@ pub fn encode(msg: &Message) -> Vec<u8> {
         Message::Reject { reason } => put_str(&mut payload, reason),
         Message::Shutdown { reason } => put_str(&mut payload, reason),
     }
-    let (kind, arity) = kind_and_arity(msg);
+    let kind = kind_of(msg);
+    let (_, arity) = kind_entry(kind).expect("every message has a kind");
     let mut frame = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
     frame.extend_from_slice(&PROTO_MAGIC);
     put_u32(&mut frame, PROTO_VERSION);
@@ -446,21 +436,17 @@ pub fn parse_header(bytes: &[u8; HEADER_LEN]) -> Result<Header, ProtoError> {
         ));
     }
     let kind = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if kind_name(kind).is_none() {
+    let Some((name, expected)) = kind_entry(kind) else {
         return Err(ProtoError::new(
             "header.kind",
             format!("unknown message kind {kind}"),
         ));
-    }
+    };
     let arity = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes"));
-    let expected = expected_arity(kind);
     if arity != expected {
         return Err(ProtoError::new(
             "header.arity",
-            format!(
-                "{} carries {expected} field(s), peer declared {arity} — version skew",
-                kind_name(kind).expect("validated kind")
-            ),
+            format!("{name} carries {expected} field(s), peer declared {arity} — version skew"),
         ));
     }
     let payload_len = u32::from_le_bytes(bytes[16..20].try_into().expect("4 bytes"));

@@ -26,7 +26,7 @@
 //! revoked and its job requeued with exponential backoff, so a crashed,
 //! partitioned, or hung worker only delays its in-flight row. The broker is
 //! the sole journal writer and dedups every submitted row against the
-//! journal-backed done set, which makes submission idempotent
+//! journal-backed done map, which makes submission idempotent
 //! (retransmissions, revoked-then-completed leases) and lets a restarted
 //! service resume mid-campaign from the journal, `<name>.journal.jsonl`
 //! (per-shard journals left by older versions are replayed alongside it).
@@ -51,6 +51,15 @@
 //! `disconnect(session, now)` at the end; `serve` and `run` share one drive
 //! loop that sweeps expired leases. A seeded schedule explorer in this
 //! module's tests checks the lease rules without sockets, threads or sleeps.
+//!
+//! Its job state is one work queue, one lease table and one done map (job →
+//! producing session). Each job is in exactly one of them as a regular row:
+//! done, leased or queued. A sampled re-verification is ordinary work that
+//! carries the row it must reproduce, so it is granted, heartbeaten,
+//! expired, revoked and backed off like any other lease; only its answer
+//! differs, being compared instead of journaled. A landing row removes its
+//! job's queued or leased regular work at once, and a quarantine that
+//! requeues a row drops that row's pending re-run.
 //!
 //! # Lease order
 //!
@@ -83,11 +92,12 @@
 //! Processed submissions are renamed `<file>.done` (or `<file>.partial`, or
 //! `<file>.failed` with the reason in `<file>.error`), so the spool is also
 //! the service's queue state: resubmitting is just dropping the file in
-//! again — stale markers from an earlier attempt are cleared first. A lock
-//! file (`.boomerang-serve.lock`, holding the owner's pid) keeps two serve
-//! processes from double-processing one spool; a lock whose owner is dead
-//! is reclaimed, and [`ServeOptions::steal_lock_after`] adds an
-//! mtime-staleness escape hatch for platforms without procfs liveness.
+//! again — stale markers from an earlier attempt are cleared first. An
+//! exclusive OS file lock on `.boomerang-serve.lock` keeps two serve
+//! processes from double-processing one spool. The kernel drops the lock
+//! when its holder exits, however it exits, so a dead owner never wedges
+//! the spool; the file holds the holder's pid for the refusal message and
+//! is never removed.
 //!
 //! # Result integrity
 //!
@@ -100,12 +110,12 @@
 //! worker's simulator and the broker's socket. On top of that,
 //! [`ServeOptions::verify_fraction`] samples a deterministic (spec-hash
 //! seeded, so stable across broker restarts) fraction of completed rows and
-//! re-leases each to a *different* session; a re-run that disagrees with
-//! the journaled stats quarantines the producing session and requeues every
-//! unverified row it produced. Both kinds of quarantine are counted in the
-//! per-campaign integrity summary printed at the end of each dispatch, and
-//! [`ServeOptions::max_quarantined`] bounds how much of the fleet may rot
-//! before the submission is failed with a distinct exit code.
+//! re-leases each to a *different* session, once no regular row is ready; a
+//! re-run that disagrees with the journaled stats quarantines the producing
+//! session and requeues every row it produced. Both kinds of quarantine are
+//! counted in the per-campaign integrity summary printed at the end of each
+//! dispatch, and [`ServeOptions::max_quarantined`] bounds how much of the
+//! fleet may rot before the submission is failed with a distinct exit code.
 
 use crate::checkpoint::{
     fnv1a64, row_checksum, spec_hash, stats_from_array, Journal, JournalReplay,
@@ -177,12 +187,6 @@ pub struct ServeOptions {
     /// Revoke a lease with no heartbeat or row progress for this long; the
     /// job is requeued with exponential backoff on re-lease.
     pub lease_timeout: Duration,
-    /// Steal the spool lock when its file's mtime is older than this, even
-    /// if the owner looks alive — the escape hatch for platforms without
-    /// procfs liveness (where a dead owner is indistinguishable from a live
-    /// one) and for wedged owners that stopped scanning. A live serve
-    /// refreshes the lock's mtime on every scan.
-    pub steal_lock_after: Option<Duration>,
     /// Fraction (0.0..=1.0) of completed rows sampled for
     /// re-execution by a *different* worker session, whose stats must match
     /// the journaled row (`--verify-fraction`). The sample is deterministic
@@ -215,7 +219,6 @@ impl Default for ServeOptions {
             listen: None,
             listen_addr_file: None,
             lease_timeout: Duration::from_secs(60),
-            steal_lock_after: None,
             verify_fraction: 0.0,
             max_quarantined: None,
         }
@@ -269,101 +272,48 @@ enum DispatchError {
     QuarantineExceeded(String),
 }
 
-/// Holds the spool lock for the lifetime of the serve loop; dropping it
-/// releases the lock file.
+/// Holds the spool lock for the lifetime of the serve loop: an exclusive
+/// lock on the lock file's open handle, which the kernel drops when the
+/// handle closes — on drop, or when the owner dies however it dies. The
+/// file itself is never removed: unlinking it while it is locked would let
+/// the next serve lock a fresh inode beside this one.
 #[derive(Debug)]
 struct SpoolLock {
-    path: PathBuf,
+    _file: std::fs::File,
 }
 
 impl SpoolLock {
-    /// Acquires the lock, reclaiming it from a dead owner. Refuses (with an
-    /// [`io::ErrorKind::WouldBlock`]-flavored error) while a live process
-    /// holds it — unless `steal_after` is set and the lock file's mtime is
-    /// at least that old. The liveness check is conservative off-procfs
-    /// ("assume live"), so without the staleness escape hatch a dead
-    /// owner's lock wedges a non-Linux spool forever; a live serve calls
-    /// [`SpoolLock::refresh`] every scan, keeping its mtime fresh.
-    fn acquire(spool: &Path, steal_after: Option<Duration>) -> io::Result<SpoolLock> {
+    /// Acquires the lock and writes this process's pid into the file.
+    /// Refuses, with an [`io::ErrorKind::WouldBlock`] error naming the
+    /// holder's pid, while another handle holds it.
+    fn acquire(spool: &Path) -> io::Result<SpoolLock> {
+        use std::io::Write as _;
         let path = spool.join(SPOOL_LOCK_NAME);
-        for _ in 0..2 {
-            match std::fs::OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(&path)
-            {
-                Ok(mut file) => {
-                    use std::io::Write as _;
-                    let _ = write!(file, "{}", std::process::id());
-                    return Ok(SpoolLock { path });
-                }
-                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
-                    let owner = std::fs::read_to_string(&path)
-                        .ok()
-                        .and_then(|s| s.trim().parse::<u32>().ok());
-                    if let Some(pid) = owner {
-                        if pid_is_live(pid) {
-                            let stale = steal_after.is_some_and(|threshold| {
-                                std::fs::metadata(&path)
-                                    .and_then(|m| m.modified())
-                                    .ok()
-                                    .and_then(|mtime| mtime.elapsed().ok())
-                                    .is_some_and(|age| age >= threshold)
-                            });
-                            if !stale {
-                                return Err(io::Error::new(
-                                    io::ErrorKind::WouldBlock,
-                                    format!(
-                                        "spool {} is already served by process {pid} \
-                                         (lock file {})",
-                                        spool.display(),
-                                        path.display()
-                                    ),
-                                ));
-                            }
-                            eprintln!(
-                                "serve: stealing stale spool lock {} from process {pid} \
-                                 (mtime older than {:?})",
-                                path.display(),
-                                steal_after.expect("stale implies threshold")
-                            );
-                        }
-                    }
-                    // Dead, unreadable, or stale owner: reclaim and retry
-                    // the create_new (another process may be racing us for
-                    // it — exactly one create_new wins).
-                    let _ = std::fs::remove_file(&path);
-                }
-                Err(e) => return Err(e),
+        let mut file = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(&path)?;
+        match file.try_lock() {
+            Ok(()) => {}
+            Err(std::fs::TryLockError::WouldBlock) => {
+                let owner = std::fs::read_to_string(&path).unwrap_or_default();
+                return Err(io::Error::new(
+                    io::ErrorKind::WouldBlock,
+                    format!(
+                        "spool {} is already served by process {} (lock file {})",
+                        spool.display(),
+                        owner.trim(),
+                        path.display()
+                    ),
+                ));
             }
+            Err(std::fs::TryLockError::Error(e)) => return Err(e),
         }
-        Err(io::Error::new(
-            io::ErrorKind::WouldBlock,
-            format!("cannot acquire spool lock {}", path.display()),
-        ))
-    }
-
-    /// Rewrites the lock file, refreshing its mtime — the heartbeat the
-    /// `steal_after` staleness check reads. Called once per spool scan.
-    fn refresh(&self) {
-        let _ = std::fs::write(&self.path, format!("{}", std::process::id()));
-    }
-}
-
-impl Drop for SpoolLock {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
-/// Whether a pid refers to a live process. On Linux this reads `/proc`;
-/// elsewhere the check is conservative (assume live), so stale locks need a
-/// manual remove but live ones are never stolen.
-fn pid_is_live(pid: u32) -> bool {
-    if cfg!(target_os = "linux") {
-        Path::new(&format!("/proc/{pid}")).exists()
-    } else {
-        true
+        file.set_len(0)?;
+        write!(file, "{}", std::process::id())?;
+        Ok(SpoolLock { _file: file })
     }
 }
 
@@ -380,7 +330,7 @@ pub fn serve(
 ) -> io::Result<Vec<ServeOutcome>> {
     std::fs::create_dir_all(&options.spool)?;
     std::fs::create_dir_all(&options.out)?;
-    let lock = SpoolLock::acquire(&options.spool, options.steal_lock_after)?;
+    let _lock = SpoolLock::acquire(&options.spool)?;
     let broker = Broker::start(
         options.listen.as_deref().unwrap_or("127.0.0.1:0"),
         options.lease_timeout,
@@ -401,7 +351,6 @@ pub fn serve(
     let mut outcomes = Vec::new();
     let mut scans: u64 = 0;
     loop {
-        lock.refresh();
         let submissions = match scan_spool(&options.spool, options.settle_ms) {
             Ok(submissions) => submissions,
             Err(e) => {
@@ -541,50 +490,42 @@ fn process_submission(submission: &Path, options: &ServeOptions, broker: &Broker
 // broker's shared state, and every connected `boomerang-sim worker` drains
 // it over the `crate::proto` frame protocol. The broker is the *only*
 // journal writer, which is what makes row submission idempotent: every
-// `RowDone` is deduped against the done set (seeded from the journal replay
+// `RowDone` is deduped against the done map (seeded from the journal replay
 // on resume) under one lock before it is appended, so a retransmitted
 // frame, a revoked-then-completed lease, or a worker that crashed between
 // send and ack can never double-append a row.
+//
+// Job state is one work queue, one lease table and one done map. A job is
+// in exactly one of them as a regular row — done, leased or queued — and a
+// sampled re-run of a done row is ordinary work carrying a `Check`.
 
-/// One queued (not currently leased) job.
-struct QueuedJob {
-    job: usize,
-    /// Times this job's lease was revoked before.
-    attempts: u32,
-    /// Exponential-backoff gate: not leasable before this instant.
-    ready_at: Instant,
-}
-
-/// One outstanding lease.
-struct LeaseState {
-    job: usize,
-    attempts: u32,
-    /// The session holding the lease; its disconnect revokes the lease.
-    session: u64,
-    /// Refreshed by heartbeats and row submission; a lease idle past the
-    /// timeout is revoked and its job requeued.
-    last_activity: Instant,
-}
-
-/// One completed row sampled for re-execution by a different session.
-struct VerifyJob {
-    job: usize,
+/// What a sampled re-run of a done row must reproduce.
+struct Check {
     /// Session whose journaled row is under test — never granted its own
-    /// verification lease.
+    /// row to re-run.
     producer: u64,
     /// The stat array as journaled; the re-run must reproduce it exactly.
     expected: Vec<u64>,
-    ready_at: Instant,
 }
 
-/// One outstanding verification lease (a re-run of an already-done row).
-struct VerifyLease {
+/// One job waiting for a lease: a row to run, or with `check` a done row
+/// to re-run and compare.
+struct Work {
     job: usize,
-    producer: u64,
-    expected: Vec<u64>,
-    /// The session re-running the row; its disconnect revokes the lease.
+    /// Times this work's lease was revoked before.
+    attempts: u32,
+    /// Exponential-backoff gate: not leasable before this instant.
+    ready_at: Instant,
+    check: Option<Check>,
+}
+
+/// One outstanding lease.
+struct Lease {
+    work: Work,
+    /// The session holding the lease; its disconnect revokes the lease.
     session: u64,
-    /// Refreshed by heartbeats, exactly like a regular lease's.
+    /// Refreshed by heartbeats and row submission; a lease idle past the
+    /// timeout is revoked and its work requeued.
     last_activity: Instant,
 }
 
@@ -597,9 +538,11 @@ struct ActiveCampaign {
     journal: Journal,
     /// The row streams, appended beside the journal.
     stream: StreamingSink,
-    done: HashSet<usize>,
-    queue: VecDeque<QueuedJob>,
-    leases: HashMap<u64, LeaseState>,
+    /// Journaled jobs → the session that produced the row (this broker
+    /// life only; `None` for rows replayed from the journal).
+    done: HashMap<usize, Option<u64>>,
+    queue: VecDeque<Work>,
+    leases: HashMap<u64, Lease>,
     /// Live session → the (workload, seed) point of its last regular
     /// lease: the workload that worker holds decoded. Drives the
     /// point-affine grant order; cleared when the connection ends.
@@ -614,14 +557,6 @@ struct ActiveCampaign {
     backoff_cap: Duration,
     /// Sampling rate for row re-verification (0 disables).
     verify_fraction: f64,
-    /// Completed rows waiting for a re-run by a non-producer session.
-    verify_queue: VecDeque<VerifyJob>,
-    /// Outstanding verification leases, keyed like regular leases (one id
-    /// space, so acks and revocations cannot confuse the two).
-    verify_leases: HashMap<u64, VerifyLease>,
-    /// Job index → the session whose row the journal holds (this broker
-    /// life only; resumed rows have no known producer).
-    row_producer: HashMap<usize, u64>,
     /// Sessions barred from further leases; their unverified rows were
     /// requeued when they entered.
     quarantined: HashSet<u64>,
@@ -674,10 +609,11 @@ impl ActiveCampaign {
         }
         let queue = (0..jobs.len())
             .filter(|i| !replayed.contains_key(i))
-            .map(|job| QueuedJob {
+            .map(|job| Work {
                 job,
                 attempts: 0,
                 ready_at: now,
+                check: None,
             })
             .collect();
         Ok(ActiveCampaign {
@@ -687,7 +623,7 @@ impl ActiveCampaign {
             jobs,
             journal,
             stream,
-            done: replayed.keys().copied().collect(),
+            done: replayed.keys().map(|&job| (job, None)).collect(),
             queue,
             leases: HashMap::new(),
             session_points: HashMap::new(),
@@ -698,9 +634,6 @@ impl ActiveCampaign {
             backoff_base: options.supervise.backoff_base,
             backoff_cap: options.supervise.backoff_cap,
             verify_fraction: options.verify_fraction,
-            verify_queue: VecDeque::new(),
-            verify_leases: HashMap::new(),
-            row_producer: HashMap::new(),
             quarantined: HashSet::new(),
             max_quarantined: options.max_quarantined,
             checksum_rejects: 0,
@@ -716,9 +649,10 @@ impl ActiveCampaign {
         self.done.len() == self.jobs.len()
     }
 
-    /// Every job journaled *and* every sampled re-verification resolved.
+    /// Every job journaled *and* every sampled re-verification resolved:
+    /// with no work queued or leased, every job is done.
     fn complete(&self) -> bool {
-        self.rows_complete() && self.verify_queue.is_empty() && self.verify_leases.is_empty()
+        self.queue.is_empty() && self.leases.is_empty()
     }
 
     /// Nothing is left to drive: every row journaled and verified, the
@@ -738,8 +672,7 @@ impl ActiveCampaign {
     ///
     /// - `LeaseRequest`: a quarantined session is refused; otherwise
     ///   expired leases are swept and a ready row is granted, or `NoWork`.
-    /// - `Heartbeat`: refreshes the lease it names, regular or
-    ///   verification; no reply.
+    /// - `Heartbeat`: refreshes the lease it names; no reply.
     /// - `RowDone`: validated, deduped, journaled and acked (see
     ///   [`ActiveCampaign::row_done`]).
     ///
@@ -773,10 +706,8 @@ impl ActiveCampaign {
                 })
             }
             Message::Heartbeat { lease } => {
-                let regular = self.leases.get_mut(&lease).map(|l| &mut l.last_activity);
-                let verify = self.verify_leases.get_mut(&lease);
-                if let Some(last_activity) = regular.or(verify.map(|l| &mut l.last_activity)) {
-                    *last_activity = now;
+                if let Some(held) = self.leases.get_mut(&lease) {
+                    held.last_activity = now;
                     self.last_activity = now;
                 }
                 None
@@ -786,9 +717,8 @@ impl ActiveCampaign {
         }
     }
 
-    /// Ends `session` at `now`: every lease it holds, regular or
-    /// verification, is revoked, and its point is freed for the sessions
-    /// still live.
+    /// Ends `session` at `now`: every lease it holds is revoked, and its
+    /// point is freed for the sessions still live.
     fn disconnect(&mut self, session: u64, now: Instant) {
         let why = format!("lost its connection (session {session})");
         for lease in self.lease_ids(|holder, _| holder == session) {
@@ -797,24 +727,23 @@ impl ActiveCampaign {
         self.session_points.remove(&session);
     }
 
-    /// The ids of every lease, regular or verification, whose (session,
-    /// last activity) satisfies `pick`, in grant order.
+    /// The ids of every lease whose (session, last activity) satisfies
+    /// `pick`, in grant order.
     fn lease_ids(&self, pick: impl Fn(u64, Instant) -> bool) -> Vec<u64> {
-        let (regular, verify) = (self.leases.iter(), self.verify_leases.iter());
-        let mut ids: Vec<u64> = regular
-            .map(|(id, l)| (id, l.session, l.last_activity))
-            .chain(verify.map(|(id, l)| (id, l.session, l.last_activity)))
-            .filter_map(|(&id, session, last)| pick(session, last).then_some(id))
+        let mut ids: Vec<u64> = self
+            .leases
+            .iter()
+            .filter_map(|(&id, l)| pick(l.session, l.last_activity).then_some(id))
             .collect();
         ids.sort_unstable();
         ids
     }
 
-    /// Revokes every lease (regular and verification) idle past the
-    /// timeout at `now`, requeueing the jobs with exponential backoff — and,
-    /// once all rows are done, abandons verification samples nobody is
-    /// eligible to pick up (a one-session fleet can never re-verify its own
-    /// rows; without this escape the campaign would idle forever).
+    /// Revokes every lease idle past the timeout at `now`, requeueing its
+    /// work with exponential backoff — and, once all rows are done and
+    /// nothing is leased, abandons the queued re-runs nobody has picked up
+    /// (a one-session fleet can never re-verify its own rows; without this
+    /// escape the campaign would idle forever).
     fn sweep_expired(&mut self, now: Instant) {
         let timeout = self.lease_timeout;
         let idle = move |last: Instant| now.duration_since(last) >= timeout;
@@ -822,44 +751,28 @@ impl ActiveCampaign {
             self.revoke(lease, "expired (no heartbeat or row progress)", now);
         }
         if self.rows_complete()
-            && !self.verify_queue.is_empty()
-            && self.verify_leases.is_empty()
+            && !self.queue.is_empty()
+            && self.leases.is_empty()
             && idle(self.last_activity)
         {
-            self.verify_abandoned += self.verify_queue.len() as u64;
+            self.verify_abandoned += self.queue.len() as u64;
             eprintln!(
                 "serve: abandoning {} queued verification sample(s): no eligible session \
                  picked them up within the lease timeout",
-                self.verify_queue.len()
+                self.queue.len()
             );
-            self.verify_queue.clear();
+            self.queue.clear();
         }
     }
 
-    /// Returns one lease to its queue at `now` (expiry, connection loss, or
-    /// a corrupt answer). Verification leases requeue as verification work;
-    /// regular leases requeue the job with exponential backoff.
+    /// Returns one lease's work to the queue at `now` (expiry, connection
+    /// loss, or a corrupt answer), leasable again after an exponential
+    /// backoff that doubles with every revocation of that work.
     fn revoke(&mut self, lease: u64, why: &str, now: Instant) {
-        if let Some(state) = self.verify_leases.remove(&lease) {
-            eprintln!(
-                "serve: verification lease {lease} for job {} {why}; requeued",
-                state.job
-            );
-            self.verify_queue.push_back(VerifyJob {
-                job: state.job,
-                producer: state.producer,
-                expected: state.expected,
-                ready_at: now + self.backoff_base,
-            });
-            return;
-        }
-        let Some(state) = self.leases.remove(&lease) else {
+        let Some(Lease { work, .. }) = self.leases.remove(&lease) else {
             return;
         };
-        if self.done.contains(&state.job) {
-            return;
-        }
-        let attempts = state.attempts + 1;
+        let attempts = work.attempts + 1;
         let backoff = self
             .backoff_base
             .saturating_mul(1u32 << (attempts - 1).min(20))
@@ -867,12 +780,12 @@ impl ActiveCampaign {
         eprintln!(
             "serve: lease {lease} for job {} {why}; requeued with {backoff:?} backoff \
              (attempt {attempts})",
-            state.job
+            work.job
         );
-        self.queue.push_back(QueuedJob {
-            job: state.job,
+        self.queue.push_back(Work {
             attempts,
             ready_at: now + backoff,
+            ..work
         });
     }
 
@@ -893,14 +806,11 @@ impl ActiveCampaign {
     /// 3. otherwise the first ready row: a steal, so no session idles while
     ///    work is ready.
     ///
-    /// Rows still inside their revocation backoff are skipped at every
-    /// rank, and queue entries that completed while waiting (a revoked
-    /// lease whose original worker finished after all) are dropped. With no
-    /// regular row ready, the first eligible verification sample is handed
-    /// out — never to the session that produced the row under test.
+    /// Work still inside its revocation backoff is skipped at every rank.
+    /// A re-run of a done row ranks below every regular row, so it is
+    /// handed out only when no regular row is ready, first in queue order —
+    /// and never to the session that produced the row under test.
     fn grant(&mut self, session: u64, now: Instant) -> Option<(u64, usize)> {
-        let done = &self.done;
-        self.queue.retain(|entry| !done.contains(&entry.job));
         let mine = self.session_points.get(&session).copied();
         let others: Vec<(usize, u64)> = self
             .session_points
@@ -909,17 +819,17 @@ impl ActiveCampaign {
             .map(|(_, &point)| point)
             .collect();
         let mut best: Option<(u8, usize)> = None;
-        for (pos, entry) in self.queue.iter().enumerate() {
-            if entry.ready_at > now {
+        for (pos, work) in self.queue.iter().enumerate() {
+            if work.ready_at > now {
                 continue;
             }
-            let point = self.point_of(entry.job);
-            let rank = if Some(point) == mine {
-                0
-            } else if !others.contains(&point) {
-                1
-            } else {
-                2
+            let point = self.point_of(work.job);
+            let rank = match &work.check {
+                Some(check) if check.producer == session => continue,
+                Some(_) => 3,
+                None if Some(point) == mine => 0,
+                None if !others.contains(&point) => 1,
+                None => 2,
             };
             if best.is_none_or(|(best_rank, _)| rank < best_rank) {
                 best = Some((rank, pos));
@@ -928,46 +838,23 @@ impl ActiveCampaign {
                 }
             }
         }
-        if let Some(entry) = best.and_then(|(_, pos)| self.queue.remove(pos)) {
-            let lease = self.next_lease;
-            self.next_lease += 1;
-            self.leases.insert(
-                lease,
-                LeaseState {
-                    job: entry.job,
-                    attempts: entry.attempts,
-                    session,
-                    last_activity: now,
-                },
-            );
-            self.session_points
-                .insert(session, self.point_of(entry.job));
-            self.last_activity = now;
-            return Some((lease, entry.job));
+        let work = self.queue.remove(best?.1)?;
+        let job = work.job;
+        if work.check.is_none() {
+            self.session_points.insert(session, self.point_of(job));
         }
-        // A sample whose row is no longer done was requeued for a fresh run
-        // (its producer was quarantined); it is moot — the re-run will be
-        // re-sampled when it lands.
-        self.verify_queue.retain(|entry| done.contains(&entry.job));
-        let pick = self
-            .verify_queue
-            .iter()
-            .position(|entry| entry.producer != session && entry.ready_at <= now)?;
-        let entry = self.verify_queue.remove(pick)?;
         let lease = self.next_lease;
         self.next_lease += 1;
-        self.verify_leases.insert(
+        self.leases.insert(
             lease,
-            VerifyLease {
-                job: entry.job,
-                producer: entry.producer,
-                expected: entry.expected,
+            Lease {
+                work,
                 session,
                 last_activity: now,
             },
         );
         self.last_activity = now;
-        Some((lease, entry.job))
+        Some((lease, job))
     }
 
     /// Whether row `index` is in the deterministic verification sample.
@@ -989,32 +876,33 @@ impl ActiveCampaign {
     }
 
     /// Bars `session` from further leases and requeues, ready at `now`,
-    /// every unverified row it produced: once one row from a session is
-    /// proven wrong, nothing else it journaled can be trusted.
+    /// every row it produced: once one row from a session is proven wrong,
+    /// nothing else it journaled can be trusted. A requeued row's pending
+    /// re-run is dropped with it — the fresh row is sampled when it lands.
     fn quarantine(&mut self, session: u64, worker: &str, why: &str, now: Instant) {
         if !self.quarantined.insert(session) {
             return;
         }
         eprintln!("serve: quarantining session {session} ({worker}): {why}");
         let mut suspect: Vec<usize> = self
-            .row_producer
+            .done
             .iter()
-            .filter(|(_, &producer)| producer == session)
+            .filter(|(_, &producer)| producer == Some(session))
             .map(|(&job, _)| job)
             .collect();
         suspect.sort_unstable();
+        // A done job's only queued or leased work is its re-run.
+        self.queue.retain(|work| !suspect.contains(&work.job));
+        self.leases.retain(|_, l| !suspect.contains(&l.work.job));
         for job in suspect {
-            self.row_producer.remove(&job);
-            if self.done.remove(&job) {
-                eprintln!(
-                    "serve: requeueing job {job} (produced by quarantined session {session})"
-                );
-                self.queue.push_back(QueuedJob {
-                    job,
-                    attempts: 0,
-                    ready_at: now,
-                });
-            }
+            self.done.remove(&job);
+            eprintln!("serve: requeueing job {job} (produced by quarantined session {session})");
+            self.queue.push_back(Work {
+                job,
+                attempts: 0,
+                ready_at: now,
+                check: None,
+            });
         }
     }
 
@@ -1023,12 +911,13 @@ impl ActiveCampaign {
     /// point, so an armed plan can crash the broker mid-campaign — the
     /// resume path then proves itself; a failed append ends the dispatch.
     ///
-    /// A row answering a verification lease is never journaled: its stats
-    /// are compared against the journaled row, and a disagreement
-    /// quarantines the producing session. A row whose `row_fnv` disagrees
-    /// with its own payload quarantines the *submitting* session — the
-    /// payload was damaged somewhere between its simulator and this socket
-    /// — and returns its lease to the queue.
+    /// A row answering a re-run lease (work with a [`Check`]) is never
+    /// journaled: its stats are compared against the journaled row, and a
+    /// disagreement quarantines the producing session. A row whose
+    /// `row_fnv` disagrees with its own payload quarantines the
+    /// *submitting* session — the payload was damaged somewhere between its
+    /// simulator and this socket — and returns its lease to the queue. A
+    /// quarantined session's rows are refused; its leases run out.
     fn row_done(&mut self, session: u64, worker: &str, row: Message, now: Instant) -> Message {
         let Message::RowDone {
             lease,
@@ -1075,15 +964,24 @@ impl ActiveCampaign {
                 "job {job} failed its row_fnv check; session quarantined"
             ));
         }
-        if let Some(verify) = self.verify_leases.remove(&lease) {
-            self.last_activity = now;
-            if stats == verify.expected {
+        if self.quarantined.contains(&session) {
+            return reject(format!("session {session} is quarantined"));
+        }
+        self.last_activity = now;
+        let check = match self.leases.get(&lease) {
+            Some(held) if held.work.job == index && held.work.check.is_some() => {
+                self.leases.remove(&lease).and_then(|held| held.work.check)
+            }
+            _ => None,
+        };
+        if let Some(check) = check {
+            if stats == check.expected {
                 self.rows_verified += 1;
                 return Message::RowAck { job };
             }
             self.verify_mismatches += 1;
             self.quarantine(
-                verify.producer,
+                check.producer,
                 "producer",
                 &format!(
                     "job {job} re-run by session {session} contradicts the journaled row \
@@ -1095,14 +993,7 @@ impl ActiveCampaign {
             // the verifier's work was sound, so ack it.
             return Message::RowAck { job };
         }
-        if self.quarantined.contains(&session) {
-            return reject(format!("session {session} is quarantined"));
-        }
-        // The lease is resolved either way; an expired/unknown lease is
-        // fine — the work is real.
-        self.leases.remove(&lease);
-        self.last_activity = now;
-        if self.done.contains(&index) {
+        if self.done.contains_key(&index) {
             // Idempotent dedup: ack a retransmission without appending.
             return Message::RowAck { job };
         }
@@ -1127,15 +1018,22 @@ impl ActiveCampaign {
         if let Err(e) = self.stream.record(expected, &sim_stats) {
             eprintln!("warning: row stream write failed: {e}");
         }
-        self.done.insert(index);
+        // The row lands: whatever regular work the job still had queued or
+        // leased (a revoked lease's requeue, or its re-lease) is resolved.
+        // An expired or unknown lease is fine — the work is real.
+        self.done.insert(index, Some(session));
+        self.queue.retain(|work| work.job != index);
+        self.leases.retain(|_, l| l.work.job != index);
         self.rows_submitted += 1;
-        self.row_producer.insert(index, session);
         if self.sampled_for_verification(index) {
-            self.verify_queue.push_back(VerifyJob {
+            self.queue.push_back(Work {
                 job: index,
-                producer: session,
-                expected: stats,
+                attempts: 0,
                 ready_at: now,
+                check: Some(Check {
+                    producer: session,
+                    expected: stats,
+                }),
             });
         }
         Message::RowAck { job }
@@ -1809,53 +1707,23 @@ mod tests {
     #[test]
     fn spool_lock_blocks_live_owner_and_reclaims_dead_one() {
         let dir = temp_dir("lock");
-        // Held by this (live) process: a second acquire must refuse.
-        let lock = SpoolLock::acquire(&dir, None).unwrap();
-        let err = SpoolLock::acquire(&dir, None).unwrap_err();
+        let path = dir.join(SPOOL_LOCK_NAME);
+        // Held through one handle: a second acquire must refuse, naming the
+        // holder's pid.
+        let lock = SpoolLock::acquire(&dir).unwrap();
+        let err = SpoolLock::acquire(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+        let pid = std::process::id().to_string();
         assert!(err.to_string().contains("already served"), "{err}");
+        assert!(err.to_string().contains(&pid), "{err}");
         drop(lock);
-        assert!(!dir.join(SPOOL_LOCK_NAME).exists(), "lock not released");
+        assert!(path.exists(), "the lock file must never be removed");
 
-        // A lock whose owner is long dead is reclaimed. Pid 0 is never a
-        // schedulable process on Linux (and /proc/0 does not exist).
-        std::fs::write(dir.join(SPOOL_LOCK_NAME), "0").unwrap();
-        let lock = SpoolLock::acquire(&dir, None).unwrap();
-        let owner = std::fs::read_to_string(dir.join(SPOOL_LOCK_NAME)).unwrap();
-        assert_eq!(owner, std::process::id().to_string());
-        drop(lock);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn stale_spool_lock_is_stolen_past_the_threshold() {
-        let dir = temp_dir("lock-steal");
-        // A live owner's lock: without the escape hatch it always blocks...
-        let lock = SpoolLock::acquire(&dir, None).unwrap();
-        let err = SpoolLock::acquire(&dir, Some(Duration::from_secs(3600))).unwrap_err();
-        assert!(err.to_string().contains("already served"), "{err}");
-
-        // ...but once the lock file's mtime is older than the threshold it
-        // is stolen even though the owner pid is alive (the off-procfs
-        // "assume live" case this flag exists for).
-        std::thread::sleep(Duration::from_millis(60));
-        let stolen = SpoolLock::acquire(&dir, Some(Duration::from_millis(50))).unwrap();
-        let owner = std::fs::read_to_string(dir.join(SPOOL_LOCK_NAME)).unwrap();
-        assert_eq!(owner, std::process::id().to_string());
-        drop(stolen);
-        drop(lock);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn refreshed_spool_lock_is_not_stolen() {
-        let dir = temp_dir("lock-refresh");
-        let lock = SpoolLock::acquire(&dir, None).unwrap();
-        std::thread::sleep(Duration::from_millis(60));
-        // The serving loop refreshes the lock each scan; a refreshed lock
-        // is younger than the threshold and must survive.
-        lock.refresh();
-        let err = SpoolLock::acquire(&dir, Some(Duration::from_millis(50))).unwrap_err();
-        assert!(err.to_string().contains("already served"), "{err}");
+        // A left-over lock file with no holder — what a dead owner leaves —
+        // is acquired, and its pid replaced.
+        std::fs::write(&path, "4294967295").unwrap();
+        let lock = SpoolLock::acquire(&dir).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), pid);
         drop(lock);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1985,7 +1853,7 @@ warmup_blocks = 400
         assert_eq!(campaign.checksum_rejects, 1);
         assert!(campaign.quarantined.contains(&1));
         assert!(
-            !campaign.done.contains(&index),
+            !campaign.done.contains_key(&index),
             "the bad row must not count"
         );
         assert!(
@@ -2005,7 +1873,7 @@ warmup_blocks = 400
             let (_, answer) = submit(&mut campaign, 2, &stats, later);
             assert!(matches!(answer, Message::RowAck { .. }), "{answer:?}");
         }
-        assert!(campaign.done.contains(&index));
+        assert!(campaign.done.contains_key(&index));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2022,7 +1890,7 @@ warmup_blocks = 400
             assert!(matches!(answer, Message::RowAck { .. }), "{answer:?}");
         }
         assert!(campaign.rows_complete());
-        assert_eq!(campaign.verify_queue.len(), total);
+        assert_eq!(queued_checks(&campaign).len(), total);
         // The producer is never handed its own rows to re-verify.
         assert!(
             campaign.grant(1, now).is_none(),
@@ -2044,7 +1912,9 @@ warmup_blocks = 400
             0,
             "every row by the quarantined producer is suspect"
         );
+        // Requeued as rows to run; the moot re-runs of them are gone.
         assert_eq!(campaign.queue.len(), total);
+        assert!(queued_checks(&campaign).is_empty());
         assert!(!campaign.quarantine_breached());
         campaign.max_quarantined = Some(0);
         assert!(campaign.quarantine_breached());
@@ -2142,9 +2012,9 @@ warmup_blocks = 400
         let (regular, _) = campaign.grant(2, t0).unwrap();
         let (beating, _) = campaign.grant(3, t0).unwrap();
         let (silent, _) = campaign.grant(4, t0).unwrap();
-        assert!(campaign.leases.contains_key(&regular));
-        assert!(campaign.verify_leases.contains_key(&beating));
-        assert!(campaign.verify_leases.contains_key(&silent));
+        assert!(campaign.leases[&regular].work.check.is_none());
+        assert!(campaign.leases[&beating].work.check.is_some());
+        assert!(campaign.leases[&silent].work.check.is_some());
         for tick in 1..=5 {
             let now = t0 + Duration::from_millis(600 * tick);
             for (session, lease) in [(2, regular), (3, beating)] {
@@ -2158,11 +2028,11 @@ warmup_blocks = 400
             "a heartbeating regular lease expired"
         );
         assert!(
-            campaign.verify_leases.contains_key(&beating),
+            campaign.leases.contains_key(&beating),
             "a heartbeating verification lease expired"
         );
         assert!(
-            !campaign.verify_leases.contains_key(&silent),
+            !campaign.leases.contains_key(&silent),
             "a silent verification lease outlived the timeout"
         );
         std::fs::remove_dir_all(&dir).unwrap();
@@ -2215,7 +2085,15 @@ noc = 30
         campaign
             .queue
             .iter()
-            .any(|q| !campaign.done.contains(&q.job) && q.ready_at <= now)
+            .any(|q| q.check.is_none() && q.ready_at <= now)
+    }
+
+    /// The queued re-runs, in queue order: (job, producer of its row).
+    fn queued_checks(campaign: &ActiveCampaign) -> Vec<(usize, u64)> {
+        let queue = campaign.queue.iter();
+        queue
+            .filter_map(|w| w.check.as_ref().map(|c| (w.job, c.producer)))
+            .collect()
     }
 
     #[test]
@@ -2281,7 +2159,8 @@ noc = 30
             let ready = regular_row_ready(&campaign, now);
             match campaign.grant(session, now) {
                 Some((lease, job)) => {
-                    assert!(campaign.leases.contains_key(&lease), "a regular lease");
+                    let regular = campaign.leases[&lease].work.check.is_none();
+                    assert!(regular, "a regular lease");
                     held.insert(session, (lease, job));
                 }
                 None => assert!(!ready, "session {session} idled with a row ready"),
@@ -2322,6 +2201,44 @@ noc = 30
     }
 
     #[test]
+    fn revoked_reruns_back_off_like_regular_rows() {
+        let (mut campaign, dir) = integrity_campaign("rerun-backoff", 1.0);
+        campaign.backoff_base = Duration::from_secs(10);
+        campaign.backoff_cap = Duration::from_secs(60);
+        let now = Instant::now();
+        let stats = stats_to_array(&SimStats::default());
+        for _ in 0..campaign.jobs.len() {
+            submit(&mut campaign, 1, &stats, now);
+        }
+        let (lease, job) = campaign.grant(2, now).unwrap();
+        campaign.revoke(lease, "test revocation", now);
+        // Sessions 2 and 3 hold the other re-runs, so only the revoked one
+        // is left to grant: one base after its first revocation, two bases
+        // after its second.
+        let others: Vec<usize> = [2, 3]
+            .into_iter()
+            .map(|session| campaign.grant(session, now).unwrap().1)
+            .collect();
+        assert!(!others.contains(&job));
+        let mut at = now;
+        for wait in [10, 20] {
+            let backoff = Duration::from_secs(wait);
+            let almost = at + backoff - Duration::from_millis(1);
+            assert!(
+                campaign.grant(4, almost).is_none(),
+                "granted inside its backoff"
+            );
+            at += backoff;
+            let (lease, again) = campaign.grant(4, at).unwrap();
+            assert_eq!(again, job);
+            assert!(campaign.leases[&lease].work.check.is_some());
+            campaign.revoke(lease, "test revocation", at);
+        }
+        assert_eq!(campaign.queue.back().map(|w| w.attempts), Some(3));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn verification_takes_the_first_eligible_sample_and_skips_its_producer() {
         let (mut campaign, dir) = broker_campaign(AFFINITY_SPEC, "verify-order", 1.0);
         let now = Instant::now();
@@ -2335,24 +2252,26 @@ noc = 30
         }
         // Samples session 1 may re-run, in queue order: it is handed them
         // in that order, whatever point it was last on.
-        let eligible: Vec<usize> = campaign
-            .verify_queue
-            .iter()
-            .filter(|v| v.producer != 1)
-            .map(|v| v.job)
+        let eligible: Vec<usize> = queued_checks(&campaign)
+            .into_iter()
+            .filter(|&(_, producer)| producer != 1)
+            .map(|(job, _)| job)
             .collect();
         assert!(!eligible.is_empty());
         let mut granted = Vec::new();
         while let Some((lease, job)) = campaign.grant(1, now) {
+            let check = campaign.leases[&lease].work.check.as_ref();
             assert_ne!(
-                campaign.verify_leases[&lease].producer, 1,
+                check.map(|c| c.producer),
+                Some(1),
                 "session 1 was handed its own row to verify"
             );
             granted.push(job);
             complete(&mut campaign, 1, lease, job, &stats, now);
         }
         assert_eq!(granted, eligible);
-        assert!(campaign.verify_queue.iter().all(|v| v.producer == 1));
+        let left = queued_checks(&campaign);
+        assert!(left.iter().all(|&(_, producer)| producer == 1));
         assert_eq!(campaign.rows_verified as usize, eligible.len());
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -2469,11 +2388,24 @@ noc = 30
         /// Heartbeats its lease before every clock step; the liveness
         /// invariant covers exactly these peers.
         heartbeats: bool,
-        /// The lease it holds and that lease's job.
-        held: Option<(u64, usize)>,
+        /// The lease it holds.
+        held: Option<Held>,
         /// The lease and job of its last submitted row, retransmitted as a
         /// duplicate.
         last_row: Option<(u64, usize)>,
+    }
+
+    /// A lease a peer holds.
+    #[derive(Clone, Copy)]
+    struct Held {
+        lease: u64,
+        job: usize,
+        /// The lease re-runs a done row.
+        check: bool,
+        /// The broker let go of the lease without this peer's row: another
+        /// row landed its job, or a quarantine requeued the job and dropped
+        /// its re-run. The peer may still answer it.
+        resolved: bool,
     }
 
     /// What a schedule exercised, summed over its broker lives.
@@ -2623,8 +2555,8 @@ noc = 30
                 }
                 35..=44 => {
                     if let Some(i) = pick(self, Some(true)) {
-                        let (session, (lease, _)) =
-                            (self.peers[i].session, self.peers[i].held.unwrap());
+                        let (session, lease) =
+                            (self.peers[i].session, self.peers[i].held.unwrap().lease);
                         self.send(session, Message::Heartbeat { lease })?;
                     }
                 }
@@ -2717,15 +2649,19 @@ noc = 30
                             "lease {lease} granted to quarantined session {session}"
                         ));
                     }
-                    if let Some(sample) = self.campaign.verify_leases.get(&lease) {
-                        if sample.producer == session {
-                            return Err(format!(
-                                "verification lease {lease} of job {job} granted to its \
-                                 producer, session {session}"
-                            ));
-                        }
+                    let check = self.campaign.leases[&lease].work.check.as_ref();
+                    if check.is_some_and(|check| check.producer == session) {
+                        return Err(format!(
+                            "verification lease {lease} of job {job} granted to its \
+                             producer, session {session}"
+                        ));
                     }
-                    self.peers[i].held = Some((lease, job as usize));
+                    self.peers[i].held = Some(Held {
+                        lease,
+                        job: job as usize,
+                        check: check.is_some(),
+                        resolved: false,
+                    });
                 }
                 Some(Message::NoWork { .. }) => {}
                 Some(Message::Reject { .. }) if self.campaign.quarantined.contains(&session) => {}
@@ -2738,10 +2674,11 @@ noc = 30
         /// sometimes a corrupt one, or wrong stats for a verification lease.
         fn submit_row(&mut self, i: usize) -> Result<(), String> {
             let session = self.peers[i].session;
-            let (lease, job) = self.peers[i].held.take().expect("a held lease");
+            let Held { lease, job, .. } = self.peers[i].held.take().expect("a held lease");
             self.peers[i].last_row = Some((lease, job));
-            let verifying = self.campaign.verify_leases.contains_key(&lease);
-            if !verifying && !self.campaign.leases.contains_key(&lease) {
+            let held = self.campaign.leases.get(&lease);
+            let verifying = held.is_some_and(|held| held.work.check.is_some());
+            if held.is_none() {
                 self.tally.late_rows += 1;
             }
             let truth = truth().2[job].clone();
@@ -2786,7 +2723,7 @@ noc = 30
                     .peers
                     .iter()
                     .filter(|peer| peer.heartbeats)
-                    .filter_map(|peer| peer.held.map(|(lease, _)| (peer.session, lease)))
+                    .filter_map(|peer| peer.held.map(|held| (peer.session, held.lease)))
                     .collect();
                 for (session, lease) in beats {
                     if let Some(reply) = self.send(session, Message::Heartbeat { lease })? {
@@ -2802,9 +2739,9 @@ noc = 30
 
         /// One drive-loop tick: sweeps expired leases.
         fn sweep(&mut self) {
-            let before = self.campaign.leases.len() + self.campaign.verify_leases.len();
+            let before = self.campaign.leases.len();
             self.campaign.sweep_expired(self.now);
-            let after = self.campaign.leases.len() + self.campaign.verify_leases.len();
+            let after = self.campaign.leases.len();
             self.tally.expiries += (before - after) as u64;
         }
 
@@ -2833,10 +2770,10 @@ noc = 30
                 self.now,
             )?;
             let journaled: HashSet<usize> = self.journal.iter().map(|&(job, _)| job).collect();
-            if self.campaign.done != journaled {
+            let replayed: HashSet<usize> = self.campaign.done.keys().copied().collect();
+            if replayed != journaled {
                 return Err(format!(
-                    "restart replayed {:?}, the journal holds {journaled:?}",
-                    self.campaign.done
+                    "restart replayed {replayed:?}, the journal holds {journaled:?}"
                 ));
             }
             Ok(())
@@ -2878,29 +2815,49 @@ noc = 30
             Err("the campaign never settled".to_string())
         }
 
-        /// The invariants that hold after every step.
-        fn check(&self) -> Result<(), String> {
+        /// The invariants that hold after every step. A held lease the
+        /// broker let go of for a sound reason is marked resolved the step
+        /// it disappears.
+        fn check(&mut self) -> Result<(), String> {
             let campaign = &self.campaign;
             for job in 0..campaign.jobs.len() {
-                let placed = campaign.done.contains(&job)
-                    || campaign.leases.values().any(|l| l.job == job)
-                    || campaign.queue.iter().any(|q| q.job == job);
-                if !placed {
-                    return Err(format!("job {job} is neither done, leased nor queued"));
+                let done = usize::from(campaign.done.contains_key(&job));
+                let rows = |work: &Work| work.job == job && work.check.is_none();
+                let leased = campaign.leases.values().filter(|l| rows(&l.work)).count();
+                let queued = campaign.queue.iter().filter(|&w| rows(w)).count();
+                if done + leased + queued != 1 {
+                    return Err(format!(
+                        "job {job} is done {done}, leased {leased} and queued {queued} \
+                         times as a row"
+                    ));
                 }
             }
-            for peer in self.peers.iter().filter(|peer| peer.heartbeats) {
-                if let Some((lease, job)) = peer.held {
-                    if !campaign.leases.contains_key(&lease)
-                        && !campaign.verify_leases.contains_key(&lease)
-                    {
-                        return Err(format!(
-                            "lease {lease} (job {job}) of session {}, which kept \
-                             heartbeating, was revoked",
-                            peer.session
-                        ));
-                    }
+            let leased = campaign.leases.values().map(|l| &l.work);
+            let reruns = campaign.queue.iter().chain(leased);
+            if let Some(work) = reruns
+                .filter(|work| work.check.is_some())
+                .find(|work| !campaign.done.contains_key(&work.job))
+            {
+                return Err(format!("job {} has a re-run but is not done", work.job));
+            }
+            for peer in self.peers.iter_mut().filter(|peer| peer.heartbeats) {
+                let Some(held) = peer.held.as_mut().filter(|held| !held.resolved) else {
+                    continue;
+                };
+                if campaign.leases.contains_key(&held.lease) {
+                    continue;
                 }
+                let done = campaign.done.contains_key(&held.job);
+                // A row lease goes when another row lands its job; a re-run
+                // when a quarantine requeues its job.
+                if done != held.check {
+                    held.resolved = true;
+                    continue;
+                }
+                return Err(format!(
+                    "lease {} (job {}) of session {}, which kept heartbeating, was revoked",
+                    held.lease, held.job, peer.session
+                ));
             }
             Ok(())
         }

@@ -8,6 +8,7 @@
 //! completion order while the campaign is still running, so long sweeps are
 //! observable (and greppable) before the canonical report exists.
 
+use crate::checkpoint::STAT_FIELDS;
 use crate::engine::{CampaignReport, PartialReport, PartialRow, RowResult};
 use crate::expand::Job;
 use crate::fault;
@@ -56,27 +57,11 @@ fn row_json(row: &RowResult) -> Json {
         .field("squashes_per_ki", squash_rates.total())
         .field(
             "stats",
-            Json::object()
-                .field("instructions", s.instructions)
-                .field("cycles", s.cycles)
-                .field("fetch_stall_cycles", s.fetch_stall_cycles)
-                .field("squash_stall_cycles", s.squash_stall_cycles)
-                .field("ftq_empty_cycles", s.ftq_empty_cycles)
-                .field("rob_full_cycles", s.rob_full_cycles)
-                .field("squashes_btb_miss", s.squashes.btb_miss)
-                .field("squashes_misprediction", s.squashes.misprediction)
-                .field("btb_lookups", s.btb_lookups)
-                .field("btb_misses", s.btb_misses)
-                .field("prefetch_buffer_hits", s.prefetch_buffer_hits)
-                .field("prefetches_issued", s.prefetches_issued)
-                .field("conditional_predictions", s.conditional_predictions)
-                .field("conditional_mispredictions", s.conditional_mispredictions)
-                .field("miss_breakdown_sequential", s.miss_breakdown.sequential)
-                .field("miss_breakdown_conditional", s.miss_breakdown.conditional)
-                .field(
-                    "miss_breakdown_unconditional",
-                    s.miss_breakdown.unconditional,
-                ),
+            STAT_FIELDS
+                .iter()
+                .fold(Json::object(), |stats, (name, read)| {
+                    stats.field(name, read(s))
+                }),
         )
         .field("baseline_cycles", row.baseline.cycles)
         .field(

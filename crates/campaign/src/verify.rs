@@ -14,7 +14,7 @@
 //! | check          | needs          | what it proves                                   |
 //! |----------------|----------------|--------------------------------------------------|
 //! | `journal-rows` | nothing        | headers parse, rows parse, every `row_fnv` holds |
-//! | `spec-hash`    | `--spec`       | journals belong to this spec at this run length  |
+//! | `spec-hash`    | `--spec`       | the spec's journals belong to it at this run length |
 //! | `completeness` | `--spec`       | every job of the expansion has a checkpointed row|
 //! | `report-bytes` | `--spec`       | `<name>.json`/`.csv` equal an `assemble_report` replay byte-for-byte |
 //! | `artifacts`    | `--artifact-cache` | every `wl-*.wla` header and payload checksum holds |
@@ -22,20 +22,23 @@
 //!
 //! Checks whose inputs are absent are *skipped* (reported, but not
 //! failures): a journal's internal checksums are verifiable with nothing
-//! but the file, while replaying the report needs the spec TOML. The
+//! but the file, while replaying the report needs the spec TOML. Without a
+//! spec, `journal-rows` scans every campaign's journals in the directory;
+//! with one, every check reads only the spec's campaign, so one directory
+//! may hold several campaigns (as `run --out` allows). The
 //! `recompute` sample is deterministic — seeded by the spec hash, like the
 //! broker's online sampled re-verification — so repeated audits of the
 //! same directory exercise the same rows.
 
 use crate::artifact::check_header;
 use crate::checkpoint::{
-    fnv1a64, scan_journal, spec_hash, stats_to_array, JournalReplay, JournalScan,
+    fnv1a64, journal_files, scan_journal, spec_hash, stats_to_array, JournalReplay,
 };
-use crate::engine::{assemble_report, derive_seed};
+use crate::engine::{assemble_report, load_point};
 use crate::expand::{expand, Job};
 use crate::sink::{to_csv, to_json};
 use crate::spec::{mechanism_token, CampaignSpec};
-use boomerang::{RunLength, WorkloadData};
+use boomerang::RunLength;
 use std::path::{Path, PathBuf};
 
 /// What to audit and how deep.
@@ -118,86 +121,71 @@ impl VerifyReport {
     }
 }
 
-/// Runs every applicable check against `options.dir` and returns the
-/// per-check table. Never panics on damaged input — damage is what the
-/// failing check reports.
+/// Runs every applicable check against `options.dir`, reading only the
+/// spec's campaign when a spec is given, and returns the per-check table.
+/// Never panics on damaged input — damage is what the failing check
+/// reports.
 pub fn verify_dir(options: &VerifyOptions) -> VerifyReport {
     let mut report = VerifyReport::default();
-    let scans = check_journal_rows(&options.dir, &mut report);
-    let spec = load_spec(options, &mut report);
-    if let Some((spec, run)) = &spec {
-        check_spec_hash(options, spec, *run, &scans, &mut report);
-        let replay = check_completeness(options, spec, &scans, &mut report);
-        check_report_bytes(options, spec, *run, replay.as_ref(), &mut report);
-        check_recompute(options, spec, *run, replay.as_ref(), &mut report);
-    } else {
-        for name in ["spec-hash", "completeness", "report-bytes", "recompute"] {
+    let spec = options
+        .spec
+        .as_deref()
+        .map(|path| load_spec(path, options.smoke));
+    let campaign = match &spec {
+        Some(Ok((spec, _))) => Some(spec.name.as_str()),
+        _ => None,
+    };
+    check_journal_rows(&options.dir, campaign, &mut report);
+    match &spec {
+        Some(Ok((spec, run))) => {
+            let replay = check_replay(options, spec, *run, &mut report);
+            check_report_bytes(options, spec, *run, replay.as_ref(), &mut report);
+            check_recompute(options, spec, *run, replay.as_ref(), &mut report);
+        }
+        Some(Err(detail)) => {
             report.checks.push(CheckResult {
-                name,
-                passed: None,
-                detail: "needs --spec".to_string(),
+                name: "spec-hash",
+                passed: Some(false),
+                detail: detail.clone(),
             });
+        }
+        None => {
+            for name in ["spec-hash", "completeness", "report-bytes", "recompute"] {
+                report.checks.push(CheckResult {
+                    name,
+                    passed: None,
+                    detail: "needs --spec".to_string(),
+                });
+            }
         }
     }
     check_artifacts(options, &mut report);
     report
 }
 
-/// Every journal file in `dir`: `<campaign>.journal.jsonl` and sharded
-/// `<campaign>.journal-<i>.jsonl` siblings, temp files excluded.
-fn journal_paths(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
-    let mut paths = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let path = entry?.path();
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        if name.ends_with(".jsonl") && name.contains(".journal") && !name.contains(".tmp-") {
-            paths.push(path);
-        }
-    }
-    paths.sort();
-    Ok(paths)
-}
-
-/// The self-contained scan: every journal parses and every row checksum
-/// holds. Returns the scans for the spec-dependent checks downstream.
-fn check_journal_rows(dir: &Path, report: &mut VerifyReport) -> Vec<(PathBuf, JournalScan)> {
-    let paths = match journal_paths(dir) {
-        Ok(paths) => paths,
-        Err(e) => {
-            report.checks.push(CheckResult {
-                name: "journal-rows",
-                passed: Some(false),
-                detail: format!("cannot scan {}: {e}", dir.display()),
-            });
-            return Vec::new();
-        }
-    };
-    if paths.is_empty() {
+/// The self-contained scan: every journal of `campaign` (of every campaign
+/// when `None`) parses and every row checksum holds.
+fn check_journal_rows(dir: &Path, campaign: Option<&str>, report: &mut VerifyReport) {
+    let mut fail = |detail: String| {
         report.checks.push(CheckResult {
             name: "journal-rows",
             passed: Some(false),
-            detail: format!("no journal files in {}", dir.display()),
-        });
-        return Vec::new();
-    }
-    let mut scans = Vec::new();
+            detail,
+        })
+    };
+    let paths = match journal_files(dir, campaign) {
+        Ok(paths) if paths.is_empty() => {
+            let whose = campaign.map(|c| format!("`{c}` ")).unwrap_or_default();
+            return fail(format!("no {whose}journal files in {}", dir.display()));
+        }
+        Ok(paths) => paths,
+        Err(e) => return fail(format!("cannot scan {}: {e}", dir.display())),
+    };
     let mut checked = 0;
-    for path in paths {
-        match scan_journal(&path) {
-            Ok(scan) => {
-                checked += scan.rows.len();
-                scans.push((path, scan));
-            }
-            Err(e) => {
-                report.checks.push(CheckResult {
-                    name: "journal-rows",
-                    passed: Some(false),
-                    detail: e.to_string(),
-                });
-                return scans;
-            }
+    for path in &paths {
+        match scan_journal(path) {
+            Ok(scan) => checked += scan.rows.len(),
+            Err(e) => return fail(e.to_string()),
         }
     }
     report.checks.push(CheckResult {
@@ -205,163 +193,85 @@ fn check_journal_rows(dir: &Path, report: &mut VerifyReport) -> Vec<(PathBuf, Jo
         passed: Some(true),
         detail: format!(
             "{checked} row checksums verified across {} file(s)",
-            scans.len()
+            paths.len()
         ),
     });
-    scans
 }
 
-/// Parses `--spec` (when given) into the spec plus its effective run
-/// length. A spec that fails to parse is reported as a failed check.
-fn load_spec(
-    options: &VerifyOptions,
-    report: &mut VerifyReport,
-) -> Option<(CampaignSpec, RunLength)> {
-    let path = options.spec.as_ref()?;
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => {
-            report.checks.push(CheckResult {
-                name: "spec-hash",
-                passed: Some(false),
-                detail: format!("cannot read {}: {e}", path.display()),
-            });
-            return None;
-        }
+/// Parses the spec at `path` into the spec plus its effective run length;
+/// a spec that cannot be read or parsed is the failure's detail.
+fn load_spec(path: &Path, smoke: bool) -> Result<(CampaignSpec, RunLength), String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let spec = CampaignSpec::from_toml_str(&text)
+        .map_err(|e| format!("invalid spec {}: {e}", path.display()))?;
+    let run = if smoke {
+        RunLength::smoke_test()
+    } else {
+        spec.run
     };
-    match CampaignSpec::from_toml_str(&text) {
-        Ok(spec) => {
-            let run = if options.smoke {
-                RunLength::smoke_test()
-            } else {
-                spec.run
-            };
-            Some((spec, run))
-        }
-        Err(e) => {
-            report.checks.push(CheckResult {
-                name: "spec-hash",
-                passed: Some(false),
-                detail: format!("invalid spec {}: {e}", path.display()),
-            });
-            None
-        }
-    }
+    Ok((spec, run))
 }
 
-/// Every journal must belong to this spec: campaign name and recomputed
-/// spec hash both match every header.
-fn check_spec_hash(
+/// Replays the spec's journals through the loader `resume` uses, under the
+/// spec's own hash. Two checks come out of it: `spec-hash` (every header
+/// names this campaign, hash and job count) and `completeness` (every job
+/// of the canonical expansion has a checksum-valid row).
+fn check_replay(
     options: &VerifyOptions,
     spec: &CampaignSpec,
     run: RunLength,
-    scans: &[(PathBuf, JournalScan)],
-    report: &mut VerifyReport,
-) {
-    if scans.is_empty() {
-        report.checks.push(CheckResult {
-            name: "spec-hash",
-            passed: None,
-            detail: "no scanned journals to compare against".to_string(),
-        });
-        return;
-    }
-    let expected = spec_hash(spec, run, options.smoke);
-    let jobs = expand(spec).len();
-    for (path, scan) in scans {
-        if scan.campaign != spec.name {
-            report.checks.push(CheckResult {
-                name: "spec-hash",
-                passed: Some(false),
-                detail: format!(
-                    "{} belongs to campaign `{}`, spec names `{}`",
-                    path.display(),
-                    scan.campaign,
-                    spec.name
-                ),
-            });
-            return;
-        }
-        if scan.spec_hash != expected {
-            report.checks.push(CheckResult {
-                name: "spec-hash",
-                passed: Some(false),
-                detail: format!(
-                    "{} was written for spec hash {}, this spec at this run length is {expected}",
-                    path.display(),
-                    scan.spec_hash
-                ),
-            });
-            return;
-        }
-        if scan.jobs as usize != jobs {
-            report.checks.push(CheckResult {
-                name: "spec-hash",
-                passed: Some(false),
-                detail: format!(
-                    "{} claims {} jobs, the spec expands to {jobs}",
-                    path.display(),
-                    scan.jobs
-                ),
-            });
-            return;
-        }
-    }
-    report.checks.push(CheckResult {
-        name: "spec-hash",
-        passed: Some(true),
-        detail: format!("{expected} matches {} journal header(s)", scans.len()),
-    });
-}
-
-/// Full replay through the same loader `resume` uses: every job of the
-/// canonical expansion must have a (checksum-valid) row.
-fn check_completeness(
-    options: &VerifyOptions,
-    spec: &CampaignSpec,
-    scans: &[(PathBuf, JournalScan)],
     report: &mut VerifyReport,
 ) -> Option<(Vec<Job>, JournalReplay)> {
-    if scans.is_empty() {
-        report.checks.push(CheckResult {
-            name: "completeness",
-            passed: None,
-            detail: "no journals to replay".to_string(),
-        });
-        return None;
-    }
     let jobs = expand(spec);
-    let expected = scans[0].1.spec_hash.clone();
-    match JournalReplay::load(&options.dir, &spec.name, &expected, &jobs) {
-        Ok(replay) if replay.completed() == jobs.len() => {
-            report.checks.push(CheckResult {
-                name: "completeness",
-                passed: Some(true),
-                detail: format!("all {} jobs have checkpointed rows", jobs.len()),
-            });
-            Some((jobs, replay))
+    let hash = spec_hash(spec, run, options.smoke);
+    let mut push = |name, passed, detail| {
+        report.checks.push(CheckResult {
+            name,
+            passed,
+            detail,
+        })
+    };
+    let replay = match JournalReplay::load(&options.dir, &spec.name, &hash, &jobs) {
+        Ok(replay) if replay.files.is_empty() => {
+            let detail = format!("no `{}` journal to compare against", spec.name);
+            push("spec-hash", Some(false), detail);
+            push("completeness", None, "no journals to replay".to_string());
+            return None;
         }
-        Ok(replay) => {
-            report.checks.push(CheckResult {
-                name: "completeness",
-                passed: Some(false),
-                detail: format!(
-                    "only {} of {} jobs have checkpointed rows",
-                    replay.completed(),
-                    jobs.len()
-                ),
-            });
-            None
+        Ok(replay) => replay,
+        // A header names a different campaign, hash or job count.
+        Err(e) if e.line <= 1 => {
+            push("spec-hash", Some(false), e.to_string());
+            let detail = "needs journals written for this spec".to_string();
+            push("completeness", None, detail);
+            return None;
         }
         Err(e) => {
-            report.checks.push(CheckResult {
-                name: "completeness",
-                passed: Some(false),
-                detail: e.to_string(),
-            });
-            None
+            let detail = "the replay stopped at a row, see completeness".to_string();
+            push("spec-hash", None, detail);
+            push("completeness", Some(false), e.to_string());
+            return None;
         }
+    };
+    let files = replay.files.len();
+    push(
+        "spec-hash",
+        Some(true),
+        format!("{hash} matches {files} journal header(s)"),
+    );
+    if replay.completed() != jobs.len() {
+        let detail = format!(
+            "only {} of {} jobs have checkpointed rows",
+            replay.completed(),
+            jobs.len()
+        );
+        push("completeness", Some(false), detail);
+        return None;
     }
+    let detail = format!("all {} jobs have checkpointed rows", jobs.len());
+    push("completeness", Some(true), detail);
+    Some((jobs, replay))
 }
 
 /// The reports on disk must equal an `assemble_report` replay of the
@@ -456,10 +366,7 @@ fn check_recompute(
     let configs: Vec<_> = spec.configs.iter().map(|c| c.build()).collect();
     for &index in &sample {
         let job = &jobs[index];
-        let profile = &spec.workloads[job.workload].profile;
-        let effective = derive_seed(profile.seed, job.seed);
-        let profile = profile.clone().with_seed(effective);
-        let data = WorkloadData::generate_from_profile(&profile, run);
+        let (data, _, _) = load_point(spec, job.workload, job.seed, run, None);
         let fresh = data.run_with_predictor(job.mechanism, &configs[job.config], spec.predictor);
         let journaled = replay.rows[&index];
         if stats_to_array(&fresh) != stats_to_array(&journaled) {
@@ -609,18 +516,25 @@ warmup_blocks = 400
     /// real run plus the matching reports, exactly what `run --out` leaves.
     fn golden_dir(tag: &str) -> (PathBuf, PathBuf) {
         let dir = temp_dir(tag);
-        let spec = CampaignSpec::from_toml_str(SPEC).unwrap();
+        let spec_path = write_campaign(&dir, SPEC);
+        (dir, spec_path)
+    }
+
+    /// Runs the campaign `spec_text` into `dir` the way `run --out` does
+    /// (journal plus reports) and returns the path of its spec file.
+    fn write_campaign(dir: &Path, spec_text: &str) -> PathBuf {
+        let spec = CampaignSpec::from_toml_str(spec_text).unwrap();
         let report = run_campaign(&spec, &EngineOptions::default()).unwrap();
         let jobs = expand(&spec);
         let hash = spec_hash(&spec, spec.run, false);
-        let journal = Journal::create(&dir, &spec.name, &hash, jobs.len(), None).unwrap();
+        let journal = Journal::create(dir, &spec.name, &hash, jobs.len(), None).unwrap();
         for (job, row) in jobs.iter().zip(&report.rows) {
             journal.record(job, &row.stats).unwrap();
         }
-        write_reports(&report, &dir).unwrap();
-        let spec_path = dir.join("vtest-spec.toml");
-        std::fs::write(&spec_path, SPEC).unwrap();
-        (dir, spec_path)
+        write_reports(&report, dir).unwrap();
+        let spec_path = dir.join(format!("{}-spec.toml", spec.name));
+        std::fs::write(&spec_path, spec_text).unwrap();
+        spec_path
     }
 
     #[test]
@@ -652,6 +566,71 @@ warmup_blocks = 400
                 "{name} did not pass:\n{rendered}"
             );
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn each_campaign_of_a_shared_directory_passes_under_its_own_spec() {
+        let (dir, first) = golden_dir("shared");
+        let second = write_campaign(
+            &dir,
+            "name = \"vtest-zeus\"\nworkloads = [\"zeus\"]\nmechanisms = [\"shift\"]\n\n\
+             [run]\ntrace_blocks = 2000\nwarmup_blocks = 400\n",
+        );
+        for spec in [first, second] {
+            let report = verify_dir(&VerifyOptions {
+                dir: dir.clone(),
+                spec: Some(spec),
+                recompute: 1,
+                ..VerifyOptions::default()
+            });
+            assert!(report.passed(), "{}", report.render());
+            assert!(
+                report
+                    .checks
+                    .iter()
+                    .all(|c| c.passed == Some(true) || c.name == "artifacts"),
+                "{}",
+                report.render()
+            );
+        }
+        // Without a spec, every campaign's journal is scanned.
+        let report = verify_dir(&VerifyOptions {
+            dir: dir.clone(),
+            ..VerifyOptions::default()
+        });
+        assert!(
+            report.render().contains("across 2 file(s)"),
+            "{}",
+            report.render()
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn another_specs_journal_fails_the_spec_hash() {
+        let (dir, spec_path) = golden_dir("wrong-spec");
+        // Same campaign name, different axes: a different spec hash.
+        let other = dir.join("other.toml");
+        std::fs::write(
+            &other,
+            std::fs::read_to_string(&spec_path)
+                .unwrap()
+                .replace("\"boomerang\"", "\"shift\""),
+        )
+        .unwrap();
+        let report = verify_dir(&VerifyOptions {
+            dir: dir.clone(),
+            spec: Some(other),
+            ..VerifyOptions::default()
+        });
+        let failed: Vec<&str> = report
+            .checks
+            .iter()
+            .filter(|c| c.passed == Some(false))
+            .map(|c| c.name)
+            .collect();
+        assert_eq!(failed, ["spec-hash"], "{}", report.render());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -757,7 +736,7 @@ warmup_blocks = 400
         let cache_dir = dir.join("cache");
         let spec = CampaignSpec::from_toml_str(SPEC).unwrap();
         let profile = spec.workloads[0].profile.clone();
-        let data = WorkloadData::generate_from_profile(&profile, spec.run);
+        let data = boomerang::WorkloadData::generate_from_profile(&profile, spec.run);
         let cache = ArtifactCache::open(&cache_dir).unwrap();
         cache.store(&profile, spec.run, &data).unwrap();
 
