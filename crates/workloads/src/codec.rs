@@ -780,6 +780,28 @@ mod tests {
         assert_eq!(err.field, "payload");
     }
 
+    /// FNV-1a-64, the digest the campaign layer pins reports with.
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The `BMWL` payload bytes of a `tiny` workload are pinned: a change to
+    /// the trace's in-memory form must not move a single artifact byte
+    /// without a format bump.
+    #[test]
+    fn encoded_workload_bytes_are_pinned() {
+        let layout = CodeLayout::generate(&WorkloadProfile::tiny(42));
+        let trace = Trace::generate_blocks(&layout, 5_000);
+        let mut bytes = Vec::new();
+        encode_workload(&layout, &trace, &mut bytes).expect("encode");
+        assert_eq!(
+            (bytes.len(), format!("{:016x}", fnv1a64(&bytes))),
+            (44_664, "94bfbdef39a44267".to_string())
+        );
+    }
+
     #[test]
     fn fingerprint_distinguishes_profiles() {
         let a = profile_fingerprint(&WorkloadProfile::tiny(1));
