@@ -186,7 +186,16 @@ impl WorkloadData {
     /// backend parameters, so they are rebuilt rather than stored.
     ///
     /// `length` must be the run length the trace was generated with.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `trace` walks a different layout than `layout` (a clone of
+    /// it shares its tables, see [`CodeLayout::shares_tables`]).
     pub fn from_parts(layout: CodeLayout, trace: Trace, length: RunLength) -> Self {
+        assert!(
+            trace.layout().shares_tables(&layout),
+            "the trace walks a different layout"
+        );
         let profile = layout.profile();
         let latency_classes = profile
             .backend
@@ -229,7 +238,7 @@ impl WorkloadData {
         let mut sim = Simulator::with_predictor(
             config.clone(),
             &self.layout,
-            self.trace.blocks(),
+            &self.trace,
             Box::new(mechanism.build_any()),
             predictor,
         );

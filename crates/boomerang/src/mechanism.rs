@@ -241,7 +241,7 @@ mod tests {
         Simulator::new(
             MicroarchConfig::hpca17(),
             &layout,
-            trace.blocks(),
+            &trace,
             Box::new(mechanism),
         )
         .run_with_warmup(2_000)
@@ -313,7 +313,7 @@ mod tests {
         let mut sim = Simulator::new(
             MicroarchConfig::hpca17(),
             &layout,
-            trace.blocks(),
+            &trace,
             Box::new(Boomerang::new()),
         );
         let stats = sim.run();

@@ -65,12 +65,12 @@ fn assert_engines_agree(
         Simulator::with_predictor(
             config.clone(),
             &layout,
-            trace.blocks(),
+            &trace,
             Box::new(mechanism.build_any()),
             predictor,
         )
     };
-    let targets = slice_targets(trace.blocks().len(), warmup, profile.seed);
+    let targets = slice_targets(trace.len(), warmup, profile.seed);
     for mechanism in all_mechanisms() {
         let fast = simulator(mechanism).run_with_warmup(warmup);
         let reference = simulator(mechanism).run_with_warmup_reference(warmup);
@@ -86,7 +86,7 @@ fn assert_engines_agree(
             let done = sliced.advance_to_block(target);
             assert_eq!(
                 done,
-                target >= trace.blocks().len(),
+                target >= trace.len(),
                 "{mechanism:?}: completion flag at target {target}"
             );
         }

@@ -22,7 +22,7 @@ impl Bench {
         let mut sim = Simulator::new(
             config.clone(),
             &self.layout,
-            self.trace.blocks(),
+            &self.trace,
             Box::new(mechanism.build_any()),
         );
         sim.run_with_warmup(5_000)

@@ -508,6 +508,37 @@ mod tests {
         }
     }
 
+    /// Rows read the stored trace block by block: neither generation, an
+    /// artifact store and load, nor simulating every row expands a trace
+    /// into 64-byte records.
+    #[test]
+    fn rows_run_on_the_stored_trace_without_expanding_it() {
+        let spec = CampaignSpec::from_toml_str(
+            "name = \"t\"\nworkloads = [\"nutch\"]\nmechanisms = [\"fdip\", \"boomerang\"]\n\n[run]\ntrace_blocks = 1500\nwarmup_blocks = 300\n",
+        )
+        .unwrap();
+        let cache =
+            std::env::temp_dir().join(format!("boomerang-engine-expand-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&cache);
+        let options = EngineOptions {
+            jobs: 2,
+            artifact_cache: Some(cache.clone()),
+            ..EngineOptions::default()
+        };
+        let configs: Vec<_> = spec.configs.iter().map(|c| c.build()).collect();
+        // The first pass generates and stores the point, the second loads it.
+        for cache_hits in [0, 1] {
+            let generated = generate_workloads(&spec, &options).unwrap();
+            assert_eq!(generated.generation().cache_hits, cache_hits);
+            for job in generated.jobs() {
+                let data = generated.data_for(job.workload, job.seed).unwrap();
+                data.run_with_predictor(job.mechanism, &configs[job.config], spec.predictor);
+                assert!(!data.trace.is_expanded(), "{job:?}");
+            }
+        }
+        std::fs::remove_dir_all(&cache).unwrap();
+    }
+
     #[test]
     fn partial_assembly_classifies_every_hole() {
         let spec = CampaignSpec::from_toml_str(

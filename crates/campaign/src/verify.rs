@@ -331,7 +331,8 @@ fn check_report_bytes(
 }
 
 /// Re-simulates a deterministic sample of rows from scratch — workload
-/// generation included — and compares the stats to the journal. The most
+/// generation included, once per sampled (workload, seed) point — and
+/// compares the stats to the journal. The most
 /// expensive check, and the only one that can catch a journal whose rows
 /// are internally consistent but *wrong* (a miscomputing worker whose
 /// session escaped online verification).
@@ -364,34 +365,71 @@ fn check_recompute(
         options.recompute,
     );
     let configs: Vec<_> = spec.configs.iter().map(|c| c.build()).collect();
-    for &index in &sample {
-        let job = &jobs[index];
-        let (data, _, _) = load_point(spec, job.workload, job.seed, run, None);
-        let fresh = data.run_with_predictor(job.mechanism, &configs[job.config], spec.predictor);
-        let journaled = replay.rows[&index];
-        if stats_to_array(&fresh) != stats_to_array(&journaled) {
-            report.checks.push(CheckResult {
-                name: "recompute",
-                passed: Some(false),
-                detail: format!(
-                    "job {index} ({}, seed {}) re-simulated from scratch contradicts the \
-                     journaled row",
-                    mechanism_token(job.mechanism),
-                    job.seed
-                ),
-            });
-            return;
+    let points = group_by_point(&sample, jobs);
+    // Each point is generated once, its sampled rows run, and it is dropped
+    // before the next. Points go in order of their first sampled row, so
+    // once a row fails, a later point can only matter if it holds a smaller
+    // index: the reported row is the first failing one in sample order.
+    let mut failed: Option<usize> = None;
+    for ((workload, seed), rows) in &points {
+        if failed.is_some_and(|f| rows[0] > f) {
+            break;
         }
+        let (data, _, _) = load_point(spec, *workload, *seed, run, None);
+        for &index in rows.iter().take_while(|&&i| failed.is_none_or(|f| i < f)) {
+            let job = &jobs[index];
+            let fresh =
+                data.run_with_predictor(job.mechanism, &configs[job.config], spec.predictor);
+            if stats_to_array(&fresh) != stats_to_array(&replay.rows[&index]) {
+                failed = Some(index);
+                break;
+            }
+        }
+    }
+    if let Some(index) = failed {
+        let job = &jobs[index];
+        report.checks.push(CheckResult {
+            name: "recompute",
+            passed: Some(false),
+            detail: format!(
+                "job {index} ({}, seed {}) re-simulated from scratch contradicts the \
+                 journaled row",
+                mechanism_token(job.mechanism),
+                job.seed
+            ),
+        });
+        return;
     }
     report.checks.push(CheckResult {
         name: "recompute",
         passed: Some(true),
         detail: format!(
-            "{} of {} rows re-simulated from scratch, all reproduce their journaled stats",
-            sample.len(),
+            "{} over {} (of {} rows) re-simulated from scratch, all reproduce their \
+             journaled stats",
+            counted(sample.len(), "row"),
+            counted(points.len(), "point"),
             jobs.len()
         ),
     });
+}
+
+/// `n` and `noun`, plural unless `n` is 1.
+fn counted(n: usize, noun: &str) -> String {
+    format!("{n} {noun}{}", if n == 1 { "" } else { "s" })
+}
+
+/// The sampled row indices grouped by their (workload, seed) point, points
+/// in order of their first row, rows in sample order within a point.
+fn group_by_point(sample: &[usize], jobs: &[Job]) -> Vec<((usize, u64), Vec<usize>)> {
+    let mut points: Vec<((usize, u64), Vec<usize>)> = Vec::new();
+    for &index in sample {
+        let key = (jobs[index].workload, jobs[index].seed);
+        match points.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, rows)) => rows.push(index),
+            None => points.push((key, vec![index])),
+        }
+    }
+    points
 }
 
 /// A deterministic sample of `want` distinct row indices out of `total`,
@@ -567,6 +605,58 @@ warmup_blocks = 400
             );
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn recompute_generates_each_sampled_point_once() {
+        let dir = temp_dir("points");
+        let spec_path = write_campaign(
+            &dir,
+            "name = \"vtest-points\"\nworkloads = [\"nutch\", \"zeus\"]\n\
+             mechanisms = [\"fdip\", \"boomerang\"]\n\n\
+             [run]\ntrace_blocks = 1500\nwarmup_blocks = 300\n",
+        );
+        let recompute = |n| {
+            let report = verify_dir(&VerifyOptions {
+                dir: dir.clone(),
+                spec: Some(spec_path.clone()),
+                recompute: n,
+                ..VerifyOptions::default()
+            });
+            assert!(report.passed(), "{}", report.render());
+            let check = report.checks.iter().find(|c| c.name == "recompute");
+            check.expect("recompute ran").detail.clone()
+        };
+        // Three rows per point (baseline, fdip, boomerang): every row of
+        // both points is two generations, not six.
+        let all = recompute(6);
+        assert!(all.starts_with("6 rows over 2 points (of 6 rows)"), "{all}");
+        let one = recompute(1);
+        assert!(one.starts_with("1 row over 1 point (of 6 rows)"), "{one}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn sampled_rows_group_by_point_in_order_of_first_row() {
+        let spec = CampaignSpec::from_toml_str(
+            "name = \"g\"\nworkloads = [\"nutch\", \"zeus\"]\nmechanisms = [\"fdip\"]\n",
+        )
+        .unwrap();
+        let jobs = expand(&spec);
+        let sample: Vec<usize> = (0..jobs.len()).collect();
+        let points = group_by_point(&sample, &jobs);
+        assert_eq!(points.len(), 2);
+        for ((workload, seed), rows) in &points {
+            assert!(rows.windows(2).all(|w| w[0] < w[1]));
+            assert!(rows
+                .iter()
+                .all(|&i| (jobs[i].workload, jobs[i].seed) == (*workload, *seed)));
+        }
+        assert!(points[0].1[0] < points[1].1[0]);
+        assert_eq!(
+            points.iter().map(|(_, r)| r.len()).sum::<usize>(),
+            jobs.len()
+        );
     }
 
     #[test]

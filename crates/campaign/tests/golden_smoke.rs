@@ -17,6 +17,7 @@ use campaign::{
 };
 use frontend::SimEngine;
 use sim_core::pool;
+use workloads::TraceGenerator;
 
 const GOLDEN: &str = include_str!("golden/figure9-smoke.json");
 
@@ -146,4 +147,48 @@ fn reference_engine_renders_the_same_bytes() {
         smoke_report("interpreter-dispatch", 2),
         "interpreter-dispatch --smoke: the per-cycle reference and the idle-skip engine disagree"
     );
+}
+
+/// Every preset's smoke points: the stored trace (block ids plus taken bits)
+/// rebuilds exactly the records the generator emits, including blocks taken
+/// into their own fall-through, whose taken bit no successor id can recover.
+#[test]
+fn stored_traces_rebuild_the_generated_blocks_for_every_preset() {
+    let mut into_fall_through = 0;
+    for preset in PRESETS {
+        let spec = preset.spec();
+        let generated = generate_workloads(&spec, &smoke_options(2)).expect("workloads generate");
+        let mut points: Vec<(usize, u64)> = generated
+            .jobs()
+            .iter()
+            .map(|job| (job.workload, job.seed))
+            .collect();
+        points.sort_unstable();
+        points.dedup();
+        for (workload, seed) in points {
+            let data = generated.data_for(workload, seed).expect("generated point");
+            let trace = &data.trace;
+            let mut fresh = TraceGenerator::new(&data.layout);
+            for i in 0..trace.len() {
+                let expected = fresh.next().expect("the generator never ends");
+                assert_eq!(
+                    trace.block(i),
+                    expected,
+                    "{}: point ({workload}, {seed}) block {i}",
+                    preset.name
+                );
+                if expected.outcome.taken && expected.next_start() == expected.block.fall_through()
+                {
+                    into_fall_through += 1;
+                }
+            }
+            assert_eq!(
+                trace.instructions(),
+                fresh.instructions(),
+                "{}",
+                preset.name
+            );
+        }
+    }
+    assert!(into_fall_through > 0);
 }

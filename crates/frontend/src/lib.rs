@@ -23,7 +23,7 @@
 //! let mut sim = Simulator::new(
 //!     MicroarchConfig::hpca17(),
 //!     &layout,
-//!     trace.blocks(),
+//!     &trace,
 //!     Box::new(NoPrefetch::new()),
 //! );
 //! let stats = sim.run();

@@ -33,7 +33,7 @@ use branch_pred::{DirectionPredictor, PredictorKind, ReturnAddressStack};
 use btb::{BasicBlockBtb, BtbEntry, BtbPrefetchBuffer};
 use cache::{HitLevel, InstructionHierarchy};
 use sim_core::{Addr, BranchKind, CacheLine, DynamicBlock, MicroarchConfig};
-use workloads::CodeLayout;
+use workloads::{BlockSource, CodeLayout, Trace};
 
 /// Maximum number of wrong-path sequential lines prefetched while a squash is
 /// pending (the emulation of FDIP's wrong-path behaviour).
@@ -80,10 +80,14 @@ struct FetchState {
 /// to direct (inlinable) calls; with the experiment harness's enum of every
 /// mechanism they are guarded by one predictable match, and the many empty
 /// hooks cost nothing.
-pub struct Simulator<'a, M: ControlFlowMechanism> {
+///
+/// Also generic over the oracle path `T`: a stored [`Trace`] (every run of
+/// the harness and the campaign), or an expanded `[DynamicBlock]` slice.
+/// Either way each block is read by value through [`BlockSource::block`].
+pub struct Simulator<'a, M: ControlFlowMechanism, T: BlockSource + ?Sized = Trace> {
     config: MicroarchConfig,
     layout: &'a CodeLayout,
-    trace: &'a [DynamicBlock],
+    trace: &'a T,
     mechanism: Box<M>,
 
     hierarchy: InstructionHierarchy,
@@ -117,13 +121,13 @@ pub struct Simulator<'a, M: ControlFlowMechanism> {
     max_cycles: u64,
 }
 
-impl<'a, M: ControlFlowMechanism> Simulator<'a, M> {
+impl<'a, M: ControlFlowMechanism, T: BlockSource + ?Sized> Simulator<'a, M, T> {
     /// Creates a simulator for `trace` (generated from `layout`) running the
     /// given mechanism with the TAGE predictor of Table I.
     pub fn new(
         config: MicroarchConfig,
         layout: &'a CodeLayout,
-        trace: &'a [DynamicBlock],
+        trace: &'a T,
         mechanism: Box<M>,
     ) -> Self {
         Self::with_predictor(config, layout, trace, mechanism, PredictorKind::Tage)
@@ -134,7 +138,7 @@ impl<'a, M: ControlFlowMechanism> Simulator<'a, M> {
     pub fn with_predictor(
         config: MicroarchConfig,
         layout: &'a CodeLayout,
-        trace: &'a [DynamicBlock],
+        trace: &'a T,
         mechanism: Box<M>,
         predictor: PredictorKind,
     ) -> Self {
@@ -194,12 +198,7 @@ impl<'a, M: ControlFlowMechanism> Simulator<'a, M> {
     /// Generous safety bound: no workload needs more than ~200 cycles per
     /// instruction even with a cold, prefetch-free front end.
     fn cycle_bound(&self) -> u64 {
-        500 + 200
-            * self
-                .trace
-                .iter()
-                .map(DynamicBlock::instructions)
-                .sum::<u64>()
+        500 + 200 * self.trace.instructions()
     }
 
     /// Runs the whole trace, resetting statistics after the first
@@ -591,7 +590,7 @@ impl<'a, M: ControlFlowMechanism> Simulator<'a, M> {
             return;
         }
         let now = self.now;
-        let block = &self.trace[self.bpu_index];
+        let block = self.trace.block(self.bpu_index);
         let start = block.start();
         let terminator = block
             .block
@@ -615,7 +614,7 @@ impl<'a, M: ControlFlowMechanism> Simulator<'a, M> {
 
         let reached = self.next_reached;
         let (mispredicted, sequential_guess) = match lookup {
-            Some(entry) => (self.predict_with_entry(block, terminator, entry), false),
+            Some(entry) => (self.predict_with_entry(&block, terminator, entry), false),
             None => {
                 self.stats.btb_misses += 1;
                 let action = Self::with_ctx(
@@ -814,7 +813,7 @@ impl<'a, M: ControlFlowMechanism> Simulator<'a, M> {
     /// fills the BTB, notifies the mechanism, and starts the wrong-path
     /// episode if the BPU mispredicted this block's successor.
     fn commit_block(&mut self, entry: FtqEntry) {
-        let block = &self.trace[entry.oracle_index];
+        let block = self.trace.block(entry.oracle_index);
         let terminator = block
             .block
             .terminator
@@ -843,7 +842,7 @@ impl<'a, M: ControlFlowMechanism> Simulator<'a, M> {
             &mut self.btb_prefetch_buffer,
             self.now,
             self.mechanism.as_mut(),
-            |m, ctx| m.on_commit(block, ctx),
+            |m, ctx| m.on_commit(&block, ctx),
         );
 
         if let Some(cause) = entry.mispredicted {
@@ -872,7 +871,7 @@ mod tests {
     }
 
     fn run(config: MicroarchConfig, layout: &CodeLayout, trace: &Trace) -> SimStats {
-        let mut sim = Simulator::new(config, layout, trace.blocks(), Box::new(NoPrefetch::new()));
+        let mut sim = Simulator::new(config, layout, trace, Box::new(NoPrefetch::new()));
         sim.run_with_warmup(2_000)
     }
 
@@ -910,9 +909,14 @@ mod tests {
             MicroarchConfig::hpca17().with_noc(sim_core::NocModel::Fixed(70)),
         ] {
             let fast = run(config.clone(), &layout, &trace);
-            let slow = Simulator::new(config, &layout, trace.blocks(), Box::new(NoPrefetch::new()))
+            let slow = Simulator::new(config.clone(), &layout, &trace, Box::new(NoPrefetch::new()))
                 .run_with_warmup_reference(2_000);
             assert_eq!(fast, slow);
+            // An expanded slice is the same oracle path as the stored trace.
+            let expanded =
+                Simulator::new(config, &layout, trace.blocks(), Box::new(NoPrefetch::new()))
+                    .run_with_warmup(2_000);
+            assert_eq!(fast, expanded);
         }
     }
 

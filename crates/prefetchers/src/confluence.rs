@@ -113,7 +113,7 @@ mod tests {
         Simulator::new(
             MicroarchConfig::hpca17(),
             &layout,
-            trace.blocks(),
+            &trace,
             Box::new(mechanism),
         )
         .run_with_warmup(2_000)

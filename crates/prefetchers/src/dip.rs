@@ -131,14 +131,14 @@ mod tests {
         let baseline = Simulator::new(
             MicroarchConfig::hpca17(),
             &layout,
-            trace.blocks(),
+            &trace,
             Box::new(frontend::NoPrefetch::new()),
         )
         .run_with_warmup(1_000);
         let dip = Simulator::new(
             MicroarchConfig::hpca17(),
             &layout,
-            trace.blocks(),
+            &trace,
             Box::new(Dip::new(8 * 1024, 2)),
         )
         .run_with_warmup(1_000);

@@ -105,7 +105,7 @@ mod tests {
         Simulator::new(
             MicroarchConfig::hpca17().with_btb_entries(btb_entries),
             &layout,
-            trace.blocks(),
+            &trace,
             Box::new(mechanism),
         )
         .run_with_warmup(1_000)

@@ -72,14 +72,14 @@ mod tests {
         let baseline = Simulator::new(
             MicroarchConfig::hpca17(),
             &layout,
-            trace.blocks(),
+            &trace,
             Box::new(frontend::NoPrefetch::new()),
         )
         .run_with_warmup(1_000);
         let next_line = Simulator::new(
             MicroarchConfig::hpca17(),
             &layout,
-            trace.blocks(),
+            &trace,
             Box::new(NextLine::new(2)),
         )
         .run_with_warmup(1_000);

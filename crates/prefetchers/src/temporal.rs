@@ -365,17 +365,12 @@ mod tests {
         let layout = CodeLayout::generate(&profile);
         let trace = Trace::generate_blocks(&layout, 40_000);
         let cfg = MicroarchConfig::hpca17();
-        let baseline = Simulator::new(
-            cfg.clone(),
-            &layout,
-            trace.blocks(),
-            Box::new(NoPrefetch::new()),
-        )
-        .run_with_warmup(8_000);
-        let pif = Simulator::new(cfg.clone(), &layout, trace.blocks(), Box::new(Pif::new()))
+        let baseline = Simulator::new(cfg.clone(), &layout, &trace, Box::new(NoPrefetch::new()))
             .run_with_warmup(8_000);
-        let shift = Simulator::new(cfg, &layout, trace.blocks(), Box::new(Shift::new()))
+        let pif = Simulator::new(cfg.clone(), &layout, &trace, Box::new(Pif::new()))
             .run_with_warmup(8_000);
+        let shift =
+            Simulator::new(cfg, &layout, &trace, Box::new(Shift::new())).run_with_warmup(8_000);
         assert!(
             pif.fetch_stall_cycles < baseline.fetch_stall_cycles,
             "PIF must cover stalls ({} vs {})",

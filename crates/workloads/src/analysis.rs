@@ -32,7 +32,7 @@ impl BranchDistanceHistogram {
         let mut buckets = vec![0u64; (max_distance + 1) as usize];
         let mut overflow = 0u64;
         let mut total = 0u64;
-        for d in trace.blocks() {
+        for d in trace.iter() {
             let term = match d.block.terminator {
                 Some(t) => t,
                 None => continue,
@@ -113,7 +113,7 @@ impl WorkingSetStats {
         let mut branches = HashSet::new();
         let mut taken_branches = HashSet::new();
         let mut blocks = HashSet::new();
-        for d in trace.blocks() {
+        for d in trace.iter() {
             blocks.insert(d.start());
             for line in geometry.lines_spanned(d.start(), d.instructions()) {
                 lines.insert(line);
@@ -161,7 +161,7 @@ impl BranchMix {
             instructions: trace.instructions(),
             ..BranchMix::default()
         };
-        for d in trace.blocks() {
+        for d in trace.iter() {
             let term = match d.block.terminator {
                 Some(t) => t,
                 None => continue,

@@ -17,7 +17,9 @@
 //!   [`ControlFlow`], so terminators are rebuilt rather than stored;
 //! * a trace is a connected path (`next.start() == prev.next_start()`), so a
 //!   dynamic block encodes as a static block id plus one taken bit, with only
-//!   the final record's `next_pc` stored explicitly.
+//!   the final record's `next_pc` stored explicitly — the form a [`Trace`]
+//!   already holds in memory, so encoding copies it and decoding validates
+//!   it.
 //!
 //! Decoding never panics on malformed input: every read is bounds-checked
 //! and every invariant is validated, reporting a [`CodecError`] that names
@@ -27,7 +29,7 @@
 use crate::layout::{BlockId, BranchBehavior, CodeLayout, ControlFlow, Function, FunctionId};
 use crate::profile::{WorkloadKind, WorkloadProfile};
 use crate::trace::Trace;
-use sim_core::{Addr, BranchOutcome, DynamicBlock, LineGeometry, MAX_BASIC_BLOCK_INSTRUCTIONS};
+use sim_core::{Addr, LineGeometry, MAX_BASIC_BLOCK_INSTRUCTIONS};
 use std::fmt;
 
 /// A malformed-artifact error, naming the field that failed to decode.
@@ -485,7 +487,10 @@ pub fn decode_layout(r: &mut ByteReader<'_>) -> Result<CodeLayout, CodecError> {
     let geometry = LineGeometry::new(line_bytes);
 
     let num_functions = r.u64_in("layout.functions.len", 1, u32::MAX as u64)? as u32;
-    let mut functions = Vec::with_capacity(num_functions as usize);
+    // Reservations are bounded by the bytes present (5 per function, at
+    // least 2 per block, 4 per trace id): a forged length is a truncation
+    // error, not an allocation the process cannot survive.
+    let mut functions = Vec::with_capacity((num_functions as usize).min(r.remaining() / 5));
     let mut first_block = 0u32;
     for id in 0..num_functions {
         let num_blocks = r.u32("function.num_blocks")?;
@@ -525,7 +530,7 @@ pub fn decode_layout(r: &mut ByteReader<'_>) -> Result<CodeLayout, CodecError> {
             format!("{num_blocks} blocks stored but functions cover {expected_blocks}"),
         ));
     }
-    let mut raw = Vec::with_capacity(num_blocks as usize);
+    let mut raw = Vec::with_capacity((num_blocks as usize).min(r.remaining() / 2));
     for _ in 0..num_blocks {
         let instructions = u64::from(r.u8("block.instructions")?);
         if !(1..=MAX_BASIC_BLOCK_INSTRUCTIONS).contains(&instructions) {
@@ -576,55 +581,44 @@ pub fn decode_layout(r: &mut ByteReader<'_>) -> Result<CodeLayout, CodecError> {
     )
 }
 
-/// Serializes `trace` (generated over `layout`) to `out`.
+/// Serializes `trace` (generated over `layout`) to `out`: its stored ids,
+/// taken bits and final successor pc, as they are held in memory.
 ///
-/// Returns an error if the trace is not a path through `layout` — which
-/// would indicate a caller bug, not a malformed file.
+/// Returns an error if the trace walks a different layout — which would
+/// indicate a caller bug, not a malformed file.
 pub fn encode_trace(
     layout: &CodeLayout,
     trace: &Trace,
     out: &mut Vec<u8>,
 ) -> Result<(), CodecError> {
-    let blocks = trace.blocks();
-    put_u64(out, blocks.len() as u64);
+    if !trace.layout().shares_tables(layout) {
+        return Err(CodecError::new(
+            "trace.layout",
+            "the trace walks a different layout than the one encoded",
+        ));
+    }
+    put_u64(out, trace.len() as u64);
     put_u64(out, trace.instructions());
-    let final_next_pc = blocks.last().map(|b| b.next_start().raw()).unwrap_or(0);
-    put_u64(out, final_next_pc);
-    for d in blocks {
-        let id = layout.block_at(d.start()).ok_or_else(|| {
-            CodecError::new(
-                "trace.block",
-                format!("dynamic block at {:?} not found in layout", d.start()),
-            )
-        })?;
-        if layout.block(id).block != d.block {
-            return Err(CodecError::new(
-                "trace.block",
-                format!(
-                    "dynamic block at {:?} disagrees with the static layout",
-                    d.start()
-                ),
-            ));
-        }
+    put_u64(out, trace.final_next_pc().raw());
+    out.reserve(4 * trace.len() + trace.taken_bits().len());
+    for id in trace.ids() {
         put_u32(out, id.0);
     }
-    let mut bits = vec![0u8; blocks.len().div_ceil(8)];
-    for (i, d) in blocks.iter().enumerate() {
-        if d.outcome.taken {
-            bits[i / 8] |= 1 << (i % 8);
-        }
-    }
-    out.extend_from_slice(&bits);
+    out.extend_from_slice(trace.taken_bits());
     Ok(())
 }
 
-/// Deserializes a trace encoded by [`encode_trace`] against the same layout.
+/// Deserializes a trace encoded by [`encode_trace`] against the same layout:
+/// every id is checked against the layout and the stored instruction count
+/// against the ids, without expanding a single dynamic record.
 pub fn decode_trace(layout: &CodeLayout, r: &mut ByteReader<'_>) -> Result<Trace, CodecError> {
     let num_blocks = r.u64_in("trace.blocks.len", 0, 1 << 32)? as usize;
     let instructions = r.u64("trace.instructions")?;
     let final_next_pc = Addr::new(r.u64("trace.final_next_pc")?);
-    let layout_blocks = layout.blocks().len() as u32;
-    let mut ids = Vec::with_capacity(num_blocks);
+    let blocks = layout.blocks();
+    let layout_blocks = blocks.len() as u32;
+    let mut ids = Vec::with_capacity(num_blocks.min(r.remaining() / 4));
+    let mut summed = 0u64;
     for _ in 0..num_blocks {
         let id = r.u32("trace.block_id")?;
         if id >= layout_blocks {
@@ -633,34 +627,23 @@ pub fn decode_trace(layout: &CodeLayout, r: &mut ByteReader<'_>) -> Result<Trace
                 format!("block id {id} out of range (have {layout_blocks})"),
             ));
         }
+        summed += blocks[id as usize].block.instructions;
         ids.push(BlockId(id));
     }
     let bits = r.take(num_blocks.div_ceil(8), "trace.taken_bits")?;
-    let mut blocks = Vec::with_capacity(num_blocks);
-    for (i, &id) in ids.iter().enumerate() {
-        let next_pc = match ids.get(i + 1) {
-            Some(&next) => layout.block(next).start(),
-            None => final_next_pc,
-        };
-        let taken = bits[i / 8] >> (i % 8) & 1 == 1;
-        let outcome = if taken {
-            BranchOutcome::taken(next_pc)
-        } else {
-            BranchOutcome::not_taken(next_pc)
-        };
-        blocks.push(DynamicBlock::new(layout.block(id).block, outcome));
-    }
-    let trace = Trace::from_blocks(blocks);
-    if trace.instructions() != instructions {
+    if summed != instructions {
         return Err(CodecError::new(
             "trace.instructions",
-            format!(
-                "stored instruction count {instructions} disagrees with blocks ({})",
-                trace.instructions()
-            ),
+            format!("stored instruction count {instructions} disagrees with blocks ({summed})"),
         ));
     }
-    Ok(trace)
+    Ok(Trace::from_stored(
+        layout,
+        ids.into_boxed_slice(),
+        bits.into(),
+        final_next_pc,
+        instructions,
+    ))
 }
 
 /// Serializes a full generated workload (layout + trace) to `out`.
@@ -766,6 +749,39 @@ mod tests {
             copy[pos] ^= 0xff;
             let _ = decode_workload(&copy);
         }
+    }
+
+    /// A forged length field is a truncation error, never a reservation
+    /// sized by the field: a `u32::MAX`-element `Vec` would abort the
+    /// process on allocation failure instead of returning an error.
+    #[test]
+    fn forged_lengths_are_rejected_without_reserving_them() {
+        let profile = WorkloadProfile::tiny(11);
+        let layout = CodeLayout::generate(&profile);
+        let trace = Trace::generate_blocks(&layout, 300);
+        let mut bytes = Vec::new();
+        encode_workload(&layout, &trace, &mut bytes).expect("encode");
+        let mut header = Vec::new();
+        encode_profile(&profile, &mut header);
+        let functions_len = header.len() + 8;
+        let forge = |at: usize, value: &[u8]| {
+            let mut copy = bytes[..at + value.len()].to_vec();
+            copy[at..].copy_from_slice(value);
+            decode_workload(&copy).expect_err("a forged length must fail")
+        };
+        let err = forge(functions_len, &u64::from(u32::MAX).to_le_bytes());
+        assert_eq!(err.field, "function.num_blocks");
+        // One function covering u32::MAX blocks, and a matching block count.
+        let mut one = 1u64.to_le_bytes().to_vec();
+        one.extend_from_slice(&u32::MAX.to_le_bytes());
+        one.push(0);
+        one.extend_from_slice(&u64::from(u32::MAX).to_le_bytes());
+        let err = forge(functions_len, &one);
+        assert_eq!(err.field, "block.instructions");
+        let mut laid_out = Vec::new();
+        encode_layout(&layout, &mut laid_out);
+        let err = forge(laid_out.len(), &(1u64 << 32).to_le_bytes());
+        assert_eq!(err.field, "trace.instructions");
     }
 
     #[test]

@@ -23,6 +23,7 @@ use sim_core::{
     Addr, BasicBlock, BranchInfo, BranchKind, CacheLine, LineGeometry, MAX_BASIC_BLOCK_INSTRUCTIONS,
 };
 use std::fmt;
+use std::sync::Arc;
 
 /// Base address at which the synthetic text segment is laid out.
 pub const CODE_BASE: Addr = Addr::new(0x0040_0000);
@@ -207,8 +208,18 @@ impl fmt::Display for LayoutSummary {
 }
 
 /// The synthetic text segment: functions, blocks, and indexes over them.
+///
+/// A layout is immutable once built, so its tables live behind one [`Arc`]:
+/// a clone is a pointer copy. A [`Trace`](crate::Trace) keeps such a handle
+/// and rebuilds its dynamic blocks from block ids through it.
 #[derive(Clone, Debug)]
 pub struct CodeLayout {
+    tables: Arc<LayoutTables>,
+}
+
+/// The tables of a [`CodeLayout`].
+#[derive(Debug)]
+struct LayoutTables {
     profile: WorkloadProfile,
     geometry: LineGeometry,
     blocks: Vec<StaticBlock>,
@@ -231,6 +242,17 @@ pub struct CodeLayout {
 }
 
 impl CodeLayout {
+    fn from_tables(tables: LayoutTables) -> Self {
+        CodeLayout {
+            tables: Arc::new(tables),
+        }
+    }
+
+    /// `true` if `other` is a clone of this layout (the same tables).
+    pub fn shares_tables(&self, other: &CodeLayout) -> bool {
+        Arc::ptr_eq(&self.tables, &other.tables)
+    }
+
     /// Generates the layout for `profile` with 64-byte cache lines.
     ///
     /// Generation is deterministic: the same profile (including its seed)
@@ -257,48 +279,48 @@ impl CodeLayout {
 
     /// The profile this layout was generated from.
     pub fn profile(&self) -> &WorkloadProfile {
-        &self.profile
+        &self.tables.profile
     }
 
     /// Cache-line geometry the layout was generated for.
     pub fn geometry(&self) -> LineGeometry {
-        self.geometry
+        self.tables.geometry
     }
 
     /// All static blocks in layout (address) order.
     pub fn blocks(&self) -> &[StaticBlock] {
-        &self.blocks
+        &self.tables.blocks
     }
 
     /// All functions in layout order.
     pub fn functions(&self) -> &[Function] {
-        &self.functions
+        &self.tables.functions
     }
 
     /// The block with the given id.
     pub fn block(&self, id: BlockId) -> &StaticBlock {
-        &self.blocks[id.0 as usize]
+        &self.tables.blocks[id.0 as usize]
     }
 
     /// The function with the given id.
     pub fn function(&self, id: FunctionId) -> &Function {
-        &self.functions[id.0 as usize]
+        &self.tables.functions[id.0 as usize]
     }
 
     /// The dispatcher function that drives the workload's service loop.
     pub fn dispatcher(&self) -> FunctionId {
-        self.dispatcher
+        self.tables.dispatcher
     }
 
     /// The dispatcher's entry block: the point where trace generation starts
     /// and where control resumes when the call stack unwinds completely.
     pub fn entry_block(&self) -> BlockId {
-        self.functions[self.dispatcher.0 as usize].entry
+        self.tables.functions[self.tables.dispatcher.0 as usize].entry
     }
 
     /// The service-root functions the dispatcher cycles through.
     pub fn service_roots(&self) -> &[FunctionId] {
-        &self.service_roots
+        &self.tables.service_roots
     }
 
     /// First byte address of the text segment.
@@ -308,15 +330,16 @@ impl CodeLayout {
 
     /// One-past-the-end address of the text segment.
     pub fn code_end(&self) -> Addr {
-        self.code_end
+        self.tables.code_end
     }
 
     /// The block that starts exactly at `addr`, if any.
     pub fn block_at(&self, addr: Addr) -> Option<BlockId> {
         // Blocks are sorted by start address, so a binary search replaces
         // the start-address hash map the layout used to build.
-        let idx = self.blocks.partition_point(|b| b.block.start < addr);
-        self.blocks
+        let idx = self.tables.blocks.partition_point(|b| b.block.start < addr);
+        self.tables
+            .blocks
             .get(idx)
             .filter(|b| b.block.start == addr)
             .map(|b| b.id)
@@ -324,14 +347,15 @@ impl CodeLayout {
 
     /// The block containing `addr`, if `addr` lies inside the text segment.
     pub fn block_containing(&self, addr: Addr) -> Option<BlockId> {
-        if addr < CODE_BASE || addr >= self.code_end {
+        if addr < CODE_BASE || addr >= self.tables.code_end {
             return None;
         }
         let idx = self
+            .tables
             .blocks
             .partition_point(|b| b.block.start <= addr)
             .checked_sub(1)?;
-        let candidate = &self.blocks[idx];
+        let candidate = &self.tables.blocks[idx];
         candidate.block.contains(addr).then_some(candidate.id)
     }
 
@@ -345,13 +369,13 @@ impl CodeLayout {
     /// search over the block array (Boomerang pays this on every BTB-miss
     /// probe).
     pub fn next_branch_at_or_after(&self, addr: Addr) -> Option<BlockId> {
-        if addr >= self.code_end {
+        if addr >= self.tables.code_end {
             return None;
         }
         if addr < CODE_BASE {
-            return self.blocks.first().map(|b| b.id);
+            return self.tables.blocks.first().map(|b| b.id);
         }
-        let line = self.geometry.line_of(addr);
+        let line = self.tables.geometry.line_of(addr);
         for &id in self.branches_in_line(line) {
             if self.block(id).branch_pc() >= addr {
                 return Some(id);
@@ -360,25 +384,25 @@ impl CodeLayout {
         // No branch at or after `addr` in its own line: the next branch is
         // the first one of any later line, which is exactly the id the CSR
         // offset one past this line points at.
-        let l = (line.0 - self.first_line.0) as usize;
-        let next = self.line_branch_offsets[l + 1] as usize;
-        self.line_branch_ids.get(next).copied()
+        let l = (line.0 - self.tables.first_line.0) as usize;
+        let next = self.tables.line_branch_offsets[l + 1] as usize;
+        self.tables.line_branch_ids.get(next).copied()
     }
 
     /// Blocks whose terminating branch instruction lies in `line`, in address
     /// order. Used by the predecoder to extract branches from a fetched cache
     /// block (Boomerang and Confluence BTB prefill).
     pub fn branches_in_line(&self, line: CacheLine) -> &[BlockId] {
-        let Some(l) = line.0.checked_sub(self.first_line.0) else {
+        let Some(l) = line.0.checked_sub(self.tables.first_line.0) else {
             return &[];
         };
         let l = l as usize;
-        if l + 1 >= self.line_branch_offsets.len() {
+        if l + 1 >= self.tables.line_branch_offsets.len() {
             return &[];
         }
-        let lo = self.line_branch_offsets[l] as usize;
-        let hi = self.line_branch_offsets[l + 1] as usize;
-        &self.line_branch_ids[lo..hi]
+        let lo = self.tables.line_branch_offsets[l] as usize;
+        let hi = self.tables.line_branch_offsets[l + 1] as usize;
+        &self.tables.line_branch_ids[lo..hi]
     }
 
     /// The fall-through successor of `id`: the next block in layout order
@@ -392,19 +416,25 @@ impl CodeLayout {
 
     /// Summary statistics.
     pub fn summary(&self) -> LayoutSummary {
-        let instructions: u64 = self.blocks.iter().map(|b| b.block.instructions).sum();
+        let instructions: u64 = self
+            .tables
+            .blocks
+            .iter()
+            .map(|b| b.block.instructions)
+            .sum();
         let conditional = self
+            .tables
             .blocks
             .iter()
             .filter(|b| b.flow.kind() == BranchKind::Conditional)
             .count();
         LayoutSummary {
-            functions: self.functions.len(),
-            blocks: self.blocks.len(),
+            functions: self.tables.functions.len(),
+            blocks: self.tables.blocks.len(),
             instructions,
-            footprint_bytes: self.code_end.raw() - CODE_BASE.raw(),
+            footprint_bytes: self.tables.code_end.raw() - CODE_BASE.raw(),
             conditional_branches: conditional,
-            unconditional_branches: self.blocks.len() - conditional,
+            unconditional_branches: self.tables.blocks.len() - conditional,
         }
     }
 }
@@ -545,7 +575,7 @@ impl CodeLayout {
 
         let (first_line, line_branch_offsets, line_branch_ids) =
             build_line_index(geometry, &blocks, code_end);
-        Ok(CodeLayout {
+        Ok(CodeLayout::from_tables(LayoutTables {
             profile,
             geometry,
             blocks,
@@ -556,7 +586,7 @@ impl CodeLayout {
             service_roots,
             dispatcher,
             code_end,
-        })
+        }))
     }
 }
 
@@ -637,7 +667,7 @@ impl Builder {
         let (first_line, line_branch_offsets, line_branch_ids) =
             build_line_index(self.geometry, &blocks, code_end);
 
-        CodeLayout {
+        CodeLayout::from_tables(LayoutTables {
             profile: self.profile,
             geometry: self.geometry,
             blocks,
@@ -648,7 +678,7 @@ impl Builder {
             service_roots,
             dispatcher: FunctionId(0),
             code_end,
-        }
+        })
     }
 
     /// First pass: decide the function/block structure, sizes, addresses and

@@ -47,4 +47,4 @@ pub use profile::{
     latency_class, BackendProfile, ConditionalBehaviorMix, ProfileError, TerminatorMix,
     WorkloadKind, WorkloadProfile, LATENCY_SEED_SALT, MIN_FOOTPRINT_BYTES,
 };
-pub use trace::{Trace, TraceGenerator};
+pub use trace::{BlockSource, Trace, TraceGenerator};

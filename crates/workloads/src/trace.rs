@@ -10,10 +10,17 @@
 //! resulting stream is *self-consistent*: consecutive records satisfy
 //! `next.start() == prev.next_start()`, which the simulator relies on as its
 //! oracle execution path.
+//!
+//! A [`Trace`] stores that path the way the layout already implies it: one
+//! [`BlockId`] and one taken bit per executed block. Every other field of a
+//! [`DynamicBlock`] — start, size, terminator, next pc — is read back through
+//! the [`CodeLayout`] when [`Trace::block`] rebuilds the record.
 
 use crate::layout::{BlockId, BranchBehavior, CodeLayout, ControlFlow};
 use sim_core::rng::SimRng;
-use sim_core::{BranchOutcome, DynamicBlock};
+use sim_core::{Addr, BasicBlock, BranchOutcome, DynamicBlock};
+use std::fmt;
+use std::sync::OnceLock;
 
 /// Streaming generator of the dynamic basic-block trace.
 ///
@@ -161,7 +168,9 @@ impl<'a> TraceGenerator<'a> {
         }
     }
 
-    fn step(&mut self) -> DynamicBlock {
+    /// Executes the current block: returns its id and whether its
+    /// terminator was taken, and moves to the successor.
+    fn advance(&mut self) -> (BlockId, bool) {
         let static_block = self.layout.block(self.current);
         let id = static_block.id;
         let flow = static_block.flow.clone();
@@ -237,18 +246,17 @@ impl<'a> TraceGenerator<'a> {
             self.blocks_in_request = 0;
         }
 
-        let next_pc = self.layout.block(next).start();
-        let outcome = if taken {
-            BranchOutcome::taken(next_pc)
-        } else {
-            BranchOutcome::not_taken(next_pc)
-        };
-        let dynamic = DynamicBlock::new(static_block.block, outcome);
-
-        self.instructions += dynamic.instructions();
+        self.instructions += static_block.block.instructions;
         self.blocks_emitted += 1;
         self.current = next;
-        dynamic
+        (id, taken)
+    }
+
+    /// Executes the current block and returns its dynamic record.
+    fn step(&mut self) -> DynamicBlock {
+        let (id, taken) = self.advance();
+        let next_pc = self.layout.block(self.current).start();
+        expand(self.layout.block(id).block, taken, next_pc)
     }
 
     /// Follows a jump target unless the generator has chained too many
@@ -295,12 +303,77 @@ impl Iterator for TraceGenerator<'_> {
     }
 }
 
-/// A fully materialised trace: the oracle execution path handed to the
-/// simulator.
-#[derive(Clone, Debug, PartialEq)]
+/// The dynamic record of one executed block.
+fn expand(block: BasicBlock, taken: bool, next_pc: Addr) -> DynamicBlock {
+    DynamicBlock::new(block, BranchOutcome { taken, next_pc })
+}
+
+/// A generated trace: the oracle execution path handed to the simulator.
+///
+/// The path is stored as one [`BlockId`] per executed block plus a taken
+/// bitset, the final block's successor pc and the instruction count —
+/// about 4.1 bytes per block instead of a 64-byte [`DynamicBlock`]. The
+/// trace keeps a handle on its [`CodeLayout`] (a pointer copy, see there),
+/// and [`Trace::block`] rebuilds each record from it by value: the static
+/// block, the stored taken bit, and the next block's start as `next_pc`.
+///
+/// The taken bit is stored, not derived: a block can be taken into its own
+/// fall-through (mostly conditional branches, and some jumps, whose target
+/// is the next block in layout order: 7–11% of a paper workload's dynamic
+/// blocks), so "the successor is not the fall-through" does not recover it.
+#[derive(Clone)]
 pub struct Trace {
-    blocks: Vec<DynamicBlock>,
+    layout: CodeLayout,
+    ids: Box<[BlockId]>,
+    /// Bit `i % 8` of byte `i / 8` is block `i`'s taken bit (the artifact
+    /// codec's byte order); padding bits are zero.
+    taken: Box<[u8]>,
+    final_next_pc: Addr,
     instructions: u64,
+    /// The expanded records, built on first call of [`Trace::blocks`].
+    expanded: OnceLock<Box<[DynamicBlock]>>,
+}
+
+/// Append-only builder of a trace's id array and taken bitset.
+struct TraceBuilder {
+    ids: Vec<BlockId>,
+    taken: Vec<u8>,
+}
+
+impl TraceBuilder {
+    fn with_capacity(blocks: usize) -> Self {
+        TraceBuilder {
+            ids: Vec::with_capacity(blocks),
+            taken: Vec::with_capacity(blocks.div_ceil(8)),
+        }
+    }
+
+    fn push(&mut self, id: BlockId, taken: bool) {
+        let i = self.ids.len();
+        if i.is_multiple_of(8) {
+            self.taken.push(0);
+        }
+        self.taken[i / 8] |= u8::from(taken) << (i % 8);
+        self.ids.push(id);
+    }
+
+    fn finish(self, gen: &TraceGenerator<'_>) -> Trace {
+        // An empty trace has no final block, so no successor: 0, as the
+        // artifact codec stores it.
+        let final_next_pc = if self.ids.is_empty() {
+            Addr::new(0)
+        } else {
+            gen.layout.block(gen.current).start()
+        };
+        Trace {
+            layout: gen.layout.clone(),
+            ids: self.ids.into_boxed_slice(),
+            taken: self.taken.into_boxed_slice(),
+            final_next_pc,
+            instructions: gen.instructions(),
+            expanded: OnceLock::new(),
+        }
+    }
 }
 
 impl Trace {
@@ -308,42 +381,108 @@ impl Trace {
     /// (and the block that crosses that boundary).
     pub fn generate(layout: &CodeLayout, min_instructions: u64) -> Self {
         let mut gen = TraceGenerator::new(layout);
-        let mut blocks = Vec::new();
+        let mut out = TraceBuilder::with_capacity(0);
         while gen.instructions() < min_instructions {
-            blocks.push(gen.step());
+            let (id, taken) = gen.advance();
+            out.push(id, taken);
         }
-        let instructions = gen.instructions();
-        Trace {
-            blocks,
-            instructions,
-        }
+        out.finish(&gen)
     }
 
     /// Generates a trace of exactly `num_blocks` basic blocks.
     pub fn generate_blocks(layout: &CodeLayout, num_blocks: usize) -> Self {
         let mut gen = TraceGenerator::new(layout);
-        let blocks: Vec<_> = gen.by_ref().take(num_blocks).collect();
-        let instructions = blocks.iter().map(|b| b.instructions()).sum();
+        let mut out = TraceBuilder::with_capacity(num_blocks);
+        for _ in 0..num_blocks {
+            let (id, taken) = gen.advance();
+            out.push(id, taken);
+        }
+        out.finish(&gen)
+    }
+
+    /// Reassembles a trace from its stored form (the artifact-cache decode
+    /// path; see [`crate::codec`]). The caller has checked every id against
+    /// `layout` and the instruction count against the ids; padding bits of
+    /// `taken` are cleared here.
+    pub(crate) fn from_stored(
+        layout: &CodeLayout,
+        ids: Box<[BlockId]>,
+        mut taken: Box<[u8]>,
+        final_next_pc: Addr,
+        instructions: u64,
+    ) -> Self {
+        debug_assert_eq!(taken.len(), ids.len().div_ceil(8));
+        if !ids.len().is_multiple_of(8) {
+            if let Some(last) = taken.last_mut() {
+                *last &= (1u8 << (ids.len() % 8)) - 1;
+            }
+        }
         Trace {
-            blocks,
+            layout: layout.clone(),
+            ids,
+            taken,
+            final_next_pc,
             instructions,
+            expanded: OnceLock::new(),
         }
     }
 
-    /// Reassembles a trace from externally stored dynamic blocks (the
-    /// artifact-cache decode path; see [`crate::codec`]). The instruction
-    /// count is recomputed from the blocks.
-    pub fn from_blocks(blocks: Vec<DynamicBlock>) -> Self {
-        let instructions = blocks.iter().map(|b| b.instructions()).sum();
-        Trace {
-            blocks,
-            instructions,
-        }
+    /// The dynamic record of block `index`, rebuilt from the layout.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= self.len()`.
+    #[inline]
+    pub fn block(&self, index: usize) -> DynamicBlock {
+        let blocks = self.layout.blocks();
+        let block = blocks[self.ids[index].0 as usize].block;
+        let next_pc = match self.ids.get(index + 1) {
+            Some(next) => blocks[next.0 as usize].block.start,
+            None => self.final_next_pc,
+        };
+        // `index` is in range: the id lookup above checked it.
+        let taken = self.taken[index / 8] >> (index % 8) & 1 == 1;
+        expand(block, taken, next_pc)
     }
 
-    /// The dynamic blocks in execution order.
+    /// The dynamic records in execution order, rebuilt one at a time.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = DynamicBlock> + '_ {
+        (0..self.len()).map(move |i| self.block(i))
+    }
+
+    /// The executed block ids in execution order.
+    pub(crate) fn ids(&self) -> &[BlockId] {
+        &self.ids
+    }
+
+    /// The taken bitset: bit `i % 8` of byte `i / 8` is block `i`'s.
+    pub(crate) fn taken_bits(&self) -> &[u8] {
+        &self.taken
+    }
+
+    /// Start address of the block executed after the last one.
+    pub(crate) fn final_next_pc(&self) -> Addr {
+        self.final_next_pc
+    }
+
+    /// The layout the trace walks.
+    pub fn layout(&self) -> &CodeLayout {
+        &self.layout
+    }
+
+    /// The dynamic records as one slice, expanded to 64 bytes a block on
+    /// first call and kept for the trace's lifetime.
+    ///
+    /// Only the slice-based benchmark replays and some tests use this; the
+    /// simulator and the campaign paths read [`Trace::block`] through
+    /// [`BlockSource`] and never expand a trace.
     pub fn blocks(&self) -> &[DynamicBlock] {
-        &self.blocks
+        self.expanded.get_or_init(|| self.iter().collect())
+    }
+
+    /// `true` once [`Trace::blocks`] has expanded this trace.
+    pub fn is_expanded(&self) -> bool {
+        self.expanded.get().is_some()
     }
 
     /// Total instruction count.
@@ -353,12 +492,87 @@ impl Trace {
 
     /// Number of dynamic basic blocks.
     pub fn len(&self) -> usize {
-        self.blocks.len()
+        self.ids.len()
     }
 
     /// `true` if the trace contains no blocks.
     pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
+        self.ids.is_empty()
+    }
+}
+
+/// Traces are equal when they store the same path: ids, taken bits, final
+/// successor and instruction count. The layouts are not compared.
+impl PartialEq for Trace {
+    fn eq(&self, other: &Self) -> bool {
+        self.ids == other.ids
+            && self.taken == other.taken
+            && self.final_next_pc == other.final_next_pc
+            && self.instructions == other.instructions
+    }
+}
+
+impl fmt::Debug for Trace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Trace")
+            .field("blocks", &self.len())
+            .field("instructions", &self.instructions)
+            .field("final_next_pc", &self.final_next_pc)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Indexed read access to a dynamic block sequence: what the simulator
+/// needs of its oracle path.
+///
+/// [`Trace`] is the implementation every run uses. The `[DynamicBlock]`
+/// implementation serves callers that hold an expanded slice (the
+/// benchmark's slice-based replays and some tests).
+pub trait BlockSource {
+    /// Number of dynamic blocks.
+    fn len(&self) -> usize;
+
+    /// `true` if there are no blocks.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The dynamic record of block `index`.
+    fn block(&self, index: usize) -> DynamicBlock;
+
+    /// Total instruction count of all blocks.
+    fn instructions(&self) -> u64;
+}
+
+impl BlockSource for Trace {
+    #[inline]
+    fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    #[inline]
+    fn block(&self, index: usize) -> DynamicBlock {
+        Trace::block(self, index)
+    }
+
+    fn instructions(&self) -> u64 {
+        self.instructions
+    }
+}
+
+impl BlockSource for [DynamicBlock] {
+    #[inline]
+    fn len(&self) -> usize {
+        <[DynamicBlock]>::len(self)
+    }
+
+    #[inline]
+    fn block(&self, index: usize) -> DynamicBlock {
+        self[index]
+    }
+
+    fn instructions(&self) -> u64 {
+        self.iter().map(DynamicBlock::instructions).sum()
     }
 }
 
@@ -381,10 +595,41 @@ mod tests {
     }
 
     #[test]
+    fn stored_trace_rebuilds_the_generator_sequence() {
+        let layout = tiny_layout();
+        let trace = Trace::generate_blocks(&layout, 20_000);
+        let generated: Vec<DynamicBlock> = TraceGenerator::new(&layout).take(20_000).collect();
+        assert_eq!(trace.len(), generated.len());
+        let mut into_fall_through = 0;
+        for (i, expected) in generated.iter().enumerate() {
+            assert_eq!(trace.block(i), *expected, "block {i}");
+            if expected.outcome.taken && expected.next_start() == expected.block.fall_through() {
+                into_fall_through += 1;
+            }
+        }
+        // The stored bit is what tells these apart from a fall-through.
+        assert!(into_fall_through > 0);
+        assert_eq!(
+            trace.instructions(),
+            generated
+                .iter()
+                .map(DynamicBlock::instructions)
+                .sum::<u64>()
+        );
+        assert!(!trace.is_expanded());
+        assert_eq!(trace.blocks(), &generated[..]);
+        assert!(trace.is_expanded());
+        // The instruction-budget constructor stores the same path.
+        let budget = Trace::generate(&layout, trace.instructions());
+        assert_eq!(budget, trace);
+    }
+
+    #[test]
     fn trace_is_a_connected_path() {
         let layout = tiny_layout();
         let trace = Trace::generate_blocks(&layout, 20_000);
-        for pair in trace.blocks().windows(2) {
+        let blocks: Vec<_> = trace.iter().collect();
+        for pair in blocks.windows(2) {
             assert_eq!(
                 pair[1].start(),
                 pair[0].next_start(),
@@ -397,7 +642,7 @@ mod tests {
     fn every_dynamic_block_exists_in_the_layout() {
         let layout = tiny_layout();
         let trace = Trace::generate_blocks(&layout, 10_000);
-        for d in trace.blocks() {
+        for d in trace.iter() {
             let id = layout
                 .block_at(d.start())
                 .expect("dynamic block must exist statically");
@@ -409,7 +654,7 @@ mod tests {
     fn unconditional_branches_are_always_taken_in_the_trace() {
         let layout = tiny_layout();
         let trace = Trace::generate_blocks(&layout, 20_000);
-        for d in trace.blocks() {
+        for d in trace.iter() {
             let kind = d.block.terminator.unwrap().kind;
             if kind.is_unconditional() && d.outcome.taken {
                 continue;
@@ -430,7 +675,7 @@ mod tests {
     fn taken_conditionals_go_to_the_static_target() {
         let layout = tiny_layout();
         let trace = Trace::generate_blocks(&layout, 20_000);
-        for d in trace.blocks() {
+        for d in trace.iter() {
             let term = d.block.terminator.unwrap();
             if term.kind == BranchKind::Conditional {
                 if d.outcome.taken {
@@ -472,7 +717,7 @@ mod tests {
         assert!(!trace.is_empty());
         assert_eq!(
             trace.instructions(),
-            trace.blocks().iter().map(|b| b.instructions()).sum::<u64>()
+            trace.iter().map(|b| b.instructions()).sum::<u64>()
         );
         let shorter = Trace::generate(&layout, 1);
         assert_eq!(shorter.len(), 1);
@@ -493,8 +738,7 @@ mod tests {
         // prefetchers (PIF/SHIFT) would have nothing to learn.
         let layout = tiny_layout();
         let trace = Trace::generate_blocks(&layout, 30_000);
-        let distinct: std::collections::HashSet<_> =
-            trace.blocks().iter().map(|b| b.start()).collect();
+        let distinct: std::collections::HashSet<_> = trace.iter().map(|b| b.start()).collect();
         assert!(distinct.len() < trace.len() / 2);
     }
 
@@ -503,11 +747,8 @@ mod tests {
         let layout = CodeLayout::generate(&WorkloadKind::Nutch.profile());
         let trace = Trace::generate_blocks(&layout, 200_000);
         let geom = layout.geometry();
-        let lines: std::collections::HashSet<_> = trace
-            .blocks()
-            .iter()
-            .map(|b| geom.line_of(b.start()))
-            .collect();
+        let lines: std::collections::HashSet<_> =
+            trace.iter().map(|b| geom.line_of(b.start())).collect();
         // The active footprint must far exceed the 512-line (32 KB) L1-I.
         assert!(
             lines.len() > 1200,
