@@ -332,10 +332,10 @@ fn check_report_bytes(
 
 /// Re-simulates a deterministic sample of rows from scratch — workload
 /// generation included, once per sampled (workload, seed) point — and
-/// compares the stats to the journal. The most
-/// expensive check, and the only one that can catch a journal whose rows
-/// are internally consistent but *wrong* (a miscomputing worker whose
-/// session escaped online verification).
+/// compares the stats to the journal. The most expensive check, and the
+/// only one that can catch a journal whose rows are internally consistent
+/// but *wrong* (a miscomputing worker whose session escaped online
+/// verification).
 fn check_recompute(
     options: &VerifyOptions,
     spec: &CampaignSpec,
@@ -367,25 +367,21 @@ fn check_recompute(
     let configs: Vec<_> = spec.configs.iter().map(|c| c.build()).collect();
     let points = group_by_point(&sample, jobs);
     // Each point is generated once, its sampled rows run, and it is dropped
-    // before the next. Points go in order of their first sampled row, so
-    // once a row fails, a later point can only matter if it holds a smaller
-    // index: the reported row is the first failing one in sample order.
-    let mut failed: Option<usize> = None;
-    for ((workload, seed), rows) in &points {
-        if failed.is_some_and(|f| rows[0] > f) {
-            break;
-        }
-        let (data, _, _) = load_point(spec, *workload, *seed, run, None);
-        for &index in rows.iter().take_while(|&&i| failed.is_none_or(|f| i < f)) {
-            let job = &jobs[index];
-            let fresh =
-                data.run_with_predictor(job.mechanism, &configs[job.config], spec.predictor);
-            if stats_to_array(&fresh) != stats_to_array(&replay.rows[&index]) {
-                failed = Some(index);
-                break;
-            }
-        }
-    }
+    // before the next. Rows ascend within a point, so each point's first
+    // mismatch is its smallest, and the smallest of those is the first
+    // failing row in sample order.
+    let failed = points
+        .iter()
+        .filter_map(|((workload, seed), rows)| {
+            let (data, _, _) = load_point(spec, *workload, *seed, run, None);
+            rows.iter().copied().find(|&index| {
+                let job = &jobs[index];
+                let fresh =
+                    data.run_with_predictor(job.mechanism, &configs[job.config], spec.predictor);
+                stats_to_array(&fresh) != stats_to_array(&replay.rows[&index])
+            })
+        })
+        .min();
     if let Some(index) = failed {
         let job = &jobs[index];
         report.checks.push(CheckResult {
@@ -418,8 +414,8 @@ fn counted(n: usize, noun: &str) -> String {
     format!("{n} {noun}{}", if n == 1 { "" } else { "s" })
 }
 
-/// The sampled row indices grouped by their (workload, seed) point, points
-/// in order of their first row, rows in sample order within a point.
+/// The sampled row indices grouped by their (workload, seed) point, rows in
+/// sample order within a point.
 fn group_by_point(sample: &[usize], jobs: &[Job]) -> Vec<((usize, u64), Vec<usize>)> {
     let mut points: Vec<((usize, u64), Vec<usize>)> = Vec::new();
     for &index in sample {
@@ -637,26 +633,43 @@ warmup_blocks = 400
     }
 
     #[test]
-    fn sampled_rows_group_by_point_in_order_of_first_row() {
-        let spec = CampaignSpec::from_toml_str(
-            "name = \"g\"\nworkloads = [\"nutch\", \"zeus\"]\nmechanisms = [\"fdip\"]\n",
-        )
-        .unwrap();
+    fn recompute_reports_the_first_contradicted_row_in_sample_order() {
+        let dir = temp_dir("contradicted");
+        let text = "name = \"vtest-bad\"\nworkloads = [\"nutch\", \"zeus\"]\n\
+                    mechanisms = [\"fdip\", \"boomerang\"]\n\n\
+                    [run]\ntrace_blocks = 1500\nwarmup_blocks = 300\n";
+        let spec = CampaignSpec::from_toml_str(text).unwrap();
+        let rows = run_campaign(&spec, &EngineOptions::default()).unwrap().rows;
         let jobs = expand(&spec);
-        let sample: Vec<usize> = (0..jobs.len()).collect();
-        let points = group_by_point(&sample, &jobs);
-        assert_eq!(points.len(), 2);
-        for ((workload, seed), rows) in &points {
-            assert!(rows.windows(2).all(|w| w[0] < w[1]));
-            assert!(rows
-                .iter()
-                .all(|&i| (jobs[i].workload, jobs[i].seed) == (*workload, *seed)));
+        // Two wrong rows with valid checksums, one in each point.
+        let (early, late) = (1, jobs.len() - 1);
+        assert_ne!(jobs[early].workload, jobs[late].workload);
+        let hash = spec_hash(&spec, spec.run, false);
+        let journal = Journal::create(&dir, &spec.name, &hash, jobs.len(), None).unwrap();
+        for (index, (job, row)) in jobs.iter().zip(&rows).enumerate() {
+            let mut stats = row.stats;
+            if index == early || index == late {
+                stats.cycles += 1;
+            }
+            journal.record(job, &stats).unwrap();
         }
-        assert!(points[0].1[0] < points[1].1[0]);
-        assert_eq!(
-            points.iter().map(|(_, r)| r.len()).sum::<usize>(),
-            jobs.len()
+        let spec_path = dir.join("vtest-bad-spec.toml");
+        std::fs::write(&spec_path, text).unwrap();
+        let report = verify_dir(&VerifyOptions {
+            dir: dir.clone(),
+            spec: Some(spec_path),
+            recompute: jobs.len(),
+            ..VerifyOptions::default()
+        });
+        let check = report.checks.iter().find(|c| c.name == "recompute");
+        let check = check.expect("recompute ran");
+        assert_eq!(check.passed, Some(false), "{}", report.render());
+        assert!(
+            check.detail.starts_with(&format!("job {early} ")),
+            "{}",
+            check.detail
         );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
