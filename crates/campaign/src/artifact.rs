@@ -80,6 +80,12 @@ impl fmt::Display for ArtifactError {
 
 impl std::error::Error for ArtifactError {}
 
+impl From<codec::CodecError> for ArtifactError {
+    fn from(e: codec::CodecError) -> Self {
+        ArtifactError::new(e.field, e.message)
+    }
+}
+
 /// The content address of a (resolved profile, run length) point.
 ///
 /// The profile must already carry its *effective* seed (after
@@ -145,8 +151,7 @@ impl ArtifactCache {
             }
         };
         let payload = check_header(&bytes, key)?;
-        let (layout, trace) =
-            codec::decode_workload(payload).map_err(|e| ArtifactError::new(e.field, e.message))?;
+        let (layout, trace) = codec::decode_workload(payload)?;
         if layout.profile() != profile {
             return Err(ArtifactError::new(
                 "payload.profile",
@@ -316,7 +321,7 @@ mod tests {
         assert!(cache.load(&profile, RUN).unwrap().is_none());
         cache.store(&profile, RUN, &data).unwrap();
         let loaded = cache.load(&profile, RUN).unwrap().expect("hit");
-        assert_eq!(loaded.layout.blocks(), data.layout.blocks());
+        assert!(loaded.layout.blocks().eq(data.layout.blocks()));
         assert_eq!(loaded.trace, data.trace);
         assert_eq!(loaded.kind, data.kind);
         let _ = std::fs::remove_dir_all(&dir);

@@ -17,7 +17,7 @@
 //! | `spec-hash`    | `--spec`       | the spec's journals belong to it at this run length |
 //! | `completeness` | `--spec`       | every job of the expansion has a checkpointed row|
 //! | `report-bytes` | `--spec`       | `<name>.json`/`.csv` equal an `assemble_report` replay byte-for-byte |
-//! | `artifacts`    | `--artifact-cache` | every `wl-*.wla` header and payload checksum holds |
+//! | `artifacts`    | `--artifact-cache` | every `wl-*.wla` header and payload checksum holds and its payload decodes |
 //! | `recompute`    | `--spec`, `--recompute N` | N sampled rows re-simulated from scratch reproduce their journaled stats |
 //!
 //! Checks whose inputs are absent are *skipped* (reported, but not
@@ -30,7 +30,7 @@
 //! broker's online sampled re-verification — so repeated audits of the
 //! same directory exercise the same rows.
 
-use crate::artifact::check_header;
+use crate::artifact::{check_header, ArtifactError};
 use crate::checkpoint::{
     fnv1a64, journal_files, scan_journal, spec_hash, stats_to_array, JournalReplay,
 };
@@ -40,6 +40,7 @@ use crate::sink::{to_csv, to_json};
 use crate::spec::{mechanism_token, CampaignSpec};
 use boomerang::RunLength;
 use std::path::{Path, PathBuf};
+use workloads::codec;
 
 /// What to audit and how deep.
 #[derive(Clone, Debug, Default)]
@@ -447,7 +448,8 @@ fn sample_rows(hash: &str, total: usize, want: usize) -> Vec<usize> {
 }
 
 /// Every `wl-*.wla` in the cache: header fields and payload checksum must
-/// hold against the content address the filename claims.
+/// hold against the content address the filename claims, and the payload
+/// must decode.
 fn check_artifacts(options: &VerifyOptions, report: &mut VerifyReport) {
     let Some(cache) = &options.artifact_cache else {
         report.checks.push(CheckResult {
@@ -505,7 +507,9 @@ fn check_artifacts(options: &VerifyOptions, report: &mut VerifyReport) {
                 return;
             }
         };
-        if let Err(e) = check_header(&bytes, key) {
+        let decoded = check_header(&bytes, key)
+            .and_then(|payload| codec::decode_workload(payload).map_err(ArtifactError::from));
+        if let Err(e) = decoded {
             report.checks.push(CheckResult {
                 name: "artifacts",
                 passed: Some(false),
@@ -517,7 +521,7 @@ fn check_artifacts(options: &VerifyOptions, report: &mut VerifyReport) {
     report.checks.push(CheckResult {
         name: "artifacts",
         passed: Some(true),
-        detail: format!("{} artifact(s) verified", paths.len()),
+        detail: format!("{} artifact(s) verified and decoded", paths.len()),
     });
 }
 
@@ -880,6 +884,64 @@ warmup_blocks = 400
                 .any(|c| c.name == "artifacts" && c.passed == Some(false)),
             "{}",
             damaged.render()
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A payload whose checksum holds but whose bytes do not decode fails
+    /// the audit, naming the payload field.
+    #[test]
+    fn undecodable_artifact_with_a_valid_checksum_fails_the_audit() {
+        use crate::artifact::ArtifactCache;
+        let dir = temp_dir("undecodable");
+        let cache_dir = dir.join("cache");
+        let spec = CampaignSpec::from_toml_str(SPEC).unwrap();
+        let profile = spec.workloads[0].profile.clone();
+        let data = boomerang::WorkloadData::generate_from_profile(&profile, spec.run);
+        ArtifactCache::open(&cache_dir)
+            .unwrap()
+            .store(&profile, spec.run, &data)
+            .unwrap();
+        let artifact = std::fs::read_dir(&cache_dir)
+            .unwrap()
+            .filter_map(|e| e.ok().map(|e| e.path()))
+            .find(|p| p.extension().is_some_and(|e| e == "wla"))
+            .unwrap();
+        let mut bytes = std::fs::read(&artifact).unwrap();
+
+        // The first block's flow tag follows the 32-byte header, the profile
+        // (197 fixed bytes plus its description), the line size, the
+        // function count and table (5 bytes a function), the block count
+        // and the block's size byte. The dispatcher's first block is a call.
+        let at = 32
+            + 197
+            + profile.description.len()
+            + 8
+            + 8
+            + 5 * data.layout.functions().len()
+            + 8
+            + 1;
+        assert_eq!(bytes[at], 3, "the call tag");
+        bytes[at] = 0xee;
+        let fnv = fnv1a64(&bytes[32..]);
+        bytes[24..32].copy_from_slice(&fnv.to_le_bytes());
+        std::fs::write(&artifact, bytes).unwrap();
+
+        let report = verify_dir(&VerifyOptions {
+            dir: dir.clone(),
+            artifact_cache: Some(cache_dir),
+            ..VerifyOptions::default()
+        });
+        let check = report
+            .checks
+            .iter()
+            .find(|c| c.name == "artifacts")
+            .unwrap();
+        assert_eq!(check.passed, Some(false), "{}", report.render());
+        assert!(
+            check.detail.contains("`block.flow.tag`"),
+            "{}",
+            check.detail
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -10,7 +10,7 @@ use crate::ftq::{FtqEntry, SquashCause};
 use btb::{BasicBlockBtb, BtbEntry, BtbPrefetchBuffer};
 use cache::InstructionHierarchy;
 use sim_core::{Addr, CacheLine, DynamicBlock, MicroarchConfig};
-use workloads::CodeLayout;
+use workloads::{BlockId, CodeLayout};
 
 /// What the branch prediction unit should do when it encounters a BTB miss.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -52,9 +52,10 @@ pub fn predecode_line_iter(
     layout: &CodeLayout,
     line: CacheLine,
 ) -> impl Iterator<Item = BtbEntry> + '_ {
-    layout.branches_in_line(line).iter().map(move |&id| {
-        let sb = layout.block(id);
-        BtbEntry::from_block(sb.start(), sb.block.instructions, sb.terminator())
+    layout.branches_in_line(line).map(move |id| {
+        let b = layout.basic_block(BlockId(id));
+        let branch = b.terminator.expect("layout blocks always end in a branch");
+        BtbEntry::from_block(b.start, b.instructions, branch)
     })
 }
 
@@ -80,14 +81,15 @@ impl MechContext<'_> {
     /// while resolving a BTB miss for the block starting at `addr`.
     pub fn predecode_block_at(&self, addr: Addr) -> Option<BtbEntry> {
         let id = self.layout.next_branch_at_or_after(addr)?;
-        let sb = self.layout.block(id);
+        let branch =
+            (self.layout.basic_block(id).terminator).expect("layout blocks always end in a branch");
         // The missing BTB entry starts at `addr` and ends at the next branch.
-        let size = (sb.branch_pc().raw() - addr.raw()) / sim_core::INSTRUCTION_BYTES + 1;
+        let size = (branch.pc.raw() - addr.raw()) / sim_core::INSTRUCTION_BYTES + 1;
         Some(BtbEntry {
             block_start: addr,
             block_size: size.clamp(1, sim_core::MAX_BASIC_BLOCK_INSTRUCTIONS),
-            kind: sb.terminator().kind,
-            target: sb.terminator().target,
+            kind: branch.kind,
+            target: branch.target,
         })
     }
 }
@@ -234,7 +236,7 @@ mod tests {
 
         // Predecoding the line of a known block's branch must include an
         // entry whose branch PC matches.
-        let sb = &layout.blocks()[3];
+        let sb = layout.block(BlockId(3));
         let line = layout.geometry().line_of(sb.branch_pc());
         let entries = ctx.predecode_line(line);
         assert!(entries.iter().any(|e| e.branch_pc() == sb.branch_pc()));

@@ -14,19 +14,32 @@
 //! * every function's blocks form one contiguous id range and its entry is
 //!   its first block, so functions encode as `(num_blocks, is_hot)` pairs;
 //! * every terminator's kind and direct target are determined by the block's
-//!   [`ControlFlow`], so terminators are rebuilt rather than stored;
+//!   [`ControlFlow`], so terminators are derived rather than stored;
 //! * a trace is a connected path (`next.start() == prev.next_start()`), so a
 //!   dynamic block encodes as a static block id plus one taken bit, with only
 //!   the final record's `next_pc` stored explicitly — the form a [`Trace`]
 //!   already holds in memory, so encoding copies it and decoding validates
 //!   it.
 //!
+//! Decoding writes each block straight into the layout's fixed-width tables
+//! (see [`CodeLayout`]); nothing is assembled twice. It *validates* every
+//! stored field: the profile, block sizes, flow tags, block and function
+//! ids, behaviours and trip counts, list lengths, function ranges, a
+//! fall-through successor for every conditional and call, and the trace's
+//! ids and instruction count. It *derives* only what those fields imply:
+//! block start addresses (a running sum of sizes), direct-target addresses
+//! (a gather over the starts), each block's last-in-function bit, and the
+//! branch-per-line index (one counting pass over branch addresses).
+//!
 //! Decoding never panics on malformed input: every read is bounds-checked
 //! and every invariant is validated, reporting a [`CodecError`] that names
 //! the offending field in the style of
-//! [`ProfileError`](crate::profile::ProfileError).
+//! [`ProfileError`](crate::profile::ProfileError). A structure-aware fuzzer
+//! in the tests holds it to that.
 
-use crate::layout::{BlockId, BranchBehavior, CodeLayout, ControlFlow, Function, FunctionId};
+use crate::layout::{
+    BlockId, BranchBehavior, CodeLayout, Columns, ControlFlow, Function, FunctionId, Ids,
+};
 use crate::profile::{WorkloadKind, WorkloadProfile};
 use crate::trace::Trace;
 use sim_core::{Addr, LineGeometry, MAX_BASIC_BLOCK_INSTRUCTIONS};
@@ -289,12 +302,12 @@ const BEHAVIOR_LOOP: u8 = 1;
 const BEHAVIOR_PATTERN: u8 = 2;
 const BEHAVIOR_DATA_DEPENDENT: u8 = 3;
 
-fn encode_flow(flow: &ControlFlow, out: &mut Vec<u8>) {
+fn encode_flow(flow: ControlFlow<'_>, out: &mut Vec<u8>) {
     match flow {
         ControlFlow::Conditional { taken, behavior } => {
             put_u8(out, FLOW_CONDITIONAL);
             put_u32(out, taken.0);
-            match *behavior {
+            match behavior {
                 BranchBehavior::Biased { p_taken } => {
                     put_u8(out, BEHAVIOR_BIASED);
                     put_f64(out, p_taken);
@@ -321,7 +334,7 @@ fn encode_flow(flow: &ControlFlow, out: &mut Vec<u8>) {
         ControlFlow::IndirectJump { targets } => {
             put_u8(out, FLOW_INDIRECT_JUMP);
             put_u32(out, targets.len() as u32);
-            for t in targets {
+            for t in targets.iter() {
                 put_u32(out, t.0);
             }
         }
@@ -332,7 +345,7 @@ fn encode_flow(flow: &ControlFlow, out: &mut Vec<u8>) {
         ControlFlow::IndirectCall { callees } => {
             put_u8(out, FLOW_INDIRECT_CALL);
             put_u32(out, callees.len() as u32);
-            for c in callees {
+            for c in callees.iter() {
                 put_u32(out, c.0);
             }
         }
@@ -340,11 +353,14 @@ fn encode_flow(flow: &ControlFlow, out: &mut Vec<u8>) {
     }
 }
 
-fn decode_flow(
+/// Decodes one block's flow; an indirect branch's ids are read into `ids`,
+/// which the returned flow borrows.
+fn decode_flow<'s>(
     r: &mut ByteReader<'_>,
+    ids: &'s mut Vec<u32>,
     num_blocks: u32,
     num_functions: u32,
-) -> Result<ControlFlow, CodecError> {
+) -> Result<ControlFlow<'s>, CodecError> {
     let block_id = |r: &mut ByteReader<'_>, field| -> Result<BlockId, CodecError> {
         let id = r.u32(field)?;
         if id >= num_blocks {
@@ -419,10 +435,13 @@ fn decode_flow(
                     format!("indirect jump target count {n} outside 1..=1024"),
                 ));
             }
-            let targets = (0..n)
-                .map(|_| block_id(r, "block.flow.targets"))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(ControlFlow::IndirectJump { targets })
+            ids.clear();
+            for _ in 0..n {
+                ids.push(block_id(r, "block.flow.targets")?.0);
+            }
+            Ok(ControlFlow::IndirectJump {
+                targets: Ids::new(ids),
+            })
         }
         FLOW_CALL => Ok(ControlFlow::Call {
             callee: function_id(r, "block.flow.callee")?,
@@ -435,10 +454,13 @@ fn decode_flow(
                     format!("indirect call callee count {n} outside 1..=1024"),
                 ));
             }
-            let callees = (0..n)
-                .map(|_| function_id(r, "block.flow.callees"))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(ControlFlow::IndirectCall { callees })
+            ids.clear();
+            for _ in 0..n {
+                ids.push(function_id(r, "block.flow.callees")?.0);
+            }
+            Ok(ControlFlow::IndirectCall {
+                callees: Ids::new(ids),
+            })
         }
         FLOW_RETURN => Ok(ControlFlow::Return),
         other => Err(CodecError::new(
@@ -458,11 +480,10 @@ pub fn encode_layout(layout: &CodeLayout, out: &mut Vec<u8>) {
         put_u32(out, f.num_blocks);
         put_u8(out, u8::from(f.is_hot));
     }
-    let blocks = layout.blocks();
-    put_u64(out, blocks.len() as u64);
-    for b in blocks {
+    put_u64(out, layout.num_blocks() as u64);
+    for b in layout.blocks() {
         put_u8(out, b.block.instructions as u8);
-        encode_flow(&b.flow, out);
+        encode_flow(b.flow, out);
     }
     put_u32(out, layout.dispatcher().0);
     let roots = layout.service_roots();
@@ -472,11 +493,14 @@ pub fn encode_layout(layout: &CodeLayout, out: &mut Vec<u8>) {
     }
 }
 
-/// Deserializes a layout encoded by [`encode_layout`], rebuilding the
-/// derived indexes (block addresses, terminators, branch-per-line index)
-/// from the stored structure.
+/// Deserializes a layout encoded by [`encode_layout`], validating each block
+/// straight into the layout's tables; block addresses, direct-target
+/// addresses and the branch-per-line index are derived, not stored.
 pub fn decode_layout(r: &mut ByteReader<'_>) -> Result<CodeLayout, CodecError> {
     let profile = decode_profile(r)?;
+    if let Err(e) = profile.validate() {
+        return Err(CodecError::new("profile", e.to_string()));
+    }
     let line_bytes = r.u64("layout.line_bytes")?;
     if !line_bytes.is_power_of_two() || !(16..=4096).contains(&line_bytes) {
         return Err(CodecError::new(
@@ -530,8 +554,11 @@ pub fn decode_layout(r: &mut ByteReader<'_>) -> Result<CodeLayout, CodecError> {
             format!("{num_blocks} blocks stored but functions cover {expected_blocks}"),
         ));
     }
-    let mut raw = Vec::with_capacity((num_blocks as usize).min(r.remaining() / 2));
-    for _ in 0..num_blocks {
+    let mut columns = Columns::with_capacity((num_blocks as usize).min(r.remaining() / 2));
+    let mut ids = Vec::new();
+    // The function holding the current block: blocks arrive in layout order.
+    let mut owner = 0usize;
+    for idx in 0..num_blocks {
         let instructions = u64::from(r.u8("block.instructions")?);
         if !(1..=MAX_BASIC_BLOCK_INSTRUCTIONS).contains(&instructions) {
             return Err(CodecError::new(
@@ -541,8 +568,37 @@ pub fn decode_layout(r: &mut ByteReader<'_>) -> Result<CodeLayout, CodecError> {
                 ),
             ));
         }
-        let flow = decode_flow(r, num_blocks, num_functions)?;
-        raw.push((instructions, flow));
+        if columns.end().raw() > u64::from(u32::MAX) {
+            return Err(CodecError::new(
+                "block.instructions",
+                format!("block {idx} would start above the 4 GiB text-segment limit"),
+            ));
+        }
+        let flow = decode_flow(r, &mut ids, num_blocks, num_functions)?;
+        let func = &functions[owner];
+        let last = idx == func.first_block + func.num_blocks - 1;
+        // Conditional and call blocks need a fall-through successor inside
+        // the same function; the trace generator relies on it.
+        if last
+            && matches!(
+                flow,
+                ControlFlow::Conditional { .. }
+                    | ControlFlow::Call { .. }
+                    | ControlFlow::IndirectCall { .. }
+            )
+        {
+            return Err(CodecError::new(
+                "block.flow",
+                format!(
+                    "block {idx} of kind {} is the last block of its function \
+                     but needs a fall-through successor",
+                    flow.kind()
+                ),
+            ));
+        }
+        columns.push_record(instructions, flow.kind(), last);
+        columns.push_flow(flow);
+        owner += usize::from(last);
     }
 
     let dispatcher = r.u32("layout.dispatcher")?;
@@ -571,14 +627,13 @@ pub fn decode_layout(r: &mut ByteReader<'_>) -> Result<CodeLayout, CodecError> {
         service_roots.push(FunctionId(root));
     }
 
-    CodeLayout::from_parts(
+    Ok(columns.finish(
         profile,
         geometry,
-        raw,
         functions,
         service_roots,
         FunctionId(dispatcher),
-    )
+    ))
 }
 
 /// Serializes `trace` (generated over `layout`) to `out`: its stored ids,
@@ -615,8 +670,7 @@ pub fn decode_trace(layout: &CodeLayout, r: &mut ByteReader<'_>) -> Result<Trace
     let num_blocks = r.u64_in("trace.blocks.len", 0, 1 << 32)? as usize;
     let instructions = r.u64("trace.instructions")?;
     let final_next_pc = Addr::new(r.u64("trace.final_next_pc")?);
-    let blocks = layout.blocks();
-    let layout_blocks = blocks.len() as u32;
+    let layout_blocks = layout.num_blocks() as u32;
     let mut ids = Vec::with_capacity(num_blocks.min(r.remaining() / 4));
     let mut summed = 0u64;
     for _ in 0..num_blocks {
@@ -627,7 +681,7 @@ pub fn decode_trace(layout: &CodeLayout, r: &mut ByteReader<'_>) -> Result<Trace
                 format!("block id {id} out of range (have {layout_blocks})"),
             ));
         }
-        summed += blocks[id as usize].block.instructions;
+        summed += layout.basic_block(BlockId(id)).instructions;
         ids.push(BlockId(id));
     }
     let bits = r.take(num_blocks.div_ceil(8), "trace.taken_bits")?;
@@ -671,6 +725,9 @@ pub fn decode_workload(bytes: &[u8]) -> Result<(CodeLayout, Trace), CodecError> 
 }
 
 #[cfg(test)]
+mod fuzz;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::profile::WorkloadProfile;
@@ -692,7 +749,7 @@ mod tests {
 
         assert_eq!(layout.profile(), layout2.profile());
         assert_eq!(layout.geometry(), layout2.geometry());
-        assert_eq!(layout.blocks(), layout2.blocks());
+        assert!(layout.blocks().eq(layout2.blocks()));
         assert_eq!(layout.functions(), layout2.functions());
         assert_eq!(layout.service_roots(), layout2.service_roots());
         assert_eq!(layout.dispatcher(), layout2.dispatcher());
@@ -713,7 +770,7 @@ mod tests {
                 layout2.branches_in_line(line)
             );
         }
-        for b in layout.blocks().iter().step_by(11) {
+        for b in layout.blocks().step_by(11) {
             assert_eq!(
                 layout.next_branch_at_or_after(b.start()),
                 layout2.next_branch_at_or_after(b.start())

@@ -1,0 +1,335 @@
+//! A deterministic, structure-aware fuzzer for [`decode_workload`].
+//!
+//! One SplitMix64 stream mutates the encoded artifacts of several tiny
+//! profiles: bit flips, truncations, forged lengths, ids, flow tags and
+//! loop trip counts written at the offsets where the encoding puts those
+//! fields, and function boundaries moved by one block. Every mutant must decode to a field-named error or to a workload
+//! that re-encodes to the mutant's own bytes and that the trace generator
+//! can walk; a panic fails the test with the mutant that caused it.
+
+use super::*;
+use crate::layout::ControlFlow;
+use sim_core::BranchKind;
+use std::collections::BTreeMap;
+
+/// SplitMix64, the fuzzer's only source of choices.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A uniform draw from `0..n`.
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+        from[self.below(from.len())]
+    }
+}
+
+/// Where one artifact's encoding puts the fields a forged value targets.
+#[derive(Default)]
+struct FieldMap {
+    /// Length and count fields, as (offset, width in bytes).
+    lengths: Vec<(usize, usize)>,
+    /// Block and function ids (4 bytes each).
+    ids: Vec<usize>,
+    /// Flow tags (1 byte each).
+    flow_tags: Vec<usize>,
+    /// Loop trip counts (4 bytes each).
+    trip_counts: Vec<usize>,
+    /// Each function's block count (4 bytes each), in function order.
+    function_sizes: Vec<usize>,
+}
+
+impl FieldMap {
+    /// Walks the encoding of `layout` and `trace` field by field.
+    fn of(layout: &CodeLayout, trace: &Trace) -> Self {
+        let mut map = FieldMap::default();
+        let mut profile = Vec::new();
+        encode_profile(layout.profile(), &mut profile);
+        // The profile, then the line size.
+        let mut at = profile.len() + 8;
+        map.lengths.push((at, 8));
+        at += 8;
+        for _ in layout.functions() {
+            map.lengths.push((at, 4));
+            map.function_sizes.push(at);
+            at += 5;
+        }
+        map.lengths.push((at, 8));
+        at += 8;
+        for b in layout.blocks() {
+            // The size byte, then the flow: its tag and operands.
+            map.flow_tags.push(at + 1);
+            let operands = at + 2;
+            match b.flow {
+                ControlFlow::Conditional { behavior, .. } => {
+                    map.ids.push(operands);
+                    if let BranchBehavior::Loop { .. } = behavior {
+                        // After the taken id and the behaviour tag.
+                        map.trip_counts.push(operands + 5);
+                    }
+                }
+                ControlFlow::Jump { .. } | ControlFlow::Call { .. } => map.ids.push(operands),
+                ControlFlow::IndirectJump { targets } => map.list(operands, targets.len()),
+                ControlFlow::IndirectCall { callees } => map.list(operands, callees.len()),
+                ControlFlow::Return => {}
+            }
+            let mut flow = Vec::new();
+            encode_flow(b.flow, &mut flow);
+            at += 1 + flow.len();
+        }
+        map.ids.push(at);
+        map.list(at + 4, layout.service_roots().len());
+        at += 8 + 4 * layout.service_roots().len();
+        // The trace: its block count, instruction count, final pc, ids.
+        map.lengths.push((at, 8));
+        map.lengths.push((at + 8, 8));
+        at += 24;
+        map.ids.extend((0..trace.len()).map(|i| at + 4 * i));
+        map
+    }
+
+    /// A `u32` count at `at` followed by that many `u32` ids.
+    fn list(&mut self, at: usize, n: usize) {
+        self.lengths.push((at, 4));
+        self.ids.extend((0..n).map(|i| at + 4 + 4 * i));
+    }
+}
+
+/// A value worth forging into a `width`-byte field holding `current`.
+fn forged(rng: &mut SplitMix, current: u64, width: usize) -> u64 {
+    let max = if width == 8 {
+        u64::MAX
+    } else {
+        (1 << (8 * width)) - 1
+    };
+    let value = match rng.below(8) {
+        0 => 0,
+        1 => 1,
+        2 => max,
+        3 => current.wrapping_add(1),
+        4 => current.wrapping_sub(1),
+        5 => current.wrapping_mul(2),
+        // Any small value: for a flow tag, mostly another valid tag.
+        6 => rng.below(8) as u64,
+        _ => rng.next(),
+    };
+    value & max
+}
+
+/// Overwrites the little-endian `width`-byte field at `at` with a forged
+/// value and says what it wrote.
+fn forge(bytes: &mut [u8], rng: &mut SplitMix, what: &str, at: usize, width: usize) -> String {
+    if at + width > bytes.len() {
+        return format!("{what} at {at} truncated away");
+    }
+    let mut le = [0u8; 8];
+    le[..width].copy_from_slice(&bytes[at..at + width]);
+    let value = forged(rng, u64::from_le_bytes(le), width);
+    bytes[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
+    format!("{what} at {at} := {value}")
+}
+
+/// Applies one mutation to `bytes` and says what it was.
+fn mutate(bytes: &mut Vec<u8>, map: &FieldMap, rng: &mut SplitMix) -> String {
+    match rng.below(7) {
+        0 => {
+            let at = rng.below(bytes.len());
+            let bit = rng.below(8);
+            bytes[at] ^= 1 << bit;
+            format!("flip bit {bit} of byte {at}")
+        }
+        1 => {
+            let len = rng.below(bytes.len());
+            bytes.truncate(len);
+            format!("truncate to {len} bytes")
+        }
+        2 => {
+            let (at, width) = rng.pick(&map.lengths);
+            forge(bytes, rng, "length", at, width)
+        }
+        3 => {
+            let at = rng.pick(&map.ids);
+            forge(bytes, rng, "id", at, 4)
+        }
+        4 => {
+            let at = rng.pick(&map.flow_tags);
+            forge(bytes, rng, "flow tag", at, 1)
+        }
+        5 => {
+            let at = rng.pick(&map.trip_counts);
+            forge(bytes, rng, "trip count", at, 4)
+        }
+        _ => {
+            // Move one block across a function boundary: the block counts
+            // still sum to the stored total, but another block ends a
+            // function.
+            let i = rng.below(map.function_sizes.len() - 1);
+            let (a, b) = (map.function_sizes[i], map.function_sizes[i + 1]);
+            if b + 4 > bytes.len() {
+                return format!("boundary after function {i} truncated away");
+            }
+            let size = |bytes: &[u8], at: usize| {
+                u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"))
+            };
+            let shift = if rng.below(2) == 0 { 1 } else { u32::MAX };
+            let (left, right) = (
+                size(bytes, a).wrapping_add(shift),
+                size(bytes, b).wrapping_sub(shift),
+            );
+            bytes[a..a + 4].copy_from_slice(&left.to_le_bytes());
+            bytes[b..b + 4].copy_from_slice(&right.to_le_bytes());
+            format!("function {i} boundary moved to sizes {left}, {right}")
+        }
+    }
+}
+
+/// Field prefixes every decode error must name one of.
+const FIELDS: [&str; 6] = [
+    "profile",
+    "layout.",
+    "function.",
+    "block.",
+    "trace.",
+    "payload",
+];
+
+/// The artifacts the fuzzer mutates: several tiny profiles, one of them
+/// indirect-heavy, with traces whose lengths leave taken-bit padding.
+fn artifacts() -> Vec<(CodeLayout, Trace)> {
+    let mut indirect = WorkloadProfile::tiny(3).with_footprint_bytes(24 * 1024);
+    indirect.terminators.indirect_jump = 0.2;
+    indirect.terminators.indirect_call = 0.15;
+    [
+        (WorkloadProfile::tiny(1), 701),
+        (WorkloadProfile::tiny(2).with_footprint_bytes(20 * 1024), 64),
+        (indirect, 333),
+    ]
+    .into_iter()
+    .map(|(profile, blocks)| {
+        let layout = CodeLayout::generate(&profile);
+        let trace = Trace::generate_blocks(&layout, blocks);
+        (layout, trace)
+    })
+    .collect()
+}
+
+fn encode(layout: &CodeLayout, trace: &Trace) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    encode_workload(layout, trace, &mut bytes).expect("encode");
+    bytes
+}
+
+#[test]
+fn encode_after_decode_is_the_identity() {
+    let artifacts = artifacts();
+    let (heavy, _) = &artifacts[2];
+    let indirect = heavy
+        .blocks()
+        .filter(|b| {
+            matches!(
+                b.terminator().kind,
+                BranchKind::IndirectJump | BranchKind::IndirectCall
+            )
+        })
+        .count();
+    assert!(
+        indirect * 8 > heavy.num_blocks(),
+        "{indirect} indirect blocks"
+    );
+    for (layout, trace) in artifacts {
+        let bytes = encode(&layout, &trace);
+        let (decoded, decoded_trace) = decode_workload(&bytes).expect("decode");
+        assert!(decoded.blocks().eq(layout.blocks()));
+        assert_eq!(decoded.functions(), layout.functions());
+        assert_eq!(decoded_trace, trace);
+        assert_eq!(encode(&decoded, &decoded_trace), bytes);
+    }
+}
+
+#[test]
+fn mutated_artifacts_decode_to_field_errors_or_to_usable_workloads() {
+    let mut rng = SplitMix(0x00de_c0de_f022);
+    // Fields rejected for their value, not for running out of bytes.
+    let mut errors: BTreeMap<&'static str, usize> = BTreeMap::new();
+    let mut decoded = 0;
+    for (index, (layout, trace)) in artifacts().into_iter().enumerate() {
+        let bytes = encode(&layout, &trace);
+        let map = FieldMap::of(&layout, &trace);
+        // The map is right if every flow tag it names is a valid tag.
+        assert!(map.flow_tags.iter().all(|&at| bytes[at] <= FLOW_RETURN));
+        for round in 0..1500 {
+            let mut mutant = bytes.clone();
+            let mut what = Vec::new();
+            for _ in 0..1 + rng.below(2) {
+                if !mutant.is_empty() {
+                    what.push(mutate(&mut mutant, &map, &mut rng));
+                }
+            }
+            let outcome = std::panic::catch_unwind(|| decode_workload(&mutant))
+                .unwrap_or_else(|_| panic!("artifact {index} round {round}: {what:?} panicked"));
+            match outcome {
+                Err(e) => {
+                    assert!(
+                        FIELDS.iter().any(|f| e.field.starts_with(f)),
+                        "artifact {index} round {round}: {what:?} gave unnamed field {e}"
+                    );
+                    assert!(e.to_string().contains(e.field));
+                    if !e.message.starts_with("truncated") {
+                        *errors.entry(e.field).or_default() += 1;
+                    }
+                }
+                Ok((layout, trace)) => {
+                    decoded += 1;
+                    // Decoding clears the taken bitset's padding bits; every
+                    // other byte re-encodes as it was.
+                    let again = encode(&layout, &trace);
+                    let padding = match trace.len() % 8 {
+                        0 => 0,
+                        used => 0xffu8 << used,
+                    };
+                    let last = mutant.len() - 1;
+                    assert_eq!(
+                        (&again[..last], again[last] | padding),
+                        (&mutant[..last], mutant[last] | padding),
+                        "artifact {index} round {round}: {what:?} decoded but re-encodes differently"
+                    );
+                    // What decodes is a layout the generator can walk.
+                    std::panic::catch_unwind(|| Trace::generate_blocks(&layout, 300))
+                        .unwrap_or_else(|_| {
+                            panic!("artifact {index} round {round}: {what:?} decoded unwalkable")
+                        });
+                }
+            }
+        }
+    }
+    // The structure-aware mutations reach every value check.
+    for field in [
+        "layout.functions.len",
+        "layout.blocks.len",
+        "function.num_blocks",
+        "block.flow",
+        "block.flow.tag",
+        "block.flow.taken",
+        "block.flow.behavior.trip_count",
+        "block.flow.targets.len",
+        "block.flow.callees",
+        "trace.block_id",
+        "trace.instructions",
+    ] {
+        assert!(
+            errors.contains_key(field),
+            "no mutant failed the value check of {field}: {errors:?}"
+        );
+    }
+    assert!(decoded > 0, "every mutant failed: {errors:?}");
+}

@@ -16,6 +16,14 @@
 //!   Boomerang's and Confluence's BTB prefill;
 //! * the analysis module measures static/dynamic properties such as the
 //!   branch-target distance distribution of Figure 4.
+//!
+//! A layout keeps fixed-width per-block tables rather than one record per
+//! block object: a packed 12-byte record with what rebuilding a block's
+//! [`BasicBlock`] reads (start, size, kind, direct-target address), side
+//! columns with what only trace generation reads (the flow's target id and a
+//! conditional's behaviour), and one shared pool of indirect-branch id
+//! lists. [`CodeLayout::block`] assembles a [`StaticBlock`] by value from
+//! them; its [`ControlFlow`] borrows the pool.
 
 use crate::profile::WorkloadProfile;
 use sim_core::rng::SimRng;
@@ -23,6 +31,8 @@ use sim_core::{
     Addr, BasicBlock, BranchInfo, BranchKind, CacheLine, LineGeometry, MAX_BASIC_BLOCK_INSTRUCTIONS,
 };
 use std::fmt;
+use std::marker::PhantomData;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Base address at which the synthetic text segment is laid out.
@@ -32,9 +42,21 @@ pub const CODE_BASE: Addr = Addr::new(0x0040_0000);
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct BlockId(pub u32);
 
+impl From<u32> for BlockId {
+    fn from(id: u32) -> Self {
+        BlockId(id)
+    }
+}
+
 /// Index of a function inside a [`CodeLayout`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct FunctionId(pub u32);
+
+impl From<u32> for FunctionId {
+    fn from(id: u32) -> Self {
+        FunctionId(id)
+    }
+}
 
 /// Dynamic behaviour assigned to a static conditional branch.
 ///
@@ -68,9 +90,46 @@ pub enum BranchBehavior {
     },
 }
 
+impl BranchBehavior {
+    /// The behaviour as a 2-bit tag and a 64-bit payload, the form the
+    /// layout's behaviour column stores (every bit of `p_taken` is kept).
+    fn to_bits(self) -> (u8, u64) {
+        match self {
+            BranchBehavior::Biased { p_taken } => (0, p_taken.to_bits()),
+            BranchBehavior::Loop { trip_count } => (1, u64::from(trip_count)),
+            BranchBehavior::Pattern { period, bits } => {
+                (2, u64::from(period) << 32 | u64::from(bits))
+            }
+            BranchBehavior::DataDependent { p_taken } => (3, p_taken.to_bits()),
+        }
+    }
+
+    /// Inverse of [`to_bits`](Self::to_bits).
+    fn from_bits(tag: u8, payload: u64) -> Self {
+        match tag {
+            0 => BranchBehavior::Biased {
+                p_taken: f64::from_bits(payload),
+            },
+            1 => BranchBehavior::Loop {
+                trip_count: payload as u32,
+            },
+            2 => BranchBehavior::Pattern {
+                period: (payload >> 32) as u8,
+                bits: payload as u32,
+            },
+            _ => BranchBehavior::DataDependent {
+                p_taken: f64::from_bits(payload),
+            },
+        }
+    }
+}
+
 /// Control-flow successor information for a static basic block.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ControlFlow {
+///
+/// Indirect target lists borrow the layout's shared id pool, so a flow is a
+/// small `Copy` value.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum ControlFlow<'a> {
     /// Conditional branch: taken goes to `taken`, not-taken falls through to
     /// the next block in layout order.
     Conditional {
@@ -87,7 +146,7 @@ pub enum ControlFlow {
     /// Indirect jump through a register (e.g. a switch statement).
     IndirectJump {
         /// Possible target blocks; chosen with uniform probability.
-        targets: Vec<BlockId>,
+        targets: Ids<'a, BlockId>,
     },
     /// Direct call; control returns to the fall-through block afterwards.
     Call {
@@ -97,13 +156,13 @@ pub enum ControlFlow {
     /// Indirect call (virtual dispatch, function pointers).
     IndirectCall {
         /// Possible callee functions; chosen with uniform probability.
-        callees: Vec<FunctionId>,
+        callees: Ids<'a, FunctionId>,
     },
     /// Return to the caller.
     Return,
 }
 
-impl ControlFlow {
+impl ControlFlow<'_> {
     /// The [`BranchKind`] corresponding to this control flow.
     pub fn kind(&self) -> BranchKind {
         match self {
@@ -117,21 +176,64 @@ impl ControlFlow {
     }
 }
 
+/// A list of block or function ids held in a layout's shared id pool: an
+/// indirect jump's targets or an indirect call's callees.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Ids<'a, T> {
+    raw: &'a [u32],
+    id: PhantomData<fn() -> T>,
+}
+
+impl<'a, T: From<u32>> Ids<'a, T> {
+    /// A list over raw ids.
+    pub(crate) fn new(raw: &'a [u32]) -> Self {
+        Ids {
+            raw,
+            id: PhantomData,
+        }
+    }
+
+    /// Number of ids.
+    pub fn len(&self) -> usize {
+        self.raw.len()
+    }
+
+    /// `true` if the list holds no id.
+    pub fn is_empty(&self) -> bool {
+        self.raw.is_empty()
+    }
+
+    /// The id at `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= self.len()`.
+    pub fn get(&self, index: usize) -> T {
+        T::from(self.raw[index])
+    }
+
+    /// The ids in stored order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = T> + 'a
+    where
+        T: 'a,
+    {
+        self.raw.iter().map(|&id| T::from(id))
+    }
+}
+
 /// One static basic block together with its control-flow successor
-/// information.
-#[derive(Clone, Debug, PartialEq)]
-pub struct StaticBlock {
+/// information, assembled by value from a layout's tables.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct StaticBlock<'a> {
     /// Identifier of this block.
     pub id: BlockId,
-    /// Function this block belongs to.
-    pub function: FunctionId,
     /// Address range and terminating branch.
     pub block: BasicBlock,
     /// Successor information.
-    pub flow: ControlFlow,
+    pub flow: ControlFlow<'a>,
 }
 
-impl StaticBlock {
+impl StaticBlock<'_> {
     /// Start address of the block.
     pub fn start(&self) -> Addr {
         self.block.start
@@ -217,37 +319,89 @@ pub struct CodeLayout {
     tables: Arc<LayoutTables>,
 }
 
-/// The tables of a [`CodeLayout`].
+/// The tables of a [`CodeLayout`]: one entry per block in each per-block
+/// column, in layout order.
 #[derive(Debug)]
 struct LayoutTables {
     profile: WorkloadProfile,
     geometry: LineGeometry,
-    blocks: Vec<StaticBlock>,
-    functions: Vec<Function>,
-    /// The branch-per-line index in CSR form. Blocks are laid out
+    /// The packed hot record of each block.
+    records: Box<[BlockRecord]>,
+    /// The flow's target id: a conditional's taken block, a jump's target
+    /// block, a call's callee, the offset of an indirect branch's id list in
+    /// `pool`, and 0 for a return.
+    flow: Box<[u32]>,
+    /// A conditional's behaviour payload ([`BranchBehavior::to_bits`]; the
+    /// tag sits in the record's flag bits), 0 for every other kind.
+    behavior: Box<[u64]>,
+    /// The indirect branches' id lists, each its length followed by its ids:
+    /// one arena instead of a heap allocation per indirect block.
+    pool: Box<[u32]>,
+    functions: Box<[Function]>,
+    /// The branch-per-line index as id ranges. Blocks are laid out
     /// contiguously, so branch PCs are strictly increasing with the block id
-    /// and every cache line's branches form one contiguous id range:
-    /// line `first_line + l` holds the blocks
-    /// `line_branch_ids[line_branch_offsets[l] .. line_branch_offsets[l+1]]`,
-    /// where `line_branch_ids` is simply the identity (kept materialised so
-    /// [`CodeLayout::branches_in_line`] can hand out slices). Replaces a
-    /// per-line hash map of `Vec`s: no hashing on the predecode hot path and
-    /// no per-line allocations at generation time.
+    /// and every cache line's branches form one contiguous id range: line
+    /// `first_line + l` holds the blocks `line_offsets[l] .. line_offsets[l+1]`.
     first_line: CacheLine,
-    line_branch_offsets: Box<[u32]>,
-    line_branch_ids: Box<[BlockId]>,
+    line_offsets: Box<[u32]>,
     service_roots: Vec<FunctionId>,
     dispatcher: FunctionId,
     code_end: Addr,
 }
 
-impl CodeLayout {
-    fn from_tables(tables: LayoutTables) -> Self {
-        CodeLayout {
-            tables: Arc::new(tables),
-        }
+/// Flag bit: the block is the last of its function (it has no
+/// fall-through successor).
+const LAST_IN_FUNCTION: u8 = 1;
+
+/// Shift of a conditional's behaviour tag within the flag bits.
+const BEHAVIOR_TAG_SHIFT: u8 = 1;
+
+/// The packed hot record of one block: exactly what rebuilding its
+/// [`BasicBlock`] reads, so a rebuild touches one record. The byte that
+/// alignment would pad holds the generator's flag bits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct BlockRecord {
+    /// Address of the first instruction (the text segment lies below 4 GiB;
+    /// see [`crate::MAX_FOOTPRINT_BYTES`]).
+    start: u32,
+    /// Direct-target address; 0 for indirect branches and returns.
+    target: u32,
+    /// Instructions, including the terminating branch.
+    size: u8,
+    /// Kind of the terminating branch.
+    kind: BranchKind,
+    /// [`LAST_IN_FUNCTION`] and, for a conditional, its behaviour tag.
+    flags: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<BlockRecord>() == 12);
+
+impl BlockRecord {
+    fn start(self) -> Addr {
+        Addr::new(u64::from(self.start))
     }
 
+    fn branch_pc(self) -> Addr {
+        self.start().add_instructions(u64::from(self.size) - 1)
+    }
+
+    #[inline]
+    fn basic_block(self) -> BasicBlock {
+        let pc = self.branch_pc();
+        let terminator = if self.kind.target_is_indirect() {
+            BranchInfo::indirect(pc, self.kind)
+        } else {
+            BranchInfo::direct(pc, self.kind, Addr::new(u64::from(self.target)))
+        };
+        BasicBlock {
+            start: self.start(),
+            instructions: u64::from(self.size),
+            terminator: Some(terminator),
+        }
+    }
+}
+
+impl CodeLayout {
     /// `true` if `other` is a clone of this layout (the same tables).
     pub fn shares_tables(&self, other: &CodeLayout) -> bool {
         Arc::ptr_eq(&self.tables, &other.tables)
@@ -287,9 +441,14 @@ impl CodeLayout {
         self.tables.geometry
     }
 
-    /// All static blocks in layout (address) order.
-    pub fn blocks(&self) -> &[StaticBlock] {
-        &self.tables.blocks
+    /// Number of static blocks.
+    pub fn num_blocks(&self) -> usize {
+        self.tables.records.len()
+    }
+
+    /// All static blocks in layout (address) order, assembled one at a time.
+    pub fn blocks(&self) -> impl ExactSizeIterator<Item = StaticBlock<'_>> + '_ {
+        (0..self.num_blocks() as u32).map(move |id| self.block(BlockId(id)))
     }
 
     /// All functions in layout order.
@@ -297,9 +456,58 @@ impl CodeLayout {
         &self.tables.functions
     }
 
-    /// The block with the given id.
-    pub fn block(&self, id: BlockId) -> &StaticBlock {
-        &self.tables.blocks[id.0 as usize]
+    /// The block with the given id: address range, terminator and flow.
+    pub fn block(&self, id: BlockId) -> StaticBlock<'_> {
+        StaticBlock {
+            id,
+            block: self.basic_block(id),
+            flow: self.flow(id),
+        }
+    }
+
+    /// The address range and terminating branch of block `id`, read from its
+    /// packed record alone: what rebuilding a dynamic block and predecoding
+    /// a cache line need.
+    #[inline]
+    pub fn basic_block(&self, id: BlockId) -> BasicBlock {
+        self.tables.records[id.0 as usize].basic_block()
+    }
+
+    /// The control flow of block `id`, read from the side columns.
+    pub(crate) fn flow(&self, id: BlockId) -> ControlFlow<'_> {
+        let t = &*self.tables;
+        let i = id.0 as usize;
+        let record = t.records[i];
+        let target = t.flow[i];
+        match record.kind {
+            BranchKind::Conditional => ControlFlow::Conditional {
+                taken: BlockId(target),
+                behavior: BranchBehavior::from_bits(
+                    record.flags >> BEHAVIOR_TAG_SHIFT,
+                    t.behavior[i],
+                ),
+            },
+            BranchKind::DirectJump => ControlFlow::Jump {
+                target: BlockId(target),
+            },
+            BranchKind::IndirectJump => ControlFlow::IndirectJump {
+                targets: self.pooled(target),
+            },
+            BranchKind::Call => ControlFlow::Call {
+                callee: FunctionId(target),
+            },
+            BranchKind::IndirectCall => ControlFlow::IndirectCall {
+                callees: self.pooled(target),
+            },
+            BranchKind::Return => ControlFlow::Return,
+        }
+    }
+
+    /// The id list stored at `offset` in the pool.
+    fn pooled<T: From<u32>>(&self, offset: u32) -> Ids<'_, T> {
+        let pool = &self.tables.pool;
+        let at = offset as usize + 1;
+        Ids::new(&pool[at..at + pool[at - 1] as usize])
     }
 
     /// The function with the given id.
@@ -337,12 +545,12 @@ impl CodeLayout {
     pub fn block_at(&self, addr: Addr) -> Option<BlockId> {
         // Blocks are sorted by start address, so a binary search replaces
         // the start-address hash map the layout used to build.
-        let idx = self.tables.blocks.partition_point(|b| b.block.start < addr);
-        self.tables
-            .blocks
+        let records = &self.tables.records;
+        let idx = records.partition_point(|r| r.start() < addr);
+        records
             .get(idx)
-            .filter(|b| b.block.start == addr)
-            .map(|b| b.id)
+            .filter(|r| r.start() == addr)
+            .map(|_| BlockId(idx as u32))
     }
 
     /// The block containing `addr`, if `addr` lies inside the text segment.
@@ -350,13 +558,14 @@ impl CodeLayout {
         if addr < CODE_BASE || addr >= self.tables.code_end {
             return None;
         }
-        let idx = self
-            .tables
-            .blocks
-            .partition_point(|b| b.block.start <= addr)
+        let records = &self.tables.records;
+        let idx = records
+            .partition_point(|r| r.start() <= addr)
             .checked_sub(1)?;
-        let candidate = &self.tables.blocks[idx];
-        candidate.block.contains(addr).then_some(candidate.id)
+        records[idx]
+            .basic_block()
+            .contains(addr)
+            .then_some(BlockId(idx as u32))
     }
 
     /// The first block whose terminating branch lies at or after `addr`.
@@ -366,88 +575,204 @@ impl CodeLayout {
     /// are strictly increasing with the block id, so the line index answers
     /// this in O(1): scan the (few) branches of `addr`'s own cache line,
     /// then fall through to the first branch of any later line — no binary
-    /// search over the block array (Boomerang pays this on every BTB-miss
+    /// search over the block table (Boomerang pays this on every BTB-miss
     /// probe).
     pub fn next_branch_at_or_after(&self, addr: Addr) -> Option<BlockId> {
         if addr >= self.tables.code_end {
             return None;
         }
         if addr < CODE_BASE {
-            return self.tables.blocks.first().map(|b| b.id);
+            return Some(BlockId(0));
         }
-        let line = self.tables.geometry.line_of(addr);
-        for &id in self.branches_in_line(line) {
-            if self.block(id).branch_pc() >= addr {
-                return Some(id);
+        let in_line = self.branches_in_line(self.tables.geometry.line_of(addr));
+        // No branch at or after `addr` in its own line: the next branch is
+        // the first one of any later line, which is exactly where this
+        // line's id range ends.
+        let next = in_line.end;
+        for id in in_line {
+            if self.tables.records[id as usize].branch_pc() >= addr {
+                return Some(BlockId(id));
             }
         }
-        // No branch at or after `addr` in its own line: the next branch is
-        // the first one of any later line, which is exactly the id the CSR
-        // offset one past this line points at.
-        let l = (line.0 - self.tables.first_line.0) as usize;
-        let next = self.tables.line_branch_offsets[l + 1] as usize;
-        self.tables.line_branch_ids.get(next).copied()
+        ((next as usize) < self.num_blocks()).then_some(BlockId(next))
     }
 
-    /// Blocks whose terminating branch instruction lies in `line`, in address
-    /// order. Used by the predecoder to extract branches from a fetched cache
-    /// block (Boomerang and Confluence BTB prefill).
-    pub fn branches_in_line(&self, line: CacheLine) -> &[BlockId] {
-        let Some(l) = line.0.checked_sub(self.tables.first_line.0) else {
-            return &[];
-        };
-        let l = l as usize;
-        if l + 1 >= self.tables.line_branch_offsets.len() {
-            return &[];
-        }
-        let lo = self.tables.line_branch_offsets[l] as usize;
-        let hi = self.tables.line_branch_offsets[l + 1] as usize;
-        &self.tables.line_branch_ids[lo..hi]
+    /// The ids of the blocks whose terminating branch instruction lies in
+    /// `line`, in address order. Used by the predecoder to extract branches
+    /// from a fetched cache block (Boomerang and Confluence BTB prefill).
+    pub fn branches_in_line(&self, line: CacheLine) -> Range<u32> {
+        let offsets = &self.tables.line_offsets;
+        let ids = |l: u64| Some(*offsets.get(l as usize)?..*offsets.get(l as usize + 1)?);
+        line.0
+            .checked_sub(self.tables.first_line.0)
+            .and_then(ids)
+            .unwrap_or(0..0)
     }
 
     /// The fall-through successor of `id`: the next block in layout order
     /// within the same function, if any.
     pub fn fall_through(&self, id: BlockId) -> Option<BlockId> {
-        let block = self.block(id);
-        let func = self.function(block.function);
-        let next = id.0 + 1;
-        (next < func.first_block + func.num_blocks).then_some(BlockId(next))
+        let last = self.tables.records[id.0 as usize].flags & LAST_IN_FUNCTION != 0;
+        (!last).then_some(BlockId(id.0 + 1))
     }
 
     /// Summary statistics.
     pub fn summary(&self) -> LayoutSummary {
-        let instructions: u64 = self
-            .tables
-            .blocks
+        let records = &self.tables.records;
+        let instructions: u64 = records.iter().map(|r| u64::from(r.size)).sum();
+        let conditional = records
             .iter()
-            .map(|b| b.block.instructions)
-            .sum();
-        let conditional = self
-            .tables
-            .blocks
-            .iter()
-            .filter(|b| b.flow.kind() == BranchKind::Conditional)
+            .filter(|r| r.kind == BranchKind::Conditional)
             .count();
         LayoutSummary {
             functions: self.tables.functions.len(),
-            blocks: self.tables.blocks.len(),
+            blocks: records.len(),
             instructions,
             footprint_bytes: self.tables.code_end.raw() - CODE_BASE.raw(),
             conditional_branches: conditional,
-            unconditional_branches: self.tables.blocks.len() - conditional,
+            unconditional_branches: records.len() - conditional,
         }
     }
 }
 
-/// Builds the branch-per-line index in CSR form (see the field docs on
-/// [`CodeLayout`]): branch PCs are strictly increasing with the block id, so
-/// one counting pass suffices. Shared by generation and by the artifact
-/// decode path, which rebuilds the index instead of storing it.
+/// The per-block tables of a layout under construction, appended in layout
+/// order. Generation pushes every block's record, then every block's flow
+/// (targets are drawn once all addresses exist); the artifact decoder
+/// pushes each block's record and flow together. Both end in
+/// [`finish`](Self::finish).
+pub(crate) struct Columns {
+    records: Vec<BlockRecord>,
+    flow: Vec<u32>,
+    behavior: Vec<u64>,
+    pool: Vec<u32>,
+    end: Addr,
+}
+
+impl Columns {
+    /// Empty tables with room for `blocks` blocks.
+    pub(crate) fn with_capacity(blocks: usize) -> Self {
+        Columns {
+            records: Vec::with_capacity(blocks),
+            flow: Vec::with_capacity(blocks),
+            behavior: Vec::with_capacity(blocks),
+            pool: Vec::new(),
+            end: CODE_BASE,
+        }
+    }
+
+    /// Number of records pushed.
+    pub(crate) fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// One past the last instruction pushed: where the next block starts.
+    pub(crate) fn end(&self) -> Addr {
+        self.end
+    }
+
+    /// Lays out the next block: `size` instructions at [`end`](Self::end),
+    /// ending in a `kind` branch; `last` marks the last block of its
+    /// function.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block would start at or above 4 GiB.
+    pub(crate) fn push_record(&mut self, size: u64, kind: BranchKind, last: bool) {
+        debug_assert!((1..=MAX_BASIC_BLOCK_INSTRUCTIONS).contains(&size));
+        let start = u32::try_from(self.end.raw()).expect("the text segment lies below 4 GiB");
+        self.records.push(BlockRecord {
+            start,
+            target: 0,
+            size: size as u8,
+            kind,
+            flags: if last { LAST_IN_FUNCTION } else { 0 },
+        });
+        self.end = self.end.add_instructions(size);
+    }
+
+    /// Stores the control flow of the first block that has none yet; its
+    /// record must already be pushed, with the flow's kind.
+    pub(crate) fn push_flow(&mut self, flow: ControlFlow<'_>) {
+        let idx = self.flow.len();
+        debug_assert_eq!(self.records[idx].kind, flow.kind());
+        let (target, payload) = match flow {
+            ControlFlow::Conditional { taken, behavior } => {
+                let (tag, payload) = behavior.to_bits();
+                self.records[idx].flags |= tag << BEHAVIOR_TAG_SHIFT;
+                (taken.0, payload)
+            }
+            ControlFlow::Jump { target } => (target.0, 0),
+            ControlFlow::IndirectJump { targets } => (self.push_list(targets.raw), 0),
+            ControlFlow::Call { callee } => (callee.0, 0),
+            ControlFlow::IndirectCall { callees } => (self.push_list(callees.raw), 0),
+            ControlFlow::Return => (0, 0),
+        };
+        self.flow.push(target);
+        self.behavior.push(payload);
+    }
+
+    /// Appends an id list to the pool and returns its offset.
+    fn push_list(&mut self, ids: &[u32]) -> u32 {
+        let offset = u32::try_from(self.pool.len()).expect("the id pool stays below 4 Gi entries");
+        self.pool.push(ids.len() as u32);
+        self.pool.extend_from_slice(ids);
+        offset
+    }
+
+    /// The finished layout: every block has its record and flow. Resolves
+    /// each direct target's address (a gather over the start column, since a
+    /// forward target is laid out after its branch) and builds the line
+    /// index.
+    pub(crate) fn finish(
+        mut self,
+        profile: WorkloadProfile,
+        geometry: LineGeometry,
+        functions: Vec<Function>,
+        service_roots: Vec<FunctionId>,
+        dispatcher: FunctionId,
+    ) -> CodeLayout {
+        assert_eq!(
+            self.flow.len(),
+            self.records.len(),
+            "every block has a flow"
+        );
+        for idx in 0..self.records.len() {
+            let target = self.flow[idx];
+            let target_block = match self.records[idx].kind {
+                BranchKind::Conditional | BranchKind::DirectJump => target,
+                BranchKind::Call => functions[target as usize].entry.0,
+                _ => continue,
+            };
+            self.records[idx].target = self.records[target_block as usize].start;
+        }
+        let (first_line, line_offsets) = build_line_index(geometry, &self.records, self.end);
+        CodeLayout {
+            tables: Arc::new(LayoutTables {
+                profile,
+                geometry,
+                records: self.records.into_boxed_slice(),
+                flow: self.flow.into_boxed_slice(),
+                behavior: self.behavior.into_boxed_slice(),
+                pool: self.pool.into_boxed_slice(),
+                functions: functions.into_boxed_slice(),
+                first_line,
+                line_offsets,
+                service_roots,
+                dispatcher,
+                code_end: self.end,
+            }),
+        }
+    }
+}
+
+/// Builds the branch-per-line index (see the field docs on
+/// [`LayoutTables`]): branch PCs are strictly increasing with the block id,
+/// so one counting pass suffices.
 fn build_line_index(
     geometry: LineGeometry,
-    blocks: &[StaticBlock],
+    records: &[BlockRecord],
     code_end: Addr,
-) -> (CacheLine, Box<[u32]>, Box<[BlockId]>) {
+) -> (CacheLine, Box<[u32]>) {
     let first_line = geometry.line_of(CODE_BASE);
     let last_line = if code_end > CODE_BASE {
         geometry.line_of(Addr::new(code_end.raw() - 1))
@@ -455,139 +780,15 @@ fn build_line_index(
         first_line
     };
     let num_lines = (last_line.0 - first_line.0 + 1) as usize;
-    let mut line_branch_offsets = vec![0u32; num_lines + 1];
-    for b in blocks {
-        let l = (geometry.line_of(b.branch_pc()).0 - first_line.0) as usize;
-        line_branch_offsets[l + 1] += 1;
+    let mut offsets = vec![0u32; num_lines + 1];
+    for r in records {
+        let l = (geometry.line_of(r.branch_pc()).0 - first_line.0) as usize;
+        offsets[l + 1] += 1;
     }
     for l in 0..num_lines {
-        line_branch_offsets[l + 1] += line_branch_offsets[l];
+        offsets[l + 1] += offsets[l];
     }
-    let line_branch_ids: Box<[BlockId]> = (0..blocks.len() as u32).map(BlockId).collect();
-    (
-        first_line,
-        line_branch_offsets.into_boxed_slice(),
-        line_branch_ids,
-    )
-}
-
-impl CodeLayout {
-    /// Reassembles a layout from decoded parts (the artifact-cache decode
-    /// path; see [`crate::codec`]): one `(instructions, flow)` pair per
-    /// block in layout order, plus the function table, service roots and
-    /// dispatcher. Every derived structure — block addresses, terminators,
-    /// the branch-per-line index, `code_end` — is rebuilt from the layout
-    /// invariants rather than stored.
-    ///
-    /// Returns a field-level error instead of panicking on inputs that
-    /// violate those invariants (the decode path feeds this untrusted bytes).
-    pub(crate) fn from_parts(
-        profile: WorkloadProfile,
-        geometry: LineGeometry,
-        raw: Vec<(u64, ControlFlow)>,
-        functions: Vec<Function>,
-        service_roots: Vec<FunctionId>,
-        dispatcher: FunctionId,
-    ) -> Result<Self, crate::codec::CodecError> {
-        use crate::codec::CodecError;
-        let err = |field, message: String| Err(CodecError { field, message });
-        if let Err(e) = profile.validate() {
-            return err("profile", e.to_string());
-        }
-        if raw.is_empty() {
-            return err("layout.blocks.len", "layout has no blocks".to_string());
-        }
-        let covered: u64 = functions.iter().map(|f| u64::from(f.num_blocks)).sum();
-        if covered != raw.len() as u64 {
-            return err(
-                "layout.functions",
-                format!(
-                    "functions cover {covered} blocks but {} are stored",
-                    raw.len()
-                ),
-            );
-        }
-
-        // Block addresses follow from contiguity; owners from the function
-        // table's contiguous ranges.
-        let mut starts = Vec::with_capacity(raw.len());
-        let mut cursor = CODE_BASE;
-        for (instructions, _) in &raw {
-            starts.push(cursor);
-            cursor = cursor.add_instructions(*instructions);
-        }
-        let code_end = cursor;
-        let mut owners: Vec<FunctionId> = Vec::with_capacity(raw.len());
-        for f in &functions {
-            owners.extend(std::iter::repeat_n(f.id, f.num_blocks as usize));
-        }
-
-        // Conditional and call blocks need a fall-through successor inside
-        // the same function; the trace generator relies on it.
-        for (idx, (_, flow)) in raw.iter().enumerate() {
-            if matches!(
-                flow,
-                ControlFlow::Conditional { .. }
-                    | ControlFlow::Call { .. }
-                    | ControlFlow::IndirectCall { .. }
-            ) {
-                let func = &functions[owners[idx].0 as usize];
-                if idx as u32 == func.first_block + func.num_blocks - 1 {
-                    return err(
-                        "block.flow",
-                        format!(
-                            "block {idx} of kind {} is the last block of its function \
-                             but needs a fall-through successor",
-                            flow.kind()
-                        ),
-                    );
-                }
-            }
-        }
-
-        let blocks: Vec<StaticBlock> = raw
-            .into_iter()
-            .enumerate()
-            .map(|(idx, (instructions, flow))| {
-                let start = starts[idx];
-                let branch_pc = start.add_instructions(instructions - 1);
-                let kind = flow.kind();
-                let target_addr = match &flow {
-                    ControlFlow::Conditional { taken, .. } => Some(starts[taken.0 as usize]),
-                    ControlFlow::Jump { target } => Some(starts[target.0 as usize]),
-                    ControlFlow::Call { callee } => {
-                        Some(starts[functions[callee.0 as usize].entry.0 as usize])
-                    }
-                    _ => None,
-                };
-                let terminator = match target_addr {
-                    Some(t) => BranchInfo::direct(branch_pc, kind, t),
-                    None => BranchInfo::indirect(branch_pc, kind),
-                };
-                StaticBlock {
-                    id: BlockId(idx as u32),
-                    function: owners[idx],
-                    block: BasicBlock::new(start, instructions, terminator),
-                    flow,
-                }
-            })
-            .collect();
-
-        let (first_line, line_branch_offsets, line_branch_ids) =
-            build_line_index(geometry, &blocks, code_end);
-        Ok(CodeLayout::from_tables(LayoutTables {
-            profile,
-            geometry,
-            blocks,
-            functions,
-            first_line,
-            line_branch_offsets,
-            line_branch_ids,
-            service_roots,
-            dispatcher,
-            code_end,
-        }))
-    }
+    (first_line, offsets.into_boxed_slice())
 }
 
 /// Internal layout builder.
@@ -595,14 +796,6 @@ struct Builder {
     profile: WorkloadProfile,
     geometry: LineGeometry,
     rng: SimRng,
-}
-
-/// Per-block plan produced in the first pass, before targets are known.
-struct PlannedBlock {
-    function: FunctionId,
-    start: Addr,
-    instructions: u64,
-    kind: BranchKind,
 }
 
 /// Layer a function belongs to in the synthetic software stack.
@@ -616,9 +809,9 @@ enum Role {
     Utility,
 }
 
-/// Output of the planning pass.
+/// Output of the planning pass: every block's record, no flows yet.
 struct Plan {
-    planned: Vec<PlannedBlock>,
+    columns: Columns,
     functions: Vec<Function>,
     roles: Vec<Role>,
     service_roots: Vec<FunctionId>,
@@ -635,50 +828,25 @@ impl Builder {
     }
 
     fn build(mut self) -> CodeLayout {
-        let plan = self.plan_blocks();
         let Plan {
-            planned,
+            mut columns,
             functions,
             roles,
             service_roots,
-        } = plan;
+        } = self.plan_blocks();
         let utilities: Vec<FunctionId> = functions
             .iter()
             .filter(|f| roles[f.id.0 as usize] == Role::Utility)
             .map(|f| f.id)
             .collect();
-
-        // Pass 2a (sequential): every RNG draw, in the exact order the
-        // previous single-pass implementation made them, deciding each
-        // block's control flow. Keeping the draw order byte-for-byte is what
-        // keeps generated layouts identical for a fixed seed.
-        let flows = self.draw_flows(&planned, &functions, &roles, &service_roots, &utilities);
-
-        // Pass 2b (sharded): assembling the `StaticBlock`s from (plan, flow)
-        // is a pure per-block function, so independent runs of whole
-        // functions build in parallel on the work-stealing pool.
-        let blocks = Self::assemble_blocks(&planned, &functions, flows);
-
-        let code_end = blocks
-            .last()
-            .map(|b| b.block.fall_through())
-            .unwrap_or(CODE_BASE);
-
-        let (first_line, line_branch_offsets, line_branch_ids) =
-            build_line_index(self.geometry, &blocks, code_end);
-
-        CodeLayout::from_tables(LayoutTables {
-            profile: self.profile,
-            geometry: self.geometry,
-            blocks,
+        self.draw_flows(&mut columns, &functions, &roles, &service_roots, &utilities);
+        columns.finish(
+            self.profile,
+            self.geometry,
             functions,
-            first_line,
-            line_branch_offsets,
-            line_branch_ids,
             service_roots,
-            dispatcher: FunctionId(0),
-            code_end,
-        })
+            FunctionId(0),
+        )
     }
 
     /// First pass: decide the function/block structure, sizes, addresses and
@@ -707,41 +875,27 @@ impl Builder {
             + 64;
         let est_functions =
             (est_blocks as f64 / self.profile.mean_function_blocks.max(2.0) * 1.3) as usize + 16;
-        let mut planned: Vec<PlannedBlock> = Vec::with_capacity(est_blocks);
+        let mut columns = Columns::with_capacity(est_blocks);
         let mut functions: Vec<Function> = Vec::with_capacity(est_functions);
         let mut roles: Vec<Role> = Vec::with_capacity(est_functions);
         let mut service_roots: Vec<FunctionId> = Vec::with_capacity(num_roots);
-        let mut cursor = CODE_BASE;
         let mut total_instructions: u64 = 0;
 
         // Function 0: the dispatcher. One call block per service root plus a
         // jump back to the entry, modelling the server's request loop.
         {
-            let first_block = 0u32;
             for _ in 0..num_roots {
                 let len = self.rng.geometric(3.0, 8);
-                planned.push(PlannedBlock {
-                    function: FunctionId(0),
-                    start: cursor,
-                    instructions: len,
-                    kind: BranchKind::Call,
-                });
-                cursor = cursor.add_instructions(len);
+                columns.push_record(len, BranchKind::Call, false);
                 total_instructions += len;
             }
             let len = self.rng.geometric(2.0, 4);
-            planned.push(PlannedBlock {
-                function: FunctionId(0),
-                start: cursor,
-                instructions: len,
-                kind: BranchKind::DirectJump,
-            });
-            cursor = cursor.add_instructions(len);
+            columns.push_record(len, BranchKind::DirectJump, true);
             total_instructions += len;
             functions.push(Function {
                 id: FunctionId(0),
-                entry: BlockId(first_block),
-                first_block,
+                entry: BlockId(0),
+                first_block: 0,
                 num_blocks: num_roots as u32 + 1,
                 is_hot: true,
             });
@@ -758,13 +912,8 @@ impl Builder {
                     service_roots.push(fid);
                     first_of_subtree = false;
                 }
-                total_instructions += self.plan_function(
-                    fid,
-                    Role::Service(subtree),
-                    &mut planned,
-                    &mut functions,
-                    &mut cursor,
-                );
+                total_instructions +=
+                    self.plan_function(fid, Role::Service(subtree), &mut columns, &mut functions);
                 roles.push(Role::Service(subtree));
             }
         }
@@ -772,31 +921,20 @@ impl Builder {
         // Shared utility layer at the end of the layout.
         while total_instructions < target_instructions {
             let fid = FunctionId(functions.len() as u32);
-            total_instructions += self.plan_function(
-                fid,
-                Role::Utility,
-                &mut planned,
-                &mut functions,
-                &mut cursor,
-            );
+            total_instructions +=
+                self.plan_function(fid, Role::Utility, &mut columns, &mut functions);
             roles.push(Role::Utility);
         }
         // Guarantee the utility layer exists even for tiny footprints, so
         // every service call site always has a valid lower layer to call.
         if !roles.contains(&Role::Utility) {
             let fid = FunctionId(functions.len() as u32);
-            self.plan_function(
-                fid,
-                Role::Utility,
-                &mut planned,
-                &mut functions,
-                &mut cursor,
-            );
+            self.plan_function(fid, Role::Utility, &mut columns, &mut functions);
             roles.push(Role::Utility);
         }
 
         Plan {
-            planned,
+            columns,
             functions,
             roles,
             service_roots,
@@ -808,9 +946,8 @@ impl Builder {
         &mut self,
         fid: FunctionId,
         role: Role,
-        planned: &mut Vec<PlannedBlock>,
+        columns: &mut Columns,
         functions: &mut Vec<Function>,
-        cursor: &mut Addr,
     ) -> u64 {
         // Utility functions are leaf-like helpers: shorter and call-free, so
         // the layered call graph terminates there.
@@ -819,7 +956,7 @@ impl Builder {
             _ => (self.profile.mean_function_blocks, true),
         };
         let num_blocks = self.rng.geometric(mean_blocks, 96).max(2) as u32;
-        let first_block = planned.len() as u32;
+        let first_block = columns.len() as u32;
         let mut instructions = 0;
 
         for i in 0..num_blocks {
@@ -830,18 +967,13 @@ impl Builder {
                     MAX_BASIC_BLOCK_INSTRUCTIONS,
                 )
                 .max(1);
-            let kind = if i == num_blocks - 1 {
+            let last = i == num_blocks - 1;
+            let kind = if last {
                 BranchKind::Return
             } else {
                 self.draw_terminator_kind(allow_calls)
             };
-            planned.push(PlannedBlock {
-                function: fid,
-                start: *cursor,
-                instructions: len,
-                kind,
-            });
-            *cursor = cursor.add_instructions(len);
+            columns.push_record(len, kind, last);
             instructions += len;
         }
 
@@ -880,196 +1012,104 @@ impl Builder {
         }
     }
 
-    /// Second pass, draw stage: assign targets and behaviours now that every
-    /// block and function exists. This stage makes every RNG draw of the
-    /// second pass, in layout order, and nothing else — the draw sequence is
-    /// the contract that keeps generation byte-identical for a fixed seed,
-    /// while the draw-free assembly of the `StaticBlock`s shards across the
-    /// pool in [`assemble_blocks`](Self::assemble_blocks).
+    /// Second pass: assign targets and behaviours now that every block and
+    /// function exists, storing each block's flow as it is drawn. The draw
+    /// sequence — every RNG draw of this pass, in layout order — is the
+    /// contract that keeps generation byte-identical for a fixed seed.
     fn draw_flows(
         &mut self,
-        planned: &[PlannedBlock],
+        columns: &mut Columns,
         functions: &[Function],
         roles: &[Role],
         service_roots: &[FunctionId],
         utilities: &[FunctionId],
-    ) -> Vec<ControlFlow> {
-        let mut flows = Vec::with_capacity(planned.len());
+    ) {
         let mut dispatcher_call_index = 0usize;
-        for (idx, plan) in planned.iter().enumerate() {
-            let func = &functions[plan.function.0 as usize];
-            let role = roles[plan.function.0 as usize];
-
-            let flow = match plan.kind {
-                BranchKind::Return => ControlFlow::Return,
-                BranchKind::Call if role == Role::Dispatcher => {
-                    // The dispatcher's call sites cycle through the service
-                    // roots; this is what sweeps the instruction working set
-                    // the way a stream of distinct server requests does.
-                    let callee = service_roots[dispatcher_call_index % service_roots.len()];
-                    dispatcher_call_index += 1;
-                    ControlFlow::Call { callee }
-                }
-                BranchKind::Call => ControlFlow::Call {
-                    callee: self.pick_callee(plan.function, role, roles, utilities),
-                },
-                BranchKind::IndirectCall => {
-                    let n = 2 + self.rng.index(3);
-                    let callees = (0..n)
-                        .map(|_| self.pick_callee(plan.function, role, roles, utilities))
-                        .collect();
-                    ControlFlow::IndirectCall { callees }
-                }
-                BranchKind::DirectJump => {
-                    let target = if role == Role::Dispatcher {
-                        // The dispatcher's closing jump loops back to its entry.
-                        func.entry
-                    } else if role != Role::Utility && self.rng.chance(0.10) {
-                        // Tail call: jump to a lower layer's entry.
-                        let callee = self.pick_callee(plan.function, role, roles, utilities);
-                        functions[callee.0 as usize].entry
-                    } else {
-                        // Intra-function jumps are strictly forward so that a
-                        // chain of unconditional jumps can never form a cycle
-                        // the trace generator could not leave.
-                        self.pick_forward_target(func, idx)
-                    };
-                    ControlFlow::Jump { target }
-                }
-                BranchKind::IndirectJump => {
-                    // Like direct jumps, indirect jump targets (switch arms)
-                    // are strictly forward so that unconditional control flow
-                    // alone can never form a cycle.
-                    let n = 2 + self.rng.index(5);
-                    let targets = (0..n)
-                        .map(|_| self.pick_forward_target(func, idx))
-                        .collect();
-                    ControlFlow::IndirectJump { targets }
-                }
-                BranchKind::Conditional => {
-                    let behavior = self.draw_conditional_behavior();
-                    let backward = matches!(behavior, BranchBehavior::Loop { .. })
-                        || self.rng.chance(self.profile.cond_backward_fraction);
-                    // A strongly taken-biased *backward* conditional is an
-                    // implicit unbounded loop; real code bounds its loops, so
-                    // backward biased branches are made not-taken-biased and
-                    // explicit looping is left to `BranchBehavior::Loop`.
-                    let behavior = match behavior {
-                        BranchBehavior::Biased { p_taken } if backward && p_taken > 0.3 => {
-                            BranchBehavior::Biased {
-                                p_taken: (1.0 - p_taken).clamp(0.02, 0.3),
-                            }
+        // One reusable buffer for an indirect branch's drawn ids, which the
+        // columns copy into their pool.
+        let mut ids: Vec<u32> = Vec::new();
+        for func in functions {
+            let role = roles[func.id.0 as usize];
+            for id in func.block_ids() {
+                let idx = id.0 as usize;
+                ids.clear();
+                let flow = match columns.records[idx].kind {
+                    BranchKind::Return => ControlFlow::Return,
+                    BranchKind::Call if role == Role::Dispatcher => {
+                        // The dispatcher's call sites cycle through the
+                        // service roots; this is what sweeps the instruction
+                        // working set the way a stream of distinct server
+                        // requests does.
+                        let callee = service_roots[dispatcher_call_index % service_roots.len()];
+                        dispatcher_call_index += 1;
+                        ControlFlow::Call { callee }
+                    }
+                    BranchKind::Call => ControlFlow::Call {
+                        callee: self.pick_callee(func.id, role, roles, utilities),
+                    },
+                    BranchKind::IndirectCall => {
+                        let n = 2 + self.rng.index(3);
+                        for _ in 0..n {
+                            ids.push(self.pick_callee(func.id, role, roles, utilities).0);
                         }
-                        other => other,
-                    };
-                    let taken = self.pick_conditional_target(planned, func, idx, backward);
-                    ControlFlow::Conditional { taken, behavior }
-                }
-            };
-            flows.push(flow);
-        }
-        flows
-    }
-
-    /// Second pass, assembly stage: build each [`StaticBlock`] from its plan
-    /// and drawn control flow. Pure per-block work — no RNG — so whole
-    /// functions assemble independently, sharded through [`sim_core::pool`]
-    /// on function-aligned chunks (inline on a single worker).
-    fn assemble_blocks(
-        planned: &[PlannedBlock],
-        functions: &[Function],
-        flows: Vec<ControlFlow>,
-    ) -> Vec<StaticBlock> {
-        /// Shard granularity in blocks: large enough to amortise pool
-        /// dispatch, small enough to spread a multi-megabyte layout over
-        /// every core.
-        const CHUNK_BLOCKS: usize = 8192;
-        let workers = sim_core::pool::default_workers();
-        if workers <= 1 || planned.len() <= CHUNK_BLOCKS {
-            return planned
-                .iter()
-                .enumerate()
-                .zip(flows)
-                .map(|((idx, plan), flow)| Self::assemble_one(planned, functions, idx, plan, flow))
-                .collect();
-        }
-
-        // Chunk boundaries aligned to function starts, so each task
-        // assembles a run of whole functions.
-        let mut bounds = vec![0usize];
-        for f in functions {
-            let end = (f.first_block + f.num_blocks) as usize;
-            if end - bounds.last().expect("bounds is never empty") >= CHUNK_BLOCKS {
-                bounds.push(end);
+                        ControlFlow::IndirectCall {
+                            callees: Ids::new(&ids),
+                        }
+                    }
+                    BranchKind::DirectJump => {
+                        let target = if role == Role::Dispatcher {
+                            // The dispatcher's closing jump loops back to its
+                            // entry.
+                            func.entry
+                        } else if role != Role::Utility && self.rng.chance(0.10) {
+                            // Tail call: jump to a lower layer's entry.
+                            let callee = self.pick_callee(func.id, role, roles, utilities);
+                            functions[callee.0 as usize].entry
+                        } else {
+                            // Intra-function jumps are strictly forward so
+                            // that a chain of unconditional jumps can never
+                            // form a cycle the trace generator could not
+                            // leave.
+                            self.pick_forward_target(func, idx)
+                        };
+                        ControlFlow::Jump { target }
+                    }
+                    BranchKind::IndirectJump => {
+                        // Like direct jumps, indirect jump targets (switch
+                        // arms) are strictly forward so that unconditional
+                        // control flow alone can never form a cycle.
+                        let n = 2 + self.rng.index(5);
+                        for _ in 0..n {
+                            ids.push(self.pick_forward_target(func, idx).0);
+                        }
+                        ControlFlow::IndirectJump {
+                            targets: Ids::new(&ids),
+                        }
+                    }
+                    BranchKind::Conditional => {
+                        let behavior = self.draw_conditional_behavior();
+                        let backward = matches!(behavior, BranchBehavior::Loop { .. })
+                            || self.rng.chance(self.profile.cond_backward_fraction);
+                        // A strongly taken-biased *backward* conditional is
+                        // an implicit unbounded loop; real code bounds its
+                        // loops, so backward biased branches are made
+                        // not-taken-biased and explicit looping is left to
+                        // `BranchBehavior::Loop`.
+                        let behavior = match behavior {
+                            BranchBehavior::Biased { p_taken } if backward && p_taken > 0.3 => {
+                                BranchBehavior::Biased {
+                                    p_taken: (1.0 - p_taken).clamp(0.02, 0.3),
+                                }
+                            }
+                            other => other,
+                        };
+                        let taken =
+                            self.pick_conditional_target(&columns.records, func, idx, backward);
+                        ControlFlow::Conditional { taken, behavior }
+                    }
+                };
+                columns.push_flow(flow);
             }
-        }
-        if *bounds.last().expect("bounds is never empty") != planned.len() {
-            bounds.push(planned.len());
-        }
-
-        // Hand each task ownership of its chunk's flows (no clones): split
-        // the flow vector at the chunk bounds, back to front, and let each
-        // pool task take its chunk out of a cell.
-        type FlowChunk = std::sync::Mutex<Option<(usize, Vec<ControlFlow>)>>;
-        let mut rest = flows;
-        let mut chunks: Vec<FlowChunk> = Vec::with_capacity(bounds.len() - 1);
-        for w in bounds.windows(2).rev() {
-            let tail = rest.split_off(w[0]);
-            chunks.push(std::sync::Mutex::new(Some((w[0], tail))));
-        }
-        chunks.reverse();
-
-        let shards = sim_core::pool::run_indexed(workers, &chunks, |_, cell| {
-            let (base, chunk_flows) = cell
-                .lock()
-                .expect("a sibling assembly task panicked")
-                .take()
-                .expect("each chunk is assembled exactly once");
-            chunk_flows
-                .into_iter()
-                .enumerate()
-                .map(|(i, flow)| {
-                    let idx = base + i;
-                    Self::assemble_one(planned, functions, idx, &planned[idx], flow)
-                })
-                .collect::<Vec<StaticBlock>>()
-        });
-        let mut blocks = Vec::with_capacity(planned.len());
-        for shard in shards {
-            blocks.extend(shard);
-        }
-        blocks
-    }
-
-    /// Assembles one block: resolve the terminator's target address and wrap
-    /// plan + flow into the final [`StaticBlock`].
-    fn assemble_one(
-        planned: &[PlannedBlock],
-        functions: &[Function],
-        idx: usize,
-        plan: &PlannedBlock,
-        flow: ControlFlow,
-    ) -> StaticBlock {
-        let branch_pc = plan.start.add_instructions(plan.instructions - 1);
-        let kind = flow.kind();
-        let target_addr = match &flow {
-            ControlFlow::Conditional { taken, .. } => Some(planned[taken.0 as usize].start),
-            ControlFlow::Jump { target } => Some(planned[target.0 as usize].start),
-            ControlFlow::Call { callee } => {
-                let entry = functions[callee.0 as usize].entry;
-                Some(planned[entry.0 as usize].start)
-            }
-            _ => None,
-        };
-        let terminator = match target_addr {
-            Some(t) => BranchInfo::direct(branch_pc, kind, t),
-            None => BranchInfo::indirect(branch_pc, kind),
-        };
-        StaticBlock {
-            id: BlockId(idx as u32),
-            function: plan.function,
-            block: BasicBlock::new(plan.start, plan.instructions, terminator),
-            flow,
         }
     }
 
@@ -1128,7 +1168,7 @@ impl Builder {
 
     fn pick_conditional_target(
         &mut self,
-        planned: &[PlannedBlock],
+        records: &[BlockRecord],
         func: &Function,
         from_idx: usize,
         backward: bool,
@@ -1141,7 +1181,7 @@ impl Builder {
         } else {
             self.rng.geometric(self.profile.cond_target_mean_lines, 8) - 1
         };
-        self.block_near(planned, func, from_idx, distance_lines, backward)
+        self.block_near(records, func, from_idx, distance_lines, backward)
     }
 
     /// Finds a block of `func` whose start address is roughly `distance_lines`
@@ -1149,15 +1189,13 @@ impl Builder {
     /// direction. Falls back to the nearest valid block of the function.
     fn block_near(
         &mut self,
-        planned: &[PlannedBlock],
+        records: &[BlockRecord],
         func: &Function,
         from_idx: usize,
         distance_lines: u64,
         backward: bool,
     ) -> BlockId {
-        let from_pc = planned[from_idx]
-            .start
-            .add_instructions(planned[from_idx].instructions - 1);
+        let from_pc = records[from_idx].branch_pc();
         let line_bytes = self.geometry.line_bytes();
         let offset = distance_lines * line_bytes + self.rng.range_u64(0, line_bytes);
         let desired = if backward {
@@ -1174,7 +1212,7 @@ impl Builder {
         let mut hi = last;
         while lo < hi {
             let mid = (lo + hi) / 2;
-            if planned[mid].start < desired {
+            if records[mid].start() < desired {
                 lo = mid + 1;
             } else {
                 hi = mid;
@@ -1184,7 +1222,7 @@ impl Builder {
         let best = candidates
             .iter()
             .copied()
-            .min_by_key(|&i| planned[i].start.distance(desired))
+            .min_by_key(|&i| records[i].start().distance(desired))
             .unwrap_or(first);
         // Avoid a self-loop where a conditional branch targets its own block
         // start with zero distance unless it genuinely is a tight loop.
@@ -1242,28 +1280,27 @@ mod tests {
         CodeLayout::generate(&WorkloadProfile::tiny(7))
     }
 
+    /// The function block `id` belongs to.
+    fn owner(layout: &CodeLayout, id: BlockId) -> FunctionId {
+        let after = layout
+            .functions()
+            .partition_point(|f| f.first_block <= id.0);
+        FunctionId(after as u32 - 1)
+    }
+
     #[test]
     fn generation_is_deterministic() {
         let a = CodeLayout::generate(&WorkloadProfile::tiny(3));
         let b = CodeLayout::generate(&WorkloadProfile::tiny(3));
         assert_eq!(a.summary(), b.summary());
-        assert_eq!(a.blocks().len(), b.blocks().len());
-        for (x, y) in a.blocks().iter().zip(b.blocks().iter()) {
-            assert_eq!(x.block, y.block);
-            assert_eq!(x.flow, y.flow);
-        }
+        assert!(a.blocks().eq(b.blocks()));
     }
 
     #[test]
     fn different_seeds_differ() {
         let a = CodeLayout::generate(&WorkloadProfile::tiny(3));
         let b = CodeLayout::generate(&WorkloadProfile::tiny(4));
-        let differs = a.blocks().len() != b.blocks().len()
-            || a.blocks()
-                .iter()
-                .zip(b.blocks().iter())
-                .any(|(x, y)| x.flow != y.flow || x.block != y.block);
-        assert!(differs);
+        assert!(!a.blocks().eq(b.blocks()));
     }
 
     #[test]
@@ -1305,15 +1342,15 @@ mod tests {
             let term = b.terminator();
             assert_eq!(term.kind, b.flow.kind());
             assert_eq!(term.pc, b.branch_pc());
-            match &b.flow {
+            match b.flow {
                 ControlFlow::Conditional { taken, .. } => {
-                    assert_eq!(term.target, Some(layout.block(*taken).start()));
+                    assert_eq!(term.target, Some(layout.block(taken).start()));
                 }
                 ControlFlow::Jump { target } => {
-                    assert_eq!(term.target, Some(layout.block(*target).start()));
+                    assert_eq!(term.target, Some(layout.block(target).start()));
                 }
                 ControlFlow::Call { callee } => {
-                    let entry = layout.function(*callee).entry;
+                    let entry = layout.function(callee).entry;
                     assert_eq!(term.target, Some(layout.block(entry).start()));
                 }
                 ControlFlow::IndirectJump { targets } => {
@@ -1346,7 +1383,7 @@ mod tests {
                     );
                     let ft = layout.block(ft.unwrap());
                     assert_eq!(ft.start(), b.block.fall_through());
-                    assert_eq!(ft.function, b.function);
+                    assert_eq!(owner(&layout, ft.id), owner(&layout, b.id));
                 }
                 _ => {}
             }
@@ -1370,7 +1407,7 @@ mod tests {
     #[test]
     fn block_lookup_by_address() {
         let layout = tiny_layout();
-        for b in layout.blocks().iter().step_by(7) {
+        for b in layout.blocks().step_by(7) {
             assert_eq!(layout.block_at(b.start()), Some(b.id));
             assert_eq!(layout.block_containing(b.start()), Some(b.id));
             assert_eq!(layout.block_containing(b.branch_pc()), Some(b.id));
@@ -1388,7 +1425,7 @@ mod tests {
     #[test]
     fn next_branch_lookup_walks_forward() {
         let layout = tiny_layout();
-        let first = &layout.blocks()[0];
+        let first = layout.block(BlockId(0));
         assert_eq!(
             layout.next_branch_at_or_after(first.start()),
             Some(first.id)
@@ -1407,7 +1444,7 @@ mod tests {
         for b in layout.blocks() {
             let line = geom.line_of(b.branch_pc());
             assert!(
-                layout.branches_in_line(line).contains(&b.id),
+                layout.branches_in_line(line).contains(&b.id.0),
                 "branch of block {:?} missing from line index",
                 b.id
             );
@@ -1415,7 +1452,6 @@ mod tests {
         // Every indexed branch really lives in that line, in address order.
         let mut line_ids: Vec<_> = layout
             .blocks()
-            .iter()
             .map(|b| geom.line_of(b.branch_pc()))
             .collect();
         line_ids.sort_unstable();
@@ -1424,8 +1460,8 @@ mod tests {
             let ids = layout.branches_in_line(line);
             total += ids.len();
             let mut prev = None;
-            for &id in ids {
-                let pc = layout.block(id).branch_pc();
+            for id in ids {
+                let pc = layout.block(BlockId(id)).branch_pc();
                 assert_eq!(geom.line_of(pc), line);
                 if let Some(p) = prev {
                     assert!(pc > p, "line index must be sorted by branch pc");
@@ -1445,8 +1481,8 @@ mod tests {
         assert!(!layout.service_roots().is_empty());
         let ids: Vec<_> = dispatcher.block_ids().collect();
         let last = layout.block(*ids.last().unwrap());
-        match &last.flow {
-            ControlFlow::Jump { target } => assert_eq!(*target, dispatcher.entry),
+        match last.flow {
+            ControlFlow::Jump { target } => assert_eq!(target, dispatcher.entry),
             other => panic!("dispatcher must close with a jump, got {other:?}"),
         }
         let n_calls = ids
@@ -1463,7 +1499,7 @@ mod tests {
     fn calls_never_target_the_dispatcher() {
         let layout = tiny_layout();
         for b in layout.blocks() {
-            match &b.flow {
+            match b.flow {
                 ControlFlow::Call { callee } => assert_ne!(callee.0, 0),
                 ControlFlow::IndirectCall { callees } => {
                     assert!(callees.iter().all(|c| c.0 != 0))
@@ -1477,8 +1513,8 @@ mod tests {
     fn conditional_targets_stay_within_the_function() {
         let layout = tiny_layout();
         for b in layout.blocks() {
-            if let ControlFlow::Conditional { taken, .. } = &b.flow {
-                assert_eq!(layout.block(*taken).function, b.function);
+            if let ControlFlow::Conditional { taken, .. } = b.flow {
+                assert_eq!(owner(&layout, taken), owner(&layout, b.id));
             }
         }
     }

@@ -40,11 +40,11 @@ pub mod trace;
 
 pub use codec::{profile_fingerprint, ByteReader, CodecError};
 pub use layout::{
-    BlockId, BranchBehavior, CodeLayout, ControlFlow, Function, FunctionId, LayoutSummary,
+    BlockId, BranchBehavior, CodeLayout, ControlFlow, Function, FunctionId, Ids, LayoutSummary,
     StaticBlock, CODE_BASE,
 };
 pub use profile::{
     latency_class, BackendProfile, ConditionalBehaviorMix, ProfileError, TerminatorMix,
-    WorkloadKind, WorkloadProfile, LATENCY_SEED_SALT, MIN_FOOTPRINT_BYTES,
+    WorkloadKind, WorkloadProfile, LATENCY_SEED_SALT, MAX_FOOTPRINT_BYTES, MIN_FOOTPRINT_BYTES,
 };
 pub use trace::{BlockSource, Trace, TraceGenerator};

@@ -722,6 +722,15 @@ impl WorkloadProfile {
                 ),
             ));
         }
+        if self.footprint_bytes > MAX_FOOTPRINT_BYTES {
+            return Err(ProfileError::new(
+                "footprint_bytes",
+                format!(
+                    "must be at most {MAX_FOOTPRINT_BYTES} bytes (got {})",
+                    self.footprint_bytes
+                ),
+            ));
+        }
         if self.mean_block_instructions.is_nan() || self.mean_block_instructions < 2.0 {
             return Err(ProfileError::new(
                 "mean_block_instructions",
@@ -765,6 +774,10 @@ impl WorkloadProfile {
 /// Smallest footprint a profile may request (16 KB): below this the layered
 /// dispatcher/service/utility structure degenerates.
 pub const MIN_FOOTPRINT_BYTES: u64 = 16 * 1024;
+
+/// Largest footprint a profile may request (1 GiB, ~250x the largest paper
+/// workload): a layout addresses its text segment with 32 bits.
+pub const MAX_FOOTPRINT_BYTES: u64 = 1 << 30;
 
 #[cfg(test)]
 mod tests {
@@ -878,6 +891,11 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.field, "footprint_bytes");
         assert!(err.to_string().contains("got 0"), "{err}");
+        let err = WorkloadProfile::tiny(1)
+            .with_footprint_bytes(MAX_FOOTPRINT_BYTES + 1)
+            .validate()
+            .unwrap_err();
+        assert_eq!(err.field, "footprint_bytes");
 
         let err = WorkloadProfile::tiny(1)
             .with_service_roots(0)

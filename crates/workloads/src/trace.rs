@@ -101,7 +101,7 @@ impl<'a> TraceGenerator<'a> {
             rng: SimRng::seeded(seed),
             current: layout.entry_block(),
             call_stack: Vec::with_capacity(layout.profile().max_call_depth + 1),
-            branch_executions: vec![0; layout.blocks().len()].into_boxed_slice(),
+            branch_executions: vec![0; layout.num_blocks()].into_boxed_slice(),
             instructions: 0,
             blocks_emitted: 0,
             elided_calls: 0,
@@ -171,10 +171,11 @@ impl<'a> TraceGenerator<'a> {
     /// Executes the current block: returns its id and whether its
     /// terminator was taken, and moves to the successor.
     fn advance(&mut self) -> (BlockId, bool) {
-        let static_block = self.layout.block(self.current);
-        let id = static_block.id;
-        let flow = static_block.flow.clone();
-        let max_depth = self.layout.profile().max_call_depth;
+        let layout = self.layout;
+        let id = self.current;
+        let block = layout.basic_block(id);
+        let flow = layout.flow(id);
+        let max_depth = layout.profile().max_call_depth;
 
         self.blocks_in_request = self.blocks_in_request.saturating_add(1);
         self.blocks_in_activation = self.blocks_in_activation.saturating_add(1);
@@ -187,7 +188,7 @@ impl<'a> TraceGenerator<'a> {
                 // a return.
                 if is_taken
                     && (self.over_soft_budget() || self.blocks_in_activation > ACTIVATION_SOFT_CAP)
-                    && self.layout.block(taken).start() <= static_block.branch_pc()
+                    && layout.basic_block(taken).start <= block.last_instruction()
                 {
                     is_taken = false;
                     self.exhausted_loops += 1;
@@ -195,8 +196,7 @@ impl<'a> TraceGenerator<'a> {
                 if is_taken {
                     (true, taken)
                 } else {
-                    let ft = self
-                        .layout
+                    let ft = layout
                         .fall_through(id)
                         .expect("conditional blocks always have a fall-through");
                     (false, ft)
@@ -206,14 +206,14 @@ impl<'a> TraceGenerator<'a> {
                 self.consecutive_jumps += 1;
                 (true, self.jump_or_redirect(target))
             }
-            ControlFlow::IndirectJump { ref targets } => {
+            ControlFlow::IndirectJump { targets } => {
                 self.consecutive_jumps += 1;
-                let t = targets[self.rng.index(targets.len())];
+                let t = targets.get(self.rng.index(targets.len()));
                 (true, self.jump_or_redirect(t))
             }
             ControlFlow::Call { callee } => self.do_call(id, callee, max_depth),
-            ControlFlow::IndirectCall { ref callees } => {
-                let callee = callees[self.rng.index(callees.len())];
+            ControlFlow::IndirectCall { callees } => {
+                let callee = callees.get(self.rng.index(callees.len()));
                 self.do_call(id, callee, max_depth)
             }
             ControlFlow::Return => {
@@ -221,12 +221,12 @@ impl<'a> TraceGenerator<'a> {
                 let next = self
                     .call_stack
                     .pop()
-                    .unwrap_or_else(|| self.layout.entry_block());
+                    .unwrap_or_else(|| layout.entry_block());
                 (true, next)
             }
         };
         if !matches!(
-            self.layout.block(id).flow,
+            flow,
             ControlFlow::Jump { .. } | ControlFlow::IndirectJump { .. }
         ) {
             self.consecutive_jumps = 0;
@@ -238,15 +238,15 @@ impl<'a> TraceGenerator<'a> {
         let next = if self.blocks_in_request > REQUEST_HARD_BUDGET {
             self.forced_redirects += 1;
             self.call_stack.clear();
-            self.layout.entry_block()
+            layout.entry_block()
         } else {
             next
         };
-        if self.call_stack.is_empty() || next == self.layout.entry_block() {
+        if self.call_stack.is_empty() || next == layout.entry_block() {
             self.blocks_in_request = 0;
         }
 
-        self.instructions += static_block.block.instructions;
+        self.instructions += block.instructions;
         self.blocks_emitted += 1;
         self.current = next;
         (id, taken)
@@ -255,8 +255,8 @@ impl<'a> TraceGenerator<'a> {
     /// Executes the current block and returns its dynamic record.
     fn step(&mut self) -> DynamicBlock {
         let (id, taken) = self.advance();
-        let next_pc = self.layout.block(self.current).start();
-        expand(self.layout.block(id).block, taken, next_pc)
+        let next_pc = self.layout.basic_block(self.current).start;
+        expand(self.layout.basic_block(id), taken, next_pc)
     }
 
     /// Follows a jump target unless the generator has chained too many
@@ -363,7 +363,7 @@ impl TraceBuilder {
         let final_next_pc = if self.ids.is_empty() {
             Addr::new(0)
         } else {
-            gen.layout.block(gen.current).start()
+            gen.layout.basic_block(gen.current).start
         };
         Trace {
             layout: gen.layout.clone(),
@@ -434,10 +434,9 @@ impl Trace {
     /// Panics if `index >= self.len()`.
     #[inline]
     pub fn block(&self, index: usize) -> DynamicBlock {
-        let blocks = self.layout.blocks();
-        let block = blocks[self.ids[index].0 as usize].block;
+        let block = self.layout.basic_block(self.ids[index]);
         let next_pc = match self.ids.get(index + 1) {
-            Some(next) => blocks[next.0 as usize].block.start,
+            Some(&next) => self.layout.basic_block(next).start,
             None => self.final_next_pc,
         };
         // `index` is in range: the id lookup above checked it.
@@ -646,7 +645,7 @@ mod tests {
             let id = layout
                 .block_at(d.start())
                 .expect("dynamic block must exist statically");
-            assert_eq!(layout.block(id).block, d.block);
+            assert_eq!(layout.basic_block(id), d.block);
         }
     }
 
