@@ -96,10 +96,11 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// FNV-1a 64-bit digest: the one checksum of the campaign crate. Besides
-/// [`spec_hash`] and every row's `row_fnv`, it checks frame trailers
-/// ([`crate::proto`]) and artifact payloads ([`crate::artifact`]), and seeds
-/// the row samplers of `serve --verify-fraction` and [`crate::verify`].
+/// FNV-1a 64-bit digest, byte at a time. Besides [`spec_hash`] and every
+/// row's `row_fnv`, it checks frame trailers ([`crate::proto`]), derives
+/// artifact keys ([`crate::artifact::artifact_key`]), and seeds the row
+/// samplers of `serve --verify-fraction` and [`crate::verify`]. Artifact
+/// payloads use its word-wise form, [`crate::artifact::payload_fnv`].
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

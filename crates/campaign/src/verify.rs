@@ -909,21 +909,22 @@ warmup_blocks = 400
             .unwrap();
         let mut bytes = std::fs::read(&artifact).unwrap();
 
-        // The first block's flow tag follows the 32-byte header, the profile
-        // (197 fixed bytes plus its description), the line size, the
-        // function count and table (5 bytes a function), the block count
-        // and the block's size byte. The dispatcher's first block is a call.
+        // The first block's kind byte follows the 32-byte header, the
+        // profile (197 fixed bytes plus its description), the line size,
+        // the function-size and hot-flag columns, the block-size column and
+        // the kind column's length. The dispatcher's first block is a call.
+        let (functions, blocks) = (data.layout.functions().len(), data.layout.num_blocks());
         let at = 32
             + 197
             + profile.description.len()
             + 8
-            + 8
-            + 5 * data.layout.functions().len()
-            + 8
-            + 1;
-        assert_eq!(bytes[at], 3, "the call tag");
+            + (8 + 4 * functions)
+            + (8 + functions)
+            + (8 + blocks)
+            + 8;
+        assert_eq!(bytes[at], 3, "the call kind");
         bytes[at] = 0xee;
-        let fnv = fnv1a64(&bytes[32..]);
+        let fnv = crate::artifact::payload_fnv(&bytes[32..]);
         bytes[24..32].copy_from_slice(&fnv.to_le_bytes());
         std::fs::write(&artifact, bytes).unwrap();
 
@@ -938,11 +939,7 @@ warmup_blocks = 400
             .find(|c| c.name == "artifacts")
             .unwrap();
         assert_eq!(check.passed, Some(false), "{}", report.render());
-        assert!(
-            check.detail.contains("`block.flow.tag`"),
-            "{}",
-            check.detail
-        );
+        assert!(check.detail.contains("`block.kind`"), "{}", check.detail);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

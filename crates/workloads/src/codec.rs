@@ -3,33 +3,36 @@
 //! The campaign layer's content-addressed artifact cache stores generated
 //! [`CodeLayout`]s and [`Trace`]s on disk so that generation is paid once per
 //! (profile, run length) across campaigns and worker processes. This module
-//! is the codec for those artifacts: a compact little-endian byte format that
+//! is the codec for those artifacts: a little-endian byte format that
 //! round-trips a layout and its dynamic trace exactly.
 //!
-//! The encoding exploits the layout invariants that generation guarantees
-//! (and the layout tests assert):
+//! After the profile and the line size, the payload holds the layout's own
+//! tables as columns, each a `u64` element count followed by its elements
+//! (B blocks, F functions, C conditionals, P pool entries, R roots):
 //!
-//! * blocks are laid out contiguously from [`crate::CODE_BASE`], so block start
-//!   addresses are implied by the instruction counts;
-//! * every function's blocks form one contiguous id range and its entry is
-//!   its first block, so functions encode as `(num_blocks, is_hot)` pairs;
-//! * every terminator's kind and direct target are determined by the block's
-//!   [`ControlFlow`], so terminators are derived rather than stored;
-//! * a trace is a connected path (`next.start() == prev.next_start()`), so a
-//!   dynamic block encodes as a static block id plus one taken bit, with only
-//!   the final record's `next_pc` stored explicitly — the form a [`Trace`]
-//!   already holds in memory, so encoding copies it and decoding validates
-//!   it.
+//! | column | elements | what each element is |
+//! |---|---|---|
+//! | function sizes | F × `u32` | the function's block count |
+//! | hot flags | F × `u8` | 1 if the function is hot, else 0 |
+//! | block sizes | B × `u8` | instructions, branch included |
+//! | kinds | B × `u8` | index in [`BranchKind::ALL`], a conditional's behaviour tag `<< 3` |
+//! | flows | B × `u32` | taken block, jump target, callee, an indirect list's pool offset, or 0 |
+//! | behaviours | C × `u64` | each conditional's behaviour payload, in block order |
+//! | id pool | P × `u32` | the indirect lists in block order, each its length then its ids |
 //!
-//! Decoding writes each block straight into the layout's fixed-width tables
-//! (see [`CodeLayout`]); nothing is assembled twice. It *validates* every
-//! stored field: the profile, block sizes, flow tags, block and function
-//! ids, behaviours and trip counts, list lengths, function ranges, a
-//! fall-through successor for every conditional and call, and the trace's
-//! ids and instruction count. It *derives* only what those fields imply:
-//! block start addresses (a running sum of sizes), direct-target addresses
-//! (a gather over the starts), each block's last-in-function bit, and the
-//! branch-per-line index (one counting pass over branch addresses).
+//! then the dispatcher (`u32`), the service roots (a column of R × `u32`),
+//! and the trace: its block count, instruction count and final `next_pc`
+//! (`u64` each), its block ids (`u32` each) and its taken bits (one per
+//! block, packed eight to a byte) — the form a [`Trace`] holds in memory.
+//!
+//! Decoding reads each column with one bounds check, validates it in passes
+//! over its contiguous elements and builds the layout's tables (see
+//! [`CodeLayout`]) from it. It *validates* every stored field — the profile,
+//! lengths, sizes, kinds and tags, ids, behaviour payloads, the id lists and
+//! their order, a fall-through successor for every conditional and call,
+//! the trace's ids and instruction count — and *derives* the rest: function
+//! entries, block starts, direct-target addresses, last-in-function bits
+//! and the branch-per-line index.
 //!
 //! Decoding never panics on malformed input: every read is bounds-checked
 //! and every invariant is validated, reporting a [`CodecError`] that names
@@ -37,13 +40,12 @@
 //! [`ProfileError`](crate::profile::ProfileError). A structure-aware fuzzer
 //! in the tests holds it to that.
 
-use crate::layout::{
-    BlockId, BranchBehavior, CodeLayout, Columns, ControlFlow, Function, FunctionId, Ids,
-};
+use crate::layout::{BlockId, CodeLayout, Columns, Function, FunctionId, CODE_BASE};
 use crate::profile::{WorkloadKind, WorkloadProfile};
 use crate::trace::Trace;
-use sim_core::{Addr, LineGeometry, MAX_BASIC_BLOCK_INSTRUCTIONS};
+use sim_core::{Addr, BranchKind, LineGeometry, MAX_BASIC_BLOCK_INSTRUCTIONS};
 use std::fmt;
+use std::marker::PhantomData;
 
 /// A malformed-artifact error, naming the field that failed to decode.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -75,6 +77,9 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+/// A decoded value, or the error naming the field that failed.
+type Decoded<T> = Result<T, CodecError>;
+
 /// Bounds-checked little-endian reader over an artifact payload.
 #[derive(Clone, Debug)]
 pub struct ByteReader<'a> {
@@ -93,33 +98,34 @@ impl<'a> ByteReader<'a> {
         self.bytes.len() - self.pos
     }
 
-    fn take(&mut self, n: usize, field: &'static str) -> Result<&'a [u8], CodecError> {
-        if self.remaining() < n {
-            return Err(CodecError::new(
-                field,
-                format!("truncated: need {n} bytes, {} left", self.remaining()),
-            ));
-        }
+    fn take(&mut self, n: usize, field: &'static str) -> Decoded<&'a [u8]> {
+        let left = self.remaining();
+        ensure(left >= n, field, || {
+            format!("truncated: need {n} bytes, {left} left")
+        })?;
         let slice = &self.bytes[self.pos..self.pos + n];
         self.pos += n;
         Ok(slice)
     }
 
+    /// Reads one little-endian element.
+    fn get<T: Le>(&mut self, field: &'static str) -> Decoded<T> {
+        Ok(T::get(self.take(T::WIDTH, field)?))
+    }
+
     /// Reads one byte.
     pub fn u8(&mut self, field: &'static str) -> Result<u8, CodecError> {
-        Ok(self.take(1, field)?[0])
+        self.get(field)
     }
 
     /// Reads a little-endian `u32`.
     pub fn u32(&mut self, field: &'static str) -> Result<u32, CodecError> {
-        let b = self.take(4, field)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4-byte slice")))
+        self.get(field)
     }
 
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self, field: &'static str) -> Result<u64, CodecError> {
-        let b = self.take(8, field)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
+        self.get(field)
     }
 
     /// Reads an `f64` stored as its IEEE-754 bit pattern.
@@ -135,37 +141,110 @@ impl<'a> ByteReader<'a> {
             .map_err(|e| CodecError::new(field, format!("invalid UTF-8: {e}")))
     }
 
-    /// Reads a `u64` that must fit the given inclusive range.
-    fn u64_in(&mut self, field: &'static str, lo: u64, hi: u64) -> Result<u64, CodecError> {
-        let v = self.u64(field)?;
-        if v < lo || v > hi {
-            return Err(CodecError::new(
-                field,
-                format!("value {v} outside [{lo}, {hi}]"),
-            ));
-        }
-        Ok(v)
+    /// Reads a column: a `u64` element count of at most `max`, then the
+    /// elements.
+    fn column<T: Le>(&mut self, field: &'static str, max: u64) -> Decoded<Column<'a, T>> {
+        let n = self.u64(field)?;
+        ensure(n <= max, field, || format!("{n} entries, more than {max}"))?;
+        self.elements(field, n)
+    }
+
+    /// Reads a column whose element count must be `n`.
+    fn column_of<T: Le>(&mut self, field: &'static str, n: u32) -> Decoded<Column<'a, T>> {
+        let stored = self.u64(field)?;
+        ensure(stored == u64::from(n), field, || {
+            format!("{stored} entries stored, {n} expected")
+        })?;
+        self.elements(field, stored)
+    }
+
+    /// Takes `n` little-endian elements with one bounds check: a forged
+    /// count is a truncation error, never a reservation the process cannot
+    /// survive.
+    fn elements<T: Le>(&mut self, field: &'static str, n: u64) -> Decoded<Column<'a, T>> {
+        let len = usize::try_from(n).map_or(usize::MAX, |n| n.saturating_mul(T::WIDTH));
+        Ok(Column {
+            bytes: self.take(len, field)?,
+            element: PhantomData,
+        })
     }
 }
 
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
+/// `Ok(())` if `ok`; otherwise an error naming `field`, with the message
+/// `why` builds.
+fn ensure<M: Into<String>>(ok: bool, field: &'static str, why: impl FnOnce() -> M) -> Decoded<()> {
+    if ok {
+        Ok(())
+    } else {
+        Err(CodecError::new(field, why()))
+    }
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// A fixed-width little-endian element of the format.
+trait Le: Copy + Default + 'static {
+    const WIDTH: usize;
+    fn put(self, out: &mut Vec<u8>);
+    /// Reads the element from exactly [`WIDTH`](Self::WIDTH) bytes.
+    fn get(bytes: &[u8]) -> Self;
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+macro_rules! le {
+    ($($t:ty),*) => {$(
+        impl Le for $t {
+            const WIDTH: usize = std::mem::size_of::<$t>();
+            fn put(self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(bytes: &[u8]) -> Self {
+                <$t>::from_le_bytes(bytes.try_into().expect("one element's bytes"))
+            }
+        }
+    )*};
+}
+
+le!(u8, u32, u64);
+
+/// One column read by [`ByteReader::column`]: its elements' bytes.
+struct Column<'a, T> {
+    bytes: &'a [u8],
+    element: PhantomData<T>,
+}
+
+impl<'a, T: Le> Column<'a, T> {
+    fn len(&self) -> usize {
+        self.bytes.len() / T::WIDTH
+    }
+
+    /// Element `i`, or 0 past the end.
+    fn get(&self, i: usize) -> T {
+        self.bytes
+            .get(i * T::WIDTH..(i + 1) * T::WIDTH)
+            .map_or(T::default(), T::get)
+    }
+
+    /// The elements, decoded as they are iterated.
+    fn iter(&self) -> impl ExactSizeIterator<Item = T> + 'a {
+        self.bytes.chunks_exact(T::WIDTH).map(T::get)
+    }
+
+    fn to_vec(&self) -> Vec<T> {
+        self.iter().collect()
+    }
+}
+
+/// Writes a column: its element count `n`, then its `n` elements.
+fn put_column<T: Le>(out: &mut Vec<u8>, n: usize, values: impl Iterator<Item = T>) {
+    (n as u64).put(out);
+    out.reserve(n * T::WIDTH);
+    values.for_each(|v| v.put(out));
 }
 
 fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
+    v.to_bits().put(out);
 }
 
 fn put_string(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
+    (s.len() as u32).put(out);
     out.extend_from_slice(s.as_bytes());
 }
 
@@ -221,10 +300,10 @@ fn encode_profile(profile: &WorkloadProfile, out: &mut Vec<u8>) {
         .iter()
         .position(|&k| k == profile.kind)
         .expect("every workload kind is in WorkloadKind::ALL") as u8;
-    put_u8(out, kind_index);
+    kind_index.put(out);
     put_string(out, &profile.description);
-    put_u64(out, profile.seed);
-    put_u64(out, profile.footprint_bytes);
+    profile.seed.put(out);
+    profile.footprint_bytes.put(out);
     put_f64(out, profile.mean_block_instructions);
     put_f64(out, profile.mean_function_blocks);
     put_f64(out, profile.terminators.call);
@@ -239,14 +318,14 @@ fn encode_profile(profile: &WorkloadProfile, out: &mut Vec<u8>) {
     put_f64(out, profile.conditionals.mean_trip_count);
     put_f64(out, profile.cond_target_mean_lines);
     put_f64(out, profile.cond_backward_fraction);
-    put_u64(out, profile.max_call_depth as u64);
-    put_u64(out, profile.service_roots as u64);
+    (profile.max_call_depth as u64).put(out);
+    (profile.service_roots as u64).put(out);
     put_f64(out, profile.hot_callee_fraction);
     put_f64(out, profile.utility_fraction);
     put_f64(out, profile.backend.load_fraction);
     put_f64(out, profile.backend.l1d_miss_rate);
     put_f64(out, profile.backend.llc_miss_rate);
-    put_u64(out, profile.backend.base_latency);
+    profile.backend.base_latency.put(out);
 }
 
 fn decode_profile(r: &mut ByteReader<'_>) -> Result<WorkloadProfile, CodecError> {
@@ -290,350 +369,286 @@ fn decode_profile(r: &mut ByteReader<'_>) -> Result<WorkloadProfile, CodecError>
     Ok(profile)
 }
 
-const FLOW_CONDITIONAL: u8 = 0;
-const FLOW_JUMP: u8 = 1;
-const FLOW_INDIRECT_JUMP: u8 = 2;
-const FLOW_CALL: u8 = 3;
-const FLOW_INDIRECT_CALL: u8 = 4;
-const FLOW_RETURN: u8 = 5;
+/// A kind-plus-behaviour-tag byte: the kind's index in [`BranchKind::ALL`]
+/// in the low `KIND_BITS` bits, a conditional's behaviour tag above them.
+const KIND_BITS: u8 = 3;
+const KIND_MASK: u8 = (1 << KIND_BITS) - 1;
 
-const BEHAVIOR_BIASED: u8 = 0;
-const BEHAVIOR_LOOP: u8 = 1;
-const BEHAVIOR_PATTERN: u8 = 2;
-const BEHAVIOR_DATA_DEPENDENT: u8 = 3;
+/// The most ids one indirect branch's list may hold.
+const MAX_LIST: usize = 1024;
 
-fn encode_flow(flow: ControlFlow<'_>, out: &mut Vec<u8>) {
-    match flow {
-        ControlFlow::Conditional { taken, behavior } => {
-            put_u8(out, FLOW_CONDITIONAL);
-            put_u32(out, taken.0);
-            match behavior {
-                BranchBehavior::Biased { p_taken } => {
-                    put_u8(out, BEHAVIOR_BIASED);
-                    put_f64(out, p_taken);
-                }
-                BranchBehavior::Loop { trip_count } => {
-                    put_u8(out, BEHAVIOR_LOOP);
-                    put_u32(out, trip_count);
-                }
-                BranchBehavior::Pattern { period, bits } => {
-                    put_u8(out, BEHAVIOR_PATTERN);
-                    put_u8(out, period);
-                    put_u32(out, bits);
-                }
-                BranchBehavior::DataDependent { p_taken } => {
-                    put_u8(out, BEHAVIOR_DATA_DEPENDENT);
-                    put_f64(out, p_taken);
-                }
-            }
-        }
-        ControlFlow::Jump { target } => {
-            put_u8(out, FLOW_JUMP);
-            put_u32(out, target.0);
-        }
-        ControlFlow::IndirectJump { targets } => {
-            put_u8(out, FLOW_INDIRECT_JUMP);
-            put_u32(out, targets.len() as u32);
-            for t in targets.iter() {
-                put_u32(out, t.0);
-            }
-        }
-        ControlFlow::Call { callee } => {
-            put_u8(out, FLOW_CALL);
-            put_u32(out, callee.0);
-        }
-        ControlFlow::IndirectCall { callees } => {
-            put_u8(out, FLOW_INDIRECT_CALL);
-            put_u32(out, callees.len() as u32);
-            for c in callees.iter() {
-                put_u32(out, c.0);
-            }
-        }
-        ControlFlow::Return => put_u8(out, FLOW_RETURN),
-    }
-}
+/// The fields of an indirect jump's and an indirect call's id list: its
+/// length and its ids.
+const TARGETS: [&str; 2] = ["block.flow.targets.len", "block.flow.targets"];
+const CALLEES: [&str; 2] = ["block.flow.callees.len", "block.flow.callees"];
 
-/// Decodes one block's flow; an indirect branch's ids are read into `ids`,
-/// which the returned flow borrows.
-fn decode_flow<'s>(
-    r: &mut ByteReader<'_>,
-    ids: &'s mut Vec<u32>,
-    num_blocks: u32,
-    num_functions: u32,
-) -> Result<ControlFlow<'s>, CodecError> {
-    let block_id = |r: &mut ByteReader<'_>, field| -> Result<BlockId, CodecError> {
-        let id = r.u32(field)?;
-        if id >= num_blocks {
-            return Err(CodecError::new(
-                field,
-                format!("block id {id} out of range (have {num_blocks})"),
-            ));
-        }
-        Ok(BlockId(id))
-    };
-    let function_id = |r: &mut ByteReader<'_>, field| -> Result<FunctionId, CodecError> {
-        let id = r.u32(field)?;
-        if id >= num_functions {
-            return Err(CodecError::new(
-                field,
-                format!("function id {id} out of range (have {num_functions})"),
-            ));
-        }
-        Ok(FunctionId(id))
-    };
-    let tag = r.u8("block.flow.tag")?;
-    match tag {
-        FLOW_CONDITIONAL => {
-            let taken = block_id(r, "block.flow.taken")?;
-            let behavior = match r.u8("block.flow.behavior.tag")? {
-                BEHAVIOR_BIASED => BranchBehavior::Biased {
-                    p_taken: r.f64("block.flow.behavior.p_taken")?,
-                },
-                BEHAVIOR_LOOP => {
-                    let trip_count = r.u32("block.flow.behavior.trip_count")?;
-                    if trip_count < 2 {
-                        return Err(CodecError::new(
-                            "block.flow.behavior.trip_count",
-                            format!("loop trip count must be >= 2, got {trip_count}"),
-                        ));
-                    }
-                    BranchBehavior::Loop { trip_count }
-                }
-                BEHAVIOR_PATTERN => {
-                    let period = r.u8("block.flow.behavior.period")?;
-                    if period == 0 || period > 32 {
-                        return Err(CodecError::new(
-                            "block.flow.behavior.period",
-                            format!("pattern period must be in 1..=32, got {period}"),
-                        ));
-                    }
-                    BranchBehavior::Pattern {
-                        period,
-                        bits: r.u32("block.flow.behavior.bits")?,
-                    }
-                }
-                BEHAVIOR_DATA_DEPENDENT => BranchBehavior::DataDependent {
-                    p_taken: r.f64("block.flow.behavior.p_taken")?,
-                },
-                other => {
-                    return Err(CodecError::new(
-                        "block.flow.behavior.tag",
-                        format!("unknown behavior tag {other}"),
-                    ))
-                }
-            };
-            Ok(ControlFlow::Conditional { taken, behavior })
-        }
-        FLOW_JUMP => Ok(ControlFlow::Jump {
-            target: block_id(r, "block.flow.target")?,
-        }),
-        FLOW_INDIRECT_JUMP => {
-            let n = r.u32("block.flow.targets.len")?;
-            if n == 0 || n > 1024 {
-                return Err(CodecError::new(
-                    "block.flow.targets.len",
-                    format!("indirect jump target count {n} outside 1..=1024"),
-                ));
-            }
-            ids.clear();
-            for _ in 0..n {
-                ids.push(block_id(r, "block.flow.targets")?.0);
-            }
-            Ok(ControlFlow::IndirectJump {
-                targets: Ids::new(ids),
-            })
-        }
-        FLOW_CALL => Ok(ControlFlow::Call {
-            callee: function_id(r, "block.flow.callee")?,
-        }),
-        FLOW_INDIRECT_CALL => {
-            let n = r.u32("block.flow.callees.len")?;
-            if n == 0 || n > 1024 {
-                return Err(CodecError::new(
-                    "block.flow.callees.len",
-                    format!("indirect call callee count {n} outside 1..=1024"),
-                ));
-            }
-            ids.clear();
-            for _ in 0..n {
-                ids.push(function_id(r, "block.flow.callees")?.0);
-            }
-            Ok(ControlFlow::IndirectCall {
-                callees: Ids::new(ids),
-            })
-        }
-        FLOW_RETURN => Ok(ControlFlow::Return),
-        other => Err(CodecError::new(
-            "block.flow.tag",
-            format!("unknown control-flow tag {other}"),
-        )),
-    }
-}
-
-/// Serializes `layout` to `out`.
+/// Serializes `layout` to `out`: the profile, the line size, then the
+/// layout's columns (see the module docs).
 pub fn encode_layout(layout: &CodeLayout, out: &mut Vec<u8>) {
     encode_profile(layout.profile(), out);
-    put_u64(out, layout.geometry().line_bytes());
+    layout.geometry().line_bytes().put(out);
     let functions = layout.functions();
-    put_u64(out, functions.len() as u64);
-    for f in functions {
-        put_u32(out, f.num_blocks);
-        put_u8(out, u8::from(f.is_hot));
-    }
-    put_u64(out, layout.num_blocks() as u64);
-    for b in layout.blocks() {
-        put_u8(out, b.block.instructions as u8);
-        encode_flow(b.flow, out);
-    }
-    put_u32(out, layout.dispatcher().0);
+    let n = functions.len();
+    put_column(out, n, functions.iter().map(|f| f.num_blocks));
+    put_column(out, n, functions.iter().map(|f| u8::from(f.is_hot)));
+    let n = layout.num_blocks();
+    let records = (0..n as u32).map(|id| layout.stored_record(BlockId(id)));
+    put_column(out, n, records.clone().map(|(size, _, _)| size));
+    let kind_bytes = records.clone().map(|(_, kind, tag)| {
+        let index = BranchKind::ALL.iter().position(|&k| k == kind);
+        index.expect("every kind is in BranchKind::ALL") as u8 | tag << KIND_BITS
+    });
+    put_column(out, n, kind_bytes);
+    let (flow, behavior, pool) = layout.stored_columns();
+    put_column(out, n, flow.iter().copied());
+    let conditional = records
+        .zip(behavior)
+        .filter(|((_, k, _), _)| *k == BranchKind::Conditional);
+    let payloads = conditional.map(|(_, &p)| p);
+    put_column(out, payloads.clone().count(), payloads);
+    put_column(out, pool.len(), pool.iter().copied());
+    layout.dispatcher().0.put(out);
     let roots = layout.service_roots();
-    put_u32(out, roots.len() as u32);
-    for root in roots {
-        put_u32(out, root.0);
-    }
+    put_column(out, roots.len(), roots.iter().map(|r| r.0));
 }
 
-/// Deserializes a layout encoded by [`encode_layout`], validating each block
-/// straight into the layout's tables; block addresses, direct-target
-/// addresses and the branch-per-line index are derived, not stored.
+/// Deserializes a layout encoded by [`encode_layout`]: each column is read
+/// with one bounds check and validated in passes over its contiguous
+/// elements, then the layout's tables are built from it; block addresses,
+/// direct-target addresses, last-in-function bits and the branch-per-line
+/// index are derived, not stored.
 pub fn decode_layout(r: &mut ByteReader<'_>) -> Result<CodeLayout, CodecError> {
     let profile = decode_profile(r)?;
     if let Err(e) = profile.validate() {
         return Err(CodecError::new("profile", e.to_string()));
     }
     let line_bytes = r.u64("layout.line_bytes")?;
-    if !line_bytes.is_power_of_two() || !(16..=4096).contains(&line_bytes) {
-        return Err(CodecError::new(
-            "layout.line_bytes",
-            format!("cache-line size {line_bytes} is not a power of two in 16..=4096"),
-        ));
-    }
+    let line_ok = line_bytes.is_power_of_two() && (16..=4096).contains(&line_bytes);
+    ensure(line_ok, "layout.line_bytes", || {
+        format!("cache-line size {line_bytes} is not a power of two in 16..=4096")
+    })?;
     let geometry = LineGeometry::new(line_bytes);
 
-    let num_functions = r.u64_in("layout.functions.len", 1, u32::MAX as u64)? as u32;
-    // Reservations are bounded by the bytes present (5 per function, at
-    // least 2 per block, 4 per trace id): a forged length is a truncation
-    // error, not an allocation the process cannot survive.
-    let mut functions = Vec::with_capacity((num_functions as usize).min(r.remaining() / 5));
+    let sizes = r.column::<u32>("layout.functions.len", u64::from(u32::MAX))?;
+    let num_functions = sizes.len() as u32;
+    ensure(num_functions > 0, "layout.functions.len", || "no function")?;
+    let hot = r.column_of::<u8>("layout.hot_flags.len", num_functions)?;
+    let mut functions = Vec::with_capacity(num_functions as usize);
     let mut first_block = 0u32;
-    for id in 0..num_functions {
-        let num_blocks = r.u32("function.num_blocks")?;
-        if num_blocks == 0 {
-            return Err(CodecError::new(
-                "function.num_blocks",
-                format!("function {id} has zero blocks"),
-            ));
-        }
-        let is_hot = match r.u8("function.is_hot")? {
-            0 => false,
-            1 => true,
-            other => {
-                return Err(CodecError::new(
-                    "function.is_hot",
-                    format!("flag must be 0 or 1, got {other}"),
-                ))
-            }
-        };
+    for (id, (num_blocks, is_hot)) in (0..).zip(sizes.iter().zip(hot.iter())) {
+        let field = "function.num_blocks";
+        ensure(num_blocks > 0, field, || {
+            format!("function {id} has zero blocks")
+        })?;
+        ensure(is_hot <= 1, "function.is_hot", || {
+            format!("flag {is_hot} is not 0 or 1")
+        })?;
         functions.push(Function {
             id: FunctionId(id),
             entry: BlockId(first_block),
             first_block,
             num_blocks,
-            is_hot,
+            is_hot: is_hot == 1,
         });
-        first_block = first_block.checked_add(num_blocks).ok_or_else(|| {
-            CodecError::new("function.num_blocks", "total block count overflows u32")
-        })?;
+        let Some(end) = first_block.checked_add(num_blocks) else {
+            return Err(CodecError::new(field, "total block count overflows u32"));
+        };
+        first_block = end;
     }
-    let expected_blocks = first_block;
-
-    let num_blocks = r.u64_in("layout.blocks.len", 1, u32::MAX as u64)? as u32;
-    if num_blocks != expected_blocks {
-        return Err(CodecError::new(
-            "layout.blocks.len",
-            format!("{num_blocks} blocks stored but functions cover {expected_blocks}"),
-        ));
-    }
-    let mut columns = Columns::with_capacity((num_blocks as usize).min(r.remaining() / 2));
-    let mut ids = Vec::new();
-    // The function holding the current block: blocks arrive in layout order.
-    let mut owner = 0usize;
-    for idx in 0..num_blocks {
-        let instructions = u64::from(r.u8("block.instructions")?);
-        if !(1..=MAX_BASIC_BLOCK_INSTRUCTIONS).contains(&instructions) {
-            return Err(CodecError::new(
-                "block.instructions",
-                format!(
-                    "block size must be in 1..={MAX_BASIC_BLOCK_INSTRUCTIONS}, got {instructions}"
-                ),
-            ));
-        }
-        if columns.end().raw() > u64::from(u32::MAX) {
-            return Err(CodecError::new(
-                "block.instructions",
-                format!("block {idx} would start above the 4 GiB text-segment limit"),
-            ));
-        }
-        let flow = decode_flow(r, &mut ids, num_blocks, num_functions)?;
-        let func = &functions[owner];
-        let last = idx == func.first_block + func.num_blocks - 1;
-        // Conditional and call blocks need a fall-through successor inside
-        // the same function; the trace generator relies on it.
-        if last
-            && matches!(
-                flow,
-                ControlFlow::Conditional { .. }
-                    | ControlFlow::Call { .. }
-                    | ControlFlow::IndirectCall { .. }
-            )
-        {
-            return Err(CodecError::new(
-                "block.flow",
-                format!(
-                    "block {idx} of kind {} is the last block of its function \
-                     but needs a fall-through successor",
-                    flow.kind()
-                ),
-            ));
-        }
-        columns.push_record(instructions, flow.kind(), last);
-        columns.push_flow(flow);
-        owner += usize::from(last);
-    }
-
+    let num_blocks = first_block;
+    let sizes = r.column_of::<u8>("layout.blocks.len", num_blocks)?.bytes;
+    let kinds = r.column_of::<u8>("layout.kinds.len", num_blocks)?.bytes;
+    let flow = r.column_of::<u32>("layout.flows.len", num_blocks)?.to_vec();
+    let payloads = r.column::<u64>("layout.behaviors.len", u64::from(num_blocks))?;
+    let pool = r
+        .column::<u32>("layout.pool.len", u32::MAX.into())?
+        .to_vec();
     let dispatcher = r.u32("layout.dispatcher")?;
-    if dispatcher >= num_functions {
-        return Err(CodecError::new(
-            "layout.dispatcher",
-            format!("function id {dispatcher} out of range (have {num_functions})"),
-        ));
-    }
-    let num_roots = r.u32("layout.service_roots.len")?;
-    if num_roots == 0 || num_roots > num_functions {
-        return Err(CodecError::new(
-            "layout.service_roots.len",
-            format!("service-root count {num_roots} outside 1..={num_functions}"),
-        ));
-    }
-    let mut service_roots = Vec::with_capacity(num_roots as usize);
-    for _ in 0..num_roots {
-        let root = r.u32("layout.service_roots")?;
-        if root >= num_functions {
-            return Err(CodecError::new(
-                "layout.service_roots",
-                format!("function id {root} out of range (have {num_functions})"),
-            ));
-        }
+    ensure(dispatcher < num_functions, "layout.dispatcher", || {
+        format!("function id {dispatcher} out of range (have {num_functions})")
+    })?;
+    let roots = r.column::<u32>("layout.service_roots.len", u64::from(num_functions))?;
+    ensure(roots.len() > 0, "layout.service_roots.len", || "no root")?;
+    let mut service_roots = Vec::with_capacity(roots.len());
+    for root in roots.iter() {
+        ensure(root < num_functions, "layout.service_roots", || {
+            format!("function id {root} out of range (have {num_functions})")
+        })?;
         service_roots.push(FunctionId(root));
     }
 
-    Ok(columns.finish(
-        profile,
-        geometry,
-        functions,
-        service_roots,
-        FunctionId(dispatcher),
-    ))
+    // Each check is one pass over contiguous columns that branches only on
+    // a failure, which it then names at its first offending block.
+    let kind = |idx: usize| kind_of(kinds[idx]);
+    let max = MAX_BASIC_BLOCK_INSTRUCTIONS;
+    if let Some(idx) = first_failing(sizes.iter(), |&s| (1..=max).contains(&u64::from(s))) {
+        let why = format!("block {idx}: size {} outside 1..={max}", sizes[idx]);
+        return Err(CodecError::new("block.instructions", why));
+    }
+    let text: u64 = sizes.iter().map(|&s| u64::from(s)).sum();
+    let last = sizes.last().map_or(0, |&s| u64::from(s));
+    ensure(
+        CODE_BASE.add_instructions(text - last).raw() <= u64::from(u32::MAX),
+        "block.instructions",
+        || "the last block would start above the 4 GiB text-segment limit",
+    )?;
+    // A kind's index with no tag, or a conditional (index 0) with a tag.
+    let kind_ok = |&b: &u8| {
+        usize::from(b) < BranchKind::ALL.len() || (b & KIND_MASK == 0 && b >> KIND_BITS <= 3)
+    };
+    if let Some(idx) = first_failing(kinds.iter(), kind_ok) {
+        let why = format!(
+            "block {idx}: {:#04x} is no branch kind and behaviour tag",
+            kinds[idx]
+        );
+        return Err(CodecError::new("block.kind", why));
+    }
+    // Conditional and call blocks need a fall-through successor inside the
+    // same function; the trace generator relies on it.
+    for f in &functions {
+        let idx = (f.first_block + f.num_blocks - 1) as usize;
+        let k = kind(idx);
+        let falls_through = matches!(
+            k,
+            BranchKind::Conditional | BranchKind::Call | BranchKind::IndirectCall
+        );
+        ensure(!falls_through, "block.flow", || {
+            format!("block {idx} of kind {k} ends its function but needs a fall-through successor")
+        })?;
+    }
+    // Each kind's id bound, in `BranchKind::ALL` order: a return's entry is
+    // 0, and indirect lists are checked below.
+    let (b, f) = (u64::from(num_blocks), u64::from(num_functions));
+    let bounds = [b, b, u64::MAX, f, u64::MAX, 1];
+    let bound = |k: u8| bounds[usize::from(k & KIND_MASK)];
+    if let Some(idx) = first_failing(flow.iter().zip(kinds), |(&t, &k)| u64::from(t) < bound(k)) {
+        let field = match kind(idx) {
+            BranchKind::Conditional => "block.flow.taken",
+            BranchKind::DirectJump => "block.flow.target",
+            BranchKind::Call => "block.flow.callee",
+            _ => "block.flow.return",
+        };
+        let (id, bound) = (flow[idx], bound(kinds[idx]));
+        let why = format!("block {idx}: id {id} out of range (have {bound})");
+        return Err(CodecError::new(field, why));
+    }
+    // The pool holds the indirect blocks' lists in block order.
+    let indirect = |b| {
+        matches!(
+            kind_of(b),
+            BranchKind::IndirectJump | BranchKind::IndirectCall
+        )
+    };
+    let mut next_list = 0usize;
+    for (idx, &b) in kinds.iter().enumerate().filter(|&(_, &b)| indirect(b)) {
+        let target = flow[idx];
+        ensure(target as usize == next_list, "block.flow.list", || {
+            format!("block {idx}: list at pool offset {target}, expected {next_list}")
+        })?;
+        next_list = if kind_of(b) == BranchKind::IndirectJump {
+            check_list(&pool, next_list, num_blocks, TARGETS)?
+        } else {
+            check_list(&pool, next_list, num_functions, CALLEES)?
+        };
+    }
+    let left = pool.len() - next_list;
+    ensure(left == 0, "layout.pool.len", || {
+        format!("{left} unused entries")
+    })?;
+    // Each conditional's payload goes to its block's slot, 0 to the others'.
+    let (mut next, mut all_ok) = (0usize, true);
+    let behavior: Vec<u64> = kinds
+        .iter()
+        .map(|&b| {
+            let conditional = b & KIND_MASK == 0;
+            let payload = payloads.get(next) & u64::from(conditional).wrapping_neg();
+            next += usize::from(conditional);
+            all_ok &= behavior_ok(b, payload);
+            payload
+        })
+        .collect();
+    ensure(next == payloads.len(), "layout.behaviors.len", || {
+        format!("{} payloads stored for {next} conditionals", payloads.len())
+    })?;
+    if !all_ok {
+        let idx = (0..kinds.len()).position(|i| !behavior_ok(kinds[i], behavior[i]));
+        let idx = idx.unwrap_or_default();
+        let (field, shift, lo, hi) = BEHAVIOR_RANGES[usize::from(kinds[idx] >> KIND_BITS) & 3];
+        let why = format!(
+            "block {idx}: {} outside {lo}..={hi}",
+            behavior[idx] >> shift
+        );
+        return Err(CodecError::new(field, why));
+    }
+
+    let blocks = sizes.iter().zip(kinds);
+    let blocks = blocks.map(|(&size, &b)| (size, kind_of(b), b >> KIND_BITS));
+    let columns = Columns::from_stored(&functions, blocks, flow, behavior, pool);
+    let dispatcher = FunctionId(dispatcher);
+    Ok(columns.finish(profile, geometry, functions, service_roots, dispatcher))
+}
+
+/// The kind a validated kind-plus-behaviour-tag byte holds.
+fn kind_of(byte: u8) -> BranchKind {
+    BranchKind::ALL[usize::from(byte & KIND_MASK)]
+}
+
+/// The index of the first item that fails `ok`: one pass over every item
+/// without an early exit (and so without a branch per item), then a second
+/// pass that stops at the failure, only when there is one.
+fn first_failing<I: Iterator + Clone>(items: I, ok: impl Fn(I::Item) -> bool) -> Option<usize> {
+    if items.clone().fold(true, |all, item| all & ok(item)) {
+        None
+    } else {
+        items.into_iter().position(|item| !ok(item))
+    }
+}
+
+/// Each behaviour tag's payload check (see
+/// [`BranchBehavior`](crate::BranchBehavior)), as the field it names and the
+/// `(shift, lo, hi)` that `payload >> shift` must lie within: any `p_taken`
+/// bit pattern (tags 0 and 3), a loop's trip count in 2..=u32::MAX (1), a
+/// pattern's period in 1..=32 (2).
+const BEHAVIOR_RANGES: [(&str, u32, u64, u64); 4] = [
+    ("block.flow.behavior.p_taken", 0, 0, u64::MAX),
+    ("block.flow.behavior.trip_count", 0, 2, u32::MAX as u64),
+    ("block.flow.behavior.period", 32, 1, 32),
+    ("block.flow.behavior.p_taken", 0, 0, u64::MAX),
+];
+
+/// Whether `payload` lies in the range of the behaviour tag in the
+/// validated kind byte `b` (0 for a block that is no conditional).
+fn behavior_ok(b: u8, payload: u64) -> bool {
+    let (_, shift, lo, hi) = BEHAVIOR_RANGES[usize::from(b >> KIND_BITS) & 3];
+    (payload >> shift).wrapping_sub(lo) <= hi - lo
+}
+
+/// Validates the id list that starts at `at` in `pool`, its length then its
+/// ids (each below `bound`), and returns where the next list starts.
+/// `fields` names the length and the ids.
+fn check_list(
+    pool: &[u32],
+    at: usize,
+    bound: u32,
+    [len_field, field]: [&'static str; 2],
+) -> Decoded<usize> {
+    let list = pool.get(at..).unwrap_or_default();
+    let n = list.first().map_or(0, |&n| n as usize);
+    ensure((1..=MAX_LIST).contains(&n), len_field, || {
+        format!("list of {n} ids at pool offset {at}, outside 1..={MAX_LIST}")
+    })?;
+    let ids = list.get(1..=n).unwrap_or_default();
+    let end = at + 1 + n;
+    ensure(ids.len() == n, "layout.pool.len", || {
+        "a list runs past the pool"
+    })?;
+    match ids.iter().find(|&&id| id >= bound) {
+        Some(id) => Err(CodecError::new(
+            field,
+            format!("id {id} out of range (have {bound})"),
+        )),
+        None => Ok(end),
+    }
 }
 
 /// Serializes `trace` (generated over `layout`) to `out`: its stored ids,
@@ -646,19 +661,14 @@ pub fn encode_trace(
     trace: &Trace,
     out: &mut Vec<u8>,
 ) -> Result<(), CodecError> {
-    if !trace.layout().shares_tables(layout) {
-        return Err(CodecError::new(
-            "trace.layout",
-            "the trace walks a different layout than the one encoded",
-        ));
-    }
-    put_u64(out, trace.len() as u64);
-    put_u64(out, trace.instructions());
-    put_u64(out, trace.final_next_pc().raw());
+    ensure(trace.layout().shares_tables(layout), "trace.layout", || {
+        "the trace walks a different layout than the one encoded"
+    })?;
+    (trace.len() as u64).put(out);
+    trace.instructions().put(out);
+    trace.final_next_pc().raw().put(out);
     out.reserve(4 * trace.len() + trace.taken_bits().len());
-    for id in trace.ids() {
-        put_u32(out, id.0);
-    }
+    trace.ids().iter().for_each(|id| id.0.put(out));
     out.extend_from_slice(trace.taken_bits());
     Ok(())
 }
@@ -667,33 +677,31 @@ pub fn encode_trace(
 /// every id is checked against the layout and the stored instruction count
 /// against the ids, without expanding a single dynamic record.
 pub fn decode_trace(layout: &CodeLayout, r: &mut ByteReader<'_>) -> Result<Trace, CodecError> {
-    let num_blocks = r.u64_in("trace.blocks.len", 0, 1 << 32)? as usize;
+    let num_blocks = r.u64("trace.blocks.len")?;
+    ensure(num_blocks <= 1 << 32, "trace.blocks.len", || {
+        "more than 2^32 blocks"
+    })?;
     let instructions = r.u64("trace.instructions")?;
     let final_next_pc = Addr::new(r.u64("trace.final_next_pc")?);
     let layout_blocks = layout.num_blocks() as u32;
-    let mut ids = Vec::with_capacity(num_blocks.min(r.remaining() / 4));
+    let stored = r.elements::<u32>("trace.block_id", num_blocks)?;
+    let mut ids = Vec::with_capacity(stored.len());
     let mut summed = 0u64;
-    for _ in 0..num_blocks {
-        let id = r.u32("trace.block_id")?;
-        if id >= layout_blocks {
-            return Err(CodecError::new(
-                "trace.block_id",
-                format!("block id {id} out of range (have {layout_blocks})"),
-            ));
-        }
+    for id in stored.iter() {
+        ensure(id < layout_blocks, "trace.block_id", || {
+            format!("block id {id} out of range (have {layout_blocks})")
+        })?;
         summed += layout.basic_block(BlockId(id)).instructions;
         ids.push(BlockId(id));
     }
-    let bits = r.take(num_blocks.div_ceil(8), "trace.taken_bits")?;
-    if summed != instructions {
-        return Err(CodecError::new(
-            "trace.instructions",
-            format!("stored instruction count {instructions} disagrees with blocks ({summed})"),
-        ));
-    }
+    let bits = r.take(ids.len().div_ceil(8), "trace.taken_bits")?;
+    ensure(summed == instructions, "trace.instructions", || {
+        format!("stored instruction count {instructions} disagrees with blocks ({summed})")
+    })?;
+    let ids = ids.into_boxed_slice();
     Ok(Trace::from_stored(
         layout,
-        ids.into_boxed_slice(),
+        ids,
         bits.into(),
         final_next_pc,
         instructions,
@@ -715,12 +723,10 @@ pub fn decode_workload(bytes: &[u8]) -> Result<(CodeLayout, Trace), CodecError> 
     let mut r = ByteReader::new(bytes);
     let layout = decode_layout(&mut r)?;
     let trace = decode_trace(&layout, &mut r)?;
-    if r.remaining() != 0 {
-        return Err(CodecError::new(
-            "payload",
-            format!("{} trailing bytes after the trace", r.remaining()),
-        ));
-    }
+    let left = r.remaining();
+    ensure(left == 0, "payload", || {
+        format!("{left} trailing bytes after the trace")
+    })?;
     Ok((layout, trace))
 }
 
@@ -732,20 +738,19 @@ mod tests {
     use super::*;
     use crate::profile::WorkloadProfile;
 
-    fn roundtrip(profile: &WorkloadProfile, trace_blocks: usize) -> (CodeLayout, Trace) {
-        let layout = CodeLayout::generate(profile);
-        let trace = Trace::generate_blocks(&layout, trace_blocks);
+    /// The `tiny(seed)` workload with a `blocks`-block trace, and its bytes.
+    fn encoded(seed: u64, blocks: usize) -> (CodeLayout, Trace, Vec<u8>) {
+        let layout = CodeLayout::generate(&WorkloadProfile::tiny(seed));
+        let trace = Trace::generate_blocks(&layout, blocks);
         let mut bytes = Vec::new();
         encode_workload(&layout, &trace, &mut bytes).expect("encode");
-        decode_workload(&bytes).expect("decode")
+        (layout, trace, bytes)
     }
 
     #[test]
     fn workload_roundtrips_exactly() {
-        let profile = WorkloadProfile::tiny(42);
-        let layout = CodeLayout::generate(&profile);
-        let trace = Trace::generate_blocks(&layout, 5_000);
-        let (layout2, trace2) = roundtrip(&profile, 5_000);
+        let (layout, trace, bytes) = encoded(42, 5_000);
+        let (layout2, trace2) = decode_workload(&bytes).expect("decode");
 
         assert_eq!(layout.profile(), layout2.profile());
         assert_eq!(layout.geometry(), layout2.geometry());
@@ -759,9 +764,8 @@ mod tests {
 
     #[test]
     fn line_index_is_rebuilt_identically() {
-        let profile = WorkloadProfile::tiny(7);
-        let (layout2, _) = roundtrip(&profile, 1_000);
-        let layout = CodeLayout::generate(&profile);
+        let (layout, _, bytes) = encoded(7, 1_000);
+        let (layout2, _) = decode_workload(&bytes).expect("decode");
         let geom = layout.geometry();
         for b in layout.blocks() {
             let line = geom.line_of(b.branch_pc());
@@ -780,11 +784,7 @@ mod tests {
 
     #[test]
     fn truncated_payload_is_rejected_with_the_field_name() {
-        let profile = WorkloadProfile::tiny(3);
-        let layout = CodeLayout::generate(&profile);
-        let trace = Trace::generate_blocks(&layout, 500);
-        let mut bytes = Vec::new();
-        encode_workload(&layout, &trace, &mut bytes).expect("encode");
+        let (_, _, bytes) = encoded(3, 500);
         for cut in [0, 1, 8, bytes.len() / 2, bytes.len() - 1] {
             let err = decode_workload(&bytes[..cut]).expect_err("truncation must fail");
             assert!(!err.field.is_empty());
@@ -794,11 +794,7 @@ mod tests {
 
     #[test]
     fn corrupt_flow_tag_is_rejected_not_panicking() {
-        let profile = WorkloadProfile::tiny(5);
-        let layout = CodeLayout::generate(&profile);
-        let trace = Trace::generate_blocks(&layout, 500);
-        let mut bytes = Vec::new();
-        encode_workload(&layout, &trace, &mut bytes).expect("encode");
+        let (_, _, bytes) = encoded(5, 500);
         // Flip bytes across the payload; every outcome must be a clean error
         // or an exact roundtrip (a flip in trace padding bits can be silent).
         for pos in (0..bytes.len()).step_by(97) {
@@ -808,33 +804,42 @@ mod tests {
         }
     }
 
-    /// A forged length field is a truncation error, never a reservation
-    /// sized by the field: a `u32::MAX`-element `Vec` would abort the
-    /// process on allocation failure instead of returning an error.
+    /// A forged length field is an error, never a reservation sized by the
+    /// field: a `u32::MAX`-element `Vec` would abort the process on
+    /// allocation failure instead of returning an error.
     #[test]
     fn forged_lengths_are_rejected_without_reserving_them() {
-        let profile = WorkloadProfile::tiny(11);
-        let layout = CodeLayout::generate(&profile);
-        let trace = Trace::generate_blocks(&layout, 300);
-        let mut bytes = Vec::new();
-        encode_workload(&layout, &trace, &mut bytes).expect("encode");
-        let mut header = Vec::new();
-        encode_profile(&profile, &mut header);
-        let functions_len = header.len() + 8;
+        let (layout, _, bytes) = encoded(11, 300);
         let forge = |at: usize, value: &[u8]| {
             let mut copy = bytes[..at + value.len()].to_vec();
             copy[at..].copy_from_slice(value);
             decode_workload(&copy).expect_err("a forged length must fail")
         };
-        let err = forge(functions_len, &u64::from(u32::MAX).to_le_bytes());
-        assert_eq!(err.field, "function.num_blocks");
-        // One function covering u32::MAX blocks, and a matching block count.
-        let mut one = 1u64.to_le_bytes().to_vec();
-        one.extend_from_slice(&u32::MAX.to_le_bytes());
-        one.push(0);
-        one.extend_from_slice(&u64::from(u32::MAX).to_le_bytes());
-        let err = forge(functions_len, &one);
-        assert_eq!(err.field, "block.instructions");
+        // Every column length, at its offset after the profile and line size.
+        let mut at = {
+            let mut header = Vec::new();
+            encode_profile(layout.profile(), &mut header);
+            header.len() + 8
+        };
+        let none = CodecError::new("layout.functions.len", "no function");
+        assert_eq!(forge(at, &[0; 8]), none);
+        let (f, b) = (layout.functions().len(), layout.num_blocks());
+        let c = layout.summary().conditional_branches;
+        let pool = layout.stored_columns().2.len();
+        for (field, n, width) in [
+            ("layout.functions.len", f, 4),
+            ("layout.hot_flags.len", f, 1),
+            ("layout.blocks.len", b, 1),
+            ("layout.kinds.len", b, 1),
+            ("layout.flows.len", b, 4),
+            ("layout.behaviors.len", c, 8),
+            ("layout.pool.len", pool, 4),
+        ] {
+            for forged in [u64::from(u32::MAX), 1 << 32] {
+                assert_eq!(forge(at, &forged.to_le_bytes()).field, field);
+            }
+            at += 8 + n * width;
+        }
         let mut laid_out = Vec::new();
         encode_layout(&layout, &mut laid_out);
         let err = forge(laid_out.len(), &(1u64 << 32).to_le_bytes());
@@ -843,11 +848,7 @@ mod tests {
 
     #[test]
     fn trailing_garbage_is_rejected() {
-        let profile = WorkloadProfile::tiny(9);
-        let layout = CodeLayout::generate(&profile);
-        let trace = Trace::generate_blocks(&layout, 200);
-        let mut bytes = Vec::new();
-        encode_workload(&layout, &trace, &mut bytes).expect("encode");
+        let (_, _, mut bytes) = encoded(9, 200);
         bytes.push(0);
         let err = decode_workload(&bytes).expect_err("trailing bytes must fail");
         assert_eq!(err.field, "payload");
@@ -865,13 +866,10 @@ mod tests {
     /// without a format bump.
     #[test]
     fn encoded_workload_bytes_are_pinned() {
-        let layout = CodeLayout::generate(&WorkloadProfile::tiny(42));
-        let trace = Trace::generate_blocks(&layout, 5_000);
-        let mut bytes = Vec::new();
-        encode_workload(&layout, &trace, &mut bytes).expect("encode");
+        let (_, _, bytes) = encoded(42, 5_000);
         assert_eq!(
             (bytes.len(), format!("{:016x}", fnv1a64(&bytes))),
-            (44_664, "94bfbdef39a44267".to_string())
+            (45_355, "b7453b5e7985b6c5".to_string())
         );
     }
 

@@ -1,15 +1,15 @@
 //! A deterministic, structure-aware fuzzer for [`decode_workload`].
 //!
 //! One SplitMix64 stream mutates the encoded artifacts of several tiny
-//! profiles: bit flips, truncations, forged lengths, ids, flow tags and
-//! loop trip counts written at the offsets where the encoding puts those
-//! fields, and function boundaries moved by one block. Every mutant must decode to a field-named error or to a workload
-//! that re-encodes to the mutant's own bytes and that the trace generator
-//! can walk; a panic fails the test with the mutant that caused it.
+//! profiles: bit flips, truncations, forged column and list lengths, ids,
+//! kind bytes and loop payloads written at the offsets where the columns
+//! put those fields, and function boundaries moved by one block. Every
+//! mutant must decode to a field-named error or to a workload that
+//! re-encodes to the mutant's own bytes and that the trace generator can
+//! walk; a panic fails the test with the mutant that caused it.
 
 use super::*;
-use crate::layout::ControlFlow;
-use sim_core::BranchKind;
+use crate::layout::{BranchBehavior, ControlFlow};
 use std::collections::BTreeMap;
 
 /// SplitMix64, the fuzzer's only source of choices.
@@ -37,59 +37,67 @@ impl SplitMix {
 /// Where one artifact's encoding puts the fields a forged value targets.
 #[derive(Default)]
 struct FieldMap {
-    /// Length and count fields, as (offset, width in bytes).
+    /// Column lengths, id-list lengths and trace counts, as (offset, width
+    /// in bytes).
     lengths: Vec<(usize, usize)>,
-    /// Block and function ids (4 bytes each).
+    /// Flow-column entries (ids and pool offsets), pooled ids, the
+    /// dispatcher, the service roots and the trace's ids (4 bytes each).
     ids: Vec<usize>,
-    /// Flow tags (1 byte each).
-    flow_tags: Vec<usize>,
-    /// Loop trip counts (4 bytes each).
+    /// Kind-plus-behaviour-tag bytes, in block order.
+    kinds: Vec<usize>,
+    /// Loop behaviour payloads (8 bytes each).
     trip_counts: Vec<usize>,
     /// Each function's block count (4 bytes each), in function order.
     function_sizes: Vec<usize>,
 }
 
 impl FieldMap {
-    /// Walks the encoding of `layout` and `trace` field by field.
+    /// Walks the encoding of `layout` and `trace` column by column.
     fn of(layout: &CodeLayout, trace: &Trace) -> Self {
         let mut map = FieldMap::default();
         let mut profile = Vec::new();
         encode_profile(layout.profile(), &mut profile);
-        // The profile, then the line size.
+        let (flow, _, pool) = layout.stored_columns();
+        let (functions, blocks) = (layout.functions().len(), layout.num_blocks());
+        // The profile, then the line size, then the columns.
         let mut at = profile.len() + 8;
-        map.lengths.push((at, 8));
-        at += 8;
-        for _ in layout.functions() {
-            map.lengths.push((at, 4));
-            map.function_sizes.push(at);
-            at += 5;
-        }
-        map.lengths.push((at, 8));
-        at += 8;
-        for b in layout.blocks() {
-            // The size byte, then the flow: its tag and operands.
-            map.flow_tags.push(at + 1);
-            let operands = at + 2;
-            match b.flow {
-                ControlFlow::Conditional { behavior, .. } => {
-                    map.ids.push(operands);
-                    if let BranchBehavior::Loop { .. } = behavior {
-                        // After the taken id and the behaviour tag.
-                        map.trip_counts.push(operands + 5);
-                    }
-                }
-                ControlFlow::Jump { .. } | ControlFlow::Call { .. } => map.ids.push(operands),
-                ControlFlow::IndirectJump { targets } => map.list(operands, targets.len()),
-                ControlFlow::IndirectCall { callees } => map.list(operands, callees.len()),
-                ControlFlow::Return => {}
+        let sizes = map.column(&mut at, functions, 4);
+        map.function_sizes = (0..functions).map(|i| sizes + 4 * i).collect();
+        map.lengths
+            .extend(map.function_sizes.iter().map(|&at| (at, 4)));
+        map.column(&mut at, functions, 1);
+        map.column(&mut at, blocks, 1);
+        let kinds = map.column(&mut at, blocks, 1);
+        map.kinds = (0..blocks).map(|i| kinds + i).collect();
+        let flows = map.column(&mut at, blocks, 4);
+        map.ids.extend((0..blocks).map(|i| flows + 4 * i));
+        let conditionals: Vec<_> = layout
+            .blocks()
+            .filter_map(|b| match b.flow {
+                ControlFlow::Conditional { behavior, .. } => Some(behavior),
+                _ => None,
+            })
+            .collect();
+        let payloads = map.column(&mut at, conditionals.len(), 8);
+        for (c, behavior) in conditionals.iter().enumerate() {
+            if let BranchBehavior::Loop { .. } = behavior {
+                map.trip_counts.push(payloads + 8 * c);
             }
-            let mut flow = Vec::new();
-            encode_flow(b.flow, &mut flow);
-            at += 1 + flow.len();
+        }
+        let pooled = map.column(&mut at, pool.len(), 4);
+        for b in layout.blocks() {
+            if let ControlFlow::IndirectJump { .. } | ControlFlow::IndirectCall { .. } = b.flow {
+                let list = pooled + 4 * flow[b.id.0 as usize] as usize;
+                map.lengths.push((list, 4));
+                let n = pool[flow[b.id.0 as usize] as usize] as usize;
+                map.ids.extend((0..n).map(|i| list + 4 + 4 * i));
+            }
         }
         map.ids.push(at);
-        map.list(at + 4, layout.service_roots().len());
-        at += 8 + 4 * layout.service_roots().len();
+        at += 4;
+        let roots = map.column(&mut at, layout.service_roots().len(), 4);
+        map.ids
+            .extend((0..layout.service_roots().len()).map(|i| roots + 4 * i));
         // The trace: its block count, instruction count, final pc, ids.
         map.lengths.push((at, 8));
         map.lengths.push((at + 8, 8));
@@ -98,10 +106,12 @@ impl FieldMap {
         map
     }
 
-    /// A `u32` count at `at` followed by that many `u32` ids.
-    fn list(&mut self, at: usize, n: usize) {
-        self.lengths.push((at, 4));
-        self.ids.extend((0..n).map(|i| at + 4 + 4 * i));
+    /// A column at `*at`: its 8-byte length, then `n` elements of `width`
+    /// bytes. Returns where the elements start and moves `at` past them.
+    fn column(&mut self, at: &mut usize, n: usize, width: usize) -> usize {
+        self.lengths.push((*at, 8));
+        *at += 8 + n * width;
+        *at - n * width
     }
 }
 
@@ -112,10 +122,13 @@ fn forged(rng: &mut SplitMix, current: u64, width: usize) -> u64 {
     } else {
         (1 << (8 * width)) - 1
     };
-    let value = match rng.below(8) {
+    let value = match rng.below(10) {
         0 => 0,
         1 => 1,
         2 => max,
+        // Lengths no payload can back, which must fail before a reservation.
+        8 => u64::from(u32::MAX),
+        9 => 1 << 32,
         3 => current.wrapping_add(1),
         4 => current.wrapping_sub(1),
         5 => current.wrapping_mul(2),
@@ -162,12 +175,12 @@ fn mutate(bytes: &mut Vec<u8>, map: &FieldMap, rng: &mut SplitMix) -> String {
             forge(bytes, rng, "id", at, 4)
         }
         4 => {
-            let at = rng.pick(&map.flow_tags);
-            forge(bytes, rng, "flow tag", at, 1)
+            let at = rng.pick(&map.kinds);
+            forge(bytes, rng, "kind", at, 1)
         }
         5 => {
             let at = rng.pick(&map.trip_counts);
-            forge(bytes, rng, "trip count", at, 4)
+            forge(bytes, rng, "trip count", at, 8)
         }
         _ => {
             // Move one block across a function boundary: the block counts
@@ -265,8 +278,12 @@ fn mutated_artifacts_decode_to_field_errors_or_to_usable_workloads() {
     for (index, (layout, trace)) in artifacts().into_iter().enumerate() {
         let bytes = encode(&layout, &trace);
         let map = FieldMap::of(&layout, &trace);
-        // The map is right if every flow tag it names is a valid tag.
-        assert!(map.flow_tags.iter().all(|&at| bytes[at] <= FLOW_RETURN));
+        // The map is right if every kind byte it names is its block's kind.
+        assert!(map
+            .kinds
+            .iter()
+            .zip(layout.blocks())
+            .all(|(&at, b)| BranchKind::ALL[usize::from(bytes[at] & 7)] == b.flow.kind()));
         for round in 0..1500 {
             let mut mutant = bytes.clone();
             let mut what = Vec::new();
@@ -316,10 +333,14 @@ fn mutated_artifacts_decode_to_field_errors_or_to_usable_workloads() {
     for field in [
         "layout.functions.len",
         "layout.blocks.len",
+        "layout.kinds.len",
+        "layout.behaviors.len",
+        "layout.pool.len",
         "function.num_blocks",
+        "block.kind",
         "block.flow",
-        "block.flow.tag",
         "block.flow.taken",
+        "block.flow.list",
         "block.flow.behavior.trip_count",
         "block.flow.targets.len",
         "block.flow.callees",

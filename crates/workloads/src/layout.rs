@@ -510,6 +510,20 @@ impl CodeLayout {
         Ids::new(&pool[at..at + pool[at - 1] as usize])
     }
 
+    /// Block `id`'s record as the artifact codec stores it: its size, its
+    /// branch kind and a conditional's behaviour tag (0 for other kinds).
+    pub(crate) fn stored_record(&self, id: BlockId) -> (u8, BranchKind, u8) {
+        let r = self.tables.records[id.0 as usize];
+        (r.size, r.kind, r.flags >> BEHAVIOR_TAG_SHIFT)
+    }
+
+    /// The flow column, the behaviour column and the id pool, as held in
+    /// memory (see the field docs on [`LayoutTables`]).
+    pub(crate) fn stored_columns(&self) -> (&[u32], &[u64], &[u32]) {
+        let t = &*self.tables;
+        (&t.flow, &t.behavior, &t.pool)
+    }
+
     /// The function with the given id.
     pub fn function(&self, id: FunctionId) -> &Function {
         &self.tables.functions[id.0 as usize]
@@ -638,7 +652,8 @@ impl CodeLayout {
 /// The per-block tables of a layout under construction, appended in layout
 /// order. Generation pushes every block's record, then every block's flow
 /// (targets are drawn once all addresses exist); the artifact decoder
-/// pushes each block's record and flow together. Both end in
+/// builds them from its validated columns in one go
+/// ([`from_stored`](Self::from_stored)). Both end in
 /// [`finish`](Self::finish).
 pub(crate) struct Columns {
     records: Vec<BlockRecord>,
@@ -665,13 +680,8 @@ impl Columns {
         self.records.len()
     }
 
-    /// One past the last instruction pushed: where the next block starts.
-    pub(crate) fn end(&self) -> Addr {
-        self.end
-    }
-
-    /// Lays out the next block: `size` instructions at [`end`](Self::end),
-    /// ending in a `kind` branch; `last` marks the last block of its
+    /// Lays out the next block: `size` instructions where the last one
+    /// ended, ending in a `kind` branch; `last` marks the last block of its
     /// function.
     ///
     /// # Panics
@@ -709,6 +719,44 @@ impl Columns {
         };
         self.flow.push(target);
         self.behavior.push(payload);
+    }
+
+    /// The tables of stored columns the artifact decoder has validated:
+    /// each block's size, kind and behaviour tag, in layout order and
+    /// covering `functions` (the text segment below 4 GiB), and the flow
+    /// column, behaviour column and pool as [`CodeLayout::stored_columns`]
+    /// returns them. Block starts and last-in-function bits are derived.
+    pub(crate) fn from_stored(
+        functions: &[Function],
+        blocks: impl Iterator<Item = (u8, BranchKind, u8)>,
+        flow: Vec<u32>,
+        behavior: Vec<u64>,
+        pool: Vec<u32>,
+    ) -> Self {
+        let mut end = CODE_BASE;
+        let mut records: Vec<BlockRecord> = blocks
+            .map(|(size, kind, tag)| {
+                let start = end.raw() as u32;
+                end = end.add_instructions(u64::from(size));
+                BlockRecord {
+                    start,
+                    target: 0,
+                    size,
+                    kind,
+                    flags: tag << BEHAVIOR_TAG_SHIFT,
+                }
+            })
+            .collect();
+        for f in functions {
+            records[(f.first_block + f.num_blocks - 1) as usize].flags |= LAST_IN_FUNCTION;
+        }
+        Columns {
+            records,
+            flow,
+            behavior,
+            pool,
+            end,
+        }
     }
 
     /// Appends an id list to the pool and returns its offset.
@@ -1206,18 +1254,9 @@ impl Builder {
 
         let first = func.first_block as usize;
         let last = (func.first_block + func.num_blocks - 1) as usize;
-        // Binary search for the block of this function whose start is closest
-        // to the desired address.
-        let mut lo = first;
-        let mut hi = last;
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if records[mid].start() < desired {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
+        // The block of this function whose start is closest to the desired
+        // address is the first one at or after it, or the one before.
+        let lo = first + records[first..last].partition_point(|r| r.start() < desired);
         let candidates = [lo.saturating_sub(1).max(first), lo.min(last)];
         let best = candidates
             .iter()

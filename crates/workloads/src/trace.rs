@@ -100,7 +100,16 @@ impl<'a> TraceGenerator<'a> {
             layout,
             rng: SimRng::seeded(seed),
             current: layout.entry_block(),
-            call_stack: Vec::with_capacity(layout.profile().max_call_depth + 1),
+            // The stack holds at most `max_call_depth` frames; a decoded
+            // profile may claim any depth, so the reservation is also
+            // bounded by the layout (generated call graphs are acyclic).
+            call_stack: Vec::with_capacity(
+                layout
+                    .profile()
+                    .max_call_depth
+                    .min(layout.functions().len())
+                    + 1,
+            ),
             branch_executions: vec![0; layout.num_blocks()].into_boxed_slice(),
             instructions: 0,
             blocks_emitted: 0,
@@ -583,6 +592,16 @@ mod tests {
 
     fn tiny_layout() -> CodeLayout {
         CodeLayout::generate(&WorkloadProfile::tiny(21))
+    }
+
+    /// A profile may claim any call depth of at least 2 (a decoded
+    /// artifact's included): the generator reserves by the layout, not by
+    /// the claim, which once aborted on the allocation.
+    #[test]
+    fn an_unbounded_call_depth_reserves_no_more_than_the_layout() {
+        let profile = WorkloadProfile::tiny(4).with_max_call_depth(usize::MAX - 1);
+        let layout = CodeLayout::generate(&profile);
+        assert_eq!(Trace::generate_blocks(&layout, 500).len(), 500);
     }
 
     #[test]
