@@ -141,10 +141,12 @@ pub struct WorkloadData {
     pub layout: CodeLayout,
     /// The dynamic trace (warm-up plus measurement blocks).
     pub trace: Trace,
-    /// Precomputed back-end latency classes, one per trace instruction (see
+    /// Precomputed back-end latency classes, one per trace instruction,
+    /// packed four to a byte (see
     /// [`workloads::BackendProfile::latency_classes`]): generated once here
-    /// and shared by every (mechanism, config, engine) run over this
-    /// workload instead of re-drawn per instruction inside each run.
+    /// or decoded from an artifact, and shared by every (mechanism, config,
+    /// engine) run over this workload instead of re-drawn per instruction
+    /// inside each run.
     latency_classes: Vec<u8>,
     length: RunLength,
 }
@@ -167,23 +169,14 @@ impl WorkloadData {
     pub fn generate_from_profile(profile: &workloads::WorkloadProfile, length: RunLength) -> Self {
         let layout = CodeLayout::generate(profile);
         let trace = Trace::generate_blocks(&layout, length.trace_blocks + length.warmup_blocks);
-        let latency_classes = profile
-            .backend
-            .latency_classes(profile.seed, trace.instructions() as usize);
-        WorkloadData {
-            kind: profile.kind,
-            layout,
-            trace,
-            latency_classes,
-            length,
-        }
+        Self::from_parts(layout, trace, length)
     }
 
-    /// Reassembles a workload from a layout and trace decoded from the
-    /// artifact cache (see [`workloads::codec`]), recomputing the derived
-    /// latency classes exactly as [`WorkloadData::generate_from_profile`]
-    /// does — the classes are a cheap pure-RNG pass over the profile's
-    /// backend parameters, so they are rebuilt rather than stored.
+    /// Reassembles a workload from a layout and trace, recomputing the
+    /// latency classes from the layout's profile exactly as
+    /// [`WorkloadData::generate_from_profile`] does. A load from the
+    /// artifact cache, which stores the classes, uses
+    /// [`WorkloadData::from_stored`] instead and makes no RNG pass.
     ///
     /// `length` must be the run length the trace was generated with.
     ///
@@ -192,14 +185,40 @@ impl WorkloadData {
     /// Panics if `trace` walks a different layout than `layout` (a clone of
     /// it shares its tables, see [`CodeLayout::shares_tables`]).
     pub fn from_parts(layout: CodeLayout, trace: Trace, length: RunLength) -> Self {
-        assert!(
-            trace.layout().shares_tables(&layout),
-            "the trace walks a different layout"
-        );
         let profile = layout.profile();
         let latency_classes = profile
             .backend
             .latency_classes(profile.seed, trace.instructions() as usize);
+        Self::from_stored(layout, trace, latency_classes, length)
+    }
+
+    /// Reassembles a workload from a layout, trace and packed latency
+    /// classes decoded from the artifact cache (see [`workloads::codec`]).
+    /// The classes are taken as they are: the codec checks their length and
+    /// padding, and the offline audit checks their values against the
+    /// profile.
+    ///
+    /// `length` must be the run length the trace was generated with.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `trace` walks a different layout than `layout`, or if
+    /// `latency_classes` is not `trace.instructions().div_ceil(4)` bytes.
+    pub fn from_stored(
+        layout: CodeLayout,
+        trace: Trace,
+        latency_classes: Vec<u8>,
+        length: RunLength,
+    ) -> Self {
+        assert!(
+            trace.layout().shares_tables(&layout),
+            "the trace walks a different layout"
+        );
+        assert_eq!(
+            latency_classes.len() as u64,
+            trace.instructions().div_ceil(4),
+            "one packed latency class per trace instruction"
+        );
         WorkloadData {
             kind: layout.profile().kind,
             layout,
@@ -207,6 +226,12 @@ impl WorkloadData {
             latency_classes,
             length,
         }
+    }
+
+    /// The packed back-end latency classes, one per trace instruction (see
+    /// [`workloads::BackendProfile::latency_classes`]).
+    pub fn latency_classes(&self) -> &[u8] {
+        &self.latency_classes
     }
 
     /// Runs `mechanism` over this workload under `config` with the TAGE

@@ -1,13 +1,13 @@
 //! Content-addressed workload artifact cache.
 //!
-//! Generating a multi-megabyte workload (layout + trace) costs ~0.2 s per
-//! (profile, seed) point — paid again by every campaign and every worker
-//! process that touches the point. The artifact cache pays it once ever: a
-//! generated [`WorkloadData`] is serialized (via [`workloads::codec`]) to a
-//! file named by a *content address* — the FNV-1a-64 hash of the resolved
-//! profile's canonical fingerprint plus the run length — so any campaign
-//! over the same workload point, in any process, loads the bytes instead of
-//! regenerating.
+//! Generating a multi-megabyte workload (layout, trace and latency classes)
+//! costs ~0.2 s per (profile, seed) point — paid again by every campaign and
+//! every worker process that touches the point. The artifact cache pays it
+//! once ever: a generated [`WorkloadData`] is serialized (via
+//! [`workloads::codec`]) to a file named by a *content address* — the
+//! FNV-1a-64 hash of the resolved profile's canonical fingerprint plus the
+//! run length — so any campaign over the same workload point, in any
+//! process, loads the bytes instead of regenerating.
 //!
 //! # File format
 //!
@@ -22,9 +22,10 @@
 //! | 24     | 8    | `payload_fnv` | [`payload_fnv`] of the payload, little-endian |
 //!
 //! followed by `payload_len` bytes of [`workloads::codec::encode_workload`]
-//! output. Format 2's payload is the profile and the line size, then the
+//! output. Format 3's payload is the profile and the line size, then the
 //! layout's own tables as length-prefixed little-endian columns, then the
-//! trace (the [`workloads::codec`] docs give each column's encoding):
+//! trace, then the back end's latency classes (the [`workloads::codec`]
+//! docs give each column's encoding):
 //!
 //! | column | elements |
 //! |---|---|
@@ -35,10 +36,18 @@
 //! | id pool | the indirect branches' id lists, `u32`s |
 //! | service roots | one `u32` per root, after the dispatcher |
 //! | trace | counts, then one `u32` id and one taken bit per dynamic block |
+//! | latency classes | a `u64` byte count, then one 2-bit class per trace instruction, four to a byte |
 //!
-//! Nothing a layout can re-derive is stored: start and target addresses,
-//! last-in-function bits and the line index are rebuilt on load. Every
-//! header field is validated on load with a field-level
+//! Nothing a layout can re-derive cheaply is stored: start and target
+//! addresses, last-in-function bits and the line index are rebuilt on load.
+//! The latency classes are stored although the profile determines them: at
+//! a quarter byte per instruction they cost less to read than the RNG pass
+//! that draws them, and a load builds its [`WorkloadData`] from them
+//! ([`WorkloadData::from_stored`]) without one. The codec checks their
+//! length and padding; the offline auditor ([`crate::verify`]) recomputes
+//! their values from the stored profile.
+//!
+//! Every header field is validated on load with a field-level
 //! [`ArtifactError`] (same discipline as the spec TOML parser and
 //! [`workloads::ProfileError`]), and so is every payload byte before it is
 //! used; corrupt, truncated or wrong-version files are *rejected, never
@@ -64,14 +73,14 @@ use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use workloads::{codec, profile_fingerprint, WorkloadProfile};
+use workloads::{codec, latency_class, profile_fingerprint, CodeLayout, Trace, WorkloadProfile};
 
 /// Magic bytes opening every workload artifact file.
 pub const ARTIFACT_MAGIC: [u8; 4] = *b"BMWL";
 
-/// Artifact format version this build reads and writes: 2 stores the
-/// layout as columns.
-pub const ARTIFACT_FORMAT: u32 = 2;
+/// Artifact format version this build reads and writes: 2 stored the
+/// layout as columns, 3 adds the packed latency classes after the trace.
+pub const ARTIFACT_FORMAT: u32 = 3;
 
 const HEADER_LEN: usize = 32;
 
@@ -191,7 +200,7 @@ impl ArtifactCache {
             }
         };
         let payload = check_header(&bytes, key)?;
-        let (layout, trace) = codec::decode_workload(payload)?;
+        let (layout, trace, classes) = codec::decode_workload(payload)?;
         if layout.profile() != profile {
             return Err(ArtifactError::new(
                 "payload.profile",
@@ -210,7 +219,7 @@ impl ArtifactCache {
                 ),
             ));
         }
-        Ok(Some(WorkloadData::from_parts(layout, trace, run)))
+        Ok(Some(WorkloadData::from_stored(layout, trace, classes, run)))
     }
 
     /// Stores the artifact for `(profile, run)` atomically.
@@ -225,8 +234,13 @@ impl ArtifactCache {
     ) -> io::Result<()> {
         let key = artifact_key(profile, run);
         let mut payload = Vec::new();
-        codec::encode_workload(&data.layout, &data.trace, &mut payload)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+        codec::encode_workload(
+            &data.layout,
+            &data.trace,
+            data.latency_classes(),
+            &mut payload,
+        )
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
         let mut file = Vec::with_capacity(HEADER_LEN + payload.len());
         file.extend_from_slice(&ARTIFACT_MAGIC);
         file.extend_from_slice(&ARTIFACT_FORMAT.to_le_bytes());
@@ -311,6 +325,32 @@ pub(crate) fn check_header(bytes: &[u8], key: u64) -> Result<&[u8], ArtifactErro
     Ok(payload)
 }
 
+/// Recomputes a decoded artifact's latency classes from its stored profile
+/// and compares them with the stored column, naming the first instruction
+/// whose class differs. Only the offline auditor ([`crate::verify`]) pays
+/// for this RNG pass: it catches a change to the class generator that
+/// ships without a format bump, which a load cannot see.
+pub(crate) fn check_classes(
+    layout: &CodeLayout,
+    trace: &Trace,
+    stored: &[u8],
+) -> Result<(), ArtifactError> {
+    let profile = layout.profile();
+    let n = trace.instructions() as usize;
+    let drawn = profile.backend.latency_classes(profile.seed, n);
+    match (0..n).find(|&i| latency_class::get(stored, i) != latency_class::get(&drawn, i)) {
+        None => Ok(()),
+        Some(i) => Err(ArtifactError::new(
+            "payload.classes",
+            format!(
+                "stored latency class of instruction {i} is {}, the profile draws {}",
+                latency_class::get(stored, i),
+                latency_class::get(&drawn, i)
+            ),
+        )),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,6 +403,7 @@ mod tests {
         let loaded = cache.load(&profile, RUN).unwrap().expect("hit");
         assert!(loaded.layout.blocks().eq(data.layout.blocks()));
         assert_eq!(loaded.trace, data.trace);
+        assert_eq!(loaded.latency_classes(), data.latency_classes());
         assert_eq!(loaded.kind, data.kind);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -411,14 +452,17 @@ mod tests {
 
     /// A one-byte flip at a payload offset, whichever byte of its word it
     /// hits, fails the word-wise payload checksum. Every seventh offset is
-    /// flipped (7 is coprime to the word size, so every byte lane is hit):
+    /// flipped (7 is coprime to the word size, so every byte lane is hit),
+    /// and so is every byte of the last word, which holds latency classes:
     /// all of them take seconds in the unoptimised test build.
     #[test]
     fn every_single_byte_flip_fails_the_payload_checksum() {
         let (profile, data) = tiny_data(4, RUN);
         let key = artifact_key(&profile, RUN);
         let mut payload = Vec::new();
-        codec::encode_workload(&data.layout, &data.trace, &mut payload).unwrap();
+        let classes = data.latency_classes();
+        codec::encode_workload(&data.layout, &data.trace, classes, &mut payload).unwrap();
+        assert!(classes.len() > 8, "the class column spans the last word");
         let mut file = ARTIFACT_MAGIC.to_vec();
         file.extend_from_slice(&ARTIFACT_FORMAT.to_le_bytes());
         file.extend_from_slice(&key.to_le_bytes());
@@ -426,7 +470,8 @@ mod tests {
         file.extend_from_slice(&payload_fnv(&payload).to_le_bytes());
         file.extend_from_slice(&payload);
         assert!(check_header(&file, key).is_ok());
-        for at in (HEADER_LEN..file.len()).step_by(7) {
+        let tail = file.len() - 8..file.len();
+        for at in (HEADER_LEN..file.len()).step_by(7).chain(tail) {
             let mask = 1u8.rotate_left(at as u32 % 8) | 0x10;
             file[at] ^= mask;
             let err = check_header(&file, key).expect_err("a flipped byte must fail");

@@ -539,57 +539,81 @@ mod tests {
         std::fs::remove_dir_all(&cache).unwrap();
     }
 
-    /// The artifact key does not cover the format, so a format-1 file sits
-    /// at the point's key: it is rejected as `header.format`, the point is
-    /// regenerated, and the file is rewritten in the current format.
+    /// The artifact key does not cover the format, so a file of an older
+    /// format sits at the point's key: it is rejected as `header.format`,
+    /// the point is regenerated, and the file is rewritten in the current
+    /// format.
     #[test]
-    fn a_format_1_artifact_at_the_key_is_regenerated_and_rewritten() {
-        use crate::artifact::{artifact_key, ARTIFACT_FORMAT, ARTIFACT_MAGIC};
+    fn an_older_format_artifact_at_the_key_is_regenerated_and_rewritten() {
+        use crate::artifact::{artifact_key, payload_fnv, ARTIFACT_FORMAT, ARTIFACT_MAGIC};
         let spec = CampaignSpec::from_toml_str(
             "name = \"t\"\nworkloads = [\"nutch\"]\nmechanisms = [\"fdip\"]\n\n[run]\ntrace_blocks = 1500\nwarmup_blocks = 300\n",
         )
         .unwrap();
         let dir =
-            std::env::temp_dir().join(format!("boomerang-engine-format1-{}", std::process::id()));
+            std::env::temp_dir().join(format!("boomerang-engine-format-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = ArtifactCache::open(&dir).unwrap();
         let base = &spec.workloads[0].profile;
         let profile = base.clone().with_seed(derive_seed(base.seed, 0));
         let key = artifact_key(&profile, spec.run);
-        // A format-1 header, checksummed byte-wise as format 1 was.
-        let payload = b"format 1 stored a tagged row per block".to_vec();
-        let mut stale = ARTIFACT_MAGIC.to_vec();
-        stale.extend_from_slice(&1u32.to_le_bytes());
-        stale.extend_from_slice(&key.to_le_bytes());
-        stale.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        stale.extend_from_slice(&crate::checkpoint::fnv1a64(&payload).to_le_bytes());
-        stale.extend_from_slice(&payload);
-        let path = cache.path_for(key);
-        std::fs::write(&path, &stale).unwrap();
-
-        let options = EngineOptions {
-            jobs: 1,
-            artifact_cache: Some(dir.clone()),
-            ..EngineOptions::default()
-        };
-        let generated = generate_workloads(&spec, &options).unwrap();
-        let summary = generated.generation();
-        assert_eq!((summary.cache_hits, summary.generated), (0, 1));
-        assert!(
-            summary.warnings.len() == 1 && summary.warnings[0].contains("`header.format`"),
-            "{:?}",
-            summary.warnings
-        );
-        let rewritten = std::fs::read(&path).unwrap();
-        assert_eq!(rewritten[4..8], ARTIFACT_FORMAT.to_le_bytes());
-        assert_eq!(ARTIFACT_FORMAT, 2);
-        let (layout, trace) = workloads::codec::decode_workload(&rewritten[32..]).unwrap();
         let fresh = WorkloadData::generate_from_profile(&profile, spec.run);
-        assert!(layout.blocks().eq(fresh.layout.blocks()));
-        assert_eq!(layout.functions(), fresh.layout.functions());
-        assert_eq!(trace, fresh.trace);
-        let served = generated.data_for(0, 0).unwrap();
-        assert_eq!(served.trace, fresh.trace);
+        assert_eq!(ARTIFACT_FORMAT, 3);
+        // Format 1 checksummed its payload byte-wise, format 2 a word at a
+        // time as format 3 does; format 2's payload is format 3's without
+        // the class column.
+        let mut format_2 = Vec::new();
+        workloads::codec::encode_layout(&fresh.layout, &mut format_2);
+        workloads::codec::encode_trace(&fresh.layout, &fresh.trace, &mut format_2).unwrap();
+        let stale_files = [
+            (1u32, b"format 1 stored a tagged row per block".to_vec()),
+            (2, format_2),
+        ];
+        for (format, payload) in stale_files {
+            let checksum = match format {
+                1 => crate::checkpoint::fnv1a64(&payload),
+                _ => payload_fnv(&payload),
+            };
+            let mut stale = ARTIFACT_MAGIC.to_vec();
+            stale.extend_from_slice(&format.to_le_bytes());
+            stale.extend_from_slice(&key.to_le_bytes());
+            stale.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            stale.extend_from_slice(&checksum.to_le_bytes());
+            stale.extend_from_slice(&payload);
+            let path = cache.path_for(key);
+            std::fs::write(&path, &stale).unwrap();
+
+            let options = EngineOptions {
+                jobs: 1,
+                artifact_cache: Some(dir.clone()),
+                ..EngineOptions::default()
+            };
+            let generated = generate_workloads(&spec, &options).unwrap();
+            let summary = generated.generation();
+            assert_eq!(
+                (summary.cache_hits, summary.generated),
+                (0, 1),
+                "format {format}"
+            );
+            assert!(
+                summary.warnings.len() == 1
+                    && summary.warnings[0].contains("`header.format`")
+                    && summary.warnings[0].contains(&format!("format version {format},")),
+                "{:?}",
+                summary.warnings
+            );
+            let rewritten = std::fs::read(&path).unwrap();
+            assert_eq!(rewritten[4..8], ARTIFACT_FORMAT.to_le_bytes());
+            let (layout, trace, classes) =
+                workloads::codec::decode_workload(&rewritten[32..]).unwrap();
+            assert!(layout.blocks().eq(fresh.layout.blocks()));
+            assert_eq!(layout.functions(), fresh.layout.functions());
+            assert_eq!(trace, fresh.trace);
+            assert_eq!(classes, fresh.latency_classes());
+            let served = generated.data_for(0, 0).unwrap();
+            assert_eq!(served.trace, fresh.trace);
+            assert_eq!(served.latency_classes(), fresh.latency_classes());
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

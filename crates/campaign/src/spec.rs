@@ -1562,6 +1562,16 @@ load_fraction = 0.22
         .unwrap_err()
         .to_string();
         assert!(e.contains("conditionals.mean_trip_count"), "{e}");
+
+        // A root count no layout can plan fails at parse time, before any
+        // generation reserves a table for it.
+        let e = CampaignSpec::from_toml_str(
+            "name = \"x\"\nmechanisms = [\"fdip\"]\n\n[[workload]]\nlabel = \"bad\"\nbase = \"nutch\"\nservice_roots = 1099511627776\n",
+        )
+        .unwrap_err()
+        .to_string();
+        assert!(e.contains("`service_roots`"), "{e}");
+        assert!(e.contains("got 1099511627776"), "{e}");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! | `spec-hash`    | `--spec`       | the spec's journals belong to it at this run length |
 //! | `completeness` | `--spec`       | every job of the expansion has a checkpointed row|
 //! | `report-bytes` | `--spec`       | `<name>.json`/`.csv` equal an `assemble_report` replay byte-for-byte |
-//! | `artifacts`    | `--artifact-cache` | every `wl-*.wla` header and payload checksum holds and its payload decodes |
+//! | `artifacts`    | `--artifact-cache` | every `wl-*.wla` header and payload checksum holds, its payload decodes and its latency classes are the ones its profile draws |
 //! | `recompute`    | `--spec`, `--recompute N` | N sampled rows re-simulated from scratch reproduce their journaled stats |
 //!
 //! Checks whose inputs are absent are *skipped* (reported, but not
@@ -30,7 +30,7 @@
 //! broker's online sampled re-verification — so repeated audits of the
 //! same directory exercise the same rows.
 
-use crate::artifact::{check_header, ArtifactError};
+use crate::artifact::{check_classes, check_header, ArtifactError};
 use crate::checkpoint::{
     fnv1a64, journal_files, scan_journal, spec_hash, stats_to_array, JournalReplay,
 };
@@ -448,8 +448,8 @@ fn sample_rows(hash: &str, total: usize, want: usize) -> Vec<usize> {
 }
 
 /// Every `wl-*.wla` in the cache: header fields and payload checksum must
-/// hold against the content address the filename claims, and the payload
-/// must decode.
+/// hold against the content address the filename claims, the payload must
+/// decode, and its latency classes must be the ones its profile draws.
 fn check_artifacts(options: &VerifyOptions, report: &mut VerifyReport) {
     let Some(cache) = &options.artifact_cache else {
         report.checks.push(CheckResult {
@@ -508,7 +508,8 @@ fn check_artifacts(options: &VerifyOptions, report: &mut VerifyReport) {
             }
         };
         let decoded = check_header(&bytes, key)
-            .and_then(|payload| codec::decode_workload(payload).map_err(ArtifactError::from));
+            .and_then(|payload| codec::decode_workload(payload).map_err(ArtifactError::from))
+            .and_then(|(layout, trace, classes)| check_classes(&layout, &trace, &classes));
         if let Err(e) = decoded {
             report.checks.push(CheckResult {
                 name: "artifacts",
@@ -940,6 +941,56 @@ warmup_blocks = 400
             .unwrap();
         assert_eq!(check.passed, Some(false), "{}", report.render());
         assert!(check.detail.contains("`block.kind`"), "{}", check.detail);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Latency classes that decode but are not the ones the stored profile
+    /// draws — forged under a valid checksum — fail the audit, naming the
+    /// class column and the first instruction that differs.
+    #[test]
+    fn forged_latency_classes_with_a_valid_checksum_fail_the_audit() {
+        use crate::artifact::ArtifactCache;
+        let dir = temp_dir("classes");
+        let cache_dir = dir.join("cache");
+        let spec = CampaignSpec::from_toml_str(SPEC).unwrap();
+        let profile = spec.workloads[0].profile.clone();
+        let data = boomerang::WorkloadData::generate_from_profile(&profile, spec.run);
+        ArtifactCache::open(&cache_dir)
+            .unwrap()
+            .store(&profile, spec.run, &data)
+            .unwrap();
+        let artifact = std::fs::read_dir(&cache_dir)
+            .unwrap()
+            .filter_map(|e| e.ok().map(|e| e.path()))
+            .find(|p| p.extension().is_some_and(|e| e == "wla"))
+            .unwrap();
+        let mut bytes = std::fs::read(&artifact).unwrap();
+
+        // The class column closes the payload; flip the low bit of its
+        // first byte, instruction 0's class.
+        let at = bytes.len() - data.latency_classes().len();
+        bytes[at] ^= 1;
+        let fnv = crate::artifact::payload_fnv(&bytes[32..]);
+        bytes[24..32].copy_from_slice(&fnv.to_le_bytes());
+        std::fs::write(&artifact, bytes).unwrap();
+
+        let report = verify_dir(&VerifyOptions {
+            dir: dir.clone(),
+            artifact_cache: Some(cache_dir),
+            ..VerifyOptions::default()
+        });
+        let check = report
+            .checks
+            .iter()
+            .find(|c| c.name == "artifacts")
+            .unwrap();
+        assert_eq!(check.passed, Some(false), "{}", report.render());
+        assert!(
+            check.detail.contains("`payload.classes`"),
+            "{}",
+            check.detail
+        );
+        assert!(check.detail.contains("instruction 0 "), "{}", check.detail);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

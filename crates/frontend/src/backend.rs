@@ -58,9 +58,9 @@ pub struct BackEnd<'a> {
     capacity: usize,
     retire_width: u64,
     profile: BackendProfile,
-    /// Precomputed per-instruction latency classes (see
-    /// [`BackendProfile::latency_classes`]), shared by every run over the
-    /// same workload. `None` falls back to drawing the identical cascade
+    /// Precomputed per-instruction latency classes, packed four to a byte
+    /// (see [`BackendProfile::latency_classes`]), shared by every run over
+    /// the same workload. `None` falls back to drawing the identical cascade
     /// online from `rng`.
     latency_classes: Option<&'a [u8]>,
     class_cursor: usize,
@@ -111,12 +111,12 @@ impl<'a> BackEnd<'a> {
         }
     }
 
-    /// Switches the latency source to a precomputed class stream (see
-    /// [`BackendProfile::latency_classes`], generated from the same
-    /// `(profile, seed)` this back end was built with). Must be installed
-    /// before the first instruction is accepted; every simulator run over a
-    /// generated workload shares one stream instead of re-drawing the
-    /// cascade per instruction.
+    /// Switches the latency source to a precomputed class stream, packed
+    /// four classes to a byte (see [`BackendProfile::latency_classes`],
+    /// generated from the same `(profile, seed)` this back end was built
+    /// with). Must be installed before the first instruction is accepted;
+    /// every simulator run over a generated workload shares one stream
+    /// instead of re-drawing the cascade per instruction.
     pub fn use_latency_classes(&mut self, classes: &'a [u8]) {
         debug_assert_eq!(self.retired, 0);
         debug_assert_eq!(self.rob.len, 0);
@@ -172,11 +172,13 @@ impl<'a> BackEnd<'a> {
     pub fn push_instructions(&mut self, count: u64, now: u64) -> u64 {
         let accepted = count.min(self.free_slots() as u64);
         if let Some(classes) = self.latency_classes {
-            // Precomputed stream: one table-indexed load per instruction in
-            // place of the Bernoulli cascade (byte-identical values).
-            let chunk = &classes[self.class_cursor..self.class_cursor + accepted as usize];
+            // Precomputed stream: a shift, a mask and one table-indexed load
+            // per instruction in place of the Bernoulli cascade
+            // (byte-identical values).
+            let first = self.class_cursor;
             self.class_cursor += accepted as usize;
-            for &class in chunk {
+            for k in first..self.class_cursor {
+                let class = workloads::latency_class::get(classes, k);
                 self.rob
                     .push_back(now + self.class_latencies[class as usize]);
             }
@@ -374,6 +376,7 @@ mod tests {
             // Slack beyond the 50K pushed below: the stream must simply be
             // at least as long as the number of accepted instructions.
             let classes = profile.backend.latency_classes(profile.seed, 50_100);
+            assert_eq!(classes.len(), 50_100 / 4, "four classes to a byte");
             let mut streamed = BackEnd::new(&cfg, profile.backend, profile.seed);
             streamed.use_latency_classes(&classes);
             let mut online = BackEnd::new(&cfg, profile.backend, profile.seed);

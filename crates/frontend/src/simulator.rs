@@ -180,8 +180,9 @@ impl<'a, M: ControlFlowMechanism, T: BlockSource + ?Sized> Simulator<'a, M, T> {
         }
     }
 
-    /// Installs a precomputed back-end latency-class stream (see
-    /// [`workloads::BackendProfile::latency_classes`]) generated from this
+    /// Installs a precomputed back-end latency-class stream, packed four
+    /// classes to a byte (see
+    /// [`workloads::BackendProfile::latency_classes`]), generated from this
     /// simulator's workload profile and seed. Purely an optimisation: the
     /// stream holds exactly the values the back end would draw online, so
     /// statistics are byte-identical with or without it. Call before

@@ -21,18 +21,31 @@
 //! | id pool | P × `u32` | the indirect lists in block order, each its length then its ids |
 //!
 //! then the dispatcher (`u32`), the service roots (a column of R × `u32`),
-//! and the trace: its block count, instruction count and final `next_pc`
+//! the trace: its block count, instruction count and final `next_pc`
 //! (`u64` each), its block ids (`u32` each) and its taken bits (one per
-//! block, packed eight to a byte) — the form a [`Trace`] holds in memory.
+//! block, packed eight to a byte) — the form a [`Trace`] holds in memory —
+//! and last the back end's latency classes, a column over the trace's I
+//! instructions:
+//!
+//! | column | elements | what each element is |
+//! |---|---|---|
+//! | classes | ⌈I/4⌉ × `u8` | four 2-bit classes: instruction `i`'s in bits `2·(i mod 4)` of byte `⌊i/4⌋`; the last byte's unused high bits are zero |
+//!
+//! This is the stream
+//! [`BackendProfile::latency_classes`](crate::BackendProfile::latency_classes)
+//! returns, stored so that a load makes no RNG pass.
 //!
 //! Decoding reads each column with one bounds check, validates it in passes
 //! over its contiguous elements and builds the layout's tables (see
 //! [`CodeLayout`]) from it. It *validates* every stored field — the profile,
 //! lengths, sizes, kinds and tags, ids, behaviour payloads, the id lists and
 //! their order, a fall-through successor for every conditional and call,
-//! the trace's ids and instruction count — and *derives* the rest: function
-//! entries, block starts, direct-target addresses, last-in-function bits
-//! and the branch-per-line index.
+//! the trace's ids and instruction count, the class column's length and
+//! padding — and *derives* the rest: function entries, block starts,
+//! direct-target addresses, last-in-function bits and the branch-per-line
+//! index. The class values are not checked against the profile on decode
+//! (every 2-bit value is a class); the campaign layer's offline audit
+//! recomputes them.
 //!
 //! Decoding never panics on malformed input: every read is bounds-checked
 //! and every invariant is validated, reporting a [`CodecError`] that names
@@ -708,26 +721,70 @@ pub fn decode_trace(layout: &CodeLayout, r: &mut ByteReader<'_>) -> Result<Trace
     ))
 }
 
-/// Serializes a full generated workload (layout + trace) to `out`.
+/// Serializes the back-end latency classes of `trace`'s instructions,
+/// packed four to a byte as [`crate::BackendProfile::latency_classes`]
+/// returns them: a `u64` byte count, then the bytes.
+///
+/// Returns an error if `classes` is not one packed class per instruction
+/// of `trace` — a caller bug, not a malformed file.
+pub fn encode_classes(trace: &Trace, classes: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
+    let expected = trace.instructions().div_ceil(4);
+    ensure(classes.len() as u64 == expected, "classes.len", || {
+        format!("{} bytes, {expected} expected", classes.len())
+    })?;
+    (classes.len() as u64).put(out);
+    out.extend_from_slice(classes);
+    Ok(())
+}
+
+/// Deserializes the latency classes encoded by [`encode_classes`] for a
+/// decoded `trace`: the byte count must be `ceil(instructions / 4)` and
+/// the unused high bits of the last byte must be zero. The class values
+/// themselves are not checked against the profile here (every 2-bit value
+/// is a class); the offline audit recomputes them.
+pub fn decode_classes(trace: &Trace, r: &mut ByteReader<'_>) -> Result<Vec<u8>, CodecError> {
+    let instructions = trace.instructions();
+    let expected = instructions.div_ceil(4);
+    let stored = r.u64("classes.len")?;
+    ensure(stored == expected, "classes.len", || {
+        format!("{stored} bytes stored, {expected} expected for {instructions} instructions")
+    })?;
+    let bytes = r.elements::<u8>("classes", stored)?.bytes;
+    let padding = match (bytes.last(), instructions % 4) {
+        (Some(&last), used @ 1..) => last >> (2 * used),
+        _ => 0,
+    };
+    ensure(padding == 0, "classes.padding", || {
+        format!("unused high bits {padding:#x} of the last byte are set")
+    })?;
+    Ok(bytes.to_vec())
+}
+
+/// Serializes a full generated workload (layout, trace and packed latency
+/// classes) to `out`.
 pub fn encode_workload(
     layout: &CodeLayout,
     trace: &Trace,
+    classes: &[u8],
     out: &mut Vec<u8>,
 ) -> Result<(), CodecError> {
     encode_layout(layout, out);
-    encode_trace(layout, trace, out)
+    encode_trace(layout, trace, out)?;
+    encode_classes(trace, classes, out)
 }
 
-/// Deserializes a workload encoded by [`encode_workload`].
-pub fn decode_workload(bytes: &[u8]) -> Result<(CodeLayout, Trace), CodecError> {
+/// Deserializes a workload encoded by [`encode_workload`]: its layout, its
+/// trace and its packed latency classes.
+pub fn decode_workload(bytes: &[u8]) -> Result<(CodeLayout, Trace, Vec<u8>), CodecError> {
     let mut r = ByteReader::new(bytes);
     let layout = decode_layout(&mut r)?;
     let trace = decode_trace(&layout, &mut r)?;
+    let classes = decode_classes(&trace, &mut r)?;
     let left = r.remaining();
     ensure(left == 0, "payload", || {
-        format!("{left} trailing bytes after the trace")
+        format!("{left} trailing bytes after the latency classes")
     })?;
-    Ok((layout, trace))
+    Ok((layout, trace, classes))
 }
 
 #[cfg(test)]
@@ -743,14 +800,22 @@ mod tests {
         let layout = CodeLayout::generate(&WorkloadProfile::tiny(seed));
         let trace = Trace::generate_blocks(&layout, blocks);
         let mut bytes = Vec::new();
-        encode_workload(&layout, &trace, &mut bytes).expect("encode");
+        encode_workload(&layout, &trace, &classes_of(&trace), &mut bytes).expect("encode");
         (layout, trace, bytes)
+    }
+
+    /// The packed latency classes of `trace`'s instructions.
+    fn classes_of(trace: &Trace) -> Vec<u8> {
+        let profile = trace.layout().profile();
+        let n = trace.instructions() as usize;
+        profile.backend.latency_classes(profile.seed, n)
     }
 
     #[test]
     fn workload_roundtrips_exactly() {
         let (layout, trace, bytes) = encoded(42, 5_000);
-        let (layout2, trace2) = decode_workload(&bytes).expect("decode");
+        let (layout2, trace2, classes2) = decode_workload(&bytes).expect("decode");
+        assert_eq!(classes2, classes_of(&trace));
 
         assert_eq!(layout.profile(), layout2.profile());
         assert_eq!(layout.geometry(), layout2.geometry());
@@ -765,7 +830,7 @@ mod tests {
     #[test]
     fn line_index_is_rebuilt_identically() {
         let (layout, _, bytes) = encoded(7, 1_000);
-        let (layout2, _) = decode_workload(&bytes).expect("decode");
+        let (layout2, _, _) = decode_workload(&bytes).expect("decode");
         let geom = layout.geometry();
         for b in layout.blocks() {
             let line = geom.line_of(b.branch_pc());
@@ -809,7 +874,7 @@ mod tests {
     /// allocation failure instead of returning an error.
     #[test]
     fn forged_lengths_are_rejected_without_reserving_them() {
-        let (layout, _, bytes) = encoded(11, 300);
+        let (layout, trace, bytes) = encoded(11, 300);
         let forge = |at: usize, value: &[u8]| {
             let mut copy = bytes[..at + value.len()].to_vec();
             copy[at..].copy_from_slice(value);
@@ -844,6 +909,49 @@ mod tests {
         encode_layout(&layout, &mut laid_out);
         let err = forge(laid_out.len(), &(1u64 << 32).to_le_bytes());
         assert_eq!(err.field, "trace.instructions");
+        // The class column's byte count, after the trace.
+        let classes = bytes.len() - 8 - trace.instructions().div_ceil(4) as usize;
+        for forged in [u64::from(u32::MAX), 1 << 32] {
+            assert_eq!(forge(classes, &forged.to_le_bytes()).field, "classes.len");
+        }
+    }
+
+    /// The class column must hold one packed class per trace instruction,
+    /// with the last byte's unused high bits clear.
+    #[test]
+    fn class_column_length_and_padding_are_checked() {
+        let (_, trace, bytes) = (300..)
+            .map(|blocks| encoded(13, blocks))
+            .find(|(_, trace, _)| trace.instructions() % 4 != 0)
+            .expect("some trace length leaves a partial class byte");
+        let used = (trace.instructions() % 4) as u32;
+        let len_at = bytes.len() - 8 - trace.instructions().div_ceil(4) as usize;
+        let stored = u64::from_le_bytes(bytes[len_at..len_at + 8].try_into().unwrap());
+        assert_eq!(stored, trace.instructions().div_ceil(4));
+        for wrong in [stored - 1, stored + 1, 0] {
+            let mut copy = bytes.clone();
+            copy[len_at..len_at + 8].copy_from_slice(&wrong.to_le_bytes());
+            let err = decode_workload(&copy).expect_err("a wrong class count must fail");
+            assert_eq!(err.field, "classes.len", "{wrong} bytes: {err}");
+        }
+        for bit in 2 * used..8 {
+            let mut copy = bytes.clone();
+            *copy.last_mut().unwrap() |= 1 << bit;
+            let err = decode_workload(&copy).expect_err("a set padding bit must fail");
+            assert_eq!(err.field, "classes.padding", "bit {bit}");
+        }
+        // A used bit of the last byte is a class value, not padding.
+        let mut copy = bytes.clone();
+        *copy.last_mut().unwrap() ^= 1 << (2 * used - 1);
+        let (_, _, classes) = decode_workload(&copy).expect("a class flip decodes");
+        assert_eq!(classes.last(), copy.last());
+        // A truncated class column is named too.
+        let err = decode_workload(&bytes[..bytes.len() - 1]).unwrap_err();
+        assert_eq!(err.field, "classes");
+        // Encoding refuses a stream of the wrong length.
+        let mut out = Vec::new();
+        let err = encode_classes(&trace, &[0; 3], &mut out).unwrap_err();
+        assert_eq!(err.field, "classes.len");
     }
 
     #[test]
@@ -862,14 +970,14 @@ mod tests {
     }
 
     /// The `BMWL` payload bytes of a `tiny` workload are pinned: a change to
-    /// the trace's in-memory form must not move a single artifact byte
-    /// without a format bump.
+    /// the trace's in-memory form or to the class packing must not move a
+    /// single artifact byte without a format bump.
     #[test]
     fn encoded_workload_bytes_are_pinned() {
         let (_, _, bytes) = encoded(42, 5_000);
         assert_eq!(
             (bytes.len(), format!("{:016x}", fnv1a64(&bytes))),
-            (45_355, "b7453b5e7985b6c5".to_string())
+            (54_129, "924ffb25406143a9".to_string())
         );
     }
 

@@ -3,10 +3,11 @@
 //! One SplitMix64 stream mutates the encoded artifacts of several tiny
 //! profiles: bit flips, truncations, forged column and list lengths, ids,
 //! kind bytes and loop payloads written at the offsets where the columns
-//! put those fields, and function boundaries moved by one block. Every
-//! mutant must decode to a field-named error or to a workload that
-//! re-encodes to the mutant's own bytes and that the trace generator can
-//! walk; a panic fails the test with the mutant that caused it.
+//! put those fields, function boundaries moved by one block and padding
+//! bits set in the last latency-class byte. Every mutant must decode to a
+//! field-named error or to a workload that re-encodes to the mutant's own
+//! bytes and that the trace generator can walk; a panic fails the test
+//! with the mutant that caused it.
 
 use super::*;
 use crate::layout::{BranchBehavior, ControlFlow};
@@ -37,8 +38,10 @@ impl SplitMix {
 /// Where one artifact's encoding puts the fields a forged value targets.
 #[derive(Default)]
 struct FieldMap {
-    /// Column lengths, id-list lengths and trace counts, as (offset, width
-    /// in bytes).
+    /// Column lengths and the trace's counts (8 bytes each).
+    columns: Vec<usize>,
+    /// Id-list lengths and function block counts, as (offset, width in
+    /// bytes).
     lengths: Vec<(usize, usize)>,
     /// Flow-column entries (ids and pool offsets), pooled ids, the
     /// dispatcher, the service roots and the trace's ids (4 bytes each).
@@ -49,6 +52,12 @@ struct FieldMap {
     trip_counts: Vec<usize>,
     /// Each function's block count (4 bytes each), in function order.
     function_sizes: Vec<usize>,
+    /// The last taken-bit byte and its unused high bits, which decoding
+    /// clears.
+    taken_padding: (usize, u8),
+    /// The last latency-class byte and its unused high bits, which must be
+    /// zero.
+    class_padding: (usize, u8),
 }
 
 impl FieldMap {
@@ -98,20 +107,36 @@ impl FieldMap {
         let roots = map.column(&mut at, layout.service_roots().len(), 4);
         map.ids
             .extend((0..layout.service_roots().len()).map(|i| roots + 4 * i));
-        // The trace: its block count, instruction count, final pc, ids.
-        map.lengths.push((at, 8));
-        map.lengths.push((at + 8, 8));
+        // The trace: its block count, instruction count, final pc, ids,
+        // taken bits.
+        map.columns.push(at);
+        map.columns.push(at + 8);
         at += 24;
         map.ids.extend((0..trace.len()).map(|i| at + 4 * i));
+        at += 4 * trace.len() + trace.len().div_ceil(8);
+        map.taken_padding = (at - 1, padding(trace.len() % 8, 1));
+        // The latency classes, four to a byte.
+        let classes = trace.instructions().div_ceil(4) as usize;
+        map.column(&mut at, classes, 1);
+        map.class_padding = (at - 1, padding(trace.instructions() as usize % 4, 2));
         map
     }
 
     /// A column at `*at`: its 8-byte length, then `n` elements of `width`
     /// bytes. Returns where the elements start and moves `at` past them.
     fn column(&mut self, at: &mut usize, n: usize, width: usize) -> usize {
-        self.lengths.push((*at, 8));
+        self.columns.push(*at);
         *at += 8 + n * width;
         *at - n * width
+    }
+}
+
+/// The unused high bits of a last byte whose first `used` fields of `bits`
+/// bits each are in use (none if `used` is 0: the byte is full).
+fn padding(used: usize, bits: usize) -> u8 {
+    match used {
+        0 => 0,
+        _ => 0xff << (used * bits),
     }
 }
 
@@ -154,7 +179,7 @@ fn forge(bytes: &mut [u8], rng: &mut SplitMix, what: &str, at: usize, width: usi
 
 /// Applies one mutation to `bytes` and says what it was.
 fn mutate(bytes: &mut Vec<u8>, map: &FieldMap, rng: &mut SplitMix) -> String {
-    match rng.below(7) {
+    match rng.below(8) {
         0 => {
             let at = rng.below(bytes.len());
             let bit = rng.below(8);
@@ -167,7 +192,12 @@ fn mutate(bytes: &mut Vec<u8>, map: &FieldMap, rng: &mut SplitMix) -> String {
             format!("truncate to {len} bytes")
         }
         2 => {
-            let (at, width) = rng.pick(&map.lengths);
+            // Columns half the time: the few of them are not lost among
+            // the many list and function lengths.
+            let (at, width) = match rng.below(2) {
+                0 => (rng.pick(&map.columns), 8),
+                _ => rng.pick(&map.lengths),
+            };
             forge(bytes, rng, "length", at, width)
         }
         3 => {
@@ -181,6 +211,15 @@ fn mutate(bytes: &mut Vec<u8>, map: &FieldMap, rng: &mut SplitMix) -> String {
         5 => {
             let at = rng.pick(&map.trip_counts);
             forge(bytes, rng, "trip count", at, 8)
+        }
+        6 => {
+            let (at, padding) = map.class_padding;
+            if padding == 0 || at >= bytes.len() {
+                return "no class padding to set".to_string();
+            }
+            let bit = 8 - 1 - rng.below(padding.count_ones() as usize);
+            bytes[at] |= 1 << bit;
+            format!("set class padding bit {bit} of byte {at}")
         }
         _ => {
             // Move one block across a function boundary: the block counts
@@ -207,12 +246,13 @@ fn mutate(bytes: &mut Vec<u8>, map: &FieldMap, rng: &mut SplitMix) -> String {
 }
 
 /// Field prefixes every decode error must name one of.
-const FIELDS: [&str; 6] = [
+const FIELDS: [&str; 7] = [
     "profile",
     "layout.",
     "function.",
     "block.",
     "trace.",
+    "classes",
     "payload",
 ];
 
@@ -236,9 +276,16 @@ fn artifacts() -> Vec<(CodeLayout, Trace)> {
     .collect()
 }
 
-fn encode(layout: &CodeLayout, trace: &Trace) -> Vec<u8> {
+/// The packed latency classes of `trace`'s instructions.
+fn classes_of(trace: &Trace) -> Vec<u8> {
+    let profile = trace.layout().profile();
+    let n = trace.instructions() as usize;
+    profile.backend.latency_classes(profile.seed, n)
+}
+
+fn encode(layout: &CodeLayout, trace: &Trace, classes: &[u8]) -> Vec<u8> {
     let mut bytes = Vec::new();
-    encode_workload(layout, trace, &mut bytes).expect("encode");
+    encode_workload(layout, trace, classes, &mut bytes).expect("encode");
     bytes
 }
 
@@ -259,13 +306,20 @@ fn encode_after_decode_is_the_identity() {
         indirect * 8 > heavy.num_blocks(),
         "{indirect} indirect blocks"
     );
+    // Some trace leaves a partial last class byte, whose padding the
+    // fuzzer sets.
+    assert!(artifacts
+        .iter()
+        .any(|(_, trace)| trace.instructions() % 4 != 0));
     for (layout, trace) in artifacts {
-        let bytes = encode(&layout, &trace);
-        let (decoded, decoded_trace) = decode_workload(&bytes).expect("decode");
+        let classes = classes_of(&trace);
+        let bytes = encode(&layout, &trace, &classes);
+        let (decoded, decoded_trace, decoded_classes) = decode_workload(&bytes).expect("decode");
         assert!(decoded.blocks().eq(layout.blocks()));
         assert_eq!(decoded.functions(), layout.functions());
         assert_eq!(decoded_trace, trace);
-        assert_eq!(encode(&decoded, &decoded_trace), bytes);
+        assert_eq!(decoded_classes, classes);
+        assert_eq!(encode(&decoded, &decoded_trace, &decoded_classes), bytes);
     }
 }
 
@@ -276,8 +330,9 @@ fn mutated_artifacts_decode_to_field_errors_or_to_usable_workloads() {
     let mut errors: BTreeMap<&'static str, usize> = BTreeMap::new();
     let mut decoded = 0;
     for (index, (layout, trace)) in artifacts().into_iter().enumerate() {
-        let bytes = encode(&layout, &trace);
+        let bytes = encode(&layout, &trace, &classes_of(&trace));
         let map = FieldMap::of(&layout, &trace);
+        assert_eq!(map.class_padding.0, bytes.len() - 1);
         // The map is right if every kind byte it names is its block's kind.
         assert!(map
             .kinds
@@ -305,19 +360,17 @@ fn mutated_artifacts_decode_to_field_errors_or_to_usable_workloads() {
                         *errors.entry(e.field).or_default() += 1;
                     }
                 }
-                Ok((layout, trace)) => {
+                Ok((layout, trace, classes)) => {
                     decoded += 1;
                     // Decoding clears the taken bitset's padding bits; every
                     // other byte re-encodes as it was.
-                    let again = encode(&layout, &trace);
-                    let padding = match trace.len() % 8 {
-                        0 => 0,
-                        used => 0xffu8 << used,
-                    };
-                    let last = mutant.len() - 1;
+                    let mut again = encode(&layout, &trace, &classes);
+                    let (at, padding) = map.taken_padding;
+                    if again.len() == mutant.len() {
+                        again[at] |= mutant[at] & padding;
+                    }
                     assert_eq!(
-                        (&again[..last], again[last] | padding),
-                        (&mutant[..last], mutant[last] | padding),
+                        again, mutant,
                         "artifact {index} round {round}: {what:?} decoded but re-encodes differently"
                     );
                     // What decodes is a layout the generator can walk.
@@ -346,6 +399,8 @@ fn mutated_artifacts_decode_to_field_errors_or_to_usable_workloads() {
         "block.flow.callees",
         "trace.block_id",
         "trace.instructions",
+        "classes.len",
+        "classes.padding",
     ] {
         assert!(
             errors.contains_key(field),

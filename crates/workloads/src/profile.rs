@@ -155,7 +155,8 @@ pub struct BackendProfile {
 pub const LATENCY_SEED_SALT: u64 = 0xbac_bac_bac;
 
 /// Per-instruction latency classes drawn by [`BackendProfile::latency_classes`].
-/// The numeric values index the back end's class→latency table.
+/// The numeric values index the back end's class→latency table. A class
+/// stream holds them packed four to a byte (see [`get`](latency_class::get)).
 pub mod latency_class {
     /// Non-load instruction: base latency.
     pub const BASE: u8 = 0;
@@ -165,11 +166,21 @@ pub mod latency_class {
     pub const LLC: u8 = 2;
     /// Load hitting the L1-D: base latency + 2.
     pub const L1D_HIT: u8 = 3;
+
+    /// Class `i` of a packed stream: bits `2 * (i % 4)` of byte `i / 4`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i / 4` is past the end of `packed`.
+    #[inline]
+    pub fn get(packed: &[u8], i: usize) -> u8 {
+        (packed[i >> 2] >> ((i & 3) * 2)) & 3
+    }
 }
 
 impl BackendProfile {
     /// Precomputes the per-instruction latency-**class** stream for a
-    /// workload seed.
+    /// workload seed, packed four classes to a byte.
     ///
     /// The back end draws one Bernoulli cascade per instruction it accepts,
     /// and the accepted-instruction sequence is the same for every
@@ -182,6 +193,11 @@ impl BackendProfile {
     /// stream stays independent of the microarchitectural configuration
     /// (LLC/memory latencies map in at simulation time).
     ///
+    /// A class has four values, so it takes 2 bits: class `i` sits in bits
+    /// `2 * (i % 4)` of byte `i / 4` (read it with [`latency_class::get`]),
+    /// the stream is `count.div_ceil(4)` bytes long and the unused high bits
+    /// of its last byte are zero.
+    ///
     /// Draw-for-draw identical to the back end's online cascade: same
     /// number and order of underlying `next_u64` calls, so a simulator fed
     /// this stream produces byte-identical statistics to one drawing live.
@@ -191,19 +207,26 @@ impl BackendProfile {
         let load_t = SimRng::chance_threshold(self.load_fraction);
         let llc_t = SimRng::chance_threshold(self.llc_miss_rate);
         let l1d_t = SimRng::chance_threshold(self.l1d_miss_rate);
-        (0..count)
-            .map(|_| {
-                if rng.unit_bits() >= load_t {
-                    class::BASE
-                } else if rng.unit_bits() < llc_t {
-                    class::MEMORY
-                } else if rng.unit_bits() < l1d_t {
-                    class::LLC
-                } else {
-                    class::L1D_HIT
-                }
-            })
-            .collect()
+        let mut draw = || {
+            if rng.unit_bits() >= load_t {
+                class::BASE
+            } else if rng.unit_bits() < llc_t {
+                class::MEMORY
+            } else if rng.unit_bits() < l1d_t {
+                class::LLC
+            } else {
+                class::L1D_HIT
+            }
+        };
+        let mut packed = vec![0u8; count.div_ceil(4)];
+        let (full, tail) = (count / 4, count % 4);
+        for byte in &mut packed[..full] {
+            *byte = draw() | draw() << 2 | draw() << 4 | draw() << 6;
+        }
+        if tail > 0 {
+            packed[full] = (0..tail).fold(0, |byte, k| byte | draw() << (2 * k));
+        }
+        packed
     }
 
     /// Validates the back-end parameters.
@@ -764,6 +787,19 @@ impl WorkloadProfile {
                 "must be at least 1 (got 0)".to_string(),
             ));
         }
+        // Each root's subtree is planned at 256 or more instructions (1 KB),
+        // however small the footprint, so more roots than fit the largest
+        // footprint's text segment cannot be laid out.
+        if self.service_roots as u64 > MAX_SERVICE_ROOTS {
+            return Err(ProfileError::new(
+                "service_roots",
+                format!(
+                    "must be at most {MAX_SERVICE_ROOTS}, one KB of planned code per root \
+                     within the {MAX_FOOTPRINT_BYTES}-byte text segment (got {})",
+                    self.service_roots
+                ),
+            ));
+        }
         unit_fraction("hot_callee_fraction", self.hot_callee_fraction)?;
         unit_fraction("utility_fraction", self.utility_fraction)?;
         self.backend.validate()?;
@@ -778,6 +814,12 @@ pub const MIN_FOOTPRINT_BYTES: u64 = 16 * 1024;
 /// Largest footprint a profile may request (1 GiB, ~250x the largest paper
 /// workload): a layout addresses its text segment with 32 bits.
 pub const MAX_FOOTPRINT_BYTES: u64 = 1 << 30;
+
+/// Most service roots a profile may request: the layout plans at least
+/// 256 instructions (1 KB) of service code per root whatever the
+/// footprint, and that code must fit a [`MAX_FOOTPRINT_BYTES`] text
+/// segment.
+pub const MAX_SERVICE_ROOTS: u64 = MAX_FOOTPRINT_BYTES / 1024;
 
 #[cfg(test)]
 mod tests {
@@ -920,6 +962,58 @@ mod tests {
         bad_backend.backend.base_latency = 0;
         let err = bad_backend.validate().unwrap_err();
         assert_eq!(err.field, "backend.base_latency");
+    }
+
+    /// A root count no text segment can hold is a field error, not a
+    /// reservation: at `1 << 40` roots, planning the layout would ask for a
+    /// 4 TB root table. Validation alone decides it; nothing is generated.
+    #[test]
+    fn service_roots_are_bounded_by_the_text_segment() {
+        let tiny = WorkloadProfile::tiny(1);
+        let err = tiny
+            .clone()
+            .with_service_roots(1 << 40)
+            .validate()
+            .unwrap_err();
+        assert_eq!(err.field, "service_roots");
+        assert!(err.to_string().contains("got 1099511627776"), "{err}");
+        let most = MAX_SERVICE_ROOTS as usize;
+        assert!(tiny.clone().with_service_roots(most).is_valid());
+        let err = tiny.with_service_roots(most + 1).validate().unwrap_err();
+        assert_eq!(err.field, "service_roots");
+        // Roots beyond one per KB of footprint overshoot the footprint but
+        // still lay out: Oracle's 192 at 128 KB are in use.
+        let shrunk = WorkloadKind::Oracle
+            .profile()
+            .with_footprint_bytes(128 * 1024);
+        assert!(shrunk.service_roots as u64 > shrunk.footprint_bytes / 1024);
+        assert!(shrunk.is_valid());
+    }
+
+    /// A shorter class stream is the packed prefix of a longer one, down to
+    /// a partial last byte whose unused high bits are zero.
+    #[test]
+    fn latency_classes_pack_a_prefix_four_to_a_byte() {
+        let backend = WorkloadKind::Oracle.profile().backend;
+        let long = backend.latency_classes(7, 4_003);
+        for n in [0, 1, 2, 3, 4, 5, 1_001, 4_002, 4_003] {
+            let short = backend.latency_classes(7, n);
+            assert_eq!(short.len(), n.div_ceil(4), "{n} classes");
+            let full = n / 4;
+            assert_eq!(short[..full], long[..full], "{n} classes");
+            if n % 4 != 0 {
+                let used = (1u8 << (2 * (n % 4))) - 1;
+                assert_eq!(short[full], long[full] & used, "{n} classes");
+            }
+            for i in 0..n {
+                assert_eq!(latency_class::get(&short, i), latency_class::get(&long, i));
+            }
+        }
+        // Every class value occurs, so a packing slip cannot hide behind
+        // zeros.
+        let mut seen = [false; 4];
+        (0..4_003).for_each(|i| seen[usize::from(latency_class::get(&long, i))] = true);
+        assert_eq!(seen, [true; 4]);
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Generation is pinned apart from the artifact format: an FNV-1a over every
-//! field of a `tiny(42)` layout's blocks and of its trace's dynamic records.
-//! A change to the `BMWL` codec must leave this digest alone, and a change
-//! to generation that moves it moves every report digest too.
+//! field of a `tiny(42)` layout's blocks and of its trace's dynamic records,
+//! and another over the back end's latency class of each of its
+//! instructions. A change to the `BMWL` codec or to how the classes are
+//! packed must leave these digests alone, and a change to generation that
+//! moves one moves every report digest too.
 
 use sim_core::BranchKind;
-use workloads::{BranchBehavior, CodeLayout, ControlFlow, Trace, WorkloadProfile};
+use workloads::{latency_class, BranchBehavior, CodeLayout, ControlFlow, Trace, WorkloadProfile};
 
 /// FNV-1a-64 over the little-endian bytes of the words fed to it.
 struct Fnv(u64);
@@ -81,5 +83,31 @@ fn tiny_workload_generation_is_pinned() {
             format!("{:016x}", h.0)
         ),
         (1_954, 5_000, 35_062, "6e55cb77712bfd79".to_string())
+    );
+}
+
+/// The back end's latency classes of the same point, one per trace
+/// instruction, pinned by value apart from how they are packed or stored.
+#[test]
+fn tiny_workload_latency_classes_are_pinned() {
+    let profile = WorkloadProfile::tiny(42);
+    let layout = CodeLayout::generate(&profile);
+    let trace = Trace::generate_blocks(&layout, 5_000);
+    let n = trace.instructions() as usize;
+    let packed = profile.backend.latency_classes(profile.seed, n);
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut counts = [0usize; 4];
+    for i in 0..n {
+        let class = latency_class::get(&packed, i);
+        h.word(u64::from(class));
+        counts[usize::from(class)] += 1;
+    }
+    assert_eq!(
+        (n, counts, format!("{:016x}", h.0)),
+        (
+            35_062,
+            [25_969, 42, 394, 8_657],
+            "a3f1e5d2e34c9786".to_string()
+        )
     );
 }

@@ -3,20 +3,36 @@
 //! tables, the id pool, the line index and the function table included.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, Ordering};
+use std::cell::Cell;
 use workloads::{CodeLayout, WorkloadKind};
 
-/// Bytes currently allocated through the global allocator.
-static LIVE: AtomicIsize = AtomicIsize::new(0);
-/// The most bytes [`LIVE`] has reached since the last reset.
-static PEAK: AtomicIsize = AtomicIsize::new(0);
+thread_local! {
+    /// Bytes the current thread has allocated and not yet freed. Each
+    /// thread counts only its own allocations, so the test harness's other
+    /// threads cannot move the measuring thread's count. A `const` `Cell`
+    /// has no destructor to register, so reading it never allocates.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    /// The most bytes [`LIVE`] has reached since the last reset.
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+}
 
-struct Counting;
+fn live() -> isize {
+    LIVE.with(Cell::get)
+}
+
+fn peak() -> isize {
+    PEAK.with(Cell::get)
+}
 
 fn grew(delta: isize) {
-    let now = LIVE.fetch_add(delta, Ordering::SeqCst) + delta;
-    PEAK.fetch_max(now, Ordering::SeqCst);
+    let now = LIVE.with(|live| {
+        live.set(live.get() + delta);
+        live.get()
+    });
+    PEAK.with(|peak| peak.set(peak.get().max(now)));
 }
+
+struct Counting;
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -25,7 +41,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as isize, Ordering::SeqCst);
+        grew(-(layout.size() as isize));
         System.dealloc(ptr, layout)
     }
 
@@ -38,17 +54,16 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-// The only test in this binary, so no other thread allocates while it
-// measures. It prints nothing: captured output is heap the test would count.
+// It prints nothing: captured output is heap the test would count.
 #[test]
 fn layout_keeps_32_bytes_a_block_and_generation_peaks_at_1_5x_that() {
     for kind in [WorkloadKind::Oracle, WorkloadKind::Nutch] {
         let profile = kind.profile();
-        let before = LIVE.load(Ordering::SeqCst);
-        PEAK.store(before, Ordering::SeqCst);
+        let before = live();
+        PEAK.with(|peak| peak.set(before));
         let layout = CodeLayout::generate(&profile);
-        let kept = (LIVE.load(Ordering::SeqCst) - before) as f64;
-        let peak = (PEAK.load(Ordering::SeqCst) - before) as f64;
+        let kept = (live() - before) as f64;
+        let peak = (peak() - before) as f64;
         let per_block = kept / layout.num_blocks() as f64;
         assert!(per_block <= 32.0, "{kind}: {per_block:.2} bytes per block");
         assert!(
@@ -57,10 +72,6 @@ fn layout_keeps_32_bytes_a_block_and_generation_peaks_at_1_5x_that() {
             peak / kept
         );
         drop(layout);
-        assert_eq!(
-            LIVE.load(Ordering::SeqCst),
-            before,
-            "{kind}: a layout frees all it kept"
-        );
+        assert_eq!(live(), before, "{kind}: a layout frees all it kept");
     }
 }
