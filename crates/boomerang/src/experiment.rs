@@ -134,10 +134,14 @@ impl Default for RunLength {
 
 /// A generated workload: its layout and a dynamic trace of the requested
 /// length.
+///
+/// A workload point holds only what the simulator reads: its layout is a
+/// handle on the simulation tables, without the control-flow tables that
+/// only trace generation walks (see [`CodeLayout::without_control_flow`]).
 pub struct WorkloadData {
     /// Which paper workload this is.
     pub kind: WorkloadKind,
-    /// The static code layout.
+    /// The static code layout's simulation tables.
     pub layout: CodeLayout,
     /// The dynamic trace (warm-up plus measurement blocks).
     pub trace: Trace,
@@ -198,6 +202,10 @@ impl WorkloadData {
     /// padding, and the offline audit checks their values against the
     /// profile.
     ///
+    /// Every constructor ends here, and the workload keeps no handle on
+    /// `layout`'s control-flow tables: they are freed with the last handle
+    /// the caller holds.
+    ///
     /// `length` must be the run length the trace was generated with.
     ///
     /// # Panics
@@ -221,7 +229,7 @@ impl WorkloadData {
         );
         WorkloadData {
             kind: layout.profile().kind,
-            layout,
+            layout: layout.without_control_flow(),
             trace,
             latency_classes,
             length,
@@ -345,5 +353,30 @@ mod tests {
         let smoke = RunLength::smoke_test();
         assert!(paper.trace_blocks > smoke.trace_blocks);
         assert_eq!(RunLength::default(), paper);
+    }
+
+    /// A point keeps only the simulation tables, whichever constructor
+    /// built it; a handle the caller kept still has the control-flow
+    /// tables, over the same simulation tables.
+    #[test]
+    fn a_point_holds_no_control_flow_tables() {
+        let run = RunLength {
+            trace_blocks: 400,
+            warmup_blocks: 100,
+        };
+        let profile = workloads::WorkloadProfile::tiny(3);
+        let generated = WorkloadData::generate_from_profile(&profile, run);
+        let layout = CodeLayout::generate(&profile);
+        let trace = Trace::generate_blocks(&layout, 500);
+        assert!(!trace.layout().has_control_flow());
+        let assembled = WorkloadData::from_parts(layout.clone(), trace, run);
+        for data in [&generated, &assembled] {
+            assert!(!data.layout.has_control_flow());
+            assert!(!data.trace.layout().has_control_flow());
+            assert!(data.layout.basic_blocks().eq(layout.basic_blocks()));
+        }
+        assert!(layout.has_control_flow());
+        assert!(assembled.layout.shares_tables(&layout));
+        assert_eq!(generated.trace, assembled.trace);
     }
 }

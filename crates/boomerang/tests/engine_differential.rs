@@ -190,6 +190,8 @@ fn engines_agree_under_rob_back_pressure() {
         let mut profile = WorkloadProfile::tiny(rng.range_u64(0, 1 << 20));
         // L1-I-resident (stall-light) code with long straight-line blocks.
         profile.footprint_bytes = 16 * 1024 + 16 * 1024 * rng.range_u64(0, 2);
+        // Few enough roots that 16 KB gives each its 1 KB subtree.
+        profile.service_roots = 12;
         profile.mean_block_instructions = 8.0 + 6.0 * rng.unit();
         profile.mean_function_blocks = 10.0 + 6.0 * rng.unit();
         // Back-end pressure sweep: from frequent long data stalls to nearly

@@ -125,7 +125,9 @@ fn figure11_lower_llc_latency_shrinks_absolute_benefit() {
 
 #[test]
 fn determinism_across_identical_runs() {
-    let bench = Bench::new(WorkloadKind::Oracle, 128 * 1024, 20_000);
+    // 256 KB is the smallest power of two that gives each of Oracle's 192
+    // service roots its 1 KB subtree.
+    let bench = Bench::new(WorkloadKind::Oracle, 256 * 1024, 20_000);
     let cfg = MicroarchConfig::hpca17();
     let a = bench.run(Mechanism::Boomerang(Default::default()), &cfg);
     let b = bench.run(Mechanism::Boomerang(Default::default()), &cfg);

@@ -22,24 +22,27 @@
 //! | 24     | 8    | `payload_fnv` | [`payload_fnv`] of the payload, little-endian |
 //!
 //! followed by `payload_len` bytes of [`workloads::codec::encode_workload`]
-//! output. Format 3's payload is the profile and the line size, then the
-//! layout's own tables as length-prefixed little-endian columns, then the
-//! trace, then the back end's latency classes (the [`workloads::codec`]
-//! docs give each column's encoding):
+//! output. Format 4's payload is the profile and the line size, then the
+//! layout's simulation tables as length-prefixed little-endian columns,
+//! then the trace, then the back end's latency classes (the
+//! [`workloads::codec`] docs give each column's encoding):
 //!
 //! | column | elements |
 //! |---|---|
 //! | function sizes, hot flags | one `u32`, one `u8` per function |
 //! | block sizes, kinds | one `u8` each per block |
-//! | flows | one `u32` per block |
-//! | behaviours | one `u64` per conditional block |
-//! | id pool | the indirect branches' id lists, `u32`s |
-//! | service roots | one `u32` per root, after the dispatcher |
+//! | direct targets | one `u32` block id per conditional, jump and call |
 //! | trace | counts, then one `u32` id and one taken bit per dynamic block |
 //! | latency classes | a `u64` byte count, then one 2-bit class per trace instruction, four to a byte |
 //!
 //! Nothing a layout can re-derive cheaply is stored: start and target
 //! addresses, last-in-function bits and the line index are rebuilt on load.
+//! Nothing the simulator does not read is stored either: the control-flow
+//! tables that only trace generation walks (flows, behaviours, indirect id
+//! lists, the dispatcher and the service roots) stay out of the file, and
+//! a loaded point holds none, as a generated one holds none once its trace
+//! exists.
+//!
 //! The latency classes are stored although the profile determines them: at
 //! a quarter byte per instruction they cost less to read than the RNG pass
 //! that draws them, and a load builds its [`WorkloadData`] from them
@@ -79,8 +82,9 @@ use workloads::{codec, latency_class, profile_fingerprint, CodeLayout, Trace, Wo
 pub const ARTIFACT_MAGIC: [u8; 4] = *b"BMWL";
 
 /// Artifact format version this build reads and writes: 2 stored the
-/// layout as columns, 3 adds the packed latency classes after the trace.
-pub const ARTIFACT_FORMAT: u32 = 3;
+/// layout as columns, 3 added the packed latency classes after the trace,
+/// 4 stores the layout's simulation tables alone.
+pub const ARTIFACT_FORMAT: u32 = 4;
 
 const HEADER_LEN: usize = 32;
 
@@ -401,7 +405,9 @@ mod tests {
         assert!(cache.load(&profile, RUN).unwrap().is_none());
         cache.store(&profile, RUN, &data).unwrap();
         let loaded = cache.load(&profile, RUN).unwrap().expect("hit");
-        assert!(loaded.layout.blocks().eq(data.layout.blocks()));
+        assert!(loaded.layout.basic_blocks().eq(data.layout.basic_blocks()));
+        assert!(!loaded.layout.has_control_flow());
+        assert!(!loaded.trace.layout().has_control_flow());
         assert_eq!(loaded.trace, data.trace);
         assert_eq!(loaded.latency_classes(), data.latency_classes());
         assert_eq!(loaded.kind, data.kind);

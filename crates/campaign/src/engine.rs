@@ -558,16 +558,23 @@ mod tests {
         let profile = base.clone().with_seed(derive_seed(base.seed, 0));
         let key = artifact_key(&profile, spec.run);
         let fresh = WorkloadData::generate_from_profile(&profile, spec.run);
-        assert_eq!(ARTIFACT_FORMAT, 3);
-        // Format 1 checksummed its payload byte-wise, format 2 a word at a
-        // time as format 3 does; format 2's payload is format 3's without
-        // the class column.
+        assert_eq!(ARTIFACT_FORMAT, 4);
+        // Format 1 checksummed its payload byte-wise, formats 2 and 3 a
+        // word at a time as format 4 does. The format-2 file holds the
+        // layout and trace, the format-3 file a whole format-4 payload:
+        // the header alone must reject a stale file, however its payload
+        // would decode.
         let mut format_2 = Vec::new();
         workloads::codec::encode_layout(&fresh.layout, &mut format_2);
         workloads::codec::encode_trace(&fresh.layout, &fresh.trace, &mut format_2).unwrap();
+        let mut current = Vec::new();
+        let classes = fresh.latency_classes();
+        workloads::codec::encode_workload(&fresh.layout, &fresh.trace, classes, &mut current)
+            .unwrap();
         let stale_files = [
             (1u32, b"format 1 stored a tagged row per block".to_vec()),
             (2, format_2),
+            (3, current.clone()),
         ];
         for (format, payload) in stale_files {
             let checksum = match format {
@@ -604,13 +611,15 @@ mod tests {
             );
             let rewritten = std::fs::read(&path).unwrap();
             assert_eq!(rewritten[4..8], ARTIFACT_FORMAT.to_le_bytes());
+            assert!(rewritten[32..] == current[..], "format {format}");
             let (layout, trace, classes) =
                 workloads::codec::decode_workload(&rewritten[32..]).unwrap();
-            assert!(layout.blocks().eq(fresh.layout.blocks()));
+            assert!(layout.basic_blocks().eq(fresh.layout.basic_blocks()));
             assert_eq!(layout.functions(), fresh.layout.functions());
             assert_eq!(trace, fresh.trace);
             assert_eq!(classes, fresh.latency_classes());
             let served = generated.data_for(0, 0).unwrap();
+            assert!(!served.layout.has_control_flow());
             assert_eq!(served.trace, fresh.trace);
             assert_eq!(served.latency_classes(), fresh.latency_classes());
         }

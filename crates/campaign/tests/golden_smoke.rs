@@ -12,12 +12,12 @@
 //! say so loudly in the PR.
 
 use campaign::{
-    assemble_report, fnv1a64, generate_workloads, presets, run_campaign, to_json, EngineOptions,
-    PRESETS,
+    assemble_report, derive_seed, fnv1a64, generate_workloads, presets, run_campaign, to_json,
+    EngineOptions, PRESETS,
 };
 use frontend::SimEngine;
 use sim_core::pool;
-use workloads::TraceGenerator;
+use workloads::{CodeLayout, TraceGenerator};
 
 const GOLDEN: &str = include_str!("golden/figure9-smoke.json");
 
@@ -149,6 +149,25 @@ fn reference_engine_renders_the_same_bytes() {
     );
 }
 
+/// Every preset's workload points, at every seed offset of its spec,
+/// validate: in particular each footprint gives every service root its
+/// subtree, which the pinned table's points rely on.
+#[test]
+fn every_preset_point_validates() {
+    for preset in PRESETS {
+        let spec = preset.spec();
+        for workload in &spec.workloads {
+            for &offset in &spec.seeds {
+                let base = &workload.profile;
+                let profile = base.clone().with_seed(derive_seed(base.seed, offset));
+                if let Err(e) = profile.validate() {
+                    panic!("{}: workload {}: {e}", preset.name, workload.label);
+                }
+            }
+        }
+    }
+}
+
 /// Every preset's smoke points: the stored trace (block ids plus taken bits)
 /// rebuilds exactly the records the generator emits, including blocks taken
 /// into their own fall-through, whose taken bit no successor id can recover.
@@ -168,7 +187,21 @@ fn stored_traces_rebuild_the_generated_blocks_for_every_preset() {
         for (workload, seed) in points {
             let data = generated.data_for(workload, seed).expect("generated point");
             let trace = &data.trace;
-            let mut fresh = TraceGenerator::new(&data.layout);
+            // A held point keeps no control-flow tables; the generator walks
+            // a layout generated afresh from the point's profile.
+            assert!(!data.layout.has_control_flow());
+            let layout = CodeLayout::generate(data.layout.profile());
+            assert!(layout.basic_blocks().eq(data.layout.basic_blocks()));
+            // No root's subtree floor makes the layout overshoot its
+            // footprint by more than the last planned function.
+            let footprint = layout.profile().footprint_bytes;
+            let laid_out = layout.summary().footprint_bytes;
+            assert!(
+                (footprint..footprint + 64 * 1024).contains(&laid_out),
+                "{}: point ({workload}, {seed}) lays out {laid_out} bytes for {footprint}",
+                preset.name
+            );
+            let mut fresh = TraceGenerator::new(&layout);
             for i in 0..trace.len() {
                 let expected = fresh.next().expect("the generator never ends");
                 assert_eq!(

@@ -6,22 +6,20 @@
 //! is the codec for those artifacts: a little-endian byte format that
 //! round-trips a layout and its dynamic trace exactly.
 //!
-//! After the profile and the line size, the payload holds the layout's own
-//! tables as columns, each a `u64` element count followed by its elements
-//! (B blocks, F functions, C conditionals, P pool entries, R roots):
+//! After the profile and the line size, the payload holds the layout's
+//! simulation tables as columns, each a `u64` element count followed by its
+//! elements (B blocks, F functions, D direct branches: conditionals, jumps
+//! and calls):
 //!
 //! | column | elements | what each element is |
 //! |---|---|---|
 //! | function sizes | F × `u32` | the function's block count |
 //! | hot flags | F × `u8` | 1 if the function is hot, else 0 |
 //! | block sizes | B × `u8` | instructions, branch included |
-//! | kinds | B × `u8` | index in [`BranchKind::ALL`], a conditional's behaviour tag `<< 3` |
-//! | flows | B × `u32` | taken block, jump target, callee, an indirect list's pool offset, or 0 |
-//! | behaviours | C × `u64` | each conditional's behaviour payload, in block order |
-//! | id pool | P × `u32` | the indirect lists in block order, each its length then its ids |
+//! | kinds | B × `u8` | index in [`BranchKind::ALL`] |
+//! | direct targets | D × `u32` | the id of the block each direct branch targets, in block order |
 //!
-//! then the dispatcher (`u32`), the service roots (a column of R × `u32`),
-//! the trace: its block count, instruction count and final `next_pc`
+//! then the trace: its block count, instruction count and final `next_pc`
 //! (`u64` each), its block ids (`u32` each) and its taken bits (one per
 //! block, packed eight to a byte) — the form a [`Trace`] holds in memory —
 //! and last the back end's latency classes, a column over the trace's I
@@ -35,17 +33,21 @@
 //! [`BackendProfile::latency_classes`](crate::BackendProfile::latency_classes)
 //! returns, stored so that a load makes no RNG pass.
 //!
+//! The layout's control-flow tables (flows, behaviours, indirect id lists,
+//! the dispatcher and the service roots) are not stored: only trace
+//! generation walks them, and the stored trace is already walked. A
+//! decoded layout has none (see [`CodeLayout`]).
+//!
 //! Decoding reads each column with one bounds check, validates it in passes
-//! over its contiguous elements and builds the layout's tables (see
-//! [`CodeLayout`]) from it. It *validates* every stored field — the profile,
-//! lengths, sizes, kinds and tags, ids, behaviour payloads, the id lists and
-//! their order, a fall-through successor for every conditional and call,
-//! the trace's ids and instruction count, the class column's length and
-//! padding — and *derives* the rest: function entries, block starts,
-//! direct-target addresses, last-in-function bits and the branch-per-line
-//! index. The class values are not checked against the profile on decode
-//! (every 2-bit value is a class); the campaign layer's offline audit
-//! recomputes them.
+//! over its contiguous elements and builds the layout's simulation tables
+//! from it. It *validates* every stored field — the profile, lengths,
+//! sizes, kinds, target ids, a fall-through successor for every
+//! conditional and call, the trace's ids and instruction count, the class
+//! column's length and padding — and *derives* the rest: function entries,
+//! block starts, direct-target addresses, last-in-function bits and the
+//! branch-per-line index. The class values are not checked against the
+//! profile on decode (every 2-bit value is a class); the campaign layer's
+//! offline audit recomputes them.
 //!
 //! Decoding never panics on malformed input: every read is bounds-checked
 //! and every invariant is validated, reporting a [`CodecError`] that names
@@ -56,7 +58,7 @@
 use crate::layout::{BlockId, CodeLayout, Columns, Function, FunctionId, CODE_BASE};
 use crate::profile::{WorkloadKind, WorkloadProfile};
 use crate::trace::Trace;
-use sim_core::{Addr, BranchKind, LineGeometry, MAX_BASIC_BLOCK_INSTRUCTIONS};
+use sim_core::{Addr, BasicBlock, BranchKind, LineGeometry, MAX_BASIC_BLOCK_INSTRUCTIONS};
 use std::fmt;
 use std::marker::PhantomData;
 
@@ -236,12 +238,8 @@ impl<'a, T: Le> Column<'a, T> {
     }
 
     /// The elements, decoded as they are iterated.
-    fn iter(&self) -> impl ExactSizeIterator<Item = T> + 'a {
+    fn iter(&self) -> impl ExactSizeIterator<Item = T> + Clone + 'a {
         self.bytes.chunks_exact(T::WIDTH).map(T::get)
-    }
-
-    fn to_vec(&self) -> Vec<T> {
-        self.iter().collect()
     }
 }
 
@@ -382,21 +380,10 @@ fn decode_profile(r: &mut ByteReader<'_>) -> Result<WorkloadProfile, CodecError>
     Ok(profile)
 }
 
-/// A kind-plus-behaviour-tag byte: the kind's index in [`BranchKind::ALL`]
-/// in the low `KIND_BITS` bits, a conditional's behaviour tag above them.
-const KIND_BITS: u8 = 3;
-const KIND_MASK: u8 = (1 << KIND_BITS) - 1;
-
-/// The most ids one indirect branch's list may hold.
-const MAX_LIST: usize = 1024;
-
-/// The fields of an indirect jump's and an indirect call's id list: its
-/// length and its ids.
-const TARGETS: [&str; 2] = ["block.flow.targets.len", "block.flow.targets"];
-const CALLEES: [&str; 2] = ["block.flow.callees.len", "block.flow.callees"];
-
 /// Serializes `layout` to `out`: the profile, the line size, then the
-/// layout's columns (see the module docs).
+/// layout's simulation tables as columns (see the module docs). Each
+/// direct target is stored as the id of the block it starts, which
+/// [`CodeLayout::block_at`] recovers from the target address.
 pub fn encode_layout(layout: &CodeLayout, out: &mut Vec<u8>) {
     encode_profile(layout.profile(), out);
     layout.geometry().line_bytes().put(out);
@@ -405,31 +392,28 @@ pub fn encode_layout(layout: &CodeLayout, out: &mut Vec<u8>) {
     put_column(out, n, functions.iter().map(|f| f.num_blocks));
     put_column(out, n, functions.iter().map(|f| u8::from(f.is_hot)));
     let n = layout.num_blocks();
-    let records = (0..n as u32).map(|id| layout.stored_record(BlockId(id)));
-    put_column(out, n, records.clone().map(|(size, _, _)| size));
-    let kind_bytes = records.clone().map(|(_, kind, tag)| {
-        let index = BranchKind::ALL.iter().position(|&k| k == kind);
-        index.expect("every kind is in BranchKind::ALL") as u8 | tag << KIND_BITS
+    let blocks = layout.basic_blocks();
+    put_column(out, n, blocks.clone().map(|b| b.instructions as u8));
+    let kind = |b: BasicBlock| b.terminator.expect("every block ends in a branch").kind;
+    let kinds = blocks.clone().map(|b| {
+        let index = BranchKind::ALL.iter().position(|&k| k == kind(b));
+        index.expect("every kind is in BranchKind::ALL") as u8
     });
-    put_column(out, n, kind_bytes);
-    let (flow, behavior, pool) = layout.stored_columns();
-    put_column(out, n, flow.iter().copied());
-    let conditional = records
-        .zip(behavior)
-        .filter(|((_, k, _), _)| *k == BranchKind::Conditional);
-    let payloads = conditional.map(|(_, &p)| p);
-    put_column(out, payloads.clone().count(), payloads);
-    put_column(out, pool.len(), pool.iter().copied());
-    layout.dispatcher().0.put(out);
-    let roots = layout.service_roots();
-    put_column(out, roots.len(), roots.iter().map(|r| r.0));
+    put_column(out, n, kinds);
+    let targets = blocks.filter_map(|b| b.terminator?.target);
+    let ids = targets.clone().map(|addr| {
+        let id = layout.block_at(addr);
+        id.expect("a direct target starts a block").0
+    });
+    put_column(out, targets.count(), ids);
 }
 
 /// Deserializes a layout encoded by [`encode_layout`]: each column is read
 /// with one bounds check and validated in passes over its contiguous
-/// elements, then the layout's tables are built from it; block addresses,
-/// direct-target addresses, last-in-function bits and the branch-per-line
-/// index are derived, not stored.
+/// elements, then the layout's simulation tables are built from it; block
+/// addresses, direct-target addresses, last-in-function bits and the
+/// branch-per-line index are derived, not stored. The layout has no
+/// control-flow tables.
 pub fn decode_layout(r: &mut ByteReader<'_>) -> Result<CodeLayout, CodecError> {
     let profile = decode_profile(r)?;
     if let Err(e) = profile.validate() {
@@ -471,28 +455,9 @@ pub fn decode_layout(r: &mut ByteReader<'_>) -> Result<CodeLayout, CodecError> {
     let num_blocks = first_block;
     let sizes = r.column_of::<u8>("layout.blocks.len", num_blocks)?.bytes;
     let kinds = r.column_of::<u8>("layout.kinds.len", num_blocks)?.bytes;
-    let flow = r.column_of::<u32>("layout.flows.len", num_blocks)?.to_vec();
-    let payloads = r.column::<u64>("layout.behaviors.len", u64::from(num_blocks))?;
-    let pool = r
-        .column::<u32>("layout.pool.len", u32::MAX.into())?
-        .to_vec();
-    let dispatcher = r.u32("layout.dispatcher")?;
-    ensure(dispatcher < num_functions, "layout.dispatcher", || {
-        format!("function id {dispatcher} out of range (have {num_functions})")
-    })?;
-    let roots = r.column::<u32>("layout.service_roots.len", u64::from(num_functions))?;
-    ensure(roots.len() > 0, "layout.service_roots.len", || "no root")?;
-    let mut service_roots = Vec::with_capacity(roots.len());
-    for root in roots.iter() {
-        ensure(root < num_functions, "layout.service_roots", || {
-            format!("function id {root} out of range (have {num_functions})")
-        })?;
-        service_roots.push(FunctionId(root));
-    }
 
     // Each check is one pass over contiguous columns that branches only on
     // a failure, which it then names at its first offending block.
-    let kind = |idx: usize| kind_of(kinds[idx]);
     let max = MAX_BASIC_BLOCK_INSTRUCTIONS;
     if let Some(idx) = first_failing(sizes.iter(), |&s| (1..=max).contains(&u64::from(s))) {
         let why = format!("block {idx}: size {} outside 1..={max}", sizes[idx]);
@@ -505,19 +470,14 @@ pub fn decode_layout(r: &mut ByteReader<'_>) -> Result<CodeLayout, CodecError> {
         "block.instructions",
         || "the last block would start above the 4 GiB text-segment limit",
     )?;
-    // A kind's index with no tag, or a conditional (index 0) with a tag.
-    let kind_ok = |&b: &u8| {
-        usize::from(b) < BranchKind::ALL.len() || (b & KIND_MASK == 0 && b >> KIND_BITS <= 3)
-    };
-    if let Some(idx) = first_failing(kinds.iter(), kind_ok) {
-        let why = format!(
-            "block {idx}: {:#04x} is no branch kind and behaviour tag",
-            kinds[idx]
-        );
+    if let Some(idx) = first_failing(kinds.iter(), |&b| usize::from(b) < BranchKind::ALL.len()) {
+        let why = format!("block {idx}: {} is no branch kind", kinds[idx]);
         return Err(CodecError::new("block.kind", why));
     }
-    // Conditional and call blocks need a fall-through successor inside the
-    // same function; the trace generator relies on it.
+    let kind = |idx: usize| BranchKind::ALL[usize::from(kinds[idx])];
+    // Conditional and call blocks fall through to the next block of their
+    // function (a not-taken branch, a return from the callee), so none may
+    // end one: the generator never lays one out there.
     for f in &functions {
         let idx = (f.first_block + f.num_blocks - 1) as usize;
         let k = kind(idx);
@@ -529,81 +489,26 @@ pub fn decode_layout(r: &mut ByteReader<'_>) -> Result<CodeLayout, CodecError> {
             format!("block {idx} of kind {k} ends its function but needs a fall-through successor")
         })?;
     }
-    // Each kind's id bound, in `BranchKind::ALL` order: a return's entry is
-    // 0, and indirect lists are checked below.
-    let (b, f) = (u64::from(num_blocks), u64::from(num_functions));
-    let bounds = [b, b, u64::MAX, f, u64::MAX, 1];
-    let bound = |k: u8| bounds[usize::from(k & KIND_MASK)];
-    if let Some(idx) = first_failing(flow.iter().zip(kinds), |(&t, &k)| u64::from(t) < bound(k)) {
-        let field = match kind(idx) {
-            BranchKind::Conditional => "block.flow.taken",
-            BranchKind::DirectJump => "block.flow.target",
-            BranchKind::Call => "block.flow.callee",
-            _ => "block.flow.return",
-        };
-        let (id, bound) = (flow[idx], bound(kinds[idx]));
-        let why = format!("block {idx}: id {id} out of range (have {bound})");
-        return Err(CodecError::new(field, why));
-    }
-    // The pool holds the indirect blocks' lists in block order.
-    let indirect = |b| {
-        matches!(
-            kind_of(b),
-            BranchKind::IndirectJump | BranchKind::IndirectCall
-        )
-    };
-    let mut next_list = 0usize;
-    for (idx, &b) in kinds.iter().enumerate().filter(|&(_, &b)| indirect(b)) {
-        let target = flow[idx];
-        ensure(target as usize == next_list, "block.flow.list", || {
-            format!("block {idx}: list at pool offset {target}, expected {next_list}")
-        })?;
-        next_list = if kind_of(b) == BranchKind::IndirectJump {
-            check_list(&pool, next_list, num_blocks, TARGETS)?
-        } else {
-            check_list(&pool, next_list, num_functions, CALLEES)?
-        };
-    }
-    let left = pool.len() - next_list;
-    ensure(left == 0, "layout.pool.len", || {
-        format!("{left} unused entries")
-    })?;
-    // Each conditional's payload goes to its block's slot, 0 to the others'.
-    let (mut next, mut all_ok) = (0usize, true);
-    let behavior: Vec<u64> = kinds
-        .iter()
-        .map(|&b| {
-            let conditional = b & KIND_MASK == 0;
-            let payload = payloads.get(next) & u64::from(conditional).wrapping_neg();
-            next += usize::from(conditional);
-            all_ok &= behavior_ok(b, payload);
-            payload
-        })
-        .collect();
-    ensure(next == payloads.len(), "layout.behaviors.len", || {
-        format!("{} payloads stored for {next} conditionals", payloads.len())
-    })?;
-    if !all_ok {
-        let idx = (0..kinds.len()).position(|i| !behavior_ok(kinds[i], behavior[i]));
-        let idx = idx.unwrap_or_default();
-        let (field, shift, lo, hi) = BEHAVIOR_RANGES[usize::from(kinds[idx] >> KIND_BITS) & 3];
+    // One target per direct branch, each a block's id.
+    let direct = (0..kinds.len()).filter(|&idx| !kind(idx).target_is_indirect());
+    let targets = r.column_of::<u32>("layout.targets.len", direct.clone().count() as u32)?;
+    if let Some(i) = first_failing(targets.iter(), |t| t < num_blocks) {
+        let idx = direct.clone().nth(i).unwrap_or_default();
         let why = format!(
-            "block {idx}: {} outside {lo}..={hi}",
-            behavior[idx] >> shift
+            "block {idx}: target block id {} out of range (have {num_blocks})",
+            targets.get(i)
         );
-        return Err(CodecError::new(field, why));
+        return Err(CodecError::new("block.target", why));
     }
 
-    let blocks = sizes.iter().zip(kinds);
-    let blocks = blocks.map(|(&size, &b)| (size, kind_of(b), b >> KIND_BITS));
-    let columns = Columns::from_stored(&functions, blocks, flow, behavior, pool);
-    let dispatcher = FunctionId(dispatcher);
-    Ok(columns.finish(profile, geometry, functions, service_roots, dispatcher))
-}
-
-/// The kind a validated kind-plus-behaviour-tag byte holds.
-fn kind_of(byte: u8) -> BranchKind {
-    BranchKind::ALL[usize::from(byte & KIND_MASK)]
+    let blocks = sizes
+        .iter()
+        .enumerate()
+        .map(|(idx, &size)| (size, kind(idx)));
+    let mut columns = Columns::from_stored(&functions, blocks);
+    let mut targets = targets.iter();
+    columns.set_targets(|_, _| targets.next().unwrap_or_default());
+    Ok(columns.finish(profile, geometry, functions))
 }
 
 /// The index of the first item that fails `ok`: one pass over every item
@@ -614,53 +519,6 @@ fn first_failing<I: Iterator + Clone>(items: I, ok: impl Fn(I::Item) -> bool) ->
         None
     } else {
         items.into_iter().position(|item| !ok(item))
-    }
-}
-
-/// Each behaviour tag's payload check (see
-/// [`BranchBehavior`](crate::BranchBehavior)), as the field it names and the
-/// `(shift, lo, hi)` that `payload >> shift` must lie within: any `p_taken`
-/// bit pattern (tags 0 and 3), a loop's trip count in 2..=u32::MAX (1), a
-/// pattern's period in 1..=32 (2).
-const BEHAVIOR_RANGES: [(&str, u32, u64, u64); 4] = [
-    ("block.flow.behavior.p_taken", 0, 0, u64::MAX),
-    ("block.flow.behavior.trip_count", 0, 2, u32::MAX as u64),
-    ("block.flow.behavior.period", 32, 1, 32),
-    ("block.flow.behavior.p_taken", 0, 0, u64::MAX),
-];
-
-/// Whether `payload` lies in the range of the behaviour tag in the
-/// validated kind byte `b` (0 for a block that is no conditional).
-fn behavior_ok(b: u8, payload: u64) -> bool {
-    let (_, shift, lo, hi) = BEHAVIOR_RANGES[usize::from(b >> KIND_BITS) & 3];
-    (payload >> shift).wrapping_sub(lo) <= hi - lo
-}
-
-/// Validates the id list that starts at `at` in `pool`, its length then its
-/// ids (each below `bound`), and returns where the next list starts.
-/// `fields` names the length and the ids.
-fn check_list(
-    pool: &[u32],
-    at: usize,
-    bound: u32,
-    [len_field, field]: [&'static str; 2],
-) -> Decoded<usize> {
-    let list = pool.get(at..).unwrap_or_default();
-    let n = list.first().map_or(0, |&n| n as usize);
-    ensure((1..=MAX_LIST).contains(&n), len_field, || {
-        format!("list of {n} ids at pool offset {at}, outside 1..={MAX_LIST}")
-    })?;
-    let ids = list.get(1..=n).unwrap_or_default();
-    let end = at + 1 + n;
-    ensure(ids.len() == n, "layout.pool.len", || {
-        "a list runs past the pool"
-    })?;
-    match ids.iter().find(|&&id| id >= bound) {
-        Some(id) => Err(CodecError::new(
-            field,
-            format!("id {id} out of range (have {bound})"),
-        )),
-        None => Ok(end),
     }
 }
 
@@ -819,12 +677,17 @@ mod tests {
 
         assert_eq!(layout.profile(), layout2.profile());
         assert_eq!(layout.geometry(), layout2.geometry());
-        assert!(layout.blocks().eq(layout2.blocks()));
+        assert!(layout.basic_blocks().eq(layout2.basic_blocks()));
         assert_eq!(layout.functions(), layout2.functions());
-        assert_eq!(layout.service_roots(), layout2.service_roots());
-        assert_eq!(layout.dispatcher(), layout2.dispatcher());
         assert_eq!(layout.code_end(), layout2.code_end());
+        for b in layout.blocks() {
+            assert_eq!(layout.fall_through(b.id), layout2.fall_through(b.id));
+        }
         assert_eq!(trace, trace2);
+        // A decoded layout holds the simulation tables alone, and its trace
+        // walks it.
+        assert!(!layout2.has_control_flow());
+        assert!(trace2.layout().shares_tables(&layout2));
     }
 
     #[test]
@@ -889,16 +752,15 @@ mod tests {
         let none = CodecError::new("layout.functions.len", "no function");
         assert_eq!(forge(at, &[0; 8]), none);
         let (f, b) = (layout.functions().len(), layout.num_blocks());
-        let c = layout.summary().conditional_branches;
-        let pool = layout.stored_columns().2.len();
+        let direct = layout
+            .basic_blocks()
+            .filter(|b| b.terminator.unwrap().target.is_some());
         for (field, n, width) in [
             ("layout.functions.len", f, 4),
             ("layout.hot_flags.len", f, 1),
             ("layout.blocks.len", b, 1),
             ("layout.kinds.len", b, 1),
-            ("layout.flows.len", b, 4),
-            ("layout.behaviors.len", c, 8),
-            ("layout.pool.len", pool, 4),
+            ("layout.targets.len", direct.count(), 4),
         ] {
             for forged in [u64::from(u32::MAX), 1 << 32] {
                 assert_eq!(forge(at, &forged.to_le_bytes()).field, field);
@@ -977,7 +839,7 @@ mod tests {
         let (_, _, bytes) = encoded(42, 5_000);
         assert_eq!(
             (bytes.len(), format!("{:016x}", fnv1a64(&bytes))),
-            (54_129, "924ffb25406143a9".to_string())
+            (41_153, "ce2dd528529b2ff2".to_string())
         );
     }
 

@@ -1,16 +1,16 @@
 //! A deterministic, structure-aware fuzzer for [`decode_workload`].
 //!
 //! One SplitMix64 stream mutates the encoded artifacts of several tiny
-//! profiles: bit flips, truncations, forged column and list lengths, ids,
-//! kind bytes and loop payloads written at the offsets where the columns
-//! put those fields, function boundaries moved by one block and padding
-//! bits set in the last latency-class byte. Every mutant must decode to a
-//! field-named error or to a workload that re-encodes to the mutant's own
-//! bytes and that the trace generator can walk; a panic fails the test
-//! with the mutant that caused it.
+//! profiles: bit flips, truncations, forged column lengths and function
+//! block counts, target and trace ids and kind bytes written at the offsets
+//! where the columns put those fields, function boundaries moved by one
+//! block and padding bits set in the last latency-class byte. Every mutant
+//! must decode to a field-named error or to a workload that re-encodes to
+//! the mutant's own bytes and whose trace the simulator can read back
+//! through the layout; a panic fails the test with the mutant that caused
+//! it.
 
 use super::*;
-use crate::layout::{BranchBehavior, ControlFlow};
 use std::collections::BTreeMap;
 
 /// SplitMix64, the fuzzer's only source of choices.
@@ -40,16 +40,10 @@ impl SplitMix {
 struct FieldMap {
     /// Column lengths and the trace's counts (8 bytes each).
     columns: Vec<usize>,
-    /// Id-list lengths and function block counts, as (offset, width in
-    /// bytes).
-    lengths: Vec<(usize, usize)>,
-    /// Flow-column entries (ids and pool offsets), pooled ids, the
-    /// dispatcher, the service roots and the trace's ids (4 bytes each).
+    /// Direct-target ids and the trace's ids (4 bytes each).
     ids: Vec<usize>,
-    /// Kind-plus-behaviour-tag bytes, in block order.
+    /// Kind bytes, in block order.
     kinds: Vec<usize>,
-    /// Loop behaviour payloads (8 bytes each).
-    trip_counts: Vec<usize>,
     /// Each function's block count (4 bytes each), in function order.
     function_sizes: Vec<usize>,
     /// The last taken-bit byte and its unused high bits, which decoding
@@ -66,47 +60,21 @@ impl FieldMap {
         let mut map = FieldMap::default();
         let mut profile = Vec::new();
         encode_profile(layout.profile(), &mut profile);
-        let (flow, _, pool) = layout.stored_columns();
         let (functions, blocks) = (layout.functions().len(), layout.num_blocks());
         // The profile, then the line size, then the columns.
         let mut at = profile.len() + 8;
         let sizes = map.column(&mut at, functions, 4);
         map.function_sizes = (0..functions).map(|i| sizes + 4 * i).collect();
-        map.lengths
-            .extend(map.function_sizes.iter().map(|&at| (at, 4)));
         map.column(&mut at, functions, 1);
         map.column(&mut at, blocks, 1);
         let kinds = map.column(&mut at, blocks, 1);
         map.kinds = (0..blocks).map(|i| kinds + i).collect();
-        let flows = map.column(&mut at, blocks, 4);
-        map.ids.extend((0..blocks).map(|i| flows + 4 * i));
-        let conditionals: Vec<_> = layout
-            .blocks()
-            .filter_map(|b| match b.flow {
-                ControlFlow::Conditional { behavior, .. } => Some(behavior),
-                _ => None,
-            })
-            .collect();
-        let payloads = map.column(&mut at, conditionals.len(), 8);
-        for (c, behavior) in conditionals.iter().enumerate() {
-            if let BranchBehavior::Loop { .. } = behavior {
-                map.trip_counts.push(payloads + 8 * c);
-            }
-        }
-        let pooled = map.column(&mut at, pool.len(), 4);
-        for b in layout.blocks() {
-            if let ControlFlow::IndirectJump { .. } | ControlFlow::IndirectCall { .. } = b.flow {
-                let list = pooled + 4 * flow[b.id.0 as usize] as usize;
-                map.lengths.push((list, 4));
-                let n = pool[flow[b.id.0 as usize] as usize] as usize;
-                map.ids.extend((0..n).map(|i| list + 4 + 4 * i));
-            }
-        }
-        map.ids.push(at);
-        at += 4;
-        let roots = map.column(&mut at, layout.service_roots().len(), 4);
-        map.ids
-            .extend((0..layout.service_roots().len()).map(|i| roots + 4 * i));
+        let direct = layout
+            .basic_blocks()
+            .filter(|b| b.terminator.is_some_and(|t| t.target.is_some()))
+            .count();
+        let targets = map.column(&mut at, direct, 4);
+        map.ids.extend((0..direct).map(|i| targets + 4 * i));
         // The trace: its block count, instruction count, final pc, ids,
         // taken bits.
         map.columns.push(at);
@@ -179,7 +147,7 @@ fn forge(bytes: &mut [u8], rng: &mut SplitMix, what: &str, at: usize, width: usi
 
 /// Applies one mutation to `bytes` and says what it was.
 fn mutate(bytes: &mut Vec<u8>, map: &FieldMap, rng: &mut SplitMix) -> String {
-    match rng.below(8) {
+    match rng.below(7) {
         0 => {
             let at = rng.below(bytes.len());
             let bit = rng.below(8);
@@ -193,10 +161,10 @@ fn mutate(bytes: &mut Vec<u8>, map: &FieldMap, rng: &mut SplitMix) -> String {
         }
         2 => {
             // Columns half the time: the few of them are not lost among
-            // the many list and function lengths.
+            // the many function lengths.
             let (at, width) = match rng.below(2) {
                 0 => (rng.pick(&map.columns), 8),
-                _ => rng.pick(&map.lengths),
+                _ => (rng.pick(&map.function_sizes), 4),
             };
             forge(bytes, rng, "length", at, width)
         }
@@ -209,10 +177,6 @@ fn mutate(bytes: &mut Vec<u8>, map: &FieldMap, rng: &mut SplitMix) -> String {
             forge(bytes, rng, "kind", at, 1)
         }
         5 => {
-            let at = rng.pick(&map.trip_counts);
-            forge(bytes, rng, "trip count", at, 8)
-        }
-        6 => {
             let (at, padding) = map.class_padding;
             if padding == 0 || at >= bytes.len() {
                 return "no class padding to set".to_string();
@@ -294,10 +258,10 @@ fn encode_after_decode_is_the_identity() {
     let artifacts = artifacts();
     let (heavy, _) = &artifacts[2];
     let indirect = heavy
-        .blocks()
+        .basic_blocks()
         .filter(|b| {
             matches!(
-                b.terminator().kind,
+                b.terminator.unwrap().kind,
                 BranchKind::IndirectJump | BranchKind::IndirectCall
             )
         })
@@ -315,11 +279,28 @@ fn encode_after_decode_is_the_identity() {
         let classes = classes_of(&trace);
         let bytes = encode(&layout, &trace, &classes);
         let (decoded, decoded_trace, decoded_classes) = decode_workload(&bytes).expect("decode");
-        assert!(decoded.blocks().eq(layout.blocks()));
+        assert!(decoded.basic_blocks().eq(layout.basic_blocks()));
         assert_eq!(decoded.functions(), layout.functions());
         assert_eq!(decoded_trace, trace);
         assert_eq!(decoded_classes, classes);
         assert_eq!(encode(&decoded, &decoded_trace, &decoded_classes), bytes);
+    }
+}
+
+/// Reads every record of a decoded trace back through its layout the way
+/// the simulator and its predecoder do.
+fn read_back(layout: &CodeLayout, trace: &Trace) {
+    let geometry = layout.geometry();
+    for d in trace.iter() {
+        let id = layout
+            .block_at(d.start())
+            .expect("a trace block starts a block");
+        let line = geometry.line_of(d.block.last_instruction());
+        assert!(layout.branches_in_line(line).contains(&id.0));
+        assert_eq!(layout.next_branch_at_or_after(d.start()), Some(id));
+        if let Some(target) = d.block.terminator.and_then(|t| t.target) {
+            assert!(layout.block_at(target).is_some());
+        }
     }
 }
 
@@ -337,8 +318,8 @@ fn mutated_artifacts_decode_to_field_errors_or_to_usable_workloads() {
         assert!(map
             .kinds
             .iter()
-            .zip(layout.blocks())
-            .all(|(&at, b)| BranchKind::ALL[usize::from(bytes[at] & 7)] == b.flow.kind()));
+            .zip(layout.basic_blocks())
+            .all(|(&at, b)| BranchKind::ALL[usize::from(bytes[at])] == b.terminator.unwrap().kind));
         for round in 0..1500 {
             let mut mutant = bytes.clone();
             let mut what = Vec::new();
@@ -373,11 +354,10 @@ fn mutated_artifacts_decode_to_field_errors_or_to_usable_workloads() {
                         again, mutant,
                         "artifact {index} round {round}: {what:?} decoded but re-encodes differently"
                     );
-                    // What decodes is a layout the generator can walk.
-                    std::panic::catch_unwind(|| Trace::generate_blocks(&layout, 300))
-                        .unwrap_or_else(|_| {
-                            panic!("artifact {index} round {round}: {what:?} decoded unwalkable")
-                        });
+                    // What decodes is a trace the simulator can read.
+                    std::panic::catch_unwind(|| read_back(&layout, &trace)).unwrap_or_else(|_| {
+                        panic!("artifact {index} round {round}: {what:?} decoded unreadable")
+                    });
                 }
             }
         }
@@ -387,16 +367,11 @@ fn mutated_artifacts_decode_to_field_errors_or_to_usable_workloads() {
         "layout.functions.len",
         "layout.blocks.len",
         "layout.kinds.len",
-        "layout.behaviors.len",
-        "layout.pool.len",
+        "layout.targets.len",
         "function.num_blocks",
         "block.kind",
         "block.flow",
-        "block.flow.taken",
-        "block.flow.list",
-        "block.flow.behavior.trip_count",
-        "block.flow.targets.len",
-        "block.flow.callees",
+        "block.target",
         "trace.block_id",
         "trace.instructions",
         "classes.len",

@@ -18,12 +18,24 @@
 //!   branch-target distance distribution of Figure 4.
 //!
 //! A layout keeps fixed-width per-block tables rather than one record per
-//! block object: a packed 12-byte record with what rebuilding a block's
-//! [`BasicBlock`] reads (start, size, kind, direct-target address), side
-//! columns with what only trace generation reads (the flow's target id and a
-//! conditional's behaviour), and one shared pool of indirect-branch id
-//! lists. [`CodeLayout::block`] assembles a [`StaticBlock`] by value from
-//! them; its [`ControlFlow`] borrows the pool.
+//! block object, in two parts:
+//!
+//! * the *simulation tables*: a packed 12-byte record per block with what
+//!   rebuilding its [`BasicBlock`] reads (start, size, kind, direct-target
+//!   address), the branch-per-line index, the functions, the profile, the
+//!   line geometry and the end of the code. The simulator, the predecoder
+//!   and a trace's rebuild of its dynamic records read nothing else;
+//! * the *control-flow tables*: each block's flow target id, a
+//!   conditional's behaviour, one shared pool of indirect-branch id lists,
+//!   the dispatcher and the service roots. Only trace generation walks them.
+//!
+//! [`CodeLayout::generate`] fills both. A [`Trace`](crate::Trace) keeps a
+//! handle on the simulation tables alone
+//! ([`CodeLayout::without_control_flow`]), and so does a held workload
+//! point, whose control-flow tables are freed once its trace exists; a
+//! layout decoded from an artifact never had them. [`CodeLayout::block`]
+//! assembles a [`StaticBlock`] by value from both parts; its
+//! [`ControlFlow`] borrows the pool.
 
 use crate::profile::WorkloadProfile;
 use sim_core::rng::SimRng;
@@ -311,32 +323,28 @@ impl fmt::Display for LayoutSummary {
 
 /// The synthetic text segment: functions, blocks, and indexes over them.
 ///
-/// A layout is immutable once built, so its tables live behind one [`Arc`]:
-/// a clone is a pointer copy. A [`Trace`](crate::Trace) keeps such a handle
-/// and rebuilds its dynamic blocks from block ids through it.
+/// A layout is immutable once built, so each part of its tables (see the
+/// module docs) lives behind one [`Arc`]: a clone is a pointer copy. A
+/// [`Trace`](crate::Trace) keeps a handle on the simulation tables and
+/// rebuilds its dynamic blocks from block ids through it.
 #[derive(Clone, Debug)]
 pub struct CodeLayout {
     tables: Arc<LayoutTables>,
+    /// The control-flow tables: present on a freshly generated layout and
+    /// its clones, absent from a handle made by
+    /// [`without_control_flow`](Self::without_control_flow) and from a
+    /// decoded layout.
+    control: Option<Arc<ControlFlowTables>>,
 }
 
-/// The tables of a [`CodeLayout`]: one entry per block in each per-block
-/// column, in layout order.
+/// The simulation tables of a [`CodeLayout`]: one entry per block in each
+/// per-block column, in layout order.
 #[derive(Debug)]
 struct LayoutTables {
     profile: WorkloadProfile,
     geometry: LineGeometry,
-    /// The packed hot record of each block.
+    /// The packed record of each block.
     records: Box<[BlockRecord]>,
-    /// The flow's target id: a conditional's taken block, a jump's target
-    /// block, a call's callee, the offset of an indirect branch's id list in
-    /// `pool`, and 0 for a return.
-    flow: Box<[u32]>,
-    /// A conditional's behaviour payload ([`BranchBehavior::to_bits`]; the
-    /// tag sits in the record's flag bits), 0 for every other kind.
-    behavior: Box<[u64]>,
-    /// The indirect branches' id lists, each its length followed by its ids:
-    /// one arena instead of a heap allocation per indirect block.
-    pool: Box<[u32]>,
     functions: Box<[Function]>,
     /// The branch-per-line index as id ranges. Blocks are laid out
     /// contiguously, so branch PCs are strictly increasing with the block id
@@ -344,21 +352,35 @@ struct LayoutTables {
     /// `first_line + l` holds the blocks `line_offsets[l] .. line_offsets[l+1]`.
     first_line: CacheLine,
     line_offsets: Box<[u32]>,
+    code_end: Addr,
+}
+
+/// The control-flow tables of a generated [`CodeLayout`]: what only trace
+/// generation walks, one entry per block in each per-block column.
+#[derive(Debug)]
+struct ControlFlowTables {
+    /// The flow's target id: a conditional's taken block, a jump's target
+    /// block, a call's callee, the offset of an indirect branch's id list in
+    /// `pool`, and 0 for a return.
+    flow: Box<[u32]>,
+    /// A conditional's behaviour tag and payload
+    /// ([`BranchBehavior::to_bits`]), 0 for every other kind.
+    tags: Box<[u8]>,
+    behavior: Box<[u64]>,
+    /// The indirect branches' id lists, each its length followed by its ids:
+    /// one arena instead of a heap allocation per indirect block.
+    pool: Box<[u32]>,
     service_roots: Vec<FunctionId>,
     dispatcher: FunctionId,
-    code_end: Addr,
 }
 
 /// Flag bit: the block is the last of its function (it has no
 /// fall-through successor).
 const LAST_IN_FUNCTION: u8 = 1;
 
-/// Shift of a conditional's behaviour tag within the flag bits.
-const BEHAVIOR_TAG_SHIFT: u8 = 1;
-
-/// The packed hot record of one block: exactly what rebuilding its
+/// The packed record of one block: exactly what rebuilding its
 /// [`BasicBlock`] reads, so a rebuild touches one record. The byte that
-/// alignment would pad holds the generator's flag bits.
+/// alignment would pad holds the flag bits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct BlockRecord {
     /// Address of the first instruction (the text segment lies below 4 GiB;
@@ -370,7 +392,7 @@ struct BlockRecord {
     size: u8,
     /// Kind of the terminating branch.
     kind: BranchKind,
-    /// [`LAST_IN_FUNCTION`] and, for a conditional, its behaviour tag.
+    /// [`LAST_IN_FUNCTION`].
     flags: u8,
 }
 
@@ -402,9 +424,39 @@ impl BlockRecord {
 }
 
 impl CodeLayout {
-    /// `true` if `other` is a clone of this layout (the same tables).
+    /// `true` if `other` is a clone of this layout, or a handle on its
+    /// simulation tables: both rebuild blocks from the same tables.
     pub fn shares_tables(&self, other: &CodeLayout) -> bool {
         Arc::ptr_eq(&self.tables, &other.tables)
+    }
+
+    /// A handle on this layout's simulation tables alone: what a trace and
+    /// a held workload point keep. The control-flow tables are freed once
+    /// no handle that has them is left.
+    pub fn without_control_flow(&self) -> CodeLayout {
+        CodeLayout {
+            tables: Arc::clone(&self.tables),
+            control: None,
+        }
+    }
+
+    /// `true` if this handle holds the control-flow tables, which only
+    /// [`CodeLayout::generate`]'s result and its clones do.
+    pub fn has_control_flow(&self) -> bool {
+        self.control.is_some()
+    }
+
+    /// The control-flow tables.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this handle holds none (see
+    /// [`has_control_flow`](Self::has_control_flow)).
+    fn control(&self) -> &ControlFlowTables {
+        self.control.as_deref().expect(
+            "missing control-flow tables: only a freshly generated layout has them, \
+             not a trace's, a held workload point's or a decoded one",
+        )
     }
 
     /// Generates the layout for `profile` with 64-byte cache lines.
@@ -447,8 +499,18 @@ impl CodeLayout {
     }
 
     /// All static blocks in layout (address) order, assembled one at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this handle holds no control-flow tables.
     pub fn blocks(&self) -> impl ExactSizeIterator<Item = StaticBlock<'_>> + '_ {
         (0..self.num_blocks() as u32).map(move |id| self.block(BlockId(id)))
+    }
+
+    /// The address range and terminating branch of every block, in layout
+    /// order: the simulation tables' view of [`blocks`](Self::blocks).
+    pub fn basic_blocks(&self) -> impl ExactSizeIterator<Item = BasicBlock> + Clone + '_ {
+        self.tables.records.iter().map(|r| r.basic_block())
     }
 
     /// All functions in layout order.
@@ -457,6 +519,10 @@ impl CodeLayout {
     }
 
     /// The block with the given id: address range, terminator and flow.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this handle holds no control-flow tables.
     pub fn block(&self, id: BlockId) -> StaticBlock<'_> {
         StaticBlock {
             id,
@@ -473,55 +539,30 @@ impl CodeLayout {
         self.tables.records[id.0 as usize].basic_block()
     }
 
-    /// The control flow of block `id`, read from the side columns.
+    /// The control flow of block `id`, read from the control-flow tables.
     pub(crate) fn flow(&self, id: BlockId) -> ControlFlow<'_> {
-        let t = &*self.tables;
+        let c = self.control();
         let i = id.0 as usize;
-        let record = t.records[i];
-        let target = t.flow[i];
-        match record.kind {
+        let target = c.flow[i];
+        match self.tables.records[i].kind {
             BranchKind::Conditional => ControlFlow::Conditional {
                 taken: BlockId(target),
-                behavior: BranchBehavior::from_bits(
-                    record.flags >> BEHAVIOR_TAG_SHIFT,
-                    t.behavior[i],
-                ),
+                behavior: BranchBehavior::from_bits(c.tags[i], c.behavior[i]),
             },
             BranchKind::DirectJump => ControlFlow::Jump {
                 target: BlockId(target),
             },
             BranchKind::IndirectJump => ControlFlow::IndirectJump {
-                targets: self.pooled(target),
+                targets: c.pooled(target),
             },
             BranchKind::Call => ControlFlow::Call {
                 callee: FunctionId(target),
             },
             BranchKind::IndirectCall => ControlFlow::IndirectCall {
-                callees: self.pooled(target),
+                callees: c.pooled(target),
             },
             BranchKind::Return => ControlFlow::Return,
         }
-    }
-
-    /// The id list stored at `offset` in the pool.
-    fn pooled<T: From<u32>>(&self, offset: u32) -> Ids<'_, T> {
-        let pool = &self.tables.pool;
-        let at = offset as usize + 1;
-        Ids::new(&pool[at..at + pool[at - 1] as usize])
-    }
-
-    /// Block `id`'s record as the artifact codec stores it: its size, its
-    /// branch kind and a conditional's behaviour tag (0 for other kinds).
-    pub(crate) fn stored_record(&self, id: BlockId) -> (u8, BranchKind, u8) {
-        let r = self.tables.records[id.0 as usize];
-        (r.size, r.kind, r.flags >> BEHAVIOR_TAG_SHIFT)
-    }
-
-    /// The flow column, the behaviour column and the id pool, as held in
-    /// memory (see the field docs on [`LayoutTables`]).
-    pub(crate) fn stored_columns(&self) -> (&[u32], &[u64], &[u32]) {
-        let t = &*self.tables;
-        (&t.flow, &t.behavior, &t.pool)
     }
 
     /// The function with the given id.
@@ -530,19 +571,31 @@ impl CodeLayout {
     }
 
     /// The dispatcher function that drives the workload's service loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this handle holds no control-flow tables.
     pub fn dispatcher(&self) -> FunctionId {
-        self.tables.dispatcher
+        self.control().dispatcher
     }
 
     /// The dispatcher's entry block: the point where trace generation starts
     /// and where control resumes when the call stack unwinds completely.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this handle holds no control-flow tables.
     pub fn entry_block(&self) -> BlockId {
-        self.tables.functions[self.tables.dispatcher.0 as usize].entry
+        self.function(self.dispatcher()).entry
     }
 
     /// The service-root functions the dispatcher cycles through.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this handle holds no control-flow tables.
     pub fn service_roots(&self) -> &[FunctionId] {
-        &self.tables.service_roots
+        &self.control().service_roots
     }
 
     /// First byte address of the text segment.
@@ -649,17 +702,22 @@ impl CodeLayout {
     }
 }
 
-/// The per-block tables of a layout under construction, appended in layout
-/// order. Generation pushes every block's record, then every block's flow
-/// (targets are drawn once all addresses exist); the artifact decoder
-/// builds them from its validated columns in one go
-/// ([`from_stored`](Self::from_stored)). Both end in
-/// [`finish`](Self::finish).
+impl ControlFlowTables {
+    /// The id list stored at `offset` in the pool.
+    fn pooled<T: From<u32>>(&self, offset: u32) -> Ids<'_, T> {
+        let at = offset as usize + 1;
+        Ids::new(&self.pool[at..at + self.pool[at - 1] as usize])
+    }
+}
+
+/// The per-block records of a layout under construction, appended in layout
+/// order. Generation pushes every block's record, then resolves the direct
+/// targets once every block's flow is drawn; the artifact decoder builds
+/// the records from its validated columns in one go
+/// ([`from_stored`](Self::from_stored)). Both set the targets with
+/// [`set_targets`](Self::set_targets) and end in [`finish`](Self::finish).
 pub(crate) struct Columns {
     records: Vec<BlockRecord>,
-    flow: Vec<u32>,
-    behavior: Vec<u64>,
-    pool: Vec<u32>,
     end: Addr,
 }
 
@@ -668,9 +726,6 @@ impl Columns {
     pub(crate) fn with_capacity(blocks: usize) -> Self {
         Columns {
             records: Vec::with_capacity(blocks),
-            flow: Vec::with_capacity(blocks),
-            behavior: Vec::with_capacity(blocks),
-            pool: Vec::new(),
             end: CODE_BASE,
         }
     }
@@ -700,42 +755,18 @@ impl Columns {
         self.end = self.end.add_instructions(size);
     }
 
-    /// Stores the control flow of the first block that has none yet; its
-    /// record must already be pushed, with the flow's kind.
-    pub(crate) fn push_flow(&mut self, flow: ControlFlow<'_>) {
-        let idx = self.flow.len();
-        debug_assert_eq!(self.records[idx].kind, flow.kind());
-        let (target, payload) = match flow {
-            ControlFlow::Conditional { taken, behavior } => {
-                let (tag, payload) = behavior.to_bits();
-                self.records[idx].flags |= tag << BEHAVIOR_TAG_SHIFT;
-                (taken.0, payload)
-            }
-            ControlFlow::Jump { target } => (target.0, 0),
-            ControlFlow::IndirectJump { targets } => (self.push_list(targets.raw), 0),
-            ControlFlow::Call { callee } => (callee.0, 0),
-            ControlFlow::IndirectCall { callees } => (self.push_list(callees.raw), 0),
-            ControlFlow::Return => (0, 0),
-        };
-        self.flow.push(target);
-        self.behavior.push(payload);
-    }
-
-    /// The tables of stored columns the artifact decoder has validated:
-    /// each block's size, kind and behaviour tag, in layout order and
-    /// covering `functions` (the text segment below 4 GiB), and the flow
-    /// column, behaviour column and pool as [`CodeLayout::stored_columns`]
-    /// returns them. Block starts and last-in-function bits are derived.
+    /// The records of stored columns the artifact decoder has validated:
+    /// each block's size and kind, in layout order and covering `functions`
+    /// (the text segment below 4 GiB). Block starts and last-in-function
+    /// bits are derived; the targets are set by
+    /// [`set_targets`](Self::set_targets).
     pub(crate) fn from_stored(
         functions: &[Function],
-        blocks: impl Iterator<Item = (u8, BranchKind, u8)>,
-        flow: Vec<u32>,
-        behavior: Vec<u64>,
-        pool: Vec<u32>,
+        blocks: impl Iterator<Item = (u8, BranchKind)>,
     ) -> Self {
         let mut end = CODE_BASE;
         let mut records: Vec<BlockRecord> = blocks
-            .map(|(size, kind, tag)| {
+            .map(|(size, kind)| {
                 let start = end.raw() as u32;
                 end = end.add_instructions(u64::from(size));
                 BlockRecord {
@@ -743,20 +774,87 @@ impl Columns {
                     target: 0,
                     size,
                     kind,
-                    flags: tag << BEHAVIOR_TAG_SHIFT,
+                    flags: 0,
                 }
             })
             .collect();
         for f in functions {
             records[(f.first_block + f.num_blocks - 1) as usize].flags |= LAST_IN_FUNCTION;
         }
-        Columns {
-            records,
-            flow,
-            behavior,
-            pool,
-            end,
+        Columns { records, end }
+    }
+
+    /// Points each direct branch (a conditional, a jump or a call) at the
+    /// start of the block `target(idx, kind)` names: a gather over the start
+    /// column, since a forward target is laid out after its branch.
+    /// `target` is called once per direct branch, in block order, and must
+    /// return a block's id.
+    pub(crate) fn set_targets(&mut self, mut target: impl FnMut(usize, BranchKind) -> u32) {
+        for idx in 0..self.records.len() {
+            let kind = self.records[idx].kind;
+            if !kind.target_is_indirect() {
+                let id = target(idx, kind) as usize;
+                self.records[idx].target = self.records[id].start;
+            }
         }
+    }
+
+    /// The finished layout's simulation tables, with no control-flow tables:
+    /// builds the line index.
+    pub(crate) fn finish(
+        self,
+        profile: WorkloadProfile,
+        geometry: LineGeometry,
+        functions: Vec<Function>,
+    ) -> CodeLayout {
+        let (first_line, line_offsets) = build_line_index(geometry, &self.records, self.end);
+        CodeLayout {
+            tables: Arc::new(LayoutTables {
+                profile,
+                geometry,
+                records: self.records.into_boxed_slice(),
+                functions: functions.into_boxed_slice(),
+                first_line,
+                line_offsets,
+                code_end: self.end,
+            }),
+            control: None,
+        }
+    }
+}
+
+/// The control-flow tables of a layout under construction: generation
+/// stores each block's flow as it is drawn, in layout order.
+struct FlowColumns {
+    flow: Vec<u32>,
+    tags: Vec<u8>,
+    behavior: Vec<u64>,
+    pool: Vec<u32>,
+}
+
+impl FlowColumns {
+    fn with_capacity(blocks: usize) -> Self {
+        FlowColumns {
+            flow: Vec::with_capacity(blocks),
+            tags: Vec::with_capacity(blocks),
+            behavior: Vec::with_capacity(blocks),
+            pool: Vec::new(),
+        }
+    }
+
+    /// Stores the control flow of the next block.
+    fn push(&mut self, flow: ControlFlow<'_>) {
+        let (target, (tag, payload)) = match flow {
+            ControlFlow::Conditional { taken, behavior } => (taken.0, behavior.to_bits()),
+            ControlFlow::Jump { target } => (target.0, (0, 0)),
+            ControlFlow::IndirectJump { targets } => (self.push_list(targets.raw), (0, 0)),
+            ControlFlow::Call { callee } => (callee.0, (0, 0)),
+            ControlFlow::IndirectCall { callees } => (self.push_list(callees.raw), (0, 0)),
+            ControlFlow::Return => (0, (0, 0)),
+        };
+        self.flow.push(target);
+        self.tags.push(tag);
+        self.behavior.push(payload);
     }
 
     /// Appends an id list to the pool and returns its offset.
@@ -767,48 +865,14 @@ impl Columns {
         offset
     }
 
-    /// The finished layout: every block has its record and flow. Resolves
-    /// each direct target's address (a gather over the start column, since a
-    /// forward target is laid out after its branch) and builds the line
-    /// index.
-    pub(crate) fn finish(
-        mut self,
-        profile: WorkloadProfile,
-        geometry: LineGeometry,
-        functions: Vec<Function>,
-        service_roots: Vec<FunctionId>,
-        dispatcher: FunctionId,
-    ) -> CodeLayout {
-        assert_eq!(
-            self.flow.len(),
-            self.records.len(),
-            "every block has a flow"
-        );
-        for idx in 0..self.records.len() {
-            let target = self.flow[idx];
-            let target_block = match self.records[idx].kind {
-                BranchKind::Conditional | BranchKind::DirectJump => target,
-                BranchKind::Call => functions[target as usize].entry.0,
-                _ => continue,
-            };
-            self.records[idx].target = self.records[target_block as usize].start;
-        }
-        let (first_line, line_offsets) = build_line_index(geometry, &self.records, self.end);
-        CodeLayout {
-            tables: Arc::new(LayoutTables {
-                profile,
-                geometry,
-                records: self.records.into_boxed_slice(),
-                flow: self.flow.into_boxed_slice(),
-                behavior: self.behavior.into_boxed_slice(),
-                pool: self.pool.into_boxed_slice(),
-                functions: functions.into_boxed_slice(),
-                first_line,
-                line_offsets,
-                service_roots,
-                dispatcher,
-                code_end: self.end,
-            }),
+    fn finish(self, service_roots: Vec<FunctionId>, dispatcher: FunctionId) -> ControlFlowTables {
+        ControlFlowTables {
+            flow: self.flow.into_boxed_slice(),
+            tags: self.tags.into_boxed_slice(),
+            behavior: self.behavior.into_boxed_slice(),
+            pool: self.pool.into_boxed_slice(),
+            service_roots,
+            dispatcher,
         }
     }
 }
@@ -887,14 +951,17 @@ impl Builder {
             .filter(|f| roles[f.id.0 as usize] == Role::Utility)
             .map(|f| f.id)
             .collect();
-        self.draw_flows(&mut columns, &functions, &roles, &service_roots, &utilities);
-        columns.finish(
-            self.profile,
-            self.geometry,
-            functions,
-            service_roots,
-            FunctionId(0),
-        )
+        let flows = self.draw_flows(&columns, &functions, &roles, &service_roots, &utilities);
+        // A call's target is its callee's entry block.
+        columns.set_targets(|idx, kind| match kind {
+            BranchKind::Call => functions[flows.flow[idx] as usize].entry.0,
+            _ => flows.flow[idx],
+        });
+        let layout = columns.finish(self.profile, self.geometry, functions);
+        CodeLayout {
+            control: Some(Arc::new(flows.finish(service_roots, FunctionId(0)))),
+            ..layout
+        }
     }
 
     /// First pass: decide the function/block structure, sizes, addresses and
@@ -909,10 +976,13 @@ impl Builder {
     ///   libc-like helpers) that every service calls into.
     fn plan_blocks(&mut self) -> Plan {
         let target_instructions = self.profile.footprint_bytes / sim_core::INSTRUCTION_BYTES;
-        let utility_fraction = self.profile.utility_fraction.clamp(0.03, 0.4);
-        let service_instructions = (target_instructions as f64 * (1.0 - utility_fraction)) as u64;
-        let num_roots = self.profile.service_roots.max(1);
-        let per_subtree_instructions = (service_instructions / num_roots as u64).max(256);
+        let num_roots = self.profile.service_roots;
+        // A valid profile leaves every root's subtree at least
+        // `MIN_SUBTREE_INSTRUCTIONS`, so the layout does not overshoot the
+        // footprint to make room for it.
+        let per_subtree_instructions = self
+            .profile
+            .subtree_instructions(self.profile.footprint_bytes);
 
         // Pre-size from the profile's means (with ~15% headroom): a
         // multi-megabyte layout plans hundreds of thousands of blocks, and
@@ -1066,12 +1136,13 @@ impl Builder {
     /// contract that keeps generation byte-identical for a fixed seed.
     fn draw_flows(
         &mut self,
-        columns: &mut Columns,
+        columns: &Columns,
         functions: &[Function],
         roles: &[Role],
         service_roots: &[FunctionId],
         utilities: &[FunctionId],
-    ) {
+    ) -> FlowColumns {
+        let mut flows = FlowColumns::with_capacity(columns.len());
         let mut dispatcher_call_index = 0usize;
         // One reusable buffer for an indirect branch's drawn ids, which the
         // columns copy into their pool.
@@ -1156,9 +1227,10 @@ impl Builder {
                         ControlFlow::Conditional { taken, behavior }
                     }
                 };
-                columns.push_flow(flow);
+                flows.push(flow);
             }
         }
+        flows
     }
 
     /// Picks a callee for a call site in `caller`.
@@ -1556,6 +1628,28 @@ mod tests {
                 assert_eq!(owner(&layout, taken), owner(&layout, b.id));
             }
         }
+    }
+
+    /// A handle without the control-flow tables reads the same simulation
+    /// tables, and the control-flow tables are freed with the last handle
+    /// that has them.
+    #[test]
+    fn a_handle_without_control_flow_shares_the_simulation_tables() {
+        let layout = tiny_layout();
+        let sim = layout.without_control_flow();
+        assert!(layout.has_control_flow() && !sim.has_control_flow());
+        assert!(sim.shares_tables(&layout));
+        assert!(sim.basic_blocks().eq(layout.blocks().map(|b| b.block)));
+        let control = Arc::downgrade(layout.control.as_ref().unwrap());
+        drop(layout);
+        assert!(control.upgrade().is_none());
+        assert_eq!(sim.num_blocks(), sim.basic_blocks().len());
+    }
+
+    #[test]
+    #[should_panic(expected = "missing control-flow tables")]
+    fn reading_a_flow_without_control_flow_tables_panics() {
+        tiny_layout().without_control_flow().block(BlockId(0));
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use layout::{
 };
 pub use profile::{
     latency_class, BackendProfile, ConditionalBehaviorMix, ProfileError, TerminatorMix,
-    WorkloadKind, WorkloadProfile, LATENCY_SEED_SALT, MAX_FOOTPRINT_BYTES, MAX_SERVICE_ROOTS,
-    MIN_FOOTPRINT_BYTES,
+    WorkloadKind, WorkloadProfile, LATENCY_SEED_SALT, MAX_FOOTPRINT_BYTES, MIN_FOOTPRINT_BYTES,
+    MIN_SUBTREE_INSTRUCTIONS,
 };
 pub use trace::{BlockSource, Trace, TraceGenerator};

@@ -787,23 +787,60 @@ impl WorkloadProfile {
                 "must be at least 1 (got 0)".to_string(),
             ));
         }
-        // Each root's subtree is planned at 256 or more instructions (1 KB),
-        // however small the footprint, so more roots than fit the largest
-        // footprint's text segment cannot be laid out.
-        if self.service_roots as u64 > MAX_SERVICE_ROOTS {
+        unit_fraction("hot_callee_fraction", self.hot_callee_fraction)?;
+        unit_fraction("utility_fraction", self.utility_fraction)?;
+        let budget = self.subtree_instructions(self.footprint_bytes);
+        if budget < MIN_SUBTREE_INSTRUCTIONS {
+            let fits = match self.smallest_fitting_footprint() {
+                Some(bytes) => format!("the smallest footprint_bytes that does is {bytes}"),
+                None => format!("no footprint_bytes up to {MAX_FOOTPRINT_BYTES} does"),
+            };
             return Err(ProfileError::new(
                 "service_roots",
                 format!(
-                    "must be at most {MAX_SERVICE_ROOTS}, one KB of planned code per root \
-                     within the {MAX_FOOTPRINT_BYTES}-byte text segment (got {})",
-                    self.service_roots
+                    "must leave each root {MIN_SUBTREE_INSTRUCTIONS} instructions of service \
+                     code, but footprint_bytes = {} leaves {budget} (got {}); {fits}",
+                    self.footprint_bytes, self.service_roots
                 ),
             ));
         }
-        unit_fraction("hot_callee_fraction", self.hot_callee_fraction)?;
-        unit_fraction("utility_fraction", self.utility_fraction)?;
         self.backend.validate()?;
         Ok(())
+    }
+
+    /// Instructions the layout plans for each service root's subtree at a
+    /// footprint of `footprint_bytes`: the service share of the footprint
+    /// (what the utility layer leaves) split evenly over the roots.
+    /// [`validate`](Self::validate) requires at least
+    /// [`MIN_SUBTREE_INSTRUCTIONS`], so a layout never overshoots its
+    /// footprint to give a root room.
+    pub(crate) fn subtree_instructions(&self, footprint_bytes: u64) -> u64 {
+        let target = footprint_bytes / sim_core::INSTRUCTION_BYTES;
+        let utility = self.utility_fraction.clamp(0.03, 0.4);
+        let service = (target as f64 * (1.0 - utility)) as u64;
+        service / self.service_roots.max(1) as u64
+    }
+
+    /// The smallest footprint, at least this profile's and at most
+    /// [`MAX_FOOTPRINT_BYTES`], that gives every root
+    /// [`MIN_SUBTREE_INSTRUCTIONS`]; `None` if even the largest does not.
+    /// The budget never falls as the footprint grows, so a bisection finds
+    /// it.
+    fn smallest_fitting_footprint(&self) -> Option<u64> {
+        let fits = |bytes| self.subtree_instructions(bytes) >= MIN_SUBTREE_INSTRUCTIONS;
+        let (mut lo, mut hi) = (self.footprint_bytes, MAX_FOOTPRINT_BYTES);
+        if !fits(hi) {
+            return None;
+        }
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if fits(mid) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        Some(lo)
     }
 }
 
@@ -815,11 +852,10 @@ pub const MIN_FOOTPRINT_BYTES: u64 = 16 * 1024;
 /// workload): a layout addresses its text segment with 32 bits.
 pub const MAX_FOOTPRINT_BYTES: u64 = 1 << 30;
 
-/// Most service roots a profile may request: the layout plans at least
-/// 256 instructions (1 KB) of service code per root whatever the
-/// footprint, and that code must fit a [`MAX_FOOTPRINT_BYTES`] text
-/// segment.
-pub const MAX_SERVICE_ROOTS: u64 = MAX_FOOTPRINT_BYTES / 1024;
+/// Fewest instructions (1 KB) of code the layout plans for one service
+/// root's subtree: a profile whose footprint leaves a root less fails
+/// [`WorkloadProfile::validate`] on `service_roots`.
+pub const MIN_SUBTREE_INSTRUCTIONS: u64 = 256;
 
 #[cfg(test)]
 mod tests {
@@ -969,25 +1005,47 @@ mod tests {
     /// 4 TB root table. Validation alone decides it; nothing is generated.
     #[test]
     fn service_roots_are_bounded_by_the_text_segment() {
-        let tiny = WorkloadProfile::tiny(1);
-        let err = tiny
-            .clone()
-            .with_service_roots(1 << 40)
-            .validate()
-            .unwrap_err();
+        let huge = WorkloadProfile::tiny(1)
+            .with_footprint_bytes(MAX_FOOTPRINT_BYTES)
+            .with_service_roots(1 << 40);
+        let err = huge.validate().unwrap_err();
         assert_eq!(err.field, "service_roots");
         assert!(err.to_string().contains("got 1099511627776"), "{err}");
-        let most = MAX_SERVICE_ROOTS as usize;
-        assert!(tiny.clone().with_service_roots(most).is_valid());
-        let err = tiny.with_service_roots(most + 1).validate().unwrap_err();
+        assert!(err.to_string().contains("no footprint_bytes"), "{err}");
+        // The most roots the largest footprint holds, and one more.
+        let service = huge.clone().with_service_roots(1);
+        let most = service.subtree_instructions(MAX_FOOTPRINT_BYTES) / MIN_SUBTREE_INSTRUCTIONS;
+        let most = most as usize;
+        assert!(huge.clone().with_service_roots(most).is_valid());
+        let err = huge.with_service_roots(most + 1).validate().unwrap_err();
         assert_eq!(err.field, "service_roots");
-        // Roots beyond one per KB of footprint overshoot the footprint but
-        // still lay out: Oracle's 192 at 128 KB are in use.
+    }
+
+    /// A footprint that leaves a root less than a 1 KB subtree would be
+    /// overshot by the layout (Oracle's 192 roots at 128 KB laid out 1.87x
+    /// the footprint), so it is rejected, naming the smallest footprint
+    /// that fits; that one validates.
+    #[test]
+    fn a_footprint_too_small_for_its_roots_is_rejected() {
         let shrunk = WorkloadKind::Oracle
             .profile()
             .with_footprint_bytes(128 * 1024);
-        assert!(shrunk.service_roots as u64 > shrunk.footprint_bytes / 1024);
-        assert!(shrunk.is_valid());
+        let err = shrunk.validate().unwrap_err();
+        assert_eq!(err.field, "service_roots");
+        assert!(err.to_string().contains("got 192"), "{err}");
+        let smallest = shrunk.smallest_fitting_footprint().unwrap();
+        let named = format!("the smallest footprint_bytes that does is {smallest}");
+        assert!(err.to_string().contains(&named), "{err}");
+        assert!(shrunk.clone().with_footprint_bytes(smallest).is_valid());
+        let short = shrunk.clone().with_footprint_bytes(smallest - 1);
+        assert_eq!(short.validate().unwrap_err().field, "service_roots");
+        // The floor binds exactly below that footprint: 256 instructions for
+        // each of 192 roots, 96% of the footprint being service code.
+        assert!(
+            smallest > 192 * 1024 && smallest <= 256 * 1024,
+            "{smallest}"
+        );
+        assert!(shrunk.with_footprint_bytes(256 * 1024).is_valid());
     }
 
     /// A shorter class stream is the packed prefix of a longer one, down to

@@ -89,19 +89,29 @@ const ACTIVATION_SOFT_CAP: u32 = 256;
 impl<'a> TraceGenerator<'a> {
     /// Creates a generator starting at the layout's dispatcher entry, seeded
     /// from the workload profile.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layout` holds no control-flow tables: only a freshly
+    /// generated [`CodeLayout`] has them (see
+    /// [`CodeLayout::has_control_flow`]).
     pub fn new(layout: &'a CodeLayout) -> Self {
         Self::with_seed(layout, layout.profile().seed ^ 0x7261_6365_0000_0001)
     }
 
     /// Creates a generator with an explicit seed (useful for generating
     /// independent samples of the same workload).
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`TraceGenerator::new`] does.
     pub fn with_seed(layout: &'a CodeLayout, seed: u64) -> Self {
         TraceGenerator {
             layout,
             rng: SimRng::seeded(seed),
             current: layout.entry_block(),
-            // The stack holds at most `max_call_depth` frames; a decoded
-            // profile may claim any depth, so the reservation is also
+            // The stack holds at most `max_call_depth` frames; a profile
+            // may claim any depth, so the reservation is also
             // bounded by the layout (generated call graphs are acyclic).
             call_stack: Vec::with_capacity(
                 layout
@@ -322,8 +332,9 @@ fn expand(block: BasicBlock, taken: bool, next_pc: Addr) -> DynamicBlock {
 /// The path is stored as one [`BlockId`] per executed block plus a taken
 /// bitset, the final block's successor pc and the instruction count —
 /// about 4.1 bytes per block instead of a 64-byte [`DynamicBlock`]. The
-/// trace keeps a handle on its [`CodeLayout`] (a pointer copy, see there),
-/// and [`Trace::block`] rebuilds each record from it by value: the static
+/// trace keeps a handle on its [`CodeLayout`]'s simulation tables alone (a
+/// pointer copy, see [`CodeLayout::without_control_flow`]), and
+/// [`Trace::block`] rebuilds each record from it by value: the static
 /// block, the stored taken bit, and the next block's start as `next_pc`.
 ///
 /// The taken bit is stored, not derived: a block can be taken into its own
@@ -375,7 +386,7 @@ impl TraceBuilder {
             gen.layout.basic_block(gen.current).start
         };
         Trace {
-            layout: gen.layout.clone(),
+            layout: gen.layout.without_control_flow(),
             ids: self.ids.into_boxed_slice(),
             taken: self.taken.into_boxed_slice(),
             final_next_pc,
@@ -427,7 +438,7 @@ impl Trace {
             }
         }
         Trace {
-            layout: layout.clone(),
+            layout: layout.without_control_flow(),
             ids,
             taken,
             final_next_pc,
@@ -473,7 +484,8 @@ impl Trace {
         self.final_next_pc
     }
 
-    /// The layout the trace walks.
+    /// The layout the trace walks: a handle on its simulation tables, with
+    /// no control-flow tables.
     pub fn layout(&self) -> &CodeLayout {
         &self.layout
     }
