@@ -39,12 +39,13 @@
 //! decoded layout has none (see [`CodeLayout`]).
 //!
 //! Decoding reads each column with one bounds check, validates it in passes
-//! over its contiguous elements and builds the layout's simulation tables
-//! from it. It *validates* every stored field — the profile, lengths,
-//! sizes, kinds, target ids, a fall-through successor for every
-//! conditional and call, the trace's ids and instruction count, the class
-//! column's length and padding — and *derives* the rest: function entries,
-//! block starts, direct-target addresses, last-in-function bits and the
+//! over its contiguous elements and writes the layout's packed simulation
+//! tables from it. It *validates* every stored field — the profile,
+//! lengths, sizes, a code end within the
+//! [`MAX_CODE_INSTRUCTIONS`] a block record addresses, kinds, target ids, a
+//! fall-through successor for every conditional and call, the trace's ids
+//! and instruction count, the class column's length and padding — and
+//! *derives* the rest: block starts, direct-target addresses and the
 //! branch-per-line index. The class values are not checked against the
 //! profile on decode (every 2-bit value is a class); the campaign layer's
 //! offline audit recomputes them.
@@ -55,7 +56,7 @@
 //! [`ProfileError`](crate::profile::ProfileError). A structure-aware fuzzer
 //! in the tests holds it to that.
 
-use crate::layout::{BlockId, CodeLayout, Columns, Function, FunctionId, CODE_BASE};
+use crate::layout::{BlockId, CodeLayout, Columns, MAX_CODE_INSTRUCTIONS};
 use crate::profile::{WorkloadKind, WorkloadProfile};
 use crate::trace::Trace;
 use sim_core::{Addr, BasicBlock, BranchKind, LineGeometry, MAX_BASIC_BLOCK_INSTRUCTIONS};
@@ -387,10 +388,9 @@ fn decode_profile(r: &mut ByteReader<'_>) -> Result<WorkloadProfile, CodecError>
 pub fn encode_layout(layout: &CodeLayout, out: &mut Vec<u8>) {
     encode_profile(layout.profile(), out);
     layout.geometry().line_bytes().put(out);
-    let functions = layout.functions();
-    let n = functions.len();
-    put_column(out, n, functions.iter().map(|f| f.num_blocks));
-    put_column(out, n, functions.iter().map(|f| u8::from(f.is_hot)));
+    let n = layout.functions().len();
+    put_column(out, n, layout.functions().map(|f| f.num_blocks));
+    put_column(out, n, layout.functions().map(|f| u8::from(f.is_hot)));
     let n = layout.num_blocks();
     let blocks = layout.basic_blocks();
     put_column(out, n, blocks.clone().map(|b| b.instructions as u8));
@@ -410,10 +410,9 @@ pub fn encode_layout(layout: &CodeLayout, out: &mut Vec<u8>) {
 
 /// Deserializes a layout encoded by [`encode_layout`]: each column is read
 /// with one bounds check and validated in passes over its contiguous
-/// elements, then the layout's simulation tables are built from it; block
-/// addresses, direct-target addresses, last-in-function bits and the
-/// branch-per-line index are derived, not stored. The layout has no
-/// control-flow tables.
+/// elements, then the layout's packed simulation tables are written from
+/// it; block addresses, direct-target addresses and the branch-per-line
+/// index are derived, not stored. The layout has no control-flow tables.
 pub fn decode_layout(r: &mut ByteReader<'_>) -> Result<CodeLayout, CodecError> {
     let profile = decode_profile(r)?;
     if let Err(e) = profile.validate() {
@@ -426,33 +425,27 @@ pub fn decode_layout(r: &mut ByteReader<'_>) -> Result<CodeLayout, CodecError> {
     })?;
     let geometry = LineGeometry::new(line_bytes);
 
-    let sizes = r.column::<u32>("layout.functions.len", u64::from(u32::MAX))?;
-    let num_functions = sizes.len() as u32;
+    let function_sizes = r.column::<u32>("layout.functions.len", u64::from(u32::MAX))?;
+    let num_functions = function_sizes.len() as u32;
     ensure(num_functions > 0, "layout.functions.len", || "no function")?;
     let hot = r.column_of::<u8>("layout.hot_flags.len", num_functions)?;
-    let mut functions = Vec::with_capacity(num_functions as usize);
-    let mut first_block = 0u32;
-    for (id, (num_blocks, is_hot)) in (0..).zip(sizes.iter().zip(hot.iter())) {
-        let field = "function.num_blocks";
-        ensure(num_blocks > 0, field, || {
+    for (id, (num_blocks, is_hot)) in (0..).zip(function_sizes.iter().zip(hot.iter())) {
+        ensure(num_blocks > 0, "function.num_blocks", || {
             format!("function {id} has zero blocks")
         })?;
         ensure(is_hot <= 1, "function.is_hot", || {
             format!("flag {is_hot} is not 0 or 1")
         })?;
-        functions.push(Function {
-            id: FunctionId(id),
-            entry: BlockId(first_block),
-            first_block,
-            num_blocks,
-            is_hot: is_hot == 1,
-        });
-        let Some(end) = first_block.checked_add(num_blocks) else {
-            return Err(CodecError::new(field, "total block count overflows u32"));
-        };
-        first_block = end;
     }
-    let num_blocks = first_block;
+    // Every block holds an instruction, so the block count alone can place
+    // the code end beyond what a block record addresses.
+    let num_blocks: u64 = function_sizes.iter().map(u64::from).sum();
+    ensure(
+        num_blocks <= MAX_CODE_INSTRUCTIONS,
+        "layout.code_end",
+        || format!("{num_blocks} blocks end past instruction {MAX_CODE_INSTRUCTIONS}"),
+    )?;
+    let num_blocks = num_blocks as u32;
     let sizes = r.column_of::<u8>("layout.blocks.len", num_blocks)?.bytes;
     let kinds = r.column_of::<u8>("layout.kinds.len", num_blocks)?.bytes;
 
@@ -464,12 +457,9 @@ pub fn decode_layout(r: &mut ByteReader<'_>) -> Result<CodeLayout, CodecError> {
         return Err(CodecError::new("block.instructions", why));
     }
     let text: u64 = sizes.iter().map(|&s| u64::from(s)).sum();
-    let last = sizes.last().map_or(0, |&s| u64::from(s));
-    ensure(
-        CODE_BASE.add_instructions(text - last).raw() <= u64::from(u32::MAX),
-        "block.instructions",
-        || "the last block would start above the 4 GiB text-segment limit",
-    )?;
+    ensure(text <= MAX_CODE_INSTRUCTIONS, "layout.code_end", || {
+        format!("blocks of {text} instructions end past instruction {MAX_CODE_INSTRUCTIONS}")
+    })?;
     if let Some(idx) = first_failing(kinds.iter(), |&b| usize::from(b) < BranchKind::ALL.len()) {
         let why = format!("block {idx}: {} is no branch kind", kinds[idx]);
         return Err(CodecError::new("block.kind", why));
@@ -478,8 +468,10 @@ pub fn decode_layout(r: &mut ByteReader<'_>) -> Result<CodeLayout, CodecError> {
     // Conditional and call blocks fall through to the next block of their
     // function (a not-taken branch, a return from the callee), so none may
     // end one: the generator never lays one out there.
-    for f in &functions {
-        let idx = (f.first_block + f.num_blocks - 1) as usize;
+    let mut end = 0;
+    for num_blocks in function_sizes.iter() {
+        end += num_blocks as usize;
+        let idx = end - 1;
         let k = kind(idx);
         let falls_through = matches!(
             k,
@@ -501,14 +493,17 @@ pub fn decode_layout(r: &mut ByteReader<'_>) -> Result<CodeLayout, CodecError> {
         return Err(CodecError::new("block.target", why));
     }
 
-    let blocks = sizes
-        .iter()
-        .enumerate()
-        .map(|(idx, &size)| (size, kind(idx)));
-    let mut columns = Columns::from_stored(&functions, blocks);
+    let mut columns = Columns::with_capacity(sizes.len(), num_functions as usize);
+    for (num_blocks, is_hot) in function_sizes.iter().zip(hot.iter()) {
+        columns.push_function(num_blocks, is_hot == 1);
+    }
+    let blocks = sizes.iter().zip(kinds);
+    columns.extend_records(
+        blocks.map(|(&size, &k)| (u64::from(size), BranchKind::ALL[usize::from(k)])),
+    );
     let mut targets = targets.iter();
     columns.set_targets(|_, _| targets.next().unwrap_or_default());
-    Ok(columns.finish(profile, geometry, functions))
+    Ok(columns.finish(profile, geometry))
 }
 
 /// The index of the first item that fails `ok`: one pass over every item
@@ -678,11 +673,8 @@ mod tests {
         assert_eq!(layout.profile(), layout2.profile());
         assert_eq!(layout.geometry(), layout2.geometry());
         assert!(layout.basic_blocks().eq(layout2.basic_blocks()));
-        assert_eq!(layout.functions(), layout2.functions());
+        assert!(layout.functions().eq(layout2.functions()));
         assert_eq!(layout.code_end(), layout2.code_end());
-        for b in layout.blocks() {
-            assert_eq!(layout.fall_through(b.id), layout2.fall_through(b.id));
-        }
         assert_eq!(trace, trace2);
         // A decoded layout holds the simulation tables alone, and its trace
         // walks it.
@@ -776,6 +768,49 @@ mod tests {
         for forged in [u64::from(u32::MAX), 1 << 32] {
             assert_eq!(forge(classes, &forged.to_le_bytes()).field, "classes.len");
         }
+    }
+
+    /// A stored layout whose code would end beyond the 28-bit instruction
+    /// offset a block record holds is a field error, whether its function
+    /// sizes alone place the end there or its block sizes do; a layout
+    /// ending at the last offset passes that check.
+    #[test]
+    fn a_code_end_beyond_the_packed_range_is_rejected() {
+        let mut header = Vec::new();
+        encode_profile(&WorkloadProfile::tiny(11), &mut header);
+        64u64.put(&mut header);
+        let code_end = |functions: &[u32], sizes: &[u8]| {
+            let mut bytes = header.clone();
+            put_column(&mut bytes, functions.len(), functions.iter().copied());
+            put_column(&mut bytes, functions.len(), functions.iter().map(|_| 0u8));
+            put_column(&mut bytes, sizes.len(), sizes.iter().copied());
+            let returns = sizes.iter().map(|_| BranchKind::Return as u8);
+            put_column(&mut bytes, sizes.len(), returns);
+            decode_layout(&mut ByteReader::new(&bytes)).unwrap_err()
+        };
+        let max = MAX_CODE_INSTRUCTIONS;
+        let err = code_end(&[2, max as u32], &[]);
+        assert_eq!(err.field, "layout.code_end", "{err}");
+        assert!(
+            err.to_string().contains(&format!("{} blocks", max + 2)),
+            "{err}"
+        );
+        // The most blocks of the most instructions, the last one shortened
+        // to end the code at the last offset, and then one longer.
+        let full = MAX_BASIC_BLOCK_INSTRUCTIONS;
+        let mut sizes = vec![full as u8; (max / full + 1) as usize];
+        *sizes.last_mut().unwrap() = (max % full) as u8;
+        let n = sizes.len() as u32;
+        let err = code_end(&[n], &sizes);
+        assert_eq!(err.field, "layout.targets.len", "{err}");
+        *sizes.last_mut().unwrap() += 1;
+        let err = code_end(&[n], &sizes);
+        assert_eq!(err.field, "layout.code_end", "{err}");
+        assert!(
+            err.to_string()
+                .contains(&format!("{} instructions", max + 1)),
+            "{err}"
+        );
     }
 
     /// The class column must hold one packed class per trace instruction,

@@ -1,10 +1,12 @@
 //! A deterministic, structure-aware fuzzer for [`decode_workload`].
 //!
 //! One SplitMix64 stream mutates the encoded artifacts of several tiny
-//! profiles: bit flips, truncations, forged column lengths and function
-//! block counts, target and trace ids and kind bytes written at the offsets
-//! where the columns put those fields, function boundaries moved by one
-//! block and padding bits set in the last latency-class byte. Every mutant
+//! profiles: bit flips, truncations, forged column lengths, function block
+//! counts (whose sum can end the code beyond what a block record
+//! addresses), block sizes, target and trace ids and kind bytes written at
+//! the offsets where the columns put those fields, function boundaries
+//! moved by one block and padding bits set in the last latency-class byte.
+//! Every mutant
 //! must decode to a field-named error or to a workload that re-encodes to
 //! the mutant's own bytes and whose trace the simulator can read back
 //! through the layout; a panic fails the test with the mutant that caused
@@ -42,6 +44,8 @@ struct FieldMap {
     columns: Vec<usize>,
     /// Direct-target ids and the trace's ids (4 bytes each).
     ids: Vec<usize>,
+    /// Size bytes, in block order.
+    sizes: Vec<usize>,
     /// Kind bytes, in block order.
     kinds: Vec<usize>,
     /// Each function's block count (4 bytes each), in function order.
@@ -66,7 +70,8 @@ impl FieldMap {
         let sizes = map.column(&mut at, functions, 4);
         map.function_sizes = (0..functions).map(|i| sizes + 4 * i).collect();
         map.column(&mut at, functions, 1);
-        map.column(&mut at, blocks, 1);
+        let sizes = map.column(&mut at, blocks, 1);
+        map.sizes = (0..blocks).map(|i| sizes + i).collect();
         let kinds = map.column(&mut at, blocks, 1);
         map.kinds = (0..blocks).map(|i| kinds + i).collect();
         let direct = layout
@@ -173,8 +178,11 @@ fn mutate(bytes: &mut Vec<u8>, map: &FieldMap, rng: &mut SplitMix) -> String {
             forge(bytes, rng, "id", at, 4)
         }
         4 => {
-            let at = rng.pick(&map.kinds);
-            forge(bytes, rng, "kind", at, 1)
+            let (what, at) = match rng.below(2) {
+                0 => ("kind", rng.pick(&map.kinds)),
+                _ => ("size", rng.pick(&map.sizes)),
+            };
+            forge(bytes, rng, what, at, 1)
         }
         5 => {
             let (at, padding) = map.class_padding;
@@ -280,7 +288,7 @@ fn encode_after_decode_is_the_identity() {
         let bytes = encode(&layout, &trace, &classes);
         let (decoded, decoded_trace, decoded_classes) = decode_workload(&bytes).expect("decode");
         assert!(decoded.basic_blocks().eq(layout.basic_blocks()));
-        assert_eq!(decoded.functions(), layout.functions());
+        assert!(decoded.functions().eq(layout.functions()));
         assert_eq!(decoded_trace, trace);
         assert_eq!(decoded_classes, classes);
         assert_eq!(encode(&decoded, &decoded_trace, &decoded_classes), bytes);
@@ -320,6 +328,11 @@ fn mutated_artifacts_decode_to_field_errors_or_to_usable_workloads() {
             .iter()
             .zip(layout.basic_blocks())
             .all(|(&at, b)| BranchKind::ALL[usize::from(bytes[at])] == b.terminator.unwrap().kind));
+        assert!(map
+            .sizes
+            .iter()
+            .zip(layout.basic_blocks())
+            .all(|(&at, b)| u64::from(bytes[at]) == b.instructions));
         for round in 0..1500 {
             let mut mutant = bytes.clone();
             let mut what = Vec::new();
@@ -368,7 +381,9 @@ fn mutated_artifacts_decode_to_field_errors_or_to_usable_workloads() {
         "layout.blocks.len",
         "layout.kinds.len",
         "layout.targets.len",
+        "layout.code_end",
         "function.num_blocks",
+        "block.instructions",
         "block.kind",
         "block.flow",
         "block.target",

@@ -20,13 +20,15 @@
 //! A layout keeps fixed-width per-block tables rather than one record per
 //! block object, in two parts:
 //!
-//! * the *simulation tables*: a packed 12-byte record per block with what
+//! * the *simulation tables*: one 8-byte word per block with what
 //!   rebuilding its [`BasicBlock`] reads (start, size, kind, direct-target
-//!   address), the branch-per-line index, the functions, the profile, the
-//!   line geometry and the end of the code. The simulator, the predecoder
-//!   and a trace's rebuild of its dynamic records read nothing else;
+//!   address), the branch-per-line index, one 4-byte word per function
+//!   (its block count and hot flag), the profile, the line geometry and the
+//!   end of the code. The simulator, the predecoder and a trace's rebuild
+//!   of its dynamic records read nothing else;
 //! * the *control-flow tables*: each block's flow target id, a
-//!   conditional's behaviour, one shared pool of indirect-branch id lists,
+//!   conditional's behaviour, whether the block ends its function, one
+//!   shared pool of indirect-branch id lists, each function's entry block,
 //!   the dispatcher and the service roots. Only trace generation walks them.
 //!
 //! [`CodeLayout::generate`] fills both. A [`Trace`](crate::Trace) keeps a
@@ -270,7 +272,11 @@ impl StaticBlock<'_> {
 }
 
 /// A function: a contiguous run of basic blocks with a single entry.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// A layout holds each function as one packed word (its block count and
+/// hot flag) and assembles this view by value: the id is its position and
+/// the first block is the sum of the block counts before it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Function {
     /// Identifier of this function.
     pub id: FunctionId,
@@ -345,14 +351,94 @@ struct LayoutTables {
     geometry: LineGeometry,
     /// The packed record of each block.
     records: Box<[BlockRecord]>,
-    functions: Box<[Function]>,
-    /// The branch-per-line index as id ranges. Blocks are laid out
-    /// contiguously, so branch PCs are strictly increasing with the block id
-    /// and every cache line's branches form one contiguous id range: line
-    /// `first_line + l` holds the blocks `line_offsets[l] .. line_offsets[l+1]`.
-    first_line: CacheLine,
-    line_offsets: Box<[u32]>,
+    /// The packed record of each function, in layout order.
+    functions: Box<[FunctionRecord]>,
+    lines: LineIndex,
     code_end: Addr,
+}
+
+/// The branch-per-line index as id ranges. Blocks are laid out
+/// contiguously, so branch PCs are strictly increasing with the block id
+/// and every cache line's branches form one contiguous id range: line
+/// `first_line + l` holds the blocks `start(l) .. start(l + 1)`.
+///
+/// A start is held in two parts, so a line costs a little over two bytes
+/// rather than four: a `u32` base for each group of `1 << group_shift`
+/// lines (the first start of the group) and a `u16` offset from that base
+/// for each line and for one past the last. A group spans at most 65,536
+/// instructions, so no offset overflows.
+#[derive(Debug)]
+struct LineIndex {
+    first_line: CacheLine,
+    group_shift: u32,
+    bases: Box<[u32]>,
+    offsets: Box<[u16]>,
+}
+
+/// The most lines one [`LineIndex`] base covers: 64, for lines of up to
+/// 1,024 instructions (4 KB).
+const MAX_LINE_GROUP_SHIFT: u32 = 6;
+
+impl LineIndex {
+    /// Builds the index: one counting pass over the records (branch PCs
+    /// are strictly increasing with the block id), then one pass over the
+    /// lines that sums the counts into starts and splits each start into
+    /// its group's base and an offset.
+    fn build(geometry: LineGeometry, records: &[BlockRecord], code_end: Addr) -> Self {
+        let first_line = geometry.line_of(CODE_BASE);
+        let last_line = if code_end > CODE_BASE {
+            geometry.line_of(Addr::new(code_end.raw() - 1))
+        } else {
+            first_line
+        };
+        let num_lines = (last_line.0 - first_line.0 + 1) as usize;
+        // `counts[l + 1]` is the number of branches in line `l`.
+        let mut counts = vec![0u32; num_lines + 1];
+        for r in records {
+            counts[(geometry.line_of(r.branch_pc()).0 - first_line.0) as usize + 1] += 1;
+        }
+        // A group of `1 << shift` lines holds at most `1 << 16` instructions,
+        // and so at most that many branches.
+        let line_shift = geometry.instructions_per_line().trailing_zeros();
+        let group_shift = 16u32.saturating_sub(line_shift).min(MAX_LINE_GROUP_SHIFT);
+        let mut bases = Vec::with_capacity((num_lines >> group_shift) + 1);
+        let mut offsets = Vec::with_capacity(num_lines + 1);
+        let (mut start, mut base) = (0, 0);
+        for (l, count) in counts.into_iter().enumerate() {
+            start += count;
+            if l & ((1 << group_shift) - 1) == 0 {
+                base = start;
+                bases.push(base);
+            }
+            let offset = u16::try_from(start - base);
+            offsets.push(offset.expect("a line group spans at most 2^16 branches"));
+        }
+        LineIndex {
+            first_line,
+            group_shift,
+            bases: bases.into_boxed_slice(),
+            offsets: offsets.into_boxed_slice(),
+        }
+    }
+
+    /// The id of the first block whose branch lies in line `first_line + l`
+    /// or later, if `l` is at most the number of lines.
+    #[inline]
+    fn start(&self, l: usize) -> Option<u32> {
+        let offset = *self.offsets.get(l)?;
+        Some(self.bases[l >> self.group_shift] + u32::from(offset))
+    }
+
+    /// The ids of the blocks whose branch lies in `line`; empty outside the
+    /// text segment.
+    #[inline]
+    fn ids(&self, line: CacheLine) -> Range<u32> {
+        let ids = |l: u64| Some(self.start(l as usize)?..self.start(l as usize + 1)?);
+        line.0
+            .checked_sub(self.first_line.0)
+            .and_then(ids)
+            .unwrap_or(0..0)
+    }
 }
 
 /// The control-flow tables of a generated [`CodeLayout`]: what only trace
@@ -363,64 +449,196 @@ struct ControlFlowTables {
     /// block, a call's callee, the offset of an indirect branch's id list in
     /// `pool`, and 0 for a return.
     flow: Box<[u32]>,
-    /// A conditional's behaviour tag and payload
-    /// ([`BranchBehavior::to_bits`]), 0 for every other kind.
+    /// Each block's tag byte: a conditional's behaviour tag
+    /// ([`BranchBehavior::to_bits`]) in the [`BEHAVIOR_TAG`] bits, and
+    /// [`LAST_IN_FUNCTION`].
     tags: Box<[u8]>,
+    /// A conditional's behaviour payload, 0 for every other kind.
     behavior: Box<[u64]>,
     /// The indirect branches' id lists, each its length followed by its ids:
     /// one arena instead of a heap allocation per indirect block.
     pool: Box<[u32]>,
+    /// Each function's entry block, in function order: where a call lands.
+    entries: Box<[u32]>,
     service_roots: Vec<FunctionId>,
     dispatcher: FunctionId,
 }
 
-/// Flag bit: the block is the last of its function (it has no
-/// fall-through successor).
-const LAST_IN_FUNCTION: u8 = 1;
+/// The bits of a behaviour tag in [`ControlFlowTables::tags`].
+const BEHAVIOR_TAG: u8 = 0b11;
+
+/// Tag bit: the block is the last of its function (it has no fall-through
+/// successor).
+const LAST_IN_FUNCTION: u8 = 1 << 2;
+
+/// Bits of a block record's start and target fields, each an instruction
+/// offset from [`CODE_BASE`].
+const OFFSET_BITS: u32 = 28;
+/// Bits of a block record's size field: instructions, branch included.
+const SIZE_BITS: u32 = 5;
+const TARGET_SHIFT: u32 = OFFSET_BITS;
+const SIZE_SHIFT: u32 = 2 * OFFSET_BITS;
+const KIND_SHIFT: u32 = SIZE_SHIFT + SIZE_BITS;
+const OFFSET_MASK: u64 = (1 << OFFSET_BITS) - 1;
+
+/// The most instructions a layout's text segment holds (1 GiB of code): its
+/// end, as an instruction offset from [`CODE_BASE`], fits the 28 bits a
+/// block record gives a start or a target.
+/// [`WorkloadProfile::validate`] bounds the most code a profile can lay
+/// out by it, and the artifact decoder rejects a stored layout that ends
+/// beyond it (`layout.code_end`).
+pub const MAX_CODE_INSTRUCTIONS: u64 = OFFSET_MASK;
+
+/// The most blocks the planner gives one function, and the most
+/// instructions it can span.
+pub(crate) const MAX_FUNCTION_BLOCKS: u64 = 96;
+pub(crate) const MAX_FUNCTION_INSTRUCTIONS: u64 =
+    MAX_FUNCTION_BLOCKS * MAX_BASIC_BLOCK_INSTRUCTIONS;
+/// The most instructions of one dispatcher call block, and of the
+/// dispatcher's closing jump.
+pub(crate) const MAX_DISPATCH_CALL_INSTRUCTIONS: u64 = 8;
+pub(crate) const MAX_DISPATCH_JUMP_INSTRUCTIONS: u64 = 4;
+
+/// The kind stored in a record's top three bits: its index in
+/// [`BranchKind::ALL`]. The two unused codes never occur; they pad the
+/// table to eight entries so that decoding a kind needs no bounds check.
+const KIND_OF_CODE: [BranchKind; 8] = [
+    BranchKind::ALL[0],
+    BranchKind::ALL[1],
+    BranchKind::ALL[2],
+    BranchKind::ALL[3],
+    BranchKind::ALL[4],
+    BranchKind::ALL[5],
+    BranchKind::Return,
+    BranchKind::Return,
+];
+
+const _: () = assert!(KIND_SHIFT + 3 == u64::BITS);
+// A kind's discriminant is its index in `BranchKind::ALL`, its stored code.
+const _: () = {
+    let mut i = 0;
+    while i < BranchKind::ALL.len() {
+        assert!(BranchKind::ALL[i] as usize == i);
+        i += 1;
+    }
+};
+const _: () = assert!(MAX_BASIC_BLOCK_INSTRUCTIONS < 1 << SIZE_BITS);
+const _: () = assert!(std::mem::size_of::<BlockRecord>() == 8);
+const _: () = assert!(std::mem::size_of::<FunctionRecord>() == 4);
 
 /// The packed record of one block: exactly what rebuilding its
-/// [`BasicBlock`] reads, so a rebuild touches one record. The byte that
-/// alignment would pad holds the flag bits.
+/// [`BasicBlock`] reads, in one word, so a rebuild touches 8 bytes. The
+/// basic-block BTB entry of the paper holds the same facts.
+///
+/// | bits | field |
+/// |---|---|
+/// | 0..28 | start, an instruction offset from [`CODE_BASE`] |
+/// | 28..56 | direct-target start, the same way; 0 for indirect branches and returns |
+/// | 56..61 | instructions, branch included (1..=31) |
+/// | 61..64 | kind of the terminating branch, its index in [`BranchKind::ALL`] |
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct BlockRecord {
-    /// Address of the first instruction (the text segment lies below 4 GiB;
-    /// see [`crate::MAX_FOOTPRINT_BYTES`]).
-    start: u32,
-    /// Direct-target address; 0 for indirect branches and returns.
-    target: u32,
-    /// Instructions, including the terminating branch.
-    size: u8,
-    /// Kind of the terminating branch.
-    kind: BranchKind,
-    /// [`LAST_IN_FUNCTION`].
-    flags: u8,
-}
-
-const _: () = assert!(std::mem::size_of::<BlockRecord>() == 12);
+struct BlockRecord(u64);
 
 impl BlockRecord {
+    /// A record starting `offset` instructions past [`CODE_BASE`], with no
+    /// target yet.
+    fn new(offset: u64, size: u64, kind: BranchKind) -> Self {
+        debug_assert!(offset <= OFFSET_MASK);
+        debug_assert!((1..=MAX_BASIC_BLOCK_INSTRUCTIONS).contains(&size));
+        BlockRecord(offset | size << SIZE_SHIFT | (kind as u64) << KIND_SHIFT)
+    }
+
+    /// This record pointing at the block that starts `offset` instructions
+    /// past [`CODE_BASE`].
+    fn with_target(self, offset: u64) -> Self {
+        debug_assert!(offset <= OFFSET_MASK);
+        let cleared = self.0 & !(OFFSET_MASK << TARGET_SHIFT);
+        BlockRecord(cleared | offset << TARGET_SHIFT)
+    }
+
+    /// The start, as an instruction offset from [`CODE_BASE`].
+    fn offset(self) -> u64 {
+        self.0 & OFFSET_MASK
+    }
+
     fn start(self) -> Addr {
-        Addr::new(u64::from(self.start))
+        CODE_BASE.add_instructions(self.offset())
+    }
+
+    fn target(self) -> Addr {
+        CODE_BASE.add_instructions(self.0 >> TARGET_SHIFT & OFFSET_MASK)
+    }
+
+    /// Instructions, including the terminating branch.
+    fn size(self) -> u64 {
+        self.0 >> SIZE_SHIFT & ((1 << SIZE_BITS) - 1)
+    }
+
+    fn kind(self) -> BranchKind {
+        KIND_OF_CODE[(self.0 >> KIND_SHIFT) as usize]
     }
 
     fn branch_pc(self) -> Addr {
-        self.start().add_instructions(u64::from(self.size) - 1)
+        self.start().add_instructions(self.size() - 1)
     }
 
     #[inline]
     fn basic_block(self) -> BasicBlock {
         let pc = self.branch_pc();
-        let terminator = if self.kind.target_is_indirect() {
-            BranchInfo::indirect(pc, self.kind)
+        let kind = self.kind();
+        let terminator = if kind.target_is_indirect() {
+            BranchInfo::indirect(pc, kind)
         } else {
-            BranchInfo::direct(pc, self.kind, Addr::new(u64::from(self.target)))
+            BranchInfo::direct(pc, kind, self.target())
         };
         BasicBlock {
             start: self.start(),
-            instructions: u64::from(self.size),
+            instructions: self.size(),
             terminator: Some(terminator),
         }
     }
+}
+
+/// The packed record of one function: its block count, with the hot flag
+/// in the top bit.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct FunctionRecord(u32);
+
+/// [`FunctionRecord`]'s hot flag.
+const HOT: u32 = 1 << 31;
+
+impl FunctionRecord {
+    fn new(num_blocks: u32, is_hot: bool) -> Self {
+        debug_assert!(num_blocks < HOT);
+        FunctionRecord(num_blocks | if is_hot { HOT } else { 0 })
+    }
+
+    fn num_blocks(self) -> u32 {
+        self.0 & !HOT
+    }
+
+    fn is_hot(self) -> bool {
+        self.0 & HOT != 0
+    }
+}
+
+/// The functions `records` hold, in layout order, each assembled with its
+/// id and first block.
+fn assemble_functions(
+    records: &[FunctionRecord],
+) -> impl ExactSizeIterator<Item = Function> + Clone + '_ {
+    let mut first_block = 0;
+    records.iter().enumerate().map(move |(id, f)| {
+        let function = Function {
+            id: FunctionId(id as u32),
+            entry: BlockId(first_block),
+            first_block,
+            num_blocks: f.num_blocks(),
+            is_hot: f.is_hot(),
+        };
+        first_block += f.num_blocks();
+        function
+    })
 }
 
 impl CodeLayout {
@@ -513,9 +731,10 @@ impl CodeLayout {
         self.tables.records.iter().map(|r| r.basic_block())
     }
 
-    /// All functions in layout order.
-    pub fn functions(&self) -> &[Function] {
-        &self.tables.functions
+    /// All functions in layout order, assembled one at a time from their
+    /// packed records.
+    pub fn functions(&self) -> impl ExactSizeIterator<Item = Function> + Clone + '_ {
+        assemble_functions(&self.tables.functions)
     }
 
     /// The block with the given id: address range, terminator and flow.
@@ -544,10 +763,10 @@ impl CodeLayout {
         let c = self.control();
         let i = id.0 as usize;
         let target = c.flow[i];
-        match self.tables.records[i].kind {
+        match self.tables.records[i].kind() {
             BranchKind::Conditional => ControlFlow::Conditional {
                 taken: BlockId(target),
-                behavior: BranchBehavior::from_bits(c.tags[i], c.behavior[i]),
+                behavior: BranchBehavior::from_bits(c.tags[i] & BEHAVIOR_TAG, c.behavior[i]),
             },
             BranchKind::DirectJump => ControlFlow::Jump {
                 target: BlockId(target),
@@ -565,9 +784,23 @@ impl CodeLayout {
         }
     }
 
-    /// The function with the given id.
-    pub fn function(&self, id: FunctionId) -> &Function {
-        &self.tables.functions[id.0 as usize]
+    /// The function with the given id. Its first block is read from the
+    /// control-flow tables' entry column.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this handle holds no control-flow tables.
+    pub fn function(&self, id: FunctionId) -> Function {
+        let i = id.0 as usize;
+        let f = self.tables.functions[i];
+        let first_block = self.control().entries[i];
+        Function {
+            id,
+            entry: BlockId(first_block),
+            first_block,
+            num_blocks: f.num_blocks(),
+            is_hot: f.is_hot(),
+        }
     }
 
     /// The dispatcher function that drives the workload's service loop.
@@ -586,7 +819,8 @@ impl CodeLayout {
     ///
     /// Panics if this handle holds no control-flow tables.
     pub fn entry_block(&self) -> BlockId {
-        self.function(self.dispatcher()).entry
+        let c = self.control();
+        BlockId(c.entries[c.dispatcher.0 as usize])
     }
 
     /// The service-root functions the dispatcher cycles through.
@@ -668,28 +902,28 @@ impl CodeLayout {
     /// `line`, in address order. Used by the predecoder to extract branches
     /// from a fetched cache block (Boomerang and Confluence BTB prefill).
     pub fn branches_in_line(&self, line: CacheLine) -> Range<u32> {
-        let offsets = &self.tables.line_offsets;
-        let ids = |l: u64| Some(*offsets.get(l as usize)?..*offsets.get(l as usize + 1)?);
-        line.0
-            .checked_sub(self.tables.first_line.0)
-            .and_then(ids)
-            .unwrap_or(0..0)
+        self.tables.lines.ids(line)
     }
 
     /// The fall-through successor of `id`: the next block in layout order
-    /// within the same function, if any.
+    /// within the same function, if any. Only trace generation follows it,
+    /// so whether a block ends its function is a control-flow bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this handle holds no control-flow tables.
     pub fn fall_through(&self, id: BlockId) -> Option<BlockId> {
-        let last = self.tables.records[id.0 as usize].flags & LAST_IN_FUNCTION != 0;
+        let last = self.control().tags[id.0 as usize] & LAST_IN_FUNCTION != 0;
         (!last).then_some(BlockId(id.0 + 1))
     }
 
     /// Summary statistics.
     pub fn summary(&self) -> LayoutSummary {
         let records = &self.tables.records;
-        let instructions: u64 = records.iter().map(|r| u64::from(r.size)).sum();
+        let instructions: u64 = records.iter().map(|r| r.size()).sum();
         let conditional = records
             .iter()
-            .filter(|r| r.kind == BranchKind::Conditional)
+            .filter(|r| r.kind() == BranchKind::Conditional)
             .count();
         LayoutSummary {
             functions: self.tables.functions.len(),
@@ -710,78 +944,78 @@ impl ControlFlowTables {
     }
 }
 
-/// The per-block records of a layout under construction, appended in layout
-/// order. Generation pushes every block's record, then resolves the direct
-/// targets once every block's flow is drawn; the artifact decoder builds
-/// the records from its validated columns in one go
-/// ([`from_stored`](Self::from_stored)). Both set the targets with
-/// [`set_targets`](Self::set_targets) and end in [`finish`](Self::finish).
+/// The simulation tables of a layout under construction, in their packed
+/// form, appended in layout order. Generation pushes every function's and
+/// block's record, then resolves the direct targets once every block's flow
+/// is drawn; the artifact decoder pushes the records of its validated
+/// columns. Both set the targets with [`set_targets`](Self::set_targets)
+/// and end in [`finish`](Self::finish).
 pub(crate) struct Columns {
     records: Vec<BlockRecord>,
-    end: Addr,
+    functions: Vec<FunctionRecord>,
+    /// Where the next block starts: an instruction offset from
+    /// [`CODE_BASE`].
+    end: u64,
 }
 
 impl Columns {
-    /// Empty tables with room for `blocks` blocks.
-    pub(crate) fn with_capacity(blocks: usize) -> Self {
+    /// Empty tables with room for `blocks` blocks and `functions`
+    /// functions.
+    pub(crate) fn with_capacity(blocks: usize, functions: usize) -> Self {
         Columns {
             records: Vec::with_capacity(blocks),
-            end: CODE_BASE,
+            functions: Vec::with_capacity(functions),
+            end: 0,
         }
     }
 
-    /// Number of records pushed.
+    /// Number of block records pushed.
     pub(crate) fn len(&self) -> usize {
         self.records.len()
     }
 
     /// Lays out the next block: `size` instructions where the last one
-    /// ended, ending in a `kind` branch; `last` marks the last block of its
-    /// function.
+    /// ended, ending in a `kind` branch.
     ///
     /// # Panics
     ///
-    /// Panics if the block would start at or above 4 GiB.
-    pub(crate) fn push_record(&mut self, size: u64, kind: BranchKind, last: bool) {
-        debug_assert!((1..=MAX_BASIC_BLOCK_INSTRUCTIONS).contains(&size));
-        let start = u32::try_from(self.end.raw()).expect("the text segment lies below 4 GiB");
-        self.records.push(BlockRecord {
-            start,
-            target: 0,
-            size: size as u8,
-            kind,
-            flags: if last { LAST_IN_FUNCTION } else { 0 },
-        });
-        self.end = self.end.add_instructions(size);
+    /// Panics if the block ends beyond [`MAX_CODE_INSTRUCTIONS`]: a valid
+    /// profile never lays out that much code, and the decoder checks a
+    /// stored layout's end first.
+    pub(crate) fn push_record(&mut self, size: u64, kind: BranchKind) {
+        self.extend_records(std::iter::once((size, kind)));
     }
 
-    /// The records of stored columns the artifact decoder has validated:
-    /// each block's size and kind, in layout order and covering `functions`
-    /// (the text segment below 4 GiB). Block starts and last-in-function
-    /// bits are derived; the targets are set by
-    /// [`set_targets`](Self::set_targets).
-    pub(crate) fn from_stored(
-        functions: &[Function],
-        blocks: impl Iterator<Item = (u8, BranchKind)>,
-    ) -> Self {
-        let mut end = CODE_BASE;
-        let mut records: Vec<BlockRecord> = blocks
-            .map(|(size, kind)| {
-                let start = end.raw() as u32;
-                end = end.add_instructions(u64::from(size));
-                BlockRecord {
-                    start,
-                    target: 0,
-                    size,
-                    kind,
-                    flags: 0,
-                }
-            })
-            .collect();
-        for f in functions {
-            records[(f.first_block + f.num_blocks - 1) as usize].flags |= LAST_IN_FUNCTION;
-        }
-        Columns { records, end }
+    /// Lays out the next blocks, each `(size, kind)` as
+    /// [`push_record`](Self::push_record) does: one bulk append, which is
+    /// how the decoder writes its validated columns.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`push_record`](Self::push_record) does.
+    pub(crate) fn extend_records(&mut self, blocks: impl Iterator<Item = (u64, BranchKind)>) {
+        let mut end = self.end;
+        self.records.extend(blocks.map(|(size, kind)| {
+            let record = BlockRecord::new(end, size, kind);
+            end += size;
+            record
+        }));
+        assert!(
+            end <= MAX_CODE_INSTRUCTIONS,
+            "the text segment ends within {MAX_CODE_INSTRUCTIONS} instructions"
+        );
+        self.end = end;
+    }
+
+    /// Closes the next function: the `num_blocks` blocks pushed since the
+    /// last one closed.
+    pub(crate) fn push_function(&mut self, num_blocks: u32, is_hot: bool) {
+        self.functions.push(FunctionRecord::new(num_blocks, is_hot));
+    }
+
+    /// The functions closed so far, in layout order.
+    fn functions(&self) -> impl ExactSizeIterator<Item = Function> + Clone + '_ {
+        assemble_functions(&self.functions)
     }
 
     /// Points each direct branch (a conditional, a jump or a call) at the
@@ -791,32 +1025,28 @@ impl Columns {
     /// return a block's id.
     pub(crate) fn set_targets(&mut self, mut target: impl FnMut(usize, BranchKind) -> u32) {
         for idx in 0..self.records.len() {
-            let kind = self.records[idx].kind;
+            let record = self.records[idx];
+            let kind = record.kind();
             if !kind.target_is_indirect() {
                 let id = target(idx, kind) as usize;
-                self.records[idx].target = self.records[id].start;
+                self.records[idx] = record.with_target(self.records[id].offset());
             }
         }
     }
 
     /// The finished layout's simulation tables, with no control-flow tables:
     /// builds the line index.
-    pub(crate) fn finish(
-        self,
-        profile: WorkloadProfile,
-        geometry: LineGeometry,
-        functions: Vec<Function>,
-    ) -> CodeLayout {
-        let (first_line, line_offsets) = build_line_index(geometry, &self.records, self.end);
+    pub(crate) fn finish(self, profile: WorkloadProfile, geometry: LineGeometry) -> CodeLayout {
+        let code_end = CODE_BASE.add_instructions(self.end);
+        let lines = LineIndex::build(geometry, &self.records, code_end);
         CodeLayout {
             tables: Arc::new(LayoutTables {
                 profile,
                 geometry,
                 records: self.records.into_boxed_slice(),
-                functions: functions.into_boxed_slice(),
-                first_line,
-                line_offsets,
-                code_end: self.end,
+                functions: self.functions.into_boxed_slice(),
+                lines,
+                code_end,
             }),
             control: None,
         }
@@ -842,8 +1072,9 @@ impl FlowColumns {
         }
     }
 
-    /// Stores the control flow of the next block.
-    fn push(&mut self, flow: ControlFlow<'_>) {
+    /// Stores the control flow of the next block; `last` marks the last
+    /// block of its function.
+    fn push(&mut self, flow: ControlFlow<'_>, last: bool) {
         let (target, (tag, payload)) = match flow {
             ControlFlow::Conditional { taken, behavior } => (taken.0, behavior.to_bits()),
             ControlFlow::Jump { target } => (target.0, (0, 0)),
@@ -853,7 +1084,8 @@ impl FlowColumns {
             ControlFlow::Return => (0, (0, 0)),
         };
         self.flow.push(target);
-        self.tags.push(tag);
+        self.tags
+            .push(if last { tag | LAST_IN_FUNCTION } else { tag });
         self.behavior.push(payload);
     }
 
@@ -865,42 +1097,22 @@ impl FlowColumns {
         offset
     }
 
-    fn finish(self, service_roots: Vec<FunctionId>, dispatcher: FunctionId) -> ControlFlowTables {
+    fn finish(
+        self,
+        entries: Vec<u32>,
+        service_roots: Vec<FunctionId>,
+        dispatcher: FunctionId,
+    ) -> ControlFlowTables {
         ControlFlowTables {
             flow: self.flow.into_boxed_slice(),
             tags: self.tags.into_boxed_slice(),
             behavior: self.behavior.into_boxed_slice(),
             pool: self.pool.into_boxed_slice(),
+            entries: entries.into_boxed_slice(),
             service_roots,
             dispatcher,
         }
     }
-}
-
-/// Builds the branch-per-line index (see the field docs on
-/// [`LayoutTables`]): branch PCs are strictly increasing with the block id,
-/// so one counting pass suffices.
-fn build_line_index(
-    geometry: LineGeometry,
-    records: &[BlockRecord],
-    code_end: Addr,
-) -> (CacheLine, Box<[u32]>) {
-    let first_line = geometry.line_of(CODE_BASE);
-    let last_line = if code_end > CODE_BASE {
-        geometry.line_of(Addr::new(code_end.raw() - 1))
-    } else {
-        first_line
-    };
-    let num_lines = (last_line.0 - first_line.0 + 1) as usize;
-    let mut offsets = vec![0u32; num_lines + 1];
-    for r in records {
-        let l = (geometry.line_of(r.branch_pc()).0 - first_line.0) as usize;
-        offsets[l + 1] += 1;
-    }
-    for l in 0..num_lines {
-        offsets[l + 1] += offsets[l];
-    }
-    (first_line, offsets.into_boxed_slice())
 }
 
 /// Internal layout builder.
@@ -921,10 +1133,12 @@ enum Role {
     Utility,
 }
 
-/// Output of the planning pass: every block's record, no flows yet.
+/// Output of the planning pass: every block's and function's record, no
+/// flows yet.
 struct Plan {
     columns: Columns,
-    functions: Vec<Function>,
+    /// Each function's entry block, in function order.
+    entries: Vec<u32>,
     roles: Vec<Role>,
     service_roots: Vec<FunctionId>,
 }
@@ -942,24 +1156,25 @@ impl Builder {
     fn build(mut self) -> CodeLayout {
         let Plan {
             mut columns,
-            functions,
+            entries,
             roles,
             service_roots,
         } = self.plan_blocks();
-        let utilities: Vec<FunctionId> = functions
-            .iter()
-            .filter(|f| roles[f.id.0 as usize] == Role::Utility)
-            .map(|f| f.id)
+        let utilities: Vec<FunctionId> = (0..)
+            .zip(&roles)
+            .filter(|&(_, &role)| role == Role::Utility)
+            .map(|(id, _)| FunctionId(id))
             .collect();
-        let flows = self.draw_flows(&columns, &functions, &roles, &service_roots, &utilities);
+        let flows = self.draw_flows(&columns, &entries, &roles, &service_roots, &utilities);
         // A call's target is its callee's entry block.
         columns.set_targets(|idx, kind| match kind {
-            BranchKind::Call => functions[flows.flow[idx] as usize].entry.0,
+            BranchKind::Call => entries[flows.flow[idx] as usize],
             _ => flows.flow[idx],
         });
-        let layout = columns.finish(self.profile, self.geometry, functions);
+        let layout = columns.finish(self.profile, self.geometry);
+        let control = flows.finish(entries, service_roots, FunctionId(0));
         CodeLayout {
-            control: Some(Arc::new(flows.finish(service_roots, FunctionId(0)))),
+            control: Some(Arc::new(control)),
             ..layout
         }
     }
@@ -993,8 +1208,8 @@ impl Builder {
             + 64;
         let est_functions =
             (est_blocks as f64 / self.profile.mean_function_blocks.max(2.0) * 1.3) as usize + 16;
-        let mut columns = Columns::with_capacity(est_blocks);
-        let mut functions: Vec<Function> = Vec::with_capacity(est_functions);
+        let mut columns = Columns::with_capacity(est_blocks, est_functions);
+        let mut entries: Vec<u32> = Vec::with_capacity(est_functions);
         let mut roles: Vec<Role> = Vec::with_capacity(est_functions);
         let mut service_roots: Vec<FunctionId> = Vec::with_capacity(num_roots);
         let mut total_instructions: u64 = 0;
@@ -1003,20 +1218,15 @@ impl Builder {
         // jump back to the entry, modelling the server's request loop.
         {
             for _ in 0..num_roots {
-                let len = self.rng.geometric(3.0, 8);
-                columns.push_record(len, BranchKind::Call, false);
+                let len = self.rng.geometric(3.0, MAX_DISPATCH_CALL_INSTRUCTIONS);
+                columns.push_record(len, BranchKind::Call);
                 total_instructions += len;
             }
-            let len = self.rng.geometric(2.0, 4);
-            columns.push_record(len, BranchKind::DirectJump, true);
+            let len = self.rng.geometric(2.0, MAX_DISPATCH_JUMP_INSTRUCTIONS);
+            columns.push_record(len, BranchKind::DirectJump);
             total_instructions += len;
-            functions.push(Function {
-                id: FunctionId(0),
-                entry: BlockId(0),
-                first_block: 0,
-                num_blocks: num_roots as u32 + 1,
-                is_hot: true,
-            });
+            columns.push_function(num_roots as u32 + 1, true);
+            entries.push(0);
             roles.push(Role::Dispatcher);
         }
 
@@ -1025,55 +1235,46 @@ impl Builder {
             let budget_end = total_instructions + per_subtree_instructions;
             let mut first_of_subtree = true;
             while total_instructions < budget_end {
-                let fid = FunctionId(functions.len() as u32);
                 if first_of_subtree {
-                    service_roots.push(fid);
+                    service_roots.push(FunctionId(roles.len() as u32));
                     first_of_subtree = false;
                 }
                 total_instructions +=
-                    self.plan_function(fid, Role::Service(subtree), &mut columns, &mut functions);
+                    self.plan_function(Role::Service(subtree), &mut columns, &mut entries);
                 roles.push(Role::Service(subtree));
             }
         }
 
         // Shared utility layer at the end of the layout.
         while total_instructions < target_instructions {
-            let fid = FunctionId(functions.len() as u32);
-            total_instructions +=
-                self.plan_function(fid, Role::Utility, &mut columns, &mut functions);
+            total_instructions += self.plan_function(Role::Utility, &mut columns, &mut entries);
             roles.push(Role::Utility);
         }
         // Guarantee the utility layer exists even for tiny footprints, so
         // every service call site always has a valid lower layer to call.
         if !roles.contains(&Role::Utility) {
-            let fid = FunctionId(functions.len() as u32);
-            self.plan_function(fid, Role::Utility, &mut columns, &mut functions);
+            self.plan_function(Role::Utility, &mut columns, &mut entries);
             roles.push(Role::Utility);
         }
 
         Plan {
             columns,
-            functions,
+            entries,
             roles,
             service_roots,
         }
     }
 
-    /// Plans one function's blocks; returns the instructions it occupies.
-    fn plan_function(
-        &mut self,
-        fid: FunctionId,
-        role: Role,
-        columns: &mut Columns,
-        functions: &mut Vec<Function>,
-    ) -> u64 {
+    /// Plans one function's blocks and records its entry in `entries`;
+    /// returns the instructions it occupies.
+    fn plan_function(&mut self, role: Role, columns: &mut Columns, entries: &mut Vec<u32>) -> u64 {
         // Utility functions are leaf-like helpers: shorter and call-free, so
         // the layered call graph terminates there.
         let (mean_blocks, allow_calls) = match role {
             Role::Utility => (self.profile.mean_function_blocks * 0.6, false),
             _ => (self.profile.mean_function_blocks, true),
         };
-        let num_blocks = self.rng.geometric(mean_blocks, 96).max(2) as u32;
+        let num_blocks = self.rng.geometric(mean_blocks, MAX_FUNCTION_BLOCKS).max(2) as u32;
         let first_block = columns.len() as u32;
         let mut instructions = 0;
 
@@ -1085,23 +1286,17 @@ impl Builder {
                     MAX_BASIC_BLOCK_INSTRUCTIONS,
                 )
                 .max(1);
-            let last = i == num_blocks - 1;
-            let kind = if last {
+            let kind = if i == num_blocks - 1 {
                 BranchKind::Return
             } else {
                 self.draw_terminator_kind(allow_calls)
             };
-            columns.push_record(len, kind, last);
+            columns.push_record(len, kind);
             instructions += len;
         }
 
-        functions.push(Function {
-            id: fid,
-            entry: BlockId(first_block),
-            first_block,
-            num_blocks,
-            is_hot: role == Role::Utility,
-        });
+        columns.push_function(num_blocks, role == Role::Utility);
+        entries.push(first_block);
         instructions
     }
 
@@ -1137,7 +1332,7 @@ impl Builder {
     fn draw_flows(
         &mut self,
         columns: &Columns,
-        functions: &[Function],
+        entries: &[u32],
         roles: &[Role],
         service_roots: &[FunctionId],
         utilities: &[FunctionId],
@@ -1147,12 +1342,13 @@ impl Builder {
         // One reusable buffer for an indirect branch's drawn ids, which the
         // columns copy into their pool.
         let mut ids: Vec<u32> = Vec::new();
-        for func in functions {
+        for func in columns.functions() {
             let role = roles[func.id.0 as usize];
+            let last = func.first_block + func.num_blocks - 1;
             for id in func.block_ids() {
                 let idx = id.0 as usize;
                 ids.clear();
-                let flow = match columns.records[idx].kind {
+                let flow = match columns.records[idx].kind() {
                     BranchKind::Return => ControlFlow::Return,
                     BranchKind::Call if role == Role::Dispatcher => {
                         // The dispatcher's call sites cycle through the
@@ -1183,13 +1379,13 @@ impl Builder {
                         } else if role != Role::Utility && self.rng.chance(0.10) {
                             // Tail call: jump to a lower layer's entry.
                             let callee = self.pick_callee(func.id, role, roles, utilities);
-                            functions[callee.0 as usize].entry
+                            BlockId(entries[callee.0 as usize])
                         } else {
                             // Intra-function jumps are strictly forward so
                             // that a chain of unconditional jumps can never
                             // form a cycle the trace generator could not
                             // leave.
-                            self.pick_forward_target(func, idx)
+                            self.pick_forward_target(&func, idx)
                         };
                         ControlFlow::Jump { target }
                     }
@@ -1199,7 +1395,7 @@ impl Builder {
                         // control flow alone can never form a cycle.
                         let n = 2 + self.rng.index(5);
                         for _ in 0..n {
-                            ids.push(self.pick_forward_target(func, idx).0);
+                            ids.push(self.pick_forward_target(&func, idx).0);
                         }
                         ControlFlow::IndirectJump {
                             targets: Ids::new(&ids),
@@ -1223,11 +1419,11 @@ impl Builder {
                             other => other,
                         };
                         let taken =
-                            self.pick_conditional_target(&columns.records, func, idx, backward);
+                            self.pick_conditional_target(&columns.records, &func, idx, backward);
                         ControlFlow::Conditional { taken, behavior }
                     }
                 };
-                flows.push(flow);
+                flows.push(flow, id.0 == last);
             }
         }
         flows
@@ -1393,10 +1589,8 @@ mod tests {
 
     /// The function block `id` belongs to.
     fn owner(layout: &CodeLayout, id: BlockId) -> FunctionId {
-        let after = layout
-            .functions()
-            .partition_point(|f| f.first_block <= id.0);
-        FunctionId(after as u32 - 1)
+        let after = layout.functions().filter(|f| f.first_block <= id.0);
+        FunctionId(after.count() as u32 - 1)
     }
 
     #[test]
@@ -1584,6 +1778,30 @@ mod tests {
         assert!(layout.branches_in_line(CacheLine(1)).is_empty());
     }
 
+    /// The two-part line index answers every line exactly, whatever lines
+    /// its groups span: 64 lines of 4 or 16 instructions, 32 lines of 2,048
+    /// instructions, or one line alone when a line holds more than 2^16.
+    #[test]
+    fn line_index_is_exact_for_every_line_size() {
+        let profile = WorkloadProfile::tiny(9).with_footprint_bytes(96 * 1024);
+        for (line_bytes, group_shift) in [(16, 6), (64, 6), (8192, 5), (1 << 20, 0)] {
+            let geometry = LineGeometry::new(line_bytes);
+            let layout = CodeLayout::generate_with_geometry(&profile, geometry);
+            assert_eq!(layout.tables.lines.group_shift, group_shift, "{line_bytes}");
+            let first = geometry.line_of(CODE_BASE).0;
+            let last = geometry.line_of(layout.code_end()).0;
+            for line in (first.saturating_sub(2)..last + 3).map(CacheLine) {
+                let expected: Vec<u32> = (0..layout.num_blocks() as u32)
+                    .filter(|&id| {
+                        geometry.line_of(layout.basic_block(BlockId(id)).last_instruction()) == line
+                    })
+                    .collect();
+                let ids: Vec<u32> = layout.branches_in_line(line).collect();
+                assert_eq!(ids, expected, "{line_bytes}-byte line {line:?}");
+            }
+        }
+    }
+
     #[test]
     fn dispatcher_calls_service_roots_and_loops() {
         let layout = tiny_layout();
@@ -1650,6 +1868,87 @@ mod tests {
     #[should_panic(expected = "missing control-flow tables")]
     fn reading_a_flow_without_control_flow_tables_panics() {
         tiny_layout().without_control_flow().block(BlockId(0));
+    }
+
+    /// A record keeps every field at its extremes: start and target at the
+    /// largest 28-bit offset, sizes 1 and 31, every kind.
+    #[test]
+    fn a_block_record_round_trips_at_the_field_extremes() {
+        let top = MAX_CODE_INSTRUCTIONS;
+        assert_eq!(top, (1 << 28) - 1);
+        let at = |offset| CODE_BASE.add_instructions(offset);
+        for kind in BranchKind::ALL {
+            for size in [1, MAX_BASIC_BLOCK_INSTRUCTIONS] {
+                for (start, target) in [(0, 0), (0, top), (top, 0), (top, top)] {
+                    let record = BlockRecord::new(start, size, kind).with_target(target);
+                    assert_eq!(
+                        (record.offset(), record.size(), record.kind()),
+                        (start, size, kind)
+                    );
+                    assert_eq!((record.start(), record.target()), (at(start), at(target)));
+                    // Re-targeting replaces the target and nothing else.
+                    let moved = record.with_target(top - target);
+                    assert_eq!(moved.target(), at(top - target));
+                    assert_eq!(moved.with_target(target), record);
+                    let block = record.basic_block();
+                    let pc = at(start + size - 1);
+                    let terminator = if kind.target_is_indirect() {
+                        BranchInfo::indirect(pc, kind)
+                    } else {
+                        BranchInfo::direct(pc, kind, at(target))
+                    };
+                    assert_eq!(
+                        block,
+                        BasicBlock {
+                            start: at(start),
+                            instructions: size,
+                            terminator: Some(terminator),
+                        }
+                    );
+                }
+            }
+        }
+    }
+
+    /// A function record keeps its block count beside the hot flag.
+    #[test]
+    fn a_function_record_round_trips_its_count_and_hot_flag() {
+        for num_blocks in [1, 2, MAX_CODE_INSTRUCTIONS as u32, HOT - 1] {
+            for is_hot in [false, true] {
+                let record = FunctionRecord::new(num_blocks, is_hot);
+                assert_eq!((record.num_blocks(), record.is_hot()), (num_blocks, is_hot));
+            }
+        }
+        let records = [FunctionRecord::new(3, true), FunctionRecord::new(2, false)];
+        let functions: Vec<_> = assemble_functions(&records).collect();
+        assert_eq!(functions[1].first_block, 3);
+        assert_eq!(functions[1].entry, BlockId(3));
+        assert_eq!(functions[1].id, FunctionId(1));
+        assert!(functions[0].is_hot && !functions[1].is_hot);
+    }
+
+    /// A generated layout assembles the same functions from its packed
+    /// words as from its control-flow tables' entry column.
+    #[test]
+    fn functions_agree_with_their_entries() {
+        let layout = tiny_layout();
+        for f in layout.functions() {
+            assert_eq!(layout.function(f.id), f);
+            let last = BlockId(f.first_block + f.num_blocks - 1);
+            assert_eq!(layout.fall_through(last), None);
+            for id in f.block_ids().filter(|&id| id != last) {
+                assert_eq!(layout.fall_through(id), Some(BlockId(id.0 + 1)));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "the text segment ends within")]
+    fn a_block_past_the_packed_range_is_refused() {
+        let mut columns = Columns::with_capacity(1, 0);
+        columns.end = MAX_CODE_INSTRUCTIONS - 30;
+        columns.push_record(30, BranchKind::Return);
+        columns.push_record(1, BranchKind::Return);
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod trace;
 pub use codec::{profile_fingerprint, ByteReader, CodecError};
 pub use layout::{
     BlockId, BranchBehavior, CodeLayout, ControlFlow, Function, FunctionId, Ids, LayoutSummary,
-    StaticBlock, CODE_BASE,
+    StaticBlock, CODE_BASE, MAX_CODE_INSTRUCTIONS,
 };
 pub use profile::{
     latency_class, BackendProfile, ConditionalBehaviorMix, ProfileError, TerminatorMix,

@@ -15,6 +15,10 @@
 //! and [`crate::trace::TraceGenerator`] walks that layout to produce the
 //! dynamic instruction stream.
 
+use crate::layout::{
+    MAX_CODE_INSTRUCTIONS, MAX_DISPATCH_CALL_INSTRUCTIONS, MAX_DISPATCH_JUMP_INSTRUCTIONS,
+    MAX_FUNCTION_INSTRUCTIONS,
+};
 use serde::{Deserialize, Serialize};
 use sim_core::rng::SimRng;
 use std::fmt;
@@ -804,8 +808,48 @@ impl WorkloadProfile {
                 ),
             ));
         }
+        let laid_out = self.max_laid_out_instructions();
+        if laid_out > MAX_CODE_INSTRUCTIONS {
+            return Err(ProfileError::new(
+                "service_roots",
+                format!(
+                    "footprint_bytes = {} with {} roots can lay out {laid_out} instructions, \
+                     more than the {MAX_CODE_INSTRUCTIONS} a layout addresses; at most {} \
+                     roots fit",
+                    self.footprint_bytes,
+                    self.service_roots,
+                    self.most_service_roots()
+                ),
+            ));
+        }
         self.backend.validate()?;
         Ok(())
+    }
+
+    /// The most instructions a layout of this profile can hold. The layout
+    /// overshoots its footprint: the dispatcher has a call block per root,
+    /// each service subtree stops only after the function that crosses its
+    /// budget (the budgets sum to at most the footprint), and the utility
+    /// layer ends at most one function past the larger of the footprint and
+    /// the subtrees' end. [`validate`](Self::validate) requires this to be
+    /// at most [`MAX_CODE_INSTRUCTIONS`].
+    pub(crate) fn max_laid_out_instructions(&self) -> u64 {
+        let roots = self.service_roots as u64;
+        let per_root = MAX_FUNCTION_INSTRUCTIONS + MAX_DISPATCH_CALL_INSTRUCTIONS;
+        (self.footprint_bytes / sim_core::INSTRUCTION_BYTES)
+            .saturating_add(roots.saturating_mul(per_root))
+            .saturating_add(MAX_DISPATCH_JUMP_INSTRUCTIONS + MAX_FUNCTION_INSTRUCTIONS)
+    }
+
+    /// The most service roots whose layout fits
+    /// [`MAX_CODE_INSTRUCTIONS`] at this profile's footprint (see
+    /// [`max_laid_out_instructions`](Self::max_laid_out_instructions)).
+    pub(crate) fn most_service_roots(&self) -> u64 {
+        let fixed = self.footprint_bytes / sim_core::INSTRUCTION_BYTES
+            + MAX_DISPATCH_JUMP_INSTRUCTIONS
+            + MAX_FUNCTION_INSTRUCTIONS;
+        let per_root = MAX_FUNCTION_INSTRUCTIONS + MAX_DISPATCH_CALL_INSTRUCTIONS;
+        MAX_CODE_INSTRUCTIONS.saturating_sub(fixed) / per_root
     }
 
     /// Instructions the layout plans for each service root's subtree at a
@@ -848,9 +892,12 @@ impl WorkloadProfile {
 /// dispatcher/service/utility structure degenerates.
 pub const MIN_FOOTPRINT_BYTES: u64 = 16 * 1024;
 
-/// Largest footprint a profile may request (1 GiB, ~250x the largest paper
-/// workload): a layout addresses its text segment with 32 bits.
-pub const MAX_FOOTPRINT_BYTES: u64 = 1 << 30;
+/// Largest footprint a profile may request (512 MiB, ~125x the largest
+/// paper workload): half of the 1 GiB of code a layout addresses
+/// ([`MAX_CODE_INSTRUCTIONS`]), which leaves the other half for what the
+/// layout lays out past its footprint. [`WorkloadProfile::validate`]
+/// checks that worst case too.
+pub const MAX_FOOTPRINT_BYTES: u64 = 1 << 29;
 
 /// Fewest instructions (1 KB) of code the layout plans for one service
 /// root's subtree: a profile whose footprint leaves a root less fails
@@ -1012,13 +1059,54 @@ mod tests {
         assert_eq!(err.field, "service_roots");
         assert!(err.to_string().contains("got 1099511627776"), "{err}");
         assert!(err.to_string().contains("no footprint_bytes"), "{err}");
-        // The most roots the largest footprint holds, and one more.
+        // The most roots the largest footprint holds, and one more. There
+        // the worst-case overshoot binds before the 1 KB subtree floor.
         let service = huge.clone().with_service_roots(1);
-        let most = service.subtree_instructions(MAX_FOOTPRINT_BYTES) / MIN_SUBTREE_INSTRUCTIONS;
+        let floor = service.subtree_instructions(MAX_FOOTPRINT_BYTES) / MIN_SUBTREE_INSTRUCTIONS;
+        let most = huge.most_service_roots();
+        assert!(most < floor, "{most} roots, {floor} by the floor");
         let most = most as usize;
         assert!(huge.clone().with_service_roots(most).is_valid());
         let err = huge.with_service_roots(most + 1).validate().unwrap_err();
         assert_eq!(err.field, "service_roots");
+        let fit = format!("at most {most} roots fit");
+        assert!(err.to_string().contains(&fit), "{err}");
+    }
+
+    /// Every valid profile's layout ends inside the 28 bits a block record
+    /// gives an instruction offset, however far the planner overshoots its
+    /// footprint: the 512 MiB footprint bound leaves half the range for the
+    /// overshoot, and validation bounds the worst case. A profile whose
+    /// functions all draw the most blocks of the most instructions lays out
+    /// over 4x its footprint, so halving alone would not be the bound.
+    #[test]
+    fn a_laid_out_end_fits_the_packed_range() {
+        assert_eq!(MAX_FOOTPRINT_BYTES, 512 << 20);
+        assert_eq!(MAX_FOOTPRINT_BYTES / sim_core::INSTRUCTION_BYTES, 1 << 27);
+        let largest = WorkloadProfile::tiny(1).with_footprint_bytes(MAX_FOOTPRINT_BYTES);
+        let most = largest
+            .clone()
+            .with_service_roots(largest.most_service_roots() as usize);
+        assert!(most.is_valid());
+        assert!(most.max_laid_out_instructions() <= MAX_CODE_INSTRUCTIONS);
+        for kind in WorkloadKind::ALL {
+            let paper = kind.profile();
+            assert!(paper.max_laid_out_instructions() <= MAX_CODE_INSTRUCTIONS);
+            let scaled = paper.with_footprint_bytes(MAX_FOOTPRINT_BYTES);
+            assert!(scaled.is_valid(), "{kind} at the largest footprint");
+        }
+
+        // The bound holds for a layout that overshoots as far as functions
+        // can.
+        let mut widest = WorkloadProfile::tiny(5);
+        widest.mean_function_blocks = 10_000.0;
+        widest.mean_block_instructions = 10_000.0;
+        let layout = crate::CodeLayout::generate(&widest);
+        let end =
+            (layout.code_end().raw() - layout.code_base().raw()) / sim_core::INSTRUCTION_BYTES;
+        let footprint = widest.footprint_bytes / sim_core::INSTRUCTION_BYTES;
+        assert!(end > 4 * footprint, "{end} instructions for {footprint}");
+        assert!(end <= widest.max_laid_out_instructions());
     }
 
     /// A footprint that leaves a root less than a 1 KB subtree would be
