@@ -252,13 +252,6 @@ impl ArtifactCache {
         file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         file.extend_from_slice(&payload_fnv(&payload).to_le_bytes());
         file.extend_from_slice(&payload);
-        // Artifact-store fault point: flip one payload byte *after* the
-        // checksum was computed, producing exactly the on-disk damage a
-        // later load must reject and regenerate past.
-        if crate::fault::corrupt_this_artifact_store() {
-            let last = file.len() - 1;
-            file[last] ^= 0x01;
-        }
 
         let path = self.path_for(key);
         let tmp = self

@@ -60,7 +60,9 @@ OPTIONS:
                            instead of refusing to touch an existing campaign
     --force                Clear an existing campaign (even a mismatching one)
                            and start over
-    --fault-inject <PLAN>  Arm deterministic fault points (testing; see the
+    --fault-inject <PLAN>  Arm deterministic crash points (testing): kinds
+                           worker-exit, journal-torn-tail, report-torn,
+                           spool-scan-error and heartbeat-stall (see the
                            README's failure model for the plan syntax;
                            worker-exit:after-rows=N interrupts a run after
                            N checkpointed rows)
@@ -100,8 +102,8 @@ SERVE OPTIONS (every submission is leased row by row from a work queue):
                            (still being written; default: 0 = off)
     --max-scans <N>        Stop after N spool scans (testing; default:
                            0 = unlimited)
-    --fault-inject <PLAN>  Arm deterministic fault points in the service and
-                           its workers (testing)
+    --fault-inject <PLAN>  Arm deterministic crash points in the service and
+                           its workers (testing; same plan syntax as run)
     --listen <ADDR>        Expose the work queue on ADDR (e.g. 0.0.0.0:7000)
                            so `worker --connect` clients can join the local
                            fleet (default: a private ephemeral loopback port)
@@ -135,7 +137,8 @@ WORKER OPTIONS:
     --reconnect-tries <N>  Consecutive failed reconnects before giving up
                            (default: 6)
     --artifact-cache <DIR> Content-addressed workload artifact cache
-    --fault-inject <PLAN>  Arm deterministic fault points (testing)
+    --fault-inject <PLAN>  Arm deterministic crash points (testing; same
+                           plan syntax as run)
     --quiet                Suppress per-row progress logs
 
 VERIFY OPTIONS (offline audit of a campaign directory):

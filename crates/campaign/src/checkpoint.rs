@@ -330,10 +330,10 @@ impl Journal {
     /// syscall so a kill can at worst truncate the final line — which replay
     /// tolerates — never interleave two rows.
     ///
-    /// This is also the broker's row fault point (in a `run` process or
+    /// This is also the broker's row crash point (in a `run` process or
     /// a `serve` process): an armed [`crate::fault`] plan can tear the line
-    /// mid-write, exit after the durable write, or flip a byte of the line —
-    /// the crash and damage signatures resume must survive.
+    /// mid-write or exit after the durable write — the crash signatures
+    /// resume must survive.
     pub fn record(&self, job: &Job, stats: &SimStats) -> io::Result<()> {
         let mechanism = mechanism_token(job.mechanism);
         let values = stats_to_array(stats);
@@ -348,12 +348,7 @@ impl Journal {
         }
         let mut line = row.compact().into_bytes();
         line.push(b'\n');
-        let faults = fault::on_row_append();
-        if faults.bitrot {
-            // At-rest damage: one stat digit flips *after* `row_fnv` was
-            // computed — the line still parses, but can never verify.
-            flip_last_digit(&mut line);
-        }
+        let faults = fault::on_row();
         let mut file = self.file.lock().expect("journal mutex poisoned");
         if faults.torn_tail {
             // The mid-`write` kill signature: a prefix of the line, no
@@ -388,15 +383,6 @@ impl Journal {
 fn append_durable(file: &mut dyn io::Write, line: &[u8]) -> io::Result<()> {
     file.write_all(line)?;
     file.flush()
-}
-
-/// Flips the last ASCII digit of `line` to a different digit — the
-/// `journal-bitrot` fault effect. The last digit of a row line is always a
-/// stat value, so the damaged line still parses but fails its `row_fnv`.
-fn flip_last_digit(line: &mut [u8]) {
-    if let Some(byte) = line.iter_mut().rev().find(|b| b.is_ascii_digit()) {
-        *byte = if *byte == b'9' { b'0' } else { *byte + 1 };
-    }
 }
 
 /// Journal files in `dir` — `campaign`'s when given, every campaign's
@@ -878,6 +864,15 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    /// Flips the last ASCII digit of `line` to a different digit. The last
+    /// digit of a row line is always a stat value, so the damaged line still
+    /// parses but fails its `row_fnv`.
+    fn flip_last_digit(line: &mut [u8]) {
+        if let Some(byte) = line.iter_mut().rev().find(|b| b.is_ascii_digit()) {
+            *byte = if *byte == b'9' { b'0' } else { *byte + 1 };
+        }
     }
 
     fn temp_dir(tag: &str) -> PathBuf {

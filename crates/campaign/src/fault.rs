@@ -5,10 +5,16 @@
 //! runs the campaigns. A **fault plan** — parsed from the [`FAULT_ENV`]
 //! environment variable or the `--fault-inject` CLI flag — arms named fault
 //! points compiled into the worker row loop, the checkpoint-journal append,
-//! the artifact store, the report write and the spool scan. With no plan the
-//! points are inert (one relaxed atomic load), so the exact crash paths the
-//! supervisor must survive can be exercised deterministically in CI without
-//! a separate chaos build.
+//! the report write and the spool scan. With no plan the points are inert
+//! (one relaxed atomic load), so the exact crash paths the supervisor must
+//! survive can be exercised deterministically in CI without a separate
+//! chaos build.
+//!
+//! Only faults that need the process's own timing or death live here.
+//! Damage on the wire or the disk — torn, flipped, dropped or rewritten
+//! frames, flipped journal and artifact bytes — is done from outside the
+//! process under test: by the loopback proxy of `tests/distributed.rs` and
+//! by byte edits of the on-disk files in `tests/chaos.rs`.
 //!
 //! # Plan syntax
 //!
@@ -18,25 +24,18 @@
 //! ```text
 //! worker-exit:shard=1:after-rows=3
 //! journal-torn-tail:after-rows=2
-//! artifact-corrupt:nth=2
 //! report-torn
 //! spool-scan-error:nth=1,worker-exit:shard=1:after-rows=3:lives=2
-//! conn-drop:shard=0:after-rows=2,heartbeat-stall:shard=1:after-rows=3
+//! heartbeat-stall:shard=1:after-rows=3
 //! ```
 //!
 //! | kind                | fires at                            | effect |
 //! |---------------------|-------------------------------------|--------|
 //! | `worker-exit`       | the `after-rows`-th checkpointed row | `exit(113)` after the row is durably journaled (or acked) |
 //! | `journal-torn-tail` | the `after-rows`-th journal append  | writes a prefix of the row line, then `exit(113)` |
-//! | `conn-drop`         | the `after-rows`-th completed row   | a TCP worker drops its broker socket before the ack, then reconnects |
 //! | `heartbeat-stall`   | the `after-rows`-th *granted lease* | a TCP worker stops heartbeating and stalls forever (the broker revokes and reassigns) |
-//! | `artifact-corrupt`  | the `nth` artifact store            | flips a payload byte after checksumming (load rejects) |
 //! | `report-torn`       | the `nth` report-file write         | writes half the bytes, then `exit(113)` |
 //! | `spool-scan-error`  | the `nth` spool scan                | the scan returns an injected I/O error |
-//! | `frame-torn`        | the `nth` protocol frame sent       | writes half the frame bytes, then fails the send (either end of the socket) |
-//! | `row-corrupt`       | the `after-rows`-th completed row   | a TCP worker flips one stat value *after* checksumming the true row (the broker's `row_fnv` verification must quarantine it) |
-//! | `journal-bitrot`    | the `after-rows`-th journal append  | flips one byte of the row line after its checksum was computed (replay rejects the row) |
-//! | `frame-corrupt`     | the `nth` protocol frame sent       | flips one payload byte after the frame's FNV trailer was computed (`read_message` rejects the frame) |
 //!
 //! Filters: `shard=N` restricts a row fault to the worker process
 //! registered as worker `N` — the `--worker-index` of a TCP worker, which
@@ -62,10 +61,9 @@
 //! resumed worker's counter starts at zero again — which is exactly what a
 //! `lives` bound needs to reason about. Each row counts once per process: a
 //! `run` process counts its rows at the broker's journal appends, and its
-//! worker threads skip the worker-side row points, so
-//! `worker-exit:after-rows=N` stops it with exactly `N` rows journaled. The
-//! TCP-only kinds (`conn-drop`, `heartbeat-stall`, `row-corrupt`)
-//! therefore never fire in a `run`.
+//! worker threads skip the worker-side points, so
+//! `worker-exit:after-rows=N` stops it with exactly `N` rows journaled.
+//! The TCP-only `heartbeat-stall` therefore never fires in a `run`.
 //!
 //! [`FaultPlan`] implements `Display` with a canonical rendering (default
 //! filters omitted) that round-trips through [`FaultPlan::parse`]; `serve`
@@ -97,51 +95,24 @@ pub enum FaultKind {
     /// Write only a prefix of a journal row line, then exit — the
     /// mid-`write` kill signature.
     JournalTornTail,
-    /// Corrupt one byte of an artifact payload after its checksum was
-    /// computed, so a later load fails verification.
-    ArtifactCorrupt,
+    /// A TCP worker accepts a lease, then stops heartbeating and stalls
+    /// forever — the revocation/reassignment signature.
+    HeartbeatStall,
     /// Exit midway through writing a report file (before the atomic
     /// rename).
     ReportTorn,
     /// Make one spool scan return an I/O error.
     SpoolScanError,
-    /// A TCP worker abruptly drops its broker connection right after sending
-    /// a row (before reading the ack), then reconnects with backoff.
-    ConnDrop,
-    /// A TCP worker accepts a lease, then stops heartbeating and stalls
-    /// forever — the revocation/reassignment signature.
-    HeartbeatStall,
-    /// Write only half of one protocol frame, then fail the send — the torn
-    /// TCP write signature, armed on either end of the socket.
-    FrameTorn,
-    /// A TCP worker flips one stat value of a completed row *after* the
-    /// row's `row_fnv` checksum was computed over the true values — the
-    /// corrupted-result signature the broker's verification must catch
-    /// (and quarantine the session for).
-    RowCorrupt,
-    /// Flip one byte of a journal row line after its `row_fnv` was
-    /// computed — silent at-rest bitrot that replay must reject.
-    JournalBitrot,
-    /// Flip one payload byte of a protocol frame after its whole-payload
-    /// FNV trailer was computed — in-flight bit damage `read_message`
-    /// must reject instead of decoding plausibly.
-    FrameCorrupt,
 }
 
 impl FaultKind {
     /// Every kind, in declaration order.
-    const ALL: [FaultKind; 11] = [
+    const ALL: [FaultKind; 5] = [
         FaultKind::WorkerExit,
         FaultKind::JournalTornTail,
-        FaultKind::ArtifactCorrupt,
+        FaultKind::HeartbeatStall,
         FaultKind::ReportTorn,
         FaultKind::SpoolScanError,
-        FaultKind::ConnDrop,
-        FaultKind::HeartbeatStall,
-        FaultKind::FrameTorn,
-        FaultKind::RowCorrupt,
-        FaultKind::JournalBitrot,
-        FaultKind::FrameCorrupt,
     ];
 
     /// The kind's name in a plan string.
@@ -149,29 +120,19 @@ impl FaultKind {
         match self {
             FaultKind::WorkerExit => "worker-exit",
             FaultKind::JournalTornTail => "journal-torn-tail",
-            FaultKind::ArtifactCorrupt => "artifact-corrupt",
+            FaultKind::HeartbeatStall => "heartbeat-stall",
             FaultKind::ReportTorn => "report-torn",
             FaultKind::SpoolScanError => "spool-scan-error",
-            FaultKind::ConnDrop => "conn-drop",
-            FaultKind::HeartbeatStall => "heartbeat-stall",
-            FaultKind::FrameTorn => "frame-torn",
-            FaultKind::RowCorrupt => "row-corrupt",
-            FaultKind::JournalBitrot => "journal-bitrot",
-            FaultKind::FrameCorrupt => "frame-corrupt",
         }
     }
 
-    /// Row faults count checkpointed rows and accept the `shard`/`after-rows`
-    /// filters; counter faults count their own events and accept `nth`.
+    /// Row faults count checkpointed rows (or granted leases) and accept the
+    /// `shard`/`after-rows` filters; counter faults count their own events
+    /// and accept `nth`.
     fn is_row_fault(self) -> bool {
         matches!(
             self,
-            FaultKind::WorkerExit
-                | FaultKind::JournalTornTail
-                | FaultKind::ConnDrop
-                | FaultKind::HeartbeatStall
-                | FaultKind::RowCorrupt
-                | FaultKind::JournalBitrot
+            FaultKind::WorkerExit | FaultKind::JournalTornTail | FaultKind::HeartbeatStall
         )
     }
 }
@@ -358,13 +319,10 @@ struct FaultState {
     /// `u64::MAX` until registered.
     shard: AtomicU64,
     rows: AtomicU64,
-    artifact_stores: AtomicU64,
     report_writes: AtomicU64,
     spool_scans: AtomicU64,
     /// Leases granted to this process (a TCP worker), for `heartbeat-stall`.
     leases: AtomicU64,
-    /// Protocol frames sent by this process, for `frame-torn`.
-    frames: AtomicU64,
 }
 
 static STATE: OnceLock<Result<FaultState, String>> = OnceLock::new();
@@ -387,11 +345,9 @@ fn build_state(plan_text: Option<&str>) -> Result<FaultState, String> {
         life,
         shard: AtomicU64::new(u64::MAX),
         rows: AtomicU64::new(0),
-        artifact_stores: AtomicU64::new(0),
         report_writes: AtomicU64::new(0),
         spool_scans: AtomicU64::new(0),
         leases: AtomicU64::new(0),
-        frames: AtomicU64::new(0),
     })
 }
 
@@ -450,28 +406,24 @@ pub struct RowFaults {
     pub torn_tail: bool,
     /// Exit (with [`FAULT_EXIT_CODE`]) after the row is durably written.
     pub exit: bool,
-    /// TCP workers: drop the broker socket right after sending this row,
-    /// before reading the ack, then reconnect.
-    pub conn_drop: bool,
-    /// TCP workers: flip one stat value after the row checksum was computed
-    /// over the true values, so the broker's verification rejects the row.
-    pub corrupt: bool,
-    /// Journal writers: flip one byte of the row line after its checksum was
-    /// computed, so replay rejects the row.
-    pub bitrot: bool,
 }
 
-/// Advances the completed-row counter and collects the row faults firing at
-/// this row (`heartbeat-stall` excluded — it counts granted leases, not
-/// rows, and is read by [`stall_this_lease`]).
-fn row_faults(state: &FaultState) -> RowFaults {
+/// Row fault point: advances this process's row counter and reports which
+/// row faults fire at this row (`heartbeat-stall` excluded — it counts
+/// granted leases and is read by [`stall_this_lease`]). Called once per row
+/// by [`crate::checkpoint::Journal::record`] and by a TCP worker's row loop
+/// (a TCP worker appends no journal of its own; the broker journals on its
+/// behalf). Worker threads inside the broker's own process do not call it,
+/// so each row counts once.
+pub fn on_row() -> RowFaults {
+    let Some(state) = active() else {
+        return RowFaults::default();
+    };
     let row = state.rows.fetch_add(1, Ordering::Relaxed) + 1;
     let shard = state.shard.load(Ordering::Relaxed);
     let mut faults = RowFaults::default();
     for spec in &state.plan.faults {
-        if !spec.kind.is_row_fault()
-            || spec.kind == FaultKind::HeartbeatStall
-            || state.life > spec.lives
+        if state.life > spec.lives
             || row != spec.after_rows
             || spec.shard.is_some_and(|s| s as u64 != shard)
         {
@@ -480,36 +432,10 @@ fn row_faults(state: &FaultState) -> RowFaults {
         match spec.kind {
             FaultKind::JournalTornTail => faults.torn_tail = true,
             FaultKind::WorkerExit => faults.exit = true,
-            FaultKind::ConnDrop => faults.conn_drop = true,
-            FaultKind::RowCorrupt => faults.corrupt = true,
-            FaultKind::JournalBitrot => faults.bitrot = true,
-            _ => unreachable!("row faults only"),
+            _ => {}
         }
     }
     faults
-}
-
-/// Journal-append fault point: advances the checkpointed-row counter and
-/// reports which row faults fire at this row. Called by
-/// [`crate::checkpoint::Journal::record`] once per appended row.
-pub fn on_row_append() -> RowFaults {
-    let Some(state) = active() else {
-        return RowFaults::default();
-    };
-    row_faults(state)
-}
-
-/// TCP-worker row fault point: advances the completed-row counter and
-/// reports which row faults fire at this row. Called by
-/// [`crate::worker`] once per row it is about to transmit — the worker-side
-/// analogue of [`on_row_append`] (a TCP worker appends no journal of its
-/// own; the broker journals on its behalf). Worker threads inside the
-/// broker's own process do not call it, so each row counts once.
-pub fn on_worker_row() -> RowFaults {
-    let Some(state) = active() else {
-        return RowFaults::default();
-    };
-    row_faults(state)
 }
 
 /// Lease-grant fault point: advances the granted-lease counter and reports
@@ -519,14 +445,6 @@ pub fn stall_this_lease() -> bool {
     let Some(state) = active() else {
         return false;
     };
-    if !state
-        .plan
-        .faults
-        .iter()
-        .any(|spec| spec.kind == FaultKind::HeartbeatStall)
-    {
-        return false;
-    }
     let lease = state.leases.fetch_add(1, Ordering::Relaxed) + 1;
     let shard = state.shard.load(Ordering::Relaxed);
     state.plan.faults.iter().any(|spec| {
@@ -537,51 +455,13 @@ pub fn stall_this_lease() -> bool {
     })
 }
 
-/// The fault (if any) due at one sent protocol frame.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FrameFault {
-    /// Send the frame intact.
-    None,
-    /// Write half the frame bytes, then fail the send.
-    Torn,
-    /// Flip one payload byte after the frame's FNV trailer was computed.
-    Corrupt,
-}
-
-/// Frame-send fault point: advances the process-wide frame-send ordinal and
-/// reports whether this frame must be torn mid-write or bit-flipped after
-/// checksumming. One counter serves both kinds, so `frame-torn:nth=N` and
-/// `frame-corrupt:nth=M` in one plan address the same send sequence.
-pub fn on_frame_send() -> FrameFault {
-    let Some(state) = active() else {
-        return FrameFault::None;
-    };
-    if !state
-        .plan
-        .faults
-        .iter()
-        .any(|spec| matches!(spec.kind, FaultKind::FrameTorn | FaultKind::FrameCorrupt))
-    {
-        return FrameFault::None;
-    }
-    let event = state.frames.fetch_add(1, Ordering::Relaxed) + 1;
-    for spec in &state.plan.faults {
-        if state.life <= spec.lives && event == spec.nth {
-            match spec.kind {
-                FaultKind::FrameTorn => return FrameFault::Torn,
-                FaultKind::FrameCorrupt => return FrameFault::Corrupt,
-                _ => {}
-            }
-        }
-    }
-    FrameFault::None
-}
-
-fn counter_fault(kind: FaultKind, counter: &AtomicU64) -> bool {
+/// Advances a counter fault's event ordinal and reports whether a `kind`
+/// fault fires on this event.
+fn counter_fault(kind: FaultKind, counter: fn(&FaultState) -> &AtomicU64) -> bool {
     let Some(state) = active() else {
         return false;
     };
-    let event = counter.fetch_add(1, Ordering::Relaxed) + 1;
+    let event = counter(state).fetch_add(1, Ordering::Relaxed) + 1;
     state
         .plan
         .faults
@@ -589,31 +469,16 @@ fn counter_fault(kind: FaultKind, counter: &AtomicU64) -> bool {
         .any(|spec| spec.kind == kind && state.life <= spec.lives && event == spec.nth)
 }
 
-/// Artifact-store fault point: `true` when this store (process-wide ordinal)
-/// must corrupt one payload byte after checksumming.
-pub fn corrupt_this_artifact_store() -> bool {
-    let Some(state) = active() else {
-        return false;
-    };
-    counter_fault(FaultKind::ArtifactCorrupt, &state.artifact_stores)
-}
-
 /// Report-write fault point: `true` when this report-file write must stop
 /// halfway and exit.
 pub fn tear_this_report_write() -> bool {
-    let Some(state) = active() else {
-        return false;
-    };
-    counter_fault(FaultKind::ReportTorn, &state.report_writes)
+    counter_fault(FaultKind::ReportTorn, |state| &state.report_writes)
 }
 
 /// Spool-scan fault point: `true` when this scan must fail with an injected
 /// I/O error.
 pub fn fail_this_spool_scan() -> bool {
-    let Some(state) = active() else {
-        return false;
-    };
-    counter_fault(FaultKind::SpoolScanError, &state.spool_scans)
+    counter_fault(FaultKind::SpoolScanError, |state| &state.spool_scans)
 }
 
 /// Terminates the process with [`FAULT_EXIT_CODE`] — the injected-crash
@@ -645,7 +510,7 @@ mod tests {
     fn full_plan_round_trips_fields() {
         let plan = FaultPlan::parse(
             "worker-exit:shard=1:after-rows=3:lives=2, journal-torn-tail, \
-             artifact-corrupt:nth=2, conn-drop:shard=0:after-rows=5:lives=all",
+             report-torn:nth=2, heartbeat-stall:shard=0:after-rows=5:lives=all",
         )
         .unwrap();
         assert_eq!(plan.faults.len(), 4);
@@ -655,8 +520,9 @@ mod tests {
         assert_eq!(plan.faults[0].lives, 2);
         assert_eq!(plan.faults[1].kind, FaultKind::JournalTornTail);
         assert_eq!(plan.faults[1].after_rows, 1);
-        assert_eq!(plan.faults[2].kind, FaultKind::ArtifactCorrupt);
+        assert_eq!(plan.faults[2].kind, FaultKind::ReportTorn);
         assert_eq!(plan.faults[2].nth, 2);
+        assert_eq!(plan.faults[3].kind, FaultKind::HeartbeatStall);
         assert_eq!(plan.faults[3].lives, u64::MAX);
     }
 
@@ -664,7 +530,14 @@ mod tests {
     fn bad_plans_are_named_errors() {
         let unknown = FaultPlan::parse("meteor-strike").unwrap_err();
         assert!(unknown.contains("unknown fault kind"), "{unknown}");
-        let misapplied = FaultPlan::parse("artifact-corrupt:shard=1").unwrap_err();
+        // Wire damage is injected from outside the process now: a plan
+        // naming it fails loudly instead of arming nothing.
+        let moved = FaultPlan::parse("worker-exit,frame-corrupt:nth=9").unwrap_err();
+        assert!(
+            moved.contains("unknown fault kind `frame-corrupt`"),
+            "{moved}"
+        );
+        let misapplied = FaultPlan::parse("report-torn:shard=1").unwrap_err();
         assert!(misapplied.contains("does not apply"), "{misapplied}");
         let misapplied = FaultPlan::parse("worker-exit:nth=1").unwrap_err();
         assert!(misapplied.contains("does not apply"), "{misapplied}");
@@ -678,48 +551,50 @@ mod tests {
 
     #[test]
     fn network_kinds_parse_with_row_filters() {
-        let plan = FaultPlan::parse(
-            "conn-drop:shard=0:after-rows=2,heartbeat-stall:shard=1:after-rows=3,\
-             row-corrupt:lives=all,frame-torn:nth=4",
-        )
-        .unwrap();
-        assert_eq!(plan.faults.len(), 4);
-        assert_eq!(plan.faults[0].kind, FaultKind::ConnDrop);
-        assert_eq!(plan.faults[0].shard, Some(0));
-        assert_eq!(plan.faults[1].kind, FaultKind::HeartbeatStall);
-        assert_eq!(plan.faults[1].after_rows, 3);
-        assert_eq!(plan.faults[2].kind, FaultKind::RowCorrupt);
-        assert_eq!(plan.faults[2].lives, u64::MAX);
-        assert_eq!(plan.faults[3].kind, FaultKind::FrameTorn);
-        assert_eq!(plan.faults[3].nth, 4);
-        // frame-torn is a counter fault: row filters must be rejected.
-        let misapplied = FaultPlan::parse("frame-torn:after-rows=2").unwrap_err();
+        let plan =
+            FaultPlan::parse("heartbeat-stall:shard=1:after-rows=3,heartbeat-stall:lives=all")
+                .unwrap();
+        assert_eq!(plan.faults.len(), 2);
+        assert_eq!(plan.faults[0].kind, FaultKind::HeartbeatStall);
+        assert_eq!(plan.faults[0].shard, Some(1));
+        assert_eq!(plan.faults[0].after_rows, 3);
+        assert_eq!(plan.faults[1].lives, u64::MAX);
+        // heartbeat-stall counts granted leases: counter filters are
+        // rejected.
+        let misapplied = FaultPlan::parse("heartbeat-stall:nth=2").unwrap_err();
         assert!(misapplied.contains("does not apply"), "{misapplied}");
     }
 
     #[test]
-    fn integrity_kinds_parse_and_classify() {
-        let plan = FaultPlan::parse(
-            "row-corrupt:shard=1:after-rows=2,journal-bitrot:after-rows=3:lives=all,\
-             frame-corrupt:nth=5",
-        )
-        .unwrap();
-        assert_eq!(plan.faults.len(), 3);
-        assert_eq!(plan.faults[0].kind, FaultKind::RowCorrupt);
-        assert_eq!(plan.faults[0].shard, Some(1));
-        assert_eq!(plan.faults[0].after_rows, 2);
-        assert_eq!(plan.faults[1].kind, FaultKind::JournalBitrot);
-        assert_eq!(plan.faults[1].lives, u64::MAX);
-        assert_eq!(plan.faults[2].kind, FaultKind::FrameCorrupt);
-        assert_eq!(plan.faults[2].nth, 5);
-        // row-corrupt/journal-bitrot are row faults; frame-corrupt counts
-        // frame sends — each rejects the other class's filters.
-        let misapplied = FaultPlan::parse("row-corrupt:nth=2").unwrap_err();
-        assert!(misapplied.contains("does not apply"), "{misapplied}");
-        let misapplied = FaultPlan::parse("frame-corrupt:after-rows=2").unwrap_err();
-        assert!(misapplied.contains("does not apply"), "{misapplied}");
-        let misapplied = FaultPlan::parse("frame-corrupt:shard=0").unwrap_err();
-        assert!(misapplied.contains("does not apply"), "{misapplied}");
+    fn wire_and_disk_kinds_are_unknown_and_filters_classify() {
+        // Torn, flipped, dropped and rewritten frames and flipped journal
+        // and artifact bytes are damage on the wire or the disk, injected by
+        // the tests' proxy and byte edits, never by the binary.
+        for moved in [
+            "frame-torn:nth=4",
+            "frame-corrupt:nth=5",
+            "row-corrupt:shard=1:after-rows=2",
+            "conn-drop:after-rows=2",
+            "journal-bitrot:after-rows=3:lives=all",
+            "artifact-corrupt",
+        ] {
+            let err = FaultPlan::parse(moved).unwrap_err();
+            let kind = moved.split(':').next().unwrap();
+            assert!(
+                err.contains(&format!("unknown fault kind `{kind}`")),
+                "{err}"
+            );
+        }
+        // Row faults take `shard`/`after-rows`; counter faults take `nth`.
+        for (plan, ok) in [
+            ("journal-torn-tail:shard=0:after-rows=2", true),
+            ("journal-torn-tail:nth=2", false),
+            ("spool-scan-error:nth=2", true),
+            ("spool-scan-error:after-rows=2", false),
+            ("report-torn:shard=0", false),
+        ] {
+            assert_eq!(FaultPlan::parse(plan).is_ok(), ok, "{plan}");
+        }
     }
 
     #[test]
@@ -727,11 +602,10 @@ mod tests {
         let texts = [
             "worker-exit:shard=1:after-rows=3:lives=2",
             "journal-torn-tail",
-            "artifact-corrupt:nth=2",
-            "conn-drop:shard=0:after-rows=5:lives=all",
-            "conn-drop:shard=0:after-rows=2,heartbeat-stall:after-rows=3",
-            "row-corrupt,frame-torn:nth=7:lives=3",
-            "row-corrupt:after-rows=2,journal-bitrot:shard=1,frame-corrupt:nth=3",
+            "report-torn:nth=2",
+            "heartbeat-stall:shard=0:after-rows=5:lives=all",
+            "worker-exit:shard=0:after-rows=2,heartbeat-stall:after-rows=3",
+            "spool-scan-error:nth=7:lives=3,report-torn",
             "",
         ];
         for text in texts {
@@ -744,27 +618,29 @@ mod tests {
             );
         }
         // Canonical form drops defaults and normalises whitespace.
-        let plan = FaultPlan::parse(" worker-exit:after-rows=1:lives=1 , conn-drop:nth-free=1")
-            .map(|p| p.to_string());
+        let plan =
+            FaultPlan::parse(" worker-exit:after-rows=1:lives=1 , heartbeat-stall:nth-free=1")
+                .map(|p| p.to_string());
         assert!(plan.is_err(), "nth-free must be rejected");
-        let plan = FaultPlan::parse(" worker-exit:after-rows=1:lives=1 , conn-drop ").unwrap();
-        assert_eq!(plan.to_string(), "worker-exit,conn-drop");
+        let plan =
+            FaultPlan::parse(" worker-exit:after-rows=1:lives=1 , heartbeat-stall ").unwrap();
+        assert_eq!(plan.to_string(), "worker-exit,heartbeat-stall");
     }
 
     #[test]
     fn duplicate_and_malformed_filters_are_rejected() {
         let dup = FaultPlan::parse("worker-exit:lives=1:lives=2").unwrap_err();
         assert!(dup.contains("duplicate `lives`"), "{dup}");
-        let dup = FaultPlan::parse("conn-drop:after-rows=2:after-rows=3").unwrap_err();
+        let dup = FaultPlan::parse("heartbeat-stall:after-rows=2:after-rows=3").unwrap_err();
         assert!(dup.contains("duplicate `after-rows`"), "{dup}");
-        let bad_shard = FaultPlan::parse("conn-drop:shard=first").unwrap_err();
+        let bad_shard = FaultPlan::parse("heartbeat-stall:shard=first").unwrap_err();
         assert!(bad_shard.contains("bad `shard`"), "{bad_shard}");
         let unknown = FaultPlan::parse("packet-eater:shard=0").unwrap_err();
         assert!(unknown.contains("unknown fault kind"), "{unknown}");
     }
 
-    // Behavioural coverage of the fault points lives in the chaos suite
-    // (`tests/chaos.rs`), which arms plans in *spawned* binary processes —
-    // the runtime state is process-global, so in-process tests stick to the
-    // pure parser.
+    // Behavioural coverage of the fault points lives in the chaos suites
+    // (`tests/chaos.rs`, `tests/distributed.rs`), which arm plans in
+    // *spawned* binary processes — the runtime state is process-global, so
+    // in-process tests stick to the pure parser.
 }

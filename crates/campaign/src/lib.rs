@@ -58,6 +58,8 @@ pub mod proto;
 pub mod serve;
 pub mod sink;
 pub mod spec;
+#[cfg(test)]
+mod splitmix;
 pub mod supervise;
 pub mod toml;
 pub mod verify;

@@ -42,17 +42,11 @@
 //! heartbeat thread between requests; the broker never replies to it, so
 //! from the worker's read perspective the socket stays strict
 //! request-reply.
-//!
-//! [`write_message`] is the `frame-torn` and `frame-corrupt` fault point
-//! ([`crate::fault`]): an armed plan can tear the `nth` frame sent by this
-//! process — half the bytes, then a failed send — or flip one payload byte
-//! after the trailer was computed, on either end of the socket.
 
 use std::fmt;
 use std::io::{self, Read, Write};
 
 use crate::checkpoint::{fnv1a64, STAT_FIELD_COUNT};
-use crate::fault;
 
 /// Frame magic: "Boomerang work queue".
 pub const PROTO_MAGIC: [u8; 4] = *b"BMWQ";
@@ -99,9 +93,11 @@ impl fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
+/// An `InvalidData` error carrying the [`ProtoError`] itself, so a caller
+/// can recover the field with `get_ref().downcast_ref::<ProtoError>()`.
 impl From<ProtoError> for io::Error {
     fn from(e: ProtoError) -> io::Error {
-        io::Error::new(io::ErrorKind::InvalidData, e.to_string())
+        io::Error::new(io::ErrorKind::InvalidData, e)
     }
 }
 
@@ -523,37 +519,9 @@ pub fn decode(kind: u32, payload: &[u8]) -> Result<Message, ProtoError> {
     Ok(msg)
 }
 
-/// Writes one frame. This is the `frame-torn` and `frame-corrupt` fault
-/// point: an armed plan can make the `nth` frame sent by this process write
-/// only its first half and then fail — the torn-TCP-write signature — or
-/// flip one payload byte *after* the FNV trailer was computed, so the
-/// receiver's trailer check must reject the frame. Callers treat the torn
-/// error like any send failure (drop the connection, reconnect).
+/// Writes one frame and flushes it.
 pub fn write_message<W: Write>(w: &mut W, msg: &Message) -> io::Result<()> {
-    let mut frame = encode(msg);
-    match fault::on_frame_send() {
-        fault::FrameFault::Torn => {
-            let torn = &frame[..frame.len() / 2];
-            w.write_all(torn)?;
-            let _ = w.flush();
-            return Err(io::Error::new(
-                io::ErrorKind::ConnectionAborted,
-                "injected torn frame",
-            ));
-        }
-        fault::FrameFault::Corrupt => {
-            // In-flight bit damage: the frame arrives whole, parses as a
-            // frame, but its payload no longer matches its trailer.
-            let at = if frame.len() > HEADER_LEN + TRAILER_LEN {
-                HEADER_LEN + (frame.len() - HEADER_LEN - TRAILER_LEN) / 2
-            } else {
-                frame.len() - 1
-            };
-            frame[at] ^= 0x01;
-        }
-        fault::FrameFault::None => {}
-    }
-    w.write_all(&frame)?;
+    w.write_all(&encode(msg))?;
     w.flush()
 }
 
@@ -585,6 +553,9 @@ pub fn read_message<R: Read>(r: &mut R) -> io::Result<Message> {
     }
     Ok(decode(header.kind, &payload)?)
 }
+
+#[cfg(test)]
+mod fuzz;
 
 #[cfg(test)]
 mod tests {

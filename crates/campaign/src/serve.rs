@@ -1619,6 +1619,7 @@ pub fn run_local(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::splitmix::SplitMix;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -1841,7 +1842,7 @@ warmup_blocks = 400
         let stats = stats_to_array(&SimStats::default());
         let (lease, index) = campaign.grant(1, now).unwrap();
         // Checksum over the true stats, then damage the payload — exactly
-        // what the `row-corrupt` fault injects in a real worker.
+        // what the lying proxy of `tests/distributed.rs` sends the broker.
         let mut damaged = stats;
         damaged[0] ^= 1;
         let row = row_frame(&campaign, lease, index, &damaged, &stats);
@@ -2360,28 +2361,6 @@ noc = 30
         })
     }
 
-    /// SplitMix64, the explorer's only source of choices.
-    struct SplitMix(u64);
-
-    impl SplitMix {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
-
-        /// A uniform draw from `0..n`.
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-
-        fn percent(&mut self, p: u64) -> bool {
-            self.below(100) < p
-        }
-    }
-
     /// One simulated worker connection.
     struct Peer {
         session: u64,
@@ -2540,8 +2519,7 @@ noc = 30
                 let eligible: Vec<usize> = (0..explorer.peers.len())
                     .filter(|&i| holding.is_none_or(|h| explorer.peers[i].held.is_some() == h))
                     .collect();
-                (!eligible.is_empty())
-                    .then(|| eligible[explorer.rng.below(eligible.len() as u64) as usize])
+                (!eligible.is_empty()).then(|| eligible[explorer.rng.index(eligible.len())])
             };
             match roll {
                 0..=9 if self.peers.len() < 4 => {

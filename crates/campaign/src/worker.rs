@@ -481,27 +481,10 @@ fn lease_loop(
                 }
                 let leased = state.jobs[job_index];
                 let stats = run_row(state, &wanted_hash, &leased, worker, summary);
-                let row_faults = if worker.in_process {
-                    fault::RowFaults::default()
-                } else {
-                    fault::on_worker_row()
-                };
+                let exit_after_row = !worker.in_process && fault::on_row().exit;
                 let mechanism = mechanism_token(leased.mechanism).to_string();
-                let mut values = stats_to_array(&stats).to_vec();
+                let values = stats_to_array(&stats).to_vec();
                 let row_fnv = row_checksum(job_index, &mechanism, leased.seed, &values);
-                if row_faults.corrupt {
-                    // Injected result corruption: one stat flips *after* the
-                    // checksum was taken over the true values — the exact
-                    // damage the broker's re-verification must catch (and
-                    // quarantine this session for).
-                    values[0] ^= 1;
-                    if !options.quiet {
-                        eprintln!(
-                            "worker {}: injected row corruption on job {job}",
-                            options.worker_index
-                        );
-                    }
-                }
                 let done = Message::RowDone {
                     lease,
                     job,
@@ -512,16 +495,6 @@ fn lease_loop(
                     stats: values,
                 };
                 send!(&done);
-                if row_faults.conn_drop {
-                    // Drop the socket before reading the ack: the broker has
-                    // (or will have) journaled the row; the retransmission
-                    // after reconnect must dedup.
-                    current_lease.store(0, Ordering::Relaxed);
-                    return Ok(SessionEnd::Lost(io::Error::new(
-                        io::ErrorKind::ConnectionReset,
-                        "injected connection drop before ack",
-                    )));
-                }
                 let acked = match recv!() {
                     Message::RowAck { .. } => true,
                     Message::Reject { reason } => {
@@ -553,7 +526,7 @@ fn lease_loop(
                         );
                     }
                 }
-                if row_faults.exit {
+                if exit_after_row {
                     fault::exit_now();
                 }
             }

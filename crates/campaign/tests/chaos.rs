@@ -2,9 +2,11 @@
 //! campaign service (its broker and local worker fleet) through its crash
 //! paths.
 //!
-//! Every test arms a `--fault-inject` plan in *spawned* `boomerang-sim`
-//! processes (the fault runtime is process-global, so in-process arming
-//! would leak between tests) and then asserts the service-level contract:
+//! Crashes are armed by a `--fault-inject` plan in *spawned*
+//! `boomerang-sim` processes (the fault runtime is process-global, so
+//! in-process arming would leak between tests); damage at rest — flipped
+//! and truncated artifact and journal bytes — is done to the files on disk
+//! between runs. Every test then asserts the service-level contract:
 //!
 //! - worker crashes and hangs are retried, a broker that dies mid-append
 //!   leaves a torn journal tail the next service truncates, and the
@@ -15,7 +17,8 @@
 //!   `.partial`, holes marked per row),
 //! - torn report writes never publish a half-written file,
 //! - damaged artifact-cache entries are rejected, warned about and
-//!   regenerated, never trusted,
+//!   regenerated, never trusted, and a rotted journal row is refused by
+//!   `verify` and `--resume`,
 //! - a failing spool scan skips one scan, not the serve loop.
 
 use std::path::{Path, PathBuf};
@@ -360,45 +363,13 @@ fn run_cached(spec: &Path, cache: &Path, out: &Path, extra: &[&str]) -> Output {
     Command::new(BIN).args(&args).output().unwrap()
 }
 
-#[test]
-fn corrupted_artifact_store_is_rejected_and_regenerated_next_run() {
-    let base = temp_dir("art-corrupt");
-    let spec = base.join("mini.toml");
-    std::fs::write(&spec, MINI_SPEC).unwrap();
-    let cache = base.join("cache");
-    std::fs::create_dir_all(&cache).unwrap();
-
-    // First run stores all 4 artifacts, one with an injected flipped payload
-    // byte (after checksumming, so only a later load can notice).
-    let output = run_cached(
-        &spec,
-        &cache,
-        &base.join("a"),
-        &["--fault-inject", "artifact-corrupt:nth=1"],
-    );
-    assert!(output.status.success(), "{}", stderr_of(&output));
-
-    // Second process must reject exactly that artifact, warn, regenerate —
-    // and still render the same bytes.
-    let output = run_cached(&spec, &cache, &base.join("b"), &[]);
-    let stderr = stderr_of(&output);
-    assert!(output.status.success(), "{stderr}");
-    assert!(
-        stderr.contains("rejected") && stderr.contains("regenerating"),
-        "cache damage must be warned about, not trusted or fatal: {stderr}"
-    );
-    assert!(stderr.contains("3 cache hits, 1 generated"), "{stderr}");
-    assert_eq!(
-        std::fs::read(base.join("a").join("chaos-mini.json")).unwrap(),
-        std::fs::read(base.join("b").join("chaos-mini.json")).unwrap(),
-        "a regenerated artifact must reproduce identical reports"
-    );
-    std::fs::remove_dir_all(&base).unwrap();
-}
-
+/// Damaged cache files — a payload byte flipped on disk, a file truncated
+/// below its header, one cut mid-payload — are each rejected with a
+/// warning and regenerated, never trusted or fatal, and the reports come
+/// out byte-identical.
 #[test]
 fn truncated_cache_file_warns_and_regenerates() {
-    let base = temp_dir("art-trunc");
+    let base = temp_dir("art-damage");
     let spec = base.join("mini.toml");
     std::fs::write(&spec, MINI_SPEC).unwrap();
     let cache = base.join("cache");
@@ -406,8 +377,6 @@ fn truncated_cache_file_warns_and_regenerates() {
 
     let output = run_cached(&spec, &cache, &base.join("a"), &[]);
     assert!(output.status.success(), "{}", stderr_of(&output));
-
-    // Truncate one stored artifact below its header, mid-header another.
     let mut files: Vec<PathBuf> = std::fs::read_dir(&cache)
         .unwrap()
         .map(|e| e.unwrap().path())
@@ -415,22 +384,37 @@ fn truncated_cache_file_warns_and_regenerates() {
         .collect();
     files.sort();
     assert_eq!(files.len(), 4);
+
+    // Another process must reject exactly the damaged artifacts, warn,
+    // regenerate them — and still render the same bytes.
+    let rerun = |out: &str, counts: &str| {
+        let output = run_cached(&spec, &cache, &base.join(out), &[]);
+        let stderr = stderr_of(&output);
+        assert!(output.status.success(), "{stderr}");
+        assert!(
+            stderr.contains("rejected") && stderr.contains("regenerating"),
+            "cache damage must be warned about, not trusted or fatal: {stderr}"
+        );
+        assert!(stderr.contains(counts), "{stderr}");
+        assert_eq!(
+            std::fs::read(base.join("a").join("chaos-mini.json")).unwrap(),
+            std::fs::read(base.join(out).join("chaos-mini.json")).unwrap(),
+            "a regenerated artifact must reproduce identical reports"
+        );
+    };
+
+    // A flipped payload byte under a header checksummed over the true
+    // bytes: only the load's payload check can notice.
+    let mut bytes = std::fs::read(&files[2]).unwrap();
+    *bytes.last_mut().unwrap() ^= 0x01;
+    std::fs::write(&files[2], &bytes).unwrap();
+    rerun("b", "3 cache hits, 1 generated");
+
+    // Truncate one stored artifact below its header, mid-payload another.
     std::fs::write(&files[0], b"wl").unwrap();
     let bytes = std::fs::read(&files[1]).unwrap();
     std::fs::write(&files[1], &bytes[..bytes.len() / 2]).unwrap();
-
-    let output = run_cached(&spec, &cache, &base.join("b"), &[]);
-    let stderr = stderr_of(&output);
-    assert!(output.status.success(), "{stderr}");
-    assert!(
-        stderr.contains("rejected") && stderr.contains("regenerating"),
-        "{stderr}"
-    );
-    assert!(stderr.contains("2 cache hits, 2 generated"), "{stderr}");
-    assert_eq!(
-        std::fs::read(base.join("a").join("chaos-mini.json")).unwrap(),
-        std::fs::read(base.join("b").join("chaos-mini.json")).unwrap()
-    );
+    rerun("c", "2 cache hits, 2 generated");
     std::fs::remove_dir_all(&base).unwrap();
 }
 
@@ -517,13 +501,30 @@ fn concurrent_cache_writers_leave_a_fully_loadable_cache() {
     std::fs::remove_dir_all(&base).unwrap();
 }
 
-/// Journal bitrot: a fault point flips one byte of a row line *after* its
-/// `row_fnv` was computed — the writer cannot notice. Every consumer of the
-/// journal must reject the damaged row: the run's own collect step (which
-/// assembles the report from the journal) fails naming the file, line and
-/// checksums and publishes no report, `verify` fails the audit, and
-/// `--resume` refuses the same way. `--force` starts over and reproduces
-/// the reference bytes, after which the audit passes again.
+/// Flips the last ASCII digit of line `line` (1-based) of `path` — a stat
+/// value, so the line still parses but no longer matches its `row_fnv`.
+fn flip_last_digit_of_line(path: &Path, line: usize) {
+    let text = std::fs::read_to_string(path).unwrap();
+    let mut lines: Vec<String> = text.lines().map(String::from).collect();
+    let mut row = std::mem::take(&mut lines[line - 1]).into_bytes();
+    let digit = row
+        .iter_mut()
+        .rev()
+        .find(|b| b.is_ascii_digit())
+        .expect("a row line ends in a stat value");
+    *digit = if *digit == b'9' { b'0' } else { *digit + 1 };
+    lines[line - 1] = String::from_utf8(row).unwrap();
+    std::fs::write(path, lines.join("\n") + "\n").unwrap();
+}
+
+/// Journal bitrot: one stat digit of a journaled row flips on disk, after
+/// the row's `row_fnv` was computed — the writer cannot notice. Every
+/// consumer of the journal must reject the damaged row: `verify` fails the
+/// audit, and `--resume` refuses the journal naming the file, line and
+/// checksums and publishes no report (its replay is the same
+/// `JournalReplay::load` a run's collect step assembles the report with).
+/// `--force` starts over and reproduces the reference bytes, after which
+/// the audit passes again.
 #[test]
 fn journal_bitrot_is_caught_by_verify_and_resume_and_force_recovers() {
     let dir = temp_dir("bitrot");
@@ -544,17 +545,21 @@ fn journal_bitrot_is_caught_by_verify_and_resume_and_force_recovers() {
         run_bin(&args)
     };
 
-    let output = run(&["--fault-inject", "journal-bitrot:after-rows=2"]);
-    let stderr = stderr_of(&output);
-    assert_eq!(output.status.code(), Some(1), "{stderr}");
-    assert!(
-        stderr.contains("row_fnv") && stderr.contains(".journal.jsonl:3"),
-        "collecting the damaged journal must name the file, line and checksum: {stderr}"
+    // Stop the run with two rows journaled, then rot row 2 (line 3, after
+    // the header and row 1).
+    let output = run(&["--fault-inject", "worker-exit:after-rows=2"]);
+    assert_eq!(
+        output.status.code(),
+        Some(FAULT_EXIT),
+        "{}",
+        stderr_of(&output)
     );
-    assert!(
-        !out.join("chaos-mini.json").exists(),
-        "no report may be published from a damaged journal"
+    let journal = out.join("chaos-mini.journal.jsonl");
+    assert_eq!(
+        std::fs::read_to_string(&journal).unwrap().lines().count(),
+        3
     );
+    flip_last_digit_of_line(&journal, 3);
 
     // The offline audit catches the damage and names it.
     let audit = run_bin(&[
@@ -577,6 +582,10 @@ fn journal_bitrot_is_caught_by_verify_and_resume_and_force_recovers() {
     assert!(
         stderr.contains("row_fnv") && stderr.contains(".journal.jsonl:3"),
         "the replay error must name the file, line and checksum: {stderr}"
+    );
+    assert!(
+        !out.join("chaos-mini.json").exists(),
+        "no report may be published from a damaged journal"
     );
 
     // --force starts over; the rerun is byte-identical and audits clean.

@@ -2,9 +2,11 @@
 //!
 //! Every test drives a real `boomerang-sim serve --listen` broker and real
 //! `boomerang-sim worker --connect` processes over loopback, injects
-//! deterministic network faults (`conn-drop`, `heartbeat-stall`,
-//! `frame-torn`, `frame-corrupt`, `row-corrupt`, retransmitted rows, worker
-//! and broker crashes) into one end or the other, and asserts the contract
+//! deterministic faults — crashes and heartbeat stalls armed in the
+//! processes themselves, and wire damage done by a loopback proxy between
+//! them (retransmitted rows, torn and bit-flipped frames in either
+//! direction, dropped connections, rows whose stats were changed after
+//! checksumming) — and asserts the contract
 //! that makes distribution safe to use at all: the merged report is
 //! **byte-identical** to an undisturbed single-process run, no matter how
 //! the campaign was cut up or disturbed.
@@ -22,7 +24,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use campaign::proto::{read_message, write_message};
+use campaign::proto::{encode, read_message, HEADER_LEN, TRAILER_LEN};
 use campaign::Message;
 
 const BIN: &str = env!("CARGO_BIN_EXE_boomerang-sim");
@@ -151,7 +153,7 @@ fn assert_report_matches(out: &Path, name: &str, reference: &(Vec<u8>, Vec<u8>))
 }
 
 /// The acceptance test: a figure9 smoke campaign leased to three TCP
-/// workers while one drops its connection mid-row, one crashes outright,
+/// workers while one loses its connection mid-row, one crashes outright,
 /// and one goes silent until its lease expires and is reassigned — and the
 /// merged report is still byte-identical to a clean one-shot run.
 #[test]
@@ -160,10 +162,12 @@ fn figure9_smoke_under_network_chaos_matches_a_single_process_run() {
     let reference = clean_reference("f9", &spec_text, "figure9");
     let (broker, spool, out, addr) = spawn_broker("f9", &spec_text, &["--workers", "0"]);
 
-    // Worker 0 drops its connection after its 3rd row (before reading the
-    // ack) and reconnects; worker 1 crashes after 2 rows; worker 2 stops
-    // heartbeating on its 4th lease and hangs until we kill it.
-    let dropper = spawn_worker(&addr, 0, &["--fault-inject", "conn-drop:after-rows=3"]);
+    // Worker 0's connection drops right after its 3rd row reaches the
+    // broker (before the worker reads the ack), and the worker reconnects;
+    // worker 1 crashes after 2 rows; worker 2 stops heartbeating on its 4th
+    // lease and hangs until we kill it.
+    let proxy = spawn_proxy(addr.clone(), Fault::DropAfterRow(3));
+    let dropper = spawn_worker(&proxy.addr, 0, &[]);
     let crasher = spawn_worker(&addr, 1, &["--fault-inject", "worker-exit:after-rows=2"]);
     let mut staller = spawn_worker(
         &addr,
@@ -180,7 +184,13 @@ fn figure9_smoke_under_network_chaos_matches_a_single_process_run() {
     let dropper = dropper.wait_with_output().unwrap();
     assert!(
         dropper.status.success(),
-        "the disconnecting worker must recover and drain: {}",
+        "the disconnected worker must recover and drain: {}",
+        stderr_of(&dropper)
+    );
+    assert_eq!(proxy.counts.fired.load(Ordering::SeqCst), 1);
+    assert!(
+        proxy.counts.connections.load(Ordering::SeqCst) >= 2,
+        "the dropped worker must reconnect: {}",
         stderr_of(&dropper)
     );
     let crasher = crasher.wait_with_output().unwrap();
@@ -236,62 +246,163 @@ fn mixed_local_and_remote_workers_merge_byte_identically() {
     }
 }
 
-/// Starts a loopback proxy in front of `broker` that transmits every
-/// `RowDone` frame twice — a retransmission whose first copy was not lost
-/// after all — and hides the second reply from the worker, so the worker's
-/// request-reply conversation is undisturbed. Returns the proxy's address
-/// and the count of duplicated rows.
-fn spawn_duplicating_proxy(broker: String) -> (String, Arc<AtomicUsize>) {
+/// The damage the loopback proxy of [`spawn_proxy`] does to the frames it
+/// relays — an adversary on the wire, outside both processes. Ordinals count
+/// from 1 over the proxy's lifetime, across the worker's reconnects, so each
+/// one-shot fault acts exactly once.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Fault {
+    /// Relay every `RowDone` twice — a retransmission whose first copy was
+    /// not lost after all — and hide the second reply from the worker, so
+    /// its request-reply conversation is undisturbed.
+    DuplicateRows,
+    /// Write the first half of the `n`th worker-to-broker frame, then drop
+    /// both sockets: the torn TCP write.
+    TearFrame(usize),
+    /// Write the first half of the `n`th `Lease` on its way to the worker,
+    /// then drop both sockets.
+    TearLease(usize),
+    /// Flip one payload byte of the `n`th worker-to-broker frame (a trailer
+    /// byte if it has no payload), keeping the trailer computed over the
+    /// true bytes: in-flight bit damage.
+    FlipFrame(usize),
+    /// Drop both sockets right after relaying the `n`th `RowDone`, before
+    /// the worker reads its ack.
+    DropAfterRow(usize),
+    /// Re-encode the `n`th `RowDone` with `stats[0] ^= 1`: the frame
+    /// trailer is valid, the row's `row_fnv` (over the true stats) is not —
+    /// a worker lying about a row.
+    LieInRow(usize),
+}
+
+/// A running loopback proxy.
+struct Proxy {
+    /// Where workers connect instead of the broker.
+    addr: String,
+    counts: Arc<Relayed>,
+}
+
+/// The proxy's counters, shared by every connection it relays.
+#[derive(Default)]
+struct Relayed {
+    /// Times the fault acted (for `DuplicateRows`, rows duplicated).
+    fired: AtomicUsize,
+    /// Worker connections accepted: above 1 means a worker reconnected.
+    connections: AtomicUsize,
+    frames_up: AtomicUsize,
+    rows: AtomicUsize,
+    leases: AtomicUsize,
+}
+
+/// Shuts both sockets of a relayed connection, so the relay thread of the
+/// other direction ends too.
+fn hang_up_both(worker: &TcpStream, upstream: &TcpStream) {
+    let _ = upstream.shutdown(Shutdown::Both);
+    let _ = worker.shutdown(Shutdown::Both);
+}
+
+/// Starts a loopback proxy in front of `broker` that relays frames both
+/// ways, decoding and re-encoding each one, and does `fault`'s damage.
+fn spawn_proxy(broker: String, fault: Fault) -> Proxy {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
-    let duplicated = Arc::new(AtomicUsize::new(0));
-    let counter = Arc::clone(&duplicated);
+    let relayed = Arc::new(Relayed::default());
+    let proxy = Proxy {
+        addr,
+        counts: Arc::clone(&relayed),
+    };
     std::thread::spawn(move || {
         for conn in listener.incoming() {
             let Ok(worker) = conn else { return };
             let Ok(upstream) = TcpStream::connect(&broker) else {
                 continue;
             };
+            relayed.connections.fetch_add(1, Ordering::SeqCst);
             let (mut worker_rx, mut upstream_tx) =
                 (worker.try_clone().unwrap(), upstream.try_clone().unwrap());
-            let counter = Arc::clone(&counter);
+            let up = Arc::clone(&relayed);
             std::thread::spawn(move || {
-                while let Ok(msg) = read_message(&mut worker_rx) {
-                    let copies = if matches!(msg, Message::RowDone { .. }) {
-                        2
-                    } else {
-                        1
+                while let Ok(mut msg) = read_message(&mut worker_rx) {
+                    let frame_no = up.frames_up.fetch_add(1, Ordering::SeqCst) + 1;
+                    let row_no = match msg {
+                        Message::RowDone { .. } => up.rows.fetch_add(1, Ordering::SeqCst) + 1,
+                        _ => 0,
                     };
-                    if (0..copies).any(|_| write_message(&mut upstream_tx, &msg).is_err()) {
+                    let damaged = match fault {
+                        Fault::DuplicateRows => row_no > 0,
+                        Fault::TearFrame(n) | Fault::FlipFrame(n) => frame_no == n,
+                        Fault::DropAfterRow(n) | Fault::LieInRow(n) => row_no == n,
+                        Fault::TearLease(_) => false,
+                    };
+                    let mut frame = encode(&msg);
+                    let (mut copies, mut hang_up) = (1, false);
+                    if damaged {
+                        up.fired.fetch_add(1, Ordering::SeqCst);
+                        match fault {
+                            Fault::DuplicateRows => copies = 2,
+                            Fault::TearFrame(_) => {
+                                frame.truncate(frame.len() / 2);
+                                hang_up = true;
+                            }
+                            Fault::FlipFrame(_) => {
+                                let payload = frame.len() - HEADER_LEN - TRAILER_LEN;
+                                let at = match payload {
+                                    0 => frame.len() - 1,
+                                    _ => HEADER_LEN + payload / 2,
+                                };
+                                frame[at] ^= 0x01;
+                            }
+                            Fault::DropAfterRow(_) => hang_up = true,
+                            Fault::LieInRow(_) => {
+                                if let Message::RowDone { stats, .. } = &mut msg {
+                                    stats[0] ^= 1;
+                                }
+                                frame = encode(&msg);
+                            }
+                            Fault::TearLease(_) => {}
+                        }
+                    }
+                    if (0..copies).any(|_| upstream_tx.write_all(&frame).is_err()) || hang_up {
                         break;
                     }
-                    if copies == 2 {
-                        counter.fetch_add(1, Ordering::SeqCst);
-                    }
                 }
-                let _ = upstream_tx.shutdown(Shutdown::Both);
+                hang_up_both(&worker_rx, &upstream_tx);
             });
             let (mut upstream_rx, mut worker_tx) = (upstream, worker);
+            let down = Arc::clone(&relayed);
             std::thread::spawn(move || {
-                // Every RowDone went out twice, so its replies arrive in
-                // pairs: pass the first of each pair, drop the second.
+                // Under `DuplicateRows` every row's replies arrive in pairs:
+                // pass the first of each pair, drop the second.
                 let mut row_replies = 0usize;
                 while let Ok(msg) = read_message(&mut upstream_rx) {
-                    if matches!(msg, Message::RowAck { .. } | Message::Reject { .. }) {
+                    if fault == Fault::DuplicateRows
+                        && matches!(msg, Message::RowAck { .. } | Message::Reject { .. })
+                    {
                         row_replies += 1;
                         if row_replies.is_multiple_of(2) {
                             continue;
                         }
                     }
-                    if write_message(&mut worker_tx, &msg).is_err() {
+                    let mut frame = encode(&msg);
+                    let tear = match fault {
+                        Fault::TearLease(n) if matches!(msg, Message::Lease { .. }) => {
+                            down.leases.fetch_add(1, Ordering::SeqCst) + 1 == n
+                        }
+                        _ => false,
+                    };
+                    if tear {
+                        down.fired.fetch_add(1, Ordering::SeqCst);
+                        frame.truncate(frame.len() / 2);
+                    }
+                    if worker_tx.write_all(&frame).is_err() || tear {
                         break;
                     }
                 }
-                let _ = worker_tx.shutdown(Shutdown::Both);
+                hang_up_both(&worker_tx, &upstream_rx);
             });
         }
     });
-    (addr, duplicated)
+    proxy
 }
 
 /// Idempotent submission: every row arrives at the broker twice (through a
@@ -301,8 +412,8 @@ fn spawn_duplicating_proxy(broker: String) -> (String, Arc<AtomicUsize>) {
 fn duplicated_row_submissions_are_deduped_by_the_broker() {
     let reference = clean_reference("dup", MINI_SPEC, "dist-mini");
     let (broker, spool, out, addr) = spawn_broker("dup", MINI_SPEC, &["--workers", "0"]);
-    let (proxy, duplicated) = spawn_duplicating_proxy(addr);
-    let worker = spawn_worker(&proxy, 0, &[]);
+    let proxy = spawn_proxy(addr, Fault::DuplicateRows);
+    let worker = spawn_worker(&proxy.addr, 0, &[]);
 
     let output = broker.wait_with_output().unwrap();
     assert!(output.status.success(), "{}", stderr_of(&output));
@@ -310,7 +421,7 @@ fn duplicated_row_submissions_are_deduped_by_the_broker() {
     assert!(worker.status.success(), "{}", stderr_of(&worker));
 
     assert!(
-        duplicated.load(Ordering::SeqCst) >= MINI_ROWS,
+        proxy.counts.fired.load(Ordering::SeqCst) >= MINI_ROWS,
         "every row must have been transmitted twice"
     );
     let journal = std::fs::read_to_string(out.join("job").join("dist-mini.journal.jsonl")).unwrap();
@@ -410,9 +521,25 @@ fn broker_crash_and_restart_resumes_from_the_journal() {
     }
 }
 
-/// Frame-level damage: a worker whose 4th frame write is torn mid-frame
-/// reconnects and finishes, and a connection speaking garbage is dropped by
-/// the broker without disturbing the campaign.
+/// Asserts that a worker behind `proxy` saw the proxy's fault act once and
+/// reconnected past it, and drained cleanly.
+fn assert_reconnected_past(proxy: &Proxy, worker: Child) {
+    let worker = worker.wait_with_output().unwrap();
+    let worker_log = stderr_of(&worker);
+    assert!(
+        worker.status.success(),
+        "the worker must reconnect and drain: {worker_log}"
+    );
+    assert_eq!(proxy.counts.fired.load(Ordering::SeqCst), 1, "{worker_log}");
+    assert!(
+        proxy.counts.connections.load(Ordering::SeqCst) >= 2 && worker_log.contains("reconnecting"),
+        "the damaged connection must end and the worker reconnect: {worker_log}"
+    );
+}
+
+/// Frame-level damage: a worker whose 4th frame is torn mid-frame on its
+/// way to the broker reconnects and finishes, and a connection speaking
+/// garbage is dropped by the broker without disturbing the campaign.
 #[test]
 fn torn_frames_and_garbage_connections_do_not_disturb_the_campaign() {
     let reference = clean_reference("torn", MINI_SPEC, "dist-mini");
@@ -427,15 +554,11 @@ fn torn_frames_and_garbage_connections_do_not_disturb_the_campaign() {
     // A connection that opens and immediately dies.
     drop(std::net::TcpStream::connect(&addr).unwrap());
 
-    let worker = spawn_worker(&addr, 0, &["--fault-inject", "frame-torn:nth=4"]);
+    let proxy = spawn_proxy(addr, Fault::TearFrame(4));
+    let worker = spawn_worker(&proxy.addr, 0, &[]);
     let output = broker.wait_with_output().unwrap();
     assert!(output.status.success(), "{}", stderr_of(&output));
-    let worker = worker.wait_with_output().unwrap();
-    let worker_log = stderr_of(&worker);
-    assert!(
-        worker.status.success(),
-        "the torn-frame worker must reconnect and drain: {worker_log}"
-    );
+    assert_reconnected_past(&proxy, worker);
 
     assert!(spool.join("job.toml.done").exists());
     assert_report_matches(&out, "dist-mini", &reference);
@@ -444,25 +567,20 @@ fn torn_frames_and_garbage_connections_do_not_disturb_the_campaign() {
     }
 }
 
-/// Bit-level frame damage (not a tear): a worker whose 4th frame has one
-/// payload byte flipped *after* the FNV trailer was computed. The broker's
-/// trailer check must reject the frame and drop the connection; the worker
-/// reconnects and the campaign still renders byte-identically.
+/// A frame torn on its way from the broker: the worker reads half of its
+/// second `Lease`, loses the connection, reconnects, and the broker
+/// re-leases the job — byte-identical.
 #[test]
-fn corrupt_frame_is_rejected_by_the_trailer_check_and_recovered() {
-    let reference = clean_reference("framecorrupt", MINI_SPEC, "dist-mini");
-    let (broker, spool, out, addr) = spawn_broker("framecorrupt", MINI_SPEC, &["--workers", "0"]);
-    let worker = spawn_worker(&addr, 0, &["--fault-inject", "frame-corrupt:nth=4"]);
+fn torn_lease_to_the_worker_is_survived_by_a_reconnect() {
+    let reference = clean_reference("tornlease", MINI_SPEC, "dist-mini");
+    let (broker, spool, out, addr) = spawn_broker("tornlease", MINI_SPEC, &["--workers", "0"]);
+    let proxy = spawn_proxy(addr, Fault::TearLease(2));
+    let worker = spawn_worker(&proxy.addr, 0, &[]);
 
     let output = broker.wait_with_output().unwrap();
     let serve_log = stderr_of(&output);
     assert!(output.status.success(), "{serve_log}");
-    let worker = worker.wait_with_output().unwrap();
-    assert!(
-        worker.status.success(),
-        "the corrupt-frame worker must reconnect and drain: {}",
-        stderr_of(&worker)
-    );
+    assert_reconnected_past(&proxy, worker);
 
     assert!(spool.join("job.toml.done").exists(), "{serve_log}");
     assert_report_matches(&out, "dist-mini", &reference);
@@ -471,15 +589,41 @@ fn corrupt_frame_is_rejected_by_the_trailer_check_and_recovered() {
     }
 }
 
-/// Row-payload corruption: a worker flips one stat value after checksumming
-/// the true row. The broker's `row_fnv` gate must reject the row, quarantine
-/// the offending session, requeue the job — and the recovered report is
-/// byte-identical. The worker reconnects as a fresh (clean) session.
+/// Bit-level frame damage (not a tear): the worker's 4th frame has one
+/// payload byte flipped on the wire, under a trailer computed over the true
+/// bytes. The broker's trailer check must reject the frame and drop the
+/// connection; the worker reconnects and the campaign still renders
+/// byte-identically.
+#[test]
+fn corrupt_frame_is_rejected_by_the_trailer_check_and_recovered() {
+    let reference = clean_reference("framecorrupt", MINI_SPEC, "dist-mini");
+    let (broker, spool, out, addr) = spawn_broker("framecorrupt", MINI_SPEC, &["--workers", "0"]);
+    let proxy = spawn_proxy(addr, Fault::FlipFrame(4));
+    let worker = spawn_worker(&proxy.addr, 0, &[]);
+
+    let output = broker.wait_with_output().unwrap();
+    let serve_log = stderr_of(&output);
+    assert!(output.status.success(), "{serve_log}");
+    assert_reconnected_past(&proxy, worker);
+
+    assert!(spool.join("job.toml.done").exists(), "{serve_log}");
+    assert_report_matches(&out, "dist-mini", &reference);
+    for dir in [spool, out] {
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+}
+
+/// Row-payload corruption: a worker's 2nd row reaches the broker with one
+/// stat value changed after the row was checksummed. The broker's
+/// `row_fnv` gate must reject the row, quarantine the offending session,
+/// requeue the job — and the recovered report is byte-identical. The worker
+/// reconnects as a fresh (clean) session.
 #[test]
 fn corrupt_row_is_quarantined_requeued_and_recovered_byte_identically() {
     let reference = clean_reference("rowcorrupt", MINI_SPEC, "dist-mini");
     let (broker, spool, out, addr) = spawn_broker("rowcorrupt", MINI_SPEC, &["--workers", "0"]);
-    let liar = spawn_worker(&addr, 0, &["--fault-inject", "row-corrupt:after-rows=2"]);
+    let proxy = spawn_proxy(addr.clone(), Fault::LieInRow(2));
+    let liar = spawn_worker(&proxy.addr, 0, &[]);
     let honest = spawn_worker(&addr, 1, &[]);
 
     let output = broker.wait_with_output().unwrap();
@@ -493,6 +637,7 @@ fn corrupt_row_is_quarantined_requeued_and_recovered_byte_identically() {
             stderr_of(&w)
         );
     }
+    assert_eq!(proxy.counts.fired.load(Ordering::SeqCst), 1);
 
     assert!(
         serve_log.contains("quarantining session") && serve_log.contains("row_fnv"),
@@ -519,7 +664,8 @@ fn quarantine_bound_fails_the_run_with_exit_code_five() {
         MINI_SPEC,
         &["--workers", "0", "--max-quarantined", "0"],
     );
-    let mut liar = spawn_worker(&addr, 0, &["--fault-inject", "row-corrupt:after-rows=1"]);
+    let proxy = spawn_proxy(addr, Fault::LieInRow(1));
+    let mut liar = spawn_worker(&proxy.addr, 0, &[]);
 
     let output = broker.wait_with_output().unwrap();
     let serve_log = stderr_of(&output);
@@ -538,6 +684,7 @@ fn quarantine_bound_fails_the_run_with_exit_code_five() {
     );
     let _ = liar.kill();
     let _ = liar.wait();
+    assert_eq!(proxy.counts.fired.load(Ordering::SeqCst), 1);
     for dir in [spool, out] {
         std::fs::remove_dir_all(dir).unwrap();
     }
