@@ -363,58 +363,74 @@ fn run_cached(spec: &Path, cache: &Path, out: &Path, extra: &[&str]) -> Output {
     Command::new(BIN).args(&args).output().unwrap()
 }
 
-/// Damaged cache files — a payload byte flipped on disk, a file truncated
-/// below its header, one cut mid-payload — are each rejected with a
-/// warning and regenerated, never trusted or fatal, and the reports come
-/// out byte-identical.
-#[test]
-fn truncated_cache_file_warns_and_regenerates() {
-    let base = temp_dir("art-damage");
-    let spec = base.join("mini.toml");
-    std::fs::write(&spec, MINI_SPEC).unwrap();
-    let cache = base.join("cache");
-    std::fs::create_dir_all(&cache).unwrap();
-
-    let output = run_cached(&spec, &cache, &base.join("a"), &[]);
+/// Runs the mini spec once against an empty `cache` (rendering into
+/// `base/a`) and returns the 4 stored artifact files, sorted.
+fn fill_cache(spec: &Path, cache: &Path, base: &Path) -> Vec<PathBuf> {
+    let output = run_cached(spec, cache, &base.join("a"), &[]);
     assert!(output.status.success(), "{}", stderr_of(&output));
-    let mut files: Vec<PathBuf> = std::fs::read_dir(&cache)
+    let mut files: Vec<PathBuf> = std::fs::read_dir(cache)
         .unwrap()
         .map(|e| e.unwrap().path())
         .filter(|p| p.extension().is_some_and(|e| e == "wla"))
         .collect();
     files.sort();
     assert_eq!(files.len(), 4);
+    files
+}
 
-    // Another process must reject exactly the damaged artifacts, warn,
-    // regenerate them — and still render the same bytes.
-    let rerun = |out: &str, counts: &str| {
-        let output = run_cached(&spec, &cache, &base.join(out), &[]);
-        let stderr = stderr_of(&output);
-        assert!(output.status.success(), "{stderr}");
-        assert!(
-            stderr.contains("rejected") && stderr.contains("regenerating"),
-            "cache damage must be warned about, not trusted or fatal: {stderr}"
-        );
-        assert!(stderr.contains(counts), "{stderr}");
-        assert_eq!(
-            std::fs::read(base.join("a").join("chaos-mini.json")).unwrap(),
-            std::fs::read(base.join(out).join("chaos-mini.json")).unwrap(),
-            "a regenerated artifact must reproduce identical reports"
-        );
-    };
+/// Reruns against the damaged `cache` into `base/out`: the process must
+/// reject exactly the damaged artifacts, warn, regenerate them (`counts`)
+/// — and still render the bytes of the clean run in `base/a`.
+fn assert_rerun_regenerates(spec: &Path, cache: &Path, base: &Path, out: &str, counts: &str) {
+    let output = run_cached(spec, cache, &base.join(out), &[]);
+    let stderr = stderr_of(&output);
+    assert!(output.status.success(), "{stderr}");
+    assert!(
+        stderr.contains("rejected") && stderr.contains("regenerating"),
+        "cache damage must be warned about, not trusted or fatal: {stderr}"
+    );
+    assert!(stderr.contains(counts), "{stderr}");
+    assert_eq!(
+        std::fs::read(base.join("a").join("chaos-mini.json")).unwrap(),
+        std::fs::read(base.join(out).join("chaos-mini.json")).unwrap(),
+        "a regenerated artifact must reproduce identical reports"
+    );
+}
 
-    // A flipped payload byte under a header checksummed over the true
-    // bytes: only the load's payload check can notice.
-    let mut bytes = std::fs::read(&files[2]).unwrap();
+/// A payload byte flipped on disk under a header checksummed over the true
+/// bytes — only the next run's load can notice — is rejected with a
+/// warning and regenerated, and the report comes out byte-identical.
+#[test]
+fn corrupted_artifact_store_is_rejected_and_regenerated_next_run() {
+    let base = temp_dir("art-corrupt");
+    let spec = base.join("mini.toml");
+    std::fs::write(&spec, MINI_SPEC).unwrap();
+    let cache = base.join("cache");
+    std::fs::create_dir_all(&cache).unwrap();
+    let files = fill_cache(&spec, &cache, &base);
+
+    let mut bytes = std::fs::read(&files[1]).unwrap();
     *bytes.last_mut().unwrap() ^= 0x01;
-    std::fs::write(&files[2], &bytes).unwrap();
-    rerun("b", "3 cache hits, 1 generated");
+    std::fs::write(&files[1], &bytes).unwrap();
+    assert_rerun_regenerates(&spec, &cache, &base, "b", "3 cache hits, 1 generated");
+    std::fs::remove_dir_all(&base).unwrap();
+}
 
-    // Truncate one stored artifact below its header, mid-payload another.
+/// Cache files truncated below their header or mid-payload are each
+/// rejected with a warning and regenerated, never trusted or fatal.
+#[test]
+fn truncated_cache_file_warns_and_regenerates() {
+    let base = temp_dir("art-trunc");
+    let spec = base.join("mini.toml");
+    std::fs::write(&spec, MINI_SPEC).unwrap();
+    let cache = base.join("cache");
+    std::fs::create_dir_all(&cache).unwrap();
+    let files = fill_cache(&spec, &cache, &base);
+
     std::fs::write(&files[0], b"wl").unwrap();
     let bytes = std::fs::read(&files[1]).unwrap();
     std::fs::write(&files[1], &bytes[..bytes.len() / 2]).unwrap();
-    rerun("c", "2 cache hits, 2 generated");
+    assert_rerun_regenerates(&spec, &cache, &base, "b", "2 cache hits, 2 generated");
     std::fs::remove_dir_all(&base).unwrap();
 }
 
