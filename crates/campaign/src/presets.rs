@@ -318,14 +318,91 @@ mod tests {
         assert!(jit.terminators.indirect_call > 3.0 * oracle.terminators.indirect_call);
         // 4 workloads x (3 mechanisms + implicit baseline).
         assert_eq!(crate::expand::expand(&spec).len(), 16);
-        // The on-disk spec stays in sync with the embedded preset.
-        let disk = std::fs::read_to_string(
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("../../specs/interpreter_dispatch.toml"),
-        )
-        .expect("specs/interpreter_dispatch.toml must exist");
-        let disk_spec = CampaignSpec::from_toml_str(&disk).unwrap();
-        assert_eq!(disk_spec, spec);
+    }
+
+    /// `[[config]]` keys in another order than the spec's field table.
+    const SHUFFLED_CONFIG: &str = r#"
+name = "shuffled"
+workloads = ["nutch"]
+mechanisms = ["fdip"]
+
+[[config]]
+label = "shuffled"
+perfect_btb = true
+noc = "crossbar"
+memory_latency_ns = 60
+ftq_entries = 16
+btb_entries = 4096
+"#;
+
+    /// `[[config]]` keys set to their Table I values, which a spec still
+    /// writes back as given.
+    const TABLE1_VALUES: &str = r#"
+name = "table1-values"
+workloads = ["nutch"]
+mechanisms = ["fdip"]
+
+[[config]]
+label = "explicit"
+btb_entries = 2048
+noc = "mesh"
+"#;
+
+    /// Every preset, every `specs/*.toml` and two hand-written specs,
+    /// pinned by `spec_hash`. The hash covers the canonical TOML, so a
+    /// change in how a spec is parsed or written moves a pin, and would
+    /// orphan every journal and output directory written before it. A spec
+    /// file named like a preset must also parse to that preset.
+    #[test]
+    fn spec_identity_is_pinned() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs");
+        let mut files: Vec<String> = std::fs::read_dir(&dir)
+            .expect("specs/ must exist")
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        files.sort();
+        let mut cases: Vec<(String, String)> = PRESETS
+            .iter()
+            .map(|p| (format!("preset {}", p.name), p.toml.to_string()))
+            .collect();
+        for file in files {
+            let text = std::fs::read_to_string(dir.join(&file)).unwrap();
+            cases.push((format!("specs/{file}"), text));
+        }
+        cases.push(("shuffled config keys".into(), SHUFFLED_CONFIG.into()));
+        cases.push(("Table I values".into(), TABLE1_VALUES.into()));
+
+        let mut hashes = Vec::new();
+        for (id, text) in &cases {
+            let spec = CampaignSpec::from_toml_str(text).unwrap_or_else(|e| panic!("{id}: {e}"));
+            if id.starts_with("specs/") {
+                if let Ok(preset) = find(&spec.name) {
+                    assert_eq!(spec, preset, "{id} differs from preset {}", spec.name);
+                }
+            }
+            hashes.push((id.as_str(), crate::spec_hash(&spec, spec.run, false)));
+        }
+        let pinned = [
+            ("preset figure7", "fnv1a64:c63f1ccc285ae6d4"),
+            ("preset figure9", "fnv1a64:bbc446fe7ed37b8f"),
+            ("preset figure11", "fnv1a64:f5ed9f289a64b306"),
+            ("preset llc-sweep", "fnv1a64:9ffc0b003cacaf02"),
+            ("preset footprint-sweep", "fnv1a64:f76f776dde193751"),
+            ("preset interpreter-dispatch", "fnv1a64:8eabeb97ac464f68"),
+            ("specs/branch_mix_sweep.toml", "fnv1a64:1fc5e96d9dab1d63"),
+            ("specs/figure9.toml", "fnv1a64:bbc446fe7ed37b8f"),
+            ("specs/footprint_sweep.toml", "fnv1a64:f76f776dde193751"),
+            (
+                "specs/interpreter_dispatch.toml",
+                "fnv1a64:8eabeb97ac464f68",
+            ),
+            ("specs/llc_sweep.toml", "fnv1a64:9ffc0b003cacaf02"),
+            ("shuffled config keys", "fnv1a64:8c7b84144e49aef9"),
+            ("Table I values", "fnv1a64:89c08e7ec2071ef2"),
+        ];
+        let pinned: Vec<(&str, String)> =
+            pinned.iter().map(|&(id, h)| (id, h.to_string())).collect();
+        assert_eq!(hashes, pinned);
     }
 
     #[test]
