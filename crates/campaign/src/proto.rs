@@ -310,19 +310,19 @@ impl<'a> Reader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| ProtoError::new(field, "string is not UTF-8"))
     }
 
+    /// A `u32` count, then that many `u64`s. The list's bytes are taken
+    /// before anything is allocated for it, so a forged count fails as an
+    /// underrun instead of reserving memory the payload cannot fill.
     fn u64s(&mut self, field: &'static str) -> Result<Vec<u64>, ProtoError> {
         let count = self.u32(field)? as usize;
-        if count > (MAX_PAYLOAD as usize) / 8 {
-            return Err(ProtoError::new(
-                field,
-                format!("list count {count} too large"),
-            ));
-        }
-        let mut values = Vec::with_capacity(count);
-        for _ in 0..count {
-            values.push(self.u64(field)?);
-        }
-        Ok(values)
+        let len = count
+            .checked_mul(8)
+            .ok_or_else(|| ProtoError::new(field, format!("list count {count} too large")))?;
+        let bytes = self.take(len, field)?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
+            .collect())
     }
 
     fn finish(self, field: &'static str) -> Result<(), ProtoError> {
@@ -687,6 +687,26 @@ mod tests {
         let header = parse_header(frame[..HEADER_LEN].try_into().unwrap()).unwrap();
         let err = decode(header.kind, payload_of(&frame)).unwrap_err();
         assert_eq!(err.field, "row_done.stats");
+    }
+
+    #[test]
+    fn a_forged_stat_count_fails_before_allocating() {
+        let frame = encode(&Message::RowDone {
+            lease: 1,
+            job: 2,
+            spec_hash: "h".into(),
+            mechanism: "x".into(),
+            seed: 0,
+            row_fnv: 0,
+            stats: Vec::new(),
+        });
+        let header = parse_header(frame[..HEADER_LEN].try_into().unwrap()).unwrap();
+        let mut payload = payload_of(&frame).to_vec();
+        assert_eq!(payload.len(), 46);
+        payload[42..].copy_from_slice(&2_000_000u32.to_le_bytes());
+        let err = decode(header.kind, &payload).unwrap_err();
+        assert_eq!(err.field, "row_done.stats");
+        assert!(err.message.contains("need 16000000 bytes"), "{err}");
     }
 
     #[test]

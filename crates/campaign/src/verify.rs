@@ -747,13 +747,23 @@ warmup_blocks = 400
         let (dir, spec_path) = golden_dir("flip");
         let journal = dir.join("vtest.journal.jsonl");
         let mut bytes = std::fs::read(&journal).unwrap();
-        // Flip one digit in an interior row (the second line).
+        // Change the last digit of a stat value in an interior row (the
+        // second line): the line still parses, so only its `row_fnv` can
+        // tell.
         let second_line = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
-        let target = bytes[second_line..]
-            .iter()
-            .position(|b| b.is_ascii_digit())
+        let key = b"\"instructions\":";
+        let start = bytes[second_line..]
+            .windows(key.len())
+            .position(|w| w == key)
             .unwrap()
-            + second_line;
+            + second_line
+            + key.len();
+        let target = start
+            + bytes[start..]
+                .iter()
+                .position(|b| !b.is_ascii_digit())
+                .unwrap()
+            - 1;
         bytes[target] = if bytes[target] == b'9' {
             b'0'
         } else {
@@ -766,16 +776,16 @@ warmup_blocks = 400
             spec: Some(spec_path),
             ..VerifyOptions::default()
         });
-        assert!(!report.passed(), "{}", report.render());
-        let failing = report
+        let rows = report
             .checks
             .iter()
-            .find(|c| c.passed == Some(false))
+            .find(|c| c.name == "journal-rows")
             .unwrap();
+        assert_eq!(rows.passed, Some(false), "{}", report.render());
         assert!(
-            failing.detail.contains(":2") || failing.detail.contains("row"),
-            "failure does not locate the damage: {}",
-            failing.detail
+            rows.detail.contains("row_fnv"),
+            "failure does not name the checksum: {}",
+            rows.detail
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -31,9 +31,12 @@
 //! checksum, computed here over the stats the simulation actually produced
 //! — the broker recomputes it from the received fields, so a row corrupted
 //! anywhere between this process's simulator and the broker's journal can
-//! never be recorded. The broker journals and acks. Row submission is
-//! idempotent on the broker side, so the worker retransmits freely after a
-//! reconnect — at worst the broker replies with a dedup ack.
+//! never be recorded. The broker journals and acks; a duplicate `RowDone`
+//! is journaled once and answered with a dedup ack. The worker never
+//! resends a `RowDone` whose ack it lost: a lost connection ends the
+//! session, the broker's disconnect revokes the session's lease, and a row
+//! the broker never journaled is leased again. Whether a worker should
+//! resend instead is an open design question.
 
 use crate::artifact::ArtifactCache;
 use crate::checkpoint::{row_checksum, spec_hash, stats_to_array};
