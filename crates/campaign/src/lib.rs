@@ -81,8 +81,8 @@ pub use sink::{
     write_reports, ReportPaths, StreamingSink,
 };
 pub use spec::{
-    mechanism_token, parse_mechanism, parse_predictor, parse_workload, CampaignSpec,
-    ConfigOverride, ConfigPoint, NocSel, SpecError, WorkloadPoint, MAX_WORKLOAD_POINTS,
+    mechanism_token, parse_mechanism, parse_predictor, parse_workload, CampaignSpec, ConfigPoint,
+    SpecError, WorkloadPoint, MAX_WORKLOAD_POINTS,
 };
 pub use supervise::{
     supervise_with_stop, ShardOutcome, ShardReport, SuperviseOptions, SupervisedRun,

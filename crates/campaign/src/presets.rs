@@ -107,36 +107,8 @@ trace_blocks = 50000
 warmup_blocks = 10000
 
 [[config]]
-label = "llc-1"
-noc = 1
-
-[[config]]
-label = "llc-10"
-noc = 10
-
-[[config]]
-label = "llc-20"
-noc = 20
-
-[[config]]
-label = "llc-30"
-noc = 30
-
-[[config]]
-label = "llc-40"
-noc = 40
-
-[[config]]
-label = "llc-50"
-noc = 50
-
-[[config]]
-label = "llc-60"
-noc = 60
-
-[[config]]
-label = "llc-70"
-noc = 70
+label = "llc"
+noc = [1, 10, 20, 30, 40, 50, 60, 70]
 "#,
 };
 

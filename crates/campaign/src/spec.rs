@@ -23,17 +23,28 @@
 //! ```
 //!
 //! Configuration points start from the paper's Table I
-//! ([`MicroarchConfig::hpca17`]) and apply named overrides, so a spec states
-//! only what it changes.
+//! ([`MicroarchConfig::hpca17`]) and set named fields, so a spec states
+//! only what it changes. The `[[config]]` keys are `btb_entries`,
+//! `btb_ways`, `ftq_entries`, `l1i_bytes`, `fetch_width`, `rob_entries`,
+//! `memory_latency_ns`, `prefetch_probes_per_cycle`, `noc` (`"mesh"`,
+//! `"crossbar"` or a fixed LLC round trip in cycles), `perfect_l1i` and
+//! `perfect_btb`.
 //!
 //! The workload axis is not limited to the six paper presets: `[[workload]]`
 //! tables define *custom* workloads that start from a `base` preset and
-//! override [`WorkloadProfile`] fields, with list values sweeping the field
-//! cartesianly into a family of profiles — in the
+//! override [`WorkloadProfile`] fields — top-level ones and, in the
 //! `[workload.terminators]`/`[workload.conditionals]`/`[workload.backend]`
-//! sub-tables just like at the top level:
+//! sub-tables, the nested ones.
+//!
+//! In either kind of table a list value sweeps its field: the listed keys
+//! expand cartesianly into a family of points, each labelled with one
+//! `-<value>` suffix per listed key, in document order:
 //!
 //! ```toml
+//! [[config]]
+//! label = "llc"
+//! noc = [1, 10, 20, 30, 40, 50, 60, 70]
+//!
 //! [[workload]]
 //! label = "nutch-fp"
 //! base = "nutch"
@@ -44,132 +55,199 @@
 //! l1d_miss_rate = [0.02, 0.08]
 //! ```
 //!
-//! expands into twelve workload points (`nutch-fp-262144-32-0.02`, ...),
-//! each a full profile validated field-by-field at parse time.
+//! expands into eight configuration points (`llc-1` … `llc-70`) and twelve
+//! workload points (`nutch-fp-262144-32-0.02`, ...), each validated at parse
+//! time. Each field is named once, in `CONFIG_FIELDS` or
+//! `WORKLOAD_FIELDS`, which drive parsing, writing, sweeps and errors.
 
 use crate::toml::{self, Document, Table, TomlError, Value};
 use boomerang::{Mechanism, RunLength, ThrottlePolicy};
 use branch_pred::PredictorKind;
-use sim_core::{MicroarchConfig, NocModel, PerfectComponents};
+use sim_core::{MicroarchConfig, NocModel};
 use std::fmt;
 use workloads::{WorkloadKind, WorkloadProfile};
 
-/// Interconnect selection in a spec (`noc = "mesh" | "crossbar" | <cycles>`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NocSel {
-    /// The paper's 4x4 mesh (30-cycle LLC round trip).
-    Mesh,
-    /// The §VI-E2 crossbar (18-cycle LLC round trip).
-    Crossbar,
-    /// A fixed LLC round-trip latency, for sweeps.
-    Fixed(u64),
+/// How one field's TOML value is read into and written back from a spec
+/// target `T`: the value kind, with a typed getter and setter.
+enum Access<T> {
+    /// A non-negative integer.
+    Integer(fn(&T) -> u64, fn(&mut T, u64)),
+    /// A non-negative integer that must also fit this platform's `usize`.
+    Index(fn(&T) -> usize, fn(&mut T, usize)),
+    /// A number; an integer reads as a float and is written back as one.
+    Number(fn(&T) -> f64, fn(&mut T, f64)),
+    /// `true` or `false`.
+    Bool(fn(&T) -> bool, fn(&mut T, bool)),
+    /// `"mesh"`, `"crossbar"` (any case) or a fixed LLC round trip in cycles.
+    Noc(fn(&T) -> NocModel, fn(&mut T, NocModel)),
 }
 
-impl NocSel {
-    fn to_model(self) -> NocModel {
-        match self {
-            NocSel::Mesh => NocModel::Mesh4x4,
-            NocSel::Crossbar => NocModel::Crossbar,
-            NocSel::Fixed(lat) => NocModel::Fixed(lat),
+/// One field a spec table may set: its key (a dotted path for a field of a
+/// `[workload.*]` sub-table) and how to read and write it.
+struct Field<T> {
+    key: &'static str,
+    access: Access<T>,
+}
+
+/// A [`Field`] of kind `$kind` whose getter and setter reach `$path`.
+macro_rules! field {
+    ($key:literal, $kind:ident, $($path:ident).+) => {
+        Field {
+            key: $key,
+            access: Access::$kind(|t| t.$($path).+, |t, v| t.$($path).+ = v),
+        }
+    };
+}
+
+/// The `[[config]]` keys: the [`MicroarchConfig`] fields a point may set.
+#[rustfmt::skip]
+static CONFIG_FIELDS: [Field<MicroarchConfig>; 11] = [
+    field!("btb_entries", Integer, btb_entries),
+    field!("btb_ways", Integer, btb_ways),
+    field!("ftq_entries", Index, ftq_entries),
+    field!("l1i_bytes", Integer, l1i_bytes),
+    field!("fetch_width", Integer, fetch_width),
+    field!("rob_entries", Integer, rob_entries),
+    field!("memory_latency_ns", Number, memory_latency_ns),
+    field!(
+        "prefetch_probes_per_cycle",
+        Integer,
+        prefetch_probes_per_cycle
+    ),
+    field!("noc", Noc, noc),
+    field!("perfect_l1i", Bool, perfect.perfect_l1i),
+    field!("perfect_btb", Bool, perfect.perfect_btb),
+];
+
+/// The `[[workload]]` override keys: the [`WorkloadProfile`] fields a point
+/// may set, in the order a point writes those that differ from its base.
+#[rustfmt::skip]
+static WORKLOAD_FIELDS: [Field<WorkloadProfile>; 24] = [
+    field!("seed", Integer, seed),
+    field!("footprint_bytes", Integer, footprint_bytes),
+    field!("service_roots", Index, service_roots),
+    field!("max_call_depth", Index, max_call_depth),
+    field!("mean_block_instructions", Number, mean_block_instructions),
+    field!("mean_function_blocks", Number, mean_function_blocks),
+    field!("cond_target_mean_lines", Number, cond_target_mean_lines),
+    field!("cond_backward_fraction", Number, cond_backward_fraction),
+    field!("hot_callee_fraction", Number, hot_callee_fraction),
+    field!("utility_fraction", Number, utility_fraction),
+    field!("terminators.call", Number, terminators.call),
+    field!("terminators.indirect_call", Number, terminators.indirect_call),
+    field!("terminators.jump", Number, terminators.jump),
+    field!("terminators.indirect_jump", Number, terminators.indirect_jump),
+    field!("terminators.early_return", Number, terminators.early_return),
+    field!("conditionals.loop_backedge", Number, conditionals.loop_backedge),
+    field!("conditionals.pattern", Number, conditionals.pattern),
+    field!("conditionals.data_dependent", Number, conditionals.data_dependent),
+    field!("conditionals.bias_mean", Number, conditionals.bias_mean),
+    field!("conditionals.mean_trip_count", Number, conditionals.mean_trip_count),
+    field!("backend.load_fraction", Number, backend.load_fraction),
+    field!("backend.l1d_miss_rate", Number, backend.l1d_miss_rate),
+    field!("backend.llc_miss_rate", Number, backend.llc_miss_rate),
+    field!("backend.base_latency", Integer, backend.base_latency),
+];
+
+/// Deprecated spellings of field keys, with the key each stands for.
+const ALIASES: [(&str, &str); 1] = [("hot_function_fraction", "utility_fraction")];
+
+impl<T> Field<T> {
+    /// Sets the field on `target` from a scalar TOML value. Errors are plain
+    /// messages naming the key; the caller adds the point's context.
+    fn read(&self, target: &mut T, value: &Value) -> Result<(), String> {
+        let key = self.key;
+        let must_be = |what: &str| format!("`{key}` must be {what}");
+        let integer = || {
+            value
+                .as_u64()
+                .ok_or_else(|| must_be("a non-negative integer"))
+        };
+        match self.access {
+            Access::Integer(_, set) => set(target, integer()?),
+            Access::Index(_, set) => {
+                let v = integer()?;
+                let v = usize::try_from(v).map_err(|_| {
+                    format!("`{key}` value {v} exceeds this platform's usize range")
+                })?;
+                set(target, v)
+            }
+            Access::Number(_, set) => {
+                set(target, value.as_f64().ok_or_else(|| must_be("a number"))?)
+            }
+            Access::Bool(_, set) => {
+                set(target, value.as_bool().ok_or_else(|| must_be("a boolean"))?)
+            }
+            Access::Noc(_, set) => set(
+                target,
+                match value.as_str() {
+                    Some(s) if s.eq_ignore_ascii_case("mesh") => NocModel::Mesh4x4,
+                    Some(s) if s.eq_ignore_ascii_case("crossbar") => NocModel::Crossbar,
+                    _ => NocModel::Fixed(value.as_u64().ok_or_else(|| {
+                        must_be("\"mesh\", \"crossbar\", or a fixed cycle count")
+                    })?),
+                },
+            ),
+        }
+        Ok(())
+    }
+
+    /// The field's canonical TOML value on `target`.
+    fn value(&self, target: &T) -> Value {
+        match self.access {
+            Access::Integer(get, _) => int_value(get(target)),
+            Access::Index(get, _) => int_value(get(target) as u64),
+            Access::Number(get, _) => Value::Float(get(target)),
+            Access::Bool(get, _) => Value::Bool(get(target)),
+            Access::Noc(get, _) => match get(target) {
+                NocModel::Mesh4x4 => Value::Str("mesh".into()),
+                NocModel::Crossbar => Value::Str("crossbar".into()),
+                NocModel::Fixed(cycles) => int_value(cycles),
+            },
         }
     }
 }
 
-/// One named override of the Table I configuration.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ConfigOverride {
-    /// `btb_entries = N`
-    BtbEntries(u64),
-    /// `btb_ways = N`
-    BtbWays(u64),
-    /// `ftq_entries = N`
-    FtqEntries(usize),
-    /// `l1i_bytes = N`
-    L1iBytes(u64),
-    /// `fetch_width = N`
-    FetchWidth(u64),
-    /// `rob_entries = N`
-    RobEntries(u64),
-    /// `memory_latency_ns = X`
-    MemoryLatencyNs(f64),
-    /// `prefetch_probes_per_cycle = N`
-    PrefetchProbesPerCycle(u64),
-    /// `noc = "mesh" | "crossbar" | N`
-    Noc(NocSel),
-    /// `perfect_l1i = true|false`
-    PerfectL1i(bool),
-    /// `perfect_btb = true|false`
-    PerfectBtb(bool),
-}
-
-impl ConfigOverride {
-    fn apply(self, cfg: &mut MicroarchConfig) {
-        match self {
-            ConfigOverride::BtbEntries(v) => cfg.btb_entries = v,
-            ConfigOverride::BtbWays(v) => cfg.btb_ways = v,
-            ConfigOverride::FtqEntries(v) => cfg.ftq_entries = v,
-            ConfigOverride::L1iBytes(v) => cfg.l1i_bytes = v,
-            ConfigOverride::FetchWidth(v) => cfg.fetch_width = v,
-            ConfigOverride::RobEntries(v) => cfg.rob_entries = v,
-            ConfigOverride::MemoryLatencyNs(v) => cfg.memory_latency_ns = v,
-            ConfigOverride::PrefetchProbesPerCycle(v) => cfg.prefetch_probes_per_cycle = v,
-            ConfigOverride::Noc(sel) => cfg.noc = sel.to_model(),
-            ConfigOverride::PerfectL1i(v) => cfg.perfect.perfect_l1i = v,
-            ConfigOverride::PerfectBtb(v) => cfg.perfect.perfect_btb = v,
-        }
-    }
-
-    fn write(self, table: &mut Table) {
-        match self {
-            ConfigOverride::BtbEntries(v) => table.insert("btb_entries", int_value(v)),
-            ConfigOverride::BtbWays(v) => table.insert("btb_ways", int_value(v)),
-            ConfigOverride::FtqEntries(v) => table.insert("ftq_entries", int_value(v as u64)),
-            ConfigOverride::L1iBytes(v) => table.insert("l1i_bytes", int_value(v)),
-            ConfigOverride::FetchWidth(v) => table.insert("fetch_width", int_value(v)),
-            ConfigOverride::RobEntries(v) => table.insert("rob_entries", int_value(v)),
-            ConfigOverride::MemoryLatencyNs(v) => {
-                table.insert("memory_latency_ns", Value::Float(v))
-            }
-            ConfigOverride::PrefetchProbesPerCycle(v) => {
-                table.insert("prefetch_probes_per_cycle", int_value(v))
-            }
-            ConfigOverride::Noc(NocSel::Mesh) => table.insert("noc", Value::Str("mesh".into())),
-            ConfigOverride::Noc(NocSel::Crossbar) => {
-                table.insert("noc", Value::Str("crossbar".into()))
-            }
-            ConfigOverride::Noc(NocSel::Fixed(lat)) => table.insert("noc", int_value(lat)),
-            ConfigOverride::PerfectL1i(v) => table.insert("perfect_l1i", Value::Bool(v)),
-            ConfigOverride::PerfectBtb(v) => table.insert("perfect_btb", Value::Bool(v)),
-        }
+/// Appends `key = value` to `table`, a dotted key to the sub-table it names.
+/// Keys sharing a sub-table must arrive together, as they do in field-table
+/// order.
+fn put(table: &mut Table, key: &str, value: Value) {
+    match key.split_once('.') {
+        None => table.insert(key, value),
+        Some((sub, key)) => match table.subtables.last_mut() {
+            Some((name, last)) if name == sub => last.insert(key, value),
+            _ => table.insert_subtable(sub).insert(key, value),
+        },
     }
 }
 
-/// One configuration point of the sweep: a label plus Table I overrides.
+/// One configuration point of the sweep: a label plus the Table I fields
+/// its `[[config]]` table sets.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ConfigPoint {
     /// Label used in reports (e.g. `"table1"`, `"llc-18"`).
     pub label: String,
-    /// Overrides applied on top of [`MicroarchConfig::hpca17`], in order.
-    pub overrides: Vec<ConfigOverride>,
+    /// [`MicroarchConfig::hpca17`] with this point's fields set.
+    config: MicroarchConfig,
+    /// Indices into `CONFIG_FIELDS` of the fields the spec set, in
+    /// document order; they are written back as given, even at their
+    /// Table I value.
+    set: Vec<usize>,
 }
 
 impl ConfigPoint {
-    /// The baseline Table I point with no overrides.
+    /// The baseline Table I point, setting no field.
     pub fn table1(label: impl Into<String>) -> Self {
         ConfigPoint {
             label: label.into(),
-            overrides: Vec::new(),
+            config: MicroarchConfig::hpca17(),
+            set: Vec::new(),
         }
     }
 
     /// Materialises the [`MicroarchConfig`] this point describes.
     pub fn build(&self) -> MicroarchConfig {
-        let mut cfg = MicroarchConfig::hpca17();
-        cfg.perfect = PerfectComponents::none();
-        for o in &self.overrides {
-            o.apply(&mut cfg);
-        }
-        cfg
+        self.config.clone()
     }
 }
 
@@ -207,7 +285,8 @@ impl WorkloadPoint {
     }
 }
 
-/// Upper bound on resolved workload-axis points, so a typo'd override list
+/// Upper bound on resolved workload-axis points, and on the points one
+/// `[[config]]` or `[[workload]]` table expands into, so a typo'd list
 /// cannot expand into an accidental multi-gigabyte generation phase.
 pub const MAX_WORKLOAD_POINTS: usize = 512;
 
@@ -417,7 +496,7 @@ impl CampaignSpec {
                 .map(|t| parse_workload(t))
                 .collect::<Result<Vec<_>, _>>()?
         };
-        reject_duplicates(&named, "workloads", |w| w.name().to_string())?;
+        reject_duplicates(&named, "workloads", |w| w.name().to_string()).map_err(invalid)?;
         let mut workloads: Vec<WorkloadPoint> =
             named.into_iter().map(WorkloadPoint::preset).collect();
         for table in workload_tables {
@@ -439,7 +518,8 @@ impl CampaignSpec {
                 .collect::<Vec<_>>(),
             "workload label",
             |l| l.clone(),
-        )?;
+        )
+        .map_err(invalid)?;
         for point in &workloads {
             point
                 .profile
@@ -456,7 +536,7 @@ impl CampaignSpec {
         }
         // Compare parsed values, not tokens: `boomerang` and `boomerang:2`
         // normalise to the same mechanism.
-        reject_duplicates(&mechanisms, "mechanisms", |&m| mechanism_token(m))?;
+        reject_duplicates(&mechanisms, "mechanisms", |&m| mechanism_token(m)).map_err(invalid)?;
 
         let predictor = match opt_str(&doc.root, "predictor")? {
             Some(tok) => parse_predictor(&tok)?,
@@ -479,7 +559,7 @@ impl CampaignSpec {
                 if seeds.is_empty() {
                     return Err(invalid("seeds must not be empty"));
                 }
-                reject_duplicates(&seeds, "seeds", |s| s.to_string())?;
+                reject_duplicates(&seeds, "seeds", |s| s.to_string()).map_err(invalid)?;
                 seeds
             }
         };
@@ -507,17 +587,15 @@ impl CampaignSpec {
             return Err(invalid("run.trace_blocks must be positive"));
         }
 
-        let config_tables = doc.array("config");
-        let configs = if config_tables.is_empty() {
-            vec![ConfigPoint::table1("table1")]
-        } else {
-            config_tables
-                .iter()
-                .map(parse_config_point)
-                .collect::<Result<Vec<_>, _>>()?
-        };
+        let mut configs = Vec::new();
+        for table in doc.array("config") {
+            configs.extend(parse_config_points(table)?);
+        }
+        if configs.is_empty() {
+            configs.push(ConfigPoint::table1("table1"));
+        }
         let labels: Vec<&str> = configs.iter().map(|c| c.label.as_str()).collect();
-        reject_duplicates(&labels, "config label", |l| l.to_string())?;
+        reject_duplicates(&labels, "config label", |l| l.to_string()).map_err(invalid)?;
         for point in &configs {
             point
                 .build()
@@ -547,9 +625,10 @@ impl CampaignSpec {
         }
         // The longest prefix of unmodified paper presets serialises as the
         // classic name array; every later point becomes an explicit
-        // `[[workload]]` table (already expanded: one scalar table per
-        // point). Parsing puts named workloads before `[[workload]]` points,
-        // so this is the identity on parsed specs.
+        // `[[workload]]` table. Parsing puts named workloads before
+        // `[[workload]]` points, so this is the identity on parsed specs.
+        // Points of both axes are written already expanded, one scalar table
+        // per point.
         let preset_prefix = self.workloads.iter().take_while(|w| w.is_preset()).count();
         if preset_prefix > 0 {
             doc.root.insert(
@@ -589,17 +668,36 @@ impl CampaignSpec {
         for point in &self.configs {
             let mut table = Table::default();
             table.insert("label", Value::Str(point.label.clone()));
-            for o in &point.overrides {
-                o.write(&mut table);
+            for &i in &point.set {
+                put(
+                    &mut table,
+                    CONFIG_FIELDS[i].key,
+                    CONFIG_FIELDS[i].value(&point.config),
+                );
             }
             configs.push(table);
         }
         doc.arrays.push(("config".into(), configs));
 
-        let custom: Vec<Table> = self.workloads[preset_prefix..]
-            .iter()
-            .map(write_workload_point)
-            .collect();
+        // A custom point writes `label`, `base`, and exactly the fields that
+        // differ from its base preset.
+        let mut custom = Vec::new();
+        for point in &self.workloads[preset_prefix..] {
+            let (profile, base) = (&point.profile, point.profile.kind.profile());
+            let mut table = Table::default();
+            table.insert("label", Value::Str(point.label.clone()));
+            table.insert("base", Value::Str(profile.kind.name().to_ascii_lowercase()));
+            if profile.description != base.description {
+                table.insert("description", Value::Str(profile.description.clone()));
+            }
+            for field in &WORKLOAD_FIELDS {
+                let value = field.value(profile);
+                if value != field.value(&base) {
+                    put(&mut table, field.key, value);
+                }
+            }
+            custom.push(table);
+        }
         if !custom.is_empty() {
             doc.arrays.push(("workload".into(), custom));
         }
@@ -613,7 +711,9 @@ impl CampaignSpec {
     }
 }
 
-fn parse_config_point(table: &Table) -> Result<ConfigPoint, SpecError> {
+/// Parses one `[[config]]` table into its points: one, or one per
+/// combination when a value is a list (see [`sweep`]).
+fn parse_config_points(table: &Table) -> Result<Vec<ConfigPoint>, SpecError> {
     let label = req_str(table, "label")?;
     if label.is_empty() {
         return Err(invalid("config label must not be empty"));
@@ -623,72 +723,35 @@ fn parse_config_point(table: &Table) -> Result<ConfigPoint, SpecError> {
             "unknown sub-table [config.{sub}] for config `{label}` (sub-tables only apply to [[workload]])"
         )));
     }
-    let mut overrides = Vec::new();
-    for (key, value) in &table.entries {
-        let o = match key.as_str() {
-            "label" => continue,
-            "btb_entries" => ConfigOverride::BtbEntries(as_u64(value, key)?),
-            "btb_ways" => ConfigOverride::BtbWays(as_u64(value, key)?),
-            "ftq_entries" => ConfigOverride::FtqEntries(as_usize(value, key)?),
-            "l1i_bytes" => ConfigOverride::L1iBytes(as_u64(value, key)?),
-            "fetch_width" => ConfigOverride::FetchWidth(as_u64(value, key)?),
-            "rob_entries" => ConfigOverride::RobEntries(as_u64(value, key)?),
-            "memory_latency_ns" => ConfigOverride::MemoryLatencyNs(
-                value
-                    .as_f64()
-                    .ok_or_else(|| invalid("memory_latency_ns must be a number"))?,
-            ),
-            "prefetch_probes_per_cycle" => {
-                ConfigOverride::PrefetchProbesPerCycle(as_u64(value, key)?)
-            }
-            "noc" => ConfigOverride::Noc(match value {
-                Value::Str(s) if s.eq_ignore_ascii_case("mesh") => NocSel::Mesh,
-                Value::Str(s) if s.eq_ignore_ascii_case("crossbar") => NocSel::Crossbar,
-                Value::Int(i) if *i >= 0 => NocSel::Fixed(*i as u64),
-                _ => {
-                    return Err(invalid(
-                        "noc must be \"mesh\", \"crossbar\", or a fixed cycle count",
-                    ))
-                }
-            }),
-            "perfect_l1i" => ConfigOverride::PerfectL1i(
-                value
-                    .as_bool()
-                    .ok_or_else(|| invalid("perfect_l1i must be a boolean"))?,
-            ),
-            "perfect_btb" => ConfigOverride::PerfectBtb(
-                value
-                    .as_bool()
-                    .ok_or_else(|| invalid("perfect_btb must be a boolean"))?,
-            ),
-            other => {
-                return Err(invalid(format!(
-                    "unknown [[config]] key `{other}` for config `{label}`"
-                )))
-            }
-        };
-        overrides.push(o);
-    }
-    Ok(ConfigPoint { label, overrides })
+    let context = |msg: String| invalid(format!("config `{label}`: {msg}"));
+    let entries = table
+        .entries
+        .iter()
+        .filter(|(key, _)| key != "label")
+        .map(|(key, value)| (key.clone(), value));
+    let entries = resolve(&CONFIG_FIELDS, "config", entries).map_err(context)?;
+    let set: Vec<usize> = entries.iter().map(|&(_, i, _)| i).collect();
+    let points = sweep(&CONFIG_FIELDS, &label, MicroarchConfig::hpca17(), &entries);
+    Ok(points
+        .map_err(context)?
+        .into_iter()
+        .map(|(label, config)| ConfigPoint {
+            label,
+            config,
+            set: set.clone(),
+        })
+        .collect())
 }
 
-/// Parses one `[[workload]]` table into its resolved points.
+/// Parses one `[[workload]]` table into its points: one, or one per
+/// combination when a value is a list (see [`sweep`]).
 ///
-/// The table names a `base` preset and applies profile overrides on top of
-/// it. A scalar override sets the field; a *list* override sweeps it, with
-/// every listed key expanding cartesianly (in document order) into one point
-/// per combination. Expanded points get a `-<value>` label suffix per listed
-/// key, so `label = "fp"` with `footprint_bytes = [262144, 1048576]` and
-/// `service_roots = [32, 96]` yields `fp-262144-32`, `fp-262144-96`,
-/// `fp-1048576-32`, `fp-1048576-96`.
-///
-/// The `[workload.terminators]` / `[workload.conditionals]` /
-/// `[workload.backend]` sub-table fields sweep the same way (their axes are
-/// named by dotted path, e.g. `backend.l1d_miss_rate = [0.02, 0.08]`), and
-/// combine cartesianly with any top-level lists — sub-table axes vary
-/// fastest, matching document order. Parse-time validation errors name the
-/// sub-table field (`workload `x`: `backend.l1d_miss_rate` must be a
-/// number`).
+/// The table names a `base` preset and overrides profile fields on top of
+/// it. Fields of the `[workload.terminators]` / `[workload.conditionals]` /
+/// `[workload.backend]` sub-tables are named by dotted path (their sweep
+/// axes, e.g. `backend.l1d_miss_rate = [0.02, 0.08]`, vary fastest, matching
+/// document order), and errors name them the same way (`workload `x`:
+/// `backend.l1d_miss_rate` must be a number`).
 fn parse_workload_points(table: &Table) -> Result<Vec<WorkloadPoint>, SpecError> {
     let label = req_str(table, "label")?;
     if label.is_empty() {
@@ -724,89 +787,133 @@ fn parse_workload_points(table: &Table) -> Result<Vec<WorkloadPoint>, SpecError>
         })?;
     let mut profile = base.profile();
 
-    // Scalar overrides apply once; list overrides are collected as sweep
-    // axes, in document order.
-    let mut sweeps: Vec<(String, Vec<Value>)> = Vec::new();
-    let mut seen_utility = false;
+    let mut entries = Vec::new();
     for (key, value) in &table.entries {
-        let canonical = match key.as_str() {
-            "label" | "base" => continue,
+        match key.as_str() {
+            "label" | "base" => {}
             "description" => {
                 profile.description = value
                     .as_str()
                     .ok_or_else(|| context("`description` must be a string".into()))?
                     .to_string();
-                continue;
             }
-            // Deprecated alias of `utility_fraction` (the field's old,
-            // misleading name).
-            "hot_function_fraction" | "utility_fraction" => {
-                if seen_utility {
-                    return Err(context(
-                        "give either `utility_fraction` or its deprecated alias \
-                         `hot_function_fraction`, not both"
-                            .into(),
-                    ));
-                }
-                seen_utility = true;
-                "utility_fraction"
-            }
-            k if WORKLOAD_OVERRIDE_KEYS.contains(&k) => k,
-            other => {
-                return Err(context(format!(
-                    "unknown [[workload]] key `{other}` (overridable fields: {})",
-                    WORKLOAD_OVERRIDE_KEYS.join(", ")
-                )))
-            }
-        };
-        apply_or_sweep(&mut profile, &mut sweeps, key, canonical, value).map_err(context)?;
+            _ => entries.push((key.clone(), value)),
+        }
     }
+    let mut subtables: Vec<&str> = WORKLOAD_FIELDS
+        .iter()
+        .filter_map(|f| Some(f.key.split_once('.')?.0))
+        .collect();
+    subtables.dedup();
     for (name, sub) in &table.subtables {
-        if !matches!(name.as_str(), "terminators" | "conditionals" | "backend") {
+        if !subtables.contains(&name.as_str()) {
             return Err(context(format!(
-                "unknown sub-table [workload.{name}] (expected terminators, conditionals or backend)"
+                "unknown sub-table [workload.{name}] (expected one of {})",
+                subtables.join(", ")
             )));
         }
-        for (key, value) in &sub.entries {
-            // Sub-table fields sweep exactly like top-level keys; the axis
-            // is named by its dotted path (e.g. `backend.l1d_miss_rate`).
-            let dotted = format!("{name}.{key}");
-            apply_or_sweep(&mut profile, &mut sweeps, &dotted, &dotted, value).map_err(context)?;
+        entries.extend(
+            sub.entries
+                .iter()
+                .map(|(key, value)| (format!("{name}.{key}"), value)),
+        );
+    }
+    let entries = resolve(&WORKLOAD_FIELDS, "workload", entries).map_err(context)?;
+    let points = sweep(&WORKLOAD_FIELDS, &label, profile, &entries);
+    Ok(points
+        .map_err(context)?
+        .into_iter()
+        .map(|(label, profile)| WorkloadPoint { label, profile })
+        .collect())
+}
+
+/// A table entry resolved against a field table: the key as written, the
+/// index of its field, and its value.
+type Entry<'a> = (String, usize, &'a Value);
+
+/// Resolves a table's keys against `fields`, in document order. `what`
+/// names the table (`config`, `workload`) in errors, which are plain
+/// messages; the caller adds the table's context.
+fn resolve<'a, T>(
+    fields: &[Field<T>],
+    what: &str,
+    entries: impl IntoIterator<Item = (String, &'a Value)>,
+) -> Result<Vec<Entry<'a>>, String> {
+    let mut resolved: Vec<Entry<'a>> = Vec::new();
+    for (shown, value) in entries {
+        let key = ALIASES
+            .iter()
+            .find(|(alias, _)| *alias == shown)
+            .map_or(shown.as_str(), |&(_, key)| key);
+        let Some(i) = fields.iter().position(|f| f.key == key) else {
+            let keys: Vec<&str> = fields.iter().map(|f| f.key).collect();
+            return Err(format!(
+                "unknown [[{what}]] key `{shown}` (overridable fields: {})",
+                keys.join(", ")
+            ));
+        };
+        if let Some((earlier, ..)) = resolved.iter().find(|&&(_, j, _)| j == i) {
+            return Err(format!(
+                "`{earlier}` and `{shown}` name the same field; give one, not both"
+            ));
+        }
+        resolved.push((shown, i, value));
+    }
+    Ok(resolved)
+}
+
+/// Expands one table's resolved entries into its points, starting from
+/// `start`. A scalar sets its field on every point. A *list* sweeps it:
+/// every listed key expands cartesianly, earlier keys varying slowest, into
+/// one point per combination, labelled `label` plus one `-<value>` suffix
+/// per listed key. So `label = "fp"` with `footprint_bytes = [262144,
+/// 1048576]` and `service_roots = [32, 96]` yields `fp-262144-32`,
+/// `fp-262144-96`, `fp-1048576-32`, `fp-1048576-96`. Errors are plain
+/// messages; the caller adds the table's context.
+fn sweep<T: Clone>(
+    fields: &[Field<T>],
+    label: &str,
+    mut start: T,
+    entries: &[Entry<'_>],
+) -> Result<Vec<(String, T)>, String> {
+    let mut axes = Vec::new();
+    for (shown, i, value) in entries {
+        match value {
+            Value::Array(items) => {
+                if items.is_empty() {
+                    return Err(format!("override list `{shown}` must not be empty"));
+                }
+                reject_duplicates(items, shown, label_fragment)?;
+                axes.push((&fields[*i], items));
+            }
+            scalar => fields[*i].read(&mut start, scalar)?,
         }
     }
 
     // Cap the cartesian size *before* materialising any points, so a typo'd
     // spec (six 40-value lists = 4e9 combinations) is an error, not an OOM.
-    let combinations = sweeps
+    let combinations = axes
         .iter()
-        .try_fold(1usize, |acc, (_, values)| acc.checked_mul(values.len()))
-        .filter(|&n| n <= MAX_WORKLOAD_POINTS);
-    if combinations.is_none() {
-        return Err(context(format!(
+        .try_fold(1usize, |acc, (_, items)| acc.checked_mul(items.len()));
+    if combinations.is_none_or(|n| n > MAX_WORKLOAD_POINTS) {
+        let lens: Vec<String> = axes
+            .iter()
+            .map(|(_, items)| items.len().to_string())
+            .collect();
+        return Err(format!(
             "override lists expand to {} points (max {MAX_WORKLOAD_POINTS})",
-            sweeps
-                .iter()
-                .map(|(_, values)| values.len().to_string())
-                .collect::<Vec<_>>()
-                .join(" x ")
-        )));
+            lens.join(" x ")
+        ));
     }
 
-    // Cartesian expansion of the list overrides: earlier keys vary slowest.
-    let mut points = vec![WorkloadPoint {
-        label: label.clone(),
-        profile,
-    }];
-    for (key, values) in &sweeps {
-        let mut expanded = Vec::with_capacity(points.len() * values.len());
-        for point in &points {
-            for value in values {
-                let mut profile = point.profile.clone();
-                apply_workload_override(&mut profile, key, value).map_err(context)?;
-                expanded.push(WorkloadPoint {
-                    label: format!("{}-{}", point.label, label_fragment(value)),
-                    profile,
-                });
+    let mut points = vec![(label.to_string(), start)];
+    for (field, items) in axes {
+        let mut expanded = Vec::with_capacity(points.len() * items.len());
+        for (label, target) in &points {
+            for item in items {
+                let mut target = target.clone();
+                field.read(&mut target, item)?;
+                expanded.push((format!("{label}-{}", label_fragment(item)), target));
             }
         }
         points = expanded;
@@ -814,107 +921,7 @@ fn parse_workload_points(table: &Table) -> Result<Vec<WorkloadPoint>, SpecError>
     Ok(points)
 }
 
-/// Interprets one `[[workload]]` override value — shared by the top-level
-/// key loop and the sub-table loops so the list-vs-scalar rules cannot
-/// drift: a *list* registers a sweep axis (non-empty, duplicate-free), a
-/// scalar applies to the profile immediately. `shown` is the key as the
-/// spec author wrote it (used in error messages), `canonical` the
-/// normalised field/axis name (they differ only for the deprecated
-/// top-level `hot_function_fraction` alias). Errors are plain messages; the
-/// caller adds the workload-label context.
-fn apply_or_sweep(
-    profile: &mut WorkloadProfile,
-    sweeps: &mut Vec<(String, Vec<Value>)>,
-    shown: &str,
-    canonical: &str,
-    value: &Value,
-) -> Result<(), String> {
-    match value {
-        Value::Array(items) => {
-            if items.is_empty() {
-                return Err(format!("override list `{shown}` must not be empty"));
-            }
-            reject_duplicates(items, shown, label_fragment).map_err(|e| match e {
-                SpecError::Invalid(msg) => msg,
-                other => other.to_string(),
-            })?;
-            sweeps.push((canonical.to_string(), items.clone()));
-            Ok(())
-        }
-        scalar => apply_workload_override(profile, canonical, scalar),
-    }
-}
-
-/// Top-level `[[workload]]` keys that override a scalar profile field (the
-/// canonical spellings; `hot_function_fraction` is accepted as a deprecated
-/// alias of `utility_fraction`).
-const WORKLOAD_OVERRIDE_KEYS: [&str; 10] = [
-    "footprint_bytes",
-    "service_roots",
-    "max_call_depth",
-    "seed",
-    "mean_block_instructions",
-    "mean_function_blocks",
-    "cond_target_mean_lines",
-    "cond_backward_fraction",
-    "hot_callee_fraction",
-    "utility_fraction",
-];
-
-/// Applies one scalar override (canonical key) to a profile. Errors are
-/// plain messages; the caller adds the workload-label context.
-fn apply_workload_override(
-    profile: &mut WorkloadProfile,
-    key: &str,
-    value: &Value,
-) -> Result<(), String> {
-    let integer = || {
-        value
-            .as_u64()
-            .ok_or_else(|| format!("`{key}` must be a non-negative integer"))
-    };
-    let index = || {
-        integer().and_then(|v| {
-            usize::try_from(v)
-                .map_err(|_| format!("`{key}` value {v} exceeds this platform's usize range"))
-        })
-    };
-    let number = || {
-        value
-            .as_f64()
-            .ok_or_else(|| format!("`{key}` must be a number"))
-    };
-    match key {
-        "footprint_bytes" => profile.footprint_bytes = integer()?,
-        "service_roots" => profile.service_roots = index()?,
-        "max_call_depth" => profile.max_call_depth = index()?,
-        "seed" => profile.seed = integer()?,
-        "mean_block_instructions" => profile.mean_block_instructions = number()?,
-        "mean_function_blocks" => profile.mean_function_blocks = number()?,
-        "cond_target_mean_lines" => profile.cond_target_mean_lines = number()?,
-        "cond_backward_fraction" => profile.cond_backward_fraction = number()?,
-        "hot_callee_fraction" => profile.hot_callee_fraction = number()?,
-        "utility_fraction" => profile.utility_fraction = number()?,
-        "terminators.call" => profile.terminators.call = number()?,
-        "terminators.indirect_call" => profile.terminators.indirect_call = number()?,
-        "terminators.jump" => profile.terminators.jump = number()?,
-        "terminators.indirect_jump" => profile.terminators.indirect_jump = number()?,
-        "terminators.early_return" => profile.terminators.early_return = number()?,
-        "conditionals.loop_backedge" => profile.conditionals.loop_backedge = number()?,
-        "conditionals.pattern" => profile.conditionals.pattern = number()?,
-        "conditionals.data_dependent" => profile.conditionals.data_dependent = number()?,
-        "conditionals.bias_mean" => profile.conditionals.bias_mean = number()?,
-        "conditionals.mean_trip_count" => profile.conditionals.mean_trip_count = number()?,
-        "backend.load_fraction" => profile.backend.load_fraction = number()?,
-        "backend.l1d_miss_rate" => profile.backend.l1d_miss_rate = number()?,
-        "backend.llc_miss_rate" => profile.backend.llc_miss_rate = number()?,
-        "backend.base_latency" => profile.backend.base_latency = integer()?,
-        other => return Err(format!("unknown workload override `{other}`")),
-    }
-    Ok(())
-}
-
-/// The label suffix a swept override value contributes (`262144`, `0.3`).
+/// The label suffix a swept value contributes (`262144`, `0.3`, `mesh`).
 fn label_fragment(value: &Value) -> String {
     match value {
         Value::Int(i) => i.to_string(),
@@ -923,12 +930,6 @@ fn label_fragment(value: &Value) -> String {
         Value::Bool(b) => b.to_string(),
         Value::Array(_) => "list".to_string(),
     }
-}
-
-fn as_u64(value: &Value, key: &str) -> Result<u64, SpecError> {
-    value
-        .as_u64()
-        .ok_or_else(|| invalid(format!("`{key}` must be a non-negative integer")))
 }
 
 fn req_str(table: &Table, key: &str) -> Result<String, SpecError> {
@@ -951,13 +952,10 @@ fn reject_duplicates<T: PartialEq>(
     items: &[T],
     axis: &str,
     describe: impl Fn(&T) -> String,
-) -> Result<(), SpecError> {
+) -> Result<(), String> {
     for (i, item) in items.iter().enumerate() {
         if items[..i].contains(item) {
-            return Err(invalid(format!(
-                "duplicate `{axis}` entry `{}`",
-                describe(item)
-            )));
+            return Err(format!("duplicate `{axis}` entry `{}`", describe(item)));
         }
     }
     Ok(())
@@ -980,19 +978,17 @@ fn req_str_array(table: &Table, key: &str) -> Result<Vec<String>, SpecError> {
         .collect()
 }
 
+/// Parses an optional non-negative integer that must also fit this
+/// platform's `usize`. On 32-bit targets a plain `as usize` cast would
+/// silently truncate; this rejects the value instead.
 fn opt_usize(table: &Table, key: &str) -> Result<Option<usize>, SpecError> {
-    match table.get(key) {
-        None => Ok(None),
-        Some(v) => as_usize(v, key).map(Some),
-    }
-}
-
-/// Parses a non-negative integer that must also fit this platform's `usize`.
-/// On 32-bit targets a plain `as usize` cast would silently truncate; this
-/// rejects the value instead.
-fn as_usize(value: &Value, key: &str) -> Result<usize, SpecError> {
-    let v = as_u64(value, key)?;
-    usize::try_from(v).map_err(|_| {
+    let Some(value) = table.get(key) else {
+        return Ok(None);
+    };
+    let v = value
+        .as_u64()
+        .ok_or_else(|| invalid(format!("`{key}` must be a non-negative integer")))?;
+    usize::try_from(v).map(Some).map_err(|_| {
         invalid(format!(
             "`{key}` value {v} exceeds this platform's usize range"
         ))
@@ -1011,160 +1007,10 @@ fn int_value(v: u64) -> Value {
     Value::Int(i64::try_from(v).expect("campaign spec integer exceeds TOML's i64 range"))
 }
 
-/// Serialises one custom workload point as a scalar `[[workload]]` table:
-/// `label`, `base`, and exactly the fields that differ from the base preset,
-/// with sub-struct fields in their `[workload.*]` sub-tables.
-fn write_workload_point(point: &WorkloadPoint) -> Table {
-    let base = point.profile.kind.profile();
-    let p = &point.profile;
-    let mut table = Table::default();
-    table.insert("label", Value::Str(point.label.clone()));
-    table.insert("base", Value::Str(p.kind.name().to_ascii_lowercase()));
-    if p.description != base.description {
-        table.insert("description", Value::Str(p.description.clone()));
-    }
-    if p.seed != base.seed {
-        table.insert("seed", int_value(p.seed));
-    }
-    if p.footprint_bytes != base.footprint_bytes {
-        table.insert("footprint_bytes", int_value(p.footprint_bytes));
-    }
-    if p.service_roots != base.service_roots {
-        table.insert("service_roots", int_value(p.service_roots as u64));
-    }
-    if p.max_call_depth != base.max_call_depth {
-        table.insert("max_call_depth", int_value(p.max_call_depth as u64));
-    }
-    let floats = [
-        (
-            "mean_block_instructions",
-            p.mean_block_instructions,
-            base.mean_block_instructions,
-        ),
-        (
-            "mean_function_blocks",
-            p.mean_function_blocks,
-            base.mean_function_blocks,
-        ),
-        (
-            "cond_target_mean_lines",
-            p.cond_target_mean_lines,
-            base.cond_target_mean_lines,
-        ),
-        (
-            "cond_backward_fraction",
-            p.cond_backward_fraction,
-            base.cond_backward_fraction,
-        ),
-        (
-            "hot_callee_fraction",
-            p.hot_callee_fraction,
-            base.hot_callee_fraction,
-        ),
-        (
-            "utility_fraction",
-            p.utility_fraction,
-            base.utility_fraction,
-        ),
-    ];
-    for (key, value, base_value) in floats {
-        if value != base_value {
-            table.insert(key, Value::Float(value));
-        }
-    }
-
-    if p.terminators != base.terminators {
-        let sub = table.insert_subtable("terminators");
-        let fields = [
-            ("call", p.terminators.call, base.terminators.call),
-            (
-                "indirect_call",
-                p.terminators.indirect_call,
-                base.terminators.indirect_call,
-            ),
-            ("jump", p.terminators.jump, base.terminators.jump),
-            (
-                "indirect_jump",
-                p.terminators.indirect_jump,
-                base.terminators.indirect_jump,
-            ),
-            (
-                "early_return",
-                p.terminators.early_return,
-                base.terminators.early_return,
-            ),
-        ];
-        for (key, value, base_value) in fields {
-            if value != base_value {
-                sub.insert(key, Value::Float(value));
-            }
-        }
-    }
-    if p.conditionals != base.conditionals {
-        let sub = table.insert_subtable("conditionals");
-        let fields = [
-            (
-                "loop_backedge",
-                p.conditionals.loop_backedge,
-                base.conditionals.loop_backedge,
-            ),
-            ("pattern", p.conditionals.pattern, base.conditionals.pattern),
-            (
-                "data_dependent",
-                p.conditionals.data_dependent,
-                base.conditionals.data_dependent,
-            ),
-            (
-                "bias_mean",
-                p.conditionals.bias_mean,
-                base.conditionals.bias_mean,
-            ),
-            (
-                "mean_trip_count",
-                p.conditionals.mean_trip_count,
-                base.conditionals.mean_trip_count,
-            ),
-        ];
-        for (key, value, base_value) in fields {
-            if value != base_value {
-                sub.insert(key, Value::Float(value));
-            }
-        }
-    }
-    if p.backend != base.backend {
-        let sub = table.insert_subtable("backend");
-        let fields = [
-            (
-                "load_fraction",
-                p.backend.load_fraction,
-                base.backend.load_fraction,
-            ),
-            (
-                "l1d_miss_rate",
-                p.backend.l1d_miss_rate,
-                base.backend.l1d_miss_rate,
-            ),
-            (
-                "llc_miss_rate",
-                p.backend.llc_miss_rate,
-                base.backend.llc_miss_rate,
-            ),
-        ];
-        for (key, value, base_value) in fields {
-            if value != base_value {
-                sub.insert(key, Value::Float(value));
-            }
-        }
-        if p.backend.base_latency != base.backend.base_latency {
-            sub.insert("base_latency", int_value(p.backend.base_latency));
-        }
-    }
-    table
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::splitmix::SplitMix;
 
     const SPEC: &str = r#"
 name = "demo"
@@ -1643,6 +1489,185 @@ load_fraction = 0.22
         .unwrap();
         spec.seeds = vec![u64::MAX];
         let _ = spec.to_toml_string();
+    }
+
+    #[test]
+    fn config_lists_sweep_like_workload_lists() {
+        let base = "name = \"x\"\nworkloads = [\"nutch\"]\nmechanisms = [\"fdip\"]\n\n[[config]]\n";
+        let spec = CampaignSpec::from_toml_str(&format!(
+            "{base}label = \"llc\"\nbtb_entries = [2048, 8192]\nnoc = [\"crossbar\", 40]\nperfect_l1i = true\n"
+        ))
+        .unwrap();
+        let labels: Vec<&str> = spec.configs.iter().map(|c| c.label.as_str()).collect();
+        assert_eq!(
+            labels,
+            [
+                "llc-2048-crossbar",
+                "llc-2048-40",
+                "llc-8192-crossbar",
+                "llc-8192-40"
+            ]
+        );
+        let last = spec.configs[3].build();
+        assert_eq!((last.btb_entries, last.llc_round_trip()), (8192, 40));
+        assert!(spec.configs.iter().all(|c| c.build().perfect.perfect_l1i));
+        // Each point is written as its own table, keys in document order,
+        // the Table I value 2048 included.
+        let text = spec.to_toml_string();
+        assert!(
+            text.contains(
+                "label = \"llc-2048-40\"\nbtb_entries = 2048\nnoc = 40\nperfect_l1i = true\n"
+            ),
+            "{text}"
+        );
+        assert_eq!(CampaignSpec::from_toml_str(&text).unwrap(), spec);
+
+        // Errors name the table and the field.
+        let e = CampaignSpec::from_toml_str(&format!(
+            "{base}label = \"a\"\nnoc = [\"mesh\", \"ring\"]\n"
+        ))
+        .unwrap_err()
+        .to_string();
+        assert!(e.contains("config `a`: `noc` must be"), "{e}");
+        let e = CampaignSpec::from_toml_str(&format!("{base}label = \"a\"\nbtb_ways = []\n"))
+            .unwrap_err()
+            .to_string();
+        assert!(
+            e.contains("override list `btb_ways` must not be empty"),
+            "{e}"
+        );
+        // An expanded label colliding with another table's label.
+        let e = CampaignSpec::from_toml_str(&format!(
+            "{base}label = \"a\"\nnoc = [1, 2]\n\n[[config]]\nlabel = \"a-2\"\n"
+        ))
+        .unwrap_err()
+        .to_string();
+        assert!(e.contains("duplicate `config label` entry `a-2`"), "{e}");
+    }
+
+    /// A draw of `field`'s kind, `k` steps from its value on `base`, that
+    /// keeps the target valid: numbers shrink (fractions stay fractions and
+    /// means stay above their floors); integers grow, by doubling where
+    /// `double` (Table I sizes must stay powers of two).
+    fn draw<T>(field: &Field<T>, base: &T, k: u64, double: bool) -> Value {
+        let from = field.value(base);
+        match field.access {
+            Access::Integer(..) | Access::Index(..) => {
+                let v = from.as_u64().unwrap();
+                int_value(if double { v << k } else { v + k })
+            }
+            Access::Number(..) => Value::Float(from.as_f64().unwrap() * (1.0 - k as f64 / 8.0)),
+            Access::Bool(..) => Value::Bool(k % 2 == 1),
+            Access::Noc(..) => match k {
+                0 => Value::Str("mesh".into()),
+                1 => Value::Str("crossbar".into()),
+                _ => int_value(10 * k),
+            },
+        }
+    }
+
+    /// Fills `table` with random scalar and list values of random fields:
+    /// at most two lists of two or three values, so a table stays small.
+    /// Returns the number of lists.
+    fn draw_table<T>(
+        rng: &mut SplitMix,
+        fields: &[&Field<T>],
+        base: &T,
+        double: bool,
+        table: &mut Table,
+    ) -> usize {
+        let mut lists = 0;
+        for &field in fields {
+            if !rng.percent(30) {
+                continue;
+            }
+            let key = match field.key {
+                "utility_fraction" if rng.percent(50) => "hot_function_fraction",
+                key => key,
+            };
+            let start = rng.below(2);
+            let value = if lists < 2 && rng.percent(40) {
+                lists += 1;
+                let len = match field.access {
+                    Access::Bool(..) => 2,
+                    _ => 2 + rng.below(2),
+                };
+                Value::Array(
+                    (0..len)
+                        .map(|k| draw(field, base, (start + k) % 4, double))
+                        .collect(),
+                )
+            } else {
+                draw(field, base, start + rng.below(3), double)
+            };
+            put(table, key, value);
+        }
+        lists
+    }
+
+    #[test]
+    fn random_field_tables_round_trip() {
+        let mut rng = SplitMix(0x5bec_f1e1_d5ee);
+        let mut lists = [0; 2];
+        let mut subtables = 0;
+        for case in 0..300 {
+            let mut doc = Document::default();
+            doc.root.insert("name", Value::Str("drawn".into()));
+            doc.root
+                .insert("workloads", Value::Array(vec![Value::Str("nutch".into())]));
+            doc.root
+                .insert("mechanisms", Value::Array(vec![Value::Str("fdip".into())]));
+            // Config keys in a random order: a point keeps document order.
+            let mut configs = Vec::new();
+            for c in 0..rng.below(3) {
+                let mut fields: Vec<&Field<MicroarchConfig>> = CONFIG_FIELDS.iter().collect();
+                for i in (1..fields.len()).rev() {
+                    fields.swap(i, rng.index(i + 1));
+                }
+                let mut table = Table::default();
+                table.insert("label", Value::Str(format!("c{c}")));
+                lists[0] += draw_table(
+                    &mut rng,
+                    &fields,
+                    &MicroarchConfig::hpca17(),
+                    true,
+                    &mut table,
+                );
+                configs.push(table);
+            }
+            // Workload keys in field order, which keeps sub-tables whole.
+            let mut workloads = Vec::new();
+            for w in 0..rng.below(3) {
+                let kind = WorkloadKind::ALL[rng.index(WorkloadKind::ALL.len())];
+                let fields: Vec<&Field<WorkloadProfile>> = WORKLOAD_FIELDS.iter().collect();
+                let mut table = Table::default();
+                table.insert("label", Value::Str(format!("w{w}")));
+                table.insert("base", Value::Str(kind.name().to_ascii_lowercase()));
+                lists[1] += draw_table(&mut rng, &fields, &kind.profile(), false, &mut table);
+                workloads.push(table);
+            }
+            doc.arrays.push(("config".into(), configs));
+            doc.arrays.push(("workload".into(), workloads));
+            let text = toml::write(&doc);
+
+            let spec = CampaignSpec::from_toml_str(&text)
+                .unwrap_or_else(|e| panic!("case {case}: {e}\n{text}"));
+            let written = spec.to_toml_string();
+            let again = CampaignSpec::from_toml_str(&written)
+                .unwrap_or_else(|e| panic!("case {case}: {e}\n{written}"));
+            assert_eq!(
+                again, spec,
+                "case {case}: parse(write(spec)) != spec\n{text}"
+            );
+            assert_eq!(
+                again.to_toml_string(),
+                written,
+                "case {case}: write is not idempotent"
+            );
+            subtables += written.matches("[workload.").count();
+        }
+        // The draws reach list sweeps of both kinds and sub-table fields.
+        assert!(lists[0] > 0 && lists[1] > 0 && subtables > 0);
     }
 
     #[test]
