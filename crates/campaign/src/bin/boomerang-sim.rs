@@ -1,167 +1,58 @@
 //! `boomerang-sim` — the command-line front door to the Boomerang simulator.
 //!
-//! ```text
-//! boomerang-sim run <spec.toml> [--jobs N] [--smoke] [--out DIR] [--quiet]
-//! boomerang-sim run --preset <name> [...]
-//! boomerang-sim resume <spec.toml> [--out DIR] [...]
-//! boomerang-sim serve --spool DIR [--out DIR] [--workers N] [--once]
-//! boomerang-sim serve --spool DIR --listen ADDR [--workers N] [...]
-//! boomerang-sim worker --connect ADDR [--worker-index N] [...]
-//! boomerang-sim verify DIR [--spec FILE] [--recompute N] [...]
-//! boomerang-sim list-presets
-//! ```
+//! `boomerang-sim --help` lists the subcommands (`run`, `resume`, `serve`,
+//! `worker`, `verify`, `list-presets`) and their options, which are parsed
+//! and documented from the flag tables of [`campaign::cli`].
 
 use boomerang::RunLength;
 use campaign::checkpoint::{spec_hash, Journal, JournalReplay};
-use campaign::serve::{run_local, serve, ServeOptions, SubmissionStatus};
+use campaign::cli::{self, Args, Command};
+use campaign::serve::{run_local, serve, ServeOptions, ServeOutcome, SubmissionStatus};
 use campaign::supervise::install_interrupt_handler;
 use campaign::{
     fault, presets, run_worker, verify_dir, CampaignSpec, FaultPlan, VerifyOptions, WorkerOptions,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Duration;
 
-/// Exit code of a serve run that finished with at least one partial
-/// (degraded) submission and no failures. Documented in the README's
-/// failure model; distinct from 1 (failure) so operators can tell "usable
-/// but damaged" from "unusable".
+/// Exit code of a serve run with at least one partial (degraded) submission
+/// and no failures: "usable but damaged", not "unusable" (1).
 const PARTIAL_EXIT_CODE: u8 = 4;
 
-/// Exit code of a serve run stopped by the `--max-quarantined` integrity
-/// bound: more worker sessions were quarantined for corrupt results than the
-/// operator allowed. Distinct from 1 (failure) and 4 (partial) — this one
-/// means "the fleet is corrupting results", which wants a different
-/// response (replace hardware, not retry) than an ordinary failed run.
+/// Exit code of a serve run stopped by its quarantine bound: the fleet is
+/// corrupting results, which wants hardware replaced, not a retry.
 const QUARANTINE_EXIT_CODE: u8 = 5;
 
-const USAGE: &str =
-    "boomerang-sim — declarative experiment campaigns for the Boomerang reproduction
+/// The `--help` text: the synopsis, each subcommand's option table and the
+/// exit codes.
+fn usage() -> String {
+    let (preset, spool) = (cli::PRESET.usage(), cli::SPOOL.usage());
+    format!(
+        "boomerang-sim — declarative experiment campaigns for the Boomerang reproduction
 
 USAGE:
     boomerang-sim run <spec.toml> [OPTIONS]
-    boomerang-sim run --preset <name> [OPTIONS]
-    boomerang-sim resume <spec.toml | --preset <name>> [OPTIONS]
-    boomerang-sim serve --spool <DIR> [SERVE OPTIONS]
-    boomerang-sim worker --connect <ADDR> [WORKER OPTIONS]
+    boomerang-sim run {preset} [OPTIONS]
+    boomerang-sim resume <spec.toml | {preset}> [OPTIONS]
+    boomerang-sim serve {spool} [SERVE OPTIONS]
+    boomerang-sim worker {} [WORKER OPTIONS]
     boomerang-sim verify <DIR> [VERIFY OPTIONS]
     boomerang-sim list-presets
-
-OPTIONS:
-    --preset <name>        Run an embedded preset instead of a spec file
-    --jobs <N>             Worker threads (default: all cores)
-    --smoke                Replace the spec's run length with a short smoke run
-    --out <DIR>            Campaign directory: reports, row streams and the
-                           checkpoint journal (default: campaign-out)
-    --artifact-cache <DIR> Content-addressed workload artifact cache; repeat
-                           campaigns over the same workload points skip
-                           generation entirely
-    --resume               Continue from the directory's checkpoint journal
-                           instead of refusing to touch an existing campaign
-    --force                Clear an existing campaign (even a mismatching one)
-                           and start over
-    --fault-inject <PLAN>  Arm deterministic crash points (testing): kinds
-                           worker-exit, journal-torn-tail, report-torn,
-                           spool-scan-error and heartbeat-stall (see the
-                           README's failure model for the plan syntax;
-                           worker-exit:after-rows=N interrupts a run after
-                           N checkpointed rows)
-    --quiet                Suppress the progress banner and result table
-    -h, --help             Show this help
-
-SERVE OPTIONS (every submission is leased row by row from a work queue):
-    --spool <DIR>          Directory watched for *.toml spec submissions;
-                           processed files become *.done / *.partial /
-                           *.failed
-    --out <DIR>            Root of per-submission output dirs (default:
-                           serve-out)
-    --workers <N>          Local worker processes per submission, each
-                           running one row at a time, connected to the work
-                           queue over loopback (default: one per core;
-                           0 = remote workers only, needs --listen)
-    --jobs <N>             Deprecated and ignored (warns): each worker
-                           process runs one row at a time, so --workers
-                           sets the parallelism
-    --smoke                Run every submission at smoke length
-    --artifact-cache <DIR> Shared workload artifact cache for all workers
-    --once                 Process the submissions present now, then exit
-    --poll-ms <MS>         Spool poll interval (default: 500)
-    --max-retries <N>      Restarts per crashed/hung local worker
-                           (default: 2)
-    --worker-timeout-secs <S>
-                           Kill a local worker that sends no lease request
-                           or row for S seconds; counts as a retry
-                           (default: 300)
-    --backoff-ms <MS>      Base restart backoff, doubling per retry
-                           (default: 250)
-    --allow-partial        When every local worker exhausts its retries
-                           with rows outstanding, write a degraded report
-                           (missing rows marked) instead of failing; exit
-                           code 4 marks a partial run
-    --settle-ms <MS>       Skip submissions modified within the last MS
-                           (still being written; default: 0 = off)
-    --max-scans <N>        Stop after N spool scans (testing; default:
-                           0 = unlimited)
-    --fault-inject <PLAN>  Arm deterministic crash points in the service and
-                           its workers (testing; same plan syntax as run)
-    --listen <ADDR>        Expose the work queue on ADDR (e.g. 0.0.0.0:7000)
-                           so `worker --connect` clients can join the local
-                           fleet (default: a private ephemeral loopback port)
-    --listen-addr-file <FILE>
-                           Write the bound work-queue address to FILE once
-                           listening (for `--listen 127.0.0.1:0`)
-    --lease-timeout-secs <S>
-                           Revoke a lease with no heartbeat or row progress
-                           for S seconds; the job is requeued with
-                           exponential backoff on re-lease (default: 60).
-                           Every worker is told to heartbeat four times per
-                           timeout (50 ms to 5 s)
-    --verify-fraction <F>  Re-lease a deterministic fraction F (0.0-1.0) of
-                           completed rows to a *different* worker session and
-                           compare the stats; a mismatch quarantines the
-                           producing session and requeues its unverified rows
-                           (default: 0 = off; needs at least two workers)
-    --max-quarantined <N>  Fail a submission (exit code 5) once more than N
-                           worker sessions have been quarantined for corrupt
-                           results (default: unbounded)
-
-WORKER OPTIONS:
-    --connect <ADDR>       Broker address (host:port) to lease jobs from; the
-                           broker also sets the lease heartbeat interval
-    --worker-index <N>     This worker's index, quoted in its handshake and
-                           addressable by `shard=` fault filters (default: 0)
-    --reconnect-ms <MS>    Base reconnect backoff after losing the broker,
-                           doubling per consecutive failure (default: 250)
-    --reconnect-cap-ms <MS>
-                           Reconnect backoff ceiling (default: 10000)
-    --reconnect-tries <N>  Consecutive failed reconnects before giving up
-                           (default: 6)
-    --artifact-cache <DIR> Content-addressed workload artifact cache
-    --fault-inject <PLAN>  Arm deterministic crash points (testing; same
-                           plan syntax as run)
-    --quiet                Suppress per-row progress logs
-
-VERIFY OPTIONS (offline audit of a campaign directory):
-    --spec <FILE>          The campaign's spec TOML; unlocks the replay
-                           checks (spec hash, completeness, report bytes,
-                           recompute) on top of the self-contained journal
-                           row-checksum scan
-    --smoke                The campaign ran at smoke length
-    --recompute <N>        Re-simulate N sampled rows from scratch and
-                           compare their stats to the journal (the sample is
-                           deterministic per spec; default: 0 = off)
-    --artifact-cache <DIR> Also audit every artifact header and payload
-                           checksum in this workload cache
-
+    boomerang-sim [<command>] -h | --help
+{}
 EXIT CODES:
     0  success        1  failure (bad args, failed submission, I/O error,
                          a verify audit that found damage)
     4  serve completed with at least one partial submission and no failures
-    5  serve stopped by --max-quarantined: the worker fleet is corrupting
+    5  serve stopped by its quarantine bound: the worker fleet is corrupting
        results faster than the operator allowed
     (a worker exits 0 on a clean broker-driven shutdown, 1 on a terminal
     error: spec hash skew or an exhausted reconnect budget)
-";
+",
+        cli::CONNECT.usage(),
+        cli::help()
+    )
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -174,48 +65,61 @@ fn main() -> ExitCode {
     }
 }
 
+type Handler = fn(&Args<'_>) -> Result<ExitCode, String>;
+
 fn run(args: &[String]) -> Result<ExitCode, String> {
-    match args.first().map(String::as_str) {
-        None | Some("-h") | Some("--help") => {
-            print!("{USAGE}");
-            Ok(ExitCode::SUCCESS)
-        }
-        Some("list-presets") => {
-            // Each (workload, seed) group shares one generated trace across
-            // its `rows/grp` rows.
-            println!(
-                "{:<20} {:>5} {:>10} {:>7} {:>9}  description",
-                "preset", "jobs", "workloads", "groups", "rows/grp"
-            );
-            for preset in presets::PRESETS {
-                let spec = preset.spec();
-                let jobs = campaign::expand(&spec).len();
-                let groups = spec.workloads.len() * spec.seeds.len();
-                println!(
-                    "{:<20} {:>5} {:>10} {:>7} {:>9}  {}",
-                    preset.name,
-                    jobs,
-                    spec.workloads.len(),
-                    groups,
-                    jobs / groups.max(1),
-                    preset.description
-                );
-                if let Some(labels) = custom_axis_labels(&spec) {
-                    println!(
-                        "{:<20} {:>5} {:>10} {:>7} {:>9}  workload axis: {labels}",
-                        "", "", "", "", ""
-                    );
-                }
-            }
-            Ok(ExitCode::SUCCESS)
-        }
-        Some("run") => run_command(&args[1..], false),
-        Some("resume") => run_command(&args[1..], true),
-        Some("serve") => serve_command(&args[1..]),
-        Some("worker") => worker_command(&args[1..]),
-        Some("verify") => verify_command(&args[1..]),
-        Some(other) => Err(format!("unknown command `{other}`\n\n{USAGE}")),
+    let Some((name, rest)) = args.split_first() else {
+        return help();
+    };
+    let (table, handler): (&Command, Handler) = match name.as_str() {
+        "-h" | "--help" => return help(),
+        "list-presets" => return list_presets(),
+        "run" => (&cli::RUN, |args| run_command(run_options(args, false)?)),
+        "resume" => (&cli::RUN, |args| run_command(run_options(args, true)?)),
+        "serve" => (&cli::SERVE, serve_command),
+        "worker" => (&cli::WORKER, worker_command),
+        "verify" => (&cli::VERIFY, verify_command),
+        other => return Err(format!("unknown command `{other}` (see --help)")),
+    };
+    match cli::parse(table, rest)? {
+        Some(args) => handler(&args),
+        None => help(),
     }
+}
+
+fn help() -> Result<ExitCode, String> {
+    print!("{}", usage());
+    Ok(ExitCode::SUCCESS)
+}
+
+fn list_presets() -> Result<ExitCode, String> {
+    // Each (workload, seed) group shares one generated trace across its
+    // `rows/grp` rows.
+    println!(
+        "{:<20} {:>5} {:>10} {:>7} {:>9}  description",
+        "preset", "jobs", "workloads", "groups", "rows/grp"
+    );
+    for preset in presets::PRESETS {
+        let spec = preset.spec();
+        let jobs = campaign::expand(&spec).len();
+        let groups = spec.workloads.len() * spec.seeds.len();
+        println!(
+            "{:<20} {:>5} {:>10} {:>7} {:>9}  {}",
+            preset.name,
+            jobs,
+            spec.workloads.len(),
+            groups,
+            jobs / groups.max(1),
+            preset.description
+        );
+        if let Some(labels) = custom_axis_labels(&spec) {
+            println!(
+                "{:<20} {:>5} {:>10} {:>7} {:>9}  workload axis: {labels}",
+                "", "", "", "", ""
+            );
+        }
+    }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The joined workload-axis labels of a spec whose axis goes beyond the
@@ -231,156 +135,71 @@ fn custom_axis_labels(spec: &CampaignSpec) -> Option<String> {
     })
 }
 
-fn serve_command(args: &[String]) -> Result<ExitCode, String> {
-    let mut options = ServeOptions {
-        binary: std::env::current_exe()
-            .map_err(|e| format!("cannot locate the simulator binary: {e}"))?,
-        out: PathBuf::from("serve-out"),
-        ..ServeOptions::default()
-    };
-    let mut quiet = false;
-    let mut fault_plan: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--spool" => {
-                let dir = it.next().ok_or("--spool needs a directory")?;
-                options.spool = PathBuf::from(dir);
-            }
-            "--out" => {
-                let dir = it.next().ok_or("--out needs a directory")?;
-                options.out = PathBuf::from(dir);
-            }
-            "--workers" => {
-                let n = it.next().ok_or("--workers needs a count")?;
-                // 0 is legal only with --listen (remote workers do all the
-                // work); validated once the flags are all in.
-                options.workers = n
-                    .parse::<usize>()
-                    .map_err(|_| format!("bad --workers value `{n}`"))?;
-            }
-            "--jobs" => {
-                // Deprecated: every worker process runs one leased row at a
-                // time, so there is nothing to size. Still parsed so older
-                // command lines keep working, but never silently.
-                let n = it.next().ok_or("--jobs needs a count")?;
-                n.parse::<usize>()
-                    .map_err(|_| format!("bad --jobs value `{n}`"))?;
-                eprintln!(
-                    "serve: warning: --jobs is deprecated and ignored; each worker \
-                     process runs one row at a time, so use --workers to set the \
-                     parallelism"
-                );
-            }
-            "--smoke" => options.smoke = true,
-            "--artifact-cache" => {
-                let dir = it.next().ok_or("--artifact-cache needs a directory")?;
-                options.artifact_cache = Some(PathBuf::from(dir));
-            }
-            "--once" => options.once = true,
-            "--poll-ms" => {
-                let ms = it.next().ok_or("--poll-ms needs a value")?;
-                options.poll_ms = ms
-                    .parse::<u64>()
-                    .map_err(|_| format!("bad --poll-ms value `{ms}`"))?;
-            }
-            "--max-retries" => {
-                let n = it.next().ok_or("--max-retries needs a count")?;
-                options.supervise.max_retries = n
-                    .parse::<u32>()
-                    .map_err(|_| format!("bad --max-retries value `{n}`"))?;
-            }
-            "--worker-timeout-secs" => {
-                let s = it.next().ok_or("--worker-timeout-secs needs a value")?;
-                let secs = s
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|&s| s > 0.0)
-                    .ok_or_else(|| format!("bad --worker-timeout-secs value `{s}`"))?;
-                options.supervise.worker_timeout = Duration::from_secs_f64(secs);
-            }
-            "--backoff-ms" => {
-                let ms = it.next().ok_or("--backoff-ms needs a value")?;
-                options.supervise.backoff_base = Duration::from_millis(
-                    ms.parse::<u64>()
-                        .map_err(|_| format!("bad --backoff-ms value `{ms}`"))?,
-                );
-            }
-            "--allow-partial" => options.allow_partial = true,
-            "--settle-ms" => {
-                let ms = it.next().ok_or("--settle-ms needs a value")?;
-                options.settle_ms = ms
-                    .parse::<u64>()
-                    .map_err(|_| format!("bad --settle-ms value `{ms}`"))?;
-            }
-            "--max-scans" => {
-                let n = it.next().ok_or("--max-scans needs a count")?;
-                options.max_scans = n
-                    .parse::<u64>()
-                    .map_err(|_| format!("bad --max-scans value `{n}`"))?;
-            }
-            "--fault-inject" => {
-                let plan = it.next().ok_or("--fault-inject needs a plan")?;
-                fault_plan = Some(plan.clone());
-            }
-            "--listen" => {
-                let addr = it.next().ok_or("--listen needs an address")?;
-                options.listen = Some(addr.clone());
-            }
-            "--listen-addr-file" => {
-                let path = it.next().ok_or("--listen-addr-file needs a file path")?;
-                options.listen_addr_file = Some(PathBuf::from(path));
-            }
-            "--lease-timeout-secs" => {
-                let s = it.next().ok_or("--lease-timeout-secs needs a value")?;
-                let secs = s
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|&s| s > 0.0)
-                    .ok_or_else(|| format!("bad --lease-timeout-secs value `{s}`"))?;
-                options.lease_timeout = Duration::from_secs_f64(secs);
-            }
-            "--verify-fraction" => {
-                let f = it.next().ok_or("--verify-fraction needs a value")?;
-                options.verify_fraction = f
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|&f| (0.0..=1.0).contains(&f))
-                    .ok_or_else(|| format!("bad --verify-fraction value `{f}` (want 0.0-1.0)"))?;
-            }
-            "--max-quarantined" => {
-                let n = it.next().ok_or("--max-quarantined needs a count")?;
-                options.max_quarantined = Some(
-                    n.parse::<usize>()
-                        .map_err(|_| format!("bad --max-quarantined value `{n}`"))?,
-                );
-            }
-            "--quiet" => quiet = true,
-            "-h" | "--help" => {
-                print!("{USAGE}");
-                return Ok(ExitCode::SUCCESS);
-            }
-            other => return Err(format!("unknown serve option `{other}`\n\n{USAGE}")),
-        }
-    }
-    if options.spool.as_os_str().is_empty() {
-        return Err("serve needs --spool <DIR>".into());
-    }
-    if options.workers == 0 && options.listen.is_none() {
-        return Err(
-            "--workers 0 needs --listen (no local fleet and no remote worker can connect)".into(),
+/// The serve options `args` select, all but the binary to spawn.
+fn serve_options(args: &Args<'_>) -> Result<ServeOptions, String> {
+    use cli::*;
+    let mut o = ServeOptions::default();
+    let spool = args.path(&SPOOL);
+    o.spool = spool.ok_or_else(|| format!("serve needs {}", SPOOL.usage()))?;
+    o.out = args.path(&OUT).unwrap_or_else(|| "serve-out".into());
+    o.workers = args.count(&WORKERS)?.unwrap_or(o.workers);
+    o.smoke = args.switch(&SMOKE);
+    o.artifact_cache = args.path(&ARTIFACT_CACHE);
+    o.once = args.switch(&ONCE);
+    o.poll_ms = args.count(&POLL_MS)?.unwrap_or(o.poll_ms);
+    let s = &mut o.supervise;
+    s.max_retries = args.count(&MAX_RETRIES)?.unwrap_or(s.max_retries);
+    s.worker_timeout = args
+        .seconds(&WORKER_TIMEOUT_SECS)?
+        .unwrap_or(s.worker_timeout);
+    s.backoff_base = args.millis(&BACKOFF_MS)?.unwrap_or(s.backoff_base);
+    o.allow_partial = args.switch(&ALLOW_PARTIAL);
+    o.settle_ms = args.count(&SETTLE_MS)?.unwrap_or(o.settle_ms);
+    o.max_scans = args.count(&MAX_SCANS)?.unwrap_or(o.max_scans);
+    o.listen = args.text(&LISTEN);
+    o.listen_addr_file = args.path(&LISTEN_ADDR_FILE);
+    o.lease_timeout = args
+        .seconds(&LEASE_TIMEOUT_SECS)?
+        .unwrap_or(o.lease_timeout);
+    o.verify_fraction = args
+        .fraction(&VERIFY_FRACTION)?
+        .unwrap_or(o.verify_fraction);
+    o.max_quarantined = args.count(&MAX_QUARANTINED)?;
+    // Every worker process runs one leased row at a time, so there is
+    // nothing for --jobs to size. Older command lines still parse, but
+    // never silently.
+    if args.count::<usize>(&JOBS)?.is_some() {
+        eprintln!(
+            "serve: warning: {} is deprecated and ignored; each worker process runs one row \
+             at a time, so use {} to set the parallelism",
+            JOBS.name, WORKERS.name
         );
     }
+    if o.workers == 0 && o.listen.is_none() {
+        return Err(format!(
+            "{} 0 needs {} (no local fleet and no remote worker can connect)",
+            WORKERS.name, LISTEN.name
+        ));
+    }
+    Ok(o)
+}
+
+fn serve_command(args: &Args<'_>) -> Result<ExitCode, String> {
+    let options = ServeOptions {
+        binary: std::env::current_exe()
+            .map_err(|e| format!("cannot locate the simulator binary: {e}"))?,
+        ..serve_options(args)?
+    };
+    let quiet = args.switch(&cli::QUIET);
+    let fault_plan = args.text(&cli::FAULT_INJECT);
+    fault::install(fault_plan.as_deref())?;
     if let Some(plan) = &fault_plan {
-        fault::install(Some(plan))?;
         // The workers inherit the plan through the environment — in its
         // canonical `Display` form, round-tripped through `parse`, so the
         // forwarded value is normalized (defaults dropped, one spelling) no
         // matter how the flag was written. The supervisor stamps each
         // spawn's life number next to it.
         std::env::set_var(fault::FAULT_ENV, FaultPlan::parse(plan)?.to_string());
-    } else {
-        fault::install(None)?;
     }
     install_interrupt_handler();
     if !quiet {
@@ -419,91 +238,46 @@ fn serve_command(args: &[String]) -> Result<ExitCode, String> {
     .map_err(|e| format!("serve loop: {e}"))?;
     // The quarantine bound outranks plain failure: exit 5 tells the
     // operator the fleet is corrupting results, which a retry won't fix.
-    let quarantined = outcomes.iter().filter(|o| o.quarantine_exceeded).count();
+    let count = |pick: fn(&ServeOutcome) -> bool| outcomes.iter().filter(|o| pick(o)).count();
+    let of = outcomes.len();
+    let quarantined = count(|o| o.quarantine_exceeded);
     if quarantined > 0 {
-        eprintln!(
-            "serve: {quarantined} of {} submissions exceeded the quarantine bound",
-            outcomes.len()
-        );
+        eprintln!("serve: {quarantined} of {of} submissions exceeded the quarantine bound");
         return Ok(ExitCode::from(QUARANTINE_EXIT_CODE));
     }
-    let failed = outcomes.iter().filter(|o| o.result.is_err()).count();
+    let failed = count(|o| o.result.is_err());
     if failed > 0 {
-        return Err(format!("{failed} of {} submissions failed", outcomes.len()));
+        return Err(format!("{failed} of {of} submissions failed"));
     }
-    let partial = outcomes
-        .iter()
-        .filter(|o| matches!(o.result, Ok(SubmissionStatus::Partial { .. })))
-        .count();
+    let partial = count(|o| matches!(o.result, Ok(SubmissionStatus::Partial { .. })));
     if partial > 0 {
-        eprintln!(
-            "serve: {partial} of {} submissions completed partially",
-            outcomes.len()
-        );
+        eprintln!("serve: {partial} of {of} submissions completed partially");
         return Ok(ExitCode::from(PARTIAL_EXIT_CODE));
     }
     Ok(ExitCode::SUCCESS)
 }
 
-fn worker_command(args: &[String]) -> Result<ExitCode, String> {
-    let mut options = WorkerOptions::default();
-    let mut fault_plan: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--connect" => {
-                let addr = it.next().ok_or("--connect needs an address")?;
-                options.connect = addr.clone();
-            }
-            "--worker-index" => {
-                let n = it.next().ok_or("--worker-index needs a value")?;
-                options.worker_index = n
-                    .parse::<usize>()
-                    .map_err(|_| format!("bad --worker-index value `{n}`"))?;
-            }
-            "--reconnect-ms" => {
-                let ms = it.next().ok_or("--reconnect-ms needs a value")?;
-                options.reconnect_base = Duration::from_millis(
-                    ms.parse::<u64>()
-                        .map_err(|_| format!("bad --reconnect-ms value `{ms}`"))?,
-                );
-            }
-            "--reconnect-cap-ms" => {
-                let ms = it.next().ok_or("--reconnect-cap-ms needs a value")?;
-                options.reconnect_cap = Duration::from_millis(
-                    ms.parse::<u64>()
-                        .map_err(|_| format!("bad --reconnect-cap-ms value `{ms}`"))?,
-                );
-            }
-            "--reconnect-tries" => {
-                let n = it.next().ok_or("--reconnect-tries needs a count")?;
-                options.reconnect_tries = n
-                    .parse::<u32>()
-                    .map_err(|_| format!("bad --reconnect-tries value `{n}`"))?;
-            }
-            "--artifact-cache" => {
-                let dir = it.next().ok_or("--artifact-cache needs a directory")?;
-                options.artifact_cache = Some(PathBuf::from(dir));
-            }
-            "--fault-inject" => {
-                let plan = it.next().ok_or("--fault-inject needs a plan")?;
-                fault_plan = Some(plan.clone());
-            }
-            "--quiet" => options.quiet = true,
-            "-h" | "--help" => {
-                print!("{USAGE}");
-                return Ok(ExitCode::SUCCESS);
-            }
-            other => return Err(format!("unknown worker option `{other}`\n\n{USAGE}")),
-        }
-    }
-    if options.connect.is_empty() {
-        return Err("worker needs --connect <ADDR>".into());
-    }
+/// The worker options `args` select.
+fn worker_options(args: &Args<'_>) -> Result<WorkerOptions, String> {
+    use cli::*;
+    let mut o = WorkerOptions::default();
+    let connect = args.text(&CONNECT);
+    o.connect = connect.ok_or_else(|| format!("worker needs {}", CONNECT.usage()))?;
+    o.worker_index = args.count(&WORKER_INDEX)?.unwrap_or(o.worker_index);
+    o.reconnect_base = args.millis(&RECONNECT_MS)?.unwrap_or(o.reconnect_base);
+    o.reconnect_cap = args.millis(&RECONNECT_CAP_MS)?.unwrap_or(o.reconnect_cap);
+    o.reconnect_tries = args.count(&RECONNECT_TRIES)?.unwrap_or(o.reconnect_tries);
+    o.artifact_cache = args.path(&ARTIFACT_CACHE);
+    o.quiet = args.switch(&QUIET);
+    Ok(o)
+}
+
+fn worker_command(args: &Args<'_>) -> Result<ExitCode, String> {
+    let options = worker_options(args)?;
     // Explicit flag or the plan a spawning serve forwarded through the
     // environment; `run_worker` registers the worker index as this
     // process's shard for `shard=` filters.
-    fault::install(fault_plan.as_deref())?;
+    fault::install(args.text(&cli::FAULT_INJECT).as_deref())?;
     let summary = run_worker(&options).map_err(|e| format!("worker: {e}"))?;
     if !options.quiet {
         eprintln!(
@@ -522,120 +296,69 @@ fn worker_command(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn verify_command(args: &[String]) -> Result<ExitCode, String> {
-    let mut options = VerifyOptions::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--spec" => {
-                let path = it.next().ok_or("--spec needs a file")?;
-                options.spec = Some(PathBuf::from(path));
-            }
-            "--smoke" => options.smoke = true,
-            "--recompute" => {
-                let n = it.next().ok_or("--recompute needs a count")?;
-                options.recompute = n
-                    .parse::<usize>()
-                    .map_err(|_| format!("bad --recompute value `{n}`"))?;
-            }
-            "--artifact-cache" => {
-                let dir = it.next().ok_or("--artifact-cache needs a directory")?;
-                options.artifact_cache = Some(PathBuf::from(dir));
-            }
-            "-h" | "--help" => {
-                print!("{USAGE}");
-                return Ok(ExitCode::SUCCESS);
-            }
-            other if other.starts_with('-') => {
-                return Err(format!("unknown verify option `{other}`\n\n{USAGE}"));
-            }
-            dir => {
-                if !options.dir.as_os_str().is_empty() {
-                    return Err(format!("verify takes one directory, got `{dir}` too"));
-                }
-                options.dir = PathBuf::from(dir);
-            }
-        }
-    }
-    if options.dir.as_os_str().is_empty() {
-        return Err(format!("verify needs a campaign directory\n\n{USAGE}"));
-    }
-    let report = verify_dir(&options);
-    println!("{}", report.render());
-    if report.passed() {
-        Ok(ExitCode::SUCCESS)
-    } else {
-        Ok(ExitCode::FAILURE)
-    }
+/// The verify options `args` select.
+fn verify_options(args: &Args<'_>) -> Result<VerifyOptions, String> {
+    Ok(VerifyOptions {
+        dir: PathBuf::from(args.positional.ok_or("verify needs a campaign directory")?),
+        spec: args.path(&cli::SPEC),
+        smoke: args.switch(&cli::SMOKE),
+        recompute: args.count(&cli::RECOMPUTE)?.unwrap_or(0),
+        artifact_cache: args.path(&cli::ARTIFACT_CACHE),
+    })
 }
 
-fn run_command(args: &[String], command_resume: bool) -> Result<ExitCode, String> {
-    let mut spec_path: Option<PathBuf> = None;
-    let mut preset: Option<String> = None;
-    let mut jobs: usize = 0;
-    let mut smoke = false;
-    let mut out_dir = PathBuf::from("campaign-out");
-    let mut quiet = false;
-    let mut resume = command_resume;
-    let mut force = false;
-    let mut artifact_cache: Option<PathBuf> = None;
-    let mut fault_plan: Option<String> = None;
+fn verify_command(args: &Args<'_>) -> Result<ExitCode, String> {
+    let report = verify_dir(&verify_options(args)?);
+    println!("{}", report.render());
+    Ok(if report.passed() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    })
+}
 
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--preset" => {
-                let name = it.next().ok_or("--preset needs a name")?;
-                preset = Some(name.clone());
-            }
-            "--jobs" => {
-                let n = it.next().ok_or("--jobs needs a count")?;
-                jobs = n
-                    .parse::<usize>()
-                    .map_err(|_| format!("bad --jobs value `{n}`"))?;
-                if jobs == 0 {
-                    return Err("--jobs must be at least 1".into());
-                }
-            }
-            "--smoke" => smoke = true,
-            "--out" => {
-                let dir = it.next().ok_or("--out needs a directory")?;
-                out_dir = PathBuf::from(dir);
-            }
-            "--resume" => resume = true,
-            "--force" => force = true,
-            "--artifact-cache" => {
-                let dir = it.next().ok_or("--artifact-cache needs a directory")?;
-                artifact_cache = Some(PathBuf::from(dir));
-            }
-            "--fault-inject" => {
-                let plan = it.next().ok_or("--fault-inject needs a plan")?;
-                fault_plan = Some(plan.clone());
-            }
-            "--quiet" => quiet = true,
-            "-h" | "--help" => {
-                print!("{USAGE}");
-                return Ok(ExitCode::SUCCESS);
-            }
-            other if other.starts_with('-') => {
-                return Err(format!("unknown option `{other}`\n\n{USAGE}"));
-            }
-            path => {
-                if spec_path.is_some() {
-                    return Err("more than one spec file given".into());
-                }
-                spec_path = Some(PathBuf::from(path));
-            }
-        }
-    }
+/// What `run` or `resume` was asked to do. `jobs` 0 means one worker thread
+/// per core.
+#[derive(Debug, PartialEq)]
+struct RunOptions {
+    spec_path: Option<PathBuf>,
+    preset: Option<String>,
+    jobs: usize,
+    smoke: bool,
+    out: PathBuf,
+    quiet: bool,
+    resume: bool,
+    force: bool,
+    artifact_cache: Option<PathBuf>,
+    fault_plan: Option<String>,
+}
 
-    let spec = match (&spec_path, &preset) {
+fn run_options(args: &Args<'_>, resume: bool) -> Result<RunOptions, String> {
+    use cli::*;
+    Ok(RunOptions {
+        spec_path: args.positional.map(PathBuf::from),
+        preset: args.text(&PRESET),
+        jobs: match args.count(&JOBS)? {
+            Some(0) => return Err(format!("{} must be at least 1", JOBS.name)),
+            jobs => jobs.unwrap_or(0),
+        },
+        smoke: args.switch(&SMOKE),
+        out: args.path(&OUT).unwrap_or_else(|| "campaign-out".into()),
+        quiet: args.switch(&QUIET),
+        resume: resume || args.switch(&RESUME),
+        force: args.switch(&FORCE),
+        artifact_cache: args.path(&ARTIFACT_CACHE),
+        fault_plan: args.text(&FAULT_INJECT),
+    })
+}
+
+fn run_command(o: RunOptions) -> Result<ExitCode, String> {
+    let spec = match (&o.spec_path, &o.preset) {
         (Some(_), Some(_)) => {
-            return Err("give either a spec file or --preset, not both".into());
+            let both = format!("give either a spec file or {}, not both", cli::PRESET.name);
+            return Err(both);
         }
-        (None, None) => {
-            return Err(format!("nothing to run\n\n{USAGE}"));
-        }
+        (None, None) => return Err("nothing to run (see --help)".into()),
         (None, Some(name)) => presets::find(name).map_err(|e| e.to_string())?,
         (Some(path), None) => {
             let text = std::fs::read_to_string(path)
@@ -647,63 +370,54 @@ fn run_command(args: &[String], command_resume: bool) -> Result<ExitCode, String
     // Arm the fault plan (explicit flag or inherited environment) before any
     // fault point can run. A `run` process registers as worker 0, so
     // `shard=0` filters address it.
-    fault::install(fault_plan.as_deref())?;
+    fault::install(o.fault_plan.as_deref())?;
     fault::set_worker_shard(0);
 
-    let run = if smoke {
+    let run = if o.smoke {
         RunLength::smoke_test()
     } else {
         spec.run
     };
-    let hash = spec_hash(&spec, run, smoke);
+    let hash = spec_hash(&spec, run, o.smoke);
     let job_count = campaign::expand(&spec).len();
     if job_count == 0 {
         return Err("campaign expands to zero jobs".into());
     }
 
     // An output directory already holding a campaign is never silently
-    // mixed with a different spec. `--force` starts over, `--resume`
-    // continues a matching one.
-    match JournalReplay::existing_hash(&out_dir, &spec.name) {
-        Ok(None) => {}
-        Ok(Some(existing)) if existing == hash => {
-            if !resume && !force {
-                return Err(format!(
-                    "{} already holds a checkpointed campaign `{}` for this spec; \
-                     pass --resume to continue it or --force to start over",
-                    out_dir.display(),
-                    spec.name
-                ));
-            }
-        }
-        Ok(Some(existing)) => {
-            if !force {
-                return Err(format!(
-                    "{} already holds campaign `{}` with spec hash {existing}, which does \
-                     not match this spec's {hash} (different spec, run length or smoke \
-                     setting); pass --force to clear it and start over",
-                    out_dir.display(),
-                    spec.name
-                ));
-            }
-        }
-        Err(e) => {
-            if !force {
-                return Err(format!(
-                    "cannot read the existing campaign journal ({e}); pass --force to \
-                     clear it and start over"
-                ));
-            }
-        }
+    // mixed with a different spec: forcing starts over, resuming continues
+    // a matching one.
+    let out_dir = &o.out;
+    let (dir, name) = (out_dir.display(), &spec.name);
+    let (resume, force) = (cli::RESUME.name, cli::FORCE.name);
+    let conflict = match JournalReplay::existing_hash(out_dir, name) {
+        Ok(None) => None,
+        Ok(Some(existing)) if existing == hash => (!o.resume).then(|| {
+            format!(
+                "{dir} already holds a checkpointed campaign `{name}` for this spec; pass \
+                 {resume} to continue it or {force} to start over"
+            )
+        }),
+        Ok(Some(existing)) => Some(format!(
+            "{dir} already holds campaign `{name}` with spec hash {existing}, which does not \
+             match this spec's {hash} (different spec, run length or smoke setting); pass \
+             {force} to clear it and start over"
+        )),
+        Err(e) => Some(format!(
+            "cannot read the existing campaign journal ({e}); pass {force} to clear it and \
+             start over"
+        )),
+    };
+    if let Some(message) = conflict.filter(|_| !o.force) {
+        return Err(message);
     }
-    if force {
+    if o.force {
         // Starting over clears the old campaign's reports with its journal,
         // so a forced run that is then interrupted never leaves a stale
         // complete report beside its own partial journal.
-        Journal::remove_all(&out_dir, &spec.name)
-            .map_err(|e| format!("cannot clear {}: {e}", out_dir.display()))?;
+        Journal::remove_all(out_dir, name).map_err(|e| format!("cannot clear {dir}: {e}"))?;
         for ext in ["json", "csv"] {
-            let report = out_dir.join(format!("{}.{ext}", spec.name));
+            let report = out_dir.join(format!("{name}.{ext}"));
             match std::fs::remove_file(&report) {
                 Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
                     return Err(format!("cannot clear {}: {e}", report.display()));
@@ -713,11 +427,11 @@ fn run_command(args: &[String], command_resume: bool) -> Result<ExitCode, String
         }
     }
 
-    if !quiet {
-        let workers = if jobs == 0 {
+    if !o.quiet {
+        let workers = if o.jobs == 0 {
             sim_core::pool::default_workers()
         } else {
-            jobs
+            o.jobs
         };
         eprintln!(
             "campaign `{}`: {} jobs ({} configs x {} workloads x {} seeds, {} mechanisms + baselines) on {} workers{}",
@@ -728,7 +442,7 @@ fn run_command(args: &[String], command_resume: bool) -> Result<ExitCode, String
             spec.seeds.len(),
             spec.mechanisms.len(),
             workers,
-            if smoke { " [smoke]" } else { "" },
+            if o.smoke { " [smoke]" } else { "" },
         );
         if let Some(labels) = custom_axis_labels(&spec) {
             eprintln!("workload axis: {labels}");
@@ -737,8 +451,8 @@ fn run_command(args: &[String], command_resume: bool) -> Result<ExitCode, String
 
     // The campaign runs through the broker `serve` uses: journaled, resumed
     // from the journal and assembled from it, driven by worker threads.
-    let report = run_local(&spec, &out_dir, smoke, jobs, artifact_cache, quiet)?;
-    if !quiet {
+    let report = run_local(&spec, out_dir, o.smoke, o.jobs, o.artifact_cache, o.quiet)?;
+    if !o.quiet {
         print!("{}", campaign::to_table(&report));
         let written = |ext: &str| out_dir.join(format!("{}.{ext}", spec.name));
         eprintln!(
@@ -748,4 +462,182 @@ fn run_command(args: &[String], command_resume: bool) -> Result<ExitCode, String
         );
     }
     Ok(ExitCode::SUCCESS)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    fn serve_line(line: &str) -> ServeOptions {
+        let args = argv(line);
+        serve_options(&cli::parse(&cli::SERVE, &args).unwrap().unwrap()).unwrap()
+    }
+
+    fn same<T: std::fmt::Debug>(parsed: T, expected: T) {
+        assert_eq!(format!("{parsed:?}"), format!("{expected:?}"));
+    }
+
+    /// The two command lines perfbench drives (perfbench/src/workload.rs).
+    #[test]
+    fn perfbench_command_lines_parse_to_the_same_options() {
+        let args = argv("specs/figure9.toml --jobs 2 --quiet --out bench-out");
+        let run = run_options(&cli::parse(&cli::RUN, &args).unwrap().unwrap(), false);
+        let expected = RunOptions {
+            spec_path: Some("specs/figure9.toml".into()),
+            preset: None,
+            jobs: 2,
+            smoke: false,
+            out: "bench-out".into(),
+            quiet: true,
+            resume: false,
+            force: false,
+            artifact_cache: None,
+            fault_plan: None,
+        };
+        assert_eq!(run, Ok(expected));
+        same(
+            serve_line(
+                "--spool sp --out so --once --listen 127.0.0.1:0 --workers 2 --jobs 1 --smoke \
+                 --quiet --artifact-cache cache",
+            ),
+            ServeOptions {
+                spool: "sp".into(),
+                out: "so".into(),
+                once: true,
+                listen: Some("127.0.0.1:0".into()),
+                workers: 2,
+                smoke: true,
+                artifact_cache: Some("cache".into()),
+                ..ServeOptions::default()
+            },
+        );
+    }
+
+    /// CI's serve command lines (.github/workflows/ci.yml).
+    #[test]
+    fn ci_serve_command_lines_parse_to_the_same_options() {
+        let base = |spool: &str, out: &str| ServeOptions {
+            spool: spool.into(),
+            out: out.into(),
+            once: true,
+            smoke: true,
+            workers: 2,
+            ..ServeOptions::default()
+        };
+        same(
+            serve_line(
+                "--once --listen 127.0.0.1:0 --workers 2 --smoke --quiet --artifact-cache \
+                 wl-cache --spool cache-spool --out cache-serve",
+            ),
+            ServeOptions {
+                listen: Some("127.0.0.1:0".into()),
+                artifact_cache: Some("wl-cache".into()),
+                ..base("cache-spool", "cache-serve")
+            },
+        );
+        let mut chaos = base("chaos-spool", "chaos-out");
+        chaos.supervise.backoff_base = Duration::from_millis(25);
+        same(
+            serve_line(
+                "--once --smoke --workers 2 --quiet --backoff-ms 25 --fault-inject \
+                 worker-exit:shard=0:after-rows=1 --spool chaos-spool --out chaos-out",
+            ),
+            chaos,
+        );
+        same(
+            serve_line(
+                "--once --smoke --quiet --workers 2 --listen 127.0.0.1:0 --listen-addr-file \
+                 netchaos-addr --lease-timeout-secs 2 --fault-inject \
+                 heartbeat-stall:shard=1:after-rows=3 --spool netchaos-spool --out netchaos-out",
+            ),
+            ServeOptions {
+                listen: Some("127.0.0.1:0".into()),
+                listen_addr_file: Some("netchaos-addr".into()),
+                lease_timeout: Duration::from_secs(2),
+                ..base("netchaos-spool", "netchaos-out")
+            },
+        );
+        same(
+            serve_line(
+                "--once --smoke --quiet --workers 2 --listen 127.0.0.1:0 --listen-addr-file \
+                 integrity-addr --lease-timeout-secs 2 --verify-fraction 0.25 --spool \
+                 integrity-spool --out integrity-out",
+            ),
+            ServeOptions {
+                listen: Some("127.0.0.1:0".into()),
+                listen_addr_file: Some("integrity-addr".into()),
+                lease_timeout: Duration::from_secs(2),
+                verify_fraction: 0.25,
+                ..base("integrity-spool", "integrity-out")
+            },
+        );
+    }
+
+    #[test]
+    fn run_verify_and_worker_lines_parse_to_the_same_options() {
+        let args = argv("--preset figure9 --smoke --jobs 4 --quiet --out resume-out");
+        let resume = run_options(&cli::parse(&cli::RUN, &args).unwrap().unwrap(), true);
+        let resume = resume.unwrap();
+        assert!(resume.resume && resume.smoke && resume.quiet && !resume.force);
+        assert_eq!(
+            (resume.preset.as_deref(), resume.jobs),
+            (Some("figure9"), 4)
+        );
+        let args = argv("--jobs 0");
+        let zero = run_options(&cli::parse(&cli::RUN, &args).unwrap().unwrap(), false);
+        assert_eq!(zero, Err("--jobs must be at least 1".into()));
+
+        let args = argv("smoke-out --spec specs/figure9.toml --smoke --recompute 6");
+        let verify = verify_options(&cli::parse(&cli::VERIFY, &args).unwrap().unwrap());
+        same(
+            verify.unwrap(),
+            VerifyOptions {
+                dir: "smoke-out".into(),
+                spec: Some("specs/figure9.toml".into()),
+                smoke: true,
+                recompute: 6,
+                artifact_cache: None,
+            },
+        );
+
+        // The line serve's dispatch spawns its local workers with.
+        let args = argv("--connect 127.0.0.1:7000 --worker-index 3 --quiet --artifact-cache c");
+        let worker = worker_options(&cli::parse(&cli::WORKER, &args).unwrap().unwrap());
+        same(
+            worker.unwrap(),
+            WorkerOptions {
+                connect: "127.0.0.1:7000".into(),
+                worker_index: 3,
+                quiet: true,
+                artifact_cache: Some("c".into()),
+                ..WorkerOptions::default()
+            },
+        );
+    }
+
+    /// The process tests append overrides to a shared serve line.
+    #[test]
+    fn a_repeated_flag_keeps_its_last_value() {
+        let o = serve_line(
+            "--spool s --lease-timeout-secs 2 --workers 0 --listen a --lease-timeout-secs 20",
+        );
+        assert_eq!(o.lease_timeout, Duration::from_secs(20));
+    }
+
+    #[test]
+    fn required_flags_and_the_remote_only_fleet_are_checked() {
+        let args = argv("--out o");
+        let serve = serve_options(&cli::parse(&cli::SERVE, &args).unwrap().unwrap());
+        assert_eq!(serve.unwrap_err(), "serve needs --spool <DIR>");
+        let args = argv("--spool s --workers 0");
+        let serve = serve_options(&cli::parse(&cli::SERVE, &args).unwrap().unwrap());
+        assert!(serve.unwrap_err().starts_with("--workers 0 needs --listen"));
+        let worker = worker_options(&cli::parse(&cli::WORKER, &[]).unwrap().unwrap());
+        assert_eq!(worker.unwrap_err(), "worker needs --connect <ADDR>");
+    }
 }

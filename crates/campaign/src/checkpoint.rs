@@ -39,7 +39,7 @@ use frontend::SimStats;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead as _, Read as _, Write as _};
+use std::io::{self, BufRead as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -592,10 +592,11 @@ fn read_header(path: &Path) -> Result<JournalScan, CheckpointError> {
 /// expected signature of a process killed mid-write and is dropped (the
 /// job simply re-runs); a damaged interior line is corruption.
 pub(crate) fn scan_journal(path: &Path) -> Result<JournalScan, CheckpointError> {
-    let mut text = String::new();
-    File::open(path)
-        .and_then(|mut f| f.read_to_string(&mut text))
-        .map_err(|e| CheckpointError::file(path, format!("reading: {e}")))?;
+    let bytes =
+        std::fs::read(path).map_err(|e| CheckpointError::file(path, format!("reading: {e}")))?;
+    // Bytes that are not UTF-8 decode to U+FFFD, so they fail the line they
+    // sit on like any other damage, and a torn tail is still dropped.
+    let text = String::from_utf8_lossy(&bytes);
     let lines: Vec<&str> = text.lines().collect();
     let Some((&header_line, row_lines)) = lines.split_first() else {
         return Err(CheckpointError::file(path, "empty journal"));
@@ -854,6 +855,9 @@ fn utf8_len(first: u8) -> Option<usize> {
 }
 
 #[cfg(test)]
+mod fuzz;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec::CampaignSpec;
@@ -875,7 +879,7 @@ mod tests {
         }
     }
 
-    fn temp_dir(tag: &str) -> PathBuf {
+    pub(super) fn temp_dir(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("boomerang-journal-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -883,14 +887,14 @@ mod tests {
         dir
     }
 
-    fn spec() -> CampaignSpec {
+    pub(super) fn spec() -> CampaignSpec {
         CampaignSpec::from_toml_str(
             "name = \"jtest\"\nworkloads = [\"nutch\"]\nmechanisms = [\"fdip\"]\nseeds = [0, 1]\n",
         )
         .unwrap()
     }
 
-    fn stats(n: u64) -> SimStats {
+    pub(super) fn stats(n: u64) -> SimStats {
         SimStats {
             instructions: 1000 + n,
             cycles: 2000 + n,

@@ -234,6 +234,13 @@ impl From<Vec<Json>> for Json {
     }
 }
 
+/// `None` is `null`: a cell a report cannot compute.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

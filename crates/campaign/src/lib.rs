@@ -49,6 +49,7 @@
 
 pub mod artifact;
 pub mod checkpoint;
+pub mod cli;
 pub mod engine;
 pub mod expand;
 pub mod fault;

@@ -1,8 +1,9 @@
 //! Named campaign presets for the paper's figures.
 //!
-//! Presets are ordinary spec TOML embedded in the binary, so
-//! `boomerang-sim run --preset figure9` works without any files on disk and
-//! the figure binaries in `crates/bench` can share the exact same matrices.
+//! Each preset is a file under `specs/`, embedded in the binary, so
+//! `boomerang-sim run --preset figure9` works without any files on disk,
+//! runs exactly what `run specs/figure9.toml` runs, and the figure binaries
+//! in `crates/bench` can share the exact same matrices.
 
 use crate::spec::{CampaignSpec, SpecError};
 
@@ -30,86 +31,28 @@ impl Preset {
 const FIGURE7: Preset = Preset {
     name: "figure7",
     description: "Fig. 7 — squash causes, six mechanisms, Table I config",
-    toml: r#"
-name = "figure7"
-description = "Pipeline squashes per kilo-instruction by cause (2K-entry BTB)"
-workloads = ["all"]
-mechanisms = ["next-line", "dip", "fdip", "shift", "confluence", "boomerang"]
-predictor = "tage"
-seeds = [0]
-
-[run]
-trace_blocks = 150000
-warmup_blocks = 25000
-
-[[config]]
-label = "table1"
-"#,
+    toml: include_str!("../../../specs/figure7.toml"),
 };
 
 /// The Figure 9 matrix: speedup over the no-prefetch baseline.
 const FIGURE9: Preset = Preset {
     name: "figure9",
     description: "Fig. 9 — speedup over no-prefetch baseline, Table I config",
-    toml: r#"
-name = "figure9"
-description = "Speedup over the no-prefetch baseline (2K-entry BTB)"
-workloads = ["all"]
-mechanisms = ["next-line", "dip", "fdip", "shift", "confluence", "boomerang"]
-predictor = "tage"
-seeds = [0]
-
-[run]
-trace_blocks = 150000
-warmup_blocks = 25000
-
-[[config]]
-label = "table1"
-"#,
+    toml: include_str!("../../../specs/figure9.toml"),
 };
 
 /// The Figure 11 matrix: the crossbar (18-cycle LLC round trip) study.
 const FIGURE11: Preset = Preset {
     name: "figure11",
     description: "Fig. 11 — speedup at the crossbar LLC latency",
-    toml: r#"
-name = "figure11"
-description = "Speedup over the no-prefetch baseline at the 18-cycle crossbar LLC"
-workloads = ["all"]
-mechanisms = ["next-line", "fdip", "shift", "confluence", "boomerang"]
-predictor = "tage"
-seeds = [0]
-
-[run]
-trace_blocks = 150000
-warmup_blocks = 25000
-
-[[config]]
-label = "crossbar"
-noc = "crossbar"
-"#,
+    toml: include_str!("../../../specs/figure11.toml"),
 };
 
 /// The LLC-latency sensitivity sweep (the Figure 2/5/11 axis) on Apache.
 const LLC_SWEEP: Preset = Preset {
     name: "llc-sweep",
     description: "LLC round-trip latency sweep, FDIP vs Boomerang on Apache",
-    toml: r#"
-name = "llc-sweep"
-description = "Stall-cycle coverage of FDIP and Boomerang across LLC round-trip latencies"
-workloads = ["apache"]
-mechanisms = ["fdip", "boomerang"]
-predictor = "tage"
-seeds = [0]
-
-[run]
-trace_blocks = 50000
-warmup_blocks = 10000
-
-[[config]]
-label = "llc"
-noc = [1, 10, 20, 30, 40, 50, 60, 70]
-"#,
+    toml: include_str!("../../../specs/llc_sweep.toml"),
 };
 
 /// The instruction-footprint sensitivity sweep: a single `[[workload]]`
@@ -119,26 +62,7 @@ noc = [1, 10, 20, 30, 40, 50, 60, 70]
 const FOOTPRINT_SWEEP: Preset = Preset {
     name: "footprint-sweep",
     description: "Footprint x service-roots profile sweep, FDIP vs Boomerang",
-    toml: r#"
-name = "footprint-sweep"
-description = "Speedup across instruction footprints and service-root counts (Nutch-based profiles)"
-mechanisms = ["fdip", "boomerang"]
-predictor = "tage"
-seeds = [0]
-
-[run]
-trace_blocks = 50000
-warmup_blocks = 10000
-
-[[config]]
-label = "table1"
-
-[[workload]]
-label = "nutch"
-base = "nutch"
-footprint_bytes = [262144, 1048576, 4194304]
-service_roots = [32, 96]
-"#,
+    toml: include_str!("../../../specs/footprint_sweep.toml"),
 };
 
 /// The interpreter/JIT dispatch scenario: a branch-mix sweep whose
@@ -152,59 +76,7 @@ service_roots = [32, 96]
 const INTERPRETER_DISPATCH: Preset = Preset {
     name: "interpreter-dispatch",
     description: "Indirect-heavy interpreter/JIT dispatch branch-mix sweep",
-    toml: r#"
-name = "interpreter-dispatch"
-description = "Speedup under interpreter/JIT-style indirect-heavy dispatch branch mixes"
-mechanisms = ["fdip", "confluence", "boomerang"]
-predictor = "tage"
-seeds = [0]
-
-[run]
-trace_blocks = 50000
-warmup_blocks = 10000
-
-[[config]]
-label = "table1"
-
-# Bytecode interpreter: short handler blocks, each dispatch ending in an
-# indirect jump through the handler table, with pattern-heavy conditionals
-# (operand checks repeat per opcode sequence).
-[[workload]]
-label = "interp"
-base = "oracle"
-footprint_bytes = [1048576, 4194304]
-mean_block_instructions = 4.5
-mean_function_blocks = 9.0
-
-[workload.terminators]
-call = 0.05
-indirect_call = 0.03
-jump = 0.05
-indirect_jump = 0.09
-early_return = 0.03
-
-[workload.conditionals]
-loop_backedge = 0.1
-pattern = 0.2
-data_dependent = 0.06
-bias_mean = 0.74
-mean_trip_count = 4.0
-
-# JIT-compiled dispatch: polymorphic inline caches and vtable calls make
-# indirect *calls* dominate instead, with slightly longer compiled blocks.
-[[workload]]
-label = "jit"
-base = "oracle"
-footprint_bytes = [1048576, 4194304]
-mean_block_instructions = 5.5
-
-[workload.terminators]
-call = 0.08
-indirect_call = 0.07
-jump = 0.06
-indirect_jump = 0.03
-early_return = 0.04
-"#,
+    toml: include_str!("../../../specs/interpreter_dispatch.toml"),
 };
 
 /// All presets, in presentation order.
@@ -362,6 +234,8 @@ noc = "mesh"
             ("preset footprint-sweep", "fnv1a64:f76f776dde193751"),
             ("preset interpreter-dispatch", "fnv1a64:8eabeb97ac464f68"),
             ("specs/branch_mix_sweep.toml", "fnv1a64:1fc5e96d9dab1d63"),
+            ("specs/figure11.toml", "fnv1a64:f5ed9f289a64b306"),
+            ("specs/figure7.toml", "fnv1a64:c63f1ccc285ae6d4"),
             ("specs/figure9.toml", "fnv1a64:bbc446fe7ed37b8f"),
             ("specs/footprint_sweep.toml", "fnv1a64:f76f776dde193751"),
             (

@@ -120,6 +120,7 @@
 use crate::checkpoint::{
     fnv1a64, row_checksum, spec_hash, stats_from_array, Journal, JournalReplay,
 };
+use crate::cli;
 use crate::engine::{assemble_partial_report, assemble_report, CampaignReport};
 use crate::expand::{expand, Job};
 use crate::fault;
@@ -1433,16 +1434,16 @@ fn dispatch(
         let mut make_command = |index: usize| {
             let mut cmd = Command::new(&options.binary);
             cmd.arg("worker")
-                .arg("--connect")
+                .arg(cli::CONNECT.name)
                 .arg(&addr)
-                .arg("--worker-index")
+                .arg(cli::WORKER_INDEX.name)
                 .arg(index.to_string())
-                .arg("--quiet")
+                .arg(cli::QUIET.name)
                 .stdin(Stdio::null())
                 .stdout(Stdio::null())
                 .stderr(Stdio::inherit());
             if let Some(cache) = &options.artifact_cache {
-                cmd.arg("--artifact-cache").arg(cache);
+                cmd.arg(cli::ARTIFACT_CACHE.name).arg(cache);
             }
             cmd
         };
@@ -1505,8 +1506,9 @@ fn dispatch(
         let bound = options.max_quarantined.unwrap_or(0);
         return Err(DispatchError::QuarantineExceeded(format!(
             "{} worker sessions quarantined for corrupt results, exceeding \
-             --max-quarantined {bound}; refusing to grind on with a rotten fleet",
-            campaign.quarantined.len()
+             {} {bound}; refusing to grind on with a rotten fleet",
+            campaign.quarantined.len(),
+            cli::MAX_QUARANTINED.name
         )));
     }
     fleet_failures.extend(campaign.journal_error);

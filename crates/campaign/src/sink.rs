@@ -25,7 +25,7 @@ use std::sync::Mutex;
 
 /// Renders the full JSON report.
 pub fn to_json(report: &CampaignReport) -> String {
-    let rows: Vec<Json> = report.rows.iter().map(row_json).collect();
+    let rows: Vec<Json> = report.rows.iter().map(|r| row_json(r.into())).collect();
     Json::object()
         .field("campaign", report.spec.name.as_str())
         .field("description", report.spec.description.as_str())
@@ -41,20 +41,89 @@ pub fn to_json(report: &CampaignReport) -> String {
         .pretty()
 }
 
-fn row_json(row: &RowResult) -> Json {
-    let s = &row.stats;
-    let squash_rates = s.squashes_per_kilo();
-    Json::object()
-        .field("config", row.config_label.as_str())
-        .field("workload", row.workload_label.as_str())
+/// One report row as the renderers see it: its identity, its own stats if
+/// it checkpointed, and its group baseline's if that did too. A complete
+/// report's rows have both; a degraded report's rows may lack either.
+struct RowView<'a> {
+    job: &'a Job,
+    config_label: &'a str,
+    workload_label: &'a str,
+    stats: Option<&'a SimStats>,
+    baseline: Option<&'a SimStats>,
+}
+
+impl<'a> From<&'a RowResult> for RowView<'a> {
+    fn from(row: &'a RowResult) -> Self {
+        RowView {
+            job: &row.job,
+            config_label: &row.config_label,
+            workload_label: &row.workload_label,
+            stats: Some(&row.stats),
+            baseline: Some(&row.baseline),
+        }
+    }
+}
+
+impl<'a> From<&'a PartialRow> for RowView<'a> {
+    fn from(row: &'a PartialRow) -> Self {
+        match row {
+            PartialRow::Present(full) => full.into(),
+            PartialRow::NoBaseline {
+                job,
+                config_label,
+                workload_label,
+                stats,
+            } => RowView {
+                job,
+                config_label,
+                workload_label,
+                stats: Some(stats),
+                baseline: None,
+            },
+            PartialRow::Missing {
+                job,
+                config_label,
+                workload_label,
+            } => RowView {
+                job,
+                config_label,
+                workload_label,
+                stats: None,
+                baseline: None,
+            },
+        }
+    }
+}
+
+impl RowView<'_> {
+    /// The row's stats with its baseline's, when both are present.
+    fn against_baseline(&self) -> Option<(&SimStats, &SimStats)> {
+        self.stats.zip(self.baseline)
+    }
+}
+
+/// A row's JSON object. A row without stats carries only its identity;
+/// a row without a baseline has `null` for the baseline-derived fields.
+fn row_json(row: RowView<'_>) -> Json {
+    let identity = Json::object()
+        .field("config", row.config_label)
+        .field("workload", row.workload_label)
         .field("mechanism", mechanism_token(row.job.mechanism))
         .field("seed", row.job.seed)
-        .field("baseline_ref", row.job.implicit_baseline)
-        .field("speedup", row.speedup())
-        .field("stall_coverage", row.coverage())
+        .field("baseline_ref", row.job.implicit_baseline);
+    let Some(s) = row.stats else {
+        return identity;
+    };
+    let derived = row.against_baseline();
+    identity
+        .field("speedup", derived.map(|(s, b)| s.speedup_vs(b)))
+        .field(
+            "stall_coverage",
+            derived.map(|(s, b)| s.stall_coverage_vs(b)),
+        )
         .field("ipc", s.ipc())
         .field("btb_miss_rate", s.btb_miss_rate())
-        .field("squashes_per_ki", squash_rates.total())
+        .field("squashes_per_ki", s.squashes_per_kilo().total())
         .field(
             "stats",
             STAT_FIELDS
@@ -63,10 +132,10 @@ fn row_json(row: &RowResult) -> Json {
                     stats.field(name, read(s))
                 }),
         )
-        .field("baseline_cycles", row.baseline.cycles)
+        .field("baseline_cycles", row.baseline.map(|b| b.cycles))
         .field(
             "baseline_fetch_stall_cycles",
-            row.baseline.fetch_stall_cycles,
+            row.baseline.map(|b| b.fetch_stall_cycles),
         )
 }
 
@@ -77,27 +146,31 @@ const CSV_HEADER: &str = "config,workload,mechanism,seed,baseline_ref,speedup,st
                           mispredict_per_ki,btb_miss_per_ki";
 
 /// One CSV line (no trailing newline) for a row, RFC-4180 quoting for the
-/// label fields.
-fn csv_row(row: &RowResult) -> String {
-    let s = &row.stats;
-    let rates = s.squashes_per_kilo();
-    format!(
-        "{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-        csv_field(&row.config_label),
-        csv_field(&row.workload_label),
+/// label fields. A cell the row cannot compute is blank.
+fn csv_row(row: RowView<'_>) -> String {
+    fn cell<T: std::fmt::Display>(value: Option<T>) -> String {
+        value.map_or_else(String::new, |v| v.to_string())
+    }
+    let s = row.stats;
+    let derived = row.against_baseline();
+    let rates = s.map(SimStats::squashes_per_kilo);
+    [
+        csv_field(row.config_label),
+        csv_field(row.workload_label),
         csv_field(&mechanism_token(row.job.mechanism)),
-        row.job.seed,
-        row.job.implicit_baseline,
-        row.speedup(),
-        row.coverage(),
-        s.ipc(),
-        s.instructions,
-        s.cycles,
-        s.fetch_stall_cycles,
-        s.btb_miss_rate(),
-        rates.misprediction,
-        rates.btb_miss,
-    )
+        row.job.seed.to_string(),
+        row.job.implicit_baseline.to_string(),
+        cell(derived.map(|(s, b)| s.speedup_vs(b))),
+        cell(derived.map(|(s, b)| s.stall_coverage_vs(b))),
+        cell(s.map(SimStats::ipc)),
+        cell(s.map(|s| s.instructions)),
+        cell(s.map(|s| s.cycles)),
+        cell(s.map(|s| s.fetch_stall_cycles)),
+        cell(s.map(SimStats::btb_miss_rate)),
+        cell(rates.map(|r| r.misprediction)),
+        cell(rates.map(|r| r.btb_miss)),
+    ]
+    .join(",")
 }
 
 /// Renders the CSV report (header + one line per row).
@@ -105,7 +178,7 @@ pub fn to_csv(report: &CampaignReport) -> String {
     let mut out = String::from(CSV_HEADER);
     out.push('\n');
     for row in &report.rows {
-        let _ = writeln!(out, "{}", csv_row(row));
+        let _ = writeln!(out, "{}", csv_row(row.into()));
     }
     out
 }
@@ -314,10 +387,10 @@ impl StreamState {
             stats,
             baseline,
         };
-        let mut line = row_json(&row).compact();
+        let mut line = row_json((&row).into()).compact();
         line.push('\n');
         self.jsonl.write_all(line.as_bytes())?;
-        let mut csv_line = csv_row(&row);
+        let mut csv_line = csv_row((&row).into());
         csv_line.push('\n');
         self.csv.write_all(csv_line.as_bytes())?;
         Ok(())
@@ -382,7 +455,9 @@ pub fn write_reports(report: &CampaignReport, dir: &Path) -> io::Result<ReportPa
 /// `missing`), and `null` for every metric a hole makes uncomputable —
 /// explicit damage, never silently absent rows.
 pub fn to_json_partial(report: &PartialReport) -> String {
-    let rows: Vec<Json> = report.rows.iter().map(partial_row_json).collect();
+    let rows: Vec<Json> = (report.rows.iter())
+        .map(|r| row_json(r.into()).field("status", r.status()))
+        .collect();
     Json::object()
         .field("campaign", report.spec.name.as_str())
         .field("description", report.spec.description.as_str())
@@ -408,52 +483,6 @@ pub fn to_json_partial(report: &PartialReport) -> String {
         .pretty()
 }
 
-fn partial_row_json(row: &PartialRow) -> Json {
-    match row {
-        PartialRow::Present(full) => row_json(full).field("status", row.status()),
-        PartialRow::NoBaseline {
-            job,
-            config_label,
-            workload_label,
-            stats: s,
-        } => {
-            let squash_rates = s.squashes_per_kilo();
-            Json::object()
-                .field("config", config_label.as_str())
-                .field("workload", workload_label.as_str())
-                .field("mechanism", mechanism_token(job.mechanism))
-                .field("seed", job.seed)
-                .field("baseline_ref", job.implicit_baseline)
-                .field("speedup", Json::Null)
-                .field("stall_coverage", Json::Null)
-                .field("ipc", s.ipc())
-                .field("btb_miss_rate", s.btb_miss_rate())
-                .field("squashes_per_ki", squash_rates.total())
-                .field(
-                    "stats",
-                    Json::object()
-                        .field("instructions", s.instructions)
-                        .field("cycles", s.cycles)
-                        .field("fetch_stall_cycles", s.fetch_stall_cycles),
-                )
-                .field("baseline_cycles", Json::Null)
-                .field("baseline_fetch_stall_cycles", Json::Null)
-                .field("status", row.status())
-        }
-        PartialRow::Missing {
-            job,
-            config_label,
-            workload_label,
-        } => Json::object()
-            .field("config", config_label.as_str())
-            .field("workload", workload_label.as_str())
-            .field("mechanism", mechanism_token(job.mechanism))
-            .field("seed", job.seed)
-            .field("baseline_ref", job.implicit_baseline)
-            .field("status", row.status()),
-    }
-}
-
 /// The CSV header of a degraded report: the canonical columns plus a
 /// trailing `status`.
 const CSV_PARTIAL_SUFFIX: &str = ",status";
@@ -467,52 +496,7 @@ pub fn to_csv_partial(report: &PartialReport) -> String {
     out.push_str(CSV_PARTIAL_SUFFIX);
     out.push('\n');
     for row in &report.rows {
-        match row {
-            PartialRow::Present(full) => {
-                let _ = writeln!(out, "{},{}", csv_row(full), row.status());
-            }
-            PartialRow::NoBaseline {
-                job,
-                config_label,
-                workload_label,
-                stats: s,
-            } => {
-                let rates = s.squashes_per_kilo();
-                let _ = writeln!(
-                    out,
-                    "{},{},{},{},{},,,{},{},{},{},{},{},{},{}",
-                    csv_field(config_label),
-                    csv_field(workload_label),
-                    csv_field(&mechanism_token(job.mechanism)),
-                    job.seed,
-                    job.implicit_baseline,
-                    s.ipc(),
-                    s.instructions,
-                    s.cycles,
-                    s.fetch_stall_cycles,
-                    s.btb_miss_rate(),
-                    rates.misprediction,
-                    rates.btb_miss,
-                    row.status(),
-                );
-            }
-            PartialRow::Missing {
-                job,
-                config_label,
-                workload_label,
-            } => {
-                let _ = writeln!(
-                    out,
-                    "{},{},{},{},{},,,,,,,,,,{}",
-                    csv_field(config_label),
-                    csv_field(workload_label),
-                    csv_field(&mechanism_token(job.mechanism)),
-                    job.seed,
-                    job.implicit_baseline,
-                    row.status(),
-                );
-            }
-        }
+        let _ = writeln!(out, "{},{}", csv_row(row.into()), row.status());
     }
     out
 }
@@ -606,6 +590,29 @@ mod tests {
         assert!(json.contains("\"status\": \"no-baseline\""), "{json}");
         assert!(json.contains("\"speedup\": null"), "{json}");
         assert!(json.contains("worker shard 0 failed"), "{json}");
+        // The no-baseline row keeps every stat counter and blanks only the
+        // baseline-derived cells; the missing row keeps only its identity.
+        for row in &partial.rows {
+            let Json::Object(fields) = row_json(row.into()) else {
+                panic!("a row renders as an object")
+            };
+            let get = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+            match row {
+                PartialRow::NoBaseline { .. } => {
+                    let Some(Json::Object(stats)) = get("stats") else {
+                        panic!("no stats object: {fields:?}")
+                    };
+                    let names: Vec<&str> = stats.iter().map(|(k, _)| k.as_str()).collect();
+                    assert_eq!(names, STAT_FIELDS.map(|(name, _)| name));
+                    for derived in ["speedup", "stall_coverage", "baseline_cycles"] {
+                        assert_eq!(get(derived), Some(&Json::Null), "{derived}");
+                    }
+                    assert!(matches!(get("ipc"), Some(Json::Float(_))));
+                }
+                PartialRow::Missing { .. } => assert_eq!(fields.len(), 5, "{fields:?}"),
+                PartialRow::Present(_) => panic!("no row has both stats and baseline"),
+            }
+        }
 
         let csv = to_csv_partial(&partial);
         let header_cols = csv.lines().next().unwrap().split(',').count();
@@ -614,7 +621,10 @@ mod tests {
             assert_eq!(line.split(',').count(), header_cols, "ragged row: {line}");
         }
         assert!(csv.lines().any(|l| l.ends_with(",missing")), "{csv}");
-        assert!(csv.lines().any(|l| l.ends_with(",no-baseline")), "{csv}");
+        let no_baseline = csv.lines().find(|l| l.ends_with(",no-baseline")).unwrap();
+        let cells: Vec<&str> = no_baseline.split(',').collect();
+        assert_eq!(&cells[5..7], ["", ""], "{no_baseline}");
+        assert!(cells[7..14].iter().all(|c| !c.is_empty()), "{no_baseline}");
     }
 
     #[test]
@@ -673,7 +683,11 @@ mod tests {
 
         let jsonl = std::fs::read_to_string(&paths.json).unwrap();
         let mut streamed: Vec<&str> = jsonl.lines().collect();
-        let mut expected: Vec<String> = report.rows.iter().map(|r| row_json(r).compact()).collect();
+        let mut expected: Vec<String> = report
+            .rows
+            .iter()
+            .map(|r| row_json(r.into()).compact())
+            .collect();
         streamed.sort_unstable();
         expected.sort_unstable();
         assert_eq!(streamed, expected);

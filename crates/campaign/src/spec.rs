@@ -883,7 +883,15 @@ fn sweep<T: Clone>(
                 if items.is_empty() {
                     return Err(format!("override list `{shown}` must not be empty"));
                 }
-                reject_duplicates(items, shown, label_fragment)?;
+                // Compare the values the items read into, not the items
+                // as written: `"mesh"` and `"MESH"` are one point.
+                let read = |item| {
+                    let mut target = start.clone();
+                    fields[*i].read(&mut target, item)?;
+                    Ok(fields[*i].value(&target))
+                };
+                let values = items.iter().map(read).collect::<Result<Vec<_>, String>>()?;
+                reject_duplicates(&values, shown, label_fragment)?;
                 axes.push((&fields[*i], items));
             }
             scalar => fields[*i].read(&mut start, scalar)?,
@@ -1543,6 +1551,20 @@ load_fraction = 0.22
         .unwrap_err()
         .to_string();
         assert!(e.contains("duplicate `config label` entry `a-2`"), "{e}");
+        // List items are compared as the values they read into, so two
+        // spellings of one LLC (or one latency) are one point, not two.
+        for (list, shown) in [
+            ("noc = [\"mesh\", \"MESH\", 30]", "`noc` entry `mesh`"),
+            (
+                "memory_latency_ns = [60, 60.0]",
+                "`memory_latency_ns` entry `60`",
+            ),
+        ] {
+            let e = CampaignSpec::from_toml_str(&format!("{base}label = \"a\"\n{list}\n"))
+                .unwrap_err()
+                .to_string();
+            assert!(e.contains(&format!("duplicate {shown}")), "{e}");
+        }
     }
 
     /// A draw of `field`'s kind, `k` steps from its value on `base`, that
