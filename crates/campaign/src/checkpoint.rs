@@ -160,7 +160,7 @@ pub(crate) const STAT_FIELDS: [StatField; 17] = [
 
 /// Number of stat counters a journal row (and a `RowDone` protocol frame)
 /// carries — the arity both ends of the wire check against.
-pub(crate) const STAT_FIELD_COUNT: usize = STAT_FIELDS.len();
+pub const STAT_FIELD_COUNT: usize = STAT_FIELDS.len();
 
 /// Flattens stats into the canonical journal column order, for transport in
 /// a `RowDone` frame.
@@ -188,12 +188,12 @@ pub(crate) fn stats_from_array(values: &[u64]) -> Option<SimStats> {
 
 /// The checksum every completed row carries, in the journal (`row_fnv`
 /// field) and on the wire (`RowDone` frame): FNV-1a-64 over the canonical
-/// `index|mechanism|seed|stat|stat|…` encoding, stats in [`STAT_FIELDS`]
+/// `index|mechanism|seed|stat|stat|…` encoding, stats in `STAT_FIELDS`
 /// column order. Writer, broker, replayer and auditor all compute it from
 /// the same inputs, so a row whose bytes changed anywhere along the path —
 /// a flipped stat digit, a corrupted frame payload, at-rest bitrot — can
 /// never verify.
-pub(crate) fn row_checksum(index: usize, mechanism: &str, seed: u64, stats: &[u64]) -> u64 {
+pub fn row_checksum(index: usize, mechanism: &str, seed: u64, stats: &[u64]) -> u64 {
     let mut text = format!("{index}|{mechanism}|{seed}");
     for value in stats {
         text.push('|');
@@ -331,9 +331,8 @@ impl Journal {
     /// tolerates — never interleave two rows.
     ///
     /// This is also the broker's row crash point (in a `run` process or
-    /// a `serve` process): an armed [`crate::fault`] plan can tear the line
-    /// mid-write or exit after the durable write — the crash signatures
-    /// resume must survive.
+    /// a `serve` process): an armed [`crate::fault`] plan can exit after
+    /// the durable write — the crash signature resume must survive.
     pub fn record(&self, job: &Job, stats: &SimStats) -> io::Result<()> {
         let mechanism = mechanism_token(job.mechanism);
         let values = stats_to_array(stats);
@@ -348,19 +347,12 @@ impl Journal {
         }
         let mut line = row.compact().into_bytes();
         line.push(b'\n');
-        let faults = fault::on_row();
-        let mut file = self.file.lock().expect("journal mutex poisoned");
-        if faults.torn_tail {
-            // The mid-`write` kill signature: a prefix of the line, no
-            // newline, then death.
-            let torn = &line[..line.len() / 2];
-            file.write_all(torn)?;
-            file.flush()?;
-            fault::exit_now();
-        }
-        append_durable(&mut *file, &line)?;
-        drop(file);
-        if faults.exit {
+        let exit = fault::on_row();
+        append_durable(
+            &mut *self.file.lock().expect("journal mutex poisoned"),
+            &line,
+        )?;
+        if exit {
             fault::exit_now();
         }
         Ok(())

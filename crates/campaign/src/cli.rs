@@ -66,8 +66,7 @@ flags! {
     FORCE "--force" "Clear an existing campaign (even a mismatching one) and start over";
     FAULT_INJECT "--fault-inject" <"PLAN">
         "Arm deterministic crash points (testing; serve forwards the plan to its workers): \
-         kinds worker-exit, journal-torn-tail, report-torn, spool-scan-error and \
-         heartbeat-stall, in the syntax of the README's failure model \
+         kinds worker-exit, report-torn, spool-scan-error and heartbeat-stall, in the syntax of the README's failure model \
          (worker-exit:after-rows=N interrupts a run after N checkpointed rows)";
     QUIET "--quiet" "Suppress the progress banner and result table, or a worker's row logs";
     SPOOL "--spool" <"DIR">

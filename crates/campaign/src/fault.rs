@@ -11,10 +11,12 @@
 //! chaos build.
 //!
 //! Only faults that need the process's own timing or death live here.
-//! Damage on the wire or the disk — torn, flipped, dropped or rewritten
-//! frames, flipped journal and artifact bytes — is done from outside the
-//! process under test: by the loopback proxy of `tests/distributed.rs` and
-//! by byte edits of the on-disk files in `tests/chaos.rs`.
+//! Damage on the wire or the disk is done from outside the process under
+//! test. Torn, flipped, duplicated, dropped and rewritten frames are
+//! schedule-explorer actions in `serve::tests`, on the frames between real
+//! worker sessions and the broker. Flipped journal and artifact bytes and
+//! a torn journal tail are byte edits of the on-disk files in
+//! `tests/chaos.rs`.
 //!
 //! # Plan syntax
 //!
@@ -23,7 +25,6 @@
 //!
 //! ```text
 //! worker-exit:shard=1:after-rows=3
-//! journal-torn-tail:after-rows=2
 //! report-torn
 //! spool-scan-error:nth=1,worker-exit:shard=1:after-rows=3:lives=2
 //! heartbeat-stall:shard=1:after-rows=3
@@ -32,7 +33,6 @@
 //! | kind                | fires at                            | effect |
 //! |---------------------|-------------------------------------|--------|
 //! | `worker-exit`       | the `after-rows`-th checkpointed row | `exit(113)` after the row is durably journaled (or acked) |
-//! | `journal-torn-tail` | the `after-rows`-th journal append  | writes a prefix of the row line, then `exit(113)` |
 //! | `heartbeat-stall`   | the `after-rows`-th *granted lease* | a TCP worker stops heartbeating and stalls forever (the broker revokes and reassigns) |
 //! | `report-torn`       | the `nth` report-file write         | writes half the bytes, then `exit(113)` |
 //! | `spool-scan-error`  | the `nth` spool scan                | the scan returns an injected I/O error |
@@ -82,9 +82,9 @@ pub const FAULT_ENV: &str = "BOOMERANG_FAULT";
 /// (1-based). The supervisor sets it on every spawn; unset means life 1.
 pub const FAULT_LIFE_ENV: &str = "BOOMERANG_FAULT_LIFE";
 
-/// Exit code of every injected crash (`worker-exit`, `journal-torn-tail`,
-/// `report-torn`). Distinct from real failure codes so supervisor logs can
-/// label injected deaths.
+/// Exit code of every injected crash (`worker-exit`, `report-torn`).
+/// Distinct from real failure codes so supervisor logs can label injected
+/// deaths.
 pub const FAULT_EXIT_CODE: i32 = 113;
 
 /// The named fault points a plan can arm.
@@ -92,9 +92,6 @@ pub const FAULT_EXIT_CODE: i32 = 113;
 pub enum FaultKind {
     /// Exit the process right after a row is durably checkpointed.
     WorkerExit,
-    /// Write only a prefix of a journal row line, then exit — the
-    /// mid-`write` kill signature.
-    JournalTornTail,
     /// A TCP worker accepts a lease, then stops heartbeating and stalls
     /// forever — the revocation/reassignment signature.
     HeartbeatStall,
@@ -107,9 +104,8 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// Every kind, in declaration order.
-    const ALL: [FaultKind; 5] = [
+    const ALL: [FaultKind; 4] = [
         FaultKind::WorkerExit,
-        FaultKind::JournalTornTail,
         FaultKind::HeartbeatStall,
         FaultKind::ReportTorn,
         FaultKind::SpoolScanError,
@@ -119,7 +115,6 @@ impl FaultKind {
     fn name(self) -> &'static str {
         match self {
             FaultKind::WorkerExit => "worker-exit",
-            FaultKind::JournalTornTail => "journal-torn-tail",
             FaultKind::HeartbeatStall => "heartbeat-stall",
             FaultKind::ReportTorn => "report-torn",
             FaultKind::SpoolScanError => "spool-scan-error",
@@ -130,10 +125,7 @@ impl FaultKind {
     /// `shard`/`after-rows` filters; counter faults count their own events
     /// and accept `nth`.
     fn is_row_fault(self) -> bool {
-        matches!(
-            self,
-            FaultKind::WorkerExit | FaultKind::JournalTornTail | FaultKind::HeartbeatStall
-        )
+        matches!(self, FaultKind::WorkerExit | FaultKind::HeartbeatStall)
     }
 }
 
@@ -399,43 +391,25 @@ pub fn set_worker_shard(shard: usize) {
     }
 }
 
-/// The row faults due at one checkpointed row, in effect order.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RowFaults {
-    /// Write a torn row line and exit instead of the full line.
-    pub torn_tail: bool,
-    /// Exit (with [`FAULT_EXIT_CODE`]) after the row is durably written.
-    pub exit: bool,
-}
-
-/// Row fault point: advances this process's row counter and reports which
-/// row faults fire at this row (`heartbeat-stall` excluded — it counts
-/// granted leases and is read by [`stall_this_lease`]). Called once per row
+/// Row fault point: advances this process's row counter and reports
+/// whether a `worker-exit` fires at this row — the caller exits (with
+/// [`FAULT_EXIT_CODE`]) once the row is durably written. Called once per row
 /// by [`crate::checkpoint::Journal::record`] and by a TCP worker's row loop
 /// (a TCP worker appends no journal of its own; the broker journals on its
 /// behalf). Worker threads inside the broker's own process do not call it,
 /// so each row counts once.
-pub fn on_row() -> RowFaults {
+pub fn on_row() -> bool {
     let Some(state) = active() else {
-        return RowFaults::default();
+        return false;
     };
     let row = state.rows.fetch_add(1, Ordering::Relaxed) + 1;
     let shard = state.shard.load(Ordering::Relaxed);
-    let mut faults = RowFaults::default();
-    for spec in &state.plan.faults {
-        if state.life > spec.lives
-            || row != spec.after_rows
-            || spec.shard.is_some_and(|s| s as u64 != shard)
-        {
-            continue;
-        }
-        match spec.kind {
-            FaultKind::JournalTornTail => faults.torn_tail = true,
-            FaultKind::WorkerExit => faults.exit = true,
-            _ => {}
-        }
-    }
-    faults
+    state.plan.faults.iter().any(|spec| {
+        spec.kind == FaultKind::WorkerExit
+            && state.life <= spec.lives
+            && row == spec.after_rows
+            && spec.shard.is_none_or(|s| s as u64 == shard)
+    })
 }
 
 /// Lease-grant fault point: advances the granted-lease counter and reports
@@ -509,7 +483,7 @@ mod tests {
     #[test]
     fn full_plan_round_trips_fields() {
         let plan = FaultPlan::parse(
-            "worker-exit:shard=1:after-rows=3:lives=2, journal-torn-tail, \
+            "worker-exit:shard=1:after-rows=3:lives=2, spool-scan-error, \
              report-torn:nth=2, heartbeat-stall:shard=0:after-rows=5:lives=all",
         )
         .unwrap();
@@ -518,8 +492,8 @@ mod tests {
         assert_eq!(plan.faults[0].shard, Some(1));
         assert_eq!(plan.faults[0].after_rows, 3);
         assert_eq!(plan.faults[0].lives, 2);
-        assert_eq!(plan.faults[1].kind, FaultKind::JournalTornTail);
-        assert_eq!(plan.faults[1].after_rows, 1);
+        assert_eq!(plan.faults[1].kind, FaultKind::SpoolScanError);
+        assert_eq!(plan.faults[1].nth, 1);
         assert_eq!(plan.faults[2].kind, FaultKind::ReportTorn);
         assert_eq!(plan.faults[2].nth, 2);
         assert_eq!(plan.faults[3].kind, FaultKind::HeartbeatStall);
@@ -530,13 +504,6 @@ mod tests {
     fn bad_plans_are_named_errors() {
         let unknown = FaultPlan::parse("meteor-strike").unwrap_err();
         assert!(unknown.contains("unknown fault kind"), "{unknown}");
-        // Wire damage is injected from outside the process now: a plan
-        // naming it fails loudly instead of arming nothing.
-        let moved = FaultPlan::parse("worker-exit,frame-corrupt:nth=9").unwrap_err();
-        assert!(
-            moved.contains("unknown fault kind `frame-corrupt`"),
-            "{moved}"
-        );
         let misapplied = FaultPlan::parse("report-torn:shard=1").unwrap_err();
         assert!(misapplied.contains("does not apply"), "{misapplied}");
         let misapplied = FaultPlan::parse("worker-exit:nth=1").unwrap_err();
@@ -567,10 +534,13 @@ mod tests {
 
     #[test]
     fn wire_and_disk_kinds_are_unknown_and_filters_classify() {
-        // Torn, flipped, dropped and rewritten frames and flipped journal
-        // and artifact bytes are damage on the wire or the disk, injected by
-        // the tests' proxy and byte edits, never by the binary.
+        // Torn, flipped, dropped and rewritten frames, flipped journal and
+        // artifact bytes and a torn journal tail are damage on the wire or
+        // the disk, done by the schedule explorer and the tests' byte
+        // edits, never by the binary: a plan naming one fails loudly
+        // instead of arming nothing.
         for moved in [
+            "journal-torn-tail:after-rows=2",
             "frame-torn:nth=4",
             "frame-corrupt:nth=5",
             "row-corrupt:shard=1:after-rows=2",
@@ -587,8 +557,7 @@ mod tests {
         }
         // Row faults take `shard`/`after-rows`; counter faults take `nth`.
         for (plan, ok) in [
-            ("journal-torn-tail:shard=0:after-rows=2", true),
-            ("journal-torn-tail:nth=2", false),
+            ("worker-exit:shard=0:after-rows=2", true),
             ("spool-scan-error:nth=2", true),
             ("spool-scan-error:after-rows=2", false),
             ("report-torn:shard=0", false),
@@ -601,7 +570,6 @@ mod tests {
     fn display_is_canonical_and_round_trips() {
         let texts = [
             "worker-exit:shard=1:after-rows=3:lives=2",
-            "journal-torn-tail",
             "report-torn:nth=2",
             "heartbeat-stall:shard=0:after-rows=5:lives=all",
             "worker-exit:shard=0:after-rows=2,heartbeat-stall:after-rows=3",

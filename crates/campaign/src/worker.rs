@@ -1,42 +1,48 @@
 //! The TCP campaign worker: connect to a broker, lease jobs, run rows,
 //! survive the network.
 //!
+//! The worker side of the lease protocol is one sans-IO state machine,
+//! `WorkerSession`, which owns no socket, thread or clock. Fed each
+//! broker frame, it answers with a `Step`: send a frame, sleep and ask
+//! again, run a leased job, or end the session. Handed a row's stats, it
+//! builds the row's checksummed [`Message::RowDone`]. A leased job names
+//! the campaign by spec hash and carries the canonical TOML, so the worker
+//! needs no shared filesystem: the session re-expands the spec once per
+//! hash and recomputes the hash (a mismatch is terminal — the two ends
+//! disagree about what the campaign *is*); a job outside the expansion
+//! ends the session as lost. The TCP driver below runs it over a socket,
+//! and the schedule explorer in `serve::tests` over in-memory frames.
+//!
+//! **Retransmit rule: never resend.** A session whose row ack is lost ends
+//! with its connection, and the next session starts holding no lease, so
+//! it never resends that row: the broker's disconnect revokes the lease,
+//! and a row the broker never journaled is leased again. Resending would
+//! save one re-simulated row per lost ack at the price of state carried
+//! across sessions. The explorer checks that no session sends a row for a
+//! lease it does not hold.
+//!
+//! # The TCP driver
+//!
 //! `boomerang-sim worker --connect ADDR` runs [`run_worker`]: an outer
 //! reconnect loop (capped exponential backoff, so a broker restart is a
-//! pause, not a death) around a per-connection session. Each session
-//! handshakes ([`Message::Hello`] → [`Message::Welcome`]), then loops
-//! requesting leases. A leased job names the campaign by spec hash and
-//! carries the canonical TOML, so the worker needs no shared filesystem: it
-//! re-expands the spec locally, recomputes the hash (a mismatch is a
-//! terminal error — the two ends disagree about what the campaign *is*),
-//! and generates each distinct (workload, seed) point once per process,
+//! pause, not a death) around one session per connection, which
+//! handshakes ([`Message::Hello`] → [`Message::Welcome`]) first. Each
+//! distinct (workload, seed) point is generated once per process,
 //! optionally through the content-addressed artifact cache. The decoded
 //! points live in one `PointStore` per process: the worker threads of a
 //! `boomerang-sim run` share it, so a row stolen from another thread's
 //! point never decodes that point again.
 //!
 //! A heartbeat thread shares the socket (writes serialised by a mutex;
-//! heartbeats are the protocol's only fire-and-forget frame, so the session
-//! thread's request-reply reads never race a heartbeat's non-existent
+//! heartbeats are the protocol's only fire-and-forget frame, so the
+//! session's request-reply reads never race a heartbeat's non-existent
 //! reply) and refreshes whichever lease the session currently holds, at the
 //! interval the broker's `Welcome` names — the broker derives it from its
 //! own lease timeout, so every worker beats several times per timeout. If
 //! the worker stalls — the injectable `heartbeat-stall` fault, or a real
 //! wedge — the heartbeats stop and the broker's lease timeout reclaims the
-//! job. The session unparks the heartbeat thread when it ends, so a
-//! shutdown never waits out a heartbeat interval.
-//!
-//! Completed rows are transmitted as [`Message::RowDone`] with the stat
-//! counters in canonical journal column order plus the row's `row_fnv`
-//! checksum, computed here over the stats the simulation actually produced
-//! — the broker recomputes it from the received fields, so a row corrupted
-//! anywhere between this process's simulator and the broker's journal can
-//! never be recorded. The broker journals and acks; a duplicate `RowDone`
-//! is journaled once and answered with a dedup ack. The worker never
-//! resends a `RowDone` whose ack it lost: a lost connection ends the
-//! session, the broker's disconnect revokes the session's lease, and a row
-//! the broker never journaled is leased again. Whether a worker should
-//! resend instead is an open design question.
+//! job. The driver unparks the heartbeat thread when a connection ends, so
+//! a shutdown never waits out a heartbeat interval.
 
 use crate::artifact::ArtifactCache;
 use crate::checkpoint::{row_checksum, spec_hash, stats_to_array};
@@ -120,11 +126,193 @@ impl WorkerSummary {
 
 /// Per-campaign state a worker builds once per spec hash and reuses for
 /// every lease of that campaign.
-struct CampaignState {
+pub(crate) struct CampaignState {
+    hash: String,
     spec: CampaignSpec,
     run: RunLength,
     jobs: Vec<Job>,
     configs: Vec<sim_core::MicroarchConfig>,
+}
+
+impl CampaignState {
+    /// Expands a leased spec. Terminal errors: unparseable TOML, or a
+    /// recomputed hash that contradicts the broker's `hash`.
+    fn new(hash: &str, spec_toml: &str, smoke: bool) -> Result<CampaignState, String> {
+        let spec = CampaignSpec::from_toml_str(spec_toml)
+            .map_err(|e| format!("leased spec does not parse: {e}"))?;
+        let run = if smoke {
+            RunLength::smoke_test()
+        } else {
+            spec.run
+        };
+        let computed = spec_hash(&spec, run, smoke);
+        if computed != hash {
+            return Err(format!(
+                "spec hash skew: broker leased {hash}, this worker computes {computed} \
+                 — mismatched binaries?"
+            ));
+        }
+        Ok(CampaignState {
+            hash: computed,
+            jobs: expand(&spec),
+            configs: spec.configs.iter().map(|c| c.build()).collect(),
+            spec,
+            run,
+        })
+    }
+}
+
+/// The campaigns a worker has expanded, by spec hash, handed on from each
+/// session to the next.
+pub(crate) type Campaigns = HashMap<String, CampaignState>;
+
+/// What a [`WorkerSession`] asks its driver to do next.
+#[derive(Debug)]
+pub(crate) enum Step {
+    /// Write this frame, then hand the broker's reply to
+    /// [`WorkerSession::receive`].
+    Send(Message),
+    /// Wait this long, then ask again ([`WorkerSession::request`]).
+    Sleep(Duration),
+    /// Run this leased job and hand its stats to
+    /// [`WorkerSession::row_done`], whose frame is sent next.
+    Run(Job),
+    /// The session is over.
+    End(SessionEnd),
+}
+
+/// How a connection session ended.
+#[derive(Debug)]
+pub(crate) enum SessionEnd {
+    /// The broker said shutdown; the worker exits cleanly.
+    Shutdown(String),
+    /// The connection failed or the broker spoke out of turn; reconnect
+    /// with backoff.
+    Lost(io::Error),
+    /// The broker refused this session further leases; it is alive, so a
+    /// fresh session reconnects at once.
+    Rejected(String),
+}
+
+/// The end of a session whose broker sent `what` out of turn: a broker this
+/// confused is not one to keep talking to.
+fn out_of_turn(what: String) -> SessionEnd {
+    SessionEnd::Lost(io::Error::new(io::ErrorKind::InvalidData, what))
+}
+
+/// The lease a session holds, from its grant until the broker answers its
+/// row.
+struct Held {
+    lease: u64,
+    job: Job,
+    spec_hash: String,
+}
+
+/// One connection's worker side of the lease protocol (see the module
+/// docs). Each [`Step::Send`] is answered by exactly one broker frame.
+pub(crate) struct WorkerSession {
+    campaigns: Campaigns,
+    held: Option<Held>,
+}
+
+impl WorkerSession {
+    /// A fresh session, holding no lease, over earlier sessions' campaigns.
+    pub(crate) fn new(campaigns: Campaigns) -> WorkerSession {
+        WorkerSession {
+            campaigns,
+            held: None,
+        }
+    }
+
+    /// Ends the session, handing its campaigns to the next one.
+    pub(crate) fn into_campaigns(self) -> Campaigns {
+        self.campaigns
+    }
+
+    /// A session's first step, and the one after [`Step::Sleep`].
+    pub(crate) fn request(&self) -> Step {
+        Step::Send(Message::LeaseRequest)
+    }
+
+    /// The lease this session holds (0 = none): what heartbeats refresh.
+    pub(crate) fn lease(&self) -> u64 {
+        self.held.as_ref().map_or(0, |held| held.lease)
+    }
+
+    /// The campaign of the held lease.
+    fn campaign(&self) -> Option<&CampaignState> {
+        self.campaigns.get(&self.held.as_ref()?.spec_hash)
+    }
+
+    /// Takes the broker's reply to the last frame sent and says what comes
+    /// next. Errors are terminal: a leased spec whose TOML does not parse,
+    /// or whose recomputed hash contradicts the broker's.
+    pub(crate) fn receive(&mut self, msg: Message) -> Result<Step, String> {
+        let lost = |what| Ok(Step::End(out_of_turn(what)));
+        if self.held.is_some() {
+            // The frame in flight is the held lease's row.
+            return match msg {
+                Message::RowAck { .. } | Message::Reject { .. } => {
+                    self.held = None;
+                    Ok(self.request())
+                }
+                other => lost(format!("expected RowAck/Reject, got {other:?}")),
+            };
+        }
+        match msg {
+            Message::NoWork { retry_ms } => Ok(Step::Sleep(Duration::from_millis(
+                retry_ms.clamp(10, 5_000),
+            ))),
+            Message::Shutdown { reason } => Ok(Step::End(SessionEnd::Shutdown(reason))),
+            // The broker refuses this *session* further leases (it was
+            // quarantined after a failed row verification). A reconnect
+            // opens a fresh session.
+            Message::Reject { reason } => Ok(Step::End(SessionEnd::Rejected(reason))),
+            Message::Lease {
+                lease,
+                job,
+                smoke,
+                spec_hash,
+                spec_toml,
+            } => {
+                if !self.campaigns.contains_key(&spec_hash) {
+                    let state = CampaignState::new(&spec_hash, &spec_toml, smoke)?;
+                    self.campaigns.insert(spec_hash.clone(), state);
+                }
+                let jobs = &self.campaigns[&spec_hash].jobs;
+                let Some(&leased) = usize::try_from(job).ok().and_then(|job| jobs.get(job)) else {
+                    return lost(format!(
+                        "leased job {job} outside the {}-job expansion",
+                        jobs.len()
+                    ));
+                };
+                self.held = Some(Held {
+                    lease,
+                    job: leased,
+                    spec_hash,
+                });
+                Ok(Step::Run(leased))
+            }
+            other => lost(format!("expected Lease/NoWork/Shutdown, got {other:?}")),
+        }
+    }
+
+    /// The `RowDone` answering the held lease (which a [`Step::Run`]
+    /// guarantees) with `stats` in journal column order, checksummed here.
+    pub(crate) fn row_done(&self, stats: Vec<u64>) -> Message {
+        let held = self.held.as_ref().expect("a row answers a held lease");
+        let job = held.job;
+        let mechanism = mechanism_token(job.mechanism).to_string();
+        Message::RowDone {
+            lease: held.lease,
+            job: job.index as u64,
+            spec_hash: held.spec_hash.clone(),
+            row_fnv: row_checksum(job.index, &mechanism, job.seed, &stats),
+            mechanism,
+            seed: job.seed,
+            stats,
+        }
+    }
 }
 
 /// The decoded workload points of one process, shared by all its worker
@@ -161,17 +349,6 @@ struct Worker<'a> {
     in_process: bool,
 }
 
-/// How a connection session ended.
-enum SessionEnd {
-    /// The broker said shutdown; the worker exits cleanly.
-    Shutdown(String),
-    /// The connection failed; reconnect with backoff.
-    Lost(io::Error),
-    /// The broker refused this session further leases; it is alive, so a
-    /// fresh session reconnects at once.
-    Rejected(String),
-}
-
 /// Runs the worker to completion: until the broker sends
 /// [`Message::Shutdown`] (clean exit) or the reconnect budget is exhausted.
 ///
@@ -204,7 +381,7 @@ pub(crate) fn run_worker_in(
         None => None,
     };
     let mut summary = WorkerSummary::default();
-    let mut campaigns: HashMap<String, CampaignState> = HashMap::new();
+    let mut campaigns = Campaigns::new();
     let mut failures: u32 = 0;
     let mut connected_before = false;
     let parent = parent_pid();
@@ -297,13 +474,13 @@ fn parent_pid() -> u64 {
     }
 }
 
-/// One connection's lifetime: handshake, then the lease/run/submit loop.
+/// One connection's lifetime: handshake, then one [`WorkerSession`].
 /// `Ok(SessionEnd)` covers both clean shutdown and recoverable loss;
 /// `Err(String)` is terminal (spec skew — reconnecting cannot help).
 fn session(
     stream: TcpStream,
     worker: &Worker<'_>,
-    campaigns: &mut HashMap<String, CampaignState>,
+    campaigns: &mut Campaigns,
     summary: &mut WorkerSummary,
 ) -> Result<SessionEnd, String> {
     let options = worker.options;
@@ -331,12 +508,7 @@ fn session(
             summary.broker_pid = broker_pid;
             Duration::from_millis(heartbeat_ms.max(10))
         }
-        Ok(other) => {
-            return Ok(SessionEnd::Lost(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("expected Welcome, got {other:?}"),
-            )))
-        }
+        Ok(other) => return Ok(out_of_turn(format!("expected Welcome, got {other:?}"))),
         Err(e) => return Ok(SessionEnd::Lost(e)),
     };
 
@@ -374,14 +546,16 @@ fn session(
             }
         })
     };
+    let mut carried = WorkerSession::new(std::mem::take(campaigns));
     let result = lease_loop(
         &mut reader,
         &writer,
         &current_lease,
         worker,
-        campaigns,
+        &mut carried,
         summary,
     );
+    *campaigns = carried.into_campaigns();
     hb_stop.store(true, Ordering::Relaxed);
     current_lease.store(0, Ordering::Relaxed);
     let _ = reader.shutdown(std::net::Shutdown::Both);
@@ -404,186 +578,88 @@ fn lock_writer<'a>(
     })
 }
 
-/// The session's request-reply loop. Every protocol read/write error is a
-/// recoverable `SessionEnd::Lost`.
+/// One connection's request-reply loop: the socket work around a
+/// [`WorkerSession`], plus the worker-side fault points. Every read or
+/// write error ends the session `Lost`.
 fn lease_loop(
     reader: &mut TcpStream,
     writer: &Arc<Mutex<TcpStream>>,
     current_lease: &AtomicU64,
     worker: &Worker<'_>,
-    campaigns: &mut HashMap<String, CampaignState>,
+    session: &mut WorkerSession,
     summary: &mut WorkerSummary,
 ) -> Result<SessionEnd, String> {
     let options = worker.options;
-    macro_rules! send {
-        ($msg:expr) => {
-            if let Err(e) = write_message(&mut *lock_writer(writer)?, $msg) {
-                return Ok(SessionEnd::Lost(e));
-            }
-        };
-    }
-    macro_rules! recv {
-        () => {
-            match read_message(reader) {
-                Ok(msg) => msg,
-                Err(e) => return Ok(SessionEnd::Lost(e)),
-            }
-        };
-    }
+    let mut exit_after_row = false;
+    let mut step = session.request();
     loop {
-        send!(&Message::LeaseRequest);
-        match recv!() {
-            Message::NoWork { retry_ms } => {
-                std::thread::sleep(Duration::from_millis(retry_ms.clamp(10, 5_000)));
-            }
-            Message::Shutdown { reason } => return Ok(SessionEnd::Shutdown(reason)),
-            Message::Reject { reason } => {
-                // The broker refuses this *session* further leases (it was
-                // quarantined after a failed row verification). Drop the
-                // connection; a reconnect opens a fresh session.
-                if !options.quiet {
-                    eprintln!(
-                        "worker {}: lease request rejected: {reason}",
-                        options.worker_index
-                    );
-                }
-                return Ok(SessionEnd::Rejected(reason));
-            }
-            Message::Lease {
-                lease,
-                job,
-                smoke,
-                spec_hash: wanted_hash,
-                spec_toml,
-            } => {
-                summary.leases += 1;
-                if !worker.in_process && fault::stall_this_lease() {
-                    // The injected wedge: heartbeats stop (lease stays 0),
-                    // the process stays alive, the broker's lease timeout
-                    // must reclaim the job.
-                    if !options.quiet {
+        step = match step {
+            Step::Send(frame) => {
+                let sent = write_message(&mut *lock_writer(writer)?, &frame);
+                let reply = match sent.and_then(|()| read_message(reader)) {
+                    Ok(reply) => reply,
+                    Err(e) => return Ok(SessionEnd::Lost(e)),
+                };
+                match (&frame, &reply) {
+                    (Message::LeaseRequest, Message::Lease { lease, .. }) => {
+                        summary.leases += 1;
+                        if !worker.in_process && fault::stall_this_lease() {
+                            // The injected wedge: heartbeats stop (lease
+                            // stays 0), the process stays alive, the
+                            // broker's lease timeout must reclaim the job.
+                            if !options.quiet {
+                                eprintln!(
+                                    "worker {}: injected heartbeat stall on lease {lease}",
+                                    options.worker_index
+                                );
+                            }
+                            fault::hang_now();
+                        }
+                    }
+                    (Message::RowDone { job, .. }, Message::RowAck { .. }) => {
+                        summary.rows += 1;
+                        if let Some(state) = session.campaign().filter(|_| !options.quiet) {
+                            eprintln!(
+                                "worker {}: row {job} done ({}/{} jobs of {})",
+                                options.worker_index,
+                                summary.rows,
+                                state.jobs.len(),
+                                state.spec.name
+                            );
+                        }
+                    }
+                    (Message::RowDone { job, .. }, Message::Reject { reason })
+                        if !options.quiet =>
+                    {
                         eprintln!(
-                            "worker {}: injected heartbeat stall on lease {lease}",
+                            "worker {}: row {job} rejected: {reason}",
                             options.worker_index
                         );
                     }
-                    fault::hang_now();
+                    _ => {}
                 }
-                current_lease.store(lease, Ordering::Relaxed);
-                let state = campaign_state(campaigns, &wanted_hash, &spec_toml, smoke)?;
-                let job_index = job as usize;
-                if job_index >= state.jobs.len() {
-                    // A broker this confused is not one to keep talking to.
-                    return Ok(SessionEnd::Lost(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "leased job {job} outside the {}-job expansion",
-                            state.jobs.len()
-                        ),
-                    )));
-                }
-                let leased = state.jobs[job_index];
-                let stats = run_row(state, &wanted_hash, &leased, worker, summary);
-                let exit_after_row = !worker.in_process && fault::on_row().exit;
-                let mechanism = mechanism_token(leased.mechanism).to_string();
-                let values = stats_to_array(&stats).to_vec();
-                let row_fnv = row_checksum(job_index, &mechanism, leased.seed, &values);
-                let done = Message::RowDone {
-                    lease,
-                    job,
-                    spec_hash: wanted_hash.clone(),
-                    mechanism,
-                    seed: leased.seed,
-                    row_fnv,
-                    stats: values,
-                };
-                send!(&done);
-                let acked = match recv!() {
-                    Message::RowAck { .. } => true,
-                    Message::Reject { reason } => {
-                        if !options.quiet {
-                            eprintln!(
-                                "worker {}: row {job} rejected: {reason}",
-                                options.worker_index
-                            );
-                        }
-                        false
-                    }
-                    other => {
-                        return Ok(SessionEnd::Lost(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("expected RowAck/Reject, got {other:?}"),
-                        )))
-                    }
-                };
-                current_lease.store(0, Ordering::Relaxed);
-                if acked {
-                    summary.rows += 1;
-                    if !options.quiet {
-                        eprintln!(
-                            "worker {}: row {job} done ({}/{} jobs of {})",
-                            options.worker_index,
-                            summary.rows,
-                            state.jobs.len(),
-                            state.spec.name
-                        );
-                    }
-                }
-                if exit_after_row {
+                let next = session.receive(reply)?;
+                current_lease.store(session.lease(), Ordering::Relaxed);
+                if std::mem::take(&mut exit_after_row) && !matches!(next, Step::End(_)) {
                     fault::exit_now();
                 }
+                next
             }
-            other => {
-                return Ok(SessionEnd::Lost(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("expected Lease/NoWork/Shutdown, got {other:?}"),
-                )))
+            Step::Sleep(pause) => {
+                std::thread::sleep(pause);
+                session.request()
             }
-        }
-    }
-}
-
-/// Fetches (or builds and caches) the per-campaign state for a spec hash.
-/// Terminal errors: unparseable TOML, or a recomputed hash that contradicts
-/// the broker's.
-fn campaign_state<'a>(
-    campaigns: &'a mut HashMap<String, CampaignState>,
-    wanted_hash: &str,
-    spec_toml: &str,
-    smoke: bool,
-) -> Result<&'a mut CampaignState, String> {
-    if !campaigns.contains_key(wanted_hash) {
-        let spec = CampaignSpec::from_toml_str(spec_toml)
-            .map_err(|e| format!("leased spec does not parse: {e}"))?;
-        let run = if smoke {
-            RunLength::smoke_test()
-        } else {
-            spec.run
+            Step::Run(job) => {
+                let state = session
+                    .campaign()
+                    .ok_or("internal error: a leased job without its campaign")?;
+                let stats = run_row(state, &job, worker, summary);
+                exit_after_row = !worker.in_process && fault::on_row();
+                Step::Send(session.row_done(stats_to_array(&stats).to_vec()))
+            }
+            Step::End(end) => return Ok(end),
         };
-        let computed = spec_hash(&spec, run, smoke);
-        if computed != wanted_hash {
-            return Err(format!(
-                "spec hash skew: broker leased {wanted_hash}, this worker computes {computed} \
-                 — mismatched binaries?"
-            ));
-        }
-        let jobs = expand(&spec);
-        let configs = spec.configs.iter().map(|c| c.build()).collect();
-        campaigns.insert(
-            wanted_hash.to_string(),
-            CampaignState {
-                spec,
-                run,
-                jobs,
-                configs,
-            },
-        );
     }
-    // The insert above (or an earlier lease) guarantees presence; classify
-    // the impossible miss instead of panicking the worker process.
-    campaigns
-        .get_mut(wanted_hash)
-        .ok_or_else(|| "internal error: campaign state missing after insert".to_string())
 }
 
 /// Runs one row, generating (or cache-loading) its workload point in the
@@ -593,12 +669,11 @@ fn campaign_state<'a>(
 /// unstorable artifact is warned about whatever `--quiet` says.
 fn run_row(
     state: &CampaignState,
-    hash: &str,
     job: &Job,
     worker: &Worker<'_>,
     summary: &mut WorkerSummary,
 ) -> frontend::SimStats {
-    let slot = worker.points.slot(hash, job.workload, job.seed);
+    let slot = worker.points.slot(&state.hash, job.workload, job.seed);
     let data = slot.get_or_init(|| {
         let (data, cache_hit, warnings) = load_point(
             &state.spec,
@@ -622,4 +697,105 @@ fn run_row(
         &state.configs[job.config],
         state.spec.predictor,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::checkpoint::STAT_FIELD_COUNT;
+
+    /// Expands to two jobs: the implicit baseline and fdip.
+    const SPEC: &str = "name = \"session\"
+workloads = [\"nutch\"]
+mechanisms = [\"fdip\"]
+";
+
+    /// A `Lease` of `job` carrying `spec_toml` under its true hash, or
+    /// under `hash` when given.
+    fn lease(lease: u64, job: u64, spec_toml: &str, hash: Option<&str>) -> Message {
+        let spec = CampaignSpec::from_toml_str(SPEC).unwrap();
+        Message::Lease {
+            lease,
+            job,
+            smoke: false,
+            spec_hash: hash.map_or_else(|| spec_hash(&spec, spec.run, false), str::to_string),
+            spec_toml: spec_toml.to_string(),
+        }
+    }
+
+    /// What a fresh session does with `reply` to its first `LeaseRequest`.
+    fn first(reply: Message) -> Result<Step, String> {
+        WorkerSession::new(Campaigns::new()).receive(reply)
+    }
+
+    #[test]
+    fn sessions_end_on_shutdown_reject_and_a_job_outside_the_expansion() {
+        let shutdown = first(Message::Shutdown {
+            reason: "done".into(),
+        });
+        assert!(matches!(&shutdown, Ok(Step::End(SessionEnd::Shutdown(r))) if r == "done"));
+        let rejected = first(Message::Reject {
+            reason: "barred".into(),
+        });
+        assert!(matches!(&rejected, Ok(Step::End(SessionEnd::Rejected(r))) if r == "barred"));
+        for job in [2, u64::MAX] {
+            let lost = first(lease(1, job, SPEC, None));
+            assert!(
+                matches!(&lost, Ok(Step::End(SessionEnd::Lost(e)))
+                    if e.to_string().contains("outside the 2-job expansion")),
+                "{lost:?}"
+            );
+        }
+        let out_of_turn = first(Message::RowAck { job: 0 });
+        assert!(matches!(out_of_turn, Ok(Step::End(SessionEnd::Lost(_)))));
+        let idle = first(Message::NoWork { retry_ms: 0 });
+        assert!(matches!(idle, Ok(Step::Sleep(pause)) if pause == Duration::from_millis(10)));
+    }
+
+    #[test]
+    fn spec_hash_skew_is_terminal() {
+        let skew = first(lease(1, 0, SPEC, Some("fnv1a64:0000000000000000"))).unwrap_err();
+        assert!(skew.contains("spec hash skew"), "{skew}");
+        let garbage = first(lease(1, 0, "not a spec = [", None)).unwrap_err();
+        assert!(garbage.contains("does not parse"), "{garbage}");
+    }
+
+    /// The retransmit rule: a session whose ack was lost ends with its
+    /// connection, and the next one, handed the same campaigns, holds no
+    /// lease and asks for one instead of resending the row.
+    #[test]
+    fn a_row_is_checksummed_and_a_lost_ack_is_never_resent() {
+        let mut session = WorkerSession::new(Campaigns::new());
+        assert!(
+            matches!(session.receive(lease(4, 1, SPEC, None)), Ok(Step::Run(job)) if job.index == 1)
+        );
+        assert_eq!(session.lease(), 4);
+        let stats = vec![3; STAT_FIELD_COUNT];
+        let Message::RowDone {
+            lease: 4,
+            job: 1,
+            mechanism,
+            seed,
+            row_fnv,
+            ..
+        } = session.row_done(stats.clone())
+        else {
+            panic!("the row answers lease 4, job 1");
+        };
+        assert_eq!(row_fnv, row_checksum(1, &mechanism, seed, &stats));
+        let mut next = WorkerSession::new(session.into_campaigns());
+        assert_eq!(next.lease(), 0);
+        assert!(matches!(next.request(), Step::Send(Message::LeaseRequest)));
+        // The campaign carried over: a lease of it needs no spec TOML.
+        assert!(matches!(
+            next.receive(lease(5, 0, "", None)),
+            Ok(Step::Run(_))
+        ));
+        // A rejected row frees the lease as an ack does.
+        let after = next.receive(Message::Reject {
+            reason: "late".into(),
+        });
+        assert!(matches!(after, Ok(Step::Send(Message::LeaseRequest))));
+        assert_eq!(next.lease(), 0);
+    }
 }

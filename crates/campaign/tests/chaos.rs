@@ -8,8 +8,8 @@
 //! and truncated artifact and journal bytes — is done to the files on disk
 //! between runs. Every test then asserts the service-level contract:
 //!
-//! - worker crashes and hangs are retried, a broker that dies mid-append
-//!   leaves a torn journal tail the next service truncates, and the
+//! - worker crashes and hangs are retried, a journal tail torn by a
+//!   broker that died mid-append is truncated by the next service, and the
 //!   recovered submission renders **byte-identical** reports to an
 //!   undisturbed run,
 //! - exhausted retries fail loudly (`.failed` + `.error`) or — under
@@ -141,16 +141,19 @@ fn crashed_worker_is_restarted_and_bytes_match_a_clean_run() {
 
 #[test]
 fn torn_journal_tail_is_truncated_on_resume_and_bytes_match() {
-    // The broker is the sole journal writer: it tears its second append and
-    // exits mid-campaign, leaving the submission in the spool.
-    let (output, spool, out) = serve_mini(
-        "torn",
-        &["--fault-inject", "journal-torn-tail:after-rows=2"],
-    );
+    // The broker is the sole journal writer, and an unfiltered row fault
+    // arms its appends: it dies right after its second, leaving the
+    // submission in the spool.
+    let (output, spool, out) = serve_mini("torn", &["--fault-inject", "worker-exit:after-rows=2"]);
     let stderr = stderr_of(&output);
     assert_eq!(output.status.code(), Some(FAULT_EXIT), "{stderr}");
     assert!(spool.join("mini.toml").exists(), "{stderr}");
+    // Cut the second row line in half: the signature of a kill mid-`write`.
     let journal = out.join("mini").join("chaos-mini.journal.jsonl");
+    let text = std::fs::read_to_string(&journal).unwrap();
+    assert_eq!(text.lines().count(), 3, "header and two rows: {stderr}");
+    let last_line = text.trim_end().rfind('\n').unwrap() + 1;
+    std::fs::write(&journal, &text[..(last_line + text.len()) / 2]).unwrap();
     assert!(
         !std::fs::read(&journal).unwrap().ends_with(b"\n"),
         "the broker's journal must end torn"
