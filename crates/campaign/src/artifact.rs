@@ -5,9 +5,9 @@
 //! every worker process that touches the point. The artifact cache pays it
 //! once ever: a generated [`WorkloadData`] is serialized (via
 //! [`workloads::codec`]) to a file named by a *content address* — the
-//! FNV-1a-64 hash of the resolved profile's canonical fingerprint plus the
-//! run length — so any campaign over the same workload point, in any
-//! process, loads the bytes instead of regenerating.
+//! FNV-1a-64 hash of the resolved profile's own encoding plus the run
+//! length — so any campaign over the same workload point, in any process,
+//! loads the bytes instead of regenerating.
 //!
 //! # File format
 //!
@@ -22,13 +22,14 @@
 //! | 24     | 8    | `payload_fnv` | [`payload_fnv`] of the payload, little-endian |
 //!
 //! followed by `payload_len` bytes of [`workloads::codec::encode_workload`]
-//! output. Format 4's payload is the profile and the line size, then the
+//! output. Format 5's payload is the profile and the line size, then the
 //! layout's simulation tables as length-prefixed little-endian columns,
 //! then the trace, then the back end's latency classes (the
 //! [`workloads::codec`] docs give each column's encoding):
 //!
 //! | column | elements |
 //! |---|---|
+//! | profile | the kind, the description, then one 8-byte value per [`workloads::PROFILE_FIELDS`] entry, in table order |
 //! | function sizes, hot flags | one `u32`, one `u8` per function |
 //! | block sizes, kinds | one `u8` each per block |
 //! | direct targets | one `u32` block id per conditional, jump and call |
@@ -57,14 +58,16 @@
 //! trusted and never panicked on* — the engine falls back to regeneration
 //! and overwrites the bad file.
 //!
-//! The key incorporates every profile field (see
-//! [`workloads::profile_fingerprint`]) and the run length, so smoke and
-//! full-length artifacts of the same point coexist, and any profile change
-//! changes the address. The key does not cover [`ARTIFACT_FORMAT`]: a file
-//! of another format sits at the same address, is rejected as
-//! `header.format` and is overwritten by the regenerated point.
-//! [`ARTIFACT_FORMAT`] must be bumped whenever the fingerprint listing, the
-//! codec, or this header changes shape.
+//! The key is the FNV-1a-64 of the codec's profile section without the
+//! description ([`workloads::codec::encode_profile_key`]: the kind, then
+//! every [`workloads::PROFILE_FIELDS`] value), then the run length. It
+//! covers every field the codec stores, because both read one table, so
+//! smoke and full-length artifacts of the same point coexist and any
+//! profile change changes the address. The key does not cover
+//! [`ARTIFACT_FORMAT`]: a file of another format at the same address is
+//! rejected as `header.format` and overwritten by the regenerated point.
+//! Bump [`ARTIFACT_FORMAT`] whenever the codec or this header changes
+//! shape.
 //!
 //! Stores are atomic (write to a process-unique temp file, then rename), so
 //! concurrent worker processes racing to fill the same cache entry are safe:
@@ -76,15 +79,16 @@ use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use workloads::{codec, latency_class, profile_fingerprint, CodeLayout, Trace, WorkloadProfile};
+use workloads::{codec, latency_class, CodeLayout, Trace, WorkloadProfile};
 
 /// Magic bytes opening every workload artifact file.
 pub const ARTIFACT_MAGIC: [u8; 4] = *b"BMWL";
 
 /// Artifact format version this build reads and writes: 2 stored the
 /// layout as columns, 3 added the packed latency classes after the trace,
-/// 4 stores the layout's simulation tables alone.
-pub const ARTIFACT_FORMAT: u32 = 4;
+/// 4 stores the layout's simulation tables alone, 5 stores the profile's
+/// fields in [`workloads::PROFILE_FIELDS`] order.
+pub const ARTIFACT_FORMAT: u32 = 5;
 
 const HEADER_LEN: usize = 32;
 
@@ -145,13 +149,12 @@ pub fn payload_fnv(bytes: &[u8]) -> u64 {
 /// [`crate::engine::derive_seed`]); the campaign engine resolves seeds
 /// before generation, so the key sees exactly what generation sees.
 pub fn artifact_key(profile: &WorkloadProfile, run: RunLength) -> u64 {
-    let identity = format!(
-        "{} trace_blocks={} warmup_blocks={}",
-        profile_fingerprint(profile),
-        run.trace_blocks,
-        run.warmup_blocks
-    );
-    fnv1a64(identity.as_bytes())
+    let mut identity = Vec::new();
+    codec::encode_profile_key(profile, &mut identity);
+    for blocks in [run.trace_blocks, run.warmup_blocks] {
+        identity.extend_from_slice(&(blocks as u64).to_le_bytes());
+    }
+    fnv1a64(&identity)
 }
 
 /// An open artifact-cache directory.
@@ -208,8 +211,8 @@ impl ArtifactCache {
         if layout.profile() != profile {
             return Err(ArtifactError::new(
                 "payload.profile",
-                "stored profile differs from the requested one (content-address collision \
-                 or stale fingerprint)"
+                "stored profile differs from the requested one (another description, which \
+                 the key leaves out, or a content-address collision)"
                     .to_string(),
             ));
         }
@@ -387,6 +390,31 @@ mod tests {
             )
         );
         assert_eq!(artifact_key(&a, RUN), artifact_key(&a.clone(), RUN));
+    }
+
+    /// Each [`PROFILE_FIELDS`](workloads::PROFILE_FIELDS) entry, changed
+    /// on a valid profile, survives the codec's round trip and moves the
+    /// key: the key and the stored bytes cover the same fields.
+    #[test]
+    fn every_profile_field_round_trips_and_moves_the_key() {
+        use sim_core::field::Access;
+        let base = WorkloadProfile::tiny(1);
+        let key = artifact_key(&base, RUN);
+        for field in &workloads::PROFILE_FIELDS {
+            let mut changed = base.clone();
+            match field.access {
+                Access::Integer(get, set) => set(&mut changed, get(&base) + 1),
+                Access::Index(get, set) => set(&mut changed, get(&base) + 1),
+                Access::Number(get, set) => set(&mut changed, get(&base) / 2.0),
+                Access::Bool(..) | Access::Noc(..) => panic!("`{}`'s kind", field.key),
+            }
+            assert!(changed.is_valid(), "{}", field.key);
+            let mut bytes = Vec::new();
+            codec::encode_layout(&workloads::CodeLayout::generate(&changed), &mut bytes);
+            let decoded = codec::decode_layout(&mut codec::ByteReader::new(&bytes));
+            assert_eq!(decoded.unwrap().profile(), &changed, "{}", field.key);
+            assert_ne!(artifact_key(&changed, RUN), key, "{}", field.key);
+        }
     }
 
     #[test]

@@ -7,13 +7,16 @@
 use boomerang::RunLength;
 use campaign::checkpoint::{spec_hash, Journal, JournalReplay};
 use campaign::cli::{self, Args, Command};
-use campaign::serve::{run_local, serve, ServeOptions, ServeOutcome, SubmissionStatus};
+use campaign::serve::{
+    run_local, serve, ServeOptions, ServeOutcome, SubmissionStatus, MIN_LEASE_TIMEOUT,
+};
 use campaign::supervise::install_interrupt_handler;
 use campaign::{
     fault, presets, run_worker, verify_dir, CampaignSpec, FaultPlan, VerifyOptions, WorkerOptions,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::time::Duration;
 
 /// Exit code of a serve run with at least one partial (degraded) submission
 /// and no failures: "usable but damaged", not "unusable" (1).
@@ -150,7 +153,7 @@ fn serve_options(args: &Args<'_>) -> Result<ServeOptions, String> {
     let s = &mut o.supervise;
     s.max_retries = args.count(&MAX_RETRIES)?.unwrap_or(s.max_retries);
     s.worker_timeout = args
-        .seconds(&WORKER_TIMEOUT_SECS)?
+        .seconds(&WORKER_TIMEOUT_SECS, Duration::ZERO)?
         .unwrap_or(s.worker_timeout);
     s.backoff_base = args.millis(&BACKOFF_MS)?.unwrap_or(s.backoff_base);
     o.allow_partial = args.switch(&ALLOW_PARTIAL);
@@ -159,7 +162,7 @@ fn serve_options(args: &Args<'_>) -> Result<ServeOptions, String> {
     o.listen = args.text(&LISTEN);
     o.listen_addr_file = args.path(&LISTEN_ADDR_FILE);
     o.lease_timeout = args
-        .seconds(&LEASE_TIMEOUT_SECS)?
+        .seconds(&LEASE_TIMEOUT_SECS, MIN_LEASE_TIMEOUT)?
         .unwrap_or(o.lease_timeout);
     o.verify_fraction = args
         .fraction(&VERIFY_FRACTION)?
@@ -467,7 +470,6 @@ fn run_command(o: RunOptions) -> Result<ExitCode, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     fn argv(line: &str) -> Vec<String> {
         line.split_whitespace().map(String::from).collect()
@@ -627,6 +629,23 @@ mod tests {
             "--spool s --lease-timeout-secs 2 --workers 0 --listen a --lease-timeout-secs 20",
         );
         assert_eq!(o.lease_timeout, Duration::from_secs(20));
+    }
+
+    /// A lease timeout under four heartbeats at the broker's 50 ms floor
+    /// is a bad value.
+    #[test]
+    fn a_lease_timeout_below_the_heartbeat_floor_is_a_bad_value() {
+        let serve = |secs: &str| {
+            let args = argv(&format!("--spool s --lease-timeout-secs {secs}"));
+            serve_options(&cli::parse(&cli::SERVE, &args).unwrap().unwrap())
+        };
+        for short in ["0.1", "0.05", "0.199"] {
+            let want = "want a finite number of seconds of at least 0.2";
+            let bad = format!("bad --lease-timeout-secs value `{short}` ({want})");
+            assert_eq!(serve(short).unwrap_err(), bad);
+        }
+        let floor = serve("0.2").unwrap().lease_timeout;
+        assert_eq!(floor, Duration::from_millis(200));
     }
 
     #[test]

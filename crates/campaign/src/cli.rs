@@ -79,7 +79,8 @@ flags! {
     MAX_RETRIES "--max-retries" <"N"> "Restarts per crashed/hung local worker (default: 2)";
     WORKER_TIMEOUT_SECS "--worker-timeout-secs" <"S">
         "Kill a local worker that sends no lease request or row for S seconds; counts as a \
-         retry (default: 300)";
+         retry (default: 300). Heartbeats do not count, so S must exceed the longest row, \
+         point generation included, or a healthy worker is killed as hung";
     BACKOFF_MS "--backoff-ms" <"MS"> "Base restart backoff, doubling per retry (default: 250)";
     ALLOW_PARTIAL "--allow-partial"
         "When every local worker has exhausted its retries, write a degraded report with \
@@ -94,7 +95,7 @@ flags! {
         "Write the bound work-queue address to FILE once listening";
     LEASE_TIMEOUT_SECS "--lease-timeout-secs" <"S">
         "Revoke and requeue, with backoff, a lease with no heartbeat or row for S seconds \
-         (default: 60); workers heartbeat four times per timeout (50 ms to 5 s)";
+         (default: 60; at least 0.2); workers heartbeat four times per timeout (50 ms to 5 s)";
     VERIFY_FRACTION "--verify-fraction" <"F">
         "Re-lease a deterministic fraction F (0.0-1.0) of completed rows to a different \
          worker session and compare; a mismatch quarantines the producing session and \
@@ -306,11 +307,20 @@ impl Args<'_> {
     }
 
     /// `flag`'s value in seconds, as a duration that is finite,
-    /// representable and not zero (so not `inf`, `1e300`, `nan` or `0`).
-    pub fn seconds(&self, flag: &Flag) -> Result<Option<Duration>, String> {
-        self.read(flag, "a finite number of seconds above 0", |v| {
+    /// representable, not zero (so not `inf`, `1e300`, `nan` or `0`) and
+    /// at least `floor`.
+    pub fn seconds(&self, flag: &Flag, floor: Duration) -> Result<Option<Duration>, String> {
+        let want = if floor.is_zero() {
+            "a finite number of seconds above 0".to_string()
+        } else {
+            format!(
+                "a finite number of seconds of at least {}",
+                floor.as_secs_f64()
+            )
+        };
+        self.read(flag, &want, |v| {
             let secs = Duration::try_from_secs_f64(v.parse().ok()?).ok();
-            secs.filter(|d| !d.is_zero())
+            secs.filter(|d| !d.is_zero() && *d >= floor)
         })
     }
 
@@ -449,7 +459,10 @@ mod tests {
         for flag in [&LEASE_TIMEOUT_SECS, &WORKER_TIMEOUT_SECS] {
             let read = |v: &str| {
                 let args = argv(&[flag.name, v]);
-                parse(&SERVE, &args).unwrap().unwrap().seconds(flag)
+                parse(&SERVE, &args)
+                    .unwrap()
+                    .unwrap()
+                    .seconds(flag, Duration::ZERO)
             };
             assert_eq!(read("2"), Ok(Some(Duration::from_secs(2))));
             assert_eq!(read("0.25"), Ok(Some(Duration::from_millis(250))));

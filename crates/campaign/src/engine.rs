@@ -558,12 +558,12 @@ mod tests {
         let profile = base.clone().with_seed(derive_seed(base.seed, 0));
         let key = artifact_key(&profile, spec.run);
         let fresh = WorkloadData::generate_from_profile(&profile, spec.run);
-        assert_eq!(ARTIFACT_FORMAT, 4);
-        // Format 1 checksummed its payload byte-wise, formats 2 and 3 a
-        // word at a time as format 4 does. The format-2 file holds the
-        // layout and trace, the format-3 file a whole format-4 payload:
-        // the header alone must reject a stale file, however its payload
-        // would decode.
+        assert_eq!(ARTIFACT_FORMAT, 5);
+        // Format 1 checksummed its payload byte-wise, formats 2 to 4 a
+        // word at a time as format 5 does. The format-2 file holds the
+        // layout and trace, the format-3 and format-4 files a whole
+        // format-5 payload: the header alone must reject a stale file,
+        // however its payload would decode.
         let mut format_2 = Vec::new();
         workloads::codec::encode_layout(&fresh.layout, &mut format_2);
         workloads::codec::encode_trace(&fresh.layout, &fresh.trace, &mut format_2).unwrap();
@@ -575,6 +575,7 @@ mod tests {
             (1u32, b"format 1 stored a tagged row per block".to_vec()),
             (2, format_2),
             (3, current.clone()),
+            (4, current.clone()),
         ];
         for (format, payload) in stale_files {
             let checksum = match format {

@@ -18,7 +18,9 @@
 //! `Hello`, so one wedged worker is caught while its siblings keep draining
 //! the queue. Only loopback peers are counted, so a remote worker reusing a
 //! local `--worker-index` (or, by chance or on purpose, a local child's
-//! pid) cannot mask a wedged local one.
+//! pid) cannot mask a wedged local one. Heartbeats do not count, and
+//! generating a point sends nothing, so a row whose generation and
+//! simulation outlast the worker timeout is killed as hung too.
 //!
 //! Leases are kept alive by worker heartbeats (at an interval the broker
 //! derives from its lease timeout and sends in its `Welcome`) and row
@@ -59,9 +61,11 @@
 //! done, leased or queued. A sampled re-verification is ordinary work that
 //! carries the row it must reproduce, so it is granted, heartbeaten,
 //! expired, revoked and backed off like any other lease; only its answer
-//! differs, being compared instead of journaled. A landing row removes its
-//! job's queued or leased regular work at once, and a quarantine that
-//! requeues a row drops that row's pending re-run.
+//! differs, being compared instead of journaled. A re-run lease's id says
+//! so (its low bit), so an answer that lands after the lease is gone is
+//! still known for a re-run and dropped, never journaled. A landing row
+//! removes its job's queued or leased regular work at once, and a
+//! quarantine that requeues a row drops that row's pending re-run.
 //!
 //! # Lease order
 //!
@@ -188,7 +192,9 @@ pub struct ServeOptions {
     /// to this file once listening.
     pub listen_addr_file: Option<PathBuf>,
     /// Revoke a lease with no heartbeat or row progress for this long; the
-    /// job is requeued with exponential backoff on re-lease.
+    /// job is requeued with exponential backoff on re-lease. Below
+    /// [`MIN_LEASE_TIMEOUT`] workers get fewer than four heartbeats per
+    /// timeout, so the CLI rejects it.
     pub lease_timeout: Duration,
     /// Fraction (0.0..=1.0) of completed rows sampled for
     /// re-execution by a *different* worker session, whose stats must match
@@ -261,6 +267,16 @@ pub struct ServeOutcome {
 
 /// How long a worker waits before asking again when no row is ready.
 const NO_WORK_RETRY_MS: u64 = 10;
+
+/// Heartbeats a worker sends per lease timeout.
+const BEATS_PER_LEASE: u64 = 4;
+
+/// The shortest heartbeat interval a broker announces.
+const MIN_HEARTBEAT_MS: u64 = 50;
+
+/// The shortest lease timeout that still gets four heartbeats at the
+/// broker's 50 ms heartbeat floor.
+pub const MIN_LEASE_TIMEOUT: Duration = Duration::from_millis(BEATS_PER_LEASE * MIN_HEARTBEAT_MS);
 
 /// Poll interval of the broker's accept loop.
 const ACCEPT_POLL: Duration = Duration::from_millis(2);
@@ -522,6 +538,10 @@ struct Work {
     check: Option<Check>,
 }
 
+/// The low bit of a re-run lease's id: a row names the kind of lease it
+/// answers, even once the broker has let go of the lease.
+const RERUN_LEASE: u64 = 1;
+
 /// One outstanding lease.
 struct Lease {
     work: Work,
@@ -550,6 +570,8 @@ struct ActiveCampaign {
     /// lease: the workload that worker holds decoded. Drives the
     /// point-affine grant order; cleared when the connection ends.
     session_points: HashMap<u64, (usize, u64)>,
+    /// Grant counter. A lease id is the count shifted left by one, its low
+    /// bit set for a re-run ([`RERUN_LEASE`]).
     next_lease: u64,
     /// Rows journaled this dispatch.
     rows_submitted: u64,
@@ -846,7 +868,8 @@ impl ActiveCampaign {
         if work.check.is_none() {
             self.session_points.insert(session, self.point_of(job));
         }
-        let lease = self.next_lease;
+        let rerun = if work.check.is_some() { RERUN_LEASE } else { 0 };
+        let lease = self.next_lease << 1 | rerun;
         self.next_lease += 1;
         self.leases.insert(
             lease,
@@ -915,8 +938,10 @@ impl ActiveCampaign {
     /// resume path then proves itself; a failed append ends the dispatch.
     ///
     /// A row answering a re-run lease (work with a [`Check`]) is never
-    /// journaled: its stats are compared against the journaled row, and a
-    /// disagreement quarantines the producing session. A row whose
+    /// journaled: while the lease is live its stats are compared against
+    /// the journaled row, and a disagreement quarantines the producing
+    /// session; once the lease is gone (revoked, answered, or dropped by a
+    /// quarantine) the row is acked and dropped. A row whose
     /// `row_fnv` disagrees with its own payload quarantines the
     /// *submitting* session — the payload was damaged somewhere between its
     /// simulator and this socket — and returns its lease to the queue. A
@@ -971,13 +996,14 @@ impl ActiveCampaign {
             return reject(format!("session {session} is quarantined"));
         }
         self.last_activity = now;
-        let check = match self.leases.get(&lease) {
-            Some(held) if held.work.job == index && held.work.check.is_some() => {
-                self.leases.remove(&lease).and_then(|held| held.work.check)
-            }
-            _ => None,
-        };
-        if let Some(check) = check {
+        if lease & RERUN_LEASE != 0 {
+            let check = match self.leases.get(&lease) {
+                Some(held) if held.work.job == index => self.leases.remove(&lease),
+                _ => None,
+            };
+            let Some(check) = check.and_then(|held| held.work.check) else {
+                return Message::RowAck { job };
+            };
             if stats == check.expected {
                 self.rows_verified += 1;
                 return Message::RowAck { job };
@@ -1070,7 +1096,8 @@ impl BrokerShared {
             connections: AtomicUsize::new(0),
             next_session: AtomicU64::new(0),
             activity: Mutex::new(HashMap::new()),
-            heartbeat_ms: (lease_timeout.as_millis() as u64 / 4).clamp(50, 5_000),
+            heartbeat_ms: (lease_timeout.as_millis() as u64 / BEATS_PER_LEASE)
+                .clamp(MIN_HEARTBEAT_MS, 5_000),
         }
     }
 
@@ -1106,8 +1133,8 @@ struct Broker {
 }
 
 impl Broker {
-    /// Listens on `listen`; workers heartbeat four times per
-    /// `lease_timeout` (between 50 ms and 5 s).
+    /// Listens on `listen`; workers heartbeat [`BEATS_PER_LEASE`] times
+    /// per `lease_timeout` (between [`MIN_HEARTBEAT_MS`] and 5 s).
     fn start(listen: &str, lease_timeout: Duration) -> io::Result<Broker> {
         let listener = TcpListener::bind(listen)?;
         let addr = listener.local_addr()?;
@@ -1926,6 +1953,52 @@ warmup_blocks = 400
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A lying verifier's row that lands twice (a duplicated frame) is
+    /// compared once, under its live re-run lease. The second copy finds
+    /// that lease gone and is acked unjournaled, not taken for the row of
+    /// the job the quarantine requeued.
+    #[test]
+    fn a_lying_verifiers_row_landing_twice_is_never_journaled() {
+        let (mut campaign, dir) = integrity_campaign("verify-lie-twice", 1.0);
+        let now = Instant::now();
+        let total = campaign.jobs.len();
+        let stats = stats_to_array(&SimStats::default());
+        for _ in 0..total {
+            submit(&mut campaign, 1, &stats, now);
+        }
+        let (lease, index) = campaign.grant(2, now).expect("a verification lease");
+        let mut lie = stats;
+        lie[1] = lie[1].wrapping_add(7);
+        for _ in 0..2 {
+            let answer = complete(&mut campaign, 2, lease, index, &lie, now);
+            assert!(matches!(answer, Message::RowAck { .. }), "{answer:?}");
+        }
+        assert_eq!(campaign.verify_mismatches, 1);
+        assert!(
+            !campaign.done.contains_key(&index),
+            "the lie landed as a row"
+        );
+        // An honest session runs every requeued row: one line per job
+        // after the producer's, each holding the true stats.
+        while !campaign.rows_complete() {
+            let (_, answer) = submit(&mut campaign, 3, &stats, now);
+            assert!(matches!(answer, Message::RowAck { .. }), "{answer:?}");
+        }
+        let path = Journal::path_for(&dir, "integrity", None);
+        let text = std::fs::read_to_string(path).unwrap();
+        let mut rerun: Vec<usize> = (text.lines().skip(1 + total))
+            .map(|line| line["{\"job\":".len()..].split(',').next().unwrap())
+            .map(|job| job.parse().unwrap())
+            .collect();
+        rerun.sort_unstable();
+        assert_eq!(rerun, (0..total).collect::<Vec<_>>());
+        let replay =
+            JournalReplay::load(&dir, "integrity", &campaign.spec_hash, &campaign.jobs).unwrap();
+        assert_eq!(replay.completed(), total);
+        assert!(replay.rows.values().all(|row| *row == SimStats::default()));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn matching_reverification_counts_and_completes() {
         let (mut campaign, dir) = integrity_campaign("verify-ok", 1.0);
@@ -2698,10 +2771,10 @@ noc = 30
 
         /// Peer `i`'s session takes its next step: one exchange with the
         /// broker, after asking again from a sleep or running a leased row.
-        /// A verification lease the broker still holds may be fed wrong
-        /// stats when adversarial, unless the wire duplicates the row (a
-        /// lie landing twice would pass the second time as a regular row:
-        /// regular rows stay truthful).
+        /// When adversarial, a peer holding a re-run lease, live or
+        /// revoked, may feed it wrong stats, whatever the wire then does to
+        /// the row: a lie is compared while its lease is live and never
+        /// journaled. Regular rows stay truthful.
         fn act(&mut self, i: usize, wire: Option<Wire>) -> Result<(), String> {
             let mut step = std::mem::replace(&mut self.peers[i].next, Step::Sleep(Duration::ZERO));
             loop {
@@ -2709,17 +2782,8 @@ noc = 30
                     Step::Sleep(_) => self.peers[i].worker.request(),
                     Step::Run(job) => {
                         let mut stats = truth().2[job.index].clone();
-                        let lease = self.peers[i].worker.lease();
-                        let verifying = self
-                            .campaign
-                            .leases
-                            .get(&lease)
-                            .is_some_and(|held| held.work.check.is_some());
-                        if self.adversarial
-                            && verifying
-                            && wire != Some(Wire::Duplicate)
-                            && self.rng.percent(30)
-                        {
+                        let verifying = self.peers[i].held.is_some_and(|held| held.check);
+                        if self.adversarial && verifying && self.rng.percent(30) {
                             self.tally.add("lying verifiers", 1);
                             stats[1] = stats[1].wrapping_add(1);
                         }

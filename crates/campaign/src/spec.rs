@@ -57,47 +57,18 @@
 //!
 //! expands into eight configuration points (`llc-1` … `llc-70`) and twelve
 //! workload points (`nutch-fp-262144-32-0.02`, ...), each validated at parse
-//! time. Each field is named once, in `CONFIG_FIELDS` or
-//! `WORKLOAD_FIELDS`, which drive parsing, writing, sweeps and errors.
+//! time. Each field is named once, in a field table ([`mod@sim_core::field`]):
+//! `CONFIG_FIELDS` here, and [`workloads::PROFILE_FIELDS`] beside the
+//! profile, which the artifact codec and key read too. The tables drive
+//! parsing, writing, sweeps, labels and errors.
 
 use crate::toml::{self, Document, Table, TomlError, Value};
 use boomerang::{Mechanism, RunLength, ThrottlePolicy};
 use branch_pred::PredictorKind;
-use sim_core::{MicroarchConfig, NocModel};
+use sim_core::field::{Access, Field};
+use sim_core::{field, MicroarchConfig, NocModel};
 use std::fmt;
-use workloads::{WorkloadKind, WorkloadProfile};
-
-/// How one field's TOML value is read into and written back from a spec
-/// target `T`: the value kind, with a typed getter and setter.
-enum Access<T> {
-    /// A non-negative integer.
-    Integer(fn(&T) -> u64, fn(&mut T, u64)),
-    /// A non-negative integer that must also fit this platform's `usize`.
-    Index(fn(&T) -> usize, fn(&mut T, usize)),
-    /// A number; an integer reads as a float and is written back as one.
-    Number(fn(&T) -> f64, fn(&mut T, f64)),
-    /// `true` or `false`.
-    Bool(fn(&T) -> bool, fn(&mut T, bool)),
-    /// `"mesh"`, `"crossbar"` (any case) or a fixed LLC round trip in cycles.
-    Noc(fn(&T) -> NocModel, fn(&mut T, NocModel)),
-}
-
-/// One field a spec table may set: its key (a dotted path for a field of a
-/// `[workload.*]` sub-table) and how to read and write it.
-struct Field<T> {
-    key: &'static str,
-    access: Access<T>,
-}
-
-/// A [`Field`] of kind `$kind` whose getter and setter reach `$path`.
-macro_rules! field {
-    ($key:literal, $kind:ident, $($path:ident).+) => {
-        Field {
-            key: $key,
-            access: Access::$kind(|t| t.$($path).+, |t, v| t.$($path).+ = v),
-        }
-    };
-}
+use workloads::{WorkloadKind, WorkloadProfile, PROFILE_FIELDS};
 
 /// The `[[config]]` keys: the [`MicroarchConfig`] fields a point may set.
 #[rustfmt::skip]
@@ -119,42 +90,21 @@ static CONFIG_FIELDS: [Field<MicroarchConfig>; 11] = [
     field!("perfect_btb", Bool, perfect.perfect_btb),
 ];
 
-/// The `[[workload]]` override keys: the [`WorkloadProfile`] fields a point
-/// may set, in the order a point writes those that differ from its base.
-#[rustfmt::skip]
-static WORKLOAD_FIELDS: [Field<WorkloadProfile>; 24] = [
-    field!("seed", Integer, seed),
-    field!("footprint_bytes", Integer, footprint_bytes),
-    field!("service_roots", Index, service_roots),
-    field!("max_call_depth", Index, max_call_depth),
-    field!("mean_block_instructions", Number, mean_block_instructions),
-    field!("mean_function_blocks", Number, mean_function_blocks),
-    field!("cond_target_mean_lines", Number, cond_target_mean_lines),
-    field!("cond_backward_fraction", Number, cond_backward_fraction),
-    field!("hot_callee_fraction", Number, hot_callee_fraction),
-    field!("utility_fraction", Number, utility_fraction),
-    field!("terminators.call", Number, terminators.call),
-    field!("terminators.indirect_call", Number, terminators.indirect_call),
-    field!("terminators.jump", Number, terminators.jump),
-    field!("terminators.indirect_jump", Number, terminators.indirect_jump),
-    field!("terminators.early_return", Number, terminators.early_return),
-    field!("conditionals.loop_backedge", Number, conditionals.loop_backedge),
-    field!("conditionals.pattern", Number, conditionals.pattern),
-    field!("conditionals.data_dependent", Number, conditionals.data_dependent),
-    field!("conditionals.bias_mean", Number, conditionals.bias_mean),
-    field!("conditionals.mean_trip_count", Number, conditionals.mean_trip_count),
-    field!("backend.load_fraction", Number, backend.load_fraction),
-    field!("backend.l1d_miss_rate", Number, backend.l1d_miss_rate),
-    field!("backend.llc_miss_rate", Number, backend.llc_miss_rate),
-    field!("backend.base_latency", Integer, backend.base_latency),
-];
-
 /// Deprecated spellings of field keys, with the key each stands for.
 const ALIASES: [(&str, &str); 1] = [("hot_function_fraction", "utility_fraction")];
 
-impl<T> Field<T> {
+/// A field table entry's TOML side. A number reads an integer as a float
+/// and is written back as one; a `Noc` is `"mesh"`, `"crossbar"` (any
+/// case) or a fixed LLC round trip in cycles.
+trait TomlField<T> {
     /// Sets the field on `target` from a scalar TOML value. Errors are plain
     /// messages naming the key; the caller adds the point's context.
+    fn read(&self, target: &mut T, value: &Value) -> Result<(), String>;
+    /// The field's canonical TOML value on `target`.
+    fn value(&self, target: &T) -> Value;
+}
+
+impl<T> TomlField<T> for Field<T> {
     fn read(&self, target: &mut T, value: &Value) -> Result<(), String> {
         let key = self.key;
         let must_be = |what: &str| format!("`{key}` must be {what}");
@@ -192,7 +142,6 @@ impl<T> Field<T> {
         Ok(())
     }
 
-    /// The field's canonical TOML value on `target`.
     fn value(&self, target: &T) -> Value {
         match self.access {
             Access::Integer(get, _) => int_value(get(target)),
@@ -690,7 +639,7 @@ impl CampaignSpec {
             if profile.description != base.description {
                 table.insert("description", Value::Str(profile.description.clone()));
             }
-            for field in &WORKLOAD_FIELDS {
+            for field in &PROFILE_FIELDS {
                 let value = field.value(profile);
                 if value != field.value(&base) {
                     put(&mut table, field.key, value);
@@ -800,7 +749,7 @@ fn parse_workload_points(table: &Table) -> Result<Vec<WorkloadPoint>, SpecError>
             _ => entries.push((key.clone(), value)),
         }
     }
-    let mut subtables: Vec<&str> = WORKLOAD_FIELDS
+    let mut subtables: Vec<&str> = PROFILE_FIELDS
         .iter()
         .filter_map(|f| Some(f.key.split_once('.')?.0))
         .collect();
@@ -818,8 +767,8 @@ fn parse_workload_points(table: &Table) -> Result<Vec<WorkloadPoint>, SpecError>
                 .map(|(key, value)| (format!("{name}.{key}"), value)),
         );
     }
-    let entries = resolve(&WORKLOAD_FIELDS, "workload", entries).map_err(context)?;
-    let points = sweep(&WORKLOAD_FIELDS, &label, profile, &entries);
+    let entries = resolve(&PROFILE_FIELDS, "workload", entries).map_err(context)?;
+    let points = sweep(&PROFILE_FIELDS, &label, profile, &entries);
     Ok(points
         .map_err(context)?
         .into_iter()
@@ -1661,7 +1610,7 @@ load_fraction = 0.22
             let mut workloads = Vec::new();
             for w in 0..rng.below(3) {
                 let kind = WorkloadKind::ALL[rng.index(WorkloadKind::ALL.len())];
-                let fields: Vec<&Field<WorkloadProfile>> = WORKLOAD_FIELDS.iter().collect();
+                let fields: Vec<&Field<WorkloadProfile>> = PROFILE_FIELDS.iter().collect();
                 let mut table = Table::default();
                 table.insert("label", Value::Str(format!("w{w}")));
                 table.insert("base", Value::Str(kind.name().to_ascii_lowercase()));

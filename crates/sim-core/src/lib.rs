@@ -13,6 +13,8 @@
 //! * [`stats`] — lightweight counters and ratio helpers used by the metrics
 //!   the paper reports (stall-cycle coverage, squashes per kilo-instruction,
 //!   speedup).
+//! * [`mod@field`] — field tables: one entry per tunable field of a struct,
+//!   with its key and typed getter and setter.
 //! * [`rng`] — deterministic, seedable random number helpers so that every
 //!   workload trace and every experiment is exactly reproducible.
 //! * [`pool`] — a small work-stealing thread pool on which the experiment
@@ -38,6 +40,7 @@ pub mod addr;
 pub mod block;
 pub mod branch;
 pub mod config;
+pub mod field;
 pub mod fxhash;
 pub mod order_queue;
 pub mod pool;

@@ -6,6 +6,14 @@
 //! is the codec for those artifacts: a little-endian byte format that
 //! round-trips a layout and its dynamic trace exactly.
 //!
+//! The payload opens with the profile: its kind's index in
+//! [`WorkloadKind::ALL`] (one byte), its description (a `u32` byte count,
+//! then UTF-8), then every [`PROFILE_FIELDS`] value in table order, an
+//! integer as a `u64` and a number as its `f64` bits. Those fields are read
+//! and written through the table, and the artifact key hashes the same
+//! section without the description ([`encode_profile_key`]), so the stored
+//! bytes and their address cover one list of fields.
+//!
 //! After the profile and the line size, the payload holds the layout's
 //! simulation tables as columns, each a `u64` element count followed by its
 //! elements (B blocks, F functions, D direct branches: conditionals, jumps
@@ -57,8 +65,9 @@
 //! in the tests holds it to that.
 
 use crate::layout::{BlockId, CodeLayout, Columns, MAX_CODE_INSTRUCTIONS};
-use crate::profile::{WorkloadKind, WorkloadProfile};
+use crate::profile::{WorkloadKind, WorkloadProfile, PROFILE_FIELDS};
 use crate::trace::Trace;
+use sim_core::field::Access;
 use sim_core::{Addr, BasicBlock, BranchKind, LineGeometry, MAX_BASIC_BLOCK_INSTRUCTIONS};
 use std::fmt;
 use std::marker::PhantomData;
@@ -142,11 +151,6 @@ impl<'a> ByteReader<'a> {
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self, field: &'static str) -> Result<u64, CodecError> {
         self.get(field)
-    }
-
-    /// Reads an `f64` stored as its IEEE-754 bit pattern.
-    pub fn f64(&mut self, field: &'static str) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(self.u64(field)?))
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -251,95 +255,48 @@ fn put_column<T: Le>(out: &mut Vec<u8>, n: usize, values: impl Iterator<Item = T
     values.for_each(|v| v.put(out));
 }
 
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    v.to_bits().put(out);
-}
-
 fn put_string(out: &mut Vec<u8>, s: &str) {
     (s.len() as u32).put(out);
     out.extend_from_slice(s.as_bytes());
 }
 
-/// Canonical identity listing of a profile: every field that influences
-/// generation, in declaration order, rendered deterministically.
-///
-/// The campaign artifact cache hashes this (together with the run length) to
-/// form the content address of a generated workload. Any change to
-/// [`WorkloadProfile`]'s fields must extend this listing *and* bump the
-/// artifact format version in the campaign layer.
-pub fn profile_fingerprint(profile: &WorkloadProfile) -> String {
-    let t = &profile.terminators;
-    let c = &profile.conditionals;
-    let b = &profile.backend;
-    format!(
-        "workload-profile-v1 kind={} seed={} footprint_bytes={} \
-         mean_block_instructions={:?} mean_function_blocks={:?} \
-         terminators=({:?},{:?},{:?},{:?},{:?}) \
-         conditionals=({:?},{:?},{:?},{:?},{:?}) \
-         cond_target_mean_lines={:?} cond_backward_fraction={:?} \
-         max_call_depth={} service_roots={} hot_callee_fraction={:?} \
-         utility_fraction={:?} backend=({:?},{:?},{:?},{})",
-        profile.kind.name(),
-        profile.seed,
-        profile.footprint_bytes,
-        profile.mean_block_instructions,
-        profile.mean_function_blocks,
-        t.call,
-        t.indirect_call,
-        t.jump,
-        t.indirect_jump,
-        t.early_return,
-        c.loop_backedge,
-        c.pattern,
-        c.data_dependent,
-        c.bias_mean,
-        c.mean_trip_count,
-        profile.cond_target_mean_lines,
-        profile.cond_backward_fraction,
-        profile.max_call_depth,
-        profile.service_roots,
-        profile.hot_callee_fraction,
-        profile.utility_fraction,
-        b.load_fraction,
-        b.l1d_miss_rate,
-        b.llc_miss_rate,
-        b.base_latency,
-    )
+/// Writes the profile as the artifact key reads it: its kind's index in
+/// [`WorkloadKind::ALL`] (one byte), then every [`PROFILE_FIELDS`] value in
+/// table order, an integer as a `u64` and a number as its `f64` bits. It is
+/// the stored profile section without the description, which generation
+/// does not read.
+pub fn encode_profile_key(profile: &WorkloadProfile, out: &mut Vec<u8>) {
+    kind_index(profile.kind).put(out);
+    put_fields(profile, out);
 }
 
+/// The profile section: the kind, the description, then the fields.
 fn encode_profile(profile: &WorkloadProfile, out: &mut Vec<u8>) {
-    let kind_index = WorkloadKind::ALL
-        .iter()
-        .position(|&k| k == profile.kind)
-        .expect("every workload kind is in WorkloadKind::ALL") as u8;
-    kind_index.put(out);
+    kind_index(profile.kind).put(out);
     put_string(out, &profile.description);
-    profile.seed.put(out);
-    profile.footprint_bytes.put(out);
-    put_f64(out, profile.mean_block_instructions);
-    put_f64(out, profile.mean_function_blocks);
-    put_f64(out, profile.terminators.call);
-    put_f64(out, profile.terminators.indirect_call);
-    put_f64(out, profile.terminators.jump);
-    put_f64(out, profile.terminators.indirect_jump);
-    put_f64(out, profile.terminators.early_return);
-    put_f64(out, profile.conditionals.loop_backedge);
-    put_f64(out, profile.conditionals.pattern);
-    put_f64(out, profile.conditionals.data_dependent);
-    put_f64(out, profile.conditionals.bias_mean);
-    put_f64(out, profile.conditionals.mean_trip_count);
-    put_f64(out, profile.cond_target_mean_lines);
-    put_f64(out, profile.cond_backward_fraction);
-    (profile.max_call_depth as u64).put(out);
-    (profile.service_roots as u64).put(out);
-    put_f64(out, profile.hot_callee_fraction);
-    put_f64(out, profile.utility_fraction);
-    put_f64(out, profile.backend.load_fraction);
-    put_f64(out, profile.backend.l1d_miss_rate);
-    put_f64(out, profile.backend.llc_miss_rate);
-    profile.backend.base_latency.put(out);
+    put_fields(profile, out);
 }
 
+fn kind_index(kind: WorkloadKind) -> u8 {
+    let index = WorkloadKind::ALL.iter().position(|&k| k == kind);
+    index.expect("every workload kind is in WorkloadKind::ALL") as u8
+}
+
+fn put_fields(profile: &WorkloadProfile, out: &mut Vec<u8>) {
+    for field in &PROFILE_FIELDS {
+        match field.access {
+            Access::Integer(get, _) => get(profile).put(out),
+            Access::Index(get, _) => (get(profile) as u64).put(out),
+            Access::Number(get, _) => get(profile).to_bits().put(out),
+            Access::Bool(..) | Access::Noc(..) => {
+                unreachable!("`{}` is no integer or number", field.key)
+            }
+        }
+    }
+}
+
+/// Reads the profile section [`encode_profile`] writes. A table field's
+/// error is a `profile` error naming its key, as a validation error is.
 fn decode_profile(r: &mut ByteReader<'_>) -> Result<WorkloadProfile, CodecError> {
     let kind_index = r.u8("profile.kind")? as usize;
     let kind = *WorkloadKind::ALL.get(kind_index).ok_or_else(|| {
@@ -351,33 +308,23 @@ fn decode_profile(r: &mut ByteReader<'_>) -> Result<WorkloadProfile, CodecError>
             ),
         )
     })?;
-    let description = r.string("profile.description")?;
     let mut profile = kind.profile();
-    profile.description = description;
-    profile.seed = r.u64("profile.seed")?;
-    profile.footprint_bytes = r.u64("profile.footprint_bytes")?;
-    profile.mean_block_instructions = r.f64("profile.mean_block_instructions")?;
-    profile.mean_function_blocks = r.f64("profile.mean_function_blocks")?;
-    profile.terminators.call = r.f64("profile.terminators.call")?;
-    profile.terminators.indirect_call = r.f64("profile.terminators.indirect_call")?;
-    profile.terminators.jump = r.f64("profile.terminators.jump")?;
-    profile.terminators.indirect_jump = r.f64("profile.terminators.indirect_jump")?;
-    profile.terminators.early_return = r.f64("profile.terminators.early_return")?;
-    profile.conditionals.loop_backedge = r.f64("profile.conditionals.loop_backedge")?;
-    profile.conditionals.pattern = r.f64("profile.conditionals.pattern")?;
-    profile.conditionals.data_dependent = r.f64("profile.conditionals.data_dependent")?;
-    profile.conditionals.bias_mean = r.f64("profile.conditionals.bias_mean")?;
-    profile.conditionals.mean_trip_count = r.f64("profile.conditionals.mean_trip_count")?;
-    profile.cond_target_mean_lines = r.f64("profile.cond_target_mean_lines")?;
-    profile.cond_backward_fraction = r.f64("profile.cond_backward_fraction")?;
-    profile.max_call_depth = r.u64("profile.max_call_depth")? as usize;
-    profile.service_roots = r.u64("profile.service_roots")? as usize;
-    profile.hot_callee_fraction = r.f64("profile.hot_callee_fraction")?;
-    profile.utility_fraction = r.f64("profile.utility_fraction")?;
-    profile.backend.load_fraction = r.f64("profile.backend.load_fraction")?;
-    profile.backend.l1d_miss_rate = r.f64("profile.backend.l1d_miss_rate")?;
-    profile.backend.llc_miss_rate = r.f64("profile.backend.llc_miss_rate")?;
-    profile.backend.base_latency = r.u64("profile.backend.base_latency")?;
+    profile.description = r.string("profile.description")?;
+    for field in &PROFILE_FIELDS {
+        let named = |why: String| CodecError::new("profile", format!("`{}` {why}", field.key));
+        let v = r.u64("profile").map_err(|e| named(e.message))?;
+        match field.access {
+            Access::Integer(_, set) => set(&mut profile, v),
+            Access::Index(_, set) => set(
+                &mut profile,
+                usize::try_from(v).map_err(|_| named(format!("{v} exceeds usize")))?,
+            ),
+            Access::Number(_, set) => set(&mut profile, f64::from_bits(v)),
+            Access::Bool(..) | Access::Noc(..) => {
+                unreachable!("`{}` is no integer or number", field.key)
+            }
+        }
+    }
     Ok(profile)
 }
 
@@ -874,17 +821,7 @@ mod tests {
         let (_, _, bytes) = encoded(42, 5_000);
         assert_eq!(
             (bytes.len(), format!("{:016x}", fnv1a64(&bytes))),
-            (41_153, "ce2dd528529b2ff2".to_string())
+            (41_153, "44538a5c8bd4f376".to_string())
         );
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_profiles() {
-        let a = profile_fingerprint(&WorkloadProfile::tiny(1));
-        let b = profile_fingerprint(&WorkloadProfile::tiny(2));
-        let c = profile_fingerprint(&WorkloadProfile::tiny(1).with_footprint_bytes(128 * 1024));
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(a, profile_fingerprint(&WorkloadProfile::tiny(1)));
     }
 }

@@ -38,7 +38,7 @@ pub mod layout;
 pub mod profile;
 pub mod trace;
 
-pub use codec::{profile_fingerprint, ByteReader, CodecError};
+pub use codec::{ByteReader, CodecError};
 pub use layout::{
     BlockId, BranchBehavior, CodeLayout, ControlFlow, Function, FunctionId, Ids, LayoutSummary,
     StaticBlock, CODE_BASE, MAX_CODE_INSTRUCTIONS,
@@ -46,6 +46,6 @@ pub use layout::{
 pub use profile::{
     latency_class, BackendProfile, ConditionalBehaviorMix, ProfileError, TerminatorMix,
     WorkloadKind, WorkloadProfile, LATENCY_SEED_SALT, MAX_FOOTPRINT_BYTES, MIN_FOOTPRINT_BYTES,
-    MIN_SUBTREE_INSTRUCTIONS,
+    MIN_SUBTREE_INSTRUCTIONS, PROFILE_FIELDS,
 };
 pub use trace::{BlockSource, Trace, TraceGenerator};

@@ -20,6 +20,8 @@ use crate::layout::{
     MAX_FUNCTION_INSTRUCTIONS,
 };
 use serde::{Deserialize, Serialize};
+use sim_core::field;
+use sim_core::field::Field;
 use sim_core::rng::SimRng;
 use std::fmt;
 
@@ -394,6 +396,40 @@ pub struct WorkloadProfile {
     pub backend: BackendProfile,
 }
 
+/// Every tunable [`WorkloadProfile`] field, named once: its key (a dotted
+/// path into a sub-struct), its kind and its getter and setter. The kind and
+/// description stand outside it, being the preset a profile starts from and
+/// its label. The campaign spec reads and writes `[[workload]]` tables
+/// through it, in this order, and the codec stores a profile through it, so
+/// the artifact key covers every field here.
+#[rustfmt::skip]
+pub static PROFILE_FIELDS: [Field<WorkloadProfile>; 24] = [
+    field!("seed", Integer, seed),
+    field!("footprint_bytes", Integer, footprint_bytes),
+    field!("service_roots", Index, service_roots),
+    field!("max_call_depth", Index, max_call_depth),
+    field!("mean_block_instructions", Number, mean_block_instructions),
+    field!("mean_function_blocks", Number, mean_function_blocks),
+    field!("cond_target_mean_lines", Number, cond_target_mean_lines),
+    field!("cond_backward_fraction", Number, cond_backward_fraction),
+    field!("hot_callee_fraction", Number, hot_callee_fraction),
+    field!("utility_fraction", Number, utility_fraction),
+    field!("terminators.call", Number, terminators.call),
+    field!("terminators.indirect_call", Number, terminators.indirect_call),
+    field!("terminators.jump", Number, terminators.jump),
+    field!("terminators.indirect_jump", Number, terminators.indirect_jump),
+    field!("terminators.early_return", Number, terminators.early_return),
+    field!("conditionals.loop_backedge", Number, conditionals.loop_backedge),
+    field!("conditionals.pattern", Number, conditionals.pattern),
+    field!("conditionals.data_dependent", Number, conditionals.data_dependent),
+    field!("conditionals.bias_mean", Number, conditionals.bias_mean),
+    field!("conditionals.mean_trip_count", Number, conditionals.mean_trip_count),
+    field!("backend.load_fraction", Number, backend.load_fraction),
+    field!("backend.l1d_miss_rate", Number, backend.l1d_miss_rate),
+    field!("backend.llc_miss_rate", Number, backend.llc_miss_rate),
+    field!("backend.base_latency", Integer, backend.base_latency),
+];
+
 impl WorkloadProfile {
     /// The profile standing in for `kind`.
     ///
@@ -643,83 +679,10 @@ impl WorkloadProfile {
         self
     }
 
-    /// Returns the profile with a different number of service entry points
-    /// (instruction working-set churn).
-    #[must_use]
-    pub fn with_service_roots(mut self, roots: usize) -> Self {
-        self.service_roots = roots;
-        self
-    }
-
-    /// Returns the profile with a different hot-callee fraction (temporal
-    /// reuse of the utility layer).
-    #[must_use]
-    pub fn with_hot_callee_fraction(mut self, fraction: f64) -> Self {
-        self.hot_callee_fraction = fraction;
-        self
-    }
-
-    /// Returns the profile with a different utility-layer size fraction.
-    #[must_use]
-    pub fn with_utility_fraction(mut self, fraction: f64) -> Self {
-        self.utility_fraction = fraction;
-        self
-    }
-
-    /// Returns the profile with a different mean basic-block length.
-    #[must_use]
-    pub fn with_mean_block_instructions(mut self, mean: f64) -> Self {
-        self.mean_block_instructions = mean;
-        self
-    }
-
-    /// Returns the profile with a different mean function size in blocks.
-    #[must_use]
-    pub fn with_mean_function_blocks(mut self, mean: f64) -> Self {
-        self.mean_function_blocks = mean;
-        self
-    }
-
-    /// Returns the profile with a different mean taken-conditional target
-    /// distance in cache lines (the Figure 4 axis).
-    #[must_use]
-    pub fn with_cond_target_mean_lines(mut self, mean: f64) -> Self {
-        self.cond_target_mean_lines = mean;
-        self
-    }
-
-    /// Returns the profile with a different backward-conditional fraction.
-    #[must_use]
-    pub fn with_cond_backward_fraction(mut self, fraction: f64) -> Self {
-        self.cond_backward_fraction = fraction;
-        self
-    }
-
     /// Returns the profile with a different maximum call depth.
     #[must_use]
     pub fn with_max_call_depth(mut self, depth: usize) -> Self {
         self.max_call_depth = depth;
-        self
-    }
-
-    /// Returns the profile with a different terminator mix.
-    #[must_use]
-    pub fn with_terminators(mut self, mix: TerminatorMix) -> Self {
-        self.terminators = mix;
-        self
-    }
-
-    /// Returns the profile with a different conditional-behaviour mix.
-    #[must_use]
-    pub fn with_conditionals(mut self, mix: ConditionalBehaviorMix) -> Self {
-        self.conditionals = mix;
-        self
-    }
-
-    /// Returns the profile with a different back-end model.
-    #[must_use]
-    pub fn with_backend(mut self, backend: BackendProfile) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -980,32 +943,90 @@ mod tests {
         assert!(!bad.is_valid());
     }
 
+    /// Sets every [`PROFILE_FIELDS`] entry to a distinct value through its
+    /// setter, then names every profile field without `..`: a field added
+    /// to the struct fails to compile here until it is named, and the test
+    /// fails until the table names it too, at the struct field it sets.
     #[test]
-    fn profile_builders() {
-        let p = WorkloadKind::Apache
-            .profile()
-            .with_footprint_bytes(64 * 1024)
-            .with_seed(99)
-            .with_service_roots(24)
-            .with_hot_callee_fraction(0.5)
-            .with_utility_fraction(0.1)
-            .with_mean_block_instructions(7.0)
-            .with_mean_function_blocks(10.0)
-            .with_cond_target_mean_lines(2.0)
-            .with_cond_backward_fraction(0.25)
-            .with_max_call_depth(9);
-        assert_eq!(p.footprint_bytes, 64 * 1024);
-        assert_eq!(p.seed, 99);
-        assert_eq!(p.service_roots, 24);
-        assert_eq!(p.hot_callee_fraction, 0.5);
-        assert_eq!(p.utility_fraction, 0.1);
-        assert_eq!(p.mean_block_instructions, 7.0);
-        assert_eq!(p.mean_function_blocks, 10.0);
-        assert_eq!(p.cond_target_mean_lines, 2.0);
-        assert_eq!(p.cond_backward_fraction, 0.25);
-        assert_eq!(p.max_call_depth, 9);
-        assert_eq!(p.name(), "Apache");
-        assert!(p.is_valid());
+    fn the_field_table_names_every_profile_field_once() {
+        use sim_core::field::Access;
+        let mut p = WorkloadProfile::tiny(1);
+        for (i, field) in PROFILE_FIELDS.iter().enumerate() {
+            let v = i as u64 + 2;
+            match field.access {
+                Access::Integer(_, set) => set(&mut p, v),
+                Access::Index(_, set) => set(&mut p, v as usize),
+                Access::Number(_, set) => set(&mut p, v as f64),
+                Access::Bool(..) | Access::Noc(..) => panic!("`{}`'s kind", field.key),
+            }
+        }
+        let WorkloadProfile {
+            kind: _,
+            description: _,
+            seed,
+            footprint_bytes,
+            mean_block_instructions,
+            mean_function_blocks,
+            terminators,
+            conditionals,
+            cond_target_mean_lines,
+            cond_backward_fraction,
+            max_call_depth,
+            service_roots,
+            hot_callee_fraction,
+            utility_fraction,
+            backend,
+        } = p;
+        let TerminatorMix {
+            call,
+            indirect_call,
+            jump,
+            indirect_jump,
+            early_return,
+        } = terminators;
+        let ConditionalBehaviorMix {
+            loop_backedge,
+            pattern,
+            data_dependent,
+            bias_mean,
+            mean_trip_count,
+        } = conditionals;
+        let BackendProfile {
+            load_fraction,
+            l1d_miss_rate,
+            llc_miss_rate,
+            base_latency,
+        } = backend;
+        let named = [
+            ("seed", seed as f64),
+            ("footprint_bytes", footprint_bytes as f64),
+            ("service_roots", service_roots as f64),
+            ("max_call_depth", max_call_depth as f64),
+            ("mean_block_instructions", mean_block_instructions),
+            ("mean_function_blocks", mean_function_blocks),
+            ("cond_target_mean_lines", cond_target_mean_lines),
+            ("cond_backward_fraction", cond_backward_fraction),
+            ("hot_callee_fraction", hot_callee_fraction),
+            ("utility_fraction", utility_fraction),
+            ("terminators.call", call),
+            ("terminators.indirect_call", indirect_call),
+            ("terminators.jump", jump),
+            ("terminators.indirect_jump", indirect_jump),
+            ("terminators.early_return", early_return),
+            ("conditionals.loop_backedge", loop_backedge),
+            ("conditionals.pattern", pattern),
+            ("conditionals.data_dependent", data_dependent),
+            ("conditionals.bias_mean", bias_mean),
+            ("conditionals.mean_trip_count", mean_trip_count),
+            ("backend.load_fraction", load_fraction),
+            ("backend.l1d_miss_rate", l1d_miss_rate),
+            ("backend.llc_miss_rate", llc_miss_rate),
+            ("backend.base_latency", base_latency as f64),
+        ];
+        let set: Vec<(&str, f64)> = (PROFILE_FIELDS.iter().enumerate())
+            .map(|(i, field)| (field.key, i as f64 + 2.0))
+            .collect();
+        assert_eq!(named.to_vec(), set);
     }
 
     #[test]
@@ -1022,16 +1043,14 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.field, "footprint_bytes");
 
-        let err = WorkloadProfile::tiny(1)
-            .with_service_roots(0)
-            .validate()
-            .unwrap_err();
+        let mut no_roots = WorkloadProfile::tiny(1);
+        no_roots.service_roots = 0;
+        let err = no_roots.validate().unwrap_err();
         assert_eq!(err.field, "service_roots");
 
-        let err = WorkloadProfile::tiny(1)
-            .with_hot_callee_fraction(1.5)
-            .validate()
-            .unwrap_err();
+        let mut hot = WorkloadProfile::tiny(1);
+        hot.hot_callee_fraction = 1.5;
+        let err = hot.validate().unwrap_err();
         assert_eq!(err.field, "hot_callee_fraction");
 
         let mut bad_mix = WorkloadProfile::tiny(1);
@@ -1052,22 +1071,27 @@ mod tests {
     /// 4 TB root table. Validation alone decides it; nothing is generated.
     #[test]
     fn service_roots_are_bounded_by_the_text_segment() {
-        let huge = WorkloadProfile::tiny(1)
-            .with_footprint_bytes(MAX_FOOTPRINT_BYTES)
-            .with_service_roots(1 << 40);
+        let roots = |mut profile: WorkloadProfile, roots: usize| {
+            profile.service_roots = roots;
+            profile
+        };
+        let huge = roots(
+            WorkloadProfile::tiny(1).with_footprint_bytes(MAX_FOOTPRINT_BYTES),
+            1 << 40,
+        );
         let err = huge.validate().unwrap_err();
         assert_eq!(err.field, "service_roots");
         assert!(err.to_string().contains("got 1099511627776"), "{err}");
         assert!(err.to_string().contains("no footprint_bytes"), "{err}");
         // The most roots the largest footprint holds, and one more. There
         // the worst-case overshoot binds before the 1 KB subtree floor.
-        let service = huge.clone().with_service_roots(1);
+        let service = roots(huge.clone(), 1);
         let floor = service.subtree_instructions(MAX_FOOTPRINT_BYTES) / MIN_SUBTREE_INSTRUCTIONS;
         let most = huge.most_service_roots();
         assert!(most < floor, "{most} roots, {floor} by the floor");
         let most = most as usize;
-        assert!(huge.clone().with_service_roots(most).is_valid());
-        let err = huge.with_service_roots(most + 1).validate().unwrap_err();
+        assert!(roots(huge.clone(), most).is_valid());
+        let err = roots(huge, most + 1).validate().unwrap_err();
         assert_eq!(err.field, "service_roots");
         let fit = format!("at most {most} roots fit");
         assert!(err.to_string().contains(&fit), "{err}");
@@ -1083,10 +1107,8 @@ mod tests {
     fn a_laid_out_end_fits_the_packed_range() {
         assert_eq!(MAX_FOOTPRINT_BYTES, 512 << 20);
         assert_eq!(MAX_FOOTPRINT_BYTES / sim_core::INSTRUCTION_BYTES, 1 << 27);
-        let largest = WorkloadProfile::tiny(1).with_footprint_bytes(MAX_FOOTPRINT_BYTES);
-        let most = largest
-            .clone()
-            .with_service_roots(largest.most_service_roots() as usize);
+        let mut most = WorkloadProfile::tiny(1).with_footprint_bytes(MAX_FOOTPRINT_BYTES);
+        most.service_roots = most.most_service_roots() as usize;
         assert!(most.is_valid());
         assert!(most.max_laid_out_instructions() <= MAX_CODE_INSTRUCTIONS);
         for kind in WorkloadKind::ALL {
