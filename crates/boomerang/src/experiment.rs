@@ -11,7 +11,6 @@ use crate::dispatch::AnyMechanism;
 use crate::mechanism::{Boomerang, ThrottlePolicy};
 use branch_pred::PredictorKind;
 use frontend::{ControlFlowMechanism, SimEngine, SimStats, Simulator};
-use serde::{Deserialize, Serialize};
 use sim_core::MicroarchConfig;
 use workloads::{CodeLayout, Trace, WorkloadKind};
 
@@ -97,7 +96,7 @@ impl Mechanism {
 }
 
 /// Simulation length parameters for one experiment.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RunLength {
     /// Dynamic basic blocks simulated after warm-up.
     pub trace_blocks: usize,

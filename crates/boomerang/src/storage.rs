@@ -8,10 +8,9 @@
 
 use crate::experiment::Mechanism;
 use crate::mechanism::ThrottlePolicy;
-use serde::{Deserialize, Serialize};
 
 /// One row of the storage comparison.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct StorageRow {
     /// Mechanism name.
     pub mechanism: String,

@@ -15,6 +15,7 @@ use branch_pred::PredictorKind;
 use frontend::Simulator;
 use sim_core::rng::SimRng;
 use sim_core::{MicroarchConfig, NocModel};
+use testkit::SplitMix;
 use workloads::{CodeLayout, Trace, WorkloadProfile};
 
 /// Every mechanism the campaign engine can run, including both Boomerang
@@ -33,21 +34,12 @@ fn all_mechanisms() -> Vec<Mechanism> {
     ]
 }
 
-/// SplitMix64: a self-contained, deterministic source of slice targets.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Block targets a resumable run pauses at: the start, either side of the
 /// warmup boundary, a few SplitMix-drawn points, and one past the trace end.
 fn slice_targets(blocks: usize, warmup: usize, seed: u64) -> Vec<usize> {
-    let mut state = seed;
+    let mut rng = SplitMix(seed);
     let mut targets = vec![0, warmup.saturating_sub(1), warmup, warmup + 1, blocks + 1];
-    targets.extend((0..4).map(|_| (splitmix64(&mut state) % blocks as u64) as usize));
+    targets.extend((0..4).map(|_| rng.index(blocks)));
     targets.sort_unstable();
     targets
 }

@@ -40,12 +40,11 @@ pub mod storage;
 pub use basic_block::BasicBlockBtb;
 pub use prefetch_buffer::BtbPrefetchBuffer;
 
-use serde::{Deserialize, Serialize};
 use sim_core::{Addr, BranchInfo, BranchKind};
 
 /// The payload of a BTB entry: everything the branch prediction unit needs to
 /// form the next fetch address once the entry's block is reached.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct BtbEntry {
     /// Start address of the basic block (the tag for a BB-BTB).
     pub block_start: Addr,

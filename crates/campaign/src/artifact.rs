@@ -24,17 +24,8 @@
 //! followed by `payload_len` bytes of [`workloads::codec::encode_workload`]
 //! output. Format 5's payload is the profile and the line size, then the
 //! layout's simulation tables as length-prefixed little-endian columns,
-//! then the trace, then the back end's latency classes (the
-//! [`workloads::codec`] docs give each column's encoding):
-//!
-//! | column | elements |
-//! |---|---|
-//! | profile | the kind, the description, then one 8-byte value per [`workloads::PROFILE_FIELDS`] entry, in table order |
-//! | function sizes, hot flags | one `u32`, one `u8` per function |
-//! | block sizes, kinds | one `u8` each per block |
-//! | direct targets | one `u32` block id per conditional, jump and call |
-//! | trace | counts, then one `u32` id and one taken bit per dynamic block |
-//! | latency classes | a `u64` byte count, then one 2-bit class per trace instruction, four to a byte |
+//! then the trace, then the back end's latency classes; the
+//! [`workloads::codec`] docs give each column's encoding.
 //!
 //! Nothing a layout can re-derive cheaply is stored: start and target
 //! addresses, last-in-function bits and the line index are rebuilt on load.
@@ -51,19 +42,20 @@
 //! length and padding; the offline auditor ([`crate::verify`]) recomputes
 //! their values from the stored profile.
 //!
-//! Every header field is validated on load with a field-level
-//! [`ArtifactError`] (same discipline as the spec TOML parser and
+//! Every header field is validated on load with a [`FieldError`] naming
+//! it, read through [`sim_core::bytes`] (same discipline as the spec TOML parser and
 //! [`workloads::ProfileError`]), and so is every payload byte before it is
 //! used; corrupt, truncated or wrong-version files are *rejected, never
 //! trusted and never panicked on* — the engine falls back to regeneration
 //! and overwrites the bad file.
 //!
-//! The key is the FNV-1a-64 of the codec's profile section without the
-//! description ([`workloads::codec::encode_profile_key`]: the kind, then
+//! The key is the FNV-1a-64 of the stored profile section
+//! ([`workloads::codec::encode_profile`]: the kind, the description, then
 //! every [`workloads::PROFILE_FIELDS`] value), then the run length. It
-//! covers every field the codec stores, because both read one table, so
-//! smoke and full-length artifacts of the same point coexist and any
-//! profile change changes the address. The key does not cover
+//! covers exactly the profile a load compares, so smoke and full-length
+//! artifacts of the same point coexist, two points that differ only in
+//! their description have two addresses, and any profile change changes
+//! the address. The key does not cover
 //! [`ARTIFACT_FORMAT`]: a file of another format at the same address is
 //! rejected as `header.format` and overwritten by the regenerated point.
 //! Bump [`ARTIFACT_FORMAT`] whenever the codec or this header changes
@@ -75,7 +67,7 @@
 
 use crate::checkpoint::fnv1a64;
 use boomerang::{RunLength, WorkloadData};
-use std::fmt;
+use sim_core::bytes::{ensure, Cursor, FieldError, Le};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -91,38 +83,6 @@ pub const ARTIFACT_MAGIC: [u8; 4] = *b"BMWL";
 pub const ARTIFACT_FORMAT: u32 = 5;
 
 const HEADER_LEN: usize = 32;
-
-/// A rejected artifact file: which header or payload field was bad, and why.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ArtifactError {
-    /// Dotted path of the offending field.
-    pub field: &'static str,
-    /// What was wrong with it.
-    pub message: String,
-}
-
-impl ArtifactError {
-    fn new(field: &'static str, message: impl Into<String>) -> Self {
-        ArtifactError {
-            field,
-            message: message.into(),
-        }
-    }
-}
-
-impl fmt::Display for ArtifactError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "artifact field `{}`: {}", self.field, self.message)
-    }
-}
-
-impl std::error::Error for ArtifactError {}
-
-impl From<codec::CodecError> for ArtifactError {
-    fn from(e: codec::CodecError) -> Self {
-        ArtifactError::new(e.field, e.message)
-    }
-}
 
 /// The `payload_fnv` header field: FNV-1a-64 over the payload read as
 /// little-endian 64-bit words, then over its tail bytes one at a time.
@@ -150,9 +110,9 @@ pub fn payload_fnv(bytes: &[u8]) -> u64 {
 /// before generation, so the key sees exactly what generation sees.
 pub fn artifact_key(profile: &WorkloadProfile, run: RunLength) -> u64 {
     let mut identity = Vec::new();
-    codec::encode_profile_key(profile, &mut identity);
+    codec::encode_profile(profile, &mut identity);
     for blocks in [run.trace_blocks, run.warmup_blocks] {
-        identity.extend_from_slice(&(blocks as u64).to_le_bytes());
+        (blocks as u64).put(&mut identity);
     }
     fnv1a64(&identity)
 }
@@ -184,8 +144,8 @@ impl ArtifactCache {
 
     /// Attempts to load the artifact for `(profile, run)`.
     ///
-    /// Returns `Ok(None)` on a clean miss (no file). Returns an
-    /// [`ArtifactError`] naming the offending field if a file exists but is
+    /// Returns `Ok(None)` on a clean miss (no file). Returns a
+    /// [`FieldError`] naming the offending field if a file exists but is
     /// corrupt, truncated, wrong-version, or describes a different workload
     /// — callers treat that as a miss (regenerate and overwrite), surfacing
     /// the error as a warning.
@@ -193,14 +153,14 @@ impl ArtifactCache {
         &self,
         profile: &WorkloadProfile,
         run: RunLength,
-    ) -> Result<Option<WorkloadData>, ArtifactError> {
+    ) -> Result<Option<WorkloadData>, FieldError> {
         let key = artifact_key(profile, run);
         let path = self.path_for(key);
         let bytes = match fs::read(&path) {
             Ok(bytes) => bytes,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
             Err(e) => {
-                return Err(ArtifactError::new(
+                return Err(FieldError::new(
                     "file",
                     format!("cannot read {}: {e}", path.display()),
                 ))
@@ -208,24 +168,16 @@ impl ArtifactCache {
         };
         let payload = check_header(&bytes, key)?;
         let (layout, trace, classes) = codec::decode_workload(payload)?;
-        if layout.profile() != profile {
-            return Err(ArtifactError::new(
-                "payload.profile",
-                "stored profile differs from the requested one (another description, which \
-                 the key leaves out, or a content-address collision)"
-                    .to_string(),
-            ));
-        }
+        ensure(layout.profile() == profile, "payload.profile", || {
+            "stored profile differs from the requested one (a content-address collision)"
+        })?;
         let expected_blocks = run.trace_blocks + run.warmup_blocks;
-        if trace.len() != expected_blocks {
-            return Err(ArtifactError::new(
-                "payload.trace",
-                format!(
-                    "stored trace has {} blocks, run length needs {expected_blocks}",
-                    trace.len()
-                ),
-            ));
-        }
+        ensure(trace.len() == expected_blocks, "payload.trace", || {
+            format!(
+                "stored trace has {} blocks, run length needs {expected_blocks}",
+                trace.len()
+            )
+        })?;
         Ok(Some(WorkloadData::from_stored(layout, trace, classes, run)))
     }
 
@@ -250,10 +202,10 @@ impl ArtifactCache {
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
         let mut file = Vec::with_capacity(HEADER_LEN + payload.len());
         file.extend_from_slice(&ARTIFACT_MAGIC);
-        file.extend_from_slice(&ARTIFACT_FORMAT.to_le_bytes());
-        file.extend_from_slice(&key.to_le_bytes());
-        file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        file.extend_from_slice(&payload_fnv(&payload).to_le_bytes());
+        ARTIFACT_FORMAT.put(&mut file);
+        for field in [key, payload.len() as u64, payload_fnv(&payload)] {
+            field.put(&mut file);
+        }
         file.extend_from_slice(&payload);
 
         let path = self.path_for(key);
@@ -273,55 +225,32 @@ impl ArtifactCache {
 /// returns the payload slice. Shared with the offline auditor
 /// ([`crate::verify`]), which walks a cache directory and checks every
 /// `wl-*.wla` against the key its filename claims.
-pub(crate) fn check_header(bytes: &[u8], key: u64) -> Result<&[u8], ArtifactError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(ArtifactError::new(
-            "header",
-            format!(
-                "truncated: {} bytes, header needs {HEADER_LEN}",
-                bytes.len()
-            ),
-        ));
-    }
-    let u32_at = |o: usize| u32::from_le_bytes(bytes[o..o + 4].try_into().expect("4 bytes"));
-    let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().expect("8 bytes"));
-    if bytes[..4] != ARTIFACT_MAGIC {
-        return Err(ArtifactError::new(
-            "header.magic",
-            format!("expected {ARTIFACT_MAGIC:?}, found {:?}", &bytes[..4]),
-        ));
-    }
-    let format = u32_at(4);
-    if format != ARTIFACT_FORMAT {
-        return Err(ArtifactError::new(
-            "header.format",
-            format!("file is format version {format}, this build reads {ARTIFACT_FORMAT}"),
-        ));
-    }
-    let stored_key = u64_at(8);
-    if stored_key != key {
-        return Err(ArtifactError::new(
-            "header.key",
-            format!("file claims key {stored_key:016x}, content address is {key:016x}"),
-        ));
-    }
-    let payload_len = u64_at(16);
-    let available = (bytes.len() - HEADER_LEN) as u64;
-    if payload_len != available {
-        return Err(ArtifactError::new(
-            "header.payload_len",
-            format!("header says {payload_len} payload bytes, file holds {available}"),
-        ));
-    }
-    let payload = &bytes[HEADER_LEN..];
-    let checksum = u64_at(24);
+pub(crate) fn check_header(bytes: &[u8], key: u64) -> Result<&[u8], FieldError> {
+    let mut r = Cursor::new(bytes);
+    let mut header = Cursor::new(r.take(HEADER_LEN, "header")?);
+    let magic = header.take(4, "header.magic")?;
+    ensure(magic == ARTIFACT_MAGIC, "header.magic", || {
+        format!("expected {ARTIFACT_MAGIC:?}, found {magic:?}")
+    })?;
+    let format = header.u32("header.format")?;
+    ensure(format == ARTIFACT_FORMAT, "header.format", || {
+        format!("file is format version {format}, this build reads {ARTIFACT_FORMAT}")
+    })?;
+    let stored_key = header.u64("header.key")?;
+    ensure(stored_key == key, "header.key", || {
+        format!("file claims key {stored_key:016x}, content address is {key:016x}")
+    })?;
+    let payload_len = header.u64("header.payload_len")?;
+    let checksum = header.u64("header.payload_fnv")?;
+    let payload = r.take(r.remaining(), "payload")?;
+    let available = payload.len() as u64;
+    ensure(payload_len == available, "header.payload_len", || {
+        format!("header says {payload_len} payload bytes, file holds {available}")
+    })?;
     let actual = payload_fnv(payload);
-    if checksum != actual {
-        return Err(ArtifactError::new(
-            "header.payload_fnv",
-            format!("header checksum {checksum:016x}, payload hashes to {actual:016x}"),
-        ));
-    }
+    ensure(checksum == actual, "header.payload_fnv", || {
+        format!("header checksum {checksum:016x}, payload hashes to {actual:016x}")
+    })?;
     Ok(payload)
 }
 
@@ -334,13 +263,13 @@ pub(crate) fn check_classes(
     layout: &CodeLayout,
     trace: &Trace,
     stored: &[u8],
-) -> Result<(), ArtifactError> {
+) -> Result<(), FieldError> {
     let profile = layout.profile();
     let n = trace.instructions() as usize;
     let drawn = profile.backend.latency_classes(profile.seed, n);
     match (0..n).find(|&i| latency_class::get(stored, i) != latency_class::get(&drawn, i)) {
         None => Ok(()),
-        Some(i) => Err(ArtifactError::new(
+        Some(i) => Err(FieldError::new(
             "payload.classes",
             format!(
                 "stored latency class of instruction {i} is {}, the profile draws {}",
@@ -354,6 +283,7 @@ pub(crate) fn check_classes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use testkit::temp_dir;
     use workloads::WorkloadProfile;
 
     fn tiny_data(seed: u64, run: RunLength) -> (WorkloadProfile, WorkloadData) {
@@ -362,7 +292,7 @@ mod tests {
         (profile, data)
     }
 
-    fn load_err(cache: &ArtifactCache, profile: &WorkloadProfile, run: RunLength) -> ArtifactError {
+    fn load_err(cache: &ArtifactCache, profile: &WorkloadProfile, run: RunLength) -> FieldError {
         match cache.load(profile, run) {
             Err(e) => e,
             Ok(_) => panic!("expected the artifact to be rejected"),
@@ -390,6 +320,9 @@ mod tests {
             )
         );
         assert_eq!(artifact_key(&a, RUN), artifact_key(&a.clone(), RUN));
+        let mut described = a.clone();
+        described.description.push_str(", described");
+        assert_ne!(artifact_key(&a, RUN), artifact_key(&described, RUN));
     }
 
     /// Each [`PROFILE_FIELDS`](workloads::PROFILE_FIELDS) entry, changed
@@ -411,7 +344,7 @@ mod tests {
             assert!(changed.is_valid(), "{}", field.key);
             let mut bytes = Vec::new();
             codec::encode_layout(&workloads::CodeLayout::generate(&changed), &mut bytes);
-            let decoded = codec::decode_layout(&mut codec::ByteReader::new(&bytes));
+            let decoded = codec::decode_layout(&mut Cursor::new(&bytes));
             assert_eq!(decoded.unwrap().profile(), &changed, "{}", field.key);
             assert_ne!(artifact_key(&changed, RUN), key, "{}", field.key);
         }
@@ -419,8 +352,7 @@ mod tests {
 
     #[test]
     fn store_then_load_roundtrips() {
-        let dir =
-            std::env::temp_dir().join(format!("boomerang-artifact-rt-{}", std::process::id()));
+        let dir = temp_dir("artifact-rt");
         let cache = ArtifactCache::open(&dir).unwrap();
         let (profile, data) = tiny_data(5, RUN);
         assert!(cache.load(&profile, RUN).unwrap().is_none());
@@ -437,8 +369,7 @@ mod tests {
 
     #[test]
     fn corrupt_truncated_and_wrong_version_files_are_rejected_with_fields() {
-        let dir =
-            std::env::temp_dir().join(format!("boomerang-artifact-bad-{}", std::process::id()));
+        let dir = temp_dir("artifact-bad");
         let cache = ArtifactCache::open(&dir).unwrap();
         let (profile, data) = tiny_data(9, RUN);
         cache.store(&profile, RUN, &data).unwrap();
@@ -486,16 +417,12 @@ mod tests {
     fn every_single_byte_flip_fails_the_payload_checksum() {
         let (profile, data) = tiny_data(4, RUN);
         let key = artifact_key(&profile, RUN);
-        let mut payload = Vec::new();
         let classes = data.latency_classes();
-        codec::encode_workload(&data.layout, &data.trace, classes, &mut payload).unwrap();
         assert!(classes.len() > 8, "the class column spans the last word");
-        let mut file = ARTIFACT_MAGIC.to_vec();
-        file.extend_from_slice(&ARTIFACT_FORMAT.to_le_bytes());
-        file.extend_from_slice(&key.to_le_bytes());
-        file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        file.extend_from_slice(&payload_fnv(&payload).to_le_bytes());
-        file.extend_from_slice(&payload);
+        let cache = ArtifactCache::open(&temp_dir("artifact-flip")).unwrap();
+        cache.store(&profile, RUN, &data).unwrap();
+        let mut file = std::fs::read(cache.path_for(key)).unwrap();
+        std::fs::remove_dir_all(cache.dir()).unwrap();
         assert!(check_header(&file, key).is_ok());
         let tail = file.len() - 8..file.len();
         for at in (HEADER_LEN..file.len()).step_by(7).chain(tail) {
@@ -526,8 +453,7 @@ mod tests {
 
     #[test]
     fn smoke_and_full_artifacts_coexist() {
-        let dir =
-            std::env::temp_dir().join(format!("boomerang-artifact-two-{}", std::process::id()));
+        let dir = temp_dir("artifact-two");
         let cache = ArtifactCache::open(&dir).unwrap();
         let other = RunLength {
             trace_blocks: 400,

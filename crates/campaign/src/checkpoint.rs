@@ -853,6 +853,7 @@ mod fuzz;
 mod tests {
     use super::*;
     use crate::spec::CampaignSpec;
+    use testkit::temp_dir;
 
     #[test]
     fn fnv_digest_is_the_reference_constant() {
@@ -869,14 +870,6 @@ mod tests {
         if let Some(byte) = line.iter_mut().rev().find(|b| b.is_ascii_digit()) {
             *byte = if *byte == b'9' { b'0' } else { *byte + 1 };
         }
-    }
-
-    pub(super) fn temp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("boomerang-journal-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
     }
 
     pub(super) fn spec() -> CampaignSpec {

@@ -10,54 +10,18 @@
 //! written, or fail as a [`CheckpointError`] naming a line of the mutant;
 //! a panic fails the test with the mutant that caused it.
 
-use super::tests::{spec, stats, temp_dir};
+use super::tests::{spec, stats};
 use super::*;
-use crate::splitmix::SplitMix;
-
-/// Byte strings worth inserting: quotes, escapes (valid, invalid, a lone
-/// surrogate, cut short by the end of the line), digit runs past `u64`,
-/// line and UTF-8 damage.
-const INSERTS: [&[u8]; 16] = [
-    b"\"",
-    b"\\",
-    b"\\\"",
-    b"\\u",
-    b"\\u00e9",
-    b"\\ud800",
-    b"\\x",
-    b"\\u00\n",
-    b"\"\\u\n",
-    b"18446744073709551615",
-    b"18446744073709551616",
-    b"99999999999999999999999999999999999999",
-    b"\n",
-    b"\xff",
-    b"\xc3",
-    b"\xe2\x82",
-];
+use testkit::{delete, flip_bit, forge, insert_token, temp_dir, truncate, SplitMix};
 
 /// Applies one mutation to `journal` and says what it was.
 fn mutate(journal: &mut Vec<u8>, rng: &mut SplitMix) -> String {
-    let at = rng.index(journal.len() + 1);
+    let at = rng.index(journal.len());
     match rng.below(8) {
-        0 if at < journal.len() => {
-            let bit = rng.below(8);
-            journal[at] ^= 1 << bit;
-            format!("flip bit {bit} of byte {at}")
-        }
-        1 if at < journal.len() => {
-            let byte = rng.next() as u8;
-            journal[at] = byte;
-            format!("byte {at} := {byte:#04x}")
-        }
-        2 => {
-            journal.truncate(at);
-            format!("truncate to {at} bytes")
-        }
-        3 if at < journal.len() => {
-            journal.remove(at);
-            format!("delete byte {at}")
-        }
+        0 => flip_bit(journal, at..=at, rng),
+        1 => forge(journal, rng, "byte", at, 1),
+        2 => truncate(journal, rng),
+        3 => delete(journal, at),
         4 => {
             let lines: Vec<&[u8]> = journal.split_inclusive(|&b| b == b'\n').collect();
             let (line, copy) = (rng.index(lines.len()), rng.percent(50));
@@ -74,29 +38,10 @@ fn mutate(journal: &mut Vec<u8>, rng: &mut SplitMix) -> String {
                 line + 1
             )
         }
-        5 => {
-            // Just inside a string or just after a separator, where the
-            // decoder is about to read a key or a value.
-            let starts: Vec<usize> = (journal.iter().enumerate())
-                .filter(|&(_, &b)| matches!(b, b'"' | b',' | b':' | b'{'))
-                .map(|(i, _)| i + 1)
-                .collect();
-            let at = starts
-                .get(rng.index(starts.len().max(1)))
-                .copied()
-                .unwrap_or(0);
-            let insert = INSERTS[rng.index(INSERTS.len())];
-            journal.splice(at..at, insert.iter().copied());
-            format!(
-                "insert {:?} at boundary {at}",
-                String::from_utf8_lossy(insert)
-            )
-        }
-        _ => {
-            let insert = INSERTS[rng.index(INSERTS.len())];
-            journal.splice(at..at, insert.iter().copied());
-            format!("insert {:?} at {at}", String::from_utf8_lossy(insert))
-        }
+        // Just inside a string or just after a separator, where the
+        // decoder is about to read a key or a value.
+        5 => insert_token(journal, b"\",:{", rng),
+        _ => insert_token(journal, b"", rng),
     }
 }
 
@@ -123,10 +68,7 @@ fn mutated_journals_replay_their_rows_or_fail_naming_a_line() {
     let mut rng = SplitMix(0x6a0c_7e11_f022_d3ad);
     let (mut replayed, mut rejected) = (0, 0);
     for round in 0..2000 {
-        let mut mutant = original.clone();
-        let what: Vec<String> = (0..1 + rng.below(3))
-            .map(|_| mutate(&mut mutant, &mut rng))
-            .collect();
+        let (mutant, what) = testkit::mutant(&original, 3, &mut rng, mutate);
         std::fs::write(&path, &mutant).unwrap();
         let outcome =
             std::panic::catch_unwind(|| JournalReplay::load(&dir, &spec.name, &hash, &jobs))

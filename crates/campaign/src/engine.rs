@@ -55,10 +55,7 @@ pub fn derive_seed(base: u64, offset: u64) -> u64 {
     if offset == 0 {
         return base;
     }
-    let mut z = offset.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    base ^ (z ^ (z >> 31))
+    base ^ sim_core::rng::mix64(offset.wrapping_mul(0x9e37_79b9_7f4a_7c15))
 }
 
 /// One finished cell: its job description plus measured and baseline stats.
@@ -472,6 +469,7 @@ pub fn assemble_partial_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use testkit::temp_dir;
 
     #[test]
     fn derive_seed_is_stable_and_offset_sensitive() {
@@ -517,9 +515,7 @@ mod tests {
             "name = \"t\"\nworkloads = [\"nutch\"]\nmechanisms = [\"fdip\", \"boomerang\"]\n\n[run]\ntrace_blocks = 1500\nwarmup_blocks = 300\n",
         )
         .unwrap();
-        let cache =
-            std::env::temp_dir().join(format!("boomerang-engine-expand-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&cache);
+        let cache = temp_dir("engine-expand");
         let options = EngineOptions {
             jobs: 2,
             artifact_cache: Some(cache.clone()),
@@ -539,6 +535,36 @@ mod tests {
         std::fs::remove_dir_all(&cache).unwrap();
     }
 
+    /// Two workload tables that differ only in their description are two
+    /// artifacts: the key covers the description the load compares, so a
+    /// second run over one cache hits both.
+    #[test]
+    fn tables_differing_only_in_description_both_hit_the_cache() {
+        let spec = CampaignSpec::from_toml_str(
+            "name = \"t\"\nmechanisms = [\"fdip\"]\n\n[run]\ntrace_blocks = 1500\nwarmup_blocks = 300\n\n\
+             [[workload]]\nlabel = \"a\"\nbase = \"nutch\"\ndescription = \"first\"\n\n\
+             [[workload]]\nlabel = \"b\"\nbase = \"nutch\"\ndescription = \"second\"\n",
+        )
+        .unwrap();
+        let cache = temp_dir("engine-described");
+        let options = EngineOptions {
+            jobs: 1,
+            artifact_cache: Some(cache.clone()),
+            ..EngineOptions::default()
+        };
+        for (hits, generated) in [(0, 2), (2, 0)] {
+            let summary = generate_workloads(&spec, &options).unwrap().summary;
+            assert_eq!(
+                (summary.cache_hits, summary.generated),
+                (hits, generated),
+                "{:?}",
+                summary.warnings
+            );
+            assert!(summary.warnings.is_empty(), "{:?}", summary.warnings);
+        }
+        std::fs::remove_dir_all(&cache).unwrap();
+    }
+
     /// The artifact key does not cover the format, so a file of an older
     /// format sits at the point's key: it is rejected as `header.format`,
     /// the point is regenerated, and the file is rewritten in the current
@@ -550,9 +576,7 @@ mod tests {
             "name = \"t\"\nworkloads = [\"nutch\"]\nmechanisms = [\"fdip\"]\n\n[run]\ntrace_blocks = 1500\nwarmup_blocks = 300\n",
         )
         .unwrap();
-        let dir =
-            std::env::temp_dir().join(format!("boomerang-engine-format-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = temp_dir("engine-format");
         let cache = ArtifactCache::open(&dir).unwrap();
         let base = &spec.workloads[0].profile;
         let profile = base.clone().with_seed(derive_seed(base.seed, 0));

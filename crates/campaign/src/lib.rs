@@ -59,14 +59,12 @@ pub mod proto;
 pub mod serve;
 pub mod sink;
 pub mod spec;
-#[cfg(test)]
-mod splitmix;
 pub mod supervise;
 pub mod toml;
 pub mod verify;
 pub mod worker;
 
-pub use artifact::{artifact_key, ArtifactCache, ArtifactError, ARTIFACT_FORMAT, ARTIFACT_MAGIC};
+pub use artifact::{artifact_key, ArtifactCache, ARTIFACT_FORMAT, ARTIFACT_MAGIC};
 pub use checkpoint::{fnv1a64, spec_hash, CheckpointError, Journal, JournalReplay, JOURNAL_FORMAT};
 pub use engine::{
     assemble_partial_report, assemble_report, derive_seed, generate_workloads, run_campaign,
@@ -76,7 +74,7 @@ pub use engine::{
 pub use expand::{expand, Job};
 pub use fault::{FaultKind, FaultPlan, FaultSpec, FAULT_ENV, FAULT_EXIT_CODE, FAULT_LIFE_ENV};
 pub use presets::{Preset, PRESETS};
-pub use proto::{Message, ProtoError, MAX_PAYLOAD, PROTO_MAGIC, PROTO_VERSION};
+pub use proto::{Message, MAX_PAYLOAD, PROTO_MAGIC, PROTO_VERSION};
 pub use sink::{
     to_csv, to_csv_partial, to_json, to_json_partial, to_table, write_partial_reports,
     write_reports, ReportPaths, StreamingSink,

@@ -14,10 +14,10 @@
 //! | 20     | *n*  | payload       | flat little-endian fields                |
 //! | 20+*n* | 8    | `frame_fnv`   | FNV-1a-64 of the payload bytes           |
 //!
-//! Every header field is validated on read with a field-level
-//! [`ProtoError`] naming the offending field — the same discipline as the
-//! artifact-cache `BMWL` header and the spec TOML parser, so a version skew
-//! or a corrupted stream is a named diagnosis, not a length panic. The
+//! Every header field is validated on read with a [`FieldError`] naming
+//! the offending field — the same discipline as the artifact-cache `BMWL`
+//! header and the spec TOML parser, so a version skew or a corrupted
+//! stream is a named diagnosis, not a length panic. The
 //! `arity` field is the schema handshake: a peer whose `kind` grew or lost
 //! a payload field is rejected *before* payload decoding, which is how a
 //! mixed-version fleet fails loudly instead of misreading bytes. The
@@ -26,10 +26,10 @@
 //! parses — is rejected as a whole instead of decoding plausibly into
 //! wrong field values.
 //!
-//! Payload encoding is flat little-endian: `u32`/`u64` verbatim, `bool` as
-//! one byte, strings as `u32` length + UTF-8 bytes, `u64` lists as `u32`
-//! count + values. No self-description — the (version, kind, arity) triple
-//! pins the layout.
+//! Payload encoding is [`sim_core::bytes`]' flat little-endian: `u32`/`u64`
+//! verbatim, `bool` as one byte, strings as `u32` length + UTF-8 bytes,
+//! `u64` lists as `u32` count + values. No self-description — the
+//! (version, kind, arity) triple pins the layout.
 //!
 //! # Conversation shape
 //!
@@ -43,10 +43,10 @@
 //! from the worker's read perspective the socket stays strict
 //! request-reply.
 
-use std::fmt;
 use std::io::{self, Read, Write};
 
 use crate::checkpoint::{fnv1a64, STAT_FIELD_COUNT};
+use sim_core::bytes::{ensure, put_string, put_u64s, Cursor, FieldError, Le};
 
 /// Frame magic: "Boomerang work queue".
 pub const PROTO_MAGIC: [u8; 4] = *b"BMWQ";
@@ -67,39 +67,9 @@ pub const MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
 /// Header size on the wire.
 pub const HEADER_LEN: usize = 20;
 
-/// A rejected frame: which header or payload field was bad, and why.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ProtoError {
-    /// Dotted path of the offending field.
-    pub field: &'static str,
-    /// What was wrong with it.
-    pub message: String,
-}
-
-impl ProtoError {
-    fn new(field: &'static str, message: impl Into<String>) -> Self {
-        ProtoError {
-            field,
-            message: message.into(),
-        }
-    }
-}
-
-impl fmt::Display for ProtoError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "protocol field `{}`: {}", self.field, self.message)
-    }
-}
-
-impl std::error::Error for ProtoError {}
-
-/// An `InvalidData` error carrying the [`ProtoError`] itself, so a caller
-/// can recover the field with `get_ref().downcast_ref::<ProtoError>()`.
-impl From<ProtoError> for io::Error {
-    fn from(e: ProtoError) -> io::Error {
-        io::Error::new(io::ErrorKind::InvalidData, e)
-    }
-}
+/// The most payload bytes [`read_message`] reserves before any arrive: a
+/// typical frame's whole payload, so it is read in one call.
+const FIRST_READ: u64 = 4096;
 
 /// One protocol message. See the module docs for the conversation shape.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -227,135 +197,24 @@ fn kind_of(msg: &Message) -> u32 {
     }
 }
 
-// ---- payload writers ----------------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.push(v as u8);
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_u64s(out: &mut Vec<u8>, values: &[u64]) {
-    put_u32(out, values.len() as u32);
-    for &v in values {
-        put_u64(out, v);
-    }
-}
-
-// ---- payload reader -----------------------------------------------------
-
-/// Cursor over a payload with field-named underrun errors.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, at: 0 }
-    }
-
-    fn take(&mut self, n: usize, field: &'static str) -> Result<&'a [u8], ProtoError> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&end| end <= self.bytes.len());
-        let Some(end) = end else {
-            return Err(ProtoError::new(
-                field,
-                format!(
-                    "payload underrun: need {n} bytes at offset {}, have {}",
-                    self.at,
-                    self.bytes.len().saturating_sub(self.at)
-                ),
-            ));
-        };
-        let slice = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(slice)
-    }
-
-    fn u32(&mut self, field: &'static str) -> Result<u32, ProtoError> {
-        let b = self.take(4, field)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self, field: &'static str) -> Result<u64, ProtoError> {
-        let b = self.take(8, field)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    fn bool(&mut self, field: &'static str) -> Result<bool, ProtoError> {
-        match self.take(1, field)?[0] {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(ProtoError::new(field, format!("bad bool byte {other}"))),
-        }
-    }
-
-    fn string(&mut self, field: &'static str) -> Result<String, ProtoError> {
-        let len = self.u32(field)? as usize;
-        let bytes = self.take(len, field)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ProtoError::new(field, "string is not UTF-8"))
-    }
-
-    /// A `u32` count, then that many `u64`s. The list's bytes are taken
-    /// before anything is allocated for it, so a forged count fails as an
-    /// underrun instead of reserving memory the payload cannot fill.
-    fn u64s(&mut self, field: &'static str) -> Result<Vec<u64>, ProtoError> {
-        let count = self.u32(field)? as usize;
-        let len = count
-            .checked_mul(8)
-            .ok_or_else(|| ProtoError::new(field, format!("list count {count} too large")))?;
-        let bytes = self.take(len, field)?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
-            .collect())
-    }
-
-    fn finish(self, field: &'static str) -> Result<(), ProtoError> {
-        if self.at != self.bytes.len() {
-            return Err(ProtoError::new(
-                field,
-                format!(
-                    "{} trailing payload bytes after the last field",
-                    self.bytes.len() - self.at
-                ),
-            ));
-        }
-        Ok(())
-    }
-}
-
 // ---- frame encode / decode ----------------------------------------------
 
 /// Serialises one message into a complete frame (header + payload + FNV
 /// trailer).
 pub fn encode(msg: &Message) -> Vec<u8> {
     let mut payload = Vec::new();
+    let out = &mut payload;
     match msg {
         Message::Hello { worker, pid } => {
-            put_str(&mut payload, worker);
-            put_u64(&mut payload, *pid);
+            put_string(out, worker);
+            pid.put(out);
         }
         Message::Welcome {
             broker_pid,
             heartbeat_ms,
         } => {
-            put_u64(&mut payload, *broker_pid);
-            put_u64(&mut payload, *heartbeat_ms);
+            broker_pid.put(out);
+            heartbeat_ms.put(out);
         }
         Message::LeaseRequest => {}
         Message::Lease {
@@ -365,14 +224,14 @@ pub fn encode(msg: &Message) -> Vec<u8> {
             spec_hash,
             spec_toml,
         } => {
-            put_u64(&mut payload, *lease);
-            put_u64(&mut payload, *job);
-            put_bool(&mut payload, *smoke);
-            put_str(&mut payload, spec_hash);
-            put_str(&mut payload, spec_toml);
+            lease.put(out);
+            job.put(out);
+            u8::from(*smoke).put(out);
+            put_string(out, spec_hash);
+            put_string(out, spec_toml);
         }
-        Message::NoWork { retry_ms } => put_u64(&mut payload, *retry_ms),
-        Message::Heartbeat { lease } => put_u64(&mut payload, *lease),
+        Message::NoWork { retry_ms } => retry_ms.put(out),
+        Message::Heartbeat { lease } => lease.put(out),
         Message::RowDone {
             lease,
             job,
@@ -382,28 +241,26 @@ pub fn encode(msg: &Message) -> Vec<u8> {
             row_fnv,
             stats,
         } => {
-            put_u64(&mut payload, *lease);
-            put_u64(&mut payload, *job);
-            put_str(&mut payload, spec_hash);
-            put_str(&mut payload, mechanism);
-            put_u64(&mut payload, *seed);
-            put_u64(&mut payload, *row_fnv);
-            put_u64s(&mut payload, stats);
+            lease.put(out);
+            job.put(out);
+            put_string(out, spec_hash);
+            put_string(out, mechanism);
+            seed.put(out);
+            row_fnv.put(out);
+            put_u64s(out, stats);
         }
-        Message::RowAck { job } => put_u64(&mut payload, *job),
-        Message::Reject { reason } => put_str(&mut payload, reason),
-        Message::Shutdown { reason } => put_str(&mut payload, reason),
+        Message::RowAck { job } => job.put(out),
+        Message::Reject { reason } | Message::Shutdown { reason } => put_string(out, reason),
     }
     let kind = kind_of(msg);
     let (_, arity) = kind_entry(kind).expect("every message has a kind");
     let mut frame = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
     frame.extend_from_slice(&PROTO_MAGIC);
-    put_u32(&mut frame, PROTO_VERSION);
-    put_u32(&mut frame, kind);
-    put_u32(&mut frame, arity);
-    put_u32(&mut frame, payload.len() as u32);
+    for field in [PROTO_VERSION, kind, arity, payload.len() as u32] {
+        field.put(&mut frame);
+    }
     frame.extend_from_slice(&payload);
-    put_u64(&mut frame, fnv1a64(&payload));
+    fnv1a64(&payload).put(&mut frame);
     frame
 }
 
@@ -417,47 +274,37 @@ pub struct Header {
 }
 
 /// Validates a 20-byte header field by field.
-pub fn parse_header(bytes: &[u8; HEADER_LEN]) -> Result<Header, ProtoError> {
-    if bytes[0..4] != PROTO_MAGIC {
-        return Err(ProtoError::new(
-            "header.magic",
-            format!("expected \"BMWQ\", found {:?}", &bytes[0..4]),
-        ));
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    if version != PROTO_VERSION {
-        return Err(ProtoError::new(
-            "header.version",
-            format!("peer speaks version {version}, this end speaks {PROTO_VERSION}"),
-        ));
-    }
-    let kind = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+pub fn parse_header(bytes: &[u8; HEADER_LEN]) -> Result<Header, FieldError> {
+    let mut r = Cursor::new(bytes);
+    let magic = r.take(4, "header.magic")?;
+    ensure(magic == PROTO_MAGIC, "header.magic", || {
+        format!("expected \"BMWQ\", found {magic:?}")
+    })?;
+    let version = r.u32("header.version")?;
+    ensure(version == PROTO_VERSION, "header.version", || {
+        format!("peer speaks version {version}, this end speaks {PROTO_VERSION}")
+    })?;
+    let kind = r.u32("header.kind")?;
     let Some((name, expected)) = kind_entry(kind) else {
-        return Err(ProtoError::new(
+        return Err(FieldError::new(
             "header.kind",
             format!("unknown message kind {kind}"),
         ));
     };
-    let arity = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes"));
-    if arity != expected {
-        return Err(ProtoError::new(
-            "header.arity",
-            format!("{name} carries {expected} field(s), peer declared {arity} — version skew"),
-        ));
-    }
-    let payload_len = u32::from_le_bytes(bytes[16..20].try_into().expect("4 bytes"));
-    if payload_len > MAX_PAYLOAD {
-        return Err(ProtoError::new(
-            "header.payload_len",
-            format!("{payload_len} bytes exceeds the {MAX_PAYLOAD}-byte frame bound"),
-        ));
-    }
+    let arity = r.u32("header.arity")?;
+    ensure(arity == expected, "header.arity", || {
+        format!("{name} carries {expected} field(s), peer declared {arity} — version skew")
+    })?;
+    let payload_len = r.u32("header.payload_len")?;
+    ensure(payload_len <= MAX_PAYLOAD, "header.payload_len", || {
+        format!("{payload_len} bytes exceeds the {MAX_PAYLOAD}-byte frame bound")
+    })?;
     Ok(Header { kind, payload_len })
 }
 
 /// Decodes a validated header's payload into a message.
-pub fn decode(kind: u32, payload: &[u8]) -> Result<Message, ProtoError> {
-    let mut r = Reader::new(payload);
+pub fn decode(kind: u32, payload: &[u8]) -> Result<Message, FieldError> {
+    let mut r = Cursor::new(payload);
     let msg = match kind {
         1 => Message::Hello {
             worker: r.string("hello.worker")?,
@@ -481,29 +328,24 @@ pub fn decode(kind: u32, payload: &[u8]) -> Result<Message, ProtoError> {
         6 => Message::Heartbeat {
             lease: r.u64("heartbeat.lease")?,
         },
-        7 => {
-            let msg = Message::RowDone {
-                lease: r.u64("row_done.lease")?,
-                job: r.u64("row_done.job")?,
-                spec_hash: r.string("row_done.spec_hash")?,
-                mechanism: r.string("row_done.mechanism")?,
-                seed: r.u64("row_done.seed")?,
-                row_fnv: r.u64("row_done.row_fnv")?,
-                stats: r.u64s("row_done.stats")?,
-            };
-            if let Message::RowDone { ref stats, .. } = msg {
-                if stats.len() != STAT_FIELD_COUNT {
-                    return Err(ProtoError::new(
-                        "row_done.stats",
-                        format!(
-                            "expected {STAT_FIELD_COUNT} stat counters, found {}",
-                            stats.len()
-                        ),
-                    ));
-                }
-            }
-            msg
-        }
+        7 => Message::RowDone {
+            lease: r.u64("row_done.lease")?,
+            job: r.u64("row_done.job")?,
+            spec_hash: r.string("row_done.spec_hash")?,
+            mechanism: r.string("row_done.mechanism")?,
+            seed: r.u64("row_done.seed")?,
+            row_fnv: r.u64("row_done.row_fnv")?,
+            stats: {
+                let stats = r.u64s("row_done.stats")?;
+                ensure(stats.len() == STAT_FIELD_COUNT, "row_done.stats", || {
+                    format!(
+                        "expected {STAT_FIELD_COUNT} stat counters, found {}",
+                        stats.len()
+                    )
+                })?;
+                stats
+            },
+        },
         8 => Message::RowAck {
             job: r.u64("row_ack.job")?,
         },
@@ -527,30 +369,32 @@ pub fn write_message<W: Write>(w: &mut W, msg: &Message) -> io::Result<()> {
 
 /// Reads one frame: header (validated field by field), then payload, then
 /// the FNV trailer (verified before any field is decoded), then decode.
+/// The payload is read through [`Read::take`] into a buffer that starts at
+/// no more than `FIRST_READ` bytes and grows with the bytes that arrive,
+/// not with the length the header declares.
 /// Header/trailer/payload validation failures surface as
-/// `io::ErrorKind::InvalidData` wrapping the [`ProtoError`] text; transport
+/// `io::ErrorKind::InvalidData` wrapping the [`FieldError`]; transport
 /// failures (EOF, reset, timeout) pass through untouched so callers can
 /// tell a dead peer from a corrupt one.
 pub fn read_message<R: Read>(r: &mut R) -> io::Result<Message> {
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)?;
     let header = parse_header(&header)?;
-    let mut payload = vec![0u8; header.payload_len as usize];
-    r.read_exact(&mut payload)?;
+    let len = u64::from(header.payload_len);
+    let mut payload = Vec::with_capacity(len.min(FIRST_READ) as usize);
+    if r.by_ref().take(len).read_to_end(&mut payload)? as u64 != len {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
     let mut trailer = [0u8; TRAILER_LEN];
     r.read_exact(&mut trailer)?;
-    let declared = u64::from_le_bytes(trailer);
+    let declared = u64::get(&trailer);
     let computed = fnv1a64(&payload);
-    if declared != computed {
-        return Err(ProtoError::new(
-            "frame.frame_fnv",
-            format!(
-                "payload hashes to {computed:016x}, trailer says {declared:016x} — \
-                 the frame was damaged in flight"
-            ),
+    ensure(declared == computed, "frame.frame_fnv", || {
+        format!(
+            "payload hashes to {computed:016x}, trailer says {declared:016x} — \
+             the frame was damaged in flight"
         )
-        .into());
-    }
+    })?;
     Ok(decode(header.kind, &payload)?)
 }
 
@@ -561,7 +405,7 @@ mod fuzz;
 mod tests {
     use super::*;
 
-    fn all_messages() -> Vec<Message> {
+    pub(super) fn all_messages() -> Vec<Message> {
         vec![
             Message::Hello {
                 worker: "worker-3".into(),
@@ -660,10 +504,10 @@ mod tests {
 
         let err = decode(header.kind, &payload[..4]).unwrap_err();
         assert_eq!(err.field, "welcome.broker_pid");
-        assert!(err.message.contains("underrun"), "{err}");
+        assert!(err.message.contains("truncated"), "{err}");
         let err = decode(header.kind, &payload[..12]).unwrap_err();
         assert_eq!(err.field, "welcome.heartbeat_ms");
-        assert!(err.message.contains("underrun"), "{err}");
+        assert!(err.message.contains("truncated"), "{err}");
 
         let mut long = payload.to_vec();
         long.push(0);

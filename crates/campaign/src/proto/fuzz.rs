@@ -11,65 +11,33 @@
 //! trailer check. Every mutant must read as a message that re-encodes to
 //! exactly the bytes it was read from, as `UnexpectedEof` (a frame cut
 //! short is a transport failure), or as an `InvalidData` error carrying the
-//! [`ProtoError`] that names its field; a panic fails the test with the
+//! [`FieldError`] that names its field; a panic fails the test with the
 //! mutant that caused it.
 
 use super::*;
-use crate::splitmix::SplitMix;
 use std::collections::BTreeMap;
+use testkit::{delete, flip_bit, forge, insert, truncate, SplitMix};
 
-/// Every message kind, with empty, multi-byte and realistic strings.
+/// Every message kind, then empty, multi-byte and realistic strings.
 fn corpus() -> Vec<Message> {
     let spec_toml = crate::presets::find("figure9")
         .expect("figure9 preset")
         .to_toml_string();
-    vec![
-        Message::Hello {
-            worker: "worker-3".into(),
-            pid: 4242,
-        },
+    let mut corpus = super::tests::all_messages();
+    corpus.extend([
         Message::Hello {
             worker: String::new(),
             pid: u64::MAX,
-        },
-        Message::Welcome {
-            broker_pid: 99,
-            heartbeat_ms: 500,
-        },
-        Message::LeaseRequest,
-        Message::Lease {
-            lease: 7,
-            job: 11,
-            smoke: true,
-            spec_hash: "fnv1a64:0123456789abcdef".into(),
-            spec_toml,
         },
         Message::Lease {
             lease: 0,
             job: 0,
             smoke: false,
             spec_hash: String::new(),
-            spec_toml: "name = \"é\"\n".into(),
+            spec_toml: spec_toml + "# é — ü\n",
         },
-        Message::NoWork { retry_ms: 250 },
-        Message::Heartbeat { lease: 7 },
-        Message::RowDone {
-            lease: 7,
-            job: 11,
-            spec_hash: "fnv1a64:0123456789abcdef".into(),
-            mechanism: "boomerang".into(),
-            seed: 1,
-            row_fnv: 0xfeed_beef_dead_cafe,
-            stats: (0..STAT_FIELD_COUNT as u64).map(|v| v << 33).collect(),
-        },
-        Message::RowAck { job: 11 },
-        Message::Reject {
-            reason: "stale spec hash".into(),
-        },
-        Message::Shutdown {
-            reason: "queue drained — bye".into(),
-        },
-    ]
+    ]);
+    corpus
 }
 
 /// Payload offsets of `msg`'s `u32` length prefixes: its strings and its
@@ -93,34 +61,7 @@ fn length_prefixes(msg: &Message) -> Vec<usize> {
 }
 
 fn u32_at(bytes: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"))
-}
-
-/// A value worth forging into a `u32` length or header field holding
-/// `current`.
-fn forged(rng: &mut SplitMix, current: u32) -> u32 {
-    match rng.below(10) {
-        0 => 0,
-        1 => 1,
-        2 => u32::MAX,
-        3 => current.wrapping_add(1),
-        4 => current.wrapping_sub(1),
-        5 => current.wrapping_mul(2),
-        6 => MAX_PAYLOAD,
-        7 => MAX_PAYLOAD + 1,
-        8 => rng.below(64) as u32,
-        _ => rng.next() as u32,
-    }
-}
-
-/// Overwrites the `u32` at `at` with a forged value and says what it wrote.
-fn forge(frame: &mut [u8], rng: &mut SplitMix, what: &str, at: usize) -> String {
-    if at + 4 > frame.len() {
-        return format!("{what} at {at} truncated away");
-    }
-    let value = forged(rng, u32_at(frame, at));
-    frame[at..at + 4].copy_from_slice(&value.to_le_bytes());
-    format!("{what} at {at} := {value}")
+    u32::get(&bytes[at..at + 4])
 }
 
 /// Applies one mutation to `frame` (the encoding of a message whose payload
@@ -128,20 +69,11 @@ fn forge(frame: &mut [u8], rng: &mut SplitMix, what: &str, at: usize) -> String 
 fn mutate(frame: &mut Vec<u8>, prefixes: &[usize], rng: &mut SplitMix) -> String {
     let payload_end = frame.len().saturating_sub(TRAILER_LEN).max(HEADER_LEN);
     match rng.below(7) {
-        0 => {
-            let at = rng.index(frame.len());
-            let bit = rng.below(8);
-            frame[at] ^= 1 << bit;
-            format!("flip bit {bit} of byte {at}")
-        }
-        1 => {
-            let len = rng.index(frame.len());
-            frame.truncate(len);
-            format!("truncate to {len} bytes")
-        }
+        0 => flip_bit(frame, .., rng),
+        1 => truncate(frame, rng),
         2 => {
-            let (what, at) = [("kind", 8), ("arity", 12), ("payload_len", 16)][rng.index(3)];
-            forge(frame, rng, what, at)
+            let (what, at) = rng.pick(&[("kind", 8), ("arity", 12), ("payload_len", 16)]);
+            forge(frame, rng, what, at, 4)
         }
         3 if frame.len() >= HEADER_LEN => {
             // Another kind with a matching arity: the payload decodes under
@@ -152,30 +84,23 @@ fn mutate(frame: &mut Vec<u8>, prefixes: &[usize], rng: &mut SplitMix) -> String
             format!("relabel as {}", KINDS[kind - 1].0)
         }
         4 if !prefixes.is_empty() => {
-            let at = HEADER_LEN + prefixes[rng.index(prefixes.len())];
-            forge(frame, rng, "length", at)
+            let at = HEADER_LEN + rng.pick(prefixes);
+            forge(frame, rng, "length", at, 4)
         }
         5 if frame.len() >= HEADER_LEN => {
             // One payload byte more or less, under a payload_len that still
             // agrees with the frame.
             let at = HEADER_LEN + rng.index(payload_end - HEADER_LEN + 1);
             let what = if at < payload_end && rng.percent(50) {
-                frame.remove(at);
-                format!("delete payload byte {at}")
+                delete(frame, at)
             } else {
-                frame.insert(at, rng.next() as u8);
-                format!("insert a payload byte at {at}")
+                insert(frame, at, &[rng.next_u64() as u8])
             };
             let len = frame.len().saturating_sub(HEADER_LEN + TRAILER_LEN) as u32;
             frame[16..20].copy_from_slice(&len.to_le_bytes());
             what
         }
-        _ if payload_end > HEADER_LEN => {
-            let at = HEADER_LEN + rng.index(payload_end - HEADER_LEN);
-            let bit = rng.below(8);
-            frame[at] ^= 1 << bit;
-            format!("flip bit {bit} of payload byte {at}")
-        }
+        _ if payload_end > HEADER_LEN => flip_bit(frame, HEADER_LEN..payload_end, rng),
         _ => "no payload to damage".to_string(),
     }
 }
@@ -251,13 +176,8 @@ fn mutated_frames_read_to_named_errors_or_to_their_own_bytes() {
             );
         }
         for round in 0..600 {
-            let mut mutant = frame.clone();
-            let mut what = Vec::new();
-            for _ in 0..1 + rng.below(2) {
-                if !mutant.is_empty() {
-                    what.push(mutate(&mut mutant, &prefixes, &mut rng));
-                }
-            }
+            let (mut mutant, mut what) =
+                testkit::mutant(&frame, 2, &mut rng, |m, rng| mutate(m, &prefixes, rng));
             if rng.percent(50) && recompute_trailer(&mut mutant) {
                 what.push("trailer recomputed".to_string());
             }
@@ -285,7 +205,7 @@ fn mutated_frames_read_to_named_errors_or_to_their_own_bytes() {
                     );
                     let named = e
                         .get_ref()
-                        .and_then(|inner| inner.downcast_ref::<ProtoError>())
+                        .and_then(|inner| inner.downcast_ref::<FieldError>())
                         .unwrap_or_else(|| {
                             panic!("frame {index} round {round}: {what:?} gave unnamed {e}")
                         });
@@ -294,7 +214,7 @@ fn mutated_frames_read_to_named_errors_or_to_their_own_bytes() {
                         "frame {index} round {round}: {what:?} gave unknown field {named}"
                     );
                     assert!(e.to_string().contains(named.field));
-                    if !named.message.contains("underrun") {
+                    if !named.message.starts_with("truncated") {
                         *errors.entry(named.field).or_default() += 1;
                     }
                 }

@@ -137,6 +137,7 @@ use crate::supervise::{self, supervise_with_stop, SuperviseOptions};
 use crate::worker::{run_worker_in, PointStore, WorkerOptions};
 use boomerang::RunLength;
 use frontend::SimStats;
+use sim_core::rng::mix64;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -894,10 +895,9 @@ impl ActiveCampaign {
         if self.verify_fraction <= 0.0 {
             return false;
         }
-        let mut z = fnv1a64(format!("{}|verify|{index}", self.spec_hash).as_bytes());
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
+        let z = mix64(fnv1a64(
+            format!("{}|verify|{index}", self.spec_hash).as_bytes(),
+        ));
         (z as f64 / u64::MAX as f64) < self.verify_fraction
     }
 
@@ -1650,15 +1650,7 @@ pub fn run_local(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::splitmix::SplitMix;
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("boomerang-serve-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
+    use testkit::{temp_dir, SplitMix};
 
     #[test]
     fn spool_scan_sees_only_toml_in_name_order() {

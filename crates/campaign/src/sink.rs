@@ -522,6 +522,7 @@ mod tests {
     use super::*;
     use crate::engine::{run_campaign, EngineOptions};
     use crate::spec::CampaignSpec;
+    use testkit::temp_dir;
 
     fn tiny_report() -> CampaignReport {
         let spec = CampaignSpec::from_toml_str(
@@ -630,8 +631,7 @@ mod tests {
     #[test]
     fn atomic_write_leaves_no_temp_behind() {
         let report = tiny_report();
-        let dir = std::env::temp_dir().join(format!("boomerang-atomicw-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = temp_dir("atomicw");
         let paths = write_reports(&report, &dir).unwrap();
         assert_eq!(
             std::fs::read_to_string(&paths.json).unwrap(),
@@ -669,8 +669,7 @@ mod tests {
     #[test]
     fn streaming_sink_matches_batch_rows_even_out_of_order() {
         let report = tiny_report();
-        let dir = std::env::temp_dir().join(format!("boomerang-stream-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = temp_dir("stream");
         let sink = StreamingSink::create(&report.spec, &dir).unwrap();
         // Feed rows in reverse completion order: mechanism rows arrive before
         // their baseline and must be buffered, then flushed.

@@ -965,9 +965,12 @@ fn int_value(v: u64) -> Value {
 }
 
 #[cfg(test)]
+mod fuzz;
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::splitmix::SplitMix;
+    use testkit::SplitMix;
 
     const SPEC: &str = r#"
 name = "demo"

@@ -430,15 +430,7 @@ fn after_failure(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("boomerang-supervise-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
+    use testkit::temp_dir;
 
     fn fast_options() -> SuperviseOptions {
         SuperviseOptions {

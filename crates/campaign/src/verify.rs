@@ -30,7 +30,7 @@
 //! broker's online sampled re-verification — so repeated audits of the
 //! same directory exercise the same rows.
 
-use crate::artifact::{check_classes, check_header, ArtifactError};
+use crate::artifact::{check_classes, check_header};
 use crate::checkpoint::{
     fnv1a64, journal_files, scan_journal, spec_hash, stats_to_array, JournalReplay,
 };
@@ -508,7 +508,7 @@ fn check_artifacts(options: &VerifyOptions, report: &mut VerifyReport) {
             }
         };
         let decoded = check_header(&bytes, key)
-            .and_then(|payload| codec::decode_workload(payload).map_err(ArtifactError::from))
+            .and_then(codec::decode_workload)
             .and_then(|(layout, trace, classes)| check_classes(&layout, &trace, &classes));
         if let Err(e) = decoded {
             report.checks.push(CheckResult {
@@ -532,6 +532,7 @@ mod tests {
     use crate::checkpoint::Journal;
     use crate::engine::{run_campaign, EngineOptions};
     use crate::sink::write_reports;
+    use testkit::temp_dir;
 
     const SPEC: &str = r#"
 name = "vtest"
@@ -542,14 +543,6 @@ mechanisms = ["fdip", "boomerang"]
 trace_blocks = 2000
 warmup_blocks = 400
 "#;
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("boomerang-verify-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
 
     /// A complete, internally consistent campaign directory: journal from a
     /// real run plus the matching reports, exactly what `run --out` leaves.

@@ -23,6 +23,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+use testkit::temp_dir;
 
 const BIN: &str = env!("CARGO_BIN_EXE_boomerang-sim");
 
@@ -39,13 +40,6 @@ seeds = [0, 1]
 trace_blocks = 2000
 warmup_blocks = 400
 ";
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("boomerang-chaos-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 fn run_bin(args: &[&str]) -> Output {
     Command::new(BIN).args(args).output().unwrap()

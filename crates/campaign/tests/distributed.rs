@@ -27,6 +27,7 @@ use std::time::{Duration, Instant};
 use campaign::checkpoint::{row_checksum, STAT_FIELD_COUNT};
 use campaign::proto::{encode, read_message, write_message};
 use campaign::Message;
+use testkit::temp_dir;
 
 const BIN: &str = env!("CARGO_BIN_EXE_boomerang-sim");
 const FAULT_EXIT: i32 = campaign::FAULT_EXIT_CODE;
@@ -40,13 +41,6 @@ seeds = [0, 1]
 trace_blocks = 2000
 warmup_blocks = 400
 ";
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("boomerang-dist-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 fn stderr_of(output: &Output) -> String {
     String::from_utf8_lossy(&output.stderr).into_owned()

@@ -9,8 +9,9 @@
 //! must equal an uninterrupted run's.
 
 use campaign::{fnv1a64, run_campaign, to_csv, to_json, CampaignSpec, EngineOptions};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::Command;
+use testkit::temp_dir;
 
 const GOLDEN: &str = include_str!("golden/figure9-smoke.json");
 const BIN: &str = env!("CARGO_BIN_EXE_boomerang-sim");
@@ -25,13 +26,6 @@ seeds = [0, 1]
 trace_blocks = 2000
 warmup_blocks = 400
 ";
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("boomerang-service-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 /// Rows in campaign `name`'s journal in `dir` (the header line excluded).
 fn journal_rows(dir: &Path, name: &str) -> usize {

@@ -1,11 +1,10 @@
 //! Simulation metrics: exactly the quantities the paper's figures report.
 
 use crate::ftq::{Reached, SquashCause};
-use serde::{Deserialize, Serialize};
 
 /// Front-end stall cycles broken down by the discontinuity class of the
 /// missing block (Figure 3's categories).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MissBreakdown {
     /// Stall cycles on blocks reached sequentially.
     pub sequential: u64,
@@ -45,7 +44,7 @@ impl MissBreakdown {
 }
 
 /// Pipeline squash counts split by cause (Figure 7's categories).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SquashStats {
     /// Squashes caused by BTB misses on eventually-taken branches.
     pub btb_miss: u64,
@@ -84,7 +83,7 @@ impl SquashStats {
 }
 
 /// Squashes per kilo-instruction, by cause.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SquashRates {
     /// BTB-miss-induced squashes per kilo-instruction.
     pub btb_miss: f64,
@@ -100,7 +99,7 @@ impl SquashRates {
 }
 
 /// Full set of metrics produced by one simulation run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SimStats {
     /// Correct-path instructions fetched and retired.
     pub instructions: u64,

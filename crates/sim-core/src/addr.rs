@@ -6,7 +6,6 @@
 //! Figure 4 of the paper) — lives here so that the rest of the code base never
 //! does raw bit fiddling on `u64`s.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Size of one instruction in bytes (fixed-width RISC encoding, SPARC-like).
@@ -24,7 +23,7 @@ pub const INSTRUCTION_BYTES: u64 = 4;
 /// let a = Addr::new(0x4000);
 /// assert_eq!(a.offset(8).raw(), 0x4008);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Addr(u64);
 
 impl Addr {
@@ -94,7 +93,7 @@ impl From<Addr> for u64 {
 /// Index of a cache line (block) in the instruction address space.
 ///
 /// Obtained from an [`Addr`] through a [`LineGeometry`].
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct CacheLine(pub u64);
 
 impl CacheLine {
@@ -134,7 +133,7 @@ impl fmt::Display for CacheLine {
 /// assert_eq!(geom.line_base(geom.line_of(Addr::new(129))), Addr::new(128));
 /// assert_eq!(geom.instructions_per_line(), 16);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LineGeometry {
     line_bytes: u64,
     shift: u32,

@@ -8,7 +8,6 @@
 
 use crate::addr::Addr;
 use crate::branch::{BranchInfo, BranchOutcome};
-use serde::{Deserialize, Serialize};
 
 /// Upper bound on the number of instructions in one basic block.
 ///
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 pub const MAX_BASIC_BLOCK_INSTRUCTIONS: u64 = 31;
 
 /// A static basic block: straight-line instructions terminated by a branch.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct BasicBlock {
     /// Address of the first instruction.
     pub start: Addr,
@@ -77,7 +76,7 @@ impl BasicBlock {
 ///
 /// A workload trace is a sequence of `DynamicBlock`s; consecutive entries
 /// satisfy `next.block.start == prev.outcome.next_pc`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct DynamicBlock {
     /// The static block that was executed.
     pub block: BasicBlock,

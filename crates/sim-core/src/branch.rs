@@ -7,7 +7,6 @@
 //! block, and [`BranchOutcome`], one dynamic execution of it.
 
 use crate::addr::Addr;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Classification of control-flow instructions.
@@ -15,7 +14,7 @@ use std::fmt;
 /// The paper groups discontinuities into *conditional* and *unconditional*
 /// (which includes calls and returns); [`BranchKind::is_unconditional`]
 /// reflects that grouping.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum BranchKind {
     /// Conditional direct branch; needs the direction predictor.
     Conditional,
@@ -93,7 +92,7 @@ impl fmt::Display for BranchKind {
 }
 
 /// Static description of the branch terminating a basic block.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct BranchInfo {
     /// Address of the branch instruction itself.
     pub pc: Addr,
@@ -134,7 +133,7 @@ impl BranchInfo {
 
 /// One dynamic execution of a branch: whether it was taken and where it
 /// actually went.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct BranchOutcome {
     /// Was the branch taken?
     pub taken: bool,

@@ -2,7 +2,6 @@
 //! latencies.
 
 use crate::addr::LineGeometry;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A latency in core clock cycles.
@@ -15,7 +14,7 @@ pub type Latency = u64;
 /// giving an average LLC round-trip of ~30 cycles, and a crossbar variant with
 /// an 18-cycle round trip (§VI-E2). The `Fixed` variant supports the latency
 /// sweeps of Figures 2 and 5.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum NocModel {
     /// 4x4 2D mesh, 3 cycles/hop: ~30-cycle average LLC round trip.
     Mesh4x4,
@@ -47,7 +46,7 @@ impl fmt::Display for NocModel {
 }
 
 /// Idealised components used by the opportunity study of Figure 1.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct PerfectComponents {
     /// Every instruction fetch hits in the L1-I.
     pub perfect_l1i: bool,
@@ -98,7 +97,7 @@ impl PerfectComponents {
 /// assert_eq!(cfg.llc_round_trip(), 50);
 /// cfg.validate().unwrap();
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MicroarchConfig {
     /// Core clock frequency in GHz (used to convert the 45 ns memory latency).
     pub clock_ghz: f64,

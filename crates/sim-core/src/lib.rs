@@ -10,6 +10,8 @@
 //! * [`MicroarchConfig`] — the microarchitectural parameters of Table I of the
 //!   paper, plus derived quantities (LLC round-trip latency for the mesh and
 //!   crossbar interconnects).
+//! * [`bytes`] — the little-endian byte format every binary decoder reads
+//!   through: one field-named cursor, its writers and [`bytes::FieldError`].
 //! * [`stats`] — lightweight counters and ratio helpers used by the metrics
 //!   the paper reports (stall-cycle coverage, squashes per kilo-instruction,
 //!   speedup).
@@ -39,6 +41,7 @@
 pub mod addr;
 pub mod block;
 pub mod branch;
+pub mod bytes;
 pub mod config;
 pub mod field;
 pub mod fxhash;

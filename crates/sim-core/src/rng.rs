@@ -9,6 +9,15 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 
+/// SplitMix64's output function: a bijective mix in which every output bit
+/// depends on every input bit. Seed derivation, the broker's verification
+/// sample and the test kit's SplitMix64 stream all finish with it.
+pub fn mix64(z: u64) -> u64 {
+    let z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 /// A small, fast, deterministic RNG wrapper.
 ///
 /// # Example

@@ -13,7 +13,6 @@
 //! the derived values; both are plain data and serialisable so the bench
 //! harness can dump raw results.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::AddAssign;
 
@@ -28,7 +27,7 @@ use std::ops::AddAssign;
 /// c.incr();
 /// assert_eq!(c.get(), 11);
 /// ```
-#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Counter(u64);
 
 impl Counter {
@@ -83,7 +82,7 @@ impl fmt::Display for Counter {
 }
 
 /// A guarded ratio: `0` when the denominator is zero instead of `NaN`/`inf`.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Ratio {
     numerator: f64,
     denominator: f64,

@@ -10,7 +10,6 @@
 //!   what defeats practical BTBs and L1-I caches in the first place.
 
 use crate::trace::Trace;
-use serde::{Deserialize, Serialize};
 use sim_core::{BranchKind, LineGeometry};
 use std::collections::HashSet;
 
@@ -19,7 +18,7 @@ use std::collections::HashSet;
 /// `buckets[d]` counts taken conditional branches whose target lies exactly
 /// `d` cache blocks away from the branch instruction, for `d` in
 /// `0..=max_distance`; branches further away land in the overflow bucket.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BranchDistanceHistogram {
     buckets: Vec<u64>,
     overflow: u64,
@@ -91,7 +90,7 @@ impl BranchDistanceHistogram {
 }
 
 /// Aggregate working-set statistics of a trace.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WorkingSetStats {
     /// Distinct cache lines touched by instruction fetch.
     pub instruction_lines: usize,
@@ -142,7 +141,7 @@ impl WorkingSetStats {
 
 /// Dynamic branch mix of a trace: how often each branch kind executes and how
 /// often it is taken.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BranchMix {
     /// Executed conditional branches.
     pub conditional: u64,

@@ -10,9 +10,9 @@
 //! [`WorkloadKind::ALL`] (one byte), its description (a `u32` byte count,
 //! then UTF-8), then every [`PROFILE_FIELDS`] value in table order, an
 //! integer as a `u64` and a number as its `f64` bits. Those fields are read
-//! and written through the table, and the artifact key hashes the same
-//! section without the description ([`encode_profile_key`]), so the stored
-//! bytes and their address cover one list of fields.
+//! and written through the table, and the artifact key hashes this same
+//! section ([`encode_profile`]), so the stored profile and its address
+//! cover one list of fields.
 //!
 //! After the profile and the line size, the payload holds the layout's
 //! simulation tables as columns, each a `u64` element count followed by its
@@ -58,231 +58,26 @@
 //! profile on decode (every 2-bit value is a class); the campaign layer's
 //! offline audit recomputes them.
 //!
-//! Decoding never panics on malformed input: every read is bounds-checked
-//! and every invariant is validated, reporting a [`CodecError`] that names
-//! the offending field in the style of
-//! [`ProfileError`](crate::profile::ProfileError). A structure-aware fuzzer
-//! in the tests holds it to that.
+//! Decoding never panics on malformed input: every read goes through the
+//! bounds-checked [`sim_core::bytes::Cursor`] and every invariant is
+//! validated, reporting a [`FieldError`] that names the offending field in
+//! the style of [`ProfileError`](crate::profile::ProfileError). A
+//! structure-aware fuzzer in the tests holds it to that.
 
 use crate::layout::{BlockId, CodeLayout, Columns, MAX_CODE_INSTRUCTIONS};
 use crate::profile::{WorkloadKind, WorkloadProfile, PROFILE_FIELDS};
 use crate::trace::Trace;
+use sim_core::bytes::{ensure, put_column, put_string, Cursor, FieldError, Le};
 use sim_core::field::Access;
 use sim_core::{Addr, BasicBlock, BranchKind, LineGeometry, MAX_BASIC_BLOCK_INSTRUCTIONS};
-use std::fmt;
-use std::marker::PhantomData;
 
-/// A malformed-artifact error, naming the field that failed to decode.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CodecError {
-    /// Dotted path of the field being decoded when the error was detected.
-    pub field: &'static str,
-    /// What was wrong with it.
-    pub message: String,
-}
-
-impl CodecError {
-    fn new(field: &'static str, message: impl Into<String>) -> Self {
-        CodecError {
-            field,
-            message: message.into(),
-        }
-    }
-}
-
-impl fmt::Display for CodecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "workload artifact field `{}`: {}",
-            self.field, self.message
-        )
-    }
-}
-
-impl std::error::Error for CodecError {}
-
-/// A decoded value, or the error naming the field that failed.
-type Decoded<T> = Result<T, CodecError>;
-
-/// Bounds-checked little-endian reader over an artifact payload.
-#[derive(Clone, Debug)]
-pub struct ByteReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    /// Creates a reader over `bytes`, positioned at the start.
-    pub fn new(bytes: &'a [u8]) -> Self {
-        ByteReader { bytes, pos: 0 }
-    }
-
-    /// Number of bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize, field: &'static str) -> Decoded<&'a [u8]> {
-        let left = self.remaining();
-        ensure(left >= n, field, || {
-            format!("truncated: need {n} bytes, {left} left")
-        })?;
-        let slice = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    /// Reads one little-endian element.
-    fn get<T: Le>(&mut self, field: &'static str) -> Decoded<T> {
-        Ok(T::get(self.take(T::WIDTH, field)?))
-    }
-
-    /// Reads one byte.
-    pub fn u8(&mut self, field: &'static str) -> Result<u8, CodecError> {
-        self.get(field)
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn u32(&mut self, field: &'static str) -> Result<u32, CodecError> {
-        self.get(field)
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn u64(&mut self, field: &'static str) -> Result<u64, CodecError> {
-        self.get(field)
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn string(&mut self, field: &'static str) -> Result<String, CodecError> {
-        let len = self.u32(field)? as usize;
-        let bytes = self.take(len, field)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|e| CodecError::new(field, format!("invalid UTF-8: {e}")))
-    }
-
-    /// Reads a column: a `u64` element count of at most `max`, then the
-    /// elements.
-    fn column<T: Le>(&mut self, field: &'static str, max: u64) -> Decoded<Column<'a, T>> {
-        let n = self.u64(field)?;
-        ensure(n <= max, field, || format!("{n} entries, more than {max}"))?;
-        self.elements(field, n)
-    }
-
-    /// Reads a column whose element count must be `n`.
-    fn column_of<T: Le>(&mut self, field: &'static str, n: u32) -> Decoded<Column<'a, T>> {
-        let stored = self.u64(field)?;
-        ensure(stored == u64::from(n), field, || {
-            format!("{stored} entries stored, {n} expected")
-        })?;
-        self.elements(field, stored)
-    }
-
-    /// Takes `n` little-endian elements with one bounds check: a forged
-    /// count is a truncation error, never a reservation the process cannot
-    /// survive.
-    fn elements<T: Le>(&mut self, field: &'static str, n: u64) -> Decoded<Column<'a, T>> {
-        let len = usize::try_from(n).map_or(usize::MAX, |n| n.saturating_mul(T::WIDTH));
-        Ok(Column {
-            bytes: self.take(len, field)?,
-            element: PhantomData,
-        })
-    }
-}
-
-/// `Ok(())` if `ok`; otherwise an error naming `field`, with the message
-/// `why` builds.
-fn ensure<M: Into<String>>(ok: bool, field: &'static str, why: impl FnOnce() -> M) -> Decoded<()> {
-    if ok {
-        Ok(())
-    } else {
-        Err(CodecError::new(field, why()))
-    }
-}
-
-/// A fixed-width little-endian element of the format.
-trait Le: Copy + Default + 'static {
-    const WIDTH: usize;
-    fn put(self, out: &mut Vec<u8>);
-    /// Reads the element from exactly [`WIDTH`](Self::WIDTH) bytes.
-    fn get(bytes: &[u8]) -> Self;
-}
-
-macro_rules! le {
-    ($($t:ty),*) => {$(
-        impl Le for $t {
-            const WIDTH: usize = std::mem::size_of::<$t>();
-            fn put(self, out: &mut Vec<u8>) {
-                out.extend_from_slice(&self.to_le_bytes());
-            }
-            fn get(bytes: &[u8]) -> Self {
-                <$t>::from_le_bytes(bytes.try_into().expect("one element's bytes"))
-            }
-        }
-    )*};
-}
-
-le!(u8, u32, u64);
-
-/// One column read by [`ByteReader::column`]: its elements' bytes.
-struct Column<'a, T> {
-    bytes: &'a [u8],
-    element: PhantomData<T>,
-}
-
-impl<'a, T: Le> Column<'a, T> {
-    fn len(&self) -> usize {
-        self.bytes.len() / T::WIDTH
-    }
-
-    /// Element `i`, or 0 past the end.
-    fn get(&self, i: usize) -> T {
-        self.bytes
-            .get(i * T::WIDTH..(i + 1) * T::WIDTH)
-            .map_or(T::default(), T::get)
-    }
-
-    /// The elements, decoded as they are iterated.
-    fn iter(&self) -> impl ExactSizeIterator<Item = T> + Clone + 'a {
-        self.bytes.chunks_exact(T::WIDTH).map(T::get)
-    }
-}
-
-/// Writes a column: its element count `n`, then its `n` elements.
-fn put_column<T: Le>(out: &mut Vec<u8>, n: usize, values: impl Iterator<Item = T>) {
-    (n as u64).put(out);
-    out.reserve(n * T::WIDTH);
-    values.for_each(|v| v.put(out));
-}
-
-fn put_string(out: &mut Vec<u8>, s: &str) {
-    (s.len() as u32).put(out);
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Writes the profile as the artifact key reads it: its kind's index in
-/// [`WorkloadKind::ALL`] (one byte), then every [`PROFILE_FIELDS`] value in
-/// table order, an integer as a `u64` and a number as its `f64` bits. It is
-/// the stored profile section without the description, which generation
-/// does not read.
-pub fn encode_profile_key(profile: &WorkloadProfile, out: &mut Vec<u8>) {
-    kind_index(profile.kind).put(out);
-    put_fields(profile, out);
-}
-
-/// The profile section: the kind, the description, then the fields.
-fn encode_profile(profile: &WorkloadProfile, out: &mut Vec<u8>) {
+/// Writes the profile section: its kind's index in [`WorkloadKind::ALL`]
+/// (one byte), its description, then every [`PROFILE_FIELDS`] value in
+/// table order, an integer as a `u64` and a number as its `f64` bits. The
+/// artifact key hashes these same bytes.
+pub fn encode_profile(profile: &WorkloadProfile, out: &mut Vec<u8>) {
     kind_index(profile.kind).put(out);
     put_string(out, &profile.description);
-    put_fields(profile, out);
-}
-
-fn kind_index(kind: WorkloadKind) -> u8 {
-    let index = WorkloadKind::ALL.iter().position(|&k| k == kind);
-    index.expect("every workload kind is in WorkloadKind::ALL") as u8
-}
-
-fn put_fields(profile: &WorkloadProfile, out: &mut Vec<u8>) {
     for field in &PROFILE_FIELDS {
         match field.access {
             Access::Integer(get, _) => get(profile).put(out),
@@ -295,12 +90,17 @@ fn put_fields(profile: &WorkloadProfile, out: &mut Vec<u8>) {
     }
 }
 
+fn kind_index(kind: WorkloadKind) -> u8 {
+    let index = WorkloadKind::ALL.iter().position(|&k| k == kind);
+    index.expect("every workload kind is in WorkloadKind::ALL") as u8
+}
+
 /// Reads the profile section [`encode_profile`] writes. A table field's
 /// error is a `profile` error naming its key, as a validation error is.
-fn decode_profile(r: &mut ByteReader<'_>) -> Result<WorkloadProfile, CodecError> {
+fn decode_profile(r: &mut Cursor<'_>) -> Result<WorkloadProfile, FieldError> {
     let kind_index = r.u8("profile.kind")? as usize;
     let kind = *WorkloadKind::ALL.get(kind_index).ok_or_else(|| {
-        CodecError::new(
+        FieldError::new(
             "profile.kind",
             format!(
                 "kind index {kind_index} out of range (have {})",
@@ -311,7 +111,7 @@ fn decode_profile(r: &mut ByteReader<'_>) -> Result<WorkloadProfile, CodecError>
     let mut profile = kind.profile();
     profile.description = r.string("profile.description")?;
     for field in &PROFILE_FIELDS {
-        let named = |why: String| CodecError::new("profile", format!("`{}` {why}", field.key));
+        let named = |why: String| FieldError::new("profile", format!("`{}` {why}", field.key));
         let v = r.u64("profile").map_err(|e| named(e.message))?;
         match field.access {
             Access::Integer(_, set) => set(&mut profile, v),
@@ -360,10 +160,10 @@ pub fn encode_layout(layout: &CodeLayout, out: &mut Vec<u8>) {
 /// elements, then the layout's packed simulation tables are written from
 /// it; block addresses, direct-target addresses and the branch-per-line
 /// index are derived, not stored. The layout has no control-flow tables.
-pub fn decode_layout(r: &mut ByteReader<'_>) -> Result<CodeLayout, CodecError> {
+pub fn decode_layout(r: &mut Cursor<'_>) -> Result<CodeLayout, FieldError> {
     let profile = decode_profile(r)?;
     if let Err(e) = profile.validate() {
-        return Err(CodecError::new("profile", e.to_string()));
+        return Err(FieldError::new("profile", e.to_string()));
     }
     let line_bytes = r.u64("layout.line_bytes")?;
     let line_ok = line_bytes.is_power_of_two() && (16..=4096).contains(&line_bytes);
@@ -393,15 +193,15 @@ pub fn decode_layout(r: &mut ByteReader<'_>) -> Result<CodeLayout, CodecError> {
         || format!("{num_blocks} blocks end past instruction {MAX_CODE_INSTRUCTIONS}"),
     )?;
     let num_blocks = num_blocks as u32;
-    let sizes = r.column_of::<u8>("layout.blocks.len", num_blocks)?.bytes;
-    let kinds = r.column_of::<u8>("layout.kinds.len", num_blocks)?.bytes;
+    let sizes = r.column_of::<u8>("layout.blocks.len", num_blocks)?.bytes();
+    let kinds = r.column_of::<u8>("layout.kinds.len", num_blocks)?.bytes();
 
     // Each check is one pass over contiguous columns that branches only on
     // a failure, which it then names at its first offending block.
     let max = MAX_BASIC_BLOCK_INSTRUCTIONS;
     if let Some(idx) = first_failing(sizes.iter(), |&s| (1..=max).contains(&u64::from(s))) {
         let why = format!("block {idx}: size {} outside 1..={max}", sizes[idx]);
-        return Err(CodecError::new("block.instructions", why));
+        return Err(FieldError::new("block.instructions", why));
     }
     let text: u64 = sizes.iter().map(|&s| u64::from(s)).sum();
     ensure(text <= MAX_CODE_INSTRUCTIONS, "layout.code_end", || {
@@ -409,7 +209,7 @@ pub fn decode_layout(r: &mut ByteReader<'_>) -> Result<CodeLayout, CodecError> {
     })?;
     if let Some(idx) = first_failing(kinds.iter(), |&b| usize::from(b) < BranchKind::ALL.len()) {
         let why = format!("block {idx}: {} is no branch kind", kinds[idx]);
-        return Err(CodecError::new("block.kind", why));
+        return Err(FieldError::new("block.kind", why));
     }
     let kind = |idx: usize| BranchKind::ALL[usize::from(kinds[idx])];
     // Conditional and call blocks fall through to the next block of their
@@ -437,7 +237,7 @@ pub fn decode_layout(r: &mut ByteReader<'_>) -> Result<CodeLayout, CodecError> {
             "block {idx}: target block id {} out of range (have {num_blocks})",
             targets.get(i)
         );
-        return Err(CodecError::new("block.target", why));
+        return Err(FieldError::new("block.target", why));
     }
 
     let mut columns = Columns::with_capacity(sizes.len(), num_functions as usize);
@@ -473,7 +273,7 @@ pub fn encode_trace(
     layout: &CodeLayout,
     trace: &Trace,
     out: &mut Vec<u8>,
-) -> Result<(), CodecError> {
+) -> Result<(), FieldError> {
     ensure(trace.layout().shares_tables(layout), "trace.layout", || {
         "the trace walks a different layout than the one encoded"
     })?;
@@ -489,7 +289,7 @@ pub fn encode_trace(
 /// Deserializes a trace encoded by [`encode_trace`] against the same layout:
 /// every id is checked against the layout and the stored instruction count
 /// against the ids, without expanding a single dynamic record.
-pub fn decode_trace(layout: &CodeLayout, r: &mut ByteReader<'_>) -> Result<Trace, CodecError> {
+pub fn decode_trace(layout: &CodeLayout, r: &mut Cursor<'_>) -> Result<Trace, FieldError> {
     let num_blocks = r.u64("trace.blocks.len")?;
     ensure(num_blocks <= 1 << 32, "trace.blocks.len", || {
         "more than 2^32 blocks"
@@ -527,7 +327,7 @@ pub fn decode_trace(layout: &CodeLayout, r: &mut ByteReader<'_>) -> Result<Trace
 ///
 /// Returns an error if `classes` is not one packed class per instruction
 /// of `trace` — a caller bug, not a malformed file.
-pub fn encode_classes(trace: &Trace, classes: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
+pub fn encode_classes(trace: &Trace, classes: &[u8], out: &mut Vec<u8>) -> Result<(), FieldError> {
     let expected = trace.instructions().div_ceil(4);
     ensure(classes.len() as u64 == expected, "classes.len", || {
         format!("{} bytes, {expected} expected", classes.len())
@@ -542,14 +342,14 @@ pub fn encode_classes(trace: &Trace, classes: &[u8], out: &mut Vec<u8>) -> Resul
 /// the unused high bits of the last byte must be zero. The class values
 /// themselves are not checked against the profile here (every 2-bit value
 /// is a class); the offline audit recomputes them.
-pub fn decode_classes(trace: &Trace, r: &mut ByteReader<'_>) -> Result<Vec<u8>, CodecError> {
+pub fn decode_classes(trace: &Trace, r: &mut Cursor<'_>) -> Result<Vec<u8>, FieldError> {
     let instructions = trace.instructions();
     let expected = instructions.div_ceil(4);
     let stored = r.u64("classes.len")?;
     ensure(stored == expected, "classes.len", || {
         format!("{stored} bytes stored, {expected} expected for {instructions} instructions")
     })?;
-    let bytes = r.elements::<u8>("classes", stored)?.bytes;
+    let bytes = r.elements::<u8>("classes", stored)?.bytes();
     let padding = match (bytes.last(), instructions % 4) {
         (Some(&last), used @ 1..) => last >> (2 * used),
         _ => 0,
@@ -567,7 +367,7 @@ pub fn encode_workload(
     trace: &Trace,
     classes: &[u8],
     out: &mut Vec<u8>,
-) -> Result<(), CodecError> {
+) -> Result<(), FieldError> {
     encode_layout(layout, out);
     encode_trace(layout, trace, out)?;
     encode_classes(trace, classes, out)
@@ -575,15 +375,12 @@ pub fn encode_workload(
 
 /// Deserializes a workload encoded by [`encode_workload`]: its layout, its
 /// trace and its packed latency classes.
-pub fn decode_workload(bytes: &[u8]) -> Result<(CodeLayout, Trace, Vec<u8>), CodecError> {
-    let mut r = ByteReader::new(bytes);
+pub fn decode_workload(bytes: &[u8]) -> Result<(CodeLayout, Trace, Vec<u8>), FieldError> {
+    let mut r = Cursor::new(bytes);
     let layout = decode_layout(&mut r)?;
     let trace = decode_trace(&layout, &mut r)?;
     let classes = decode_classes(&trace, &mut r)?;
-    let left = r.remaining();
-    ensure(left == 0, "payload", || {
-        format!("{left} trailing bytes after the latency classes")
-    })?;
+    r.finish("payload")?;
     Ok((layout, trace, classes))
 }
 
@@ -605,7 +402,7 @@ mod tests {
     }
 
     /// The packed latency classes of `trace`'s instructions.
-    fn classes_of(trace: &Trace) -> Vec<u8> {
+    pub(super) fn classes_of(trace: &Trace) -> Vec<u8> {
         let profile = trace.layout().profile();
         let n = trace.instructions() as usize;
         profile.backend.latency_classes(profile.seed, n)
@@ -688,7 +485,7 @@ mod tests {
             encode_profile(layout.profile(), &mut header);
             header.len() + 8
         };
-        let none = CodecError::new("layout.functions.len", "no function");
+        let none = FieldError::new("layout.functions.len", "no function");
         assert_eq!(forge(at, &[0; 8]), none);
         let (f, b) = (layout.functions().len(), layout.num_blocks());
         let direct = layout
@@ -733,7 +530,7 @@ mod tests {
             put_column(&mut bytes, sizes.len(), sizes.iter().copied());
             let returns = sizes.iter().map(|_| BranchKind::Return as u8);
             put_column(&mut bytes, sizes.len(), returns);
-            decode_layout(&mut ByteReader::new(&bytes)).unwrap_err()
+            decode_layout(&mut Cursor::new(&bytes)).unwrap_err()
         };
         let max = MAX_CODE_INSTRUCTIONS;
         let err = code_end(&[2, max as u32], &[]);

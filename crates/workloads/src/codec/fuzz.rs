@@ -12,30 +12,10 @@
 //! through the layout; a panic fails the test with the mutant that caused
 //! it.
 
+use super::tests::classes_of;
 use super::*;
 use std::collections::BTreeMap;
-
-/// SplitMix64, the fuzzer's only source of choices.
-struct SplitMix(u64);
-
-impl SplitMix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// A uniform draw from `0..n`.
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-
-    fn pick<T: Copy>(&mut self, from: &[T]) -> T {
-        from[self.below(from.len())]
-    }
-}
+use testkit::{flip_bit, forge, truncate, SplitMix};
 
 /// Where one artifact's encoding puts the fields a forged value targets.
 #[derive(Default)]
@@ -113,57 +93,11 @@ fn padding(used: usize, bits: usize) -> u8 {
     }
 }
 
-/// A value worth forging into a `width`-byte field holding `current`.
-fn forged(rng: &mut SplitMix, current: u64, width: usize) -> u64 {
-    let max = if width == 8 {
-        u64::MAX
-    } else {
-        (1 << (8 * width)) - 1
-    };
-    let value = match rng.below(10) {
-        0 => 0,
-        1 => 1,
-        2 => max,
-        // Lengths no payload can back, which must fail before a reservation.
-        8 => u64::from(u32::MAX),
-        9 => 1 << 32,
-        3 => current.wrapping_add(1),
-        4 => current.wrapping_sub(1),
-        5 => current.wrapping_mul(2),
-        // Any small value: for a flow tag, mostly another valid tag.
-        6 => rng.below(8) as u64,
-        _ => rng.next(),
-    };
-    value & max
-}
-
-/// Overwrites the little-endian `width`-byte field at `at` with a forged
-/// value and says what it wrote.
-fn forge(bytes: &mut [u8], rng: &mut SplitMix, what: &str, at: usize, width: usize) -> String {
-    if at + width > bytes.len() {
-        return format!("{what} at {at} truncated away");
-    }
-    let mut le = [0u8; 8];
-    le[..width].copy_from_slice(&bytes[at..at + width]);
-    let value = forged(rng, u64::from_le_bytes(le), width);
-    bytes[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
-    format!("{what} at {at} := {value}")
-}
-
 /// Applies one mutation to `bytes` and says what it was.
 fn mutate(bytes: &mut Vec<u8>, map: &FieldMap, rng: &mut SplitMix) -> String {
     match rng.below(7) {
-        0 => {
-            let at = rng.below(bytes.len());
-            let bit = rng.below(8);
-            bytes[at] ^= 1 << bit;
-            format!("flip bit {bit} of byte {at}")
-        }
-        1 => {
-            let len = rng.below(bytes.len());
-            bytes.truncate(len);
-            format!("truncate to {len} bytes")
-        }
+        0 => flip_bit(bytes, .., rng),
+        1 => truncate(bytes, rng),
         2 => {
             // Columns half the time: the few of them are not lost among
             // the many function lengths.
@@ -189,7 +123,7 @@ fn mutate(bytes: &mut Vec<u8>, map: &FieldMap, rng: &mut SplitMix) -> String {
             if padding == 0 || at >= bytes.len() {
                 return "no class padding to set".to_string();
             }
-            let bit = 8 - 1 - rng.below(padding.count_ones() as usize);
+            let bit = 8 - 1 - rng.below(u64::from(padding.count_ones()));
             bytes[at] |= 1 << bit;
             format!("set class padding bit {bit} of byte {at}")
         }
@@ -197,14 +131,12 @@ fn mutate(bytes: &mut Vec<u8>, map: &FieldMap, rng: &mut SplitMix) -> String {
             // Move one block across a function boundary: the block counts
             // still sum to the stored total, but another block ends a
             // function.
-            let i = rng.below(map.function_sizes.len() - 1);
+            let i = rng.index(map.function_sizes.len() - 1);
             let (a, b) = (map.function_sizes[i], map.function_sizes[i + 1]);
             if b + 4 > bytes.len() {
                 return format!("boundary after function {i} truncated away");
             }
-            let size = |bytes: &[u8], at: usize| {
-                u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"))
-            };
+            let size = |bytes: &[u8], at: usize| u32::get(&bytes[at..at + 4]);
             let shift = if rng.below(2) == 0 { 1 } else { u32::MAX };
             let (left, right) = (
                 size(bytes, a).wrapping_add(shift),
@@ -246,13 +178,6 @@ fn artifacts() -> Vec<(CodeLayout, Trace)> {
         (layout, trace)
     })
     .collect()
-}
-
-/// The packed latency classes of `trace`'s instructions.
-fn classes_of(trace: &Trace) -> Vec<u8> {
-    let profile = trace.layout().profile();
-    let n = trace.instructions() as usize;
-    profile.backend.latency_classes(profile.seed, n)
 }
 
 fn encode(layout: &CodeLayout, trace: &Trace, classes: &[u8]) -> Vec<u8> {
@@ -334,13 +259,8 @@ fn mutated_artifacts_decode_to_field_errors_or_to_usable_workloads() {
             .zip(layout.basic_blocks())
             .all(|(&at, b)| u64::from(bytes[at]) == b.instructions));
         for round in 0..1500 {
-            let mut mutant = bytes.clone();
-            let mut what = Vec::new();
-            for _ in 0..1 + rng.below(2) {
-                if !mutant.is_empty() {
-                    what.push(mutate(&mut mutant, &map, &mut rng));
-                }
-            }
+            let (mutant, what) =
+                testkit::mutant(&bytes, 2, &mut rng, |m, rng| mutate(m, &map, rng));
             let outcome = std::panic::catch_unwind(|| decode_workload(&mutant))
                 .unwrap_or_else(|_| panic!("artifact {index} round {round}: {what:?} panicked"));
             match outcome {

@@ -38,7 +38,6 @@ pub mod layout;
 pub mod profile;
 pub mod trace;
 
-pub use codec::{ByteReader, CodecError};
 pub use layout::{
     BlockId, BranchBehavior, CodeLayout, ControlFlow, Function, FunctionId, Ids, LayoutSummary,
     StaticBlock, CODE_BASE, MAX_CODE_INSTRUCTIONS,

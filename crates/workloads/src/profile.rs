@@ -19,7 +19,6 @@ use crate::layout::{
     MAX_CODE_INSTRUCTIONS, MAX_DISPATCH_CALL_INSTRUCTIONS, MAX_DISPATCH_JUMP_INSTRUCTIONS,
     MAX_FUNCTION_INSTRUCTIONS,
 };
-use serde::{Deserialize, Serialize};
 use sim_core::field;
 use sim_core::field::Field;
 use sim_core::rng::SimRng;
@@ -29,7 +28,7 @@ use std::fmt;
 ///
 /// The remainder after calls, jumps, indirect branches and returns is made up
 /// of conditional branches, which dominate in all profiles.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TerminatorMix {
     /// Fraction of blocks ending in a direct call.
     pub call: f64,
@@ -85,7 +84,7 @@ impl TerminatorMix {
 /// biased branches are easy for everything including a bimodal predictor,
 /// loop exits and history patterns need TAGE-like history, and a small
 /// fraction of data-dependent branches is unpredictable for everyone.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ConditionalBehaviorMix {
     /// Fraction of conditional branches that are loop back-edges.
     pub loop_backedge: f64,
@@ -144,7 +143,7 @@ impl ConditionalBehaviorMix {
 /// how much of the front-end improvement turns into end-to-end speedup
 /// (Figures 1 and 9 saturate between 1.1x and 1.7x). Each retired instruction
 /// is given an execution latency drawn from this distribution.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BackendProfile {
     /// Fraction of instructions that are memory loads.
     pub load_fraction: f64,
@@ -294,7 +293,7 @@ fn unit_fraction(field: &'static str, value: f64) -> Result<(), ProfileError> {
 }
 
 /// Names of the six server workloads studied in the paper (Table II).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum WorkloadKind {
     /// Nutch — open-source web search (Apache Nutch v1.2).
     Nutch,
@@ -346,7 +345,7 @@ impl fmt::Display for WorkloadKind {
 }
 
 /// Declarative description of one synthetic server workload.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WorkloadProfile {
     /// Which paper workload this profile emulates.
     pub kind: WorkloadKind,

@@ -5,57 +5,11 @@
 //! point, generated or decoded, keeps the simulation tables alone.
 
 use boomerang::{RunLength, WorkloadData};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use testkit::{live, peak, reset_peak};
 use workloads::{codec, CodeLayout, Trace, WorkloadKind};
 
-thread_local! {
-    /// Bytes the current thread has allocated and not yet freed. Each
-    /// thread counts only its own allocations, so the test harness's other
-    /// threads cannot move the measuring thread's count. A `const` `Cell`
-    /// has no destructor to register, so reading it never allocates.
-    static LIVE: Cell<isize> = const { Cell::new(0) };
-    /// The most bytes [`LIVE`] has reached since the last reset.
-    static PEAK: Cell<isize> = const { Cell::new(0) };
-}
-
-fn live() -> isize {
-    LIVE.with(Cell::get)
-}
-
-fn peak() -> isize {
-    PEAK.with(Cell::get)
-}
-
-fn grew(delta: isize) {
-    let now = LIVE.with(|live| {
-        live.set(live.get() + delta);
-        live.get()
-    });
-    PEAK.with(|peak| peak.set(peak.get().max(now)));
-}
-
-struct Counting;
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size() as isize);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        grew(-(layout.size() as isize));
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        grew(new_size as isize - layout.size() as isize);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
+static ALLOCATOR: testkit::Counting = testkit::Counting;
 
 /// The most heap bytes per static block a freshly generated layout keeps,
 /// with its control-flow tables, and the most its generation may peak at,
@@ -73,7 +27,7 @@ fn layout_keeps_25_bytes_a_block_and_generation_peaks_at_1_5x_that() {
         .map(|kind| {
             let profile = kind.profile();
             let before = live();
-            PEAK.with(|peak| peak.set(before));
+            reset_peak();
             let layout = CodeLayout::generate(&profile);
             let kept = (live() - before) as f64;
             let peak = (peak() - before) as f64;
